@@ -83,8 +83,8 @@ func TestArrangementMatrixErrorBound(t *testing.T) {
 			}
 			for li := range h.Levels {
 				for _, bc := range h.OwnedBlocks(li) {
-					a := h.BlockField(li, bc[0], bc[1], bc[2])
-					b := res.Hierarchy.BlockField(li, bc[0], bc[1], bc[2])
+					a := blockField(h, li, bc)
+					b := blockField(res.Hierarchy, li, bc)
 					if d := a.MaxAbsDiff(b); d > eb*(1+1e-12) {
 						t.Fatalf("%s/%s level %d: error %g > %g", arr, comp, li, d, eb)
 					}
@@ -110,8 +110,8 @@ func TestPostProcessNeverViolatesDoubleBound(t *testing.T) {
 	}
 	for li := range h.Levels {
 		for _, bc := range h.OwnedBlocks(li) {
-			a := h.BlockField(li, bc[0], bc[1], bc[2])
-			b := res.Hierarchy.BlockField(li, bc[0], bc[1], bc[2])
+			a := blockField(h, li, bc)
+			b := blockField(res.Hierarchy, li, bc)
 			if d := a.MaxAbsDiff(b); d > 2*eb*(1+1e-12) {
 				t.Fatalf("post-processed error %g exceeds 2·eb %g", d, 2*eb)
 			}

@@ -1076,10 +1076,13 @@ func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, e
 			if err != nil {
 				return nil, streamErr(j.level, j.box, err)
 			}
-			if j.box < 0 && c.levels[j.level].padded {
-				f = layout.UnpadXY(f)
-			}
 			if post != nil {
+				// The hook works on the merged array without its pad
+				// layers; with no hook the unmerge below places straight
+				// from the padded one.
+				if j.box < 0 && c.levels[j.level].padded {
+					f = layout.UnpadXY(f)
+				}
 				// The hook sees the stream's own codec, so mixed-codec
 				// containers post-process each level under the backend that
 				// actually produced it.
@@ -1101,7 +1104,7 @@ func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, e
 				}
 				continue
 			}
-			m := &layout.Merged{Data: f, U: h.UnitBlockSize(j.level), Blocks: dl.blocks}
+			m := &layout.Merged{Data: f, U: h.UnitBlockSize(j.level), Blocks: dl.blocks, Padded: dl.padded && post == nil}
 			switch opt.Arrangement {
 			case ArrangeLinear:
 				err = layout.LinearUnmerge(m, h, j.level)

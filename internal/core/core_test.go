@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/roi"
 	"repro/internal/synth"
@@ -21,13 +22,19 @@ func amrHierarchy(t *testing.T, n int, seed int64) *grid.Hierarchy {
 	return h
 }
 
+// blockField copies unit block bc of a level out as a standalone field.
+func blockField(h *grid.Hierarchy, level int, bc [3]int) *field.Field {
+	u := h.UnitBlockSize(level)
+	return h.Levels[level].Data.SubBlock(bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
+}
+
 // maxLevelError returns the max abs error between matching owned blocks of
 // two hierarchies.
 func maxLevelError(a, b *grid.Hierarchy) float64 {
 	worst := 0.0
 	for li := range a.Levels {
 		for _, bc := range a.OwnedBlocks(li) {
-			d := a.BlockField(li, bc[0], bc[1], bc[2]).MaxAbsDiff(b.BlockField(li, bc[0], bc[1], bc[2]))
+			d := blockField(a, li, bc).MaxAbsDiff(blockField(b, li, bc))
 			if d > worst {
 				worst = d
 			}

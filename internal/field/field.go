@@ -67,11 +67,28 @@ func (f *Field) SameShape(g *Field) bool {
 // Range returns the minimum and maximum sample values. For an empty field it
 // returns (0, 0); NaNs are ignored unless all samples are NaN.
 func (f *Field) Range() (min, max float64) {
+	return finishRange(scanRange(f.Data, math.Inf(1), math.Inf(-1)))
+}
+
+// BlockRange is Range over the region of size (bx,by,bz) anchored at
+// (x0,y0,z0), scanned in place: no block is copied out. The region must lie
+// inside the field.
+func (f *Field) BlockRange(x0, y0, z0, bx, by, bz int) (min, max float64) {
+	f.checkRegion(x0, y0, z0, bx, by, bz)
 	min, max = math.Inf(1), math.Inf(-1)
-	for _, v := range f.Data {
-		if math.IsNaN(v) {
-			continue
+	for z := 0; z < bz; z++ {
+		for y := 0; y < by; y++ {
+			i := f.Index(x0, y0+y, z0+z)
+			min, max = scanRange(f.Data[i:i+bx], min, max)
 		}
+	}
+	return finishRange(min, max)
+}
+
+// scanRange folds the samples of row into a running (min, max). NaNs drop
+// out by themselves: both comparisons are false for them.
+func scanRange(row []float64, min, max float64) (float64, float64) {
+	for _, v := range row {
 		if v < min {
 			min = v
 		}
@@ -79,7 +96,13 @@ func (f *Field) Range() (min, max float64) {
 			max = v
 		}
 	}
-	if math.IsInf(min, 1) { // empty or all NaN
+	return min, max
+}
+
+// finishRange maps the untouched running range of an empty or all-NaN scan
+// to (0, 0).
+func finishRange(min, max float64) (float64, float64) {
+	if math.IsInf(min, 1) {
 		return 0, 0
 	}
 	return min, max
@@ -118,6 +141,32 @@ func (f *Field) Variance() float64 {
 	return s / float64(n)
 }
 
+// checkRegion panics unless the region of size (bx,by,bz) anchored at
+// (x0,y0,z0) is non-negative and lies inside the field.
+func (f *Field) checkRegion(x0, y0, z0, bx, by, bz int) {
+	if x0 < 0 || y0 < 0 || z0 < 0 || bx < 0 || by < 0 || bz < 0 ||
+		x0+bx > f.Nx || y0+by > f.Ny || z0+bz > f.Nz {
+		panic(fmt.Sprintf("field: block %dx%dx%d at (%d,%d,%d) does not fit in %dx%dx%d",
+			bx, by, bz, x0, y0, z0, f.Nx, f.Ny, f.Nz))
+	}
+}
+
+// CopyBlock copies the region of size (bx,by,bz) anchored at (sx,sy,sz) in
+// src to the region anchored at (dx,dy,dz) in dst, one row copy per (y,z),
+// each field indexed at its own strides. Both regions must lie inside their
+// fields and must not overlap.
+func CopyBlock(dst *Field, dx, dy, dz int, src *Field, sx, sy, sz, bx, by, bz int) {
+	dst.checkRegion(dx, dy, dz, bx, by, bz)
+	src.checkRegion(sx, sy, sz, bx, by, bz)
+	for z := 0; z < bz; z++ {
+		for y := 0; y < by; y++ {
+			d := dst.Index(dx, dy+y, dz+z)
+			s := src.Index(sx, sy+y, sz+z)
+			copy(dst.Data[d:d+bx], src.Data[s:s+bx])
+		}
+	}
+}
+
 // SubBlock copies the region of size (bx,by,bz) anchored at (x0,y0,z0) into a
 // new field. The region is clamped to the field bounds; the returned block
 // has the clamped dimensions.
@@ -132,30 +181,14 @@ func (f *Field) SubBlock(x0, y0, z0, bx, by, bz int) *Field {
 		panic(fmt.Sprintf("field: block origin (%d,%d,%d) outside field %dx%dx%d", x0, y0, z0, f.Nx, f.Ny, f.Nz))
 	}
 	b := New(cx, cy, cz)
-	for z := 0; z < cz; z++ {
-		for y := 0; y < cy; y++ {
-			src := f.Index(x0, y0+y, z0+z)
-			dst := b.Index(0, y, z)
-			copy(b.Data[dst:dst+cx], f.Data[src:src+cx])
-		}
-	}
+	CopyBlock(b, 0, 0, 0, f, x0, y0, z0, cx, cy, cz)
 	return b
 }
 
 // SetBlock writes block b into the field anchored at (x0,y0,z0). The block
 // must fit entirely inside the field.
 func (f *Field) SetBlock(x0, y0, z0 int, b *Field) {
-	if x0+b.Nx > f.Nx || y0+b.Ny > f.Ny || z0+b.Nz > f.Nz || x0 < 0 || y0 < 0 || z0 < 0 {
-		panic(fmt.Sprintf("field: block %dx%dx%d at (%d,%d,%d) does not fit in %dx%dx%d",
-			b.Nx, b.Ny, b.Nz, x0, y0, z0, f.Nx, f.Ny, f.Nz))
-	}
-	for z := 0; z < b.Nz; z++ {
-		for y := 0; y < b.Ny; y++ {
-			src := b.Index(0, y, z)
-			dst := f.Index(x0, y0+y, z0+z)
-			copy(f.Data[dst:dst+b.Nx], b.Data[src:src+b.Nx])
-		}
-	}
+	CopyBlock(f, x0, y0, z0, b, 0, 0, 0, b.Nx, b.Ny, b.Nz)
 }
 
 // Downsample2 returns a field of half resolution per axis (ceil division)
@@ -163,39 +196,64 @@ func (f *Field) SetBlock(x0, y0, z0 int, b *Field) {
 // This is the restriction operator used for non-ROI regions and for building
 // coarse AMR levels from fine data.
 func (f *Field) Downsample2() *Field {
-	nx := (f.Nx + 1) / 2
-	ny := (f.Ny + 1) / 2
-	nz := (f.Nz + 1) / 2
-	g := New(nx, ny, nz)
+	g := New((f.Nx+1)/2, (f.Ny+1)/2, (f.Nz+1)/2)
+	DownsampleBlock2(g, 0, 0, 0, f, 0, 0, 0, f.Nx, f.Ny, f.Nz)
+	return g
+}
+
+// DownsampleBlock2 is Downsample2 of the region of size (bx,by,bz) anchored
+// at (sx,sy,sz) in src, written straight into the region of half that size
+// (ceil division) anchored at (dx,dy,dz) in dst. Children are summed from
+// zero in z, y, x order, so every mean carries the same rounding wherever
+// the region sits. Both regions must lie inside their fields and must not
+// overlap.
+func DownsampleBlock2(dst *Field, dx, dy, dz int, src *Field, sx, sy, sz, bx, by, bz int) {
+	nx, ny, nz := (bx+1)/2, (by+1)/2, (bz+1)/2
+	dst.checkRegion(dx, dy, dz, nx, ny, nz)
+	src.checkRegion(sx, sy, sz, bx, by, bz)
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
+			// The (up to) four fine rows under this coarse row, in
+			// summation order.
+			var rows [4][]float64
+			nr := 0
+			for fz := 2 * z; fz < 2*z+2 && fz < bz; fz++ {
+				for fy := 2 * y; fy < 2*y+2 && fy < by; fy++ {
+					i := src.Index(sx, sy+fy, sz+fz)
+					rows[nr] = src.Data[i : i+bx]
+					nr++
+				}
+			}
+			o := dst.Index(dx, dy+y, dz+z)
+			out := dst.Data[o : o+nx]
+			x := 0
+			if nr == 4 {
+				r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+				for ; x < bx/2; x++ {
+					sum := 0.0
+					sum += r0[2*x]
+					sum += r0[2*x+1]
+					sum += r1[2*x]
+					sum += r1[2*x+1]
+					sum += r2[2*x]
+					sum += r2[2*x+1]
+					sum += r3[2*x]
+					sum += r3[2*x+1]
+					out[x] = sum / 8
+				}
+			}
+			for ; x < nx; x++ {
 				sum, n := 0.0, 0
-				for dz := 0; dz < 2; dz++ {
-					fz := 2*z + dz
-					if fz >= f.Nz {
-						continue
-					}
-					for dy := 0; dy < 2; dy++ {
-						fy := 2*y + dy
-						if fy >= f.Ny {
-							continue
-						}
-						for dx := 0; dx < 2; dx++ {
-							fx := 2*x + dx
-							if fx >= f.Nx {
-								continue
-							}
-							sum += f.At(fx, fy, fz)
-							n++
-						}
+				for _, r := range rows[:nr] {
+					for fx := 2 * x; fx < 2*x+2 && fx < bx; fx++ {
+						sum += r[fx]
+						n++
 					}
 				}
-				g.Set(x, y, z, sum/float64(n))
+				out[x] = sum / float64(n)
 			}
 		}
 	}
-	return g
 }
 
 // Upsample2 returns a field of exactly (nx,ny,nz) samples reconstructed from

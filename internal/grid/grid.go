@@ -10,8 +10,9 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/field"
 )
@@ -26,6 +27,10 @@ type Hierarchy struct {
 	// Levels holds per-level data, index 0 = finest. Every block of the
 	// domain is owned by exactly one level.
 	Levels []*Level
+
+	// scratch holds SetBlockFromFine's intermediate means for levels ≥ 2;
+	// allocated on first use.
+	scratch *field.Field
 }
 
 // Level is one resolution level of a hierarchy.
@@ -140,13 +145,19 @@ func (h *Hierarchy) Validate() error {
 // Density returns the fraction of domain blocks owned by the given level —
 // the "density" column of the paper's Table III.
 func (h *Hierarchy) Density(level int) float64 {
-	owned := 0
-	for _, o := range h.Levels[level].Owned {
+	lv := h.Levels[level]
+	return float64(lv.ownedCount()) / float64(len(lv.Owned))
+}
+
+// ownedCount returns the number of blocks the level owns.
+func (lv *Level) ownedCount() int {
+	k := 0
+	for _, o := range lv.Owned {
 		if o {
-			owned++
+			k++
 		}
 	}
-	return float64(owned) / float64(len(h.Levels[level].Owned))
+	return k
 }
 
 // PayloadSamples returns the number of stored samples across all levels
@@ -155,12 +166,7 @@ func (h *Hierarchy) PayloadSamples() int {
 	total := 0
 	for l, lv := range h.Levels {
 		u := h.UnitBlockSize(l)
-		perBlock := u * u * u
-		for _, o := range lv.Owned {
-			if o {
-				total += perBlock
-			}
-		}
+		total += u * u * u * lv.ownedCount()
 	}
 	return total
 }
@@ -171,6 +177,11 @@ func (h *Hierarchy) PayloadBytes() int { return h.PayloadSamples() * 8 }
 // SetBlockFromFine assigns ownership of block (bx,by,bz) to the given level
 // and fills the level's samples for that block by mean-downsampling the
 // corresponding region of the fine field. Any previous owner is cleared.
+//
+// Level 0 copies and level 1 downsamples straight into the level array. A
+// deeper level is a chain of 2× means, not one 2ˡ× mean (the roundings
+// differ), so all but its last halving go through the hierarchy's scratch
+// block, alternating between its two z regions.
 func (h *Hierarchy) SetBlockFromFine(level, bx, by, bz int, fine *field.Field) {
 	bi := h.BlockIndex(bx, by, bz)
 	for _, lv := range h.Levels {
@@ -178,19 +189,22 @@ func (h *Hierarchy) SetBlockFromFine(level, bx, by, bz int, fine *field.Field) {
 	}
 	lv := h.Levels[level]
 	lv.Owned[bi] = true
-	b := fine.SubBlock(bx*h.BlockB, by*h.BlockB, bz*h.BlockB, h.BlockB, h.BlockB, h.BlockB)
-	for s := 1; s < lv.Scale; s <<= 1 {
-		b = b.Downsample2()
+	n, u := h.BlockB, h.UnitBlockSize(level)
+	if level == 0 {
+		field.CopyBlock(lv.Data, bx*u, by*u, bz*u, fine, bx*n, by*n, bz*n, n, n, n)
+		return
 	}
-	u := h.UnitBlockSize(level)
-	lv.Data.SetBlock(bx*u, by*u, bz*u, b)
-}
-
-// BlockField extracts the unit block (bx,by,bz) of the given level as a
-// standalone field of edge UnitBlockSize(level).
-func (h *Hierarchy) BlockField(level, bx, by, bz int) *field.Field {
-	u := h.UnitBlockSize(level)
-	return h.Levels[level].Data.SubBlock(bx*u, by*u, bz*u, u, u, u)
+	src, sx, sy, sz := fine, bx*n, by*n, bz*n
+	if level > 1 && h.scratch == nil {
+		h.scratch = field.New(n/2, n/2, n/2+n/4)
+	}
+	tz := 0
+	for n > 2*u {
+		field.DownsampleBlock2(h.scratch, 0, 0, tz, src, sx, sy, sz, n, n, n)
+		src, sx, sy, sz, n = h.scratch, 0, 0, tz, n/2
+		tz = h.BlockB/2 - tz
+	}
+	field.DownsampleBlock2(lv.Data, bx*u, by*u, bz*u, src, sx, sy, sz, n, n, n)
 }
 
 // Flatten reconstructs a full fine-resolution field: owned fine blocks are
@@ -205,6 +219,10 @@ func (h *Hierarchy) Flatten() *field.Field {
 			for by := 0; by < nby; by++ {
 				for bx := 0; bx < nbx; bx++ {
 					if !lv.Owned[h.BlockIndex(bx, by, bz)] {
+						continue
+					}
+					if l == 0 {
+						field.CopyBlock(out, bx*u, by*u, bz*u, lv.Data, bx*u, by*u, bz*u, u, u, u)
 						continue
 					}
 					b := lv.Data.SubBlock(bx*u, by*u, bz*u, u, u, u)
@@ -224,7 +242,7 @@ func (h *Hierarchy) Flatten() *field.Field {
 func (h *Hierarchy) OwnedBlocks(level int) [][3]int {
 	nbx, nby, nbz := h.NumBlocks()
 	lv := h.Levels[level]
-	var out [][3]int
+	out := make([][3]int, 0, lv.ownedCount())
 	for bz := 0; bz < nbz; bz++ {
 		for by := 0; by < nby; by++ {
 			for bx := 0; bx < nbx; bx++ {
@@ -268,36 +286,10 @@ func BuildAMR(fine *field.Field, blockB int, fracs []float64) (*Hierarchy, error
 	if sum < 0.999 || sum > 1.001 {
 		return nil, fmt.Errorf("grid: fractions sum to %g, want 1", sum)
 	}
-	nbx, nby, nbz := h.NumBlocks()
-	type scored struct {
-		bx, by, bz int
-		rng        float64
-	}
-	blocks := make([]scored, 0, nbx*nby*nbz)
-	for bz := 0; bz < nbz; bz++ {
-		for by := 0; by < nby; by++ {
-			for bx := 0; bx < nbx; bx++ {
-				b := fine.SubBlock(bx*blockB, by*blockB, bz*blockB, blockB, blockB, blockB)
-				blocks = append(blocks, scored{bx, by, bz, b.ValueRange()})
-			}
-		}
-	}
-	sort.Slice(blocks, func(i, j int) bool {
-		if blocks[i].rng != blocks[j].rng {
-			return blocks[i].rng > blocks[j].rng
-		}
-		// Deterministic tie-break by position.
-		a, b := blocks[i], blocks[j]
-		if a.bz != b.bz {
-			return a.bz < b.bz
-		}
-		if a.by != b.by {
-			return a.by < b.by
-		}
-		return a.bx < b.bx
-	})
+	nbx, nby, _ := h.NumBlocks()
+	order := RankBlocks(fine, blockB)
 	// Assign the top fracs[0] to level 0, next fracs[1] to level 1, …
-	total := len(blocks)
+	total := len(order)
 	start := 0
 	for l := range fracs {
 		count := int(fracs[l]*float64(total) + 0.5)
@@ -308,9 +300,41 @@ func BuildAMR(fine *field.Field, blockB int, fracs []float64) (*Hierarchy, error
 			count = total - start
 		}
 		for i := start; i < start+count; i++ {
-			h.SetBlockFromFine(l, blocks[i].bx, blocks[i].by, blocks[i].bz, fine)
+			bi := order[i]
+			h.SetBlockFromFine(l, bi%nbx, bi/nbx%nby, bi/(nbx*nby), fine)
 		}
 		start += count
 	}
 	return h, nil
+}
+
+// RankBlocks returns the flat raster indices of f's blockB³ blocks ordered by
+// value range (max − min), largest first, ties by index — the paper's
+// range-threshold criterion, shared by BuildAMR and roi.Select. Ranges are
+// scanned in place. f's dimensions must be multiples of blockB.
+func RankBlocks(f *field.Field, blockB int) []int {
+	nbx, nby, nbz := f.Nx/blockB, f.Ny/blockB, f.Nz/blockB
+	ranges := make([]float64, 0, nbx*nby*nbz)
+	for bz := 0; bz < nbz; bz++ {
+		for by := 0; by < nby; by++ {
+			for bx := 0; bx < nbx; bx++ {
+				lo, hi := f.BlockRange(bx*blockB, by*blockB, bz*blockB, blockB, blockB, blockB)
+				ranges = append(ranges, hi-lo)
+			}
+		}
+	}
+	order := make([]int, len(ranges))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case ranges[a] > ranges[b]:
+			return -1
+		case ranges[a] < ranges[b]:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }

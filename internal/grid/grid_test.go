@@ -72,7 +72,7 @@ func TestSetBlockFromFineAndValidate(t *testing.T) {
 		t.Fatalf("level 0 density %v, want ~0.5", d0)
 	}
 	// Fine-owned block data must match the source exactly.
-	b := h.BlockField(0, 0, 0, 0)
+	b := h.Levels[0].Data.SubBlock(0, 0, 0, 8, 8, 8)
 	want := f.SubBlock(0, 0, 0, 8, 8, 8)
 	if !b.Equal(want) {
 		t.Fatal("fine block data mismatch")

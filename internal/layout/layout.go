@@ -16,9 +16,10 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -32,6 +33,35 @@ type Merged struct {
 	U int
 	// Blocks lists the block coordinates in merge order.
 	Blocks [][3]int
+	// Padded says Data still carries PadXY's extra +x and +y layer, as a
+	// decoded linear-merge stream does; LinearPlace steps over it, so
+	// placing needs no UnpadXY. Only linear merges are padded.
+	Padded bool
+}
+
+// gather copies the listed unit blocks of a level into a new u×u×(u·k)
+// array, block i at z = i·u, row by row from the level array.
+func gather(h *grid.Hierarchy, level int, blocks [][3]int) *field.Field {
+	u := h.UnitBlockSize(level)
+	src := h.Levels[level].Data
+	out := field.New(u, u, u*len(blocks))
+	for i, bc := range blocks {
+		field.CopyBlock(out, 0, 0, i*u, src, bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
+	}
+	return out
+}
+
+// scatter reverses gather: the u³ block at z = i·u of src lands at block i's
+// domain position in dst. src is read at its own strides, so it may be
+// wider than u in x and y.
+func scatter(src *field.Field, u int, blocks [][3]int, dst *field.Field) error {
+	for i, bc := range blocks {
+		if err := checkBlockFits(dst, bc, u); err != nil {
+			return err
+		}
+		field.CopyBlock(dst, bc[0]*u, bc[1]*u, bc[2]*u, src, 0, 0, i*u, u, u, u)
+	}
+	return nil
 }
 
 // LinearMerge concatenates the owned unit blocks of hierarchy level l along
@@ -45,12 +75,7 @@ func LinearMerge(h *grid.Hierarchy, level int) *Merged {
 	if k == 0 {
 		return &Merged{Data: nil, U: u}
 	}
-	out := field.New(u, u, u*k)
-	for i, bc := range blocks {
-		b := h.BlockField(level, bc[0], bc[1], bc[2])
-		out.SetBlock(0, 0, i*u, b)
-	}
-	return &Merged{Data: out, U: u, Blocks: blocks}
+	return &Merged{Data: gather(h, level, blocks), U: u, Blocks: blocks}
 }
 
 // LinearPlace writes the merged blocks into dst, a full-domain array at the
@@ -61,18 +86,14 @@ func LinearPlace(m *Merged, dst *field.Field) error {
 	if m.Data == nil {
 		return nil
 	}
-	u := m.U
-	if m.Data.Nx != u || m.Data.Ny != u || m.Data.Nz != u*len(m.Blocks) {
-		return fmt.Errorf("layout: merged shape %v inconsistent with %d blocks of u=%d", m.Data, len(m.Blocks), u)
+	u, w := m.U, m.U
+	if m.Padded {
+		w++
 	}
-	for i, bc := range m.Blocks {
-		if err := checkBlockFits(dst, bc, u); err != nil {
-			return err
-		}
-		b := m.Data.SubBlock(0, 0, i*u, u, u, u)
-		dst.SetBlock(bc[0]*u, bc[1]*u, bc[2]*u, b)
+	if m.Data.Nx != w || m.Data.Ny != w || m.Data.Nz != u*len(m.Blocks) {
+		return fmt.Errorf("layout: merged shape %v inconsistent with %d blocks of u=%d (padded %v)", m.Data, len(m.Blocks), u, m.Padded)
 	}
-	return nil
+	return scatter(m.Data, u, m.Blocks, dst)
 }
 
 // LinearUnmerge writes the merged blocks back into hierarchy level l,
@@ -101,20 +122,13 @@ func StackMerge(h *grid.Hierarchy, level int) *Merged {
 	}
 	m := int(math.Ceil(math.Cbrt(float64(k))))
 	out := field.New(u*m, u*m, u*m)
-	var last *field.Field
+	src := h.Levels[level].Data
 	slot := 0
 	for sz := 0; sz < m; sz++ {
 		for sy := 0; sy < m; sy++ {
 			for sx := 0; sx < m; sx++ {
-				var b *field.Field
-				if slot < k {
-					bc := blocks[slot]
-					b = h.BlockField(level, bc[0], bc[1], bc[2])
-					last = b
-				} else {
-					b = last
-				}
-				out.SetBlock(sx*u, sy*u, sz*u, b)
+				bc := blocks[min(slot, k-1)]
+				field.CopyBlock(out, sx*u, sy*u, sz*u, src, bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
 				slot++
 			}
 		}
@@ -145,8 +159,7 @@ func StackPlace(m *Merged, dst *field.Field) error {
 				if err := checkBlockFits(dst, bc, u); err != nil {
 					return err
 				}
-				b := m.Data.SubBlock(sx*u, sy*u, sz*u, u, u, u)
-				dst.SetBlock(bc[0]*u, bc[1]*u, bc[2]*u, b)
+				field.CopyBlock(dst, bc[0]*u, bc[1]*u, bc[2]*u, m.Data, sx*u, sy*u, sz*u, u, u, u)
 				slot++
 			}
 		}
@@ -279,26 +292,22 @@ const (
 // analyzed in the paper.
 func PadXY(f *field.Field, kind PadKind) *field.Field {
 	g := field.New(f.Nx+1, f.Ny+1, f.Nz)
+	nx, ny, gx := f.Nx, f.Ny, g.Nx
 	for z := 0; z < f.Nz; z++ {
-		for y := 0; y < f.Ny; y++ {
-			for x := 0; x < f.Nx; x++ {
-				g.Set(x, y, z, f.At(x, y, z))
-			}
+		plane := g.Data[z*gx*g.Ny : (z+1)*gx*g.Ny]
+		// Interior rows, each with its +x sample.
+		for y := 0; y < ny; y++ {
+			src := f.Data[f.Index(0, y, z):][:nx]
+			row := plane[y*gx:][:gx]
+			copy(row, src)
+			row[nx] = extrapolate(kind, src[nx-1], src[max(nx-2, 0)], src[max(nx-3, 0)])
 		}
-	}
-	// +x face.
-	for z := 0; z < f.Nz; z++ {
-		for y := 0; y < f.Ny; y++ {
-			g.Set(f.Nx, y, z, extrapolate(kind,
-				sampleBack(f, f.Nx, func(i int) float64 { return f.At(i, y, z) })))
-		}
-	}
-	// +y face, including the new corner column (use the padded array so the
-	// corner extrapolates from already-padded x values).
-	for z := 0; z < f.Nz; z++ {
-		for x := 0; x <= f.Nx; x++ {
-			g.Set(x, f.Ny, z, extrapolate(kind,
-				sampleBack(g, f.Ny, func(i int) float64 { return g.At(x, i, z) })))
+		// +y row, including the new corner: it extrapolates from the rows
+		// above, whose +x samples are already in place.
+		r0, r1, r2 := plane[(ny-1)*gx:], plane[max(ny-2, 0)*gx:], plane[max(ny-3, 0)*gx:]
+		row := plane[ny*gx:][:gx]
+		for x := range row {
+			row[x] = extrapolate(kind, r0[x], r1[x], r2[x])
 		}
 	}
 	return g
@@ -309,30 +318,17 @@ func UnpadXY(f *field.Field) *field.Field {
 	return f.SubBlock(0, 0, 0, f.Nx-1, f.Ny-1, f.Nz)
 }
 
-// sampleBack collects up to the last three samples before index n along a
-// line accessor, most recent first.
-func sampleBack(f *field.Field, n int, at func(int) float64) [3]float64 {
-	var s [3]float64
-	for i := 0; i < 3; i++ {
-		j := n - 1 - i
-		if j < 0 {
-			j = 0
-		}
-		s[i] = at(j)
-	}
-	return s
-}
-
-// extrapolate predicts the next sample from the trailing samples s
-// (s[0] = last, s[1] = second-to-last, s[2] = third-to-last).
-func extrapolate(kind PadKind, s [3]float64) float64 {
+// extrapolate predicts the next sample of a line from its trailing samples
+// (s0 = last, s1 = second-to-last, s2 = third-to-last; a line shorter than
+// three repeats its first sample).
+func extrapolate(kind PadKind, s0, s1, s2 float64) float64 {
 	switch kind {
 	case PadLinear:
-		return 2*s[0] - s[1]
+		return 2*s0 - s1
 	case PadQuadratic:
-		return 3*s[0] - 3*s[1] + s[2]
+		return 3*s0 - 3*s1 + s2
 	default:
-		return s[0]
+		return s0
 	}
 }
 
@@ -395,13 +391,9 @@ func ZOrderFlatten1D(h *grid.Hierarchy, level int) *Merged {
 		return &Merged{Data: nil, U: u}
 	}
 	sortBlocksMorton(blocks)
-	out := field.New(u*u*u*len(blocks), 1, 1)
-	pos := 0
-	for _, bc := range blocks {
-		b := h.BlockField(level, bc[0], bc[1], bc[2])
-		copy(out.Data[pos:pos+b.Len()], b.Data)
-		pos += b.Len()
-	}
+	// Blocks end to end in raster order are a linear merge read flat.
+	out := gather(h, level, blocks)
+	out.Nx, out.Ny, out.Nz = out.Len(), 1, 1
 	return &Merged{Data: out, U: u, Blocks: blocks}
 }
 
@@ -412,21 +404,11 @@ func ZOrderPlace1D(m *Merged, dst *field.Field) error {
 		return nil
 	}
 	u := m.U
-	per := u * u * u
-	if m.Data.Len() != per*len(m.Blocks) {
+	if m.Data.Len() != u*u*u*len(m.Blocks) {
 		return fmt.Errorf("layout: 1D length %d inconsistent with %d blocks", m.Data.Len(), len(m.Blocks))
 	}
-	pos := 0
-	for _, bc := range m.Blocks {
-		if err := checkBlockFits(dst, bc, u); err != nil {
-			return err
-		}
-		b := field.New(u, u, u)
-		copy(b.Data, m.Data.Data[pos:pos+per])
-		pos += per
-		dst.SetBlock(bc[0]*u, bc[1]*u, bc[2]*u, b)
-	}
-	return nil
+	linear := field.Field{Nx: u, Ny: u, Nz: u * len(m.Blocks), Data: m.Data.Data}
+	return scatter(&linear, u, m.Blocks, dst)
 }
 
 // ZOrderUnflatten1D reverses ZOrderFlatten1D.
@@ -469,9 +451,6 @@ func markOwned(m *Merged, h *grid.Hierarchy, level int) {
 }
 
 func sortBlocksMorton(blocks [][3]int) {
-	sort.Slice(blocks, func(i, j int) bool {
-		a := MortonEncode(uint32(blocks[i][0]), uint32(blocks[i][1]), uint32(blocks[i][2]))
-		b := MortonEncode(uint32(blocks[j][0]), uint32(blocks[j][1]), uint32(blocks[j][2]))
-		return a < b
-	})
+	morton := func(b [3]int) uint64 { return MortonEncode(uint32(b[0]), uint32(b[1]), uint32(b[2])) }
+	slices.SortFunc(blocks, func(a, b [3]int) int { return cmp.Compare(morton(a), morton(b)) })
 }

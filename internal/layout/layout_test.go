@@ -29,6 +29,12 @@ func emptyLike(t *testing.T, h *grid.Hierarchy) *grid.Hierarchy {
 	return g
 }
 
+// blockField copies unit block bc of a level out as a standalone field.
+func blockField(h *grid.Hierarchy, level int, bc [3]int) *field.Field {
+	u := h.UnitBlockSize(level)
+	return h.Levels[level].Data.SubBlock(bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
+}
+
 func levelsEqual(a, b *grid.Hierarchy, level int) bool {
 	la, lb := a.Levels[level], b.Levels[level]
 	for i, o := range la.Owned {
@@ -37,7 +43,7 @@ func levelsEqual(a, b *grid.Hierarchy, level int) bool {
 		}
 	}
 	for _, bc := range a.OwnedBlocks(level) {
-		if !a.BlockField(level, bc[0], bc[1], bc[2]).Equal(b.BlockField(level, bc[0], bc[1], bc[2])) {
+		if !blockField(a, level, bc).Equal(blockField(b, level, bc)) {
 			return false
 		}
 	}

@@ -483,13 +483,9 @@ func (r *Reader) levelField(ctx context.Context, l int) (*field.Field, error) {
 			if err != nil {
 				return nil, err
 			}
-			if lv.Padded {
-				if f.Nx < 2 || f.Ny < 2 {
-					return nil, fmt.Errorf("reader: level %d padded stream too small to unpad (%v)", l, f)
-				}
-				f = layout.UnpadXY(f)
-			}
-			m := &layout.Merged{Data: f, U: r.ix.UnitBlockSize(l), Blocks: lv.Blocks}
+			// A padded stream is placed as decoded: LinearPlace steps over
+			// the pad layers, so the level is copied once, not twice.
+			m := &layout.Merged{Data: f, U: r.ix.UnitBlockSize(l), Blocks: lv.Blocks, Padded: lv.Padded}
 			var err2 error
 			switch core.Arrangement(r.ix.Opts.Arrangement) {
 			case core.ArrangeLinear:

@@ -11,7 +11,6 @@ package roi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -46,28 +45,8 @@ func Select(f *field.Field, opt Options) ([]bool, error) {
 	if f.Nx%b != 0 || f.Ny%b != 0 || f.Nz%b != 0 {
 		return nil, fmt.Errorf("roi: dims %dx%dx%d not multiples of block %d", f.Nx, f.Ny, f.Nz, b)
 	}
-	nbx, nby, nbz := f.Nx/b, f.Ny/b, f.Nz/b
-	n := nbx * nby * nbz
-	ranges := make([]float64, n)
-	idx := 0
-	for bz := 0; bz < nbz; bz++ {
-		for by := 0; by < nby; by++ {
-			for bx := 0; bx < nbx; bx++ {
-				ranges[idx] = f.SubBlock(bx*b, by*b, bz*b, b, b, b).ValueRange()
-				idx++
-			}
-		}
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if ranges[order[i]] != ranges[order[j]] {
-			return ranges[order[i]] > ranges[order[j]]
-		}
-		return order[i] < order[j]
-	})
+	order := grid.RankBlocks(f, b)
+	n := len(order)
 	keep := int(opt.TopFrac*float64(n) + 0.5)
 	mask := make([]bool, n)
 	for i := 0; i < keep; i++ {

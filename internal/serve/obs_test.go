@@ -79,6 +79,34 @@ type tracesResponse struct {
 	Traces []obs.TraceSnapshot `json:"traces"`
 }
 
+// waitForTrace polls /debug/traces until the trace with the given ID is in
+// the ring. Server.instrument's contract is that a trace is visible
+// eventually, not before the last body byte, so reading the ring once right
+// after the response races the handler's deferred Finish.
+func waitForTrace(t *testing.T, baseURL, id string) obs.TraceSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, body, _ := get(t, baseURL+"/debug/traces")
+		if code != 200 {
+			t.Fatalf("/debug/traces: %d", code)
+		}
+		var tr tracesResponse
+		if err := json.Unmarshal(body, &tr); err != nil {
+			t.Fatalf("/debug/traces not JSON: %v\n%s", err, body)
+		}
+		for _, snap := range tr.Traces {
+			if snap.ID == id {
+				return snap
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace %s not in ring after 5s (%d traces)", id, len(tr.Traces))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestTraceSpansChain is the acceptance criterion: a traced level request
 // must show at least the serve → read → decode span chain, each span with a
 // recorded duration, retrievable by the request's trace ID.
@@ -95,24 +123,7 @@ func TestTraceSpansChain(t *testing.T) {
 		t.Fatalf("level: %d", resp.StatusCode)
 	}
 
-	code, body, _ := get(t, ts.URL+"/debug/traces")
-	if code != 200 {
-		t.Fatalf("/debug/traces: %d", code)
-	}
-	var tr tracesResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		t.Fatalf("/debug/traces not JSON: %v\n%s", err, body)
-	}
-	var found *obs.TraceSnapshot
-	for i := range tr.Traces {
-		if tr.Traces[i].ID == "chain-trace-1" {
-			found = &tr.Traces[i]
-			break
-		}
-	}
-	if found == nil {
-		t.Fatalf("trace chain-trace-1 not in ring (%d traces)", len(tr.Traces))
-	}
+	found := waitForTrace(t, ts.URL, "chain-trace-1")
 	spans := map[string]obs.SpanSnapshot{}
 	for _, sp := range found.Spans {
 		spans[sp.Name] = sp

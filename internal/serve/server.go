@@ -1042,6 +1042,11 @@ func (sr *statusRecorder) WriteHeader(code int) {
 // poisoned request can never take a worker goroutine down with stacked
 // state. Each completed trace lands in the /debug/traces ring; sampled
 // requests additionally emit one structured access-log line.
+//
+// Contract: a trace is visible eventually, not before the last body byte.
+// The trace is finished after the handler returns, because its root span
+// and status cover the body write; a client that has read the whole
+// response may therefore query the ring a moment before the trace is in it.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/synth"
 )
@@ -124,8 +125,8 @@ func TestErrorBoundHolds(t *testing.T) {
 	// Per-level stored samples obey the bound.
 	for li := range h.Levels {
 		for _, bc := range h.OwnedBlocks(li) {
-			a := h.BlockField(li, bc[0], bc[1], bc[2])
-			b := res.Hierarchy.BlockField(li, bc[0], bc[1], bc[2])
+			a := blockField(h, li, bc)
+			b := blockField(res.Hierarchy, li, bc)
 			if d := a.MaxAbsDiff(b); d > eb*(1+1e-12) {
 				t.Fatalf("level %d block %v error %g > %g", li, bc, d, eb)
 			}
@@ -210,4 +211,10 @@ func TestMetricReexports(t *testing.T) {
 	if CompressionRatio(100, 10) != 10 {
 		t.Fatal("CR re-export broken")
 	}
+}
+
+// blockField copies unit block bc of a level out as a standalone field.
+func blockField(h *grid.Hierarchy, level int, bc [3]int) *field.Field {
+	u := h.UnitBlockSize(level)
+	return h.Levels[level].Data.SubBlock(bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
 }
