@@ -42,8 +42,9 @@
 //
 // Replacing a served container — by PUT or by an external atomic copy —
 // takes effect on the next request: every lookup stat-revalidates the open
-// reader against the file on disk, and a replaced field's reader, listing
-// summary, and cached bricks are dropped together.
+// reader against the file on disk and reopens a replaced one. Cached bricks
+// are keyed by container version, so the new reader never sees the old
+// container's; those age out of the LRU.
 //
 // Corruption degrades instead of failing: every stream read is verified
 // against the container's per-stream checksum, a corrupt level is

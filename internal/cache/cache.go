@@ -5,17 +5,22 @@
 //
 // The cache is safe for concurrent use. Keys are sharded by FNV-1a hash so
 // concurrent readers of different bricks rarely contend on the same lock.
-// Each shard enforces its slice of the global byte budget for ordinary
-// entries, but a single entry may be up to half the *global* budget: large
-// bricks (the fine levels of big fields — the most expensive decodes) borrow
-// room from the other shards, which are swept least-recently-used-first
-// until the global budget fits again. No key distribution can overrun the
-// global budget.
+// Nothing is evicted while the cache as a whole is under its byte budget.
+// Once it is over, the inserting shard first gives back what it holds above
+// its slice of the budget, but a single entry may be up to half the *global*
+// budget: large bricks (the fine levels of big fields — the most expensive
+// decodes) borrow room from the other shards, which are swept
+// least-recently-used-first until the global budget fits again. No key
+// distribution can overrun the global budget.
+//
+// Entries leave only by LRU displacement: there is no removal or
+// invalidation API. Callers whose values can go stale put the version of
+// what they cached into the key (internal/reader does, for container
+// bricks), so a superseded entry is never looked up again and ages out.
 package cache
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -191,12 +196,11 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // Put inserts (or refreshes) a value accounted at the given size in bytes,
-// evicting least-recently-used entries until the budget fits. Ordinary
-// values are bounded by their shard's slice of the budget; a value larger
-// than that (but at most half the global budget) is still admitted — it
-// borrows room by sweeping the other shards' LRU tails — so the most
-// expensive bricks are never silently uncacheable. Values above the
-// admission bound are dropped.
+// evicting least-recently-used entries once the global budget is exceeded:
+// first from this shard while it is above its slice, then from the other
+// shards' LRU tails. A value larger than a shard's slice (but at most half
+// the global budget) is still admitted, so the most expensive bricks are
+// never silently uncacheable. Values above the admission bound are dropped.
 func (c *Cache) Put(key string, val any, size int64) {
 	if c == nil || c.budget <= 0 || size < 0 {
 		return
@@ -221,9 +225,14 @@ func (c *Cache) Put(key string, val any, size int64) {
 		s.bytes += size
 		c.bytes.Add(size)
 	}
-	// Shard-local eviction: an oversize entry may push out every ordinary
-	// co-resident; the shard then legitimately sits above its slice.
-	evicted := c.evictLocked(s, key, func() bool { return s.bytes > s.budget }, &victims)
+	// Shard-local eviction, once the cache as a whole is over budget: a
+	// shard's slice is its share of a full cache, not a cap on a part-empty
+	// one. Keys land in shards pseudo-randomly (brick keys carry a container
+	// version), so two large bricks sharing a shard is the common case, and
+	// they must not displace each other while there is room elsewhere. An
+	// oversize entry may push out every ordinary co-resident; the shard then
+	// legitimately sits above its slice.
+	evicted := c.evictLocked(s, key, func() bool { return s.bytes > s.budget && c.bytes.Load() > c.budget }, &victims)
 	s.mu.Unlock()
 	// Global sweep: when the insert (typically an oversize one) pushed the
 	// whole cache over budget, reclaim from the other shards, one lock at a
@@ -287,64 +296,6 @@ func (c *Cache) evictLocked(s *shard, keep string, cond func() bool, victims *[]
 		evicted++
 	}
 	return evicted
-}
-
-// Remove deletes the entry for key, if present, and reports whether the
-// memory tier held it. Any disk-tier spill for the key is dropped too —
-// invalidation must never resurrect from disk.
-func (c *Cache) Remove(key string) bool {
-	if c == nil || c.budget <= 0 {
-		return false
-	}
-	if c.disk != nil {
-		c.disk.remove(key)
-	}
-	s := &c.shards[c.shardIndex(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry)
-	s.lru.Remove(el)
-	delete(s.items, key)
-	s.bytes -= e.size
-	c.bytes.Add(-e.size)
-	return true
-}
-
-// InvalidatePrefix removes every memory-tier entry whose key starts with
-// prefix and returns how many were dropped — the hook that lets a server
-// drop one container's bricks when its file is replaced. Matching disk-tier
-// spills are dropped too (not included in the count): a replaced
-// container's bricks must not resurrect from disk. Invalidations are not
-// counted as evictions (nothing displaced them).
-func (c *Cache) InvalidatePrefix(prefix string) int {
-	if c == nil || c.budget <= 0 {
-		return 0
-	}
-	if c.disk != nil {
-		c.disk.removePrefix(prefix)
-	}
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for key, el := range s.items {
-			if !strings.HasPrefix(key, prefix) {
-				continue
-			}
-			e := el.Value.(*entry)
-			s.lru.Remove(el)
-			delete(s.items, key)
-			s.bytes -= e.size
-			c.bytes.Add(-e.size)
-			dropped++
-		}
-		s.mu.Unlock()
-	}
-	return dropped
 }
 
 // Stats snapshots the cache counters and occupancy.

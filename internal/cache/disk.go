@@ -16,7 +16,9 @@ import (
 // away, so a working set larger than RAM costs a file read on re-access
 // rather than a full backend fetch + decode. The tier is ephemeral — it is
 // wiped at startup (a cache has nothing worth keeping across restarts) and
-// never fsynced.
+// never fsynced. Like the memory tier it has no invalidation: spill files
+// leave by the disk budget's LRU, and keys carry the version of what they
+// hold.
 
 // maxSpillKeyLen bounds the key-length prefix read back from a spill file;
 // anything larger marks the file as garbage, not a huge allocation.
@@ -211,8 +213,8 @@ func (t *DiskTier) get(key string) ([]byte, bool) {
 			return payload, true
 		}
 	}
-	// Vanished (a concurrent replace removed it) or corrupt: drop the index
-	// entry if it still points at this path.
+	// Vanished (a concurrent re-spill or budget eviction removed it) or
+	// corrupt: drop the index entry if it still points at this path.
 	t.mu.Lock()
 	if el, ok := t.items[key]; ok {
 		e := el.Value.(*diskEntry)
@@ -225,45 +227,4 @@ func (t *DiskTier) get(key string) ([]byte, bool) {
 	t.mu.Unlock()
 	t.misses.Add(1)
 	return nil, false
-}
-
-// remove drops key's spill, if any (invalidation cascade from the memory
-// tier — a replaced container's bricks must not resurrect from disk).
-func (t *DiskTier) remove(key string) {
-	t.mu.Lock()
-	el, ok := t.items[key]
-	var path string
-	if ok {
-		e := el.Value.(*diskEntry)
-		path = e.path
-		t.lru.Remove(el)
-		delete(t.items, key)
-		t.bytes -= e.size
-	}
-	t.mu.Unlock()
-	if ok {
-		os.Remove(path)
-	}
-}
-
-// removePrefix drops every spill whose key starts with prefix, returning
-// how many.
-func (t *DiskTier) removePrefix(prefix string) int {
-	var paths []string
-	t.mu.Lock()
-	for key, el := range t.items {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		e := el.Value.(*diskEntry)
-		paths = append(paths, e.path)
-		t.lru.Remove(el)
-		delete(t.items, key)
-		t.bytes -= e.size
-	}
-	t.mu.Unlock()
-	for _, p := range paths {
-		os.Remove(p)
-	}
-	return len(paths)
 }

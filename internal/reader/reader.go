@@ -111,9 +111,11 @@ func WithCache(c *cache.Cache) Option {
 	return func(r *Reader) { r.cache, r.cacheSet = c, true }
 }
 
-// WithCacheKey sets the prefix distinguishing this container's bricks in a
-// shared cache. Defaults to the file path for OpenFile, or a process-unique
-// id otherwise.
+// WithCacheKey sets the namespace of this container's bricks in a shared
+// cache (see brickKey: the container version is always part of the key too,
+// so readers over different bytes never share bricks whatever namespace they
+// were given). Defaults to the file path for OpenFile, or a process-unique id
+// otherwise.
 func WithCacheKey(id string) Option {
 	return func(r *Reader) { r.id = id }
 }
@@ -151,6 +153,7 @@ type Reader struct {
 	cache       *cache.Cache
 	cacheSet    bool
 	id          string
+	version     string
 	fellBack    bool
 	verify      bool
 	retryPolicy faultio.RetryPolicy
@@ -251,6 +254,7 @@ func OpenCtx(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (
 		return nil, err
 	}
 	r.opt = core.OptionsFromIndex(r.ix.Opts)
+	r.version = fmt.Sprintf("%08x-%x", r.ix.SectionCRC, size)
 	return r, nil
 }
 
@@ -323,6 +327,26 @@ func (r *Reader) FellBack() bool { return r.fellBack }
 
 // Size returns the container's total size in bytes.
 func (r *Reader) Size() int64 { return r.size }
+
+// Version names the container version this reader was opened on: the index
+// section's CRC (which covers every stream's offset, length and payload
+// checksum; the synthesized section's CRC after a fallback scan) and the
+// total size, fixed at open. It is the one name a container version has —
+// brick keys and the serving tier's ETags are both built from it.
+func (r *Reader) Version() string { return r.version }
+
+// brickKey is the only place brick-cache keys are built:
+// <namespace>@<version>/L<level>[/B<box>], box < 0 for a merged level. The
+// version in the key is what keeps a replaced container coherent without any
+// invalidation: a brick decoded by a reader of the old bytes — however late
+// it lands in the cache — is unreachable from a reader of the new bytes, in
+// the memory tier and the disk spill tier alike, and ages out by LRU.
+func (r *Reader) brickKey(level, box int) string {
+	if box < 0 {
+		return r.id + "@" + r.version + "/L" + strconv.Itoa(level)
+	}
+	return r.id + "@" + r.version + "/L" + strconv.Itoa(level) + "/B" + strconv.Itoa(box)
+}
 
 // CanVerify reports whether per-stream integrity verification is available:
 // the container's index carries payload checksums (checked-footer
@@ -454,7 +478,7 @@ func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) 
 // concurrent decodes of the same box coalesced.
 func (r *Reader) boxBrick(ctx context.Context, si int) (*field.Field, error) {
 	s := r.ix.Streams[si]
-	key := fmt.Sprintf("%s/L%d/B%d", r.id, s.Level, s.Box)
+	key := r.brickKey(s.Level, s.Box)
 	return r.brickOnce(ctx, key, func() (*field.Field, error) {
 		f, err := r.fetchStream(ctx, si)
 		if err != nil {
@@ -473,7 +497,7 @@ func (r *Reader) boxBrick(ctx context.Context, si int) (*field.Field, error) {
 // levelField returns a merged level's placed full-domain array, via the
 // cache. Valid only for non-TAC streams.
 func (r *Reader) levelField(ctx context.Context, l int) (*field.Field, error) {
-	key := fmt.Sprintf("%s/L%d", r.id, l)
+	key := r.brickKey(l, -1)
 	return r.brickOnce(ctx, key, func() (*field.Field, error) {
 		nx, ny, nz := r.ix.LevelDims(l)
 		out := field.New(nx, ny, nz)

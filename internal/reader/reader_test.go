@@ -396,3 +396,73 @@ func TestConcurrentReads(t *testing.T) {
 		}
 	}
 }
+
+// TestBricksAreKeyedByContainerVersion locks replace coherence where it is
+// enforced — in the brick key. Readers sharing one cache and one WithCacheKey
+// namespace (what a serving tier has across a replace of one field id) must
+// never see a brick of different bytes, and readers of the same bytes must
+// share theirs, in the memory tier and through a disk-tier spill and reload.
+func TestBricksAreKeyedByContainerVersion(t *testing.T) {
+	hA, hB := testHierarchy(t, 32, 10), testHierarchy(t, 32, 11)
+	opt := testOptions(hA.Levels[0].Data.ValueRange() * 1e-3)["linear-pad-eb"]
+	blobA, blobB := compress(t, hA, opt), compress(t, hB, opt)
+	level0 := func(blob []byte) *field.Field {
+		h, err := core.Decompress(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Levels[0].Data
+	}
+	wantA, wantB := level0(blobA), level0(blobB)
+	if wantA.Equal(wantB) {
+		t.Fatal("the test needs two containers with different level-0 data")
+	}
+	for _, tc := range []struct {
+		name     string
+		memBytes int64
+		spill    bool
+	}{
+		{"memory", 64 << 20, false},
+		// Room for one level-0 brick, not two: every read below pushes the
+		// other container's brick out to disk and reloads its own from there.
+		{"spill", int64(wantA.Bytes()) + 512, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cache.New(tc.memBytes, 1)
+			if tc.spill {
+				if _, err := EnableDiskTier(c, t.TempDir(), 64<<20); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shared := []Option{WithCache(c), WithCacheKey("field")}
+			a1, b, a2 := open(t, blobA, shared...), open(t, blobB, shared...), open(t, blobA, shared...)
+			if a1.Version() != a2.Version() || a1.Version() == b.Version() {
+				t.Fatalf("versions: same bytes %q / %q, different bytes %q", a1.Version(), a2.Version(), b.Version())
+			}
+			read := func(r *Reader, want *field.Field, who string) {
+				t.Helper()
+				got, err := r.ReadLevel(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s got a brick of another container's bytes", who)
+				}
+			}
+			read(a1, wantA, "the first reader")
+			read(b, wantB, "a reader of different bytes in the same namespace")
+			read(a2, wantA, "a second reader of the first bytes")
+			read(b, wantB, "the reader of different bytes, re-reading")
+			if n := a1.Stats().BackendDecodes + a2.Stats().BackendDecodes; n != 1 {
+				t.Fatalf("two readers of the same bytes cost %d backend decodes, want 1 in total", n)
+			}
+			if n := b.Stats().BackendDecodes; n != 1 {
+				t.Fatalf("the reader of different bytes decoded %d times, want 1", n)
+			}
+			if tc.spill && (a2.Stats().DiskTierHits != 1 || b.Stats().DiskTierHits != 1) {
+				t.Fatalf("bricks were not shared through the disk tier: %d and %d disk hits, want 1 and 1",
+					a2.Stats().DiskTierHits, b.Stats().DiskTierHits)
+			}
+		})
+	}
+}

@@ -17,12 +17,12 @@ import (
 // codecTestServer builds an empty serving directory.
 func codecTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	s, err := newServer(t.TempDir(), 64<<20, 1<<30, 8)
+	s, err := New(Config{Dir: t.TempDir(), CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30, CacheShards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts, s
 }
 

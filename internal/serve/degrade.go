@@ -2,17 +2,19 @@ package serve
 
 // Graceful degradation: mrserve turns stream-level corruption into coarser
 // answers instead of 500s. A level whose streams fail integrity checks is
-// quarantined (a TTL'd negative cache, so a repaired or replaced container
-// gets retried without a restart), and level/slice requests fall back to the
-// coarsest intact level, flagged with an X-Degraded header so clients can
-// tell a downsampled answer from the real one. Transient faults never
-// degrade — the reader's retry layer absorbs them, and if they outlast the
-// retry budget the request fails 503 so the client retries against a
-// healthy replica instead of silently getting coarse data.
+// quarantined (a TTL'd negative cache on the open container's entry, so a
+// repaired container gets retried without a restart and a replaced one
+// starts clean), and level/slice requests fall back to the coarsest intact
+// level, flagged with an X-Degraded header so clients can tell a downsampled
+// answer from the real one. Transient faults never degrade — the reader's
+// retry layer absorbs them, and if they outlast the retry budget the request
+// fails 503 so the client retries against a healthy replica instead of
+// silently getting coarse data.
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,108 +25,71 @@ import (
 	"repro/internal/reader"
 )
 
-// quarantine is a TTL'd negative cache of (field, level) pairs whose
-// streams failed integrity verification. Entries expire so a container
-// repaired in place is retried; entries for a field are dropped eagerly
-// when its container is replaced or re-ingested.
+// quarantine is the TTL'd negative cache of one open container's levels
+// whose streams failed integrity verification. It lives on the readerEntry,
+// so its history is that of one open container version: entries expire so a
+// container repaired in place is retried, and a replaced container gets a
+// fresh entry with nothing to forget.
 type quarantine struct {
 	ttl time.Duration
 	now func() time.Time // test seam
 
 	mu  sync.Mutex
-	bad map[string]time.Time // id/level -> expiry
+	bad map[int]time.Time // level -> expiry
 }
 
 func newQuarantine(ttl time.Duration) *quarantine {
-	return &quarantine{ttl: ttl, now: time.Now, bad: make(map[string]time.Time)}
+	return &quarantine{ttl: ttl, now: time.Now, bad: make(map[int]time.Time)}
 }
 
-func qkey(id string, level int) string { return id + "/" + strconv.Itoa(level) }
-
-// add quarantines one level of a field and reports whether the entry is new
-// (false when it only refreshed an active quarantine's expiry).
-func (q *quarantine) add(id string, level int) bool {
+// add quarantines one level and reports whether the entry is new (false
+// when it only refreshed an active quarantine's expiry).
+func (q *quarantine) add(level int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	k := qkey(id, level)
-	exp, ok := q.bad[k]
-	q.bad[k] = q.now().Add(q.ttl)
+	exp, ok := q.bad[level]
+	q.bad[level] = q.now().Add(q.ttl)
 	return !ok || q.now().After(exp)
 }
 
 // active reports whether the level is currently quarantined, lazily
 // dropping an expired entry.
-func (q *quarantine) active(id string, level int) bool {
+func (q *quarantine) active(level int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	k := qkey(id, level)
-	exp, ok := q.bad[k]
+	exp, ok := q.bad[level]
 	if !ok {
 		return false
 	}
 	if q.now().After(exp) {
-		delete(q.bad, k)
+		delete(q.bad, level)
 		return false
 	}
 	return true
 }
 
-// forget drops every quarantine entry of a field (the container was
-// replaced; its history is meaningless).
-func (q *quarantine) forget(id string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for k := range q.bad {
-		if strings.HasPrefix(k, id+"/") {
-			delete(q.bad, k)
-		}
-	}
-}
-
-// activeCount returns the number of live entries, pruning expired ones.
-func (q *quarantine) activeCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now := q.now()
-	for k, exp := range q.bad {
-		if now.After(exp) {
-			delete(q.bad, k)
-		}
-	}
-	return len(q.bad)
-}
-
-// levelsFor lists the quarantined levels of one field, sorted.
-func (q *quarantine) levelsFor(id string) []int {
+// levels lists the currently quarantined levels, sorted, pruning expired
+// entries.
+func (q *quarantine) levels() []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.now()
 	var levels []int
-	for k, exp := range q.bad {
-		rest, ok := strings.CutPrefix(k, id+"/")
-		if !ok {
-			continue
-		}
+	for l, exp := range q.bad {
 		if now.After(exp) {
-			delete(q.bad, k)
+			delete(q.bad, l)
 			continue
 		}
-		if l, err := strconv.Atoi(rest); err == nil {
-			levels = append(levels, l)
-		}
+		levels = append(levels, l)
 	}
-	for i := 1; i < len(levels); i++ { // insertion sort; a handful of levels
-		for j := i; j > 0 && levels[j] < levels[j-1]; j-- {
-			levels[j], levels[j-1] = levels[j-1], levels[j]
-		}
-	}
+	sort.Ints(levels)
 	return levels
 }
 
-// quarantineLevel records a corrupt level in the negative cache and counts
-// the event.
-func (s *Server) quarantineLevel(id string, level int) {
-	if s.quar.add(id, level) {
+// quarantineLevel records a corrupt level in the entry's negative cache and
+// counts the event.
+func (s *Server) quarantineLevel(e *readerEntry, level int) {
+	if e.quar.add(level) {
 		s.metrics.quarantineEvents.Add(1)
 	}
 }
@@ -142,11 +107,12 @@ func degradedHeader(requested, served int, reason string) string {
 // Non-corrupt errors — context cancellation, transient faults that
 // outlasted the retry budget, missing files — abort the walk: degradation
 // is a remedy for bad bytes, not for an unreachable backend.
-func (s *Server) readLevelDegraded(ctx context.Context, rd *reader.Reader, id string, l int) (*field.Field, int, string, error) {
+func (s *Server) readLevelDegraded(ctx context.Context, e *readerEntry, l int) (*field.Field, int, string, error) {
+	rd := e.r
 	reason := ""
 	var lastErr error
 	for lv := l; lv < rd.NumLevels(); lv++ {
-		if s.quar.active(id, lv) {
+		if e.quar.active(lv) {
 			if reason == "" {
 				reason = "quarantined"
 			}
@@ -159,12 +125,12 @@ func (s *Server) readLevelDegraded(ctx context.Context, rd *reader.Reader, id st
 		if ctx.Err() != nil || !faultio.IsCorrupt(err) {
 			return nil, lv, "", err
 		}
-		s.quarantineLevel(id, lv)
+		s.quarantineLevel(e, lv)
 		reason = "corrupt"
 		lastErr = err
 	}
 	if lastErr == nil {
-		lastErr = faultio.Corruptf("field %s: levels %d..%d all quarantined", id, l, rd.NumLevels()-1)
+		lastErr = faultio.Corruptf("levels %d..%d all quarantined", l, rd.NumLevels()-1)
 	}
 	return nil, -1, "", lastErr
 }
@@ -172,11 +138,12 @@ func (s *Server) readLevelDegraded(ctx context.Context, rd *reader.Reader, id st
 // readSliceDegraded is readLevelDegraded for plane extraction: on fallback
 // the plane index is rescaled to the coarser grid (k >> levels dropped,
 // clamped), so the served slice covers the same physical cut.
-func (s *Server) readSliceDegraded(ctx context.Context, rd *reader.Reader, id string, axis reader.Axis, k, l int) (*field.Field, int, int, string, error) {
+func (s *Server) readSliceDegraded(ctx context.Context, e *readerEntry, axis reader.Axis, k, l int) (*field.Field, int, int, string, error) {
+	rd := e.r
 	reason := ""
 	var lastErr error
 	for lv := l; lv < rd.NumLevels(); lv++ {
-		if s.quar.active(id, lv) {
+		if e.quar.active(lv) {
 			if reason == "" {
 				reason = "quarantined"
 			}
@@ -194,12 +161,12 @@ func (s *Server) readSliceDegraded(ctx context.Context, rd *reader.Reader, id st
 		if ctx.Err() != nil || !faultio.IsCorrupt(err) {
 			return nil, lv, kk, "", err
 		}
-		s.quarantineLevel(id, lv)
+		s.quarantineLevel(e, lv)
 		reason = "corrupt"
 		lastErr = err
 	}
 	if lastErr == nil {
-		lastErr = faultio.Corruptf("field %s: levels %d..%d all quarantined", id, l, rd.NumLevels()-1)
+		lastErr = faultio.Corruptf("levels %d..%d all quarantined", l, rd.NumLevels()-1)
 	}
 	return nil, -1, -1, "", lastErr
 }
@@ -209,10 +176,6 @@ func (s *Server) readSliceDegraded(ctx context.Context, rd *reader.Reader, id st
 // "seed=7,transient=0.05,maxfaults=100". Used by the fault-injected smoke
 // test in CI and for resilience drills against a staging instance.
 func ParseFaultPlan(spec string) (faultio.FaultPlan, error) {
-	return parseFaultPlan(spec)
-}
-
-func parseFaultPlan(spec string) (faultio.FaultPlan, error) {
 	plan := faultio.FaultPlan{Seed: 1}
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/index"
 	"repro/internal/reader"
+	"repro/internal/writer"
 )
 
 // corruptLevelOnDisk flips one payload byte in every stream of the given
@@ -238,56 +239,76 @@ func TestHandlerPanicBecomesCounted500(t *testing.T) {
 }
 
 // TestQuarantineTTL exercises the negative cache directly with a fake
-// clock: entries expire, refresh, and are forgotten per field.
+// clock: entries expire and refresh.
 func TestQuarantineTTL(t *testing.T) {
 	q := newQuarantine(time.Minute)
 	base := time.Now()
 	cur := base
 	q.now = func() time.Time { return cur }
 
-	if !q.add("f", 0) {
+	if !q.add(0) {
 		t.Fatal("first add not counted as new")
 	}
-	if q.add("f", 0) {
+	if q.add(0) {
 		t.Fatal("refresh counted as new")
 	}
-	if !q.active("f", 0) || q.active("f", 1) || q.active("g", 0) {
+	if !q.active(0) || q.active(1) {
 		t.Fatal("active membership wrong")
 	}
 	cur = base.Add(2 * time.Minute)
-	if q.active("f", 0) {
+	if q.active(0) {
 		t.Fatal("entry survived its TTL")
 	}
-	if !q.add("f", 0) {
+	if !q.add(0) {
 		t.Fatal("re-add after expiry not counted as new")
 	}
-	q.add("f", 2)
-	q.add("g", 1)
-	if lv := q.levelsFor("f"); len(lv) != 2 || lv[0] != 0 || lv[1] != 2 {
-		t.Fatalf("levelsFor: %v", lv)
+	q.add(2)
+	if lv := q.levels(); len(lv) != 2 || lv[0] != 0 || lv[1] != 2 {
+		t.Fatalf("levels: %v", lv)
 	}
-	if n := q.activeCount(); n != 3 {
-		t.Fatalf("activeCount %d", n)
-	}
-	q.forget("f")
-	if q.active("f", 0) || q.active("f", 2) || !q.active("g", 1) {
-		t.Fatal("forget dropped the wrong entries")
+	cur = cur.Add(2 * time.Minute)
+	if lv := q.levels(); len(lv) != 0 {
+		t.Fatalf("levels after expiry: %v", lv)
 	}
 }
 
-// TestReplaceClearsQuarantine: re-ingesting (or externally replacing) a
-// container wipes its corruption history — new bytes, fresh chance.
-func TestReplaceClearsQuarantine(t *testing.T) {
-	_, s, _ := newTestServer(t)
-	s.quar.add("nyx", 0)
-	s.invalidateField("nyx")
-	if s.quar.active("nyx", 0) {
-		t.Fatal("quarantine survived container replacement")
+// TestReplaceStartsQuarantineClean: quarantine history belongs to one open
+// container version. Replacing a container whose fine level is quarantined
+// must serve the new container's fine level intact on the very next request,
+// with nothing quarantined any more.
+func TestReplaceStartsQuarantineClean(t *testing.T) {
+	ts, s, want := newTestServer(t)
+	corruptLevelOnDisk(t, s.dataDir(), "nyx", 0)
+	if _, _, hdr := get(t, ts.URL+"/v1/field/nyx/level/0"); !strings.Contains(hdr.Get("X-Degraded"), "reason=corrupt") {
+		t.Fatalf("corrupt level not degraded: X-Degraded %q", hdr.Get("X-Degraded"))
+	}
+	// Replace nyx with tac's (intact) container.
+	blob, err := os.ReadFile(filepath.Join(s.dataDir(), "tac.mrw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = writer.AtomicFile(filepath.Join(s.dataDir(), "nyx.mrw"), 0o644, func(w io.Writer) error {
+		_, werr := w.Write(blob)
+		return werr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body, hdr := get(t, ts.URL+"/v1/field/nyx/level/0")
+	if code != 200 || hdr.Get("X-Degraded") != "" {
+		t.Fatalf("replaced container still degraded: %d, X-Degraded %q", code, hdr.Get("X-Degraded"))
+	}
+	if !parseRawField(t, body).Equal(want["tac"].Levels[0].Data) {
+		t.Fatal("replaced container's level 0 is not the new data")
+	}
+	_, body, _ = get(t, ts.URL+"/metrics")
+	if n := metricValue(t, string(body), "mrserve_quarantined_levels"); n != 0 {
+		t.Fatalf("%d levels still quarantined after the replace", n)
 	}
 }
 
 func TestParseFaultPlan(t *testing.T) {
-	plan, err := parseFaultPlan("seed=7, transient=0.05,maxfaults=100,latency=2ms")
+	plan, err := ParseFaultPlan("seed=7, transient=0.05,maxfaults=100,latency=2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +316,7 @@ func TestParseFaultPlan(t *testing.T) {
 		t.Fatalf("plan: %+v", plan)
 	}
 	for _, bad := range []string{"bogus=1", "transient", "seed=x"} {
-		if _, err := parseFaultPlan(bad); err == nil {
+		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}

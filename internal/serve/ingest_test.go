@@ -10,12 +10,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/reader"
 	"repro/internal/synth"
 	"repro/internal/writer"
 )
@@ -72,12 +73,12 @@ func expectedLevels(t *testing.T, f *field.Field) []*field.Field {
 // through the reader, the listing, and the brick cache.
 func TestIngestEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newServer(dir, 64<<20, 1<<30, 8)
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30, CacheShards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	fA := synth.Generate(synth.Nyx, 32, 3)
 	code, body := doPut(t, ts.URL+"/v1/field/up", rawFieldBody(t, fA))
@@ -133,12 +134,12 @@ func TestIngestEndpoint(t *testing.T) {
 
 func TestIngestRejections(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newServer(dir, 64<<20, 64<<10, 8) // 64 KiB ingest cap
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 64 << 10, CacheShards: 8}) // 64 KiB ingest cap
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	f := synth.Generate(synth.Nyx, 32, 3) // 256 KiB raw: over the cap
 	if code, _ := doPut(t, ts.URL+"/v1/field/big", rawFieldBody(t, f)); code != http.StatusRequestEntityTooLarge {
@@ -176,12 +177,55 @@ func TestIngestRejections(t *testing.T) {
 	}
 }
 
-// TestReplaceWhileServing is the stale-reader regression test: requests
-// hammer a field while its container is atomically replaced on disk, and
-// (a) no request may fail or see torn data — every response is exactly the
-// old or the new reconstruction — and (b) responses must switch to the new
-// data once the replacement lands. Run under -race this also proves the
-// revalidate/close path is data-race free.
+// gatedReaderAt blocks every ReadAt, once armed, until released, and says
+// when the first one is being held: it parks a decode inside its backend
+// fetch (the idea of internal/reader's thundering-herd test).
+type gatedReaderAt struct {
+	src     io.ReaderAt
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{} // closed when the first armed read arrives
+	release chan struct{}
+}
+
+func (g *gatedReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if g.armed.Load() {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+	return g.src.ReadAt(p, off)
+}
+
+// fetchLevel GETs one level; usable off the test goroutine.
+func fetchLevel(base string, level int) (*field.Field, error) {
+	resp, err := http.Get(fmt.Sprintf("%s/v1/field/nyx/level/%d", base, level))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		return nil, fmt.Errorf("GET L%d: status %d, %v", level, resp.StatusCode, err)
+	}
+	f, err := field.ReadFrom(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("GET L%d: torn payload: %v", level, err)
+	}
+	return f, nil
+}
+
+// TestReplaceWhileServing is the stale-after-replace regression test. A
+// level-0 decode is held open on the old reader (a gated source under
+// Config.ReaderOptions) while the container is atomically replaced and the
+// new reader takes over, and is released only after the new reader has
+// answered: its brick lands in the shared cache as late as a brick can.
+// Requests hammer level 1 throughout. (a) No request may fail or see torn
+// data — every response during the replace is exactly the old or the new
+// reconstruction, and the held request gets the whole old one; (b) the new
+// reader answers with the new data at once; (c) from the moment the held
+// decode has landed, every response at every level is the new data — the
+// old reader's late brick must be unreachable. Run under -race this also
+// proves the revalidate/close path is data-race free.
 func TestReplaceWhileServing(t *testing.T) {
 	dir := t.TempDir()
 	fA := synth.Generate(synth.Nyx, 32, 3)
@@ -200,72 +244,85 @@ func TestReplaceWhileServing(t *testing.T) {
 	}
 	wantA, wantB := expectedLevels(t, fA), expectedLevels(t, fB)
 
-	s, err := newServer(dir, 32<<20, 1<<30, 4)
+	// Only the first open — the old container's reader — is gated.
+	gate := &gatedReaderAt{entered: make(chan struct{}), release: make(chan struct{})}
+	var opens atomic.Int32
+	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4,
+		ReaderOptions: []reader.Option{reader.WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
+			if opens.Add(1) > 1 {
+				return src
+			}
+			gate.src = src
+			return gate
+		})}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	release := sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(release) // before ts.Close, which waits for the held request
 
+	// Open the old reader and warm its level 1, then arm the gate: the old
+	// reader's next source read — level 0's stream — will block.
+	if f, err := fetchLevel(ts.URL, 1); err != nil || !f.Equal(wantA[1]) {
+		t.Fatalf("level 1 before the replace: %v", err)
+	}
+	gate.armed.Store(true)
+
+	// Level-1 traffic across the replace: old or new, never torn.
 	stop := make(chan struct{})
-	errs := make(chan error, 64)
+	errs := make(chan error, 4)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			level := g % 2
-			url := fmt.Sprintf("%s/v1/field/nyx/level/%d", ts.URL, level)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				resp, err := http.Get(url)
+				got, err := fetchLevel(ts.URL, 1)
+				if err == nil && !got.Equal(wantA[1]) && !got.Equal(wantB[1]) {
+					err = fmt.Errorf("GET L1: payload is neither old nor new data")
+				}
 				if err != nil {
 					errs <- err
 					return
 				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != 200 {
-					errs <- fmt.Errorf("GET L%d: status %d, %v", level, resp.StatusCode, err)
-					return
-				}
-				got, err := field.ReadFrom(bytes.NewReader(body))
-				if err != nil {
-					errs <- fmt.Errorf("GET L%d: torn payload: %v", level, err)
-					return
-				}
-				if !got.Equal(wantA[level]) && !got.Equal(wantB[level]) {
-					errs <- fmt.Errorf("GET L%d: payload is neither old nor new data", level)
-					return
-				}
 			}
-		}(g)
+		}()
+	}
+	held := make(chan error, 1)
+	go func() {
+		got, err := fetchLevel(ts.URL, 0)
+		if err == nil && !got.Equal(wantA[0]) {
+			err = fmt.Errorf("the request held on the old reader did not get the whole old level 0")
+		}
+		held <- err
+	}()
+	select {
+	case <-gate.entered:
+	case err := <-held:
+		t.Fatalf("the level-0 request finished without reaching the gated source: %v", err)
 	}
 
-	time.Sleep(20 * time.Millisecond) // let traffic warm the old reader + cache
 	if err := writer.AtomicFile(path, 0o644, func(w io.Writer) error {
 		_, err := w.Write(blobB)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Fresh data must be served promptly after the swap.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, body, _ := get(t, ts.URL+"/v1/field/nyx/level/1")
-		if parseRawField(t, body).Equal(wantB[1]) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Error("server kept serving stale data 10s after the container was replaced")
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Every lookup revalidates, so the first one after the swap opens — and
+	// answers from — the new container, while the old decode is still held.
+	if f, err := fetchLevel(ts.URL, 1); err != nil || !f.Equal(wantB[1]) {
+		t.Fatalf("level 1 right after the replace is not the new data (%v)", err)
+	}
+	release()
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
@@ -273,11 +330,20 @@ func TestReplaceWhileServing(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// And the flip must be total: both levels now serve B.
-	for level := 0; level < 2; level++ {
-		_, body, _ := get(t, fmt.Sprintf("%s/v1/field/nyx/level/%d", ts.URL, level))
-		if !parseRawField(t, body).Equal(wantB[level]) {
-			t.Fatalf("level %d stale after replacement settled", level)
+
+	// The old reader's level-0 brick is in the cache now. Nothing may serve it.
+	for i := 0; i < 8; i++ {
+		for level := range wantB {
+			got, err := fetchLevel(ts.URL, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Equal(wantA[level]) {
+				t.Fatalf("GET L%d: served the replaced container's data after the replace settled (the old reader's late brick)", level)
+			}
+			if !got.Equal(wantB[level]) {
+				t.Fatalf("GET L%d: payload is neither old nor new data", level)
+			}
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package serve implements the mrserve progressive serving daemon as an
 // importable library: the HTTP surface (fields/meta/level/slice/ingest), the
-// revalidated reader pool over a shared brick cache, corruption quarantine
-// with graceful degradation, and the observability plane — per-request
-// traces (X-Request-Id, GET /debug/traces), per-endpoint and per-stage
-// latency histograms on GET /metrics, and structured access/slow logs.
+// revalidated reader pool over a shared, version-keyed brick cache,
+// corruption quarantine with graceful degradation, and the observability
+// plane — per-request traces (X-Request-Id, GET /debug/traces), per-endpoint
+// and per-stage latency histograms on GET /metrics, and structured
+// access/slow logs.
 // cmd/mrserve is a thin flag wrapper around New + Handler; the traffic
 // benchmark (mrbench -exp traffic) drives the same Server in-process.
 //
@@ -45,9 +46,12 @@ import (
 // revalidate the object's current identity (fstat on the filesystem
 // backend, HEAD on the HTTP one) against the identity the reader holds, so
 // a container replaced underneath (PUT ingest, an external copy) is picked
-// up on the next request instead of being served stale forever. All readers
-// share one brick cache, so the byte budget bounds decoded memory across
-// the whole store regardless of how many fields are hot.
+// up on the next request instead of being served stale forever. Replacing
+// invalidates nothing: brick keys carry the container version
+// (reader.Version), so the new reader cannot reach the old one's bricks, and
+// those age out of the LRU. All readers share one brick cache, so the byte
+// budget bounds decoded memory across the whole store regardless of how many
+// fields are hot or how many superseded versions are still cached.
 type Server struct {
 	st             store.Store
 	cache          *cache.Cache
@@ -57,9 +61,9 @@ type Server struct {
 	// trusts an open reader for that long between probes (right for remote
 	// backends where a probe is a network round trip).
 	revalidateEvery time.Duration
-	// quar is the corruption negative cache: levels whose streams failed
-	// integrity checks, skipped by the degraded read path until they expire.
-	quar *quarantine
+	// quarTTL is how long a level whose streams failed integrity checks is
+	// skipped by the degraded read path before it is probed again.
+	quarTTL time.Duration
 	// readerOpts is appended to every reader open — the fault-injection and
 	// policy seam (-fault-inject, tests).
 	readerOpts []reader.Option
@@ -67,8 +71,8 @@ type Server struct {
 	mu      sync.Mutex
 	readers map[string]*readerEntry
 	// summaries caches /v1/fields entries keyed by id, so listing a large
-	// directory does not hold every container open; invalidated when the
-	// file's size or mtime changes.
+	// directory does not hold every container open; each is validated
+	// against the object's current identity on use.
 	summaries map[string]cachedSummary
 
 	metrics metricsRegistry
@@ -161,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 		cache:           c,
 		maxIngestBytes:  cfg.MaxIngestBytes,
 		revalidateEvery: cfg.RevalidateEvery,
-		quar:            newQuarantine(ttl),
+		quarTTL:         ttl,
 		readerOpts:      cfg.ReaderOptions,
 		readers:         make(map[string]*readerEntry),
 		summaries:       make(map[string]cachedSummary),
@@ -186,11 +190,17 @@ type cachedSummary struct {
 // the readers map, one per in-flight request — defers the Close of a
 // replaced container until its last in-flight request has finished, so an
 // object swap never yanks the reader out from under a response being
-// written.
+// written. An entry is never reused for another object version — lookups
+// drop it when the stored identity changes — so everything on it, the
+// quarantine included, is scoped to one open container version.
 type readerEntry struct {
 	once sync.Once
 	r    *reader.StoreReader
 	err  error
+	// quar is this container's corruption negative cache: levels whose
+	// streams failed integrity checks, skipped by the degraded read path
+	// until they expire.
+	quar *quarantine
 	// info is the identity of the object actually opened (set by the once,
 	// under the server mutex); lookups compare it against a fresh Stat of
 	// the key to detect replacement.
@@ -224,11 +234,6 @@ func (e *readerEntry) release() {
 	}
 }
 
-// newServer is the compact constructor tests use.
-func newServer(dir string, cacheBytes, maxIngestBytes int64, shards int) (*Server, error) {
-	return New(Config{Dir: dir, CacheBytes: cacheBytes, MaxIngestBytes: maxIngestBytes, CacheShards: shards})
-}
-
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -242,9 +247,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("PUT /v1/field/{id}", s.instrument("ingest", s.handleIngest))
 	return mux
 }
-
-// handler is Handler (the tests' spelling, kept for brevity at call sites).
-func (s *Server) handler() http.Handler { return s.Handler() }
 
 // Collector exposes the server's observability collector: the trace ring
 // and per-stage histograms (the debug listener mounts its /debug/traces
@@ -277,10 +279,7 @@ func (s *Server) EndpointHistograms() map[string]obs.HistogramSnapshot {
 }
 
 // Close releases every open reader (test teardown / shutdown).
-func (s *Server) Close() { s.close() }
-
-// close releases every open reader (test teardown / shutdown).
-func (s *Server) close() {
+func (s *Server) Close() {
 	s.mu.Lock()
 	entries := s.readers
 	s.readers = make(map[string]*readerEntry)
@@ -292,9 +291,6 @@ func (s *Server) close() {
 		e.release() // the map's reference; closes once in-flight requests drain
 	}
 }
-
-// FieldIDs lists the ids currently present in the directory.
-func (s *Server) FieldIDs() ([]string, error) { return s.fieldIDs() }
 
 // fieldKey maps a field id to its container object key in the store.
 func fieldKey(id string) string { return id + ".mrw" }
@@ -308,10 +304,10 @@ func (s *Server) dataDir() string {
 	return ""
 }
 
-// fieldIDs lists the ids currently present in the store. Backends that
+// FieldIDs lists the ids currently present in the store. Backends that
 // cannot enumerate (a plain HTTP origin) surface store.ErrUnsupported,
 // which the listing endpoint maps to 501.
-func (s *Server) fieldIDs() ([]string, error) {
+func (s *Server) FieldIDs() ([]string, error) {
 	keys, err := s.st.List(context.Background())
 	if err != nil {
 		return nil, err
@@ -332,15 +328,15 @@ func validID(id string) bool {
 	return id != "" && !strings.ContainsAny(id, `/\`) && !strings.Contains(id, "..")
 }
 
-// getReader returns the open reader for a field id (opening it on first
-// use) plus a release func the caller must invoke once done with it. The
+// getReader returns the entry holding the open reader for a field id
+// (opening it on first use); the caller must release() it once done. The
 // server mutex covers only the map lookup and freshness bookkeeping; the
 // open itself runs under the entry's once and the revalidation Stat runs
 // outside any lock, so concurrent requests for other fields are never
 // blocked by either.
-func (s *Server) getReader(ctx context.Context, id string) (*reader.StoreReader, func(), error) {
+func (s *Server) getReader(ctx context.Context, id string) (*readerEntry, error) {
 	if !validID(id) {
-		return nil, nil, errBadID
+		return nil, errBadID
 	}
 	key := fieldKey(id)
 	var e *readerEntry
@@ -349,7 +345,7 @@ func (s *Server) getReader(ctx context.Context, id string) (*reader.StoreReader,
 		var ok bool
 		e, ok = s.readers[id]
 		if !ok {
-			e = &readerEntry{refs: 1} // the map's reference
+			e = &readerEntry{refs: 1, quar: newQuarantine(s.quarTTL)} // the map's reference
 			s.readers[id] = e
 			e.acquire() // the request's reference
 			s.mu.Unlock()
@@ -364,15 +360,15 @@ func (s *Server) getReader(ctx context.Context, id string) (*reader.StoreReader,
 			break // open in flight; join it below
 		}
 		if fresh {
-			return e.r, e.release, nil
+			return e, nil
 		}
 		// Revalidate outside the server mutex (the Stat may block on a slow
 		// filesystem or a network round trip and must not serialize
 		// unrelated requests): when the object at the key no longer matches
 		// the identity this reader holds, the container was replaced — drop
-		// the stale reader (closed once its in-flight requests drain), the
-		// listing summary, and the field's decoded bricks, then retry with a
-		// fresh entry.
+		// the stale entry (its reader closes once in-flight requests drain)
+		// and retry with a fresh one. The old version's bricks stay cached
+		// under the old version's keys, where the new reader cannot see them.
 		cur, err := s.st.Stat(ctx, key)
 		if err == nil && cur.Same(info) {
 			s.mu.Lock()
@@ -380,11 +376,11 @@ func (s *Server) getReader(ctx context.Context, id string) (*reader.StoreReader,
 				e.lastCheck = time.Now()
 			}
 			s.mu.Unlock()
-			return e.r, e.release, nil
+			return e, nil
 		}
 		s.mu.Lock()
 		if s.readers[id] == e {
-			s.dropFieldLocked(id)
+			s.dropReaderLocked(id)
 		}
 		s.mu.Unlock()
 		e.release() // the request's reference on the stale entry
@@ -412,37 +408,25 @@ func (s *Server) getReader(ctx context.Context, id string) (*reader.StoreReader,
 		// the file appears after a copy completes).
 		s.mu.Lock()
 		if s.readers[id] == e {
-			delete(s.readers, id)
-			e.release() // the map's reference
+			s.dropReaderLocked(id)
 		}
 		s.mu.Unlock()
 		e.release() // the request's reference
-		return nil, nil, e.err
+		return nil, e.err
 	}
-	return e.r, e.release, nil
+	return e, nil
 }
 
-// dropFieldLocked forgets every cached artifact of a field — the open
-// reader (closed when its last in-flight request finishes), the listing
-// summary, and its decoded bricks in the shared cache. Callers hold s.mu.
-func (s *Server) dropFieldLocked(id string) {
+// dropReaderLocked takes a field's entry out of the reader map, so the next
+// lookup opens the object afresh; the reader closes when its last in-flight
+// request finishes. That is all a replace needs: bricks are keyed by
+// container version, the listing summary is identity-validated on use, and
+// the quarantine goes with the entry. Callers hold s.mu.
+func (s *Server) dropReaderLocked(id string) {
 	if e, ok := s.readers[id]; ok {
 		delete(s.readers, id)
 		e.release() // the map's reference
 	}
-	delete(s.summaries, id)
-	s.cache.InvalidatePrefix(id + "/")
-	// A replaced container invalidates the field's corruption history too:
-	// the new bytes deserve a fresh chance at every level.
-	s.quar.forget(id)
-}
-
-// invalidateField is dropFieldLocked behind the server mutex (the ingest
-// path's post-replace hook).
-func (s *Server) invalidateField(id string) {
-	s.mu.Lock()
-	s.dropFieldLocked(id)
-	s.mu.Unlock()
 }
 
 var errBadID = fmt.Errorf("invalid field id")
@@ -487,12 +471,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 const cacheControlIntact = "public, max-age=60, must-revalidate"
 
 // containerETag is the strong validator of one served representation: the
-// container's index-section CRC and total size identify the object version
-// (the section covers every stream's offset, length, and payload checksum),
-// and the variant pins the representation (level, slice coordinates, JSON
-// vs binary). Identical over every storage backend.
+// container version (reader.Version — the name its cached bricks carry too)
+// identifies the object, and the variant pins the representation (level,
+// slice coordinates, JSON vs binary). Identical over every storage backend.
 func containerETag(rd *reader.Reader, variant string) string {
-	return fmt.Sprintf("\"%08x-%x-%s\"", rd.Index().SectionCRC, rd.Size(), variant)
+	return `"` + rd.Version() + "-" + variant + `"`
 }
 
 // etagMatch reports whether an If-None-Match header (a comma-separated tag
@@ -545,6 +528,7 @@ type fieldHealth struct {
 // the deploy smoke greps for it.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	var retries, corrupt int64
+	quarantined := 0
 	fields := make(map[string]fieldHealth)
 	s.mu.Lock()
 	for id, e := range s.readers {
@@ -555,17 +539,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		st := e.r.Stats()
 		retries += st.Retries
 		corrupt += st.CorruptStreams
+		levels := e.quar.levels()
+		quarantined += len(levels)
 		fields[id] = fieldHealth{
 			Retries:           st.Retries,
 			CorruptStreams:    st.CorruptStreams,
-			QuarantinedLevels: s.quar.levelsFor(id),
+			QuarantinedLevels: levels,
 		}
 	}
 	s.mu.Unlock()
 	writeJSON(w, map[string]any{
 		"status":             "ok",
 		"fields_open":        len(fields),
-		"quarantined_levels": s.quar.activeCount(),
+		"quarantined_levels": quarantined,
 		"quarantine_events":  s.metrics.quarantineEvents.Load(),
 		"degraded_responses": s.metrics.degradedTotal(),
 		"read_retries":       retries,
@@ -630,7 +616,7 @@ func makeSummary(id string, rd *reader.Reader, info store.Info) fieldSummary {
 }
 
 func (s *Server) handleFields(w http.ResponseWriter, r *http.Request) {
-	ids, err := s.fieldIDs()
+	ids, err := s.FieldIDs()
 	if err != nil {
 		s.httpError(w, err)
 		return
@@ -665,12 +651,13 @@ type levelMeta struct {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	rd, release, err := s.getReader(r.Context(), r.PathValue("id"))
+	e, err := s.getReader(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.httpError(w, err)
 		return
 	}
-	defer release()
+	defer e.release()
+	rd := e.r
 	ix := rd.Index()
 	opt := rd.Options()
 	levels := make([]levelMeta, 0, ix.NumLevels())
@@ -710,12 +697,13 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
-	rd, release, err := s.getReader(r.Context(), r.PathValue("id"))
+	e, err := s.getReader(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.httpError(w, err)
 		return
 	}
-	defer release()
+	defer e.release()
+	rd := e.r
 	l, err := strconv.Atoi(r.PathValue("level"))
 	if err != nil {
 		http.Error(w, "bad level", http.StatusBadRequest)
@@ -738,8 +726,7 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 		notModified(w, etag)
 		return
 	}
-	id := r.PathValue("id")
-	f, served, reason, err := s.readLevelDegraded(r.Context(), rd.Reader, id, l)
+	f, served, reason, err := s.readLevelDegraded(r.Context(), e, l)
 	if err != nil {
 		s.httpError(w, err)
 		return
@@ -759,12 +746,13 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
-	rd, release, err := s.getReader(r.Context(), r.PathValue("id"))
+	e, err := s.getReader(r.Context(), r.PathValue("id"))
 	if err != nil {
 		s.httpError(w, err)
 		return
 	}
-	defer release()
+	defer e.release()
+	rd := e.r
 	q := r.URL.Query()
 	axisStr := q.Get("axis")
 	if axisStr == "" {
@@ -807,8 +795,7 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parameters were validated above; what remains is a server-side decode
 	// or I/O fault, handled by the degraded read path.
-	id := r.PathValue("id")
-	f, served, servedK, reason, err := s.readSliceDegraded(r.Context(), rd.Reader, id, axis, k, l)
+	f, served, servedK, reason, err := s.readSliceDegraded(r.Context(), e, axis, k, l)
 	if err != nil {
 		s.httpError(w, err)
 		return
@@ -899,10 +886,10 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 // served directory with the streaming write path: the container is built
 // wave by wave into a hidden temporary and atomically renamed over
 // {id}.mrw, so concurrent readers see either the old or the new container,
-// never a partial one. On success every cached artifact of the id — open
-// reader, listing summary, decoded bricks — is invalidated, so the next
-// request serves the new data. Compression is configured by query
-// parameters (releb, eb, compressor, roiblock, roifrac).
+// never a partial one. On success the id's open reader is dropped, so the
+// next request opens — and serves — the new container whatever
+// RevalidateEvery says (read-your-writes). Compression is configured by
+// query parameters (releb, eb, compressor, roiblock, roifrac).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validID(id) {
@@ -949,7 +936,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	s.invalidateField(id)
+	s.mu.Lock()
+	s.dropReaderLocked(id)
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	if errors.Is(statErr, fs.ErrNotExist) {
 		w.WriteHeader(http.StatusCreated)
@@ -1148,10 +1137,10 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		//lint:ignore mrlint/lockio Stats only loads atomic counters, it cannot block or re-enter the registry
 		snap.perField[id] = e.r.Stats()
 		snap.ids = append(snap.ids, id)
+		snap.quarActive += len(e.quar.levels())
 	}
 	s.mu.Unlock()
 	sort.Strings(snap.ids)
-	snap.quarActive = s.quar.activeCount()
 	snap.quarEvents = s.metrics.quarantineEvents.Load()
 	snap.panics = s.metrics.panics.Load()
 	snap.tempsSwept = s.metrics.tempsSwept.Load()
@@ -1310,18 +1299,9 @@ func formatMetrics(w io.Writer, snap metricsSnapshot) {
 const staleTempAge = time.Hour
 
 // SweepTemps removes stale AtomicFile temporaries (crash residue) from the
-// data directory once; SweepLoop repeats it on an interval.
-func (s *Server) SweepTemps() { s.sweepTemps() }
-
-// SweepLoop runs SweepTemps every interval until stop is closed.
-func (s *Server) SweepLoop(interval time.Duration, stop <-chan struct{}) {
-	s.sweepLoop(interval, stop)
-}
-
-// sweepTemps removes stale AtomicFile temporaries (crash residue) from the
-// backing store, when the backend can accumulate them (the filesystem one);
-// other backends have nothing to sweep.
-func (s *Server) sweepTemps() {
+// backing store once, when the backend can accumulate them (the filesystem
+// one); other backends have nothing to sweep.
+func (s *Server) SweepTemps() {
 	sw, ok := s.st.(store.Sweeper)
 	if !ok {
 		return
@@ -1332,15 +1312,15 @@ func (s *Server) sweepTemps() {
 	}
 }
 
-// sweepLoop runs sweepTemps every interval until stop is closed. Started
+// SweepLoop runs SweepTemps every interval until stop is closed. Started
 // from main; a sweep also runs once at startup before serving.
-func (s *Server) sweepLoop(interval time.Duration, stop <-chan struct{}) {
+func (s *Server) SweepLoop(interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			s.sweepTemps()
+			s.SweepTemps()
 		case <-stop:
 			return
 		}

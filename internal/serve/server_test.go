@@ -60,12 +60,12 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server, map[string]*grid.Hi
 	}
 	want["tac"] = h2
 
-	s, err := newServer(dir, 64<<20, 1<<30, 8)
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30, CacheShards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 	return ts, s, want
 }
 

@@ -115,8 +115,8 @@ func TestRevalidationAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(s.handler())
-			t.Cleanup(func() { ts.Close(); s.close() })
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() { ts.Close(); s.Close() })
 			url := ts.URL + "/v1/field/nyx/level/0"
 
 			code, body, h1 := get(t, url)
@@ -163,8 +163,8 @@ func TestRevalidateEverySpacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 	url := ts.URL + "/v1/field/nyx/level/0"
 
 	if code, body, _ := get(t, url); code != 200 || !parseRawField(t, body).Equal(wantA) {
@@ -196,8 +196,8 @@ func TestStoreMetricsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() { ts.Close(); s.close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	if code, _, _ := get(t, ts.URL+"/v1/field/nyx/level/0"); code != 200 {
 		t.Fatalf("level: %d", code)

@@ -12,7 +12,7 @@ import (
 )
 
 // FS is the local-filesystem backend: objects are files in one directory,
-// opened with os.Open, revalidated by fstat identity (size + mtime), and
+// opened with os.Open, revalidated by fstat identity (inode, size, mtime), and
 // installed through writer.AtomicFile (temp + fsync + rename). This is the
 // storage logic the serving tier and reader used inline before the seam
 // existed, extracted behind the interface.
@@ -39,7 +39,7 @@ func (s *FS) Dir() string { return s.dir }
 func (s *FS) String() string { return "file://" + s.dir }
 
 func fsInfo(st os.FileInfo) Info {
-	return Info{Size: st.Size(), ModTime: st.ModTime()}
+	return Info{Size: st.Size(), ModTime: st.ModTime(), file: st}
 }
 
 // fsHandle is an open file plus the identity fstat'ed at open time.

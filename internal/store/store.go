@@ -24,14 +24,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"time"
 )
 
 // Info identifies one version of an object: the tuple a serving tier
 // compares to decide whether a cached handle still matches the stored
-// object. Local backends fill Size and ModTime (the fstat identity); remote
-// backends additionally carry the origin's ETag when it offers one.
+// object. Local backends fill Size and ModTime (the fstat identity) and the
+// filesystem one keeps the stat result itself, so the file's device and
+// inode count too; remote backends additionally carry the origin's ETag
+// when it offers one.
 type Info struct {
 	// Size is the object's length in bytes.
 	Size int64
@@ -42,13 +45,24 @@ type Info struct {
 	// backend has none). When both sides of a comparison carry one, it wins
 	// over the size+mtime identity.
 	ETag string
+	// file is the stat result the filesystem backend built this Info from
+	// (nil on every other backend).
+	file os.FileInfo
 }
 
 // Same reports whether two Infos identify the same object version: by ETag
-// when both carry one, by size+mtime otherwise.
+// when both carry one, by size+mtime otherwise — and, when both came from the
+// filesystem backend, only if they are also the same file. An atomic install
+// renames a new inode into place, and an open handle pins the inode it reads
+// so the number cannot be reused while that handle's Info is being compared,
+// which catches the same-size swap inside one mtime tick that size+mtime
+// alone cannot see.
 func (a Info) Same(b Info) bool {
 	if a.ETag != "" && b.ETag != "" {
 		return a.ETag == b.ETag && a.Size == b.Size
+	}
+	if a.file != nil && b.file != nil && !os.SameFile(a.file, b.file) {
+		return false
 	}
 	return a.Size == b.Size && a.ModTime.Equal(b.ModTime)
 }

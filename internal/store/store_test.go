@@ -208,6 +208,57 @@ func TestInstallListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFSSameSizeSwapInsideOneMtimeTick: two installs of equal-length content
+// whose mtimes are forced equal — the swap size+mtime cannot see — must still
+// be two versions, to a held handle's identity and to two Stats alike, while
+// an unreplaced file stays Same as itself.
+func TestFSSameSizeSwapInsideOneMtimeTick(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := time.Unix(1_700_000_000, 0)
+	install := func(content string) Info {
+		t.Helper()
+		err := st.Install(ctx, "f.mrw", func(w io.Writer) error {
+			_, werr := io.WriteString(w, content)
+			return werr
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(filepath.Join(dir, "f.mrw"), tick, tick); err != nil {
+			t.Fatal(err)
+		}
+		info, err := st.Stat(ctx, "f.mrw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	first := install("version-one")
+	h, err := st.Open(ctx, "f.mrw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if !h.Info().Same(first) {
+		t.Fatal("an open handle and a Stat of the same file are not Same")
+	}
+	second := install("version-two")
+	if first.Size != second.Size || !first.ModTime.Equal(second.ModTime) {
+		t.Fatalf("the swap is visible to size+mtime (%v / %v); the test proves nothing", first, second)
+	}
+	if h.Info().Same(second) {
+		t.Fatal("a handle on the replaced file is Same as its same-size, same-mtime replacement")
+	}
+	if first.Same(second) {
+		t.Fatal("Stats before and after a same-size, same-mtime replacement are Same")
+	}
+}
+
 // countingOrigin wraps OriginHandler counting requests.
 func countingOrigin(t *testing.T, dir string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
