@@ -1,15 +1,17 @@
 // Package flatepool wraps the DEFLATE wrapper stage shared by the sz2, sz3,
-// and zfp stand-ins behind a sync.Pool of flate writers. A flate.Writer
-// carries tens of kilobytes of matcher state; the container pipeline
-// compresses one stream per level/box, so reusing writers across streams
-// (and across the worker pool's goroutines) removes the dominant per-stream
-// allocation. flate.Writer.Reset is documented to make the writer equivalent
-// to a fresh NewWriter, so pooled output is byte-identical to unpooled.
+// and zfp stand-ins behind sync.Pools of flate writers and readers. A
+// flate.Writer carries tens of kilobytes of matcher state and a reader its
+// 32 KiB window; the container pipeline codes one stream per level/box, so
+// reusing both across streams (and across the worker pool's goroutines)
+// removes the dominant per-stream allocation. flate.Writer.Reset and
+// flate.Resetter are documented to make the object equivalent to a fresh
+// one, so pooled output is byte-identical to unpooled.
 package flatepool
 
 import (
 	"bytes"
 	"compress/flate"
+	"io"
 	"sync"
 )
 
@@ -38,4 +40,42 @@ func Deflate(payload []byte) ([]byte, error) {
 	}
 	pool.Put(fw)
 	return out.Bytes(), nil
+}
+
+// Inflated is one stream's inflated payload, held in pooled memory.
+type Inflated struct {
+	src bytes.Reader
+	fr  io.ReadCloser // a flate reader; also a flate.Resetter
+	buf bytes.Buffer
+}
+
+var inflated = sync.Pool{New: func() any {
+	return &Inflated{fr: flate.NewReader(nil)}
+}}
+
+// Inflate decompresses a whole DEFLATE stream with a pooled reader into a
+// pooled buffer. The caller parses or copies what it needs out of Bytes and
+// then calls Release.
+func Inflate(data []byte) (*Inflated, error) {
+	p := inflated.Get().(*Inflated)
+	p.src.Reset(data)
+	// Reset cannot fail: the reader reads from memory and takes no dictionary.
+	_ = p.fr.(flate.Resetter).Reset(&p.src, nil)
+	p.buf.Reset()
+	if _, err := p.buf.ReadFrom(p.fr); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// Bytes returns the inflated payload.
+// aliases: valid until Release.
+func (p *Inflated) Bytes() []byte { return p.buf.Bytes() }
+
+// Release returns the reader and the buffer to the pool. Neither p nor a
+// slice obtained from Bytes may be used afterwards.
+func (p *Inflated) Release() {
+	p.src.Reset(nil) // do not pin the caller's stream while pooled
+	inflated.Put(p)
 }

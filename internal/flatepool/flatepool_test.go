@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 // freshDeflate is the reference: a brand-new writer per call.
@@ -75,4 +77,113 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// freshInflate is the reference: a brand-new reader per call.
+func freshInflate(data []byte) ([]byte, error) {
+	return io.ReadAll(flate.NewReader(bytes.NewReader(data)))
+}
+
+func TestInflateIdenticalToFreshReader(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	// Sizes out of order, so a pooled buffer meets payloads both larger and
+	// smaller than its last one.
+	for _, n := range []int{1 << 18, 0, 100, 65536, 1, 1 << 16} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(rng.Intn(7))
+		}
+		blob := freshDeflate(t, payload)
+		for trial := 0; trial < 3; trial++ {
+			p, err := Inflate(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p.Bytes(), payload) {
+				t.Fatalf("n=%d trial %d: pooled inflate differs from the payload", n, trial)
+			}
+			p.Release()
+		}
+		// Damaged streams fail the same way, and a reader that has failed
+		// goes back to the pool fit for the next stream.
+		for _, bad := range [][]byte{blob[:len(blob)/2], append([]byte{0xFF}, blob...)} {
+			_, wantErr := freshInflate(bad)
+			p, err := Inflate(bad)
+			if err == nil {
+				p.Release()
+			}
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("n=%d: pooled inflate err = %v, fresh reader %v", n, err, wantErr)
+			}
+		}
+	}
+}
+
+func TestInflateConcurrentUse(t *testing.T) {
+	payloads := [][]byte{
+		bytes.Repeat([]byte("abcabcabd"), 4096),
+		bytes.Repeat([]byte("xyzzy"), 100),
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		payload := payloads[g%2]
+		blob, err := Deflate(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				p, err := Inflate(blob)
+				if err != nil {
+					t.Errorf("concurrent inflate: %v", err)
+					return
+				}
+				ok := bytes.Equal(p.Bytes(), payload)
+				p.Release()
+				if !ok {
+					t.Error("concurrent inflate diverged")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestInflateAllocBudget: in steady state the reader, its window and the
+// output buffer all come from the pool. What is left is compress/flate's own
+// per-block Huffman tables, which a fresh reader pays as well.
+func TestInflateAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	payload := make([]byte, 1<<18)
+	for i := range payload {
+		payload[i] = byte(rng.Intn(7))
+	}
+	blob, err := Deflate(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testing.AllocsPerRun(10, func() {
+		if _, err := freshInflate(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pooled := testing.AllocsPerRun(10, func() {
+		p, err := Inflate(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	})
+	t.Logf("allocations per inflate: fresh reader %v, pooled %v", fresh, pooled)
+	// The fresh reader's extra: the reader, its window, bytes.NewReader, and
+	// ReadAll's doublings up to 256 KiB.
+	if pooled > fresh-15 {
+		t.Fatalf("pooled inflate allocates %v times, a fresh reader %v: the pool saves fewer than 15", pooled, fresh)
+	}
 }

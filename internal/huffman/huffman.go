@@ -8,15 +8,24 @@
 // interleaved format (EncodeInterleaved, see interleave.go) splits the symbol
 // stream into N fixed-stride lanes that decode independently — overlapped on
 // one core or spread across goroutines — behind the same Decode entry point.
+//
+// Building a code costs a fixed handful of allocations whatever the alphabet:
+// the histogram is sized from a count of its non-zero bins, the Huffman tree
+// is two flat arrays (weights and parents) merged through an index heap of
+// plain ints, and the stream buffer is sized once for header, dictionary and
+// payload. Code lengths depend only on the order in which the heap yields
+// its minima, which the total order (weight, node index) fixes, so they — and
+// the streams — are the same as when the tree was built with container/heap
+// (lengths_test.go keeps that build as the reference).
 package huffman
 
 import (
-	"container/heap"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/bitio"
 )
@@ -39,96 +48,109 @@ const tableBits = 10
 // decoder rejects interleaved streams instead of misparsing them.
 const maxN = 1 << 33
 
-type node struct {
-	freq        uint64
-	symbol      int32 // valid for leaves
-	left, right int   // child indices, -1 for leaves
-}
-
-type nodeHeap struct {
-	nodes []node
-	order []int
-}
-
-func (h *nodeHeap) Len() int { return len(h.order) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.order[i]], h.nodes[h.order[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return h.order[i] < h.order[j] // deterministic tie-break
-}
-func (h *nodeHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *nodeHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *nodeHeap) Pop() any {
-	old := h.order
-	n := len(old)
-	x := old[n-1]
-	h.order = old[:n-1]
-	return x
-}
-
-// codeLengths computes Huffman code lengths for the given symbol frequencies,
-// flattening frequencies if the depth would exceed maxCodeLen.
-func codeLengths(symbols []int32, freqs []uint64) []int {
-	for {
-		lengths := buildLengths(symbols, freqs)
-		maxLen := 0
-		for _, l := range lengths {
-			if l > maxLen {
-				maxLen = l
-			}
-		}
-		if maxLen <= maxCodeLen {
-			return lengths
-		}
+// codeLengths computes Huffman code lengths for the given symbol
+// frequencies, flattening a copy of them if the depth would exceed
+// maxCodeLen. freqs itself is left alone: it sizes the bit stream.
+func codeLengths(freqs []uint64) []int {
+	lengths := buildLengths(freqs)
+	flattened := false
+	for slices.Max(lengths) > maxCodeLen {
 		// Flatten the distribution and retry; this terminates because all
 		// frequencies converge toward 1, giving a balanced tree.
+		if !flattened {
+			freqs, flattened = slices.Clone(freqs), true
+		}
 		for i := range freqs {
 			freqs[i] = freqs[i]/2 + 1
 		}
+		lengths = buildLengths(freqs)
+	}
+	return lengths
+}
+
+// treeHeap is a binary min-heap of tree-node indices ordered by (weight,
+// index). The order is total, so the sequence of minima — and with it the
+// tree and every code length — is the same for any correct heap; this one
+// stores plain ints where container/heap boxed each index pushed or popped
+// (one allocation apiece above 255) into an interface.
+type treeHeap struct {
+	weight []uint64 // by node index
+	idx    []int    // the heap
+}
+
+func (h *treeHeap) less(a, b int) bool {
+	if h.weight[a] != h.weight[b] {
+		return h.weight[a] < h.weight[b]
+	}
+	return a < b // deterministic tie-break
+}
+
+// down restores the heap below position i, whose entry may be too heavy.
+func (h *treeHeap) down(i int) {
+	idx := h.idx
+	for {
+		c := 2*i + 1
+		if c >= len(idx) {
+			return
+		}
+		if c+1 < len(idx) && h.less(idx[c+1], idx[c]) {
+			c++
+		}
+		if !h.less(idx[c], idx[i]) {
+			return
+		}
+		idx[i], idx[c] = idx[c], idx[i]
+		i = c
 	}
 }
 
-func buildLengths(symbols []int32, freqs []uint64) []int {
-	n := len(symbols)
+// pop removes and returns the minimum.
+func (h *treeHeap) pop() int {
+	idx := h.idx
+	top, last := idx[0], len(idx)-1
+	idx[0] = idx[last]
+	h.idx = idx[:last]
+	h.down(0)
+	return top
+}
+
+// buildLengths returns the depth of each symbol's leaf in the Huffman tree
+// of freqs. Leaves are nodes 0..n-1; each merge appends a node, so a parent
+// always has a higher index than its children.
+func buildLengths(freqs []uint64) []int {
+	n := len(freqs)
 	if n == 1 {
 		return []int{1}
 	}
-	nodes := make([]node, 0, 2*n)
-	h := &nodeHeap{nodes: nil}
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, node{freq: freqs[i], symbol: symbols[i], left: -1, right: -1})
+	weight := make([]uint64, n, 2*n-1)
+	copy(weight, freqs)
+	parent := make([]int, 2*n-1)
+	h := treeHeap{weight: weight, idx: make([]int, n)}
+	for i := range h.idx {
+		h.idx[i] = i
 	}
-	h.nodes = nodes
-	h.order = make([]int, n)
-	for i := range h.order {
-		h.order[i] = i
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		h.nodes = append(h.nodes, node{freq: h.nodes[a].freq + h.nodes[b].freq, left: a, right: b})
-		heap.Push(h, len(h.nodes)-1)
+	for len(h.idx) > 1 {
+		// Merge the two lightest nodes; the new node takes the second one's
+		// place at the top of the heap and sinks from there.
+		a := h.pop()
+		b := h.idx[0]
+		m := len(h.weight)
+		h.weight = append(h.weight, h.weight[a]+h.weight[b])
+		parent[a], parent[b] = m, m
+		h.idx[0] = m
+		h.down(0)
 	}
-	root := h.order[0]
-	lengths := make([]int, n)
-	// Iterative DFS assigning depths to leaves.
-	type frame struct{ idx, depth int }
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := h.nodes[fr.idx]
-		if nd.left == -1 {
-			// Leaf: find its position. Leaves are the first n nodes in order.
-			lengths[fr.idx] = fr.depth
-			continue
-		}
-		stack = append(stack, frame{nd.left, fr.depth + 1}, frame{nd.right, fr.depth + 1})
+	// The root is the last node; walking down from it, every parent's depth
+	// is known before its children's. parent is reused for the depths.
+	depth := parent
+	depth[2*n-2] = 0
+	for i := 2*n - 3; i >= 0; i-- {
+		depth[i] = depth[parent[i]] + 1
 	}
-	return lengths
+	return depth[:n:n]
 }
 
 // canonicalCodes assigns canonical codes given symbols sorted by (length,
@@ -176,6 +198,13 @@ func histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span 
 		for _, v := range data {
 			counts[int64(v)-int64(minS)]++
 		}
+		k := 0
+		for _, c := range counts {
+			if c != 0 {
+				k++
+			}
+		}
+		symbols, freqs = make([]int32, 0, k), make([]uint64, 0, k)
 		for i, c := range counts {
 			if c != 0 {
 				symbols = append(symbols, minS+int32(i))
@@ -192,7 +221,7 @@ func histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span 
 	for s := range freq {
 		symbols = append(symbols, s)
 	}
-	sort.Slice(symbols, func(i, j int) bool { return symbols[i] < symbols[j] })
+	slices.Sort(symbols)
 	freqs = make([]uint64, len(symbols))
 	for i, s := range symbols {
 		freqs[i] = freq[s]
@@ -233,32 +262,28 @@ type coder struct {
 func newCoder(data []int32) *coder {
 	symbols, freqs, minS, span, dense := histogram(data)
 
-	// codeLengths may flatten freqs in place when limiting depth; keep the
-	// true counts for sizing the output bit stream.
-	origFreqs := append([]uint64(nil), freqs...)
-	lengths := codeLengths(symbols, freqs)
+	lengths := codeLengths(freqs)
+	totalBits := 0
+	for i, f := range freqs {
+		totalBits += int(f) * lengths[i]
+	}
 
 	// Sort symbols canonically: by (length, symbol value).
 	ss := make([]sym, len(symbols))
 	for i := range symbols {
 		ss[i] = sym{symbols[i], lengths[i]}
 	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].l != ss[j].l {
-			return ss[i].l < ss[j].l
+	slices.SortFunc(ss, func(a, b sym) int {
+		if a.l != b.l {
+			return cmp.Compare(a.l, b.l)
 		}
-		return ss[i].s < ss[j].s
+		return cmp.Compare(a.s, b.s)
 	})
 	sortedLens := make([]int, len(ss))
 	for i := range ss {
 		sortedLens[i] = ss[i].l
 	}
 	codes := canonicalCodes(sortedLens)
-
-	totalBits := 0
-	for i := range origFreqs {
-		totalBits += int(origFreqs[i]) * lengths[i]
-	}
 
 	c := &coder{ss: ss, codes: codes, totalBits: totalBits, dense: dense, minS: minS}
 	if dense {
@@ -276,6 +301,14 @@ func newCoder(data []int32) *coder {
 		}
 	}
 	return c
+}
+
+// streamBuf returns an empty buffer with room for a whole stream — uvarints
+// header fields, the dictionary, and bits of payload — so that building the
+// stream allocates once instead of growing through the header.
+func (c *coder) streamBuf(uvarints, bits int) []byte {
+	dict := binary.MaxVarintLen64 + len(c.ss)*(binary.MaxVarintLen64+1)
+	return make([]byte, 0, uvarints*binary.MaxVarintLen64+dict+(bits+7)/8)
 }
 
 // appendDict serializes the dictionary — uvarint symbol count, then per
@@ -328,7 +361,7 @@ func Encode(data []int32) []byte {
 	}
 	c := newCoder(data)
 
-	var out []byte
+	out := c.streamBuf(1, c.totalBits)
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = c.appendDict(out)
 

@@ -131,7 +131,8 @@ func EncodeInterleaved(data []int32, lanes int) []byte {
 		}
 	}
 
-	var out []byte
+	// Every lane is padded to a byte, hence the 8 bits apiece.
+	out := c.streamBuf(3+lanes, c.totalBits+8*lanes)
 	out = binary.AppendUvarint(out, InterleavedTag)
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = binary.AppendUvarint(out, uint64(lanes))

@@ -6,70 +6,117 @@
 // verbatim, preserving the bound exactly.
 package quant
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // RadiusDefault is the default quantization code radius (symmetric range of
 // representable codes), matching SZ's 16-bit default (±32768).
 const RadiusDefault = 32768
 
-// Quantizer maps prediction errors to integer codes under an absolute error
-// bound. The zero code is reserved for the "unpredictable" escape so that
-// decoders can recognize it without side channels; predictable codes are
-// offset by Radius.
+// Quantize maps value v, predicted as pred, to its code under the error
+// bound eb and returns the reconstruction the decoder will produce from that
+// code (which the encoder must use in place of v for subsequent
+// predictions). twoEB is 2·eb, passed in so that a caller's loop computes it
+// once. Code 0 is the "unpredictable" escape: the value must be stored
+// verbatim, and the reconstruction is v itself. Predictable codes lie in
+// (0, 2·RadiusDefault).
+//
+// The sz3 kernels call this once per sample and count on it being inlined
+// into their loops; it sits just inside the compiler's budget (check with
+// go build -gcflags=-m=2 after touching it).
+func Quantize(v, pred, eb, twoEB float64) (code int32, recon float64) {
+	k := math.Floor((v-pred)/twoEB + 0.5)
+	// Out of code range, or not a number at all (NaN fails every comparison,
+	// ±Inf the bound): the negated comparison catches all three.
+	if !(math.Abs(k) < RadiusDefault) {
+		return 0, v
+	}
+	r := pred + twoEB*k
+	// Guard against floating-point rounding pushing the reconstruction out
+	// of bounds (can happen when |pred| >> eb) and against non-finite
+	// reconstructions from overflowing 2·eb. The negated comparison is
+	// deliberate: it also trips when r is NaN.
+	if !(math.Abs(v-r) <= eb) {
+		return 0, v
+	}
+	return int32(int(k)) + RadiusDefault, r
+}
+
+// Dequantize reconstructs a value from a predictable (non-zero) code and the
+// prediction the encoder used; twoEB is 2·eb as in Quantize.
+func Dequantize(code int32, pred, twoEB float64) float64 {
+	return pred + twoEB*float64(int(code)-RadiusDefault)
+}
+
+// Quantizer wraps Quantize and Dequantize with the bookkeeping of escaped
+// samples, for callers that code one sample at a time. The zero code is
+// reserved for the escape so that decoders can recognize it without side
+// channels; predictable codes are offset by RadiusDefault.
 type Quantizer struct {
 	// EB is the absolute error bound. Must be > 0.
 	EB float64
-	// Radius is the code radius. Codes lie in (0, 2·Radius]; 0 escapes.
-	Radius int
 
 	// Outliers accumulates the verbatim values of escaped samples in
 	// encounter order. The decoder consumes them in the same order.
 	Outliers []float64
 	outPos   int
+	underrun bool
 }
 
-// New returns a quantizer with the default radius.
+// New returns a quantizer for the error bound eb.
 func New(eb float64) *Quantizer {
 	if eb <= 0 {
 		panic("quant: error bound must be positive")
 	}
-	return &Quantizer{EB: eb, Radius: RadiusDefault}
+	return &Quantizer{EB: eb}
 }
 
-// Encode quantizes value v against prediction pred. It returns the code and
-// the reconstructed value the decoder will produce (which the encoder must
-// use in place of v for subsequent predictions).
+// Encode quantizes value v against prediction pred, recording v as an
+// outlier when it escapes. It returns the code and the reconstructed value.
 func (q *Quantizer) Encode(v, pred float64) (code int32, recon float64) {
-	diff := v - pred
-	half := q.EB // bin half-width
-	k := math.Floor(diff/(2*half) + 0.5)
-	if math.Abs(k) >= float64(q.Radius) || math.IsNaN(k) || math.IsInf(k, 0) {
+	code, recon = Quantize(v, pred, q.EB, 2*q.EB)
+	if code == 0 {
 		q.Outliers = append(q.Outliers, v)
-		return 0, v
 	}
-	r := pred + 2*half*k
-	// Guard against floating-point rounding pushing the reconstruction out
-	// of bounds (can happen when |pred| >> eb) and against non-finite
-	// reconstructions from overflowing 2·eb. The negated comparison is
-	// deliberate: it also trips when r is NaN.
-	if !(math.Abs(v-r) <= half) {
-		q.Outliers = append(q.Outliers, v)
-		return 0, v
-	}
-	return int32(int(k)) + int32(q.Radius), r
+	return code, recon
 }
 
 // Decode reconstructs a value from its code and prediction, consuming an
-// outlier when code == 0.
+// outlier when code == 0. A stream with more escapes than outliers decodes
+// the surplus as 0 and fails DecodeErr.
 func (q *Quantizer) Decode(code int32, pred float64) float64 {
-	if code == 0 {
-		v := q.Outliers[q.outPos]
-		q.outPos++
-		return v
+	if code != 0 {
+		return Dequantize(code, pred, 2*q.EB)
 	}
-	k := float64(int(code) - q.Radius)
-	return pred + 2*q.EB*k
+	if q.outPos >= len(q.Outliers) {
+		q.underrun = true
+		return 0
+	}
+	v := q.Outliers[q.outPos]
+	q.outPos++
+	return v
+}
+
+// DecodeErr reports, after a decode pass, whether the codes consumed exactly
+// the outliers they were given; a hostile or damaged stream need not.
+func (q *Quantizer) DecodeErr() error {
+	return OutlierErr(q.underrun, len(q.Outliers)-q.outPos)
+}
+
+// OutlierErr is the error for a decode pass that ran out of outliers or left
+// some unconsumed, nil if neither.
+func OutlierErr(underrun bool, trailing int) error {
+	switch {
+	case underrun:
+		return errors.New("outlier underrun")
+	case trailing > 0:
+		return fmt.Errorf("%d trailing outliers", trailing)
+	}
+	return nil
 }
 
 // ResetDecode rewinds the outlier cursor for a fresh decode pass.
-func (q *Quantizer) ResetDecode() { q.outPos = 0 }
+func (q *Quantizer) ResetDecode() { q.outPos, q.underrun = 0, false }

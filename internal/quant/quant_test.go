@@ -63,8 +63,8 @@ func TestZeroCodeReservedForEscape(t *testing.T) {
 	q := New(0.5)
 	// Perfect prediction → k = 0 → code = Radius, never 0.
 	code, _ := q.Encode(3.0, 3.0)
-	if code != int32(q.Radius) {
-		t.Fatalf("perfect prediction code = %d, want %d", code, q.Radius)
+	if code != RadiusDefault {
+		t.Fatalf("perfect prediction code = %d, want %d", code, RadiusDefault)
 	}
 }
 

@@ -18,11 +18,9 @@ package sz2
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/field"
@@ -174,11 +172,13 @@ func Decompress(data []byte) (*field.Field, error) { return DecompressWorkers(da
 // goroutines (≤ 0 means the runtime default). Single-lane chunks and
 // workers == 1 decode fully serially. The result is identical either way.
 func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	payload, err := io.ReadAll(fr)
+	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: inflate: %w", err)
 	}
+	// Everything below copies what it keeps out of the pooled payload.
+	defer inflated.Release()
+	payload := inflated.Bytes()
 	if len(payload) < 5 || string(payload[:4]) != magic {
 		return nil, errors.New("sz2: bad magic")
 	}
@@ -332,21 +332,22 @@ func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
 	if decodeErr != nil {
 		return nil, decodeErr
 	}
+	if err := q.DecodeErr(); err != nil {
+		return nil, fmt.Errorf("sz2: %w", err)
+	}
 	return g, nil
 }
 
 // BlockSizeOf returns the block size recorded in a compressed stream, needed
 // by the post-processor to locate block boundaries.
 func BlockSizeOf(data []byte) (int, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	hdr := make([]byte, 5+binary.MaxVarintLen64)
-	n, err := io.ReadFull(fr, hdr)
-	if err == io.ErrUnexpectedEOF && n >= 5 {
-		hdr = hdr[:n] // tiny stream: header may be shorter than the max varint
-	} else if err != nil {
-		return 0, err
+	inflated, err := flatepool.Inflate(data)
+	if err != nil {
+		return 0, fmt.Errorf("sz2: inflate: %w", err)
 	}
-	if string(hdr[:4]) != magic {
+	defer inflated.Release()
+	hdr := inflated.Bytes()
+	if len(hdr) < 5 || string(hdr[:4]) != magic {
 		return 0, errors.New("sz2: bad magic")
 	}
 	if hdr[4] != 0 {

@@ -1,12 +1,14 @@
 package sz2
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/field"
+	"repro/internal/flatepool"
 	"repro/internal/synth"
 )
 
@@ -242,5 +244,69 @@ func TestRealisticDataset(t *testing.T) {
 	cr := float64(f.Bytes()) / float64(len(data))
 	if cr < 3 {
 		t.Fatalf("CR %.1f too low for S3D at 1e-3 rel eb", cr)
+	}
+}
+
+// TestHostileEscapeCount: the zero codes say how many outliers a stream
+// needs. One with fewer used to index past the list — a panic only core's
+// recover hid — and one with more had the surplus ignored; both are errors.
+func TestHostileEscapeCount(t *testing.T) {
+	f := smoothField(12)
+	f.Data[100], f.Data[900] = 1e9, math.NaN() // honest escapes
+	blob, err := Compress(f, Options{EB: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(blob); err != nil {
+		t.Fatalf("honest stream: %v", err)
+	}
+	in, err := flatepool.Inflate(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), in.Bytes()...)
+	in.Release()
+
+	// The outlier list is the last of four length-prefixed chunks; walk to it.
+	at := 4 + 1              // magic, block size
+	for i := 0; i < 3; i++ { // nx, ny, nz
+		_, n := binary.Uvarint(payload[at:])
+		at += n
+	}
+	at += 8                  // eb
+	for i := 0; i < 3; i++ { // modes, coefficient codes, codes
+		l, n := binary.Uvarint(payload[at:])
+		at += n + int(l)
+	}
+	l, n := binary.Uvarint(payload[at:])
+	outliers := payload[at+n:]
+	if int(l) != len(outliers) || l < 16 {
+		t.Fatalf("outlier chunk of %d bytes, %d left in the payload", l, len(outliers))
+	}
+	withOutliers := func(out []byte) []byte {
+		t.Helper()
+		p := append([]byte(nil), payload[:at]...)
+		p = binary.AppendUvarint(p, uint64(len(out)))
+		blob, err := flatepool.Deflate(append(p, out...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for name, tc := range map[string]struct {
+		blob []byte
+		want string
+	}{
+		"one outlier short":    {withOutliers(outliers[:len(outliers)-8]), "sz2: outlier underrun"},
+		"no outliers at all":   {withOutliers(nil), "sz2: outlier underrun"},
+		"one outlier too many": {withOutliers(append(outliers[:len(outliers):len(outliers)], make([]byte, 8)...)), "sz2: 1 trailing outliers"},
+	} {
+		g, err := Decompress(tc.blob) // a panic here fails the test: nothing recovers
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+		if g != nil {
+			t.Errorf("%s: a field came back with the error", name)
+		}
 	}
 }

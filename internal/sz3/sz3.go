@@ -13,21 +13,29 @@
 // bound and entropy coded with canonical Huffman; escaped outliers are stored
 // verbatim. The whole payload is wrapped in DEFLATE (standing in for SZ3's
 // zstd stage).
+//
+// The sweep over the points (kernels.go) is organised by what is constant
+// along a row, not per sample: how a point is predicted depends only on its
+// coordinate on the pass axis, so each axis pass hands whole rows — n points
+// a fixed step apart, neighbours a fixed distance away — to one of four
+// small kernels (linear, cubic, extrapolated, constant), which predict,
+// quantize and reconstruct (or predict and dequantize) in a single loop.
+// The visit order and every floating-point expression are those of the
+// per-sample formulation the kernels replaced, which survives in
+// kernels_test.go as the reference they are compared against bit for bit;
+// streams are therefore byte-identical to every earlier version.
 package sz3
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/field"
 	"repro/internal/flatepool"
 	"repro/internal/huffman"
-	"repro/internal/quant"
 )
 
 // Interpolant selects the prediction spline.
@@ -142,19 +150,22 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 		return nil, err
 	}
 	codes, outliers := encodeCore(f, opt.Interp, ebTable, maxLevel)
+	return pack(f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.EncodeInterleaved(codes, opt.EntropyLanes), outliers)
+}
 
-	// Container: header | eb table | huffman codes | outliers, then DEFLATE.
-	hb := huffman.EncodeInterleaved(codes, opt.EntropyLanes)
+// pack serializes a stream: header | eb table | huffman codes | outliers,
+// then DEFLATE. hb is the entropy-coded code stream.
+func pack(nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outliers []float64) ([]byte, error) {
 	var payload bytes.Buffer
 	payload.Grow(len(hb) + 8*len(ebTable) + 8*len(outliers) + 64)
 	payload.WriteString(magic)
-	payload.WriteByte(byte(opt.Interp))
+	payload.WriteByte(byte(interp))
 	var tmp [8]byte
-	for _, v := range []uint64{uint64(f.Nx), uint64(f.Ny), uint64(f.Nz)} {
+	for _, v := range []uint64{uint64(nx), uint64(ny), uint64(nz)} {
 		n := binary.PutUvarint(tmp[:], v)
 		payload.Write(tmp[:n])
 	}
-	n := binary.PutUvarint(tmp[:], uint64(maxLevel))
+	n := binary.PutUvarint(tmp[:], uint64(len(ebTable)-1)) // maxLevel
 	payload.Write(tmp[:n])
 	for _, eb := range ebTable {
 		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(eb))
@@ -181,11 +192,13 @@ func Decompress(data []byte) (*field.Field, error) { return DecompressWorkers(da
 // goroutines (≤ 0 means the runtime default). Single-lane streams and
 // workers == 1 decode fully serially. The result is identical either way.
 func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	payload, err := io.ReadAll(fr)
+	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz3: inflate: %w", err)
 	}
+	// Everything below copies what it keeps out of the pooled payload.
+	defer inflated.Release()
+	payload := inflated.Bytes()
 	if len(payload) < 5 || string(payload[:4]) != magic {
 		return nil, errors.New("sz3: bad magic")
 	}
@@ -267,90 +280,6 @@ func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
 	return decodeCore(nx, ny, nz, interp, ebTable, maxLevel, codes, outliers)
 }
 
-// visit enumerates, for one stride level and one axis pass, every point that
-// pass predicts, in a deterministic order shared by encoder and decoder.
-// Axis pass conventions (matching SZ3): when filling stride s from stride 2s,
-//
-//	pass 0 (x): x ≡ s (mod 2s), y ≡ 0 (mod 2s), z ≡ 0 (mod 2s)
-//	pass 1 (y): x ≡ 0 (mod s),  y ≡ s (mod 2s), z ≡ 0 (mod 2s)
-//	pass 2 (z): x ≡ 0 (mod s),  y ≡ 0 (mod s),  z ≡ s (mod 2s)
-func visit(nx, ny, nz, s int, pass int, fn func(x, y, z int)) {
-	s2 := 2 * s
-	switch pass {
-	case 0:
-		for z := 0; z < nz; z += s2 {
-			for y := 0; y < ny; y += s2 {
-				for x := s; x < nx; x += s2 {
-					fn(x, y, z)
-				}
-			}
-		}
-	case 1:
-		for z := 0; z < nz; z += s2 {
-			for y := s; y < ny; y += s2 {
-				for x := 0; x < nx; x += s {
-					fn(x, y, z)
-				}
-			}
-		}
-	case 2:
-		for z := s; z < nz; z += s2 {
-			for y := 0; y < ny; y += s {
-				for x := 0; x < nx; x += s {
-					fn(x, y, z)
-				}
-			}
-		}
-	}
-}
-
-// predictor computes the spline prediction for point (x,y,z) along the given
-// axis at stride s, using only already-reconstructed values in recon.
-type predictor struct {
-	recon      []float64
-	nx, ny, nz int
-	interp     Interpolant
-}
-
-func (p *predictor) idx(x, y, z int) int { return x + p.nx*(y+p.ny*z) }
-
-// predict returns the prediction for the point at (x,y,z) along axis
-// (0=x,1=y,2=z) with neighbor distance s.
-func (p *predictor) predict(x, y, z, axis, s int) float64 {
-	var pos, dim int
-	switch axis {
-	case 0:
-		pos, dim = x, p.nx
-	case 1:
-		pos, dim = y, p.ny
-	default:
-		pos, dim = z, p.nz
-	}
-	at := func(q int) float64 {
-		switch axis {
-		case 0:
-			return p.recon[p.idx(q, y, z)]
-		case 1:
-			return p.recon[p.idx(x, q, z)]
-		default:
-			return p.recon[p.idx(x, y, q)]
-		}
-	}
-	hasRight := pos+s < dim
-	if !hasRight {
-		// Boundary: linear extrapolation from the two previous known points
-		// (spacing 2s), falling back to constant extrapolation.
-		if pos-3*s >= 0 {
-			return 1.5*at(pos-s) - 0.5*at(pos-3*s)
-		}
-		return at(pos - s)
-	}
-	if p.interp == Cubic && pos-3*s >= 0 && pos+3*s < dim {
-		return (-at(pos-3*s) + 9*at(pos-s) + 9*at(pos+s) - at(pos+3*s)) / 16
-	}
-	return 0.5 * (at(pos-s) + at(pos+s))
-}
-
 // initialStride returns the starting stride: the smallest power of two ≥
 // max dimension, so that the origin is the only known point initially.
 func initialStride(nx, ny, nz int) int {
@@ -366,90 +295,6 @@ func initialStride(nx, ny, nz int) int {
 		s <<= 1
 	}
 	return s
-}
-
-func encodeCore(f *field.Field, interp Interpolant, ebTable []float64, maxLevel int) ([]int32, []float64) {
-	nx, ny, nz := f.Nx, f.Ny, f.Nz
-	recon := make([]float64, len(f.Data))
-	codes := make([]int32, 0, len(f.Data))
-	q := quant.New(ebTable[0])
-	p := &predictor{recon: recon, nx: nx, ny: ny, nz: nz, interp: interp}
-
-	// Seed: predict the origin with 0.
-	q.EB = ebTable[0]
-	c, r := q.Encode(f.Data[0], 0)
-	codes = append(codes, c)
-	recon[0] = r
-
-	level := 0
-	for s := initialStride(nx, ny, nz) / 2; s >= 1; s >>= 1 {
-		level++
-		q.EB = ebTable[levelIndex(level, maxLevel)]
-		for pass := 0; pass < 3; pass++ {
-			visit(nx, ny, nz, s, pass, func(x, y, z int) {
-				i := p.idx(x, y, z)
-				pred := p.predict(x, y, z, pass, s)
-				c, r := q.Encode(f.Data[i], pred)
-				codes = append(codes, c)
-				recon[i] = r
-			})
-		}
-	}
-	return codes, q.Outliers
-}
-
-func decodeCore(nx, ny, nz int, interp Interpolant, ebTable []float64, maxLevel int, codes []int32, outliers []float64) (*field.Field, error) {
-	f := field.New(nx, ny, nz)
-	recon := f.Data
-	q := quant.New(ebTable[0])
-	q.Outliers = outliers
-	p := &predictor{recon: recon, nx: nx, ny: ny, nz: nz, interp: interp}
-
-	pos := 0
-	next := func() (int32, error) {
-		if pos >= len(codes) {
-			return 0, errors.New("sz3: code stream underrun")
-		}
-		c := codes[pos]
-		pos++
-		return c, nil
-	}
-
-	q.EB = ebTable[0]
-	c, err := next()
-	if err != nil {
-		return nil, err
-	}
-	recon[0] = q.Decode(c, 0)
-
-	level := 0
-	var decodeErr error
-	for s := initialStride(nx, ny, nz) / 2; s >= 1 && decodeErr == nil; s >>= 1 {
-		level++
-		q.EB = ebTable[levelIndex(level, maxLevel)]
-		for pass := 0; pass < 3 && decodeErr == nil; pass++ {
-			visit(nx, ny, nz, s, pass, func(x, y, z int) {
-				if decodeErr != nil {
-					return
-				}
-				i := p.idx(x, y, z)
-				pred := p.predict(x, y, z, pass, s)
-				c, err := next()
-				if err != nil {
-					decodeErr = err
-					return
-				}
-				recon[i] = q.Decode(c, pred)
-			})
-		}
-	}
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if pos != len(codes) {
-		return nil, fmt.Errorf("sz3: %d trailing codes", len(codes)-pos)
-	}
-	return f, nil
 }
 
 // levelIndex clamps the running level counter into the eb table range (the

@@ -211,6 +211,10 @@ func TestInterpolation8(t *testing.T) {
 	if got := p.predict(2, 0, 0, 0, 2); got != 2 {
 		t.Fatalf("interpolated d3 = %g, want 2", got)
 	}
+	// The kernels pick the same three cases.
+	if a, b, c := modeAt(4, 8, 4, Linear), modeAt(6, 8, 2, Linear), modeAt(2, 8, 2, Linear); a != modeConst || b != modeExtrap || c != modeLinear {
+		t.Fatalf("modes of d5, d7, d3 = %d, %d, %d, want constant, extrapolated, linear", a, b, c)
+	}
 }
 
 // TestPadding9 mirrors Fig. 8: with one padded point (9 samples), every
@@ -227,6 +231,14 @@ func TestPadding9(t *testing.T) {
 	// Index 6 at stride 2 has neighbors 4 and 8 → exact.
 	if got := p.predict(6, 0, 0, 0, 2); got != 6 {
 		t.Fatalf("interpolated d7 = %g, want 6", got)
+	}
+	// With the padded point no coordinate of any level is extrapolated.
+	for s := 4; s >= 1; s /= 2 {
+		for x := s; x < 9; x += 2 * s {
+			if m := modeAt(x, 9, s, Linear); m != modeLinear {
+				t.Fatalf("point %d at stride %d has mode %d, want linear", x, s, m)
+			}
+		}
 	}
 }
 

@@ -15,11 +15,9 @@ package zfp
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/field"
@@ -120,11 +118,13 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 
 // Decompress decodes a buffer produced by Compress.
 func Decompress(data []byte) (*field.Field, error) {
-	fr := flate.NewReader(bytes.NewReader(data))
-	payload, err := io.ReadAll(fr)
+	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("zfp: inflate: %w", err)
 	}
+	// Everything below copies what it keeps out of the pooled payload.
+	defer inflated.Release()
+	payload := inflated.Bytes()
 	if len(payload) < 4 || string(payload[:4]) != magic {
 		return nil, errors.New("zfp: bad magic")
 	}
