@@ -84,8 +84,9 @@ func TestLevelCodecsValidation(t *testing.T) {
 }
 
 // TestDecompressRejectsUnknownStreamCodec corrupts the per-stream codec
-// byte of the committed v4 fixture: the sequential decoder must fail with
-// the registry's actionable unknown-ID error, not panic or misdecode.
+// byte in the body of the committed v4 fixture (footer cut off, so the body
+// scan is what names the codec): the decoder must fail with the registry's
+// actionable unknown-ID error, not panic or misdecode.
 func TestDecompressRejectsUnknownStreamCodec(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "golden-mixed-sz3-flate-v4.mrw"))
 	if err != nil {
@@ -95,7 +96,7 @@ func TestDecompressRejectsUnknownStreamCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := append([]byte(nil), blob...)
+	mut := stripFooter(t, blob)
 	// The v4 codec byte sits immediately before each stream's payload.
 	mut[ix.Streams[len(ix.Streams)-1].Offset-1] = 200
 	_, err = Decompress(mut)

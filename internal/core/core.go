@@ -14,6 +14,12 @@
 // "pre-processing": collecting data into the compression buffer) and
 // Compressed (compression proper) — so the in-situ output-time breakdown of
 // Table IV can be measured.
+//
+// Reading a container back has one path (decode.go): every decoder acts on
+// the container index — the CRC-covered footer, or BuildIndex's validated
+// body scan when there is none — and DecodeIndexed and PlaceIndexed are the
+// only decode and place sites, shared by Decompress, package reader and the
+// scrub.
 package core
 
 import (
@@ -41,13 +47,13 @@ import (
 // Container format versions. Version 2 widened SZ2BlockSize from a single
 // (silently truncating) byte to a uvarint; version 3 appends a
 // self-describing block-index footer (internal/index) after the last
-// stream for random access (the v3 body is byte-identical to a v2 body,
-// the sequential decoder never reads the footer, and version-1/2
-// containers remain readable); version 4 adds one codec wire-ID byte per
-// stream so levels may use different codecs (Options.LevelCodecs).
-// Containers whose levels all share the header codec are still written as
-// version 3, byte-identical to before — version 4 appears on the wire only
-// when a level actually overrides the codec.
+// stream (the v3 body is byte-identical to a v2 body; decoders act on the
+// footer when it is intact and scan the body otherwise, which is also how
+// version-1/2 containers remain readable); version 4 adds one codec
+// wire-ID byte per stream so levels may use different codecs
+// (Options.LevelCodecs). Containers whose levels all share the header codec
+// are still written as version 3, byte-identical to before — version 4
+// appears on the wire only when a level actually overrides the codec.
 const (
 	// containerMagic opens every container; the version byte follows it.
 	containerMagic = "MRWF"
@@ -318,14 +324,6 @@ func compressField(f *field.Field, opt Options, c Compressor) ([]byte, error) {
 	return cd.Compress(f, opt.params())
 }
 
-func decompressField(data []byte, c Compressor) (*field.Field, error) {
-	return decompressFieldCtx(context.Background(), data, c)
-}
-
-func decompressFieldCtx(ctx context.Context, data []byte, c Compressor) (f *field.Field, err error) {
-	return decompressFieldWorkersCtx(ctx, data, c, 1)
-}
-
 func decompressFieldWorkersCtx(ctx context.Context, data []byte, c Compressor, workers int) (f *field.Field, err error) {
 	cd, ok := codec.ByID(byte(c))
 	if !ok {
@@ -512,24 +510,6 @@ func CompressHierarchy(h *grid.Hierarchy, opt Options) (*Compressed, error) {
 	return p.Compress()
 }
 
-// postHook transforms a level's decoded field (after unpadding, before
-// unmerging) — the insertion point for error-bounded post-processing. Hooks
-// may be invoked concurrently from several decode workers and must be safe
-// for parallel use.
-type postHook func(level, unitSize int, opt Options, f *field.Field) *field.Field
-
-// Decompress reconstructs the multi-resolution hierarchy from a container,
-// decoding backend streams with the default worker count.
-func Decompress(blob []byte) (*grid.Hierarchy, error) {
-	return decompressImpl(blob, nil, 0)
-}
-
-// DecompressWorkers is Decompress with an explicit bound on concurrent
-// stream decoders (1 = serial, 0 = runtime.GOMAXPROCS(0)).
-func DecompressWorkers(blob []byte, workers int) (*grid.Hierarchy, error) {
-	return decompressImpl(blob, nil, workers)
-}
-
 // PostBlockSize returns the block size whose boundaries the post-processor
 // should smooth for opt.Compressor: the codec's own block for block-wise
 // backends (SZ2/ZFP), the unit block size for the partitioned global case
@@ -562,7 +542,7 @@ func (o Options) RoundTrip() postproc.RoundTrip {
 		if err != nil {
 			return nil, err
 		}
-		return decompressField(data, opt.Compressor)
+		return decompressFieldWorkersCtx(context.Background(), data, opt.Compressor, 1)
 	}
 }
 
@@ -611,73 +591,21 @@ func largestField(fs []*field.Field) *field.Field {
 	return best
 }
 
-// DecompressProcessed decompresses and applies error-bounded post-processing
-// with the given per-level intensities to each level's decoded array before
-// reassembly.
-func DecompressProcessed(blob []byte, intens []postproc.Intensity) (*grid.Hierarchy, error) {
-	return DecompressProcessedWorkers(blob, intens, 0)
-}
-
-// DecompressProcessedWorkers is DecompressProcessed with an explicit bound
-// on concurrent stream decoders.
-func DecompressProcessedWorkers(blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
-	hook := func(level, unitSize int, opt Options, f *field.Field) *field.Field {
-		if level >= len(intens) {
-			return f
-		}
-		a := intens[level]
-		if a == (postproc.Intensity{}) {
-			return f
-		}
-		// opt.Compressor is the stream's own codec here (decompressImpl
-		// rewrites it per stream); a codec without block artifacts — the
-		// lossless passthrough — reports block size 0 and is left alone.
-		bs := PostBlockSize(opt, unitSize)
-		if bs <= 0 {
-			return f
-		}
-		return postproc.Process(f, a, postproc.Options{EB: opt.EB, BlockSize: bs})
-	}
-	return decompressImpl(blob, hook, workers)
-}
-
-// decodedLevel is one level's parsed container metadata plus its raw
-// (still-compressed) payload slices.
-type decodedLevel struct {
-	blocks [][3]int
-	padded bool
-	boxes  []layout.Box
-	// streams holds one compressed payload per TAC box, or a single entry
-	// for the level's merged field (empty for an empty level).
-	streams [][]byte
-	// offsets holds each stream's absolute byte offset in the container,
-	// parallel to streams (used to synthesize an index for random access
-	// over containers without a footer).
-	offsets []int64
-	// codecs holds each stream's codec, parallel to streams: the per-stream
-	// wire ID for version-4 containers, the header codec otherwise.
-	codecs []Compressor
-}
-
-// container is the fully scanned (but not yet decoded) container.
-type container struct {
-	version byte
-	opt     Options
-	levels  []decodedLevel
-}
-
-// parseContainer scans the container serially: header, per-level block
-// lists, box geometry, and the offsets of every compressed stream. All
-// structural validation happens here so the concurrent decode stage only
-// sees well-delimited payloads. It returns the parsed structure and the
-// allocated (still empty) hierarchy.
-func parseContainer(blob []byte) (*container, *grid.Hierarchy, error) {
+// parseContainer scans a container body serially — header, per-level block
+// lists, box geometry, the extent and checksum of every compressed stream —
+// into the index a footer would have carried. It is the scan for bodies with
+// no usable footer (version 1/2 containers, a footer truncated away or
+// damaged) and has one caller, BuildIndex, which validates the result. It
+// bounds every count before allocating or converting it; the grid-shape rules
+// (power-of-two block size, divisibility, level depth) are index.Parse's,
+// applied there.
+func parseContainer(blob []byte) (*index.Index, error) {
 	if len(blob) < 12 || string(blob[:4]) != containerMagic {
-		return nil, nil, errors.New("core: bad magic")
+		return nil, errors.New("core: bad magic")
 	}
 	version := blob[4]
 	if version < containerVersionV1 || version > containerVersionMixed {
-		return nil, nil, fmt.Errorf("core: unsupported version %d", version)
+		return nil, fmt.Errorf("core: unsupported version %d", version)
 	}
 	buf := blob[5:]
 	need := func(n int) error {
@@ -711,267 +639,189 @@ func parseContainer(blob []byte) (*container, *grid.Hierarchy, error) {
 		return v, nil
 	}
 	if err := need(5); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c := &container{version: version}
-	opt := &c.opt
-	opt.Compressor = Compressor(buf[0])
-	opt.Arrangement = Arrangement(buf[1])
+	ix := &index.Index{StreamCRCs: true}
+	opt := &ix.Opts
+	opt.Compressor = buf[0]
+	opt.Arrangement = buf[1]
 	opt.Pad = buf[2] != 0
-	opt.PadKind = layout.PadKind(buf[3])
+	opt.PadKind = buf[3]
 	opt.AdaptiveEB = buf[4] != 0
 	buf = buf[5:]
 	if version == containerVersionV1 {
 		// v1 stored SZ2BlockSize in one byte (values > 255 wrapped on write).
 		if err := need(2); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		opt.SZ2BlockSize = int(buf[0])
-		opt.Interp = sz3.Interpolant(buf[1])
+		opt.SZ2Block = int(buf[0])
+		opt.Interp = buf[1]
 		buf = buf[2:]
 	} else {
 		bs, err := readU()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if bs > maxSZ2BlockSize {
-			return nil, nil, fmt.Errorf("core: implausible SZ2 block size %d", bs)
+			return nil, fmt.Errorf("core: implausible SZ2 block size %d", bs)
 		}
-		opt.SZ2BlockSize = int(bs)
+		opt.SZ2Block = int(bs)
 		if err := need(1); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		opt.Interp = sz3.Interpolant(buf[0])
+		opt.Interp = buf[0]
 		buf = buf[1:]
 	}
 	var err error
-	if opt.EB, err = readF(); err != nil {
-		return nil, nil, err
+	for _, p := range []*float64{&opt.EB, &opt.Alpha, &opt.Beta} {
+		if *p, err = readF(); err != nil {
+			return nil, err
+		}
 	}
-	if opt.Alpha, err = readF(); err != nil {
-		return nil, nil, err
+	// The five geometry fields (nx, ny, nz, block size, level count) are
+	// validated in their decoded uint64 form before any int conversion:
+	// CheckDims bounds the axes and their product, and the remaining scalars
+	// get the generic header cap, so a hostile container can neither wrap an
+	// int nor drive a decoder into a huge allocation.
+	var geom [5]uint64
+	for i := range geom {
+		if geom[i], err = readU(); err != nil {
+			return nil, err
+		}
 	}
-	if opt.Beta, err = readF(); err != nil {
-		return nil, nil, err
+	blockB64, nLevels64 := geom[3], geom[4]
+	if ix.Nx, ix.Ny, ix.Nz, _, err = field.CheckDims(geom[0], geom[1], geom[2]); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The five geometry fields are validated in their decoded uint64 form
-	// before any int conversion: CheckDims bounds the axes and their
-	// product, and the remaining scalars get the generic header cap, so a
-	// hostile container can neither wrap an int nor drive grid.New into a
-	// huge allocation.
-	nx64, err := readU()
-	if err != nil {
-		return nil, nil, err
+	if blockB64 == 0 || blockB64 > maxHeaderField || nLevels64 > maxHeaderField {
+		return nil, errors.New("core: implausible header field")
 	}
-	ny64, err := readU()
-	if err != nil {
-		return nil, nil, err
-	}
-	nz64, err := readU()
-	if err != nil {
-		return nil, nil, err
-	}
-	blockB64, err := readU()
-	if err != nil {
-		return nil, nil, err
-	}
-	nLevels64, err := readU()
-	if err != nil {
-		return nil, nil, err
-	}
-	nx, ny, nz, _, err := field.CheckDims(nx64, ny64, nz64)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	if blockB64 > maxHeaderField || nLevels64 > maxHeaderField {
-		return nil, nil, errors.New("core: implausible header field")
-	}
-	blockB, nLevels := int(blockB64), int(nLevels64)
-	h, err := grid.New(nx, ny, nz, blockB, nLevels)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	nbx, nby, nbz := h.NumBlocks()
+	ix.BlockB = int(blockB64)
+	nbx, nby, nbz := ix.Nx/ix.BlockB, ix.Ny/ix.BlockB, ix.Nz/ix.BlockB
 
-	// readStreamCodec consumes the per-stream codec byte of a version-4
-	// container; older versions compress every stream with the header codec.
-	readStreamCodec := func() (Compressor, error) {
-		if version < containerVersionMixed {
-			return opt.Compressor, nil
+	// stream consumes one length-prefixed payload — in a version-4 container
+	// its codec byte sits between the two; older versions compress every
+	// stream with the header codec — and records its extent and checksum
+	// under level lv. An empty merged level carries a zero length and no
+	// stream.
+	stream := func(lv *index.Level, st index.Stream) error {
+		slen, err := readU()
+		if err != nil || slen == 0 && st.Box < 0 {
+			return err
 		}
-		if err := need(1); err != nil {
-			return 0, err
+		st.Compressor = opt.Compressor
+		if version >= containerVersionMixed {
+			if err := need(1); err != nil {
+				return err
+			}
+			st.Compressor = buf[0]
+			buf = buf[1:]
 		}
-		sc := Compressor(buf[0])
-		buf = buf[1:]
-		return sc, nil
+		if uint64(len(buf)) < slen {
+			return errors.New("core: truncated stream")
+		}
+		st.Offset, st.Len = int64(len(blob)-len(buf)), int64(slen)
+		st.CRC = crc32.ChecksumIEEE(buf[:slen])
+		buf = buf[slen:]
+		lv.Streams = append(lv.Streams, len(ix.Streams))
+		ix.Streams = append(ix.Streams, st)
+		return nil
 	}
 
-	for li := 0; li < nLevels; li++ {
-		var dl decodedLevel
+	for li := 0; li < int(nLevels64); li++ {
+		var lv index.Level
 		nBlocks64, err := readU()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if nBlocks64 > uint64(nbx*nby*nbz) { // compare unsigned: int(nBlocks64) may wrap negative
-			return nil, nil, errors.New("core: implausible block count")
+		// Compare unsigned: int(nBlocks64) may wrap negative. Every block
+		// costs at least one delta byte, which bounds the allocation below by
+		// the bytes actually present.
+		if nBlocks64 > uint64(nbx*nby*nbz) || nBlocks64 > uint64(len(buf)) {
+			return nil, errors.New("core: implausible block count")
 		}
-		nBlocks := int(nBlocks64)
-		dl.blocks = make([][3]int, nBlocks)
+		lv.Blocks = make([][3]int, int(nBlocks64))
 		prev := int64(0)
-		for i := range dl.blocks {
+		for i := range lv.Blocks {
 			d, err := readV()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			prev += d
 			flat := int(prev)
 			if flat < 0 || flat >= nbx*nby*nbz {
-				return nil, nil, errors.New("core: block index out of range")
+				return nil, errors.New("core: block index out of range")
 			}
-			dl.blocks[i] = [3]int{flat % nbx, (flat / nbx) % nby, flat / (nbx * nby)}
+			lv.Blocks[i] = [3]int{flat % nbx, (flat / nbx) % nby, flat / (nbx * nby)}
 		}
 		if err := need(1); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		dl.padded = buf[0] != 0
+		lv.Padded = buf[0] != 0
 		buf = buf[1:]
 
-		if opt.Arrangement == ArrangeTAC {
-			nBoxes64, err := readU()
-			if err != nil {
-				return nil, nil, err
+		u := ix.UnitBlockSize(li)
+		if Arrangement(opt.Arrangement) != ArrangeTAC {
+			rawLen := mergedRawLen(Arrangement(opt.Arrangement), u, len(lv.Blocks), lv.Padded)
+			if err := stream(&lv, index.Stream{Level: li, Box: -1, RawLen: rawLen}); err != nil {
+				return nil, err
 			}
-			// Same unsigned comparison as the block count: a box never holds
-			// fewer than one unit block, so the level-0 block total bounds it.
-			if nBoxes64 > uint64(nbx*nby*nbz) {
-				return nil, nil, errors.New("core: implausible box count")
-			}
-			for bi := 0; bi < int(nBoxes64); bi++ {
-				var vals [6]int
-				for i := range vals {
-					v, err := readU()
-					if err != nil {
-						return nil, nil, err
-					}
-					if v > maxHeaderField {
-						return nil, nil, errors.New("core: implausible box geometry")
-					}
-					vals[i] = int(v)
-				}
-				dl.boxes = append(dl.boxes, layout.Box{X0: vals[0], Y0: vals[1], Z0: vals[2], WX: vals[3], WY: vals[4], WZ: vals[5]})
-				slen, err := readU()
-				if err != nil {
-					return nil, nil, err
-				}
-				sc, err := readStreamCodec()
-				if err != nil {
-					return nil, nil, err
-				}
-				if uint64(len(buf)) < slen {
-					return nil, nil, errors.New("core: truncated box stream")
-				}
-				dl.offsets = append(dl.offsets, int64(len(blob)-len(buf)))
-				dl.streams = append(dl.streams, buf[:slen])
-				dl.codecs = append(dl.codecs, sc)
-				buf = buf[slen:]
-			}
-			c.levels = append(c.levels, dl)
+			ix.Levels = append(ix.Levels, lv)
 			continue
 		}
-
-		slen, err := readU()
+		nBoxes64, err := readU()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if slen != 0 {
-			sc, err := readStreamCodec()
-			if err != nil {
-				return nil, nil, err
-			}
-			if uint64(len(buf)) < slen {
-				return nil, nil, errors.New("core: truncated level stream")
-			}
-			dl.offsets = append(dl.offsets, int64(len(blob)-len(buf)))
-			dl.streams = append(dl.streams, buf[:slen])
-			dl.codecs = append(dl.codecs, sc)
-			buf = buf[slen:]
+		// Same unsigned comparison as the block count: a box never holds
+		// fewer than one unit block, so the level-0 block total bounds it.
+		if nBoxes64 > uint64(nbx*nby*nbz) {
+			return nil, errors.New("core: implausible box count")
 		}
-		c.levels = append(c.levels, dl)
+		for bi := 0; bi < int(nBoxes64); bi++ {
+			var vals [6]int
+			for i := range vals {
+				v, err := readU()
+				if err != nil {
+					return nil, err
+				}
+				if v > maxHeaderField {
+					return nil, errors.New("core: implausible box geometry")
+				}
+				vals[i] = int(v)
+			}
+			g := layout.Box{X0: vals[0], Y0: vals[1], Z0: vals[2], WX: vals[3], WY: vals[4], WZ: vals[5]}
+			rawLen := int64(g.WX*u) * int64(g.WY*u) * int64(g.WZ*u) * 8
+			if err := stream(&lv, index.Stream{Level: li, Box: bi, Geom: g, RawLen: rawLen}); err != nil {
+				return nil, err
+			}
+		}
+		ix.Levels = append(ix.Levels, lv)
 	}
-	return c, h, nil
+	return ix, nil
 }
 
-// DecodeStream decodes one backend stream (as located by a container
-// index) with opt.Compressor. It is the per-stream decode seam the
-// random-access reader builds on; for mixed-codec containers the caller
-// sets opt.Compressor to the stream's own codec (index.Stream.Compressor).
-// A stream with interleaved entropy lanes decodes them on up to
-// opt.Workers goroutines (0 = runtime default, 1 = fully serial); the
-// decoded field is identical for every worker count.
-func DecodeStream(stream []byte, opt Options) (*field.Field, error) {
-	return DecodeStreamCtx(context.Background(), stream, opt)
-}
-
-// DecodeStreamCtx is DecodeStream with request-scoped observability: when
-// ctx carries a trace (see internal/obs), the decode is recorded as a
-// "decode" span tagged with the codec name. Untraced contexts cost one
-// context lookup.
-func DecodeStreamCtx(ctx context.Context, stream []byte, opt Options) (*field.Field, error) {
-	return decompressFieldWorkersCtx(ctx, stream, opt.Compressor, streamWorkers(opt.Workers))
-}
-
-// streamWorkers normalizes an Options.Workers value for a single-stream
-// decode: 0 means the runtime default, negative clamps to fully serial,
-// matching the pipeline's convention.
-func streamWorkers(w int) int {
-	if w == 0 {
-		return parallel.Workers()
-	}
-	if w < 0 {
-		return 1
-	}
-	return w
-}
-
-// BuildIndex scans a full in-memory container and synthesizes the block
-// index a v3 footer would carry — the fallback that gives v1/v2 containers
-// (and v3 containers whose footer was lost) random access at the cost of
-// one sequential scan. Stream payloads are located but not decoded.
+// BuildIndex indexes a full in-memory container by scanning its body — the
+// fallback that gives footerless containers (version 1/2, or a footer lost or
+// damaged) the same decode path as indexed ones at the cost of one
+// sequential scan; stream payloads are located and checksummed, not decoded.
+// The scanned index is re-validated through the footer parser — the body
+// scan is laxer about grid shape and box geometry than index.Parse, and
+// placement relies on its bounds — and carries the synthesized section's
+// CRC, which plays the container-version role the trailer CRC does for
+// footer-indexed containers.
 func BuildIndex(blob []byte) (*index.Index, error) {
-	c, h, err := parseContainer(blob)
+	scan, err := parseContainer(blob)
 	if err != nil {
 		return nil, err
 	}
-	ix := &index.Index{
-		Opts:       indexOpts(c.opt),
-		Nx:         h.Nx,
-		Ny:         h.Ny,
-		Nz:         h.Nz,
-		BlockB:     h.BlockB,
-		StreamCRCs: true,
+	section := scan.AppendFooter(nil)
+	section = section[:len(section)-index.TrailerLen]
+	ix, err := index.Parse(section, int64(len(blob)))
+	if err != nil {
+		return nil, err
 	}
-	for li, dl := range c.levels {
-		u := h.UnitBlockSize(li)
-		ixl := index.Level{Blocks: dl.blocks, Padded: dl.padded}
-		for si, s := range dl.streams {
-			st := index.Stream{
-				Level: li, Box: -1, Compressor: byte(dl.codecs[si]),
-				Offset: dl.offsets[si], Len: int64(len(s)),
-				CRC: crc32.ChecksumIEEE(s),
-			}
-			if c.opt.Arrangement == ArrangeTAC {
-				st.Box = si
-				st.Geom = dl.boxes[si]
-				st.RawLen = int64(st.Geom.WX*u) * int64(st.Geom.WY*u) * int64(st.Geom.WZ*u) * 8
-			} else {
-				st.RawLen = mergedRawLen(c.opt.Arrangement, u, len(dl.blocks), dl.padded)
-			}
-			ixl.Streams = append(ixl.Streams, len(ix.Streams))
-			ix.Streams = append(ix.Streams, st)
-		}
-		ix.Levels = append(ix.Levels, ixl)
-	}
+	ix.SectionCRC = crc32.ChecksumIEEE(section)
 	return ix, nil
 }
 
@@ -994,133 +844,6 @@ func mergedRawLen(a Arrangement, u, k int, padded bool) int64 {
 		}
 		return nx * ny * int64(u) * int64(k) * 8
 	}
-}
-
-// footerStreamCRCs parses an in-memory container's index footer and, when it
-// carries per-stream checksums, returns an offset→CRC map for payload
-// verification. Containers without a footer (v1/v2, or a truncated v3 body)
-// and version-1 footers return nil: verification unavailable, not an error —
-// the sequential decoder must keep decoding footerless bodies.
-func footerStreamCRCs(blob []byte) map[int64]uint32 {
-	body, ok := index.Locate(blob)
-	if !ok {
-		return nil
-	}
-	ix, err := index.Parse(blob[body:len(blob)-index.TrailerLen], int64(len(blob)))
-	if err != nil || !ix.StreamCRCs {
-		return nil
-	}
-	m := make(map[int64]uint32, len(ix.Streams))
-	for _, s := range ix.Streams {
-		m[s.Offset] = s.CRC
-	}
-	return m
-}
-
-func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, error) {
-	c, h, err := parseContainer(blob)
-	if err != nil {
-		return nil, err
-	}
-	crcs := footerStreamCRCs(blob)
-	opt := c.opt
-	if workers == 0 {
-		workers = parallel.Workers()
-	} else if workers < 0 {
-		workers = 1 // match the compress side's clamp to serial
-	}
-
-	// Decode stage: streams decompress (and unpad / post-process)
-	// concurrently on a bounded pool, mirroring the parallel write side.
-	// Work proceeds in waves of `workers` streams, each wave's fields
-	// unmerged into the hierarchy and released before the next decodes, so
-	// peak memory holds at most `workers` decoded fields beyond the
-	// destination hierarchy (Workers=1 is fully streaming, as the serial
-	// decoder was). Unmerge/insert itself stays serial: it writes into the
-	// shared hierarchy, and its cost is dwarfed by backend decoding.
-	type decodeJob struct {
-		level, box int
-		codec      Compressor
-		stream     []byte
-		offset     int64
-	}
-	var jobs []decodeJob
-	for li := range c.levels {
-		dl := &c.levels[li]
-		if opt.Arrangement == ArrangeTAC {
-			for bi := range dl.streams {
-				jobs = append(jobs, decodeJob{li, bi, dl.codecs[bi], dl.streams[bi], dl.offsets[bi]})
-			}
-			continue
-		}
-		if len(dl.streams) == 1 {
-			jobs = append(jobs, decodeJob{li, -1, dl.codecs[0], dl.streams[0], dl.offsets[0]})
-		}
-	}
-	for start := 0; start < len(jobs); start += workers {
-		end := min(start+workers, len(jobs))
-		wave, err := parallel.MapErrWorkers(end-start, workers, func(i int) (*field.Field, error) {
-			j := jobs[start+i]
-			if want, ok := crcs[j.offset]; ok && crc32.ChecksumIEEE(j.stream) != want {
-				return nil, faultio.Corrupt(streamErr(j.level, j.box, errors.New("stream checksum mismatch")))
-			}
-			// With one stream per wave the pool has no stream-level
-			// parallelism to exploit; hand the worker budget to the
-			// entropy stage instead, so an interleaved code stream still
-			// uses the cores.
-			lw := 1
-			if len(jobs) == 1 {
-				lw = workers
-			}
-			f, err := decompressFieldWorkersCtx(context.Background(), j.stream, j.codec, lw)
-			if err != nil {
-				return nil, streamErr(j.level, j.box, err)
-			}
-			if post != nil {
-				// The hook works on the merged array without its pad
-				// layers; with no hook the unmerge below places straight
-				// from the padded one.
-				if j.box < 0 && c.levels[j.level].padded {
-					f = layout.UnpadXY(f)
-				}
-				// The hook sees the stream's own codec, so mixed-codec
-				// containers post-process each level under the backend that
-				// actually produced it.
-				jopt := opt
-				jopt.Compressor = j.codec
-				f = post(j.level, h.UnitBlockSize(j.level), jopt, f)
-			}
-			return f, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, f := range wave {
-			j := jobs[start+i]
-			dl := &c.levels[j.level]
-			if j.box >= 0 {
-				if err := layout.InsertBox(h, j.level, dl.boxes[j.box], f); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			m := &layout.Merged{Data: f, U: h.UnitBlockSize(j.level), Blocks: dl.blocks, Padded: dl.padded && post == nil}
-			switch opt.Arrangement {
-			case ArrangeLinear:
-				err = layout.LinearUnmerge(m, h, j.level)
-			case ArrangeStack:
-				err = layout.StackUnmerge(m, h, j.level)
-			case ArrangeZOrder1D:
-				err = layout.ZOrderUnflatten1D(m, h, j.level)
-			default:
-				err = fmt.Errorf("core: unknown arrangement %d", opt.Arrangement)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return h, nil
 }
 
 // Ratio returns the compression ratio relative to the hierarchy's raw

@@ -70,6 +70,43 @@ func TestContainerTruncationNeverPanics(t *testing.T) {
 	}
 }
 
+// TestZeroedHeaderDecodesFromFooter is the case the header-trusting decoder
+// could not pass: with everything ahead of the first stream zeroed — magic,
+// version, options, dims, level 0's block list — a container whose footer is
+// intact still decodes to the pristine hierarchy, because the CRC-covered
+// index is the only description of the container any decoder acts on. The
+// same bytes without the footer have nothing left to describe them.
+func TestZeroedHeaderDecodesFromFooter(t *testing.T) {
+	h := corruptionHierarchy(t)
+	eb := 1e-3 * h.Levels[0].Data.ValueRange()
+	for _, opt := range []Options{SZ3MROptions(eb), TACSZ3Options(eb)} {
+		c, err := CompressHierarchy(h, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Decompress(c.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := loadIndex(c.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), c.Blob...)
+		clear(bad[:ix.Streams[0].Offset])
+		got, err := Decompress(bad)
+		if err != nil {
+			t.Fatalf("%v: zeroed header under an intact footer: %v", opt.Arrangement, err)
+		}
+		if !ownershipEqual(want, got) || maxLevelError(want, got) != 0 {
+			t.Fatalf("%v: zeroed header changed the decode", opt.Arrangement)
+		}
+		if _, err := Decompress(stripFooter(t, bad)); err == nil {
+			t.Fatalf("%v: zeroed header decoded without a footer", opt.Arrangement)
+		}
+	}
+}
+
 func TestContainerBitFlipsNeverPanic(t *testing.T) {
 	h := corruptionHierarchy(t)
 	for _, comp := range []Compressor{SZ3, SZ2, ZFP} {

@@ -1,0 +1,255 @@
+package core
+
+// The one container decoder. Every decode in the repository — Decompress,
+// the random-access reader, the scrub — acts on a container index and on
+// nothing else: loadIndex obtains it (the CRC-covered footer, or a validated
+// body scan when there is none), DecodeIndexed turns one indexed stream's
+// payload into a checked field, and PlaceIndexed puts that field where the
+// index says it lives. Callers keep only what is theirs: Decompress the
+// worker waves and the hierarchy's ownership flags, the reader its
+// positioned reads, retries, cache and counters.
+
+import (
+	"context"
+	"fmt"
+	"hash/crc32"
+
+	"repro/internal/faultio"
+	"repro/internal/field"
+	"repro/internal/grid"
+	"repro/internal/index"
+	"repro/internal/layout"
+	"repro/internal/parallel"
+	"repro/internal/postproc"
+)
+
+// postHook transforms a stream's decoded field (a padded merge without its
+// pad layers) before placement — the insertion point for error-bounded
+// post-processing. It returns a field of the shape it was given. Hooks may be
+// invoked concurrently from several decode workers and must be safe for
+// parallel use.
+type postHook func(level, unitSize int, opt Options, f *field.Field) *field.Field
+
+// Decompress reconstructs the multi-resolution hierarchy from a container,
+// decoding backend streams with the default worker count.
+func Decompress(blob []byte) (*grid.Hierarchy, error) {
+	return decompressImpl(blob, nil, 0)
+}
+
+// DecompressWorkers is Decompress with an explicit bound on concurrent
+// stream decoders (1 = serial, 0 = runtime.GOMAXPROCS(0)).
+func DecompressWorkers(blob []byte, workers int) (*grid.Hierarchy, error) {
+	return decompressImpl(blob, nil, workers)
+}
+
+// DecompressProcessedWorkers decompresses with an explicit bound on
+// concurrent stream decoders and applies error-bounded post-processing with
+// the given per-level intensities to each level's decoded array before
+// reassembly.
+func DecompressProcessedWorkers(blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
+	hook := func(level, unitSize int, opt Options, f *field.Field) *field.Field {
+		if level >= len(intens) {
+			return f
+		}
+		a := intens[level]
+		if a == (postproc.Intensity{}) {
+			return f
+		}
+		// opt.Compressor is the stream's own codec here (decompressImpl
+		// rewrites it per stream); a codec without block artifacts — the
+		// lossless passthrough — reports block size 0 and is left alone.
+		bs := PostBlockSize(opt, unitSize)
+		if bs <= 0 {
+			return f
+		}
+		return postproc.Process(f, a, postproc.Options{EB: opt.EB, BlockSize: bs})
+	}
+	return decompressImpl(blob, hook, workers)
+}
+
+// streamWorkers normalizes a worker count: 0 means the runtime default,
+// negative clamps to fully serial, matching the compress side's convention.
+func streamWorkers(w int) int {
+	if w == 0 {
+		return parallel.Workers()
+	}
+	if w < 0 {
+		return 1
+	}
+	return w
+}
+
+// loadIndex returns the index of an in-memory container: the footer when it
+// is present and intact (its trailer CRC holds and it parses), in which case
+// the un-checksummed body header is never consulted; otherwise the validated
+// body scan. (The footer path leaves SectionCRC unset: nothing decoding an
+// in-memory blob names a container version.)
+func loadIndex(blob []byte) (*index.Index, error) {
+	if body, ok := index.Locate(blob); ok {
+		if ix, err := index.Parse(blob[body:len(blob)-index.TrailerLen], int64(len(blob))); err == nil {
+			return ix, nil
+		}
+	}
+	return BuildIndex(blob)
+}
+
+// VerifyIndexed checks stream si's compressed payload against the checksum
+// the index carries for it. An index without stream checksums (a version-1
+// footer) has nothing to check and passes. A mismatch is a Corrupt error.
+func VerifyIndexed(ix *index.Index, si int, payload []byte) error {
+	if !ix.StreamCRCs {
+		return nil
+	}
+	s := &ix.Streams[si]
+	if got := crc32.ChecksumIEEE(payload); got != s.CRC {
+		return faultio.Corrupt(streamErr(s.Level, s.Box,
+			fmt.Errorf("payload CRC %08x, index says %08x", got, s.CRC)))
+	}
+	return nil
+}
+
+// DecodeIndexed decodes stream si of ix from its compressed payload — the
+// only decode site in the repository. With verify set the payload must match
+// the index's checksum before any codec sees it; the stream then decodes
+// under its own codec (in a mixed-codec container each level may name a
+// different one), and the result must have the byte size — and, for a TAC
+// box, the shape — the index declares. Every failure, a codec panic on
+// damaged input included, is a Corrupt error naming the stream. A stream with
+// interleaved entropy lanes decodes them on up to workers goroutines (0 = the
+// runtime default); the field is identical for every count. When ctx carries
+// a trace the codec run appears on it as a "decode" span; a successful call
+// formats no strings.
+func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte, verify bool, workers int) (*field.Field, error) {
+	if verify {
+		if err := VerifyIndexed(ix, si, payload); err != nil {
+			return nil, err
+		}
+	}
+	s := &ix.Streams[si]
+	f, err := decompressFieldWorkersCtx(ctx, payload, Compressor(s.Compressor), streamWorkers(workers))
+	if err != nil {
+		return nil, faultio.Corrupt(streamErr(s.Level, s.Box, err))
+	}
+	if int64(f.Bytes()) != s.RawLen {
+		return nil, faultio.Corrupt(streamErr(s.Level, s.Box,
+			fmt.Errorf("decoded to %d bytes, index says %d", f.Bytes(), s.RawLen)))
+	}
+	if Arrangement(ix.Opts.Arrangement) == ArrangeTAC {
+		u, g := ix.UnitBlockSize(s.Level), s.Geom
+		if f.Nx != g.WX*u || f.Ny != g.WY*u || f.Nz != g.WZ*u {
+			return nil, faultio.Corrupt(streamErr(s.Level, s.Box,
+				fmt.Errorf("decoded shape %v does not match box %+v", f, g)))
+		}
+	}
+	return f, nil
+}
+
+// PlaceIndexed writes f, stream si as DecodeIndexed returned it, into dst, a
+// full-domain array at the stream's level resolution — the only place a
+// decoded stream is placed: a TAC box lands at its geometry, a merged level's
+// unit blocks at the positions its block list names (a padded merge is
+// placed as decoded, stepping over the pad layers).
+func PlaceIndexed(ix *index.Index, si int, f, dst *field.Field) error {
+	s := &ix.Streams[si]
+	lv := &ix.Levels[s.Level]
+	u := ix.UnitBlockSize(s.Level)
+	m := layout.Merged{Data: f, U: u, Blocks: lv.Blocks, Padded: lv.Padded}
+	switch Arrangement(ix.Opts.Arrangement) {
+	case ArrangeLinear:
+		return layout.LinearPlace(&m, dst)
+	case ArrangeStack:
+		return layout.StackPlace(&m, dst)
+	case ArrangeZOrder1D:
+		return layout.ZOrderPlace1D(&m, dst)
+	case ArrangeTAC:
+		dst.SetBlock(s.Geom.X0*u, s.Geom.Y0*u, s.Geom.Z0*u, f)
+		return nil
+	}
+	return fmt.Errorf("core: unknown arrangement %d", ix.Opts.Arrangement)
+}
+
+// markOwned flags the unit blocks stream si carries as owned by its level of
+// h: the box's blocks for a TAC stream, the level's merge list otherwise.
+func markOwned(h *grid.Hierarchy, ix *index.Index, si int) {
+	s := &ix.Streams[si]
+	owned := h.Levels[s.Level].Owned
+	if Arrangement(ix.Opts.Arrangement) != ArrangeTAC {
+		for _, bc := range ix.Levels[s.Level].Blocks {
+			owned[h.BlockIndex(bc[0], bc[1], bc[2])] = true
+		}
+		return
+	}
+	g := s.Geom
+	for bz := g.Z0; bz < g.Z0+g.WZ; bz++ {
+		for by := g.Y0; by < g.Y0+g.WY; by++ {
+			for bx := g.X0; bx < g.X0+g.WX; bx++ {
+				owned[h.BlockIndex(bx, by, bz)] = true
+			}
+		}
+	}
+}
+
+func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, error) {
+	ix, err := loadIndex(blob)
+	if err != nil {
+		return nil, err
+	}
+	h, err := grid.New(ix.Nx, ix.Ny, ix.Nz, ix.BlockB, len(ix.Levels))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	workers = streamWorkers(workers)
+	opt := OptionsFromIndex(ix.Opts)
+	ctx := context.TODO() // Decompress takes no context (ROADMAP 5b)
+
+	// Streams decode (and post-process) concurrently on a bounded pool,
+	// mirroring the parallel write side, in waves of `workers` streams in
+	// index order; each wave's fields are placed into the hierarchy and
+	// released before the next decodes, so peak memory holds at most
+	// `workers` decoded fields beyond the destination hierarchy (workers = 1
+	// is fully streaming). Placement stays serial: it writes into the shared
+	// hierarchy, and its cost is dwarfed by backend decoding.
+	n := len(ix.Streams)
+	for start := 0; start < n; start += workers {
+		end := min(start+workers, n)
+		wave, err := parallel.MapErrWorkers(end-start, workers, func(i int) (*field.Field, error) {
+			si := start + i
+			s := &ix.Streams[si]
+			// With a single stream the pool has no stream-level parallelism
+			// to exploit; hand the worker budget to the entropy stage
+			// instead, so an interleaved code stream still uses the cores.
+			lw := 1
+			if n == 1 {
+				lw = workers
+			}
+			f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], true, lw)
+			if err != nil || post == nil {
+				return f, err
+			}
+			// The hook sees the stream's own codec, so mixed-codec containers
+			// post-process each level under the backend that produced it.
+			jopt := opt
+			jopt.Compressor = Compressor(s.Compressor)
+			u := ix.UnitBlockSize(s.Level)
+			if !ix.Levels[s.Level].Padded {
+				return post(s.Level, u, jopt, f), nil
+			}
+			// The hook works on the merge without its pad layers; its result
+			// goes back under them so placement sees one shape.
+			g := post(s.Level, u, jopt, layout.UnpadXY(f))
+			field.CopyBlock(f, 0, 0, 0, g, 0, 0, 0, g.Nx, g.Ny, g.Nz)
+			return f, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, f := range wave {
+			si := start + i
+			if err := PlaceIndexed(ix, si, f, h.Levels[ix.Streams[si].Level].Data); err != nil {
+				return nil, err
+			}
+			markOwned(h, ix, si)
+		}
+	}
+	return h, nil
+}

@@ -7,10 +7,10 @@
 // reconstruct any level without scanning the body.
 //
 // The footer is strictly additive: the container body preceding it is
-// byte-identical to a version-2 body, and decoders that do not know about
-// the index simply never read past the last stream. A container whose
-// footer is lost or corrupt therefore degrades to sequential access instead
-// of becoming unreadable (package reader falls back to a full scan).
+// byte-identical to a version-2 body and still describes itself. A container
+// whose footer is lost or corrupt therefore degrades to one sequential scan
+// of the body instead of becoming unreadable (core.BuildIndex, the fallback
+// of every decoder); while the footer is intact, decoders act on it alone.
 //
 // # Wire format
 //
@@ -52,6 +52,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/field"
 	"repro/internal/layout"
 )
 
@@ -359,7 +360,9 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 		}
 		dims[i] = v
 	}
-	if dims[0] == 0 || dims[1] == 0 || dims[2] == 0 ||
+	// The per-axis cap alone would admit a 2⁷²-sample domain; CheckDims also
+	// bounds the product, since decoders allocate level arrays from these.
+	if _, _, _, _, err := field.CheckDims(dims[0], dims[1], dims[2]); err != nil ||
 		dims[0] > maxDim || dims[1] > maxDim || dims[2] > maxDim {
 		return nil, fail("domain dims")
 	}

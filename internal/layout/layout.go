@@ -79,9 +79,7 @@ func LinearMerge(h *grid.Hierarchy, level int) *Merged {
 }
 
 // LinearPlace writes the merged blocks into dst, a full-domain array at the
-// level's resolution (each block lands at its domain position). It is the
-// placement half of LinearUnmerge, shared with the random-access reader,
-// which reconstructs single levels without allocating a hierarchy.
+// level's resolution (each block lands at its domain position).
 func LinearPlace(m *Merged, dst *field.Field) error {
 	if m.Data == nil {
 		return nil
@@ -99,13 +97,16 @@ func LinearPlace(m *Merged, dst *field.Field) error {
 // LinearUnmerge writes the merged blocks back into hierarchy level l,
 // setting ownership accordingly.
 func LinearUnmerge(m *Merged, h *grid.Hierarchy, level int) error {
-	if err := checkUnitSize(m, h, level); err != nil {
-		return err
+	if u := h.UnitBlockSize(level); m.U != u {
+		return fmt.Errorf("layout: unit size %d != level unit size %d", m.U, u)
 	}
 	if err := LinearPlace(m, h.Levels[level].Data); err != nil {
 		return err
 	}
-	markOwned(m, h, level)
+	lv := h.Levels[level]
+	for _, bc := range m.Blocks {
+		lv.Owned[h.BlockIndex(bc[0], bc[1], bc[2])] = true
+	}
 	return nil
 }
 
@@ -164,18 +165,6 @@ func StackPlace(m *Merged, dst *field.Field) error {
 			}
 		}
 	}
-	return nil
-}
-
-// StackUnmerge reverses StackMerge.
-func StackUnmerge(m *Merged, h *grid.Hierarchy, level int) error {
-	if err := checkUnitSize(m, h, level); err != nil {
-		return err
-	}
-	if err := StackPlace(m, h.Levels[level].Data); err != nil {
-		return err
-	}
-	markOwned(m, h, level)
 	return nil
 }
 
@@ -411,27 +400,6 @@ func ZOrderPlace1D(m *Merged, dst *field.Field) error {
 	return scatter(&linear, u, m.Blocks, dst)
 }
 
-// ZOrderUnflatten1D reverses ZOrderFlatten1D.
-func ZOrderUnflatten1D(m *Merged, h *grid.Hierarchy, level int) error {
-	if err := checkUnitSize(m, h, level); err != nil {
-		return err
-	}
-	if err := ZOrderPlace1D(m, h.Levels[level].Data); err != nil {
-		return err
-	}
-	markOwned(m, h, level)
-	return nil
-}
-
-// checkUnitSize verifies a merged array's unit block edge matches the
-// destination level's.
-func checkUnitSize(m *Merged, h *grid.Hierarchy, level int) error {
-	if u := h.UnitBlockSize(level); m.U != u {
-		return fmt.Errorf("layout: unit size %d != level unit size %d", m.U, u)
-	}
-	return nil
-}
-
 // checkBlockFits verifies block coordinates land inside dst (defensive: the
 // block list may come from an untrusted container index).
 func checkBlockFits(dst *field.Field, bc [3]int, u int) error {
@@ -440,14 +408,6 @@ func checkBlockFits(dst *field.Field, bc [3]int, u int) error {
 		return fmt.Errorf("layout: block %v of unit %d outside level array %v", bc, u, dst)
 	}
 	return nil
-}
-
-// markOwned flags the merged blocks as owned by the hierarchy level.
-func markOwned(m *Merged, h *grid.Hierarchy, level int) {
-	lv := h.Levels[level]
-	for _, bc := range m.Blocks {
-		lv.Owned[h.BlockIndex(bc[0], bc[1], bc[2])] = true
-	}
 }
 
 func sortBlocksMorton(blocks [][3]int) {

@@ -50,6 +50,18 @@ func levelsEqual(a, b *grid.Hierarchy, level int) bool {
 	return true
 }
 
+// placedEqual reports whether every block of h's level that the level owns
+// reads back identically from dst, a level array filled by a Place function.
+func placedEqual(h *grid.Hierarchy, level int, dst *field.Field) bool {
+	u := h.UnitBlockSize(level)
+	for _, bc := range h.OwnedBlocks(level) {
+		if !blockField(h, level, bc).Equal(dst.SubBlock(bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestLinearMergeRoundTrip(t *testing.T) {
 	h := testHierarchy(t, 1)
 	for level := range h.Levels {
@@ -76,11 +88,11 @@ func TestStackMergeRoundTrip(t *testing.T) {
 		if m.Data.Nx != m.Data.Ny || m.Data.Ny != m.Data.Nz {
 			t.Fatalf("stack merge not cubic: %v", m.Data)
 		}
-		g := emptyLike(t, h)
-		if err := StackUnmerge(m, g, level); err != nil {
+		dst := emptyLike(t, h).Levels[level].Data
+		if err := StackPlace(m, dst); err != nil {
 			t.Fatal(err)
 		}
-		if !levelsEqual(h, g, level) {
+		if !placedEqual(h, level, dst) {
 			t.Fatalf("level %d stack round trip failed", level)
 		}
 	}
@@ -258,11 +270,11 @@ func TestZOrderFlattenRoundTrip(t *testing.T) {
 		if m.Data.Ny != 1 || m.Data.Nz != 1 {
 			t.Fatalf("flattened field not 1D: %v", m.Data)
 		}
-		g := emptyLike(t, h)
-		if err := ZOrderUnflatten1D(m, g, level); err != nil {
+		dst := emptyLike(t, h).Levels[level].Data
+		if err := ZOrderPlace1D(m, dst); err != nil {
 			t.Fatal(err)
 		}
-		if !levelsEqual(h, g, level) {
+		if !placedEqual(h, level, dst) {
 			t.Fatalf("level %d z-order round trip failed", level)
 		}
 	}

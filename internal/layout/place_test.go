@@ -6,9 +6,9 @@ import (
 	"repro/internal/field"
 )
 
-// TestPlaceMatchesUnmerge verifies the Place helpers (used by the
-// random-access reader to rebuild one level without a hierarchy) produce
-// exactly the level array the full unmerge path produces.
+// TestPlaceMatchesUnmerge verifies the Place functions (what every decoder
+// places a merged stream with) put each merged block back exactly where the
+// level array had it.
 func TestPlaceMatchesUnmerge(t *testing.T) {
 	h := testHierarchy(t, 5)
 	type variant struct {

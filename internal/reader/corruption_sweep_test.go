@@ -19,10 +19,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/raceflag"
 )
 
 // sweepOffsets samples byte offsets of an n-byte container: the structural
@@ -84,11 +86,14 @@ func TestCorruptionSweepGoldenFixtures(t *testing.T) {
 }
 
 // TestCorruptionSweepVerifiedContainer asserts the full integrity contract
-// on a checksummed container: whatever byte is damaged, every successful
-// read returns data identical to the pristine decode. Footer damage is
-// caught by the trailer CRC (falling back to a body scan of intact bytes),
-// body damage by the per-stream CRCs, and header damage fails the open —
-// there is no offset whose flip yields silently different data.
+// on a checksummed container, for both decoders: whatever byte is damaged,
+// core.Decompress and every reader read either fail or return data identical
+// to the pristine decode. Footer damage is caught by the trailer CRC (falling
+// back to a body scan of intact bytes), payload damage by the per-stream
+// CRCs, and header damage is never seen at all — under an intact footer no
+// decoder consults the un-checksummed body header. Every bit of every byte
+// ahead of the first stream is flipped (the header, level 0's block list and
+// — on TAC — its first box geometry), plus a stride-spaced pass over the rest.
 func TestCorruptionSweepVerifiedContainer(t *testing.T) {
 	h := testHierarchy(t, 32, 9)
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
@@ -112,19 +117,34 @@ func TestCorruptionSweepVerifiedContainer(t *testing.T) {
 				}
 				pristine[l] = f
 			}
-			for _, off := range sweepOffsets(len(blob), 61) {
+			want, err := core.Decompress(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(off int, bit byte) {
 				bad := append([]byte(nil), blob...)
-				bad[off] ^= 0x04
+				bad[off] ^= bit
+				if g, err := core.Decompress(bad); err == nil {
+					if len(g.Levels) != len(want.Levels) {
+						t.Fatalf("offset %d bit %#x: Decompress returned %d levels, want %d",
+							off, bit, len(g.Levels), len(want.Levels))
+					}
+					for l, lv := range g.Levels {
+						if !lv.Data.Equal(want.Levels[l].Data) || !slices.Equal(lv.Owned, want.Levels[l].Owned) {
+							t.Fatalf("offset %d bit %#x: Decompress level %d silently corrupted", off, bit, l)
+						}
+					}
+				}
 				r, err := Open(bytes.NewReader(bad), int64(len(bad)))
 				if err != nil {
-					continue // typed failure at open: acceptable
+					return // typed failure at open: acceptable
 				}
 				if r.NumLevels() != len(pristine) {
 					// A parseable-but-different shape must come from footer
 					// damage the trailer CRC failed to catch — that would be
 					// a real wire hole, not an acceptable outcome.
-					t.Fatalf("offset %d: corrupt container parsed to %d levels, want %d",
-						off, r.NumLevels(), len(pristine))
+					t.Fatalf("offset %d bit %#x: corrupt container parsed to %d levels, want %d",
+						off, bit, r.NumLevels(), len(pristine))
 				}
 				for l := 0; l < r.NumLevels(); l++ {
 					f, err := r.ReadLevel(l)
@@ -132,9 +152,23 @@ func TestCorruptionSweepVerifiedContainer(t *testing.T) {
 						continue // typed error: acceptable
 					}
 					if !f.Equal(pristine[l]) {
-						t.Fatalf("offset %d: level %d read back silently corrupted", off, l)
+						t.Fatalf("offset %d bit %#x: level %d read back silently corrupted", off, bit, l)
 					}
 				}
+			}
+			// Under the race detector (a CI step repeats this package twenty
+			// times there) one bit per byte; every bit otherwise.
+			bits := []byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80}
+			if raceflag.Enabled {
+				bits = bits[2:3]
+			}
+			for off := 0; off < int(clean.Index().Streams[0].Offset); off++ {
+				for _, bit := range bits {
+					check(off, bit)
+				}
+			}
+			for _, off := range sweepOffsets(len(blob), 61) {
+				check(off, 0x04)
 			}
 		})
 	}

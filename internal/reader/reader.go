@@ -1,15 +1,21 @@
 // Package reader provides random access into compressed multi-resolution
-// containers: where core.Decompress parses and decodes every stream, a
-// Reader seeks directly to the streams a request needs — one level, one TAC
-// box, one slice — and decodes only those, so a consumer wanting the
-// coarsest level of a large container touches a few kilobytes instead of
-// the whole file.
+// containers: where core.Decompress decodes every stream, a Reader seeks
+// directly to the streams a request needs — one level, one TAC box, one
+// slice — and decodes only those, so a consumer wanting the coarsest level
+// of a large container touches a few kilobytes instead of the whole file.
 //
 // Open reads only the index footer of a version-3 container (internal/
 // index). Containers without a usable footer — version 1/2 blobs, or a v3
 // blob whose footer was truncated or corrupted — transparently fall back
 // to one sequential scan of the whole container (core.BuildIndex), after
 // which access is equally random.
+//
+// The package owns the positioned reads, their retries, the brick cache,
+// decode coalescing, counters and trace spans. It does not decode or place:
+// every payload it fetches goes through core.DecodeIndexed and every decoded
+// stream through core.PlaceIndexed, the same pair core.Decompress and the
+// scrub use, so there is one checksum comparison, one size/shape check and
+// one arrangement switch for all of them.
 //
 // Decoded levels and boxes ("bricks") are cached in an optional sharded
 // byte-budgeted LRU (internal/cache), so repeated reads of hot levels skip
@@ -23,7 +29,6 @@ package reader
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strconv"
@@ -212,50 +217,39 @@ func OpenCtx(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (
 	if r.id == "" {
 		r.id = fmt.Sprintf("mrw#%d", nextID.Add(1))
 	}
-	ix, err := func() (*index.Index, error) {
-		_, sp := obs.StartSpan(ctx, "footer_read")
-		defer sp.End()
-		return index.ReadFrom(src, size)
-	}()
-	if err == nil {
-		r.ix = ix
-	} else if err := func() error {
+	_, sp := obs.StartSpan(ctx, "footer_read")
+	var err error
+	r.ix, err = index.ReadFrom(src, size)
+	sp.End()
+	if err != nil {
 		// No footer (v1/v2, or truncated away) or a corrupt one (CRC
 		// mismatch, implausible contents): the body may still be perfectly
 		// intact, so degrade to one sequential scan rather than becoming
-		// unreadable. The synthesized stream offsets are absolute, so
-		// subsequent reads go back to src directly — the scan buffer is
-		// not retained (it would pin the whole container outside the
-		// brick-cache budget).
-		sctx, sp := obs.StartSpan(ctx, "fallback_scan")
-		defer sp.End()
-		blob := make([]byte, size)
-		if _, err := readAtCtx(sctx, src, blob, 0); err != nil {
-			return fmt.Errorf("reader: scanning unindexed container: %w", err)
+		// unreadable.
+		if r.ix, err = r.scanIndex(ctx); err != nil {
+			return nil, err
 		}
-		r.bytesRead.Add(size)
-		ix, err := core.BuildIndex(blob)
-		if err != nil {
-			return err
-		}
-		// Re-validate through the footer parser: the sequential body scan
-		// is laxer about box geometry than index.Parse, and everything
-		// downstream (SetBlock placement) relies on its bounds.
-		section := ix.AppendFooter(nil)
-		if r.ix, err = index.Parse(section[:len(section)-index.TrailerLen], size); err != nil {
-			return err
-		}
-		// The synthesized section's CRC plays the same container-version
-		// role the trailer CRC does for footer-indexed containers.
-		r.ix.SectionCRC = crc32.ChecksumIEEE(section[:len(section)-index.TrailerLen])
 		r.fellBack = true
-		return nil
-	}(); err != nil {
-		return nil, err
 	}
 	r.opt = core.OptionsFromIndex(r.ix.Opts)
 	r.version = fmt.Sprintf("%08x-%x", r.ix.SectionCRC, size)
 	return r, nil
+}
+
+// scanIndex reads the whole container once and indexes it by the validated
+// body scan (core.BuildIndex, the fallback core.Decompress shares). The
+// synthesized stream offsets are absolute, so subsequent reads go back to the
+// source directly — the scan buffer is not retained (it would pin the whole
+// container outside the brick-cache budget).
+func (r *Reader) scanIndex(ctx context.Context) (*index.Index, error) {
+	ctx, sp := obs.StartSpan(ctx, "fallback_scan")
+	defer sp.End()
+	blob := make([]byte, r.size)
+	if _, err := readAtCtx(ctx, r.src, blob, 0); err != nil {
+		return nil, fmt.Errorf("reader: scanning unindexed container: %w", err)
+	}
+	r.bytesRead.Add(r.size)
+	return core.BuildIndex(blob)
 }
 
 // readAtCtx routes a positioned read through the source's context-aware
@@ -287,11 +281,6 @@ func (fr *FileReader) Stat() (os.FileInfo, error) { return fr.f.Stat() }
 
 // OpenFile opens a container file for random access.
 func OpenFile(path string, opts ...Option) (*FileReader, error) {
-	return OpenFileCtx(context.Background(), path, opts...)
-}
-
-// OpenFileCtx is OpenFile under a context (see OpenCtx).
-func OpenFileCtx(ctx context.Context, path string, opts ...Option) (*FileReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -301,7 +290,7 @@ func OpenFileCtx(ctx context.Context, path string, opts ...Option) (*FileReader,
 		f.Close()
 		return nil, err
 	}
-	r, err := OpenCtx(ctx, f, st.Size(), append([]Option{WithCacheKey(path)}, opts...)...)
+	r, err := Open(f, st.Size(), append([]Option{WithCacheKey(path)}, opts...)...)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -415,79 +404,48 @@ func (r *Reader) brickOnce(ctx context.Context, key string, fetch func() (*field
 	return v.(*field.Field), nil
 }
 
-// markCorrupt counts a stream that failed integrity checks or decode and
-// returns the error classified Corrupt (idempotent when already classified).
-func (r *Reader) markCorrupt(err error) error {
-	r.corruptStreams.Add(1)
-	if faultio.IsCorrupt(err) {
-		return err
-	}
-	return faultio.Corrupt(err)
-}
-
-// fetchStream reads and decodes stream si, without caching. The payload is
-// verified against the index's per-stream CRC first (when available and not
-// disabled via WithVerify), so damaged bytes are rejected with a typed
-// Corrupt error before any codec sees them. Decoding uses the stream's own
-// codec from the index — in a mixed-codec (format v4) container each level
-// may have been compressed by a different backend.
+// fetchStream reads stream si's payload and decodes it, without caching.
+// The positioned read (with its retries) is the "stream_read" stage; the
+// checksum, codec and size/shape checks are core.DecodeIndexed's, so a
+// damaged stream is rejected with a typed Corrupt error — before any codec
+// sees it when the index carries checksums and WithVerify is on.
 func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := r.ix.Streams[si]
+	s := &r.ix.Streams[si]
 	payload := make([]byte, s.Len)
-	if err := func() error {
-		// The positioned read plus integrity check is the "stream_read"
-		// stage: fetching verified compressed bytes, before any codec runs.
-		rctx, sp := obs.StartSpan(ctx, "stream_read")
-		defer sp.End()
+	rctx, sp := obs.StartSpan(ctx, "stream_read")
+	if sp != nil {
 		sp.SetTag("stream", fmt.Sprintf("L%dB%d", s.Level, s.Box))
-		if _, err := readAtCtx(rctx, r.src, payload, s.Offset); err != nil {
-			return fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err)
-		}
-		r.bytesRead.Add(s.Len)
-		if r.verify && r.ix.StreamCRCs {
-			if got := crc32.ChecksumIEEE(payload); got != s.CRC {
-				return faultio.Corrupt(fmt.Errorf("reader: stream L%dB%d: payload CRC %08x, index says %08x",
-					s.Level, s.Box, got, s.CRC))
-			}
-		}
-		return nil
-	}(); err != nil {
-		if faultio.IsCorrupt(err) {
+	}
+	_, err := readAtCtx(rctx, r.src, payload, s.Offset)
+	sp.End()
+	if err != nil {
+		if faultio.IsCorrupt(err) { // a short read: the bytes the index promised are not there
 			r.corruptStreams.Add(1)
 		}
+		return nil, fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err)
+	}
+	r.bytesRead.Add(s.Len)
+	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, r.verify, 0)
+	if err != nil {
+		r.corruptStreams.Add(1)
 		return nil, err
 	}
-	opt := r.opt
-	opt.Compressor = core.Compressor(s.Compressor)
-	f, err := core.DecodeStreamCtx(ctx, payload, opt)
-	if err != nil {
-		return nil, r.markCorrupt(fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err))
-	}
 	r.backendDecodes.Add(1)
-	if int64(f.Bytes()) != s.RawLen {
-		return nil, r.markCorrupt(fmt.Errorf("reader: stream L%dB%d decoded to %d bytes, index says %d",
-			s.Level, s.Box, f.Bytes(), s.RawLen))
-	}
 	return f, nil
 }
 
 // boxBrick returns the decoded field of TAC stream si, via the cache, with
 // concurrent decodes of the same box coalesced.
 func (r *Reader) boxBrick(ctx context.Context, si int) (*field.Field, error) {
-	s := r.ix.Streams[si]
+	s := &r.ix.Streams[si]
 	key := r.brickKey(s.Level, s.Box)
 	return r.brickOnce(ctx, key, func() (*field.Field, error) {
 		f, err := r.fetchStream(ctx, si)
 		if err != nil {
 			return nil, err
-		}
-		u := r.ix.UnitBlockSize(s.Level)
-		if f.Nx != s.Geom.WX*u || f.Ny != s.Geom.WY*u || f.Nz != s.Geom.WZ*u {
-			return nil, r.markCorrupt(fmt.Errorf("reader: box L%dB%d decoded shape %v does not match geometry %+v",
-				s.Level, s.Box, f, s.Geom))
 		}
 		r.cache.Put(key, f, int64(f.Bytes()))
 		return f, nil
@@ -501,28 +459,13 @@ func (r *Reader) levelField(ctx context.Context, l int) (*field.Field, error) {
 	return r.brickOnce(ctx, key, func() (*field.Field, error) {
 		nx, ny, nz := r.ix.LevelDims(l)
 		out := field.New(nx, ny, nz)
-		lv := &r.ix.Levels[l]
-		if len(lv.Streams) > 0 {
-			f, err := r.fetchStream(ctx, lv.Streams[0])
+		for _, si := range r.ix.Levels[l].Streams {
+			f, err := r.fetchStream(ctx, si)
 			if err != nil {
 				return nil, err
 			}
-			// A padded stream is placed as decoded: LinearPlace steps over
-			// the pad layers, so the level is copied once, not twice.
-			m := &layout.Merged{Data: f, U: r.ix.UnitBlockSize(l), Blocks: lv.Blocks, Padded: lv.Padded}
-			var err2 error
-			switch core.Arrangement(r.ix.Opts.Arrangement) {
-			case core.ArrangeLinear:
-				err2 = layout.LinearPlace(m, out)
-			case core.ArrangeStack:
-				err2 = layout.StackPlace(m, out)
-			case core.ArrangeZOrder1D:
-				err2 = layout.ZOrderPlace1D(m, out)
-			default:
-				err2 = fmt.Errorf("reader: unknown arrangement %d", r.ix.Opts.Arrangement)
-			}
-			if err2 != nil {
-				return nil, err2
+			if err := core.PlaceIndexed(r.ix, si, f, out); err != nil {
+				return nil, err
 			}
 		}
 		r.cache.Put(key, out, int64(out.Bytes()))
@@ -558,21 +501,23 @@ func (r *Reader) ReadLevelCtx(ctx context.Context, l int) (*field.Field, error) 
 		return nil, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "read_level")
-	sp.SetTag("level", strconv.Itoa(l))
-	defer sp.End()
+	if sp != nil {
+		sp.SetTag("level", strconv.Itoa(l))
+		defer sp.End()
+	}
 	if !r.isTAC() {
 		return r.levelField(ctx, l)
 	}
 	nx, ny, nz := r.ix.LevelDims(l)
 	out := field.New(nx, ny, nz)
-	u := r.ix.UnitBlockSize(l)
 	for _, si := range r.ix.Levels[l].Streams {
 		f, err := r.boxBrick(ctx, si)
 		if err != nil {
 			return nil, err
 		}
-		g := r.ix.Streams[si].Geom
-		out.SetBlock(g.X0*u, g.Y0*u, g.Z0*u, f)
+		if err := core.PlaceIndexed(r.ix, si, f, out); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -597,9 +542,11 @@ func (r *Reader) ReadBoxCtx(ctx context.Context, l, b int) (*field.Field, layout
 		return nil, layout.Box{}, fmt.Errorf("reader: box %d out of range [0,%d) in level %d", b, len(streams), l)
 	}
 	ctx, sp := obs.StartSpan(ctx, "read_box")
-	sp.SetTag("level", strconv.Itoa(l))
-	sp.SetTag("box", strconv.Itoa(b))
-	defer sp.End()
+	if sp != nil {
+		sp.SetTag("level", strconv.Itoa(l))
+		sp.SetTag("box", strconv.Itoa(b))
+		defer sp.End()
+	}
 	si := streams[b]
 	f, err := r.boxBrick(ctx, si)
 	if err != nil {
@@ -631,10 +578,12 @@ func (r *Reader) ReadSliceCtx(ctx context.Context, axis Axis, k, l int) (*field.
 		return nil, fmt.Errorf("reader: slice %v=%d out of range [0,%d)", axis, k, dim[axis])
 	}
 	ctx, sp := obs.StartSpan(ctx, "read_slice")
-	sp.SetTag("axis", axis.String())
-	sp.SetTag("k", strconv.Itoa(k))
-	sp.SetTag("level", strconv.Itoa(l))
-	defer sp.End()
+	if sp != nil {
+		sp.SetTag("axis", axis.String())
+		sp.SetTag("k", strconv.Itoa(k))
+		sp.SetTag("level", strconv.Itoa(l))
+		defer sp.End()
+	}
 	onx, ony, onz := nx, ny, nz
 	switch axis {
 	case AxisX:

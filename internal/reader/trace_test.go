@@ -2,7 +2,9 @@ package reader
 
 import (
 	"context"
+	"errors"
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -78,41 +80,62 @@ type SpanCount struct {
 	parent string
 }
 
+// payloadOps are the reader entry points that fetch stream payloads from the
+// source; each must carry its context down to the retry layer.
+var payloadOps = map[string]func(context.Context, *Reader) error{
+	"read_level": func(ctx context.Context, r *Reader) error {
+		_, err := r.ReadLevelCtx(ctx, 0)
+		return err
+	},
+	"verify": func(ctx context.Context, r *Reader) error {
+		res, err := r.Verify(ctx)
+		if err == nil && !res.OK() {
+			err = res.Faults[0].Err
+		}
+		return err
+	},
+}
+
 // TestRetryEventsLandOnTrace injects transient faults and checks the retry
-// breadcrumbs appear as events on the in-flight stream_read span.
+// breadcrumbs appear as events on the span in flight (stream_read for a
+// read, verify for a scrub).
 func TestRetryEventsLandOnTrace(t *testing.T) {
 	h := testHierarchy(t, 32, 5)
 	blob := compress(t, h, core.Options{EB: 1e-3})
-	var faulty *faultio.FaultReaderAt
-	r := open(t, blob,
-		WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
-			faulty = faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 1, TransientProb: 0.5, MaxFaults: 4})
-			return faulty
-		}),
-		WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 5}),
-	)
+	for name, op := range payloadOps {
+		t.Run(name, func(t *testing.T) {
+			r := open(t, blob,
+				WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
+					return faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 1, TransientProb: 0.5, MaxFaults: 4})
+				}),
+				WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 5}),
+			)
+			atOpen := r.Stats().Retries
 
-	c := obs.NewCollector(4)
-	ctx, tr := c.StartTrace(context.Background(), "retry-trace")
-	if _, err := r.ReadLevelCtx(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	c.Finish(tr)
-	if r.Stats().Retries == 0 {
-		t.Skip("fault plan injected no retries on this read path")
-	}
-	var events int
-	for _, s := range c.Traces(1)[0].Spans {
-		events += len(s.Events)
-	}
-	if events == 0 {
-		t.Fatal("retries happened but no retry events landed on the trace")
+			c := obs.NewCollector(4)
+			ctx, tr := c.StartTrace(context.Background(), "retry-trace")
+			if err := op(ctx, r); err != nil {
+				t.Fatal(err)
+			}
+			c.Finish(tr)
+			if r.Stats().Retries == atOpen {
+				t.Skip("fault plan injected no retries on this read path")
+			}
+			var events int
+			for _, s := range c.Traces(1)[0].Spans {
+				events += len(s.Events)
+			}
+			if events == 0 {
+				t.Fatal("retries happened but no retry events landed on the trace")
+			}
+		})
 	}
 }
 
 // TestCanceledContextStopsRetries: a canceled request must not sit through
 // the retry backoff schedule — RetryReaderAt.ReadAtCtx aborts between
-// attempts, and fetchStream refuses to start work on a dead context.
+// attempts, every payload read reaches it with the request's context, and
+// fetchStream refuses to start work on a dead context.
 func TestCanceledContextStopsRetries(t *testing.T) {
 	h := testHierarchy(t, 32, 7)
 	blob := compress(t, h, core.Options{EB: 1e-3})
@@ -134,10 +157,47 @@ func TestCanceledContextStopsRetries(t *testing.T) {
 	if faulty.Reads() > 2 {
 		t.Fatalf("canceled context still allowed %d attempts", faulty.Reads())
 	}
+
+	// Through the reader: the request is canceled while its first payload
+	// read is failing. The read must give up there, not spend the attempt
+	// budget on a request nobody is waiting for.
+	for name, op := range payloadOps {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelingReaderAt{cancel: cancel}
+		r := open(t, blob,
+			WithSourceWrap(func(in io.ReaderAt) io.ReaderAt { src.ReaderAt = in; return src }),
+			WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 1000}),
+		)
+		src.armed.Store(true)
+		if err := op(ctx, r); err == nil {
+			t.Fatalf("%s: succeeded on a canceled, failing source", name)
+		}
+		if n := src.failed.Load(); n > 2 {
+			t.Fatalf("%s: canceled context still allowed %d attempts", name, n)
+		}
+	}
 }
 
 type failingReaderAt struct{}
 
 func (failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return 0, io.ErrUnexpectedEOF
+}
+
+// cancelingReaderAt passes reads through until armed; from then on every
+// read cancels the request's context and fails transiently.
+type cancelingReaderAt struct {
+	io.ReaderAt
+	cancel context.CancelFunc
+	armed  atomic.Bool
+	failed atomic.Int64
+}
+
+func (c *cancelingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if !c.armed.Load() {
+		return c.ReaderAt.ReadAt(p, off)
+	}
+	c.failed.Add(1)
+	c.cancel()
+	return 0, faultio.Transient(errors.New("injected: storage went away"))
 }

@@ -9,10 +9,10 @@ package reader
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/core"
 	"repro/internal/faultio"
+	"repro/internal/obs"
 )
 
 // StreamFault records one stream that failed the scrub.
@@ -51,51 +51,44 @@ func (v *VerifyResult) OK() bool { return len(v.Faults) == 0 }
 // otherwise (the only integrity evidence available for pre-checksum
 // footers). Per-stream failures are collected in the result, not returned
 // as an error — a scrub's job is the complete damage report; the returned
-// error is reserved for context cancellation.
+// error is reserved for context cancellation. On a traced context the scrub
+// is a "verify" span, and retried reads leave their events on it.
 func (r *Reader) Verify(ctx context.Context) (*VerifyResult, error) {
+	ctx, sp := obs.StartSpan(ctx, "verify")
+	defer sp.End()
 	res := &VerifyResult{}
 	for si := range r.ix.Streams {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		s := r.ix.Streams[si]
+		s := &r.ix.Streams[si]
 		res.Streams++
 		payload := make([]byte, s.Len)
-		if _, err := r.src.ReadAt(payload, s.Offset); err != nil {
-			res.Faults = append(res.Faults, StreamFault{
-				Level: s.Level, Box: s.Box, Offset: s.Offset, Len: s.Len, Err: err,
-			})
-			continue
-		}
-		r.bytesRead.Add(s.Len)
-		if r.ix.StreamCRCs {
-			res.Checked++
-			if got := crc32.ChecksumIEEE(payload); got != s.CRC {
-				res.Faults = append(res.Faults, StreamFault{
-					Level: s.Level, Box: s.Box, Offset: s.Offset, Len: s.Len,
-					Err: faultio.Corruptf("payload CRC %08x, index says %08x", got, s.CRC),
-				})
-				r.corruptStreams.Add(1)
+		_, err := readAtCtx(ctx, r.src, payload, s.Offset)
+		switch {
+		case err != nil:
+			// A read the scrub's own cancellation cut short is not damage.
+			if cerr := ctx.Err(); cerr != nil {
+				return res, cerr
 			}
-			continue
-		}
-		res.Decoded++
-		opt := r.opt
-		opt.Compressor = core.Compressor(s.Compressor)
-		f, err := core.DecodeStream(payload, opt)
-		if err == nil && int64(f.Bytes()) != s.RawLen {
-			err = faultio.Corruptf("decoded to %d bytes, index says %d", f.Bytes(), s.RawLen)
+		case r.ix.StreamCRCs:
+			r.bytesRead.Add(s.Len)
+			res.Checked++
+			err = core.VerifyIndexed(r.ix, si, payload)
+		default:
+			r.bytesRead.Add(s.Len)
+			res.Decoded++
+			if _, err = core.DecodeIndexed(ctx, r.ix, si, payload, false, 0); err == nil {
+				r.backendDecodes.Add(1)
+			}
 		}
 		if err != nil {
-			if !faultio.IsCorrupt(err) {
-				err = faultio.Corrupt(err)
+			if faultio.IsCorrupt(err) {
+				r.corruptStreams.Add(1)
 			}
 			res.Faults = append(res.Faults, StreamFault{
 				Level: s.Level, Box: s.Box, Offset: s.Offset, Len: s.Len, Err: err,
 			})
-			r.corruptStreams.Add(1)
-		} else {
-			r.backendDecodes.Add(1)
 		}
 	}
 	return res, nil
