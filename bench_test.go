@@ -290,8 +290,8 @@ func BenchmarkCoreDecompressWorkersMax(b *testing.B) { benchCoreDecompressWorker
 // These measure the Huffman entropy stage in isolation on a realistic
 // quantization-code stream: the codes sz3 produces for a 128³ Nyx field at a
 // 1e-3 relative error bound. Throughput is reported over the raw int32
-// payload. The committed BENCH_entropy.json records the trajectory (see
-// README "Performance"); regenerate with `mrbench -exp entropy -json FILE`.
+// payload; bench/ reports the same stage as huffman.encode_mb_s and
+// huffman.decode_mb_s.
 
 func huffmanBenchCodes(b *testing.B) []int32 {
 	b.Helper()
@@ -323,29 +323,6 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// The interleaved-lane variants of the same decode. The serial (workers=1)
-// rows isolate the ILP win of overlapping lane dependency chains on one
-// core; the workers=0 row adds goroutine-parallel lanes on multi-core
-// machines.
-func benchmarkHuffmanDecodeLanes(b *testing.B, lanes, workers int) {
-	codes := huffmanBenchCodes(b)
-	enc := huffman.EncodeInterleaved(codes, lanes)
-	b.SetBytes(int64(len(codes) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := huffman.DecodeWorkers(enc, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHuffmanDecodeLanes2(b *testing.B) { benchmarkHuffmanDecodeLanes(b, 2, 1) }
-func BenchmarkHuffmanDecodeLanes4(b *testing.B) { benchmarkHuffmanDecodeLanes(b, 4, 1) }
-func BenchmarkHuffmanDecodeLanes8(b *testing.B) { benchmarkHuffmanDecodeLanes(b, 8, 1) }
-func BenchmarkHuffmanDecodeLanes4Workers(b *testing.B) {
-	benchmarkHuffmanDecodeLanes(b, 4, 0)
 }
 
 func BenchmarkROIConvert(b *testing.B) {

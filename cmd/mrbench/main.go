@@ -7,8 +7,7 @@
 //	mrbench -exp all
 //
 // Each experiment prints tab-separated rows matching the corresponding
-// table/figure of the paper (see DESIGN.md §4 for the index and
-// EXPERIMENTS.md for paper-vs-measured numbers).
+// table/figure of the paper; -list is the index.
 package main
 
 import (

@@ -8,15 +8,13 @@
 // reader ever sees a partial file:
 //
 //	mrcompress -c -i field.bin -o field.mrw -releb 1e-3 [-compressor sz3]
-//	           [-levelcodecs "0:sz3,2:flate"] [-entropy-lanes auto]
-//	           [-roiblock 16] [-roifrac 0.5] [-workers N]
+//	           [-levelcodecs "0:sz3,2:flate"] [-roiblock 16] [-roifrac 0.5]
+//	           [-workers N]
 //
 // The -compressor name must be registered in the codec registry
 // (internal/codec); -levelcodecs overrides the codec per resolution level
 // (0 = finest), e.g. coarse preview levels lossless while fine levels stay
-// error-bounded. -entropy-lanes opts the huffman-based backends into the
-// interleaved multi-lane entropy format, whose code streams decode their
-// lanes in parallel under -workers.
+// error-bounded.
 //
 // With -quality (or -post, which needs the full round trip anyway) the
 // in-memory path runs instead and PSNR/SSIM against the input are printed:
@@ -77,7 +75,6 @@ func main() {
 		abseb   = flag.Float64("eb", 0, "absolute error bound (overrides -releb)")
 		backend = flag.String("compressor", "sz3", "backend codec: "+strings.Join(repro.Codecs(), "|"))
 		lvlspec = flag.String("levelcodecs", "", `per-level codec overrides, e.g. "0:sz3,2:flate" (level 0 = finest)`)
-		lanes   = flag.String("entropy-lanes", "", `interleaved entropy lanes per code stream: "auto" or a power of two ≤ 64 (default single-lane)`)
 		roiB    = flag.Int("roiblock", 16, "ROI block size (power of two > 4)")
 		roiFrac = flag.Float64("roifrac", 0.5, "fraction of blocks kept at full resolution")
 		post    = flag.Bool("post", false, "enable error-bounded post-processing")
@@ -112,22 +109,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		entropyLanes, err := repro.ParseEntropyLanes(*lanes)
-		if err != nil {
-			fatal(err)
-		}
 		f, err := field.Load(*in)
 		if err != nil {
 			fatal(err)
 		}
 		opt := repro.Options{
-			Compressor:   cname,
-			LevelCodecs:  lvlCodecs,
-			EntropyLanes: entropyLanes,
-			ROIBlockB:    *roiB,
-			ROITopFrac:   *roiFrac,
-			PostProcess:  *post,
-			Workers:      *workers,
+			Compressor:  cname,
+			LevelCodecs: lvlCodecs,
+			ROIBlockB:   *roiB,
+			ROITopFrac:  *roiFrac,
+			PostProcess: *post,
+			Workers:     *workers,
 		}
 		if *abseb > 0 {
 			opt.EB = *abseb

@@ -12,29 +12,6 @@ import (
 	"repro/internal/codec"
 )
 
-// EntropyLanesAuto selects the entropy lane count automatically from each
-// code stream's size (see Options.EntropyLanes).
-const EntropyLanesAuto = codec.EntropyLanesAuto
-
-// ParseEntropyLanes parses an entropy lane count as CLI flags and query
-// parameters spell it: "" or "1" for the single-lane format, "auto" for
-// size-based selection, or a power of two up to 64. Anything else errors
-// with the accepted vocabulary.
-func ParseEntropyLanes(s string) (int, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	if s == "" {
-		return 0, nil
-	}
-	if s == "auto" {
-		return EntropyLanesAuto, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || !codec.ValidEntropyLanes(n) {
-		return 0, fmt.Errorf("repro: entropy lanes %q: want \"auto\" or a power of two in [1, 64]", s)
-	}
-	return n, nil
-}
-
 // Codecs returns the names of every registered compression backend,
 // sorted — the vocabulary Options.Compressor, Options.LevelCodecs, CLI
 // flags, and mrserve query parameters accept.

@@ -90,32 +90,3 @@ func TestLevelCodecsWorkflow(t *testing.T) {
 		t.Fatal("mixed run's flate level is not bit-exact")
 	}
 }
-
-// TestParseEntropyLanes locks the flag/query vocabulary for entropy lane
-// counts: empty keeps the default single-lane format, "auto" defers the
-// choice to the encoder, explicit counts must be powers of two within the
-// format's limit.
-func TestParseEntropyLanes(t *testing.T) {
-	good := map[string]int{
-		"":     0,
-		"auto": EntropyLanesAuto,
-		"1":    1,
-		"2":    2,
-		"8":    8,
-		"64":   64,
-	}
-	for in, want := range good {
-		got, err := ParseEntropyLanes(in)
-		if err != nil {
-			t.Fatalf("ParseEntropyLanes(%q): %v", in, err)
-		}
-		if got != want {
-			t.Fatalf("ParseEntropyLanes(%q) = %d, want %d", in, got, want)
-		}
-	}
-	for _, in := range []string{"0x4", "3", "-2", "128", "two"} {
-		if n, err := ParseEntropyLanes(in); err == nil {
-			t.Fatalf("ParseEntropyLanes(%q) = %d, want error", in, n)
-		}
-	}
-}

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"repro/internal/field"
+	"repro/internal/huffman"
 	"repro/internal/obs"
 )
 
@@ -38,6 +39,14 @@ const (
 	ZFPID   byte = 2 // block-wise transform
 	FlateID byte = 3 // lossless raw+flate passthrough
 )
+
+// EntropyInterleavedTag is the wire discriminator of the legacy interleaved
+// multi-lane entropy format inside sz2/sz3 payloads (see
+// huffman.InterleavedTag, its declared home), re-exported so this package
+// stays the one place enumerating every on-the-wire discriminator. Nothing
+// writes the format any more; the tag is stable forever because containers
+// already written embed it in every code stream.
+const EntropyInterleavedTag = huffman.InterleavedTag
 
 // Params carries the compression-time knobs a codec may consume. It is the
 // union of all backends' options; each codec reads only its own fields and
@@ -55,11 +64,6 @@ type Params struct {
 	SZ2BlockSize int
 	// Interp selects the sz3 interpolant, as its wire byte.
 	Interp byte
-	// EntropyLanes selects the entropy stage's interleaved lane count for
-	// the huffman-based codecs (sz2, sz3): 0/1 single-lane (the default
-	// legacy format), EntropyLanesAuto to pick from the stream size, or an
-	// explicit power of two. Other codecs ignore it.
-	EntropyLanes int
 }
 
 // Codec is one compression backend behind the container pipeline.

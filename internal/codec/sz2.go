@@ -16,17 +16,11 @@ func (sz2Codec) WireID() byte   { return SZ2ID }
 func (sz2Codec) Lossless() bool { return false }
 
 func (sz2Codec) Compress(f *field.Field, p Params) ([]byte, error) {
-	return sz2.Compress(f, sz2.Options{EB: p.EB, BlockSize: p.SZ2BlockSize, EntropyLanes: p.EntropyLanes})
+	return sz2.Compress(f, sz2.Options{EB: p.EB, BlockSize: p.SZ2BlockSize})
 }
 
 func (sz2Codec) Decompress(data []byte) (*field.Field, error) {
 	return sz2.Decompress(data)
-}
-
-// DecompressWorkers implements WorkerDecompressor: interleaved entropy
-// lanes inside both code chunks decode on up to workers goroutines.
-func (sz2Codec) DecompressWorkers(data []byte, workers int) (*field.Field, error) {
-	return sz2.DecompressWorkers(data, workers)
 }
 
 // PostBlockSize is sz2's own block edge: the block-local regression planes

@@ -17,7 +17,7 @@ func (sz3Codec) WireID() byte   { return SZ3ID }
 func (sz3Codec) Lossless() bool { return false }
 
 func (sz3Codec) Compress(f *field.Field, p Params) ([]byte, error) {
-	so := sz3.Options{EB: p.EB, Interp: sz3.Interpolant(p.Interp), EntropyLanes: p.EntropyLanes}
+	so := sz3.Options{EB: p.EB, Interp: sz3.Interpolant(p.Interp)}
 	if p.AdaptiveEB {
 		so.LevelEB = sz3.AdaptiveLevelEB(p.EB, p.Alpha, p.Beta)
 	}
@@ -26,12 +26,6 @@ func (sz3Codec) Compress(f *field.Field, p Params) ([]byte, error) {
 
 func (sz3Codec) Decompress(data []byte) (*field.Field, error) {
 	return sz3.Decompress(data)
-}
-
-// DecompressWorkers implements WorkerDecompressor: interleaved entropy
-// lanes inside the payload decode on up to workers goroutines.
-func (sz3Codec) DecompressWorkers(data []byte, workers int) (*field.Field, error) {
-	return sz3.DecompressWorkers(data, workers)
 }
 
 // PostBlockSize is the pipeline's unit block size: sz3 itself is global

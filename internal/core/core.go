@@ -160,15 +160,6 @@ type Options struct {
 	// TAC box. Default runtime.GOMAXPROCS(0); 1 gives fully serial
 	// execution. The container bytes are identical for every Workers value.
 	Workers int
-	// EntropyLanes selects the entropy stage's interleaved lane count for
-	// the huffman-based backends (sz2, sz3): 0 or 1 write the single-lane
-	// format (the default — containers stay byte-identical to earlier
-	// versions), codec.EntropyLanesAuto (any negative) picks from each
-	// stream's size, and an explicit power of two (≤ 64) writes that many
-	// lanes per code stream. Interleaved streams decode their lanes on up
-	// to Workers goroutines; decode needs no option — the format is
-	// self-describing.
-	EntropyLanes int
 	// LevelCodecs overrides the codec per resolution level (key = level,
 	// 0 = finest); levels not named use Compressor. The canonical use is
 	// mixing precision across the hierarchy — coarse levels lossless
@@ -197,7 +188,6 @@ func (o Options) params() codec.Params {
 		Beta:         o.Beta,
 		SZ2BlockSize: o.SZ2BlockSize,
 		Interp:       byte(o.Interp),
-		EntropyLanes: o.EntropyLanes,
 	}
 }
 
@@ -324,7 +314,7 @@ func compressField(f *field.Field, opt Options, c Compressor) ([]byte, error) {
 	return cd.Compress(f, opt.params())
 }
 
-func decompressFieldWorkersCtx(ctx context.Context, data []byte, c Compressor, workers int) (f *field.Field, err error) {
+func decompressFieldCtx(ctx context.Context, data []byte, c Compressor) (f *field.Field, err error) {
 	cd, ok := codec.ByID(byte(c))
 	if !ok {
 		return nil, fmt.Errorf("core: %w", codec.ErrUnknownID(byte(c)))
@@ -339,7 +329,7 @@ func decompressFieldWorkersCtx(ctx context.Context, data []byte, c Compressor, w
 			f, err = nil, faultio.Corrupt(fmt.Errorf("core: %s decode panicked: %v", cd.Name(), r))
 		}
 	}()
-	return codec.DecompressWorkersCtx(ctx, cd, data, workers)
+	return codec.DecompressCtx(ctx, cd, data)
 }
 
 // Compressed is a serialized multi-resolution compression result.
@@ -420,9 +410,6 @@ func (p *Prepared) checkCompressOptions() error {
 	}
 	if _, ok := codec.ByID(byte(p.opt.Compressor)); !ok {
 		return fmt.Errorf("core: %w", codec.ErrUnknownID(byte(p.opt.Compressor)))
-	}
-	if !codec.ValidEntropyLanes(p.opt.EntropyLanes) {
-		return fmt.Errorf("core: entropy lane count %d is not auto, 0/1, or a power of two ≤ 64", p.opt.EntropyLanes)
 	}
 	for l, c := range p.opt.LevelCodecs {
 		if l < 0 || l >= len(p.levels) {
@@ -542,7 +529,7 @@ func (o Options) RoundTrip() postproc.RoundTrip {
 		if err != nil {
 			return nil, err
 		}
-		return decompressFieldWorkersCtx(context.Background(), data, opt.Compressor, 1)
+		return decompressFieldCtx(context.Background(), data, opt.Compressor)
 	}
 }
 

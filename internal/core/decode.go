@@ -114,19 +114,17 @@ func VerifyIndexed(ix *index.Index, si int, payload []byte) error {
 // under its own codec (in a mixed-codec container each level may name a
 // different one), and the result must have the byte size — and, for a TAC
 // box, the shape — the index declares. Every failure, a codec panic on
-// damaged input included, is a Corrupt error naming the stream. A stream with
-// interleaved entropy lanes decodes them on up to workers goroutines (0 = the
-// runtime default); the field is identical for every count. When ctx carries
-// a trace the codec run appears on it as a "decode" span; a successful call
-// formats no strings.
-func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte, verify bool, workers int) (*field.Field, error) {
+// damaged input included, is a Corrupt error naming the stream. When ctx
+// carries a trace the codec run appears on it as a "decode" span; a
+// successful call formats no strings.
+func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte, verify bool) (*field.Field, error) {
 	if verify {
 		if err := VerifyIndexed(ix, si, payload); err != nil {
 			return nil, err
 		}
 	}
 	s := &ix.Streams[si]
-	f, err := decompressFieldWorkersCtx(ctx, payload, Compressor(s.Compressor), streamWorkers(workers))
+	f, err := decompressFieldCtx(ctx, payload, Compressor(s.Compressor))
 	if err != nil {
 		return nil, faultio.Corrupt(streamErr(s.Level, s.Box, err))
 	}
@@ -215,14 +213,7 @@ func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, e
 		wave, err := parallel.MapErrWorkers(end-start, workers, func(i int) (*field.Field, error) {
 			si := start + i
 			s := &ix.Streams[si]
-			// With a single stream the pool has no stream-level parallelism
-			// to exploit; hand the worker budget to the entropy stage
-			// instead, so an interleaved code stream still uses the cores.
-			lw := 1
-			if n == 1 {
-				lw = workers
-			}
-			f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], true, lw)
+			f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], true)
 			if err != nil || post == nil {
 				return f, err
 			}

@@ -3,11 +3,9 @@
 // entropy stage of SZ. The encoded stream is self-describing: it carries the
 // symbol dictionary and canonical code lengths, followed by the bit stream.
 //
-// Two wire formats share the dictionary and code assignment. The historical
-// single-lane format (Encode/Decode) is one sequential bitstream; the
-// interleaved format (EncodeInterleaved, see interleave.go) splits the symbol
-// stream into N fixed-stride lanes that decode independently — overlapped on
-// one core or spread across goroutines — behind the same Decode entry point.
+// Encode writes one sequential bitstream. Decode also reads the legacy
+// interleaved multi-lane format (see interleave.go), which shares the
+// dictionary and code assignment and is no longer written.
 //
 // Building a code costs a fixed handful of allocations whatever the alphabet:
 // the histogram is sized from a count of its non-zero bins, the Huffman tree
@@ -241,9 +239,7 @@ type symCode struct {
 }
 
 // coder holds one canonical code assignment — the sorted dictionary, the
-// code values, and the symbol→code lookup — shared by the single-lane and
-// interleaved encoders, which differ only in how they walk the input and
-// frame the bitstream.
+// code values, and the symbol→code lookup.
 type coder struct {
 	ss        []sym    // dictionary sorted by (length, symbol)
 	codes     []uint64 // canonical codes aligned with ss
@@ -303,16 +299,16 @@ func newCoder(data []int32) *coder {
 	return c
 }
 
-// streamBuf returns an empty buffer with room for a whole stream — uvarints
-// header fields, the dictionary, and bits of payload — so that building the
+// streamBuf returns an empty buffer with room for a whole stream — the
+// symbol count, the dictionary, and the payload — so that building the
 // stream allocates once instead of growing through the header.
-func (c *coder) streamBuf(uvarints, bits int) []byte {
+func (c *coder) streamBuf() []byte {
 	dict := binary.MaxVarintLen64 + len(c.ss)*(binary.MaxVarintLen64+1)
-	return make([]byte, 0, uvarints*binary.MaxVarintLen64+dict+(bits+7)/8)
+	return make([]byte, 0, binary.MaxVarintLen64+dict+(c.totalBits+7)/8)
 }
 
 // appendDict serializes the dictionary — uvarint symbol count, then per
-// symbol a zigzag delta and a length byte — identically in both wire formats.
+// symbol a zigzag delta and a length byte — the same in both wire formats.
 func (c *coder) appendDict(out []byte) []byte {
 	out = binary.AppendUvarint(out, uint64(len(c.ss)))
 	prev := int64(0)
@@ -325,27 +321,18 @@ func (c *coder) appendDict(out []byte) []byte {
 	return out
 }
 
-// bitLen returns the code length assigned to symbol v (which must occur in
-// the coder's input).
-func (c *coder) bitLen(v int32) int {
-	if c.dense {
-		return int(c.codeLen[int64(v)-int64(c.minS)])
-	}
-	return int(c.codeOf[v].len)
-}
-
-// emit appends the codes for data[start], data[start+stride], … to bw.
-func (c *coder) emit(bw *bitio.Writer, data []int32, start, stride int) {
+// emit appends the codes for data to bw.
+func (c *coder) emit(bw *bitio.Writer, data []int32) {
 	if c.dense {
 		codeVal, codeLen, minS := c.codeVal, c.codeLen, int64(c.minS)
-		for i := start; i < len(data); i += stride {
-			idx := int64(data[i]) - minS
+		for _, v := range data {
+			idx := int64(v) - minS
 			bw.WriteBits(codeVal[idx], uint(codeLen[idx]))
 		}
 		return
 	}
-	for i := start; i < len(data); i += stride {
-		sc := c.codeOf[data[i]]
+	for _, v := range data {
+		sc := c.codeOf[v]
 		bw.WriteBits(sc.code, uint(sc.len))
 	}
 }
@@ -361,7 +348,7 @@ func Encode(data []int32) []byte {
 	}
 	c := newCoder(data)
 
-	out := c.streamBuf(1, c.totalBits)
+	out := c.streamBuf()
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = c.appendDict(out)
 
@@ -370,27 +357,16 @@ func Encode(data []int32) []byte {
 	// hot loop never reallocates.
 	bw := bitio.NewWriterAppend(out)
 	bw.Grow(c.totalBits)
-	c.emit(bw, data, 0, 1)
+	c.emit(bw, data)
 	return bw.Finish()
 }
 
-// Decode reverses Encode and EncodeInterleaved: the first uvarint
-// distinguishes the formats (InterleavedTag is not a plausible symbol
-// count). Interleaved streams decode serially here — DecodeWorkers adds
-// goroutine-parallel lanes.
-func Decode(buf []byte) ([]int32, error) { return decode(buf, 1) }
-
-// DecodeWorkers is Decode with an explicit goroutine bound for the lanes of
-// an interleaved stream: 1 decodes all lanes interleaved on the calling
-// goroutine (ILP only), larger values spread lanes across up to that many
-// goroutines, and values ≤ 0 use the runtime default (GOMAXPROCS). The
-// single-lane format ignores workers. The result is identical for every
-// worker count.
-func DecodeWorkers(buf []byte, workers int) ([]int32, error) { return decode(buf, workers) }
-
-func decode(buf []byte, workers int) ([]int32, error) {
+// Decode reverses Encode, and reads the legacy interleaved format: the
+// first uvarint distinguishes the two (InterleavedTag is not a plausible
+// symbol count).
+func Decode(buf []byte) ([]int32, error) {
 	if tag, m := binary.Uvarint(buf); m > 0 && tag == InterleavedTag {
-		return decodeInterleaved(buf[m:], workers)
+		return decodeInterleaved(buf[m:])
 	}
 	n, k, err := readHeader(&buf)
 	if err != nil {

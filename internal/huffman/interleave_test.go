@@ -1,13 +1,51 @@
 package huffman
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/bitio"
 )
+
+// EncodeInterleaved is the fixture writer for the read-only interleaved
+// format (layout in interleave.go): data dealt round-robin into lanes
+// bitstreams sharing one code table. The lane request is normalized to a
+// valid wire count (rounded down to a power of two, capped at maxLanes, no
+// empty lane); a stream left with one lane is written by Encode.
+func EncodeInterleaved(data []int32, lanes int) []byte {
+	if lanes > maxLanes {
+		lanes = maxLanes
+	}
+	for lanes&(lanes-1) != 0 { // round down to a power of two
+		lanes &= lanes - 1
+	}
+	for lanes > 1 && lanes > len(data) {
+		lanes /= 2
+	}
+	if lanes <= 1 {
+		return Encode(data)
+	}
+	c := newCoder(data)
+	out := binary.AppendUvarint(nil, InterleavedTag)
+	out = binary.AppendUvarint(out, uint64(len(data)))
+	out = binary.AppendUvarint(out, uint64(lanes))
+	out = c.appendDict(out)
+	var payload []byte
+	for j := 0; j < lanes; j++ {
+		var lane []int32
+		for i := j; i < len(data); i += lanes {
+			lane = append(lane, data[i])
+		}
+		bw := bitio.NewWriterAppend(payload)
+		c.emit(bw, lane)
+		out = binary.AppendUvarint(out, uint64(bw.Len()))
+		payload = bw.Finish() // byte-aligns the lane
+	}
+	return append(out, payload...)
+}
 
 // interleaveCorpus returns symbol streams spanning the shapes the encoder
 // sees in practice: empty, tiny, batch-boundary sizes, clustered
@@ -42,103 +80,20 @@ func interleaveCorpus() map[string][]int32 {
 
 func TestInterleavedRoundTripMatrix(t *testing.T) {
 	for name, data := range interleaveCorpus() {
-		for _, lanes := range []int{-1, 0, 1, 2, 4, 8, 32} {
-			enc := EncodeInterleaved(data, lanes)
-			for _, workers := range []int{0, 1, 2, 4, 7} {
-				dec, err := DecodeWorkers(enc, workers)
-				if err != nil {
-					t.Fatalf("%s lanes=%d workers=%d: decode: %v", name, lanes, workers, err)
-				}
-				if len(dec) != len(data) {
-					t.Fatalf("%s lanes=%d workers=%d: length %d, want %d", name, lanes, workers, len(dec), len(data))
-				}
-				for i := range data {
-					if dec[i] != data[i] {
-						t.Fatalf("%s lanes=%d workers=%d: symbol %d: got %d want %d", name, lanes, workers, i, dec[i], data[i])
-					}
+		for _, lanes := range []int{1, 2, 4, 6, 8, 32, 1 << 20} {
+			dec, err := Decode(EncodeInterleaved(data, lanes))
+			if err != nil {
+				t.Fatalf("%s lanes=%d: decode: %v", name, lanes, err)
+			}
+			if len(dec) != len(data) {
+				t.Fatalf("%s lanes=%d: length %d, want %d", name, lanes, len(dec), len(data))
+			}
+			for i := range data {
+				if dec[i] != data[i] {
+					t.Fatalf("%s lanes=%d: symbol %d: got %d want %d", name, lanes, i, dec[i], data[i])
 				}
 			}
 		}
-	}
-}
-
-func TestEncodeInterleavedSingleLaneMatchesEncode(t *testing.T) {
-	for name, data := range interleaveCorpus() {
-		want := Encode(data)
-		for _, lanes := range []int{0, 1} {
-			if got := EncodeInterleaved(data, lanes); !bytes.Equal(got, want) {
-				t.Fatalf("%s lanes=%d: EncodeInterleaved differs from Encode", name, lanes)
-			}
-		}
-	}
-	// A lane request larger than the stream shrinks until no lane is empty,
-	// collapsing to the single-lane format only for a single symbol.
-	if got := Lanes(EncodeInterleaved([]int32{5, 6, 7}, 8)); got != 2 {
-		t.Fatalf("lanes=8 on 3 symbols: got %d lanes, want 2", got)
-	}
-	data := []int32{9}
-	if got := EncodeInterleaved(data, 8); !bytes.Equal(got, Encode(data)) {
-		t.Fatalf("lanes=8 on 1 symbol: want fallback to single-lane encoding")
-	}
-}
-
-func TestEncodeInterleavedNormalizesLaneCount(t *testing.T) {
-	data := make([]int32, 4096)
-	for i := range data {
-		data[i] = int32(i % 17)
-	}
-	// Non-power-of-two rounds down, oversized caps at MaxLanes.
-	if got := Lanes(EncodeInterleaved(data, 6)); got != 4 {
-		t.Fatalf("lanes=6 normalized to %d, want 4", got)
-	}
-	if got := Lanes(EncodeInterleaved(data, 1<<20)); got != MaxLanes {
-		t.Fatalf("lanes=1<<20 normalized to %d, want %d", got, MaxLanes)
-	}
-}
-
-func TestAutoLanes(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{0, 1},
-		{1000, 1},
-		{autoLaneSymbols, 1},
-		{2 * autoLaneSymbols, 2},
-		{4 * autoLaneSymbols, 4},
-		{8 * autoLaneSymbols, 8},
-		{1 << 24, maxAutoLanes},
-	}
-	for _, c := range cases {
-		if got := AutoLanes(c.n); got != c.want {
-			t.Fatalf("AutoLanes(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-func TestValidLanes(t *testing.T) {
-	for _, l := range []int{-5, -1, 0, 1, 2, 4, 32, 64} {
-		if !ValidLanes(l) {
-			t.Fatalf("ValidLanes(%d) = false, want true", l)
-		}
-	}
-	for _, l := range []int{3, 5, 6, 7, 9, 65, 128} {
-		if ValidLanes(l) {
-			t.Fatalf("ValidLanes(%d) = true, want false", l)
-		}
-	}
-}
-
-func TestLanesSniff(t *testing.T) {
-	data := make([]int32, 1<<17)
-	for i := range data {
-		data[i] = int32(i & 31)
-	}
-	if got := Lanes(Encode(data)); got != 1 {
-		t.Fatalf("single-lane stream reported %d lanes", got)
-	}
-	if got := Lanes(EncodeInterleaved(data, 4)); got != 4 {
-		t.Fatalf("4-lane stream reported %d lanes", got)
-	}
-	if got := Lanes([]byte{0x80}); got != 1 { // truncated uvarint
-		t.Fatalf("unparseable stream reported %d lanes", got)
 	}
 }
 
@@ -277,16 +232,16 @@ func FuzzInterleavedRoundTrip(f *testing.F) {
 		EncodeInterleaved([]int32{6, 7, 6, 6, 7, 6, 8, 6}, 2))
 	f.Add([]byte{9, 9, 9, 9}, uint8(8), uint8(3),
 		EncodeInterleaved([]int32{-1, 1, -1, 1, -1, 1, -1, 1, 2, 2, 2, 2}, 4))
-	f.Fuzz(func(t *testing.T, symRaw []byte, lanes, workers uint8, stream []byte) {
+	f.Fuzz(func(t *testing.T, symRaw []byte, lanes, flip uint8, stream []byte) {
 		data := make([]int32, len(symRaw)/4)
 		for i := range data {
 			data[i] = int32(uint32(symRaw[4*i]) | uint32(symRaw[4*i+1])<<8 |
 				uint32(symRaw[4*i+2])<<16 | uint32(symRaw[4*i+3])<<24)
 		}
 		// Round trip at an arbitrary lane request (EncodeInterleaved
-		// normalizes it) and worker count: must be symbol-exact.
-		enc := EncodeInterleaved(data, int(lanes)-1) // covers -1 (auto) too
-		dec, err := DecodeWorkers(enc, int(workers))
+		// normalizes it): must be symbol-exact.
+		enc := EncodeInterleaved(data, int(lanes))
+		dec, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("decode of valid encoding failed: %v", err)
 		}
@@ -310,8 +265,8 @@ func FuzzInterleavedRoundTrip(f *testing.F) {
 				_ = err
 			}
 			mut := append([]byte(nil), enc...)
-			mut[int(workers)%len(mut)] ^= 0x5A
-			if _, err := DecodeWorkers(mut, int(workers)); err != nil {
+			mut[int(flip)%len(mut)] ^= 0x5A
+			if _, err := Decode(mut); err != nil {
 				_ = err
 			}
 		}

@@ -164,9 +164,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 	if len(distinct) < 500 {
 		t.Fatalf("alphabet of %d symbols, want at least 500", len(distinct))
 	}
-	for _, lanes := range []int{1, 4} {
-		if n := testing.AllocsPerRun(10, func() { EncodeInterleaved(data, lanes) }); n > 20 {
-			t.Errorf("EncodeInterleaved(%d lanes) allocates %v times, budget 20", lanes, n)
-		}
+	if n := testing.AllocsPerRun(10, func() { Encode(data) }); n > 20 {
+		t.Errorf("Encode allocates %v times, budget 20", n)
 	}
 }

@@ -428,7 +428,7 @@ func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) 
 		return nil, fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err)
 	}
 	r.bytesRead.Add(s.Len)
-	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, r.verify, 0)
+	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, r.verify)
 	if err != nil {
 		r.corruptStreams.Add(1)
 		return nil, err

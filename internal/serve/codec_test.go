@@ -156,28 +156,28 @@ func TestIngestMixedLevelCodecs(t *testing.T) {
 	}
 }
 
-// TestIngestEntropyLanes uploads with ?lanes=4 and checks the interleaved
-// container serves every level byte-exactly as the local pipeline with the
-// same lane count, while malformed lane counts fail the ingest with a 400.
-func TestIngestEntropyLanes(t *testing.T) {
+// TestIngestRejectsUnknownParams pins that a query key outside the accepted
+// set — a typo, or the removed ?lanes= — fails the ingest with a 400 naming
+// the key and the accepted vocabulary, instead of compressing at the
+// defaults and answering 201; every accepted key still ingests.
+func TestIngestRejectsUnknownParams(t *testing.T) {
 	ts, _ := codecTestServer(t)
 	f := synth.Generate(synth.Nyx, 32, 6)
-	if code, body := doPut(t, ts.URL+"/v1/field/il?lanes=4", rawFieldBody(t, f)); code != http.StatusCreated {
-		t.Fatalf("PUT: %d %s", code, body)
-	}
-	want := ingestExpectedLevels(t, f, repro.Options{RelEB: 1e-3, EntropyLanes: 4})
-	for li := range want {
-		code, body, _ := get(t, fmt.Sprintf("%s/v1/field/il/level/%d", ts.URL, li))
-		if code != http.StatusOK {
-			t.Fatalf("level %d: %d", li, code)
-		}
-		if got := parseRawField(t, body); !got.Equal(want[li]) {
-			t.Fatalf("level %d served data differs from local pipeline", li)
-		}
-	}
-	for _, q := range []string{"lanes=3", "lanes=-4", "lanes=128", "lanes=zow"} {
-		if code, body := doPut(t, ts.URL+"/v1/field/bad?"+q, rawFieldBody(t, f)); code != http.StatusBadRequest {
+	for _, q := range []string{"relebb=1e-5", "lanes=4", "releb=1e-3&Codec=sz3"} {
+		code, body := doPut(t, ts.URL+"/v1/field/bad?"+q, rawFieldBody(t, f))
+		if code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", q, code, body)
 		}
+		key, _, _ := strings.Cut(q[strings.LastIndex(q, "&")+1:], "=")
+		if !strings.Contains(string(body), key) || !strings.Contains(string(body), "roifrac") {
+			t.Fatalf("%s: 400 body names neither the key nor the accepted set: %s", q, body)
+		}
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/field/bad/meta"); code != http.StatusNotFound {
+		t.Fatalf("rejected ingest left a field behind: meta status %d", code)
+	}
+	all := "releb=1e-2&eb=0.5&codec=sz2&compressor=sz3&levelcodecs=1:flate&roiblock=8&roifrac=0.25"
+	if code, body := doPut(t, ts.URL+"/v1/field/ok?"+all, rawFieldBody(t, f)); code != http.StatusCreated {
+		t.Fatalf("%s: status %d (%s), want 201", all, code, body)
 	}
 }

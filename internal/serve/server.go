@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -816,15 +817,28 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 
 // --- ingest -----------------------------------------------------------------
 
+// ingestParams are the query parameters a PUT accepts.
+var ingestParams = []string{"codec", "compressor", "eb", "levelcodecs", "releb", "roiblock", "roifrac"}
+
 // ingestOptions maps PUT query parameters onto compression options. The
 // defaults are the paper's recommended configuration at releb 1e-3. Codec
 // names (?codec=, its legacy alias ?compressor=, and the per-level
 // ?levelcodecs= spec) are validated against the codec registry, so an
-// unknown name fails with a message enumerating what is registered.
-// ?lanes= opts the huffman-based backends into interleaved multi-lane
-// entropy ("auto" or a power of two ≤ 64); an invalid value is a 400.
+// unknown name fails with a message enumerating what is registered. A key
+// outside ingestParams is an error too: a misspelt ?relebb= must not
+// compress at the default bound and answer 201.
 func ingestOptions(q url.Values) (repro.Options, error) {
 	opt := repro.Options{RelEB: 1e-3, ROIBlockB: 16, ROITopFrac: 0.5}
+	var unknown []string
+	for k := range q {
+		if !slices.Contains(ingestParams, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return opt, fmt.Errorf("unknown query parameter %s (accepted: %s)", strings.Join(unknown, ", "), strings.Join(ingestParams, ", "))
+	}
 	if v := q.Get("releb"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 {
@@ -857,13 +871,6 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 		}
 		opt.LevelCodecs = m
 	}
-	if v := q.Get("lanes"); v != "" {
-		n, err := repro.ParseEntropyLanes(v)
-		if err != nil {
-			return opt, err
-		}
-		opt.EntropyLanes = n
-	}
 	if v := q.Get("roiblock"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 4 {
@@ -889,7 +896,7 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 // never a partial one. On success the id's open reader is dropped, so the
 // next request opens — and serves — the new container whatever
 // RevalidateEvery says (read-your-writes). Compression is configured by
-// query parameters (releb, eb, compressor, roiblock, roifrac).
+// query parameters (ingestParams).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validID(id) {

@@ -42,14 +42,6 @@ type Options struct {
 	EB float64
 	// BlockSize is the cubic block edge (default DefaultBlockSize).
 	BlockSize int
-	// EntropyLanes selects the entropy stage's lane count: 0 or 1 keep the
-	// single-lane huffman format (the default, byte-identical to earlier
-	// versions), negative selects automatically from each stream's size,
-	// and an explicit power of two (≤ huffman.MaxLanes) writes that many
-	// interleaved lanes. Both code chunks use it; the small regression
-	// coefficient chunk shrinks the count so no lane is empty. Streams of
-	// every lane count decode through the same Decompress.
-	EntropyLanes int
 }
 
 const magic = "SZ2B"
@@ -64,9 +56,6 @@ const (
 func Compress(f *field.Field, opt Options) ([]byte, error) {
 	if opt.EB <= 0 {
 		return nil, errors.New("sz2: error bound must be positive")
-	}
-	if !huffman.ValidLanes(opt.EntropyLanes) {
-		return nil, fmt.Errorf("sz2: invalid entropy lane count %d", opt.EntropyLanes)
 	}
 	bs := opt.BlockSize
 	if bs == 0 {
@@ -152,8 +141,8 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 		payload.Write(b)
 	}
 	writeChunk(packBits(modes))
-	writeChunk(huffman.EncodeInterleaved(coefCodes, opt.EntropyLanes))
-	writeChunk(huffman.EncodeInterleaved(codes, opt.EntropyLanes))
+	writeChunk(huffman.Encode(coefCodes))
+	writeChunk(huffman.Encode(codes))
 	var outBuf bytes.Buffer
 	for _, v := range q.Outliers {
 		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
@@ -165,13 +154,7 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 }
 
 // Decompress decodes a buffer produced by Compress.
-func Decompress(data []byte) (*field.Field, error) { return DecompressWorkers(data, 1) }
-
-// DecompressWorkers is Decompress with a goroutine bound for the entropy
-// stage: interleaved code chunks decode their lanes on up to workers
-// goroutines (≤ 0 means the runtime default). Single-lane chunks and
-// workers == 1 decode fully serially. The result is identical either way.
-func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
+func Decompress(data []byte) (*field.Field, error) {
 	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: inflate: %w", err)
@@ -259,11 +242,11 @@ func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
 
 	nBlocks := blocksAlong(nx, bs) * blocksAlong(ny, bs) * blocksAlong(nz, bs)
 	modes := unpackBits(modesPacked, nBlocks)
-	coefCodes, err := huffman.DecodeWorkers(coefChunk, workers)
+	coefCodes, err := huffman.Decode(coefChunk)
 	if err != nil {
 		return nil, err
 	}
-	codes, err := huffman.DecodeWorkers(codeChunk, workers)
+	codes, err := huffman.Decode(codeChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -336,31 +319,6 @@ func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
 		return nil, fmt.Errorf("sz2: %w", err)
 	}
 	return g, nil
-}
-
-// BlockSizeOf returns the block size recorded in a compressed stream, needed
-// by the post-processor to locate block boundaries.
-func BlockSizeOf(data []byte) (int, error) {
-	inflated, err := flatepool.Inflate(data)
-	if err != nil {
-		return 0, fmt.Errorf("sz2: inflate: %w", err)
-	}
-	defer inflated.Release()
-	hdr := inflated.Bytes()
-	if len(hdr) < 5 || string(hdr[:4]) != magic {
-		return 0, errors.New("sz2: bad magic")
-	}
-	if hdr[4] != 0 {
-		return int(hdr[4]), nil
-	}
-	bs, vn := binary.Uvarint(hdr[5:]) // escaped: block size > 255
-	if vn <= 0 {
-		return 0, errors.New("sz2: truncated header")
-	}
-	if bs <= 0xFF || bs > math.MaxInt32 { // escape only legal for 256..MaxInt32
-		return 0, errors.New("sz2: invalid block size")
-	}
-	return int(bs), nil
 }
 
 // lorenzo computes the 3D Lorenzo prediction from reconstructed neighbors;

@@ -42,6 +42,22 @@ func TestRoundTripWithinBound(t *testing.T) {
 	}
 }
 
+// wireBlockSize reads the block size a stream's header records.
+func wireBlockSize(t *testing.T, data []byte) int {
+	t.Helper()
+	in, err := flatepool.Inflate(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Release()
+	hdr := in.Bytes()
+	if hdr[4] != 0 {
+		return int(hdr[4])
+	}
+	bs, _ := binary.Uvarint(hdr[5:]) // escaped: block size > 255
+	return int(bs)
+}
+
 func TestBlockSizeAbove255(t *testing.T) {
 	// Block sizes > 255 use the escaped header encoding (the old writer
 	// silently truncated them to their low byte).
@@ -52,12 +68,8 @@ func TestBlockSizeAbove255(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bs=%d: %v", want, err)
 		}
-		bs, err := BlockSizeOf(data)
-		if err != nil {
-			t.Fatalf("bs=%d: %v", want, err)
-		}
-		if bs != want {
-			t.Fatalf("BlockSizeOf = %d, want %d", bs, want)
+		if bs := wireBlockSize(t, data); bs != want {
+			t.Fatalf("wire block size = %d, want %d", bs, want)
 		}
 		g, err := Decompress(data)
 		if err != nil {
@@ -76,12 +88,8 @@ func TestBlockSize4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := BlockSizeOf(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs != 4 {
-		t.Fatalf("BlockSizeOf = %d, want 4", bs)
+	if bs := wireBlockSize(t, data); bs != 4 {
+		t.Fatalf("wire block size = %d, want 4", bs)
 	}
 	g, err := Decompress(data)
 	if err != nil {

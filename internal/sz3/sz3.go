@@ -62,13 +62,6 @@ type Options struct {
 	//   eb_l = eb / min(α^(maxLevel−l), β).
 	// If nil, EB is used at every level.
 	LevelEB func(level, maxLevel int) float64
-	// EntropyLanes selects the entropy stage's lane count: 0 or 1 keep the
-	// single-lane huffman format (the default, byte-identical to earlier
-	// versions), negative selects automatically from the stream size, and
-	// an explicit power of two (≤ huffman.MaxLanes) writes that many
-	// interleaved lanes, decodable in parallel. Streams of every lane count
-	// decode through the same Decompress.
-	EntropyLanes int
 }
 
 // AdaptiveLevelEB returns a LevelEB implementing the paper's SZ3MR rule with
@@ -142,15 +135,12 @@ func buildEBTable(f *field.Field, opt Options) ([]float64, int, error) {
 
 // Compress encodes the field under opt and returns the compressed bytes.
 func Compress(f *field.Field, opt Options) ([]byte, error) {
-	if !huffman.ValidLanes(opt.EntropyLanes) {
-		return nil, fmt.Errorf("sz3: invalid entropy lane count %d", opt.EntropyLanes)
-	}
 	ebTable, maxLevel, err := buildEBTable(f, opt)
 	if err != nil {
 		return nil, err
 	}
 	codes, outliers := encodeCore(f, opt.Interp, ebTable, maxLevel)
-	return pack(f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.EncodeInterleaved(codes, opt.EntropyLanes), outliers)
+	return pack(f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
 }
 
 // pack serializes a stream: header | eb table | huffman codes | outliers,
@@ -185,13 +175,7 @@ func pack(nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outl
 }
 
 // Decompress decodes a buffer produced by Compress.
-func Decompress(data []byte) (*field.Field, error) { return DecompressWorkers(data, 1) }
-
-// DecompressWorkers is Decompress with a goroutine bound for the entropy
-// stage: an interleaved code stream decodes its lanes on up to workers
-// goroutines (≤ 0 means the runtime default). Single-lane streams and
-// workers == 1 decode fully serially. The result is identical either way.
-func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
+func Decompress(data []byte) (*field.Field, error) {
 	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz3: inflate: %w", err)
@@ -255,7 +239,7 @@ func DecompressWorkers(data []byte, workers int) (*field.Field, error) {
 	if uint64(len(buf)) < hlen {
 		return nil, errors.New("sz3: truncated code stream")
 	}
-	codes, err := huffman.DecodeWorkers(buf[:hlen], workers)
+	codes, err := huffman.Decode(buf[:hlen])
 	if err != nil {
 		return nil, err
 	}

@@ -159,13 +159,6 @@ type Options struct {
 	// backend streams concurrently (0 = runtime.GOMAXPROCS(0), 1 = serial).
 	// The compressed container is byte-identical for every value.
 	Workers int
-	// EntropyLanes selects the entropy stage's interleaved lane count for
-	// the huffman-based backends: 0 or 1 write the legacy single-lane
-	// format (the default), EntropyLanesAuto picks from each stream's
-	// size, and an explicit power of two (≤ 64) writes that many lanes per
-	// code stream, decodable in parallel under Workers. See
-	// ParseEntropyLanes for the flag/query syntax.
-	EntropyLanes int
 	// LevelCodecs overrides the codec per resolution level (key = level,
 	// 0 = finest); levels not named use Compressor. Typical use: coarse
 	// levels lossless ("flate"), fine levels error-bounded — see
@@ -175,7 +168,7 @@ type Options struct {
 }
 
 func (o Options) coreOptions(eb float64) (core.Options, error) {
-	co := core.Options{EB: eb, Alpha: o.Alpha, Beta: o.Beta, Workers: o.Workers, EntropyLanes: o.EntropyLanes}
+	co := core.Options{EB: eb, Alpha: o.Alpha, Beta: o.Beta, Workers: o.Workers}
 	c, err := lookupCodec(o.Compressor)
 	if err != nil {
 		return co, err
