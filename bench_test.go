@@ -339,15 +339,9 @@ func BenchmarkROIConvert(b *testing.B) {
 // --- serving benchmarks -------------------------------------------------------
 //
 // These measure the random-access path behind mrserve: ReadLevel through the
-// v3 container index versus decoding everything. The committed
-// BENCH_serve.json records the trajectory; regenerate with
-// `mrbench -exp serve -size 128 -json FILE`.
-
-func BenchmarkServeExperiment(b *testing.B) { benchExperiment(b, "serve") }
-
-// The integrity experiment prices per-stream CRC verification on the read
-// path; the committed BENCH_integrity.json records the trajectory.
-func BenchmarkIntegrityExperiment(b *testing.B) { benchExperiment(b, "integrity") }
+// v3 container index, uncached and cached. The served end-to-end numbers
+// (coarse_ms, fine_ms, slice_ms) come from the serve workloads of
+// bench/run.sh.
 
 func benchServeContainer(b *testing.B) (string, int) {
 	b.Helper()

@@ -7,7 +7,9 @@
 //	mrbench -exp all
 //
 // Each experiment prints tab-separated rows matching the corresponding
-// table/figure of the paper; -list is the index.
+// table/figure of the paper; -list is the index. System throughput and
+// latency (codecs, container reads, serving) are measured by bench/run.sh,
+// not here.
 package main
 
 import (
@@ -15,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/benchfmt"
 	"repro/internal/experiments"
 )
 
@@ -27,8 +28,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "synthetic-data seed")
 		out     = flag.String("out", "", "directory for rendered PNG artifacts (optional)")
 		workers = flag.Int("workers", 0, "concurrent compression workers (0 = all cores, 1 = serial)")
-		storeBE = flag.String("store", "", "storage backend for serving experiments: file (default), mem, or http (in-process range-request origin)")
-		jsonOut = flag.String("json", "", "write machine-readable results to this file (see -list for experiments supporting it)")
 	)
 	flag.Parse()
 
@@ -48,33 +47,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	cfg := experiments.Config{Size: *size, Seed: *seed, OutDir: *out, Workers: *workers, Store: *storeBE}
-
-	if *jsonOut != "" {
-		je, ok := experiments.JSONByID(*exp)
-		if !ok {
-			fatal(fmt.Errorf("-json is supported with -exp %v (got %q)", experiments.JSONIDs(), *exp))
-		}
-		// Create the output file up front so a bad path fails before the
-		// multi-second benchmark run, not after.
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := je.Run(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		je.WriteTSV(os.Stdout, rep)
-		if err := benchfmt.Write(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "mrbench: wrote %s\n", *jsonOut)
-		return
-	}
+	cfg := experiments.Config{Size: *size, Seed: *seed, OutDir: *out, Workers: *workers}
 
 	if *exp == "all" {
 		for _, e := range experiments.All() {

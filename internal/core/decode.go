@@ -198,7 +198,7 @@ func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, e
 	}
 	workers = streamWorkers(workers)
 	opt := OptionsFromIndex(ix.Opts)
-	ctx := context.TODO() // Decompress takes no context (ROADMAP 5b)
+	ctx := context.TODO() // Decompress takes no context (ROADMAP 4b)
 
 	// Streams decode (and post-process) concurrently on a bounded pool,
 	// mirroring the parallel write side, in waves of `workers` streams in

@@ -7,6 +7,10 @@
 // data, smaller domains), but each experiment preserves the comparison
 // structure: the same methods, sweeps, and reported quantities, so the
 // paper's claims (who wins, in which regime) can be checked directly.
+//
+// Only the paper's evaluation lives here. Throughput, latency and memory of
+// the system around the workflow (codecs, container reads, serving) are
+// measured by the gated harness in bench/ (bash bench/run.sh).
 package experiments
 
 import (
@@ -15,7 +19,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/benchfmt"
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -43,11 +46,6 @@ type Config struct {
 	// (each slab loses cross-slab prediction context, the paper's OpenMP
 	// ratio-loss effect).
 	Workers int
-	// Store selects the storage backend for experiments that serve
-	// containers (currently traffic): "file" (default), "mem", or "http"
-	// (an in-process range-request origin). Read-only backends redirect
-	// the workload's ingest share to level reads.
-	Store string
 }
 
 func (c Config) withDefaults() Config {
@@ -72,38 +70,6 @@ var registry []Experiment
 
 func register(id, title string, run func(io.Writer, Config) error) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
-}
-
-// JSONExperiment is an experiment that can also emit a machine-readable
-// benchfmt.Report (consumed by `mrbench -json` and the committed
-// BENCH_*.json trajectories).
-type JSONExperiment struct {
-	// Run produces the report.
-	Run func(Config) (*benchfmt.Report, error)
-	// WriteTSV prints the report in the package's usual row style.
-	WriteTSV func(io.Writer, *benchfmt.Report)
-}
-
-var jsonRegistry = map[string]JSONExperiment{}
-
-func registerJSON(id string, run func(Config) (*benchfmt.Report, error), tsv func(io.Writer, *benchfmt.Report)) {
-	jsonRegistry[id] = JSONExperiment{Run: run, WriteTSV: tsv}
-}
-
-// JSONByID finds an experiment's machine-readable runner.
-func JSONByID(id string) (JSONExperiment, bool) {
-	e, ok := jsonRegistry[id]
-	return e, ok
-}
-
-// JSONIDs lists the experiments supporting -json output, sorted.
-func JSONIDs() []string {
-	ids := make([]string, 0, len(jsonRegistry))
-	for id := range jsonRegistry {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // All returns every registered experiment sorted by ID.

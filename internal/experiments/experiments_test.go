@@ -17,15 +17,16 @@ func TestRegistryComplete(t *testing.T) {
 		"abl-padkind", "abl-padthreshold", "abl-alphabeta", "abl-interp",
 		"abl-sampling", "abl-arrange", "abl-curve",
 		"ext-halo", "ext-volren",
-		"serve", "write",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Fatalf("registry has %d experiments, want at least %d", len(All()), len(want))
+	// Nothing but the paper's evaluation is registered: system benchmarks
+	// belong to bench/.
+	if len(All()) != len(want) {
+		t.Fatalf("registry has %d experiments, want exactly %d", len(All()), len(want))
 	}
 }
 
@@ -99,7 +100,7 @@ func isInf(f float64) bool { return f > 1e308 }
 
 // TestExperimentsDeterministic verifies that an experiment produces
 // byte-identical output for the same configuration — required for the
-// paper-vs-measured records in EXPERIMENTS.md to be reproducible.
+// paper-vs-measured rows mrbench prints to be reproducible.
 func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow; skipped in -short")

@@ -63,8 +63,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, the unit the
-// /metrics formatter and quantile estimation work from (so neither runs
-// against moving counters).
+// /metrics formatter works from (so it never runs against moving counters).
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds in seconds (exclusive of +Inf).
 	Bounds []float64
@@ -92,49 +91,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) in seconds by linear
-// interpolation inside the bucket holding the target rank — the standard
-// fixed-bucket estimator, accurate to the width of that bucket. Ranks that
-// land in the +Inf bucket return the largest finite bound (a lower bound on
-// the truth). An empty snapshot returns 0.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := int64(0)
-	for i, c := range s.Counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: no finite upper edge to interpolate toward.
-			if len(s.Bounds) == 0 {
-				return 0
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }
 
 // WriteProm writes the snapshot in the Prometheus text exposition format:

@@ -56,9 +56,8 @@ func TestReadRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-// TestVerifyDisabledSkipsChecksum proves WithVerify(false) is the escape
-// hatch the integrity benchmark measures against: same container, no CRC
-// pass, identical data.
+// TestVerifyDisabledSkipsChecksum proves WithVerify(false) only skips the
+// CRC pass: same container, identical data.
 func TestVerifyDisabledSkipsChecksum(t *testing.T) {
 	h := testHierarchy(t, 32, 5)
 	eb := h.Levels[0].Data.ValueRange() * 1e-3

@@ -5,8 +5,8 @@
 // plane — per-request traces (X-Request-Id, GET /debug/traces), per-endpoint
 // and per-stage latency histograms on GET /metrics, and structured
 // access/slow logs.
-// cmd/mrserve is a thin flag wrapper around New + Handler; the traffic
-// benchmark (mrbench -exp traffic) drives the same Server in-process.
+// cmd/mrserve is a thin flag wrapper around New + Handler; the serve
+// workloads of the bench/ harness drive the same Server over HTTP.
 //
 // Containers come from a pluggable storage backend (internal/store): a
 // local directory, an in-memory object set, or a remote HTTP origin read
@@ -92,7 +92,7 @@ type Server struct {
 const DefaultQuarantineTTL = time.Minute
 
 // Config configures a Server (the flag surface of cmd/mrserve, importable
-// so tests and the traffic benchmark can run the real serving path
+// so tests and the bench/ serve workloads can run the real serving path
 // in-process).
 type Config struct {
 	// Store is the storage backend holding the .mrw containers. When nil,
@@ -249,11 +249,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Collector exposes the server's observability collector: the trace ring
-// and per-stage histograms (the debug listener mounts its /debug/traces
-// from it, the traffic benchmark reads its stage latencies).
-func (s *Server) Collector() *obs.Collector { return s.obs }
-
 // TracesHandler serves the recent-trace ring as JSON, newest first
 // (?n=limit). Mounted at GET /debug/traces on both the serving mux and the
 // opt-in debug listener.
@@ -267,16 +262,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, map[string]any{"traces": s.obs.Traces(n)})
-}
-
-// EndpointHistograms snapshots the per-endpoint request-latency histograms
-// (the traffic benchmark's quantile source).
-func (s *Server) EndpointHistograms() map[string]obs.HistogramSnapshot {
-	out := make(map[string]obs.HistogramSnapshot, len(endpoints))
-	for _, e := range endpoints {
-		out[e] = s.metrics.latency[e].Snapshot()
-	}
-	return out
 }
 
 // Close releases every open reader (test teardown / shutdown).
@@ -1120,19 +1105,20 @@ type metricsSnapshot struct {
 // server mutex covers only the open-reader walk.
 func (s *Server) snapshotMetrics() metricsSnapshot {
 	snap := metricsSnapshot{
-		requests:   make(map[string]int64, len(endpoints)),
-		errors:     make(map[string]int64, len(endpoints)),
-		degraded:   make(map[string]int64, len(endpoints)),
-		latencySec: make(map[string]float64, len(endpoints)),
-		perField:   make(map[string]reader.Stats),
+		requests:    make(map[string]int64, len(endpoints)),
+		errors:      make(map[string]int64, len(endpoints)),
+		degraded:    make(map[string]int64, len(endpoints)),
+		latencySec:  make(map[string]float64, len(endpoints)),
+		latencyHist: make(map[string]obs.HistogramSnapshot, len(endpoints)),
+		perField:    make(map[string]reader.Stats),
 	}
 	for _, e := range endpoints {
 		snap.requests[e] = s.metrics.requests[e].Load()
 		snap.errors[e] = s.metrics.errors[e].Load()
 		snap.degraded[e] = s.metrics.degraded[e].Load()
 		snap.latencySec[e] = float64(s.metrics.latencyNs[e].Load()) / 1e9
+		snap.latencyHist[e] = s.metrics.latency[e].Snapshot()
 	}
-	snap.latencyHist = s.EndpointHistograms()
 	snap.stages = s.obs.StageSnapshots()
 	snap.cache = s.cache.Stats()
 	snap.disk, snap.diskOK = s.cache.DiskStats()

@@ -13,7 +13,7 @@ import (
 )
 
 // Mem is the in-memory backend: objects are byte slices under a mutex. It
-// exists for tests and the traffic harness — a full serving stack with no
+// exists for tests and mem:// URLs — a full serving stack with no
 // filesystem underneath — and as the reference implementation of the
 // interface's atomicity contract (Install swaps a complete object in one
 // critical section).

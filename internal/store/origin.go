@@ -14,8 +14,8 @@ import (
 // (size + mtime) for revalidation, 404 for anything else. Keys are flat
 // (no subdirectories), mirroring FS. It exists so a plain directory of
 // containers can be published to remote readers without running a full
-// object store: mrserve's -raw-origin flag, the traffic harness's http
-// backend, and the store conformance tests all mount it.
+// object store: mrserve's -raw-origin flag and the store conformance tests
+// both mount it.
 func OriginHandler(dir string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := strings.TrimPrefix(r.URL.Path, "/")

@@ -3,7 +3,7 @@
 // opened via os.Open — the random-access reader, the mrserve serving tier,
 // ingest's atomic install, mrcompress — goes through the Store interface
 // instead, so the same serving stack runs unchanged over a local directory,
-// an in-memory object set (tests, the traffic harness), or a remote HTTP
+// an in-memory object set (tests, mem:// URLs), or a remote HTTP
 // origin fetched with range requests.
 //
 // A Store names objects by flat keys ("nyx.mrw"): no path separators, no

@@ -102,7 +102,7 @@ func MaxLevelFor(nx, ny, nz int) int {
 // Codes runs the prediction + quantization stage only and returns the raw
 // quantization-code stream that Compress would entropy-code. It exists so the
 // entropy stage can be benchmarked on realistic code distributions (see
-// BenchmarkHuffmanDecode and `mrbench -exp entropy`).
+// BenchmarkHuffmanDecode and the huffman.* rows of bench/run.sh).
 func Codes(f *field.Field, opt Options) ([]int32, error) {
 	ebTable, maxLevel, err := buildEBTable(f, opt)
 	if err != nil {

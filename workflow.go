@@ -235,7 +235,6 @@ type Timing struct {
 	SampleModel time.Duration // post-processing sampling + intensity fit
 	Compress    time.Duration // backend compression + container encode
 	Decompress  time.Duration // decode (includes post-processing if on)
-	PostProcess time.Duration // post-processing share of decode
 }
 
 // CompressUniform converts a uniform field to adaptive multi-resolution data
@@ -247,19 +246,11 @@ func CompressUniform(f *Field, opt Options) (*Result, error) {
 		return nil, err
 	}
 	troi := time.Since(t0)
-	res, err := CompressAMR(h, opt)
+	res, err := compressAMR(h, f, opt)
 	if err != nil {
 		return nil, err
 	}
 	res.Timing.ROI = troi
-	// Quality against the original uniform data.
-	res.PSNR = metrics.PSNR(f, res.Recon)
-	res.SSIM = metrics.SSIMCentral(f, res.Recon)
-	if opt.Uncertainty {
-		if err := res.analyzeUncertainty(opt); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -286,6 +277,14 @@ func (o Options) resolveEB(h *Hierarchy) (float64, error) {
 
 // CompressAMR runs the workflow on existing multi-resolution data.
 func CompressAMR(h *Hierarchy, opt Options) (*Result, error) {
+	return compressAMR(h, nil, opt)
+}
+
+// compressAMR is the workflow after ROI extraction: each stage — compress,
+// decode (post-processed when asked), flatten, quality, uncertainty — runs
+// once. ref is the field quality is measured against: the uniform input, or
+// nil for the flattened input hierarchy.
+func compressAMR(h *Hierarchy, ref *Field, opt Options) (*Result, error) {
 	eb, err := opt.resolveEB(h)
 	if err != nil {
 		return nil, err
@@ -323,50 +322,38 @@ func CompressAMR(h *Hierarchy, opt Options) (*Result, error) {
 
 	t0 = time.Now()
 	if opt.PostProcess {
-		tp := time.Now()
-		plain, err := core.DecompressWorkers(c.Blob, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
-		_ = plain
-		basis := time.Since(tp)
 		res.Hierarchy, err = core.DecompressProcessedWorkers(c.Blob, res.Intensities, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
-		res.Timing.PostProcess = time.Since(tp) - basis // incremental cost
 	} else {
 		res.Hierarchy, err = core.DecompressWorkers(c.Blob, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Timing.Decompress = time.Since(t0)
 
 	res.Recon = res.Hierarchy.Flatten()
-	ref := h.Flatten()
+	if ref == nil {
+		ref = h.Flatten()
+	}
 	res.PSNR = metrics.PSNR(ref, res.Recon)
 	res.SSIM = metrics.SSIMCentral(ref, res.Recon)
 	if opt.Uncertainty {
-		if err := res.analyzeUncertainty(opt); err != nil {
+		if err := res.analyzeUncertainty(eb, opt.IsoValue); err != nil {
 			return nil, err
 		}
 	}
 	return &res, nil
 }
 
-// analyzeUncertainty estimates the error model from the reconstruction and
-// computes cell-crossing probabilities on the flattened reconstruction.
-func (r *Result) analyzeUncertainty(opt Options) error {
-	eb := opt.EB
-	if eb == 0 {
-		eb = opt.RelEB * r.Recon.ValueRange()
-	}
+// analyzeUncertainty models the compression error from eb, the bound the
+// container was compressed at, and computes cell-crossing probabilities of
+// isovalue on the flattened reconstruction.
+func (r *Result) analyzeUncertainty(eb, isovalue float64) error {
 	// Error std-dev heuristic when no sample set is available: a normal fit
 	// to a uniform error over ±eb (σ = eb/√3) bounds the truth; refined
 	// models come from postproc samples via the uncertainty package.
 	r.Model = ErrorModel{StdDev: eb / 1.732}
-	p, err := uncertainty.CrossProbabilities(r.Recon, opt.IsoValue, r.Model)
+	p, err := uncertainty.CrossProbabilities(r.Recon, isovalue, r.Model)
 	if err != nil {
 		return err
 	}
