@@ -4,15 +4,14 @@
 // decoded bricks shared in one byte-budgeted LRU cache.
 //
 //	mrserve -dir /data/fields -addr :8080 [-cache-mb 256] [-cache-shards 16]
-//	mrserve -store http://origin/fields/ -revalidate-every 30s \
-//	        -disk-cache-dir /var/cache/mrserve -disk-cache-mb 2048
+//	mrserve -store http://origin/fields/ -revalidate-every 30s
 //
 // Containers come from a pluggable storage backend: -dir (or -store
 // file://…) serves a local directory, -store http://… reads a remote origin
 // with range requests (ingest and listing answer 501 there), and -store
-// mem:// starts empty and is populated by PUT ingest. -disk-cache-dir adds
-// a disk spill tier under the in-memory brick cache, so bricks evicted from
-// RAM reload from local files instead of re-fetching and re-decoding.
+// mem:// starts empty and is populated by PUT ingest. The brick cache lives
+// in memory only: a brick it evicts is re-read and re-decoded from its
+// container, which is cheaper than reloading a decoded copy from disk.
 //
 // Endpoints:
 //
@@ -91,8 +90,6 @@ func main() {
 		dir         = flag.String("dir", ".", "directory of .mrw containers to serve")
 		storeURL    = flag.String("store", "", "storage backend URL (file:///dir, http://origin/prefix/, mem://); overrides -dir")
 		reval       = flag.Duration("revalidate-every", 0, "trust an open container this long between identity probes (0 = probe every lookup; recommended > 0 for http stores)")
-		diskDir     = flag.String("disk-cache-dir", "", "directory for the brick cache's disk spill tier (empty disables)")
-		diskMB      = flag.Int64("disk-cache-mb", 1024, "disk spill tier budget in MiB")
 		rawOrigin   = flag.String("raw-origin", "", `also serve a directory of raw container files over HTTP as "ADDR=DIR" (a range-capable origin with strong ETags, for -store http:// setups and smoke tests)`)
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheMB     = flag.Int64("cache-mb", 256, "brick cache budget in MiB (0 disables caching)")
@@ -123,8 +120,6 @@ func main() {
 	cfg := serve.Config{
 		Dir:             *dir,
 		RevalidateEvery: *reval,
-		DiskCacheDir:    *diskDir,
-		DiskCacheBytes:  *diskMB << 20,
 		CacheBytes:      *cacheMB << 20,
 		MaxIngestBytes:  *maxIngestMB << 20,
 		CacheShards:     *shards,

@@ -17,6 +17,12 @@
 // invalidation API. Callers whose values can go stale put the version of
 // what they cached into the key (internal/reader does, for container
 // bricks), so a superseded entry is never looked up again and ages out.
+//
+// Memory is the only tier. An evicted brick is re-decoded from its
+// container on the next access: a container is tens of times smaller than
+// the levels it decodes to, and re-decoding a 128³ fine level from a local
+// file measured about 3× faster than reading back and deserializing a
+// 16.8 MB copy of it written to disk.
 package cache
 
 import (
@@ -57,12 +63,6 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-
-	// Optional disk tier (SetDiskTier): values evicted from the memory LRU
-	// are spilled through encode; GetTier reloads them through decode.
-	disk   *DiskTier
-	encode func(val any) ([]byte, bool)
-	decode func(payload []byte) (val any, size int64, ok bool)
 }
 
 type shard struct {
@@ -115,63 +115,6 @@ func (c *Cache) shardIndex(key string) int {
 	return int(fnv1a(key) % uint32(len(c.shards)))
 }
 
-// SetDiskTier attaches a disk spill tier: values displaced from the memory
-// LRU by the byte budget are serialized through encode (which may decline a
-// value by returning false) into t, and GetTier transparently reloads and
-// re-promotes them through decode (which returns the value and the size to
-// account it at in the memory tier). Must be called before the cache is
-// shared between goroutines. No-op on a nil or disabled cache.
-func (c *Cache) SetDiskTier(t *DiskTier, encode func(any) ([]byte, bool), decode func([]byte) (any, int64, bool)) {
-	if c == nil || c.budget <= 0 || t == nil {
-		return
-	}
-	c.disk, c.encode, c.decode = t, encode, decode
-}
-
-// Tier reports where GetTier found a value.
-type Tier int
-
-const (
-	// TierNone: not cached anywhere.
-	TierNone Tier = iota
-	// TierMem: served from the in-memory LRU.
-	TierMem
-	// TierDisk: reloaded from the disk spill tier (and re-promoted to
-	// memory).
-	TierDisk
-)
-
-// GetTier is Get extended over the disk tier: a memory miss falls through
-// to the spill files, and a disk hit is decoded, promoted back into the
-// memory LRU, and returned with TierDisk so callers can attribute it.
-func (c *Cache) GetTier(key string) (any, Tier, bool) {
-	if val, ok := c.Get(key); ok {
-		return val, TierMem, true
-	}
-	if c == nil || c.disk == nil || c.decode == nil {
-		return nil, TierNone, false
-	}
-	payload, ok := c.disk.get(key)
-	if !ok {
-		return nil, TierNone, false
-	}
-	val, size, ok := c.decode(payload)
-	if !ok {
-		return nil, TierNone, false
-	}
-	c.Put(key, val, size)
-	return val, TierDisk, true
-}
-
-// DiskStats snapshots the disk tier's counters; ok is false when no tier is
-// attached.
-func (c *Cache) DiskStats() (DiskStats, bool) {
-	if c == nil || c.disk == nil {
-		return DiskStats{}, false
-	}
-	return c.disk.Stats(), true
-}
-
 // Get returns the cached value for key and marks it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
 	if c == nil || c.budget <= 0 {
@@ -210,9 +153,6 @@ func (c *Cache) Put(key string, val any, size int64) {
 	}
 	si := c.shardIndex(key)
 	s := &c.shards[si]
-	// Budget victims are collected under the locks but spilled to the disk
-	// tier only after every unlock (spilling is file IO).
-	var victims []*entry
 	s.mu.Lock()
 	if el, ok := s.items[key]; ok {
 		e := el.Value.(*entry)
@@ -232,7 +172,7 @@ func (c *Cache) Put(key string, val any, size int64) {
 	// they must not displace each other while there is room elsewhere. An
 	// oversize entry may push out every ordinary co-resident; the shard then
 	// legitimately sits above its slice.
-	evicted := c.evictLocked(s, key, func() bool { return s.bytes > s.budget && c.bytes.Load() > c.budget }, &victims)
+	evicted := c.evictLocked(s, key, func() bool { return s.bytes > s.budget && c.bytes.Load() > c.budget })
 	s.mu.Unlock()
 	// Global sweep: when the insert (typically an oversize one) pushed the
 	// whole cache over budget, reclaim from the other shards, one lock at a
@@ -242,7 +182,7 @@ func (c *Cache) Put(key string, val any, size int64) {
 		for i := 1; i < len(c.shards) && c.bytes.Load() > c.budget; i++ {
 			o := &c.shards[(si+i)%len(c.shards)]
 			o.mu.Lock()
-			freed += c.evictLocked(o, key, func() bool { return o.bytes > 0 && c.bytes.Load() > c.budget }, &victims)
+			freed += c.evictLocked(o, key, func() bool { return o.bytes > 0 && c.bytes.Load() > c.budget })
 			o.mu.Unlock()
 		}
 		evicted += freed
@@ -250,7 +190,7 @@ func (c *Cache) Put(key string, val any, size int64) {
 			// Nothing left to reclaim elsewhere; drain this shard (except
 			// the entry just inserted, which fits the global budget alone).
 			s.mu.Lock()
-			evicted += c.evictLocked(s, key, func() bool { return c.bytes.Load() > c.budget }, &victims)
+			evicted += c.evictLocked(s, key, func() bool { return c.bytes.Load() > c.budget })
 			s.mu.Unlock()
 			break
 		}
@@ -258,26 +198,11 @@ func (c *Cache) Put(key string, val any, size int64) {
 	if evicted > 0 {
 		c.evictions.Add(int64(evicted))
 	}
-	c.spill(victims)
-}
-
-// spill writes budget victims to the disk tier, if one is attached. Called
-// with no locks held.
-func (c *Cache) spill(victims []*entry) {
-	if c.disk == nil || c.encode == nil {
-		return
-	}
-	for _, e := range victims {
-		if payload, ok := c.encode(e.val); ok {
-			c.disk.put(e.key, payload)
-		}
-	}
 }
 
 // evictLocked removes s's LRU entries while cond holds, never evicting
-// keep, appending the displaced entries to *victims for a later disk-tier
-// spill. The shard lock must be held. Returns the eviction count.
-func (c *Cache) evictLocked(s *shard, keep string, cond func() bool, victims *[]*entry) int {
+// keep. The shard lock must be held. Returns the eviction count.
+func (c *Cache) evictLocked(s *shard, keep string, cond func() bool) int {
 	evicted := 0
 	for cond() {
 		back := s.lru.Back()
@@ -292,7 +217,6 @@ func (c *Cache) evictLocked(s *shard, keep string, cond func() bool, victims *[]
 		delete(s.items, e.key)
 		s.bytes -= e.size
 		c.bytes.Add(-e.size)
-		*victims = append(*victims, e)
 		evicted++
 	}
 	return evicted

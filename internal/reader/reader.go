@@ -102,9 +102,6 @@ type Stats struct {
 	// CoalescedWaits counts brick requests that joined an in-flight decode
 	// of the same brick instead of starting their own (singleflight).
 	CoalescedWaits int64
-	// DiskTierHits counts cache hits served by reloading a spilled brick
-	// from the cache's disk tier (a subset of CacheHits).
-	DiskTierHits int64
 }
 
 // Option configures a Reader.
@@ -123,13 +120,6 @@ func WithCache(c *cache.Cache) Option {
 // otherwise.
 func WithCacheKey(id string) Option {
 	return func(r *Reader) { r.id = id }
-}
-
-// WithVerify controls per-stream CRC verification before decode. The
-// default is on; verification is silently unavailable when the container's
-// footer predates stream checksums (see CanVerify).
-func WithVerify(v bool) Option {
-	return func(r *Reader) { r.verify = v }
 }
 
 // WithRetryPolicy overrides the bounded retry-with-backoff applied to every
@@ -160,7 +150,6 @@ type Reader struct {
 	id          string
 	version     string
 	fellBack    bool
-	verify      bool
 	retryPolicy faultio.RetryPolicy
 	srcWrap     func(io.ReaderAt) io.ReaderAt
 
@@ -175,7 +164,6 @@ type Reader struct {
 	retries        atomic.Int64
 	corruptStreams atomic.Int64
 	coalescedWaits atomic.Int64
-	diskTierHits   atomic.Int64
 }
 
 // Open opens a container accessed through src with the given total size.
@@ -190,7 +178,7 @@ func Open(src io.ReaderAt, size int64, opts ...Option) (*Reader, error) {
 // fallback scan — appears as a span on it, so a request that pays a cold
 // open shows exactly where the time went.
 func OpenCtx(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (*Reader, error) {
-	r := &Reader{size: size, verify: true, retryPolicy: faultio.DefaultRetryPolicy}
+	r := &Reader{size: size, retryPolicy: faultio.DefaultRetryPolicy}
 	for _, o := range opts {
 		o(r)
 	}
@@ -273,12 +261,6 @@ type FileReader struct {
 // Close releases the underlying file.
 func (fr *FileReader) Close() error { return fr.f.Close() }
 
-// Stat fstats the open file — the inode this reader actually serves, not
-// whatever currently sits at its path. Callers revalidate a cached reader
-// by comparing this against a fresh os.Stat of the path: a mismatch means
-// the container was replaced underneath and the reader is stale.
-func (fr *FileReader) Stat() (os.FileInfo, error) { return fr.f.Stat() }
-
 // OpenFile opens a container file for random access.
 func OpenFile(path string, opts ...Option) (*FileReader, error) {
 	f, err := os.Open(path)
@@ -328,8 +310,8 @@ func (r *Reader) Version() string { return r.version }
 // <namespace>@<version>/L<level>[/B<box>], box < 0 for a merged level. The
 // version in the key is what keeps a replaced container coherent without any
 // invalidation: a brick decoded by a reader of the old bytes — however late
-// it lands in the cache — is unreachable from a reader of the new bytes, in
-// the memory tier and the disk spill tier alike, and ages out by LRU.
+// it lands in the cache — is unreachable from a reader of the new bytes and
+// ages out by LRU.
 func (r *Reader) brickKey(level, box int) string {
 	if box < 0 {
 		return r.id + "@" + r.version + "/L" + strconv.Itoa(level)
@@ -353,23 +335,17 @@ func (r *Reader) Stats() Stats {
 		Retries:        r.retries.Load(),
 		CorruptStreams: r.corruptStreams.Load(),
 		CoalescedWaits: r.coalescedWaits.Load(),
-		DiskTierHits:   r.diskTierHits.Load(),
 	}
 }
 
-// cached wraps the brick cache with reader-local hit/miss accounting. The
-// probe lands on the request trace as a cache_hit, disk_tier_hit (reloaded
-// from the cache's spill tier), or cache_miss leaf span.
+// cachedField wraps the brick cache with reader-local hit/miss accounting.
+// The probe lands on the request trace as a cache_hit or cache_miss leaf
+// span.
 func (r *Reader) cachedField(ctx context.Context, key string) (*field.Field, bool) {
 	start := time.Now()
-	if v, tier, ok := r.cache.GetTier(key); ok {
+	if v, ok := r.cache.Get(key); ok {
 		r.cacheHits.Add(1)
-		if tier == cache.TierDisk {
-			r.diskTierHits.Add(1)
-			obs.Record(ctx, "disk_tier_hit", start, "key", key)
-		} else {
-			obs.Record(ctx, "cache_hit", start, "key", key)
-		}
+		obs.Record(ctx, "cache_hit", start, "key", key)
 		return v.(*field.Field), true
 	}
 	r.cacheMisses.Add(1)
@@ -389,7 +365,7 @@ func (r *Reader) brickOnce(ctx context.Context, key string, fetch func() (*field
 	}
 	start := time.Now()
 	v, shared, err := r.flight.Do(key, func() (any, error) {
-		if v, _, ok := r.cache.GetTier(key); ok {
+		if v, ok := r.cache.Get(key); ok {
 			return v.(*field.Field), nil
 		}
 		return fetch()
@@ -408,7 +384,7 @@ func (r *Reader) brickOnce(ctx context.Context, key string, fetch func() (*field
 // The positioned read (with its retries) is the "stream_read" stage; the
 // checksum, codec and size/shape checks are core.DecodeIndexed's, so a
 // damaged stream is rejected with a typed Corrupt error — before any codec
-// sees it when the index carries checksums and WithVerify is on.
+// sees it whenever the index carries checksums (see CanVerify).
 func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -428,7 +404,7 @@ func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) 
 		return nil, fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err)
 	}
 	r.bytesRead.Add(s.Len)
-	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, r.verify)
+	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, true)
 	if err != nil {
 		r.corruptStreams.Add(1)
 		return nil, err

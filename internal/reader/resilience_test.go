@@ -56,29 +56,6 @@ func TestReadRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-// TestVerifyDisabledSkipsChecksum proves WithVerify(false) only skips the
-// CRC pass: same container, identical data.
-func TestVerifyDisabledSkipsChecksum(t *testing.T) {
-	h := testHierarchy(t, 32, 5)
-	eb := h.Levels[0].Data.ValueRange() * 1e-3
-	blob := compress(t, h, core.Options{EB: eb})
-	checked := open(t, blob)
-	unchecked := open(t, blob, WithVerify(false))
-	for l := 0; l < checked.NumLevels(); l++ {
-		a, err := checked.ReadLevel(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := unchecked.ReadLevel(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(b) {
-			t.Fatalf("level %d: verified and unverified reads differ", l)
-		}
-	}
-}
-
 // TestRetryAbsorbsTransientFaults exercises the serving path's fault
 // tolerance end to end: a source that injects transient errors (and
 // nothing else) must cost retries, not failures.

@@ -1,11 +1,8 @@
 package reader
 
 import (
-	"bytes"
 	"context"
 
-	"repro/internal/cache"
-	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -24,8 +21,7 @@ func (sr *StoreReader) Close() error { return sr.h.Close() }
 
 // StoreInfo returns the object identity observed when the handle was
 // opened — the baseline a serving tier compares against a fresh Stat to
-// detect replace-while-serving, generalizing FileReader.Stat's fstat
-// identity across backends.
+// detect replace-while-serving, on every backend.
 func (sr *StoreReader) StoreInfo() store.Info { return sr.h.Info() }
 
 // OpenStore opens the container object key from st for random access.
@@ -54,37 +50,4 @@ func OpenStoreCtx(ctx context.Context, st store.Store, key string, opts ...Optio
 		return nil, err
 	}
 	return &StoreReader{Reader: r, h: h}, nil
-}
-
-// EnableDiskTier attaches a disk spill tier for decoded bricks to a brick
-// cache: fields evicted from the memory LRU are serialized (field wire
-// format) into budgeted spill files under dir and transparently reloaded —
-// and re-promoted — on the next access. Call before the cache is shared.
-func EnableDiskTier(c *cache.Cache, dir string, budgetBytes int64) (*cache.DiskTier, error) {
-	t, err := cache.NewDiskTier(dir, budgetBytes)
-	if err != nil {
-		return nil, err
-	}
-	c.SetDiskTier(t, encodeBrick, decodeBrick)
-	return t, nil
-}
-
-func encodeBrick(v any) ([]byte, bool) {
-	f, ok := v.(*field.Field)
-	if !ok {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-func decodeBrick(payload []byte) (any, int64, bool) {
-	f, err := field.ReadFromLimit(bytes.NewReader(payload), int64(len(payload)))
-	if err != nil {
-		return nil, 0, false
-	}
-	return f, int64(f.Bytes()), true
 }

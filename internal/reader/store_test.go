@@ -182,49 +182,3 @@ func TestSingleflightThunderingHerd(t *testing.T) {
 		t.Fatalf("warm read re-decoded: %d backend decodes", st.BackendDecodes)
 	}
 }
-
-// TestDiskTierThroughReader locks the spill round trip at the reader
-// level: a brick evicted from the memory LRU comes back from the disk
-// tier — counted as a DiskTierHit, without a backend re-decode — and is
-// promoted back into memory.
-func TestDiskTierThroughReader(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-linear-sz2-v3.mrw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Decompress(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A memory budget big enough for one level but not two forces the
-	// first level out when the second is decoded.
-	c := cache.New(int64(want.Levels[0].Data.Bytes())+512, 1)
-	if _, err := EnableDiskTier(c, t.TempDir(), 64<<20); err != nil {
-		t.Fatal(err)
-	}
-	r := open(t, blob, WithCache(c))
-
-	l0, err := r.ReadLevel(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadLevel(1); err != nil {
-		t.Fatal(err)
-	}
-	decodes := r.Stats().BackendDecodes
-
-	got, err := r.ReadLevel(0) // evicted from memory: must reload from disk
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(l0) {
-		t.Fatal("disk-tier reload differs from the original decode")
-	}
-	st := r.Stats()
-	if st.BackendDecodes != decodes {
-		t.Fatalf("disk-tier reload re-decoded: %d -> %d backend decodes", decodes, st.BackendDecodes)
-	}
-	if st.DiskTierHits == 0 {
-		t.Fatal("no DiskTierHits recorded across an eviction round trip")
-	}
-}

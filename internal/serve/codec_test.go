@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,6 +123,55 @@ func TestIngestFlateCodec(t *testing.T) {
 			t.Fatalf("level %d served data differs from local pipeline", li)
 		}
 	}
+}
+
+// TestNonFiniteFieldJSON406 serves a lossless container holding a NaN.
+// JSON has no NaN, so ?format=json must answer 406 pointing at the binary
+// format, with no ETag and no public Cache-Control — not a 200 with an empty
+// body that a cache would keep. The binary response stays 200 and bit-exact.
+func TestNonFiniteFieldJSON406(t *testing.T) {
+	ts, _ := codecTestServer(t)
+	f := synth.Generate(synth.Nyx, 32, 6)
+	f.Data[0] = math.NaN()
+	if code, body := doPut(t, ts.URL+"/v1/field/nan?codec=flate", rawFieldBody(t, f)); code != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", code, body)
+	}
+	want := ingestExpectedLevels(t, f, repro.Options{RelEB: 1e-3, Compressor: repro.Flate})
+	for li, wl := range want {
+		url := fmt.Sprintf("%s/v1/field/nan/level/%d", ts.URL, li)
+		code, body, _ := get(t, url)
+		if code != http.StatusOK {
+			t.Fatalf("level %d binary: %d", li, code)
+		}
+		got := parseRawField(t, body)
+		if !got.SameShape(wl) {
+			t.Fatalf("level %d binary: shape differs", li)
+		}
+		hasNaN := false
+		for i, v := range wl.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("level %d binary: sample %d is %x, want %x", li, i, math.Float64bits(got.Data[i]), math.Float64bits(v))
+			}
+			hasNaN = hasNaN || math.IsNaN(v)
+		}
+		if !hasNaN {
+			continue
+		}
+		for _, u := range []string{url + "?format=json", fmt.Sprintf("%s/v1/field/nan/slice?axis=z&k=0&level=%d&format=json", ts.URL, li)} {
+			code, body, h := get(t, u)
+			if code != http.StatusNotAcceptable {
+				t.Fatalf("%s: status %d (%d body bytes), want 406", u, code, len(body))
+			}
+			if !strings.Contains(string(body), "binary") {
+				t.Fatalf("%s: 406 body does not name the binary format: %s", u, body)
+			}
+			if h.Get("ETag") != "" || strings.Contains(h.Get("Cache-Control"), "public") {
+				t.Fatalf("%s: 406 carries cache validators: ETag %q, Cache-Control %q", u, h.Get("ETag"), h.Get("Cache-Control"))
+			}
+		}
+		return
+	}
+	t.Fatal("no served level holds the NaN")
 }
 
 // TestIngestMixedLevelCodecs uploads with a per-level override — fine

@@ -103,12 +103,6 @@ type Config struct {
 	Dir string
 	// CacheBytes is the shared brick-cache budget (0 disables caching).
 	CacheBytes int64
-	// DiskCacheDir, when non-empty, attaches a disk spill tier to the brick
-	// cache: bricks evicted from memory land in budgeted spill files there
-	// and reload without a backend fetch + decode.
-	DiskCacheDir string
-	// DiskCacheBytes bounds the spill tier (required > 0 with DiskCacheDir).
-	DiskCacheBytes int64
 	// RevalidateEvery spaces identity probes of open containers: 0
 	// revalidates on every lookup, > 0 trusts an open reader that long
 	// between probes (recommended for remote backends, where each probe is
@@ -155,15 +149,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceSlow > 0 {
 		col.SetSlowLog(cfg.TraceSlow, logger)
 	}
-	c := cache.New(cfg.CacheBytes, cfg.CacheShards)
-	if cfg.DiskCacheDir != "" {
-		if _, err := reader.EnableDiskTier(c, cfg.DiskCacheDir, cfg.DiskCacheBytes); err != nil {
-			return nil, fmt.Errorf("mrserve: disk cache tier: %w", err)
-		}
-	}
 	return &Server{
 		st:              st,
-		cache:           c,
+		cache:           cache.New(cfg.CacheBytes, cfg.CacheShards),
 		maxIngestBytes:  cfg.MaxIngestBytes,
 		revalidateEvery: cfg.RevalidateEvery,
 		quarTTL:         ttl,
@@ -271,7 +259,7 @@ func (s *Server) Close() {
 	s.readers = make(map[string]*readerEntry)
 	s.mu.Unlock()
 	for _, e := range entries {
-		// Wait out (or forestall) any in-flight open so its FileReader
+		// Wait out (or forestall) any in-flight open so its StoreReader
 		// cannot be stored into an orphaned entry and leak.
 		e.once.Do(func() {})
 		e.release() // the map's reference; closes once in-flight requests drain
@@ -486,17 +474,35 @@ func notModified(w http.ResponseWriter, etag string) {
 
 // writeField sends a field in the raw binary format (24-byte dims header +
 // float64 samples, the same format mrcompress reads and writes), or as
-// JSON with ?format=json.
-func writeField(w http.ResponseWriter, r *http.Request, f *field.Field) {
-	w.Header().Set("X-Mrw-Nx", strconv.Itoa(f.Nx))
-	w.Header().Set("X-Mrw-Ny", strconv.Itoa(f.Ny))
-	w.Header().Set("X-Mrw-Nz", strconv.Itoa(f.Nz))
+// JSON with ?format=json. A non-empty etag marks a full-fidelity response:
+// it is sent with cacheControlIntact, and only once the body is known to
+// encode. JSON has no NaN or ±Inf, so a field holding one is answered 406
+// with neither — the binary format carries such values bit-exactly.
+func writeField(w http.ResponseWriter, r *http.Request, f *field.Field, etag string) {
+	var body []byte
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, map[string]any{"nx": f.Nx, "ny": f.Ny, "nz": f.Nz, "data": f.Data})
+		b, err := json.MarshalIndent(map[string]any{"nx": f.Nx, "ny": f.Ny, "nz": f.Nz, "data": f.Data}, "", "  ")
+		if err != nil {
+			http.Error(w, "field is not representable as JSON ("+err.Error()+"); request the binary format (omit format=json)", http.StatusNotAcceptable)
+			return
+		}
+		body = append(b, '\n')
+	}
+	h := w.Header()
+	if etag != "" {
+		h.Set("ETag", etag)
+		h.Set("Cache-Control", cacheControlIntact)
+	}
+	h.Set("X-Mrw-Nx", strconv.Itoa(f.Nx))
+	h.Set("X-Mrw-Ny", strconv.Itoa(f.Ny))
+	h.Set("X-Mrw-Nz", strconv.Itoa(f.Nz))
+	if body != nil {
+		h.Set("Content-Type", "application/json")
+		w.Write(body)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(24+8*f.Len()))
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(24+8*f.Len()))
 	f.WriteTo(w)
 }
 
@@ -723,12 +729,10 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 		// freshness: the client should re-ask once the quarantine lifts.
 		w.Header().Set("Cache-Control", "no-cache")
 		s.metrics.degraded["level"].Add(1)
-	} else {
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Cache-Control", cacheControlIntact)
+		etag = ""
 	}
 	w.Header().Set("X-Mrw-Level", strconv.Itoa(served))
-	writeField(w, r, f)
+	writeField(w, r, f, etag)
 }
 
 func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
@@ -790,14 +794,12 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Degraded", degradedHeader(l, served, reason))
 		w.Header().Set("Cache-Control", "no-cache")
 		s.metrics.degraded["slice"].Add(1)
-	} else {
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Cache-Control", cacheControlIntact)
+		etag = ""
 	}
 	w.Header().Set("X-Mrw-Level", strconv.Itoa(served))
 	w.Header().Set("X-Mrw-Axis", axis.String())
 	w.Header().Set("X-Mrw-K", strconv.Itoa(servedK))
-	writeField(w, r, f)
+	writeField(w, r, f, etag)
 }
 
 // --- ingest -----------------------------------------------------------------
@@ -1089,8 +1091,6 @@ type metricsSnapshot struct {
 	latencyHist                map[string]obs.HistogramSnapshot
 	stages                     []obs.StageSnapshot
 	cache                      cache.Stats
-	disk                       cache.DiskStats
-	diskOK                     bool
 	perField                   map[string]reader.Stats
 	ids                        []string
 	quarActive                 int
@@ -1121,7 +1121,6 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 	}
 	snap.stages = s.obs.StageSnapshots()
 	snap.cache = s.cache.Stats()
-	snap.disk, snap.diskOK = s.cache.DiskStats()
 	s.mu.Lock()
 	for id, e := range s.readers {
 		if e.r == nil {
@@ -1198,33 +1197,6 @@ func formatMetrics(w io.Writer, snap metricsSnapshot) {
 	p("# HELP mrserve_cache_entries Bricks currently cached.\n")
 	p("# TYPE mrserve_cache_entries gauge\n")
 	p("mrserve_cache_entries %d\n", cst.Entries)
-
-	// The disk spill tier's series appear only when a tier is configured,
-	// so dashboards can tell "no tier" from "tier idle".
-	if snap.diskOK {
-		dst := snap.disk
-		p("# HELP mrserve_disk_tier_hits_total Bricks reloaded from the disk spill tier.\n")
-		p("# TYPE mrserve_disk_tier_hits_total counter\n")
-		p("mrserve_disk_tier_hits_total %d\n", dst.Hits)
-		p("# HELP mrserve_disk_tier_misses_total Memory-tier misses not found on disk either.\n")
-		p("# TYPE mrserve_disk_tier_misses_total counter\n")
-		p("mrserve_disk_tier_misses_total %d\n", dst.Misses)
-		p("# HELP mrserve_disk_tier_writes_total Bricks spilled to disk on memory-tier eviction.\n")
-		p("# TYPE mrserve_disk_tier_writes_total counter\n")
-		p("mrserve_disk_tier_writes_total %d\n", dst.Writes)
-		p("# HELP mrserve_disk_tier_evictions_total Spill files displaced by the disk budget.\n")
-		p("# TYPE mrserve_disk_tier_evictions_total counter\n")
-		p("mrserve_disk_tier_evictions_total %d\n", dst.Evictions)
-		p("# HELP mrserve_disk_tier_bytes Bytes of spilled bricks currently on disk.\n")
-		p("# TYPE mrserve_disk_tier_bytes gauge\n")
-		p("mrserve_disk_tier_bytes %d\n", dst.Bytes)
-		p("# HELP mrserve_disk_tier_budget_bytes Configured disk spill budget.\n")
-		p("# TYPE mrserve_disk_tier_budget_bytes gauge\n")
-		p("mrserve_disk_tier_budget_bytes %d\n", dst.Budget)
-		p("# HELP mrserve_disk_tier_entries Spilled bricks currently on disk.\n")
-		p("# TYPE mrserve_disk_tier_entries gauge\n")
-		p("mrserve_disk_tier_entries %d\n", dst.Entries)
-	}
 
 	var decodes, bytesRead, retries, corrupt, coalesced int64
 	perField, ids := snap.perField, snap.ids
