@@ -1,9 +1,11 @@
 package core
 
 import (
+	"io"
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/raceflag"
 	"repro/internal/roi"
 	"repro/internal/synth"
@@ -39,5 +41,50 @@ func TestDecompressAllocBudget(t *testing.T) {
 		}
 	}); n > budget {
 		t.Errorf("DecompressWorkers(blob, 1): %v allocations, budget %d", n, budget)
+	}
+}
+
+// TestTACSZ2AllocBudget pins the allocations per stream of a serial
+// streaming compress and a serial full decode of a TAC SZ2 hierarchy (64³
+// WarpX, 2-level AMR, one stream per box). SZ2 and the Huffman coder take
+// their working arrays from pools, so a box stream costs its extraction, its
+// compressed bytes, its decoded field and compress/flate's own allocations —
+// 38 and 22 per stream respectively before the pools, 11 and 6.3 with them.
+func TestTACSZ2AllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	f := synth.Generate(synth.WarpX, 64, 1)
+	h, err := grid.BuildAMR(f, 16, []float64{0.3, 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{EB: f.ValueRange() * 1e-3, Compressor: SZ2, Arrangement: ArrangeTAC, Workers: 1}
+	c, err := CompressHierarchy(h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := loadIndex(c.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := float64(len(ix.Streams))
+	if streams < 20 {
+		t.Fatalf("%v streams: the hierarchy no longer exercises many small boxes", streams)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := CompressHierarchyTo(h, opt, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 12*streams {
+		t.Errorf("CompressHierarchyTo: %v allocations for %v streams, budget 12 per stream", n, streams)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := DecompressWorkers(c.Blob, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 7*streams {
+		t.Errorf("DecompressWorkers(blob, 1): %v allocations for %v streams, budget 7 per stream", n, streams)
 	}
 }

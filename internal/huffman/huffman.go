@@ -7,14 +7,17 @@
 // interleaved multi-lane format (see interleave.go), which shares the
 // dictionary and code assignment and is no longer written.
 //
-// Building a code costs a fixed handful of allocations whatever the alphabet:
-// the histogram is sized from a count of its non-zero bins, the Huffman tree
-// is two flat arrays (weights and parents) merged through an index heap of
-// plain ints, and the stream buffer is sized once for header, dictionary and
-// payload. Code lengths depend only on the order in which the heap yields
-// its minima, which the total order (weight, node index) fixes, so they — and
-// the streams — are the same as when the tree was built with container/heap
-// (lengths_test.go keeps that build as the reference).
+// In steady state a call allocates only what it returns. Every array whose
+// size depends on the stream — the histogram, the Huffman tree (two flat
+// arrays, weights and parents, merged through an index heap of plain ints),
+// the sorted dictionary, the canonical codes, the symbol→code lookup on the
+// encode side, the dictionary and the lookup table on the decode side — lives
+// in a scratch struct taken from a sync.Pool for the duration of one call.
+// The output is sized once, for header, dictionary and payload. Code lengths
+// depend only on the order in which the heap yields its minima, which the
+// total order (weight, node index) fixes, so they — and the streams — are the
+// same as when the tree was built with container/heap (lengths_test.go keeps
+// that build as the reference).
 package huffman
 
 import (
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/bitio"
 )
@@ -46,11 +50,68 @@ const tableBits = 10
 // decoder rejects interleaved streams instead of misparsing them.
 const maxN = 1 << 33
 
+// scratch is one call's working memory. Each array keeps its capacity from
+// call to call and is resized (not cleared) for the next stream, so every
+// user either writes an element before reading it or clears what it reads.
+type scratch struct {
+	// Encode: the histogram, the tree, the dictionary and the lookup.
+	counts  []uint64 // dense histogram, by symbol − minS
+	sorted  []int32  // wide-range histogram: the stream, sorted
+	symbols []int32  // distinct symbols, ascending
+	freqs   []uint64 // aligned with symbols
+	weight  []uint64 // tree node weights, leaves first
+	parent  []int    // tree node parents, then leaf depths
+	heap    []int
+	ss      []sym
+	codeVal []uint64 // symbol→code lookup (coder)
+	codeLen []uint8
+	c       coder
+
+	// Both: code lengths and canonical codes in dictionary order.
+	lens  []int
+	codes []uint64
+
+	// Decode: the dictionary's symbols and the table built over them.
+	syms []int32
+	t    decodeTable
+}
+
+// maxPooledLen caps what a pooled scratch may keep: a quantization code
+// stream spans at most 2¹⁶ symbols, so only a stream from some other source
+// — or a hostile one, whose dense histogram can reach denseSpanLimit
+// entries — grows an array past it, and that scratch is dropped instead of
+// pinning the memory in the pool.
+const maxPooledLen = 1 << 16
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	// Every other array is bounded by one of these five: symbols, freqs, ss,
+	// lens and codes by the alphabet (weight holds 2k−1), codeLen by the
+	// span or the alphabet (codeVal); the decode table is a fixed size.
+	if cap(s.counts) > maxPooledLen || cap(s.sorted) > maxPooledLen || cap(s.codeVal) > maxPooledLen ||
+		cap(s.weight) > 2*maxPooledLen || cap(s.syms) > maxPooledLen {
+		return
+	}
+	scratchPool.Put(s)
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough. The elements are whatever s held: callers overwrite or clear them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // codeLengths computes Huffman code lengths for the given symbol
 // frequencies, flattening a copy of them if the depth would exceed
 // maxCodeLen. freqs itself is left alone: it sizes the bit stream.
-func codeLengths(freqs []uint64) []int {
-	lengths := buildLengths(freqs)
+func (s *scratch) codeLengths(freqs []uint64) []int {
+	lengths := s.buildLengths(freqs)
 	flattened := false
 	for slices.Max(lengths) > maxCodeLen {
 		// Flatten the distribution and retry; this terminates because all
@@ -61,7 +122,7 @@ func codeLengths(freqs []uint64) []int {
 		for i := range freqs {
 			freqs[i] = freqs[i]/2 + 1
 		}
-		lengths = buildLengths(freqs)
+		lengths = s.buildLengths(freqs)
 	}
 	return lengths
 }
@@ -114,16 +175,22 @@ func (h *treeHeap) pop() int {
 
 // buildLengths returns the depth of each symbol's leaf in the Huffman tree
 // of freqs. Leaves are nodes 0..n-1; each merge appends a node, so a parent
-// always has a higher index than its children.
-func buildLengths(freqs []uint64) []int {
+// always has a higher index than its children. The result is valid until
+// the next build on s.
+func (s *scratch) buildLengths(freqs []uint64) []int {
 	n := len(freqs)
 	if n == 1 {
-		return []int{1}
+		s.parent = resize(s.parent, 1)
+		s.parent[0] = 1
+		return s.parent
 	}
-	weight := make([]uint64, n, 2*n-1)
+	s.weight = resize(s.weight, 2*n-1)
+	s.parent = resize(s.parent, 2*n-1)
+	s.heap = resize(s.heap, n)
+	weight := s.weight[:n]
 	copy(weight, freqs)
-	parent := make([]int, 2*n-1)
-	h := treeHeap{weight: weight, idx: make([]int, n)}
+	parent := s.parent
+	h := treeHeap{weight: weight, idx: s.heap}
 	for i := range h.idx {
 		h.idx[i] = i
 	}
@@ -151,10 +218,9 @@ func buildLengths(freqs []uint64) []int {
 	return depth[:n:n]
 }
 
-// canonicalCodes assigns canonical codes given symbols sorted by (length,
-// symbol). Returns code values aligned with the sorted order.
-func canonicalCodes(lengths []int) []uint64 {
-	codes := make([]uint64, len(lengths))
+// canonicalCodes fills codes with the canonical code of each length in
+// lengths, which are sorted by (length, symbol).
+func canonicalCodes(codes []uint64, lengths []int) {
 	var code uint64
 	prevLen := 0
 	for i, l := range lengths {
@@ -163,7 +229,6 @@ func canonicalCodes(lengths []int) []uint64 {
 		code++
 		prevLen = l
 	}
-	return codes
 }
 
 // denseSpanLimit caps the symbol range for which histogram and code lookup
@@ -175,10 +240,11 @@ const denseSpanLimit = 1 << 22
 // histogram counts symbol occurrences, returning symbols in ascending order
 // with aligned frequencies. When the symbol range is small (the SZ
 // quantization-code case) it uses a dense offset-indexed counting array; the
-// map fallback covers arbitrary ranges. Both produce identical results. The
-// returned minS/span/dense describe the range so the emit stage can make the
-// same dense-vs-map choice without recomputing it.
-func histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span int64, dense bool) {
+// fallback for arbitrary ranges (regression coefficient codes, say) counts
+// the runs of a sorted copy. Both produce identical results. The returned
+// minS/span/dense describe the range so the emit stage can make the same
+// choice without recomputing it.
+func (s *scratch) histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span int64, dense bool) {
 	minS, maxS := data[0], data[0]
 	for _, v := range data {
 		if v < minS {
@@ -192,7 +258,9 @@ func histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span 
 	limit := int64(4*len(data)) + 1024
 	dense = span <= denseSpanLimit && span <= limit
 	if dense {
-		counts := make([]uint64, span)
+		s.counts = resize(s.counts, int(span))
+		counts := s.counts
+		clear(counts)
 		for _, v := range data {
 			counts[int64(v)-int64(minS)]++
 		}
@@ -202,7 +270,8 @@ func histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span 
 				k++
 			}
 		}
-		symbols, freqs = make([]int32, 0, k), make([]uint64, 0, k)
+		s.symbols, s.freqs = resize(s.symbols, k), resize(s.freqs, k)
+		symbols, freqs = s.symbols[:0], s.freqs[:0]
 		for i, c := range counts {
 			if c != 0 {
 				symbols = append(symbols, minS+int32(i))
@@ -211,18 +280,27 @@ func histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span 
 		}
 		return symbols, freqs, minS, span, dense
 	}
-	freq := make(map[int32]uint64)
-	for _, v := range data {
-		freq[v]++
+	// Wide range: count the runs of a sorted copy.
+	s.sorted = resize(s.sorted, len(data))
+	sorted := s.sorted
+	copy(sorted, data)
+	slices.Sort(sorted)
+	k := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] != sorted[i-1] {
+			k++
+		}
 	}
-	symbols = make([]int32, 0, len(freq))
-	for s := range freq {
-		symbols = append(symbols, s)
-	}
-	slices.Sort(symbols)
-	freqs = make([]uint64, len(symbols))
-	for i, s := range symbols {
-		freqs[i] = freq[s]
+	s.symbols, s.freqs = resize(s.symbols, k), resize(s.freqs, k)
+	symbols, freqs = s.symbols[:0], s.freqs[:0]
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		symbols = append(symbols, sorted[i])
+		freqs = append(freqs, uint64(j-i))
+		i = j
 	}
 	return symbols, freqs, minS, span, dense
 }
@@ -233,11 +311,6 @@ type sym struct {
 	l int
 }
 
-type symCode struct {
-	code uint64
-	len  uint8
-}
-
 // coder holds one canonical code assignment — the sorted dictionary, the
 // code values, and the symbol→code lookup.
 type coder struct {
@@ -245,27 +318,30 @@ type coder struct {
 	codes     []uint64 // canonical codes aligned with ss
 	totalBits int      // Σ freq·len over the whole input
 
-	// Symbol→code lookup, mirroring histogram's dense-vs-map choice.
+	// Symbol→code lookup, mirroring histogram's choice: dense, indexed by
+	// symbol − minS; otherwise indexed by the symbol's rank in symbols
+	// (ascending), which a binary search finds.
 	dense   bool
 	minS    int32
-	codeVal []uint64 // dense: indexed by symbol-minS
+	symbols []int32
+	codeVal []uint64
 	codeLen []uint8
-	codeOf  map[int32]symCode // map fallback
 }
 
-// newCoder builds the canonical code assignment for data (which must be
-// non-empty).
-func newCoder(data []int32) *coder {
-	symbols, freqs, minS, span, dense := histogram(data)
+// coder builds the canonical code assignment for data (which must be
+// non-empty). It is valid until the next use of s.
+func (s *scratch) coder(data []int32) *coder {
+	symbols, freqs, minS, span, dense := s.histogram(data)
 
-	lengths := codeLengths(freqs)
+	lengths := s.codeLengths(freqs)
 	totalBits := 0
 	for i, f := range freqs {
 		totalBits += int(f) * lengths[i]
 	}
 
 	// Sort symbols canonically: by (length, symbol value).
-	ss := make([]sym, len(symbols))
+	s.ss = resize(s.ss, len(symbols))
+	ss := s.ss
 	for i := range symbols {
 		ss[i] = sym{symbols[i], lengths[i]}
 	}
@@ -275,36 +351,46 @@ func newCoder(data []int32) *coder {
 		}
 		return cmp.Compare(a.s, b.s)
 	})
-	sortedLens := make([]int, len(ss))
+	s.lens, s.codes = resize(s.lens, len(ss)), resize(s.codes, len(ss))
 	for i := range ss {
-		sortedLens[i] = ss[i].l
+		s.lens[i] = ss[i].l
 	}
-	codes := canonicalCodes(sortedLens)
+	canonicalCodes(s.codes, s.lens)
 
-	c := &coder{ss: ss, codes: codes, totalBits: totalBits, dense: dense, minS: minS}
+	s.c = coder{ss: ss, codes: s.codes, totalBits: totalBits, dense: dense, minS: minS, symbols: symbols}
+	c := &s.c
+	// Only the entries of symbols present in data are written, and emit
+	// looks up no others, so what a previous stream left in the rest of a
+	// dense table is never read.
+	n := len(ss)
 	if dense {
-		c.codeVal = make([]uint64, span)
-		c.codeLen = make([]uint8, span)
-		for i, e := range ss {
-			idx := int64(e.s) - int64(minS)
-			c.codeVal[idx] = codes[i]
-			c.codeLen[idx] = uint8(e.l)
-		}
-	} else {
-		c.codeOf = make(map[int32]symCode, len(ss))
-		for i, e := range ss {
-			c.codeOf[e.s] = symCode{codes[i], uint8(e.l)}
-		}
+		n = int(span)
+	}
+	s.codeVal, s.codeLen = resize(s.codeVal, n), resize(s.codeLen, n)
+	c.codeVal, c.codeLen = s.codeVal, s.codeLen
+	for i, e := range ss {
+		idx := c.index(e.s)
+		c.codeVal[idx] = s.codes[i]
+		c.codeLen[idx] = uint8(e.l)
 	}
 	return c
 }
 
-// streamBuf returns an empty buffer with room for a whole stream — the
-// symbol count, the dictionary, and the payload — so that building the
-// stream allocates once instead of growing through the header.
-func (c *coder) streamBuf() []byte {
+// index returns where the lookup keeps symbol v's code.
+func (c *coder) index(v int32) int {
+	if c.dense {
+		return int(int64(v) - int64(c.minS))
+	}
+	i, _ := slices.BinarySearch(c.symbols, v)
+	return i
+}
+
+// streamLen bounds the encoded size of the stream — the symbol count, the
+// dictionary, and the payload — so that building it allocates at most once
+// instead of growing through the header.
+func (c *coder) streamLen() int {
 	dict := binary.MaxVarintLen64 + len(c.ss)*(binary.MaxVarintLen64+1)
-	return make([]byte, 0, binary.MaxVarintLen64+dict+(c.totalBits+7)/8)
+	return binary.MaxVarintLen64 + dict + (c.totalBits+7)/8
 }
 
 // appendDict serializes the dictionary — uvarint symbol count, then per
@@ -332,31 +418,39 @@ func (c *coder) emit(bw *bitio.Writer, data []int32) {
 		return
 	}
 	for _, v := range data {
-		sc := c.codeOf[v]
-		bw.WriteBits(sc.code, uint(sc.len))
+		i := c.index(v)
+		bw.WriteBits(c.codeVal[i], uint(c.codeLen[i]))
 	}
 }
 
 // Encode compresses a sequence of int32 symbols into the single-lane format.
 // The output is self-describing and decoded by Decode.
-func Encode(data []int32) []byte {
-	if len(data) == 0 {
-		var out []byte
-		out = binary.AppendUvarint(out, 0)
-		out = binary.AppendUvarint(out, 0)
-		return out
-	}
-	c := newCoder(data)
+func Encode(data []int32) []byte { return AppendEncode(nil, data) }
 
-	out := c.streamBuf()
+// AppendEncode appends the single-lane encoding of data (what Encode
+// returns) to dst and returns the extended buffer, growing it at most once.
+func AppendEncode(dst []byte, data []int32) []byte {
+	s := getScratch()
+	out := s.appendEncode(dst, data)
+	putScratch(s)
+	return out
+}
+
+func (s *scratch) appendEncode(dst []byte, data []int32) []byte {
+	if len(data) == 0 {
+		dst = binary.AppendUvarint(dst, 0)
+		return binary.AppendUvarint(dst, 0)
+	}
+	c := s.coder(data)
+
+	out := slices.Grow(dst, c.streamLen())
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = c.appendDict(out)
 
 	// Emit the bit stream. The writer appends to the header/dictionary
-	// buffer and is pre-grown to the exact stream size (Σ freq·len), so the
-	// hot loop never reallocates.
+	// buffer, which already has room for the exact payload (Σ freq·len), so
+	// the hot loop never reallocates.
 	bw := bitio.NewWriterAppend(out)
-	bw.Grow(c.totalBits)
 	c.emit(bw, data)
 	return bw.Finish()
 }
@@ -365,24 +459,45 @@ func Encode(data []int32) []byte {
 // first uvarint distinguishes the two (InterleavedTag is not a plausible
 // symbol count).
 func Decode(buf []byte) ([]int32, error) {
+	out, err := AppendDecode(nil, buf)
+	if err != nil {
+		return nil, err
+	}
+	if out == nil {
+		return []int32{}, nil
+	}
+	return slices.Clip(out), nil
+}
+
+// AppendDecode appends the symbols of an encoded stream (what Decode
+// returns) to dst and returns the extended slice, growing it at most once.
+// On error it returns nil.
+func AppendDecode(dst []int32, buf []byte) ([]int32, error) {
+	s := getScratch()
+	out, err := s.appendDecode(dst, buf)
+	putScratch(s)
+	return out, err
+}
+
+func (s *scratch) appendDecode(dst []int32, buf []byte) ([]int32, error) {
 	if tag, m := binary.Uvarint(buf); m > 0 && tag == InterleavedTag {
-		return decodeInterleaved(buf[m:])
+		return s.appendInterleaved(dst, buf[m:])
 	}
 	n, k, err := readHeader(&buf)
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return []int32{}, nil
+		return dst, nil
 	}
 	if k == 0 {
 		return nil, errors.New("huffman: zero symbols for nonzero data")
 	}
-	syms, lens, buf, err := parseDict(buf, k)
+	syms, lens, buf, err := s.parseDict(buf, k)
 	if err != nil {
 		return nil, err
 	}
-	t, err := newDecodeTable(syms, lens, n)
+	t, err := s.table(syms, lens, n)
 	if err != nil {
 		return nil, err
 	}
@@ -395,20 +510,26 @@ func Decode(buf []byte) ([]int32, error) {
 	br := bitio.NewReader(buf)
 	// maxBatch slack lets the batch path store a full fixed-size array (a
 	// few plain moves instead of a variable-length copy); the tail beyond n
-	// is trimmed on return and never decoded.
-	out := make([]int32, n+maxBatch)
-	if err := t.decodeAll(br, out, n); err != nil {
+	// stays in the spare capacity and is never decoded.
+	base := len(dst)
+	out := slices.Grow(dst, n+maxBatch)[:base+n+maxBatch]
+	if err := t.decodeAll(br, out[base:], n); err != nil {
 		return nil, err
 	}
-	return out[:n:n], nil
+	return out[:base+n], nil
 }
 
 // parseDict reads the k-entry dictionary (zigzag-delta symbols + length
 // bytes) and checks it is sorted by (length, symbol) as canonical decode
 // requires. It returns the symbols, lengths, and the remaining bytes.
-func parseDict(buf []byte, k int) (syms []int32, lens []int, rest []byte, err error) {
-	syms = make([]int32, k)
-	lens = make([]int, k)
+func (s *scratch) parseDict(buf []byte, k int) (syms []int32, lens []int, rest []byte, err error) {
+	// Each entry takes at least two bytes, which bounds k by the input before
+	// anything is sized from it.
+	if k > len(buf)/2 {
+		return nil, nil, nil, errors.New("huffman: truncated dictionary")
+	}
+	s.syms, s.lens = resize(s.syms, k), resize(s.lens, k)
+	syms, lens = s.syms, s.lens
 	prev := int64(0)
 	for i := 0; i < k; i++ {
 		delta, m := binary.Varint(buf)
@@ -460,21 +581,25 @@ type tableEntry struct {
 // otherwise bounds Huffman decode throughput. Codes longer than tb fall back
 // to the canonical first-code scan.
 type decodeTable struct {
-	syms      []int32
-	maxLen    int
-	tb        int
-	firstCode []uint64
-	firstIdx  []int
-	countAt   []int
-	entries   []tableEntry
+	syms   []int32
+	maxLen int
+	tb     int
+	// Per code length up to the longest parseDict accepts: the first
+	// canonical code, its index in syms, and how many codes have it.
+	firstCode [maxCodeLen + 2]uint64
+	firstIdx  [maxCodeLen + 2]int
+	countAt   [maxCodeLen + 2]int
+	entries   [1 << tableBits]tableEntry // the first 1<<tb are in use
 }
 
-// newDecodeTable validates the code lengths (Kraft sum) and fills the lookup
-// table. n is the total symbol count of the stream, used only to size the
-// table for small streams.
-func newDecodeTable(syms []int32, lens []int, n int) (*decodeTable, error) {
+// table validates the code lengths (Kraft sum) and fills s's lookup table.
+// n is the total symbol count of the stream, used only to size the table
+// for small streams. The table is valid until the next use of s.
+func (s *scratch) table(syms []int32, lens []int, n int) (*decodeTable, error) {
 	k := len(syms)
-	codes := canonicalCodes(lens)
+	s.codes = resize(s.codes, k)
+	codes := s.codes
+	canonicalCodes(codes, lens)
 
 	// Canonical decoding: per length, the first code and symbol index.
 	maxLen := lens[k-1]
@@ -488,9 +613,12 @@ func newDecodeTable(syms []int32, lens []int, n int) (*decodeTable, error) {
 			return nil, errors.New("huffman: invalid code lengths")
 		}
 	}
-	firstCode := make([]uint64, maxLen+2)
-	firstIdx := make([]int, maxLen+2)
-	countAt := make([]int, maxLen+2)
+	t := &s.t
+	t.syms, t.maxLen = syms, maxLen
+	// firstCode and firstIdx are read only at lengths countAt says are used,
+	// and written there below.
+	firstCode, firstIdx, countAt := &t.firstCode, &t.firstIdx, &t.countAt
+	clear(countAt[:])
 	for i := 0; i < k; i++ {
 		if countAt[lens[i]] == 0 {
 			firstCode[lens[i]] = codes[i]
@@ -506,7 +634,10 @@ func newDecodeTable(syms []int32, lens []int, n int) (*decodeTable, error) {
 	if n < 1<<14 && tb > 8 {
 		tb = 8 // small streams don't amortize the full-width table build
 	}
-	table := make([]tableEntry, 1<<uint(tb))
+	t.tb = tb
+	// The fill below counts up from zeroed entries.
+	table := t.entries[:1<<uint(tb)]
+	clear(table)
 	for w := range table {
 		e := &table[w]
 		pos := 0
@@ -531,11 +662,7 @@ func newDecodeTable(syms []int32, lens []int, n int) (*decodeTable, error) {
 		}
 		e.total = uint8(pos)
 	}
-	return &decodeTable{
-		syms: syms, maxLen: maxLen, tb: tb,
-		firstCode: firstCode, firstIdx: firstIdx, countAt: countAt,
-		entries: table,
-	}, nil
+	return t, nil
 }
 
 // decodeAll drains one sequential bitstream into out[0:n]. out must have
@@ -544,7 +671,7 @@ func newDecodeTable(syms []int32, lens []int, n int) (*decodeTable, error) {
 // check: a code that would extend past the last byte is reported as
 // truncation, exactly like the historical bit-at-a-time decoder.
 func (t *decodeTable) decodeAll(br *bitio.Reader, out []int32, n int) error {
-	entries, tb := t.entries, uint(t.tb)
+	entries, tb := &t.entries, uint(t.tb)
 	for i := 0; i < n; {
 		e := &entries[br.Peek(tb)]
 		if nb := int(e.n); nb > 0 {

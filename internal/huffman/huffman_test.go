@@ -1,9 +1,11 @@
 package huffman
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,19 @@ func TestDecodeErrors(t *testing.T) {
 	enc := Encode([]int32{1, 2, 3, 4, 5, 6, 7, 8})
 	if _, err := Decode(enc[:len(enc)-1]); err == nil {
 		t.Fatal("expected error for truncated stream")
+	}
+	// A header may claim up to 2³³ symbols and dictionary entries; the
+	// dictionary is bounded by the bytes present before anything is sized
+	// from it, so a few bytes cannot demand tens of gigabytes.
+	huge := binary.AppendUvarint(binary.AppendUvarint(nil, maxN), maxN)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Decode(append(huge, 2, 1, 2, 1)); err == nil {
+		t.Fatal("expected error for a dictionary larger than the stream")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("a 12-byte stream allocated %d bytes", grown)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitio"
 )
@@ -40,9 +41,9 @@ const InterleavedTag = 0x2494C5645
 // maxLanes bounds the wire lane count.
 const maxLanes = 64
 
-// decodeInterleaved decodes the interleaved format. buf starts just past
-// the InterleavedTag uvarint.
-func decodeInterleaved(buf []byte) ([]int32, error) {
+// appendInterleaved decodes the interleaved format, appending the symbols
+// to dst. buf starts just past the InterleavedTag uvarint.
+func (s *scratch) appendInterleaved(dst []int32, buf []byte) ([]int32, error) {
 	un, m := binary.Uvarint(buf)
 	if m <= 0 {
 		return nil, errInterleavedHeader
@@ -68,11 +69,11 @@ func decodeInterleaved(buf []byte) ([]int32, error) {
 	if uk == 0 || uk > un {
 		return nil, fmt.Errorf("huffman: implausible dictionary size %d for n=%d", uk, un)
 	}
-	syms, lens, buf, err := parseDict(buf, int(uk))
+	syms, lens, buf, err := s.parseDict(buf, int(uk))
 	if err != nil {
 		return nil, err
 	}
-	t, err := newDecodeTable(syms, lens, n)
+	t, err := s.table(syms, lens, n)
 	if err != nil {
 		return nil, err
 	}
@@ -109,13 +110,14 @@ func decodeInterleaved(buf []byte) ([]int32, error) {
 		off += blen
 	}
 
-	out := make([]int32, n)
+	base := len(dst)
+	out := slices.Grow(dst, n)[:base+n]
 	off = 0
 	for j, lb := range laneBits {
 		blen := (lb + 7) / 8
 		br := bitio.NewReaderBits(buf[off:off+blen], lb)
 		off += blen
-		if err := t.decodeStride(br, out, j, laneSyms(j), lanes); err != nil {
+		if err := t.decodeStride(br, out[base:], j, laneSyms(j), lanes); err != nil {
 			return nil, err
 		}
 		// A well-formed lane consumes exactly its advertised bits. A
@@ -141,7 +143,7 @@ var errInterleavedHeader = errors.New("huffman: truncated interleaved header")
 // the exact tail). With rem ≥ maxBatch the farthest slot is still inside
 // the column, so no slack rows are needed.
 func (t *decodeTable) decodeStride(br *bitio.Reader, out []int32, pos, rem, stride int) error {
-	entries, tb := t.entries, uint(t.tb)
+	entries, tb := &t.entries, uint(t.tb)
 	s := stride
 	sh := uint(bits.TrailingZeros(uint(s)))
 	s2, s3, s4, s5, s6 := 2*s, 3*s, 4*s, 5*s, 6*s

@@ -28,7 +28,7 @@ func EncodeInterleaved(data []int32, lanes int) []byte {
 	if lanes <= 1 {
 		return Encode(data)
 	}
-	c := newCoder(data)
+	c := new(scratch).coder(data)
 	out := binary.AppendUvarint(nil, InterleavedTag)
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = binary.AppendUvarint(out, uint64(lanes))

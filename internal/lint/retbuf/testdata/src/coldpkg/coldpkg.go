@@ -2,6 +2,8 @@
 // that are flagged in repro/internal/bitio must produce zero findings here.
 package coldpkg
 
+import "sync"
+
 type Buffer struct {
 	data []byte
 }
@@ -14,4 +16,11 @@ func (b *Buffer) Raw() []byte {
 // RawTail likewise.
 func (b *Buffer) RawTail(n int) []byte {
 	return b.data[n:]
+}
+
+var pool = sync.Pool{New: func() any { return new(Buffer) }}
+
+// Pooled returns pooled memory, but coldpkg is not subject to the rule.
+func Pooled() []byte {
+	return pool.Get().(*Buffer).data
 }

@@ -3,7 +3,9 @@
 // v and an error bound eb, the quantizer emits an integer code such that the
 // reconstruction r = p + 2·eb·code satisfies |v − r| ≤ eb. Values whose code
 // would overflow the code range are escaped as "unpredictable" and stored
-// verbatim, preserving the bound exactly.
+// verbatim, preserving the bound exactly. Callers keep the escaped values
+// themselves, in visit order, and report a decode that consumed a different
+// number of them with OutlierErr.
 package quant
 
 import (
@@ -24,9 +26,9 @@ const RadiusDefault = 32768
 // verbatim, and the reconstruction is v itself. Predictable codes lie in
 // (0, 2·RadiusDefault).
 //
-// The sz3 kernels call this once per sample and count on it being inlined
-// into their loops; it sits just inside the compiler's budget (check with
-// go build -gcflags=-m=2 after touching it).
+// The sz2 and sz3 kernels call this once per sample and count on it being
+// inlined into their loops; it sits just inside the compiler's budget (check
+// with go build -gcflags=-m=2 after touching it).
 func Quantize(v, pred, eb, twoEB float64) (code int32, recon float64) {
 	k := math.Floor((v-pred)/twoEB + 0.5)
 	// Out of code range, or not a number at all (NaN fails every comparison,
@@ -51,63 +53,8 @@ func Dequantize(code int32, pred, twoEB float64) float64 {
 	return pred + twoEB*float64(int(code)-RadiusDefault)
 }
 
-// Quantizer wraps Quantize and Dequantize with the bookkeeping of escaped
-// samples, for callers that code one sample at a time. The zero code is
-// reserved for the escape so that decoders can recognize it without side
-// channels; predictable codes are offset by RadiusDefault.
-type Quantizer struct {
-	// EB is the absolute error bound. Must be > 0.
-	EB float64
-
-	// Outliers accumulates the verbatim values of escaped samples in
-	// encounter order. The decoder consumes them in the same order.
-	Outliers []float64
-	outPos   int
-	underrun bool
-}
-
-// New returns a quantizer for the error bound eb.
-func New(eb float64) *Quantizer {
-	if eb <= 0 {
-		panic("quant: error bound must be positive")
-	}
-	return &Quantizer{EB: eb}
-}
-
-// Encode quantizes value v against prediction pred, recording v as an
-// outlier when it escapes. It returns the code and the reconstructed value.
-func (q *Quantizer) Encode(v, pred float64) (code int32, recon float64) {
-	code, recon = Quantize(v, pred, q.EB, 2*q.EB)
-	if code == 0 {
-		q.Outliers = append(q.Outliers, v)
-	}
-	return code, recon
-}
-
-// Decode reconstructs a value from its code and prediction, consuming an
-// outlier when code == 0. A stream with more escapes than outliers decodes
-// the surplus as 0 and fails DecodeErr.
-func (q *Quantizer) Decode(code int32, pred float64) float64 {
-	if code != 0 {
-		return Dequantize(code, pred, 2*q.EB)
-	}
-	if q.outPos >= len(q.Outliers) {
-		q.underrun = true
-		return 0
-	}
-	v := q.Outliers[q.outPos]
-	q.outPos++
-	return v
-}
-
-// DecodeErr reports, after a decode pass, whether the codes consumed exactly
-// the outliers they were given; a hostile or damaged stream need not.
-func (q *Quantizer) DecodeErr() error {
-	return OutlierErr(q.underrun, len(q.Outliers)-q.outPos)
-}
-
-// OutlierErr is the error for a decode pass that ran out of outliers or left
-// some unconsumed, nil if neither.
+// OutlierErr is the error for a decode pass that ran out of outliers (met a
+// zero code with none left) or left some unconsumed, nil if neither.
 func OutlierErr(underrun bool, trailing int) error {
 	switch {
 	case underrun:
@@ -117,6 +64,3 @@ func OutlierErr(underrun bool, trailing int) error {
 	}
 	return nil
 }
-
-// ResetDecode rewinds the outlier cursor for a fresh decode pass.
-func (q *Quantizer) ResetDecode() { q.outPos, q.underrun = 0, false }

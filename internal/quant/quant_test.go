@@ -8,94 +8,70 @@ import (
 )
 
 func TestEncodeDecodeWithinBound(t *testing.T) {
-	q := New(0.01)
+	const eb = 0.01
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
 		v := rng.NormFloat64() * 100
 		pred := v + rng.NormFloat64()*0.1
-		code, recon := q.Encode(v, pred)
-		if math.Abs(recon-v) > q.EB+1e-15 {
-			t.Fatalf("encoder recon out of bound: |%g-%g| > %g", recon, v, q.EB)
+		_, recon := Quantize(v, pred, eb, 2*eb)
+		if math.Abs(recon-v) > eb+1e-15 {
+			t.Fatalf("encoder recon out of bound: |%g-%g| > %g", recon, v, eb)
 		}
-		_ = code
 	}
 }
 
 func TestDecoderMatchesEncoderRecon(t *testing.T) {
-	enc := New(0.05)
+	const eb = 0.05
 	rng := rand.New(rand.NewSource(2))
-	n := 5000
-	vals := make([]float64, n)
-	preds := make([]float64, n)
-	codes := make([]int32, n)
-	recons := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * 10
-		preds[i] = vals[i] + rng.NormFloat64()
-		codes[i], recons[i] = enc.Encode(vals[i], preds[i])
-	}
-	dec := New(0.05)
-	dec.Outliers = enc.Outliers
-	for i := range vals {
-		got := dec.Decode(codes[i], preds[i])
-		if got != recons[i] {
-			t.Fatalf("decode mismatch at %d: %g vs %g", i, got, recons[i])
+	for i := 0; i < 5000; i++ {
+		v := rng.NormFloat64() * 10
+		pred := v + rng.NormFloat64()
+		code, recon := Quantize(v, pred, eb, 2*eb)
+		if code == 0 {
+			continue // escaped: the decoder takes v verbatim
+		}
+		if got := Dequantize(code, pred, 2*eb); got != recon {
+			t.Fatalf("decode mismatch at %d: %g vs %g", i, got, recon)
 		}
 	}
 }
 
 func TestOutlierEscape(t *testing.T) {
-	q := New(1e-9)
 	// A prediction error of 1.0 vastly exceeds radius*2*eb → escape.
-	code, recon := q.Encode(1.0, 0.0)
+	code, recon := Quantize(1.0, 0.0, 1e-9, 2e-9)
 	if code != 0 {
 		t.Fatalf("expected escape code 0, got %d", code)
 	}
 	if recon != 1.0 {
 		t.Fatalf("escape must store verbatim, got %g", recon)
 	}
-	if len(q.Outliers) != 1 || q.Outliers[0] != 1.0 {
-		t.Fatalf("outliers = %v", q.Outliers)
-	}
 }
 
 func TestZeroCodeReservedForEscape(t *testing.T) {
-	q := New(0.5)
 	// Perfect prediction → k = 0 → code = Radius, never 0.
-	code, _ := q.Encode(3.0, 3.0)
+	code, _ := Quantize(3.0, 3.0, 0.5, 1)
 	if code != RadiusDefault {
 		t.Fatalf("perfect prediction code = %d, want %d", code, RadiusDefault)
 	}
 }
 
 func TestNaNEscapes(t *testing.T) {
-	q := New(0.1)
-	code, recon := q.Encode(math.NaN(), 0)
+	code, recon := Quantize(math.NaN(), 0, 0.1, 0.2)
 	if code != 0 || !math.IsNaN(recon) {
 		t.Fatalf("NaN must escape, got code %d recon %v", code, recon)
 	}
 }
 
-func TestResetDecode(t *testing.T) {
-	q := New(1e-9)
-	q.Encode(1.0, 0.0)
-	q.Encode(2.0, 0.0)
-	if q.Decode(0, 0) != 1.0 || q.Decode(0, 0) != 2.0 {
-		t.Fatal("outlier order wrong")
+func TestOutlierErr(t *testing.T) {
+	if err := OutlierErr(false, 0); err != nil {
+		t.Fatalf("balanced pass: %v", err)
 	}
-	q.ResetDecode()
-	if q.Decode(0, 0) != 1.0 {
-		t.Fatal("ResetDecode did not rewind")
+	if err := OutlierErr(true, 0); err == nil || err.Error() != "outlier underrun" {
+		t.Fatalf("underrun: %v", err)
 	}
-}
-
-func TestNewPanicsOnZeroEB(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(0)
+	if err := OutlierErr(false, 2); err == nil || err.Error() != "2 trailing outliers" {
+		t.Fatalf("trailing: %v", err)
+	}
 }
 
 func TestQuickErrorBoundInvariant(t *testing.T) {
@@ -109,14 +85,14 @@ func TestQuickErrorBoundInvariant(t *testing.T) {
 		if eb == 0 || math.IsNaN(eb) || math.IsInf(eb, 0) {
 			eb = 1e-3
 		}
-		enc := New(eb)
-		code, recon := enc.Encode(v, pred)
+		code, recon := Quantize(v, pred, eb, 2*eb)
 		if math.Abs(recon-v) > eb*(1+1e-12) {
 			return false
 		}
-		dec := New(eb)
-		dec.Outliers = enc.Outliers
-		return dec.Decode(code, pred) == recon
+		if code == 0 {
+			return recon == v // escaped: stored verbatim
+		}
+		return Dequantize(code, pred, 2*eb) == recon
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

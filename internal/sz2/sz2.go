@@ -14,14 +14,25 @@
 // neighbors, so at high compression ratios adjacent blocks disagree at their
 // shared faces — exactly the discontinuities the Bézier post-processor
 // repairs.
+//
+// The sweep works a block row at a time (kernels.go): whether a Lorenzo
+// neighbour lies outside the field depends only on the row, so it is decided
+// there, and one loop per mode and direction predicts, quantizes and
+// reconstructs (or predicts and dequantizes) the row's samples. Every
+// floating-point expression is the one the per-sample formulation evaluated,
+// which reference_test.go keeps as the reference the kernels are held to bit
+// for bit; streams are byte-identical to every earlier version. The arrays a
+// stream needs while it is coded come from a pool shared by the container
+// pipeline's workers.
 package sz2
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/flatepool"
@@ -46,11 +57,47 @@ type Options struct {
 
 const magic = "SZ2B"
 
-// mode constants per block.
-const (
-	modeLorenzo byte = 0
-	modeRegress byte = 1
-)
+// scratch is the working memory of one stream: the reconstruction the
+// encoder predicts from, the per-sample codes, the mode bitmap, the
+// regression coefficient codes, the escaped samples, a row of zeros standing
+// in for neighbours outside the field (and the rows of a sample at x = 0,
+// which start with one), and the payload before DEFLATE.
+type scratch struct {
+	recon     []float64
+	codes     []int32
+	modes     []byte
+	coefCodes []int32
+	outliers  []float64
+	zeros     []float64
+	edge      [6]float64
+	entropy   []byte
+	payload   []byte
+}
+
+// maxPooledBytes caps what a pooled scratch may keep — a 64³ box needs about
+// 4 MiB — so one large stream does not pin its arrays in the pool.
+const maxPooledBytes = 8 << 20
+
+var pool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return pool.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	size := 8*(cap(s.recon)+cap(s.outliers)+cap(s.zeros)) + 4*(cap(s.codes)+cap(s.coefCodes)) +
+		cap(s.modes) + cap(s.entropy) + cap(s.payload)
+	if size <= maxPooledBytes {
+		pool.Put(s)
+	}
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough. The elements are whatever s held: callers overwrite or clear them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // Compress encodes the field under opt.
 func Compress(f *field.Field, opt Options) ([]byte, error) {
@@ -64,93 +111,97 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 	if bs < 2 {
 		return nil, fmt.Errorf("sz2: block size %d too small", bs)
 	}
-
-	nx, ny, nz := f.Nx, f.Ny, f.Nz
-	recon := make([]float64, len(f.Data))
-	q := quant.New(opt.EB)
-	// Regression coefficients are quantized on a grid of eb/(2·bs) so the
-	// plane's contribution to the prediction error stays well inside eb.
-	coefStep := opt.EB / (2 * float64(bs))
-
-	nBlocks := blocksAlong(nx, bs) * blocksAlong(ny, bs) * blocksAlong(nz, bs)
-	modes := make([]byte, 0, nBlocks)
-	coefCodes := make([]int32, 0, 4*nBlocks)
-	codes := make([]int32, 0, len(f.Data))
-
-	forEachBlock(nx, ny, nz, bs, func(x0, y0, z0, bx, by, bz int) {
-		useReg, coefs := chooseMode(f, x0, y0, z0, bx, by, bz)
-		if useReg {
-			modes = append(modes, modeRegress)
-			qc := quantizeCoefs(coefs, coefStep)
-			coefCodes = append(coefCodes, qc[:]...)
-			dq := dequantizeCoefs(qc, coefStep)
-			for z := 0; z < bz; z++ {
-				for y := 0; y < by; y++ {
-					for x := 0; x < bx; x++ {
-						i := f.Index(x0+x, y0+y, z0+z)
-						pred := dq[0] + dq[1]*float64(x) + dq[2]*float64(y) + dq[3]*float64(z)
-						c, r := q.Encode(f.Data[i], pred)
-						codes = append(codes, c)
-						recon[i] = r
-					}
-				}
-			}
-		} else {
-			modes = append(modes, modeLorenzo)
-			for z := 0; z < bz; z++ {
-				for y := 0; y < by; y++ {
-					for x := 0; x < bx; x++ {
-						gx, gy, gz := x0+x, y0+y, z0+z
-						i := f.Index(gx, gy, gz)
-						pred := lorenzo(recon, nx, ny, gx, gy, gz)
-						c, r := q.Encode(f.Data[i], pred)
-						codes = append(codes, c)
-						recon[i] = r
-					}
-				}
-			}
-		}
-	})
+	s := getScratch()
+	defer putScratch(s)
+	s.encode(f, opt.EB, bs)
+	// The code stream is entropy-coded first: it is the larger one, so the
+	// Huffman scratch is sized for it and the coefficients fit in after.
+	e := huffman.AppendEncode(s.entropy[:0], s.codes)
+	nc := len(e)
+	e = huffman.AppendEncode(e, s.coefCodes)
+	s.entropy = e
 
 	// Container. Block sizes ≤ 255 keep the historical single-byte
 	// encoding (so every previously written stream stays decodable);
 	// larger sizes — which the old writer silently truncated to their low
 	// byte — are escaped with 0x00 (never a legal size, bs ≥ 2) followed
-	// by a uvarint.
-	var payload bytes.Buffer
-	payload.Grow(len(modes)/8 + len(codes)/2 + 8*len(q.Outliers) + 64)
-	payload.WriteString(magic)
-	var tmp [8]byte
+	// by a uvarint. The header is magic, block size, 3 dimensions, the
+	// bound and 4 chunk lengths.
+	const header = len(magic) + 1 + 8 + 8*binary.MaxVarintLen64
+	p := slices.Grow(s.payload[:0], header+len(s.modes)+len(e)+8*len(s.outliers))
+	p = append(p, magic...)
 	if bs <= 0xFF {
-		payload.WriteByte(byte(bs))
+		p = append(p, byte(bs))
 	} else {
-		payload.WriteByte(0)
-		n := binary.PutUvarint(tmp[:], uint64(bs))
-		payload.Write(tmp[:n])
+		p = binary.AppendUvarint(append(p, 0), uint64(bs))
 	}
-	for _, v := range []uint64{uint64(nx), uint64(ny), uint64(nz)} {
-		n := binary.PutUvarint(tmp[:], v)
-		payload.Write(tmp[:n])
+	p = binary.AppendUvarint(p, uint64(f.Nx))
+	p = binary.AppendUvarint(p, uint64(f.Ny))
+	p = binary.AppendUvarint(p, uint64(f.Nz))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(opt.EB))
+	p = appendChunk(p, s.modes)
+	p = appendChunk(p, e[nc:])
+	p = appendChunk(p, e[:nc])
+	p = binary.AppendUvarint(p, uint64(8*len(s.outliers)))
+	for _, v := range s.outliers {
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 	}
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(opt.EB))
-	payload.Write(tmp[:])
+	s.payload = p
+	return flatepool.Deflate(p)
+}
 
-	writeChunk := func(b []byte) {
-		n := binary.PutUvarint(tmp[:], uint64(len(b)))
-		payload.Write(tmp[:n])
-		payload.Write(b)
-	}
-	writeChunk(packBits(modes))
-	writeChunk(huffman.Encode(coefCodes))
-	writeChunk(huffman.Encode(codes))
-	var outBuf bytes.Buffer
-	for _, v := range q.Outliers {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		outBuf.Write(tmp[:])
-	}
-	writeChunk(outBuf.Bytes())
+// appendChunk appends b to p behind its uvarint length.
+func appendChunk(p, b []byte) []byte {
+	return append(binary.AppendUvarint(p, uint64(len(b))), b...)
+}
 
-	return flatepool.Deflate(payload.Bytes())
+// encode predicts and quantizes every sample of f, leaving in s the codes
+// (block by block, each block z, y, x), the mode bitmap (a bit per block,
+// most significant first, set for regression), the coefficient codes of the
+// regression blocks and the escaped samples, in visit order.
+func (s *scratch) encode(f *field.Field, eb float64, bs int) {
+	nx, ny, nz := f.Nx, f.Ny, f.Nz
+	nBlocks := blocksAlong(nx, bs) * blocksAlong(ny, bs) * blocksAlong(nz, bs)
+	s.recon = resize(s.recon, len(f.Data))
+	s.codes = resize(s.codes, len(f.Data))
+	s.modes = resize(s.modes, (nBlocks+7)/8)
+	clear(s.modes)
+	s.coefCodes = resize(s.coefCodes, 4*nBlocks)[:0]
+	w := s.newSweep(nx, ny, bs, eb)
+	w.data, w.recon, w.codes, w.outliers = f.Data, s.recon, s.codes, s.outliers[:0]
+	// Regression coefficients are quantized on a grid of eb/(2·bs) so the
+	// plane's contribution to the prediction error stays well inside eb.
+	coefStep := eb / (2 * float64(bs))
+
+	b := 0
+	for z0 := 0; z0 < nz; z0 += bs {
+		bz := min(bs, nz-z0)
+		for y0 := 0; y0 < ny; y0 += bs {
+			by := min(bs, ny-y0)
+			for x0 := 0; x0 < nx; x0 += bs {
+				bx := min(bs, nx-x0)
+				useReg, coefs := w.chooseMode(f, x0, y0, z0, bx, by, bz)
+				if useReg {
+					s.modes[b>>3] |= 0x80 >> (b & 7)
+					qc := quantizeCoefs(coefs, coefStep)
+					s.coefCodes = append(s.coefCodes, qc[:]...)
+					w.regressBlock(x0, y0, z0, bx, by, bz, dequantizeCoefs(qc, coefStep))
+				} else {
+					w.lorenzoBlock(x0, y0, z0, bx, by, bz)
+				}
+				b++
+			}
+		}
+	}
+	s.outliers = w.outliers
+}
+
+// newSweep starts a sweep over a field nx×ny in its first two dimensions
+// coded in blocks of bs under the bound eb, its row of zeros taken from s.
+func (s *scratch) newSweep(nx, ny, bs int, eb float64) sweep {
+	s.zeros = resize(s.zeros, min(bs, nx)+1)
+	clear(s.zeros)
+	return sweep{nx: nx, ny: ny, nxy: nx * ny, zeros: s.zeros, edge: s.edge[:], eb: eb, twoEB: 2 * eb}
 }
 
 // Decompress decodes a buffer produced by Compress.
@@ -223,7 +274,7 @@ func Decompress(data []byte) (*field.Field, error) {
 		buf = buf[l:]
 		return c, nil
 	}
-	modesPacked, err := readChunk()
+	modes, err := readChunk()
 	if err != nil {
 		return nil, err
 	}
@@ -240,123 +291,65 @@ func Decompress(data []byte) (*field.Field, error) {
 		return nil, err
 	}
 
+	// The bitmap holds exactly one bit per block: a short one would read its
+	// missing blocks as Lorenzo, a long one carries bits no block owns.
 	nBlocks := blocksAlong(nx, bs) * blocksAlong(ny, bs) * blocksAlong(nz, bs)
-	modes := unpackBits(modesPacked, nBlocks)
-	coefCodes, err := huffman.Decode(coefChunk)
+	if len(modes) != (nBlocks+7)/8 {
+		return nil, fmt.Errorf("sz2: %d-byte mode bitmap for %d blocks", len(modes), nBlocks)
+	}
+	s := getScratch()
+	defer putScratch(s)
+	// Codes before coefficients, as Compress coded them.
+	codes, err := huffman.AppendDecode(s.codes[:0], codeChunk)
 	if err != nil {
 		return nil, err
 	}
-	codes, err := huffman.Decode(codeChunk)
-	if err != nil {
-		return nil, err
-	}
+	s.codes = codes
 	if len(codes) != nx*ny*nz {
 		return nil, fmt.Errorf("sz2: code count %d != %d", len(codes), nx*ny*nz)
 	}
+	coefCodes, err := huffman.AppendDecode(s.coefCodes[:0], coefChunk)
+	if err != nil {
+		return nil, err
+	}
+	s.coefCodes = coefCodes
 	if len(outChunk)%8 != 0 {
 		return nil, errors.New("sz2: ragged outlier chunk")
 	}
-	outliers := make([]float64, len(outChunk)/8)
-	for i := range outliers {
-		outliers[i] = math.Float64frombits(binary.LittleEndian.Uint64(outChunk[i*8:]))
-	}
 
 	g := field.New(nx, ny, nz)
-	recon := g.Data
-	q := quant.New(eb)
-	q.Outliers = outliers
+	w := s.newSweep(nx, ny, bs, eb)
+	w.recon, w.codes, w.outChunk = g.Data, codes, outChunk
 	coefStep := eb / (2 * float64(bs))
 
-	cpos, kpos, bpos := 0, 0, 0
-	var decodeErr error
-	forEachBlock(nx, ny, nz, bs, func(x0, y0, z0, bx, by, bz int) {
-		if decodeErr != nil {
-			return
-		}
-		if bpos >= len(modes) {
-			decodeErr = errors.New("sz2: mode stream underrun")
-			return
-		}
-		mode := modes[bpos]
-		bpos++
-		if mode == modeRegress {
-			if cpos+4 > len(coefCodes) {
-				decodeErr = errors.New("sz2: coefficient stream underrun")
-				return
-			}
-			var qc [4]int32
-			copy(qc[:], coefCodes[cpos:cpos+4])
-			cpos += 4
-			dq := dequantizeCoefs(qc, coefStep)
-			for z := 0; z < bz; z++ {
-				for y := 0; y < by; y++ {
-					for x := 0; x < bx; x++ {
-						i := g.Index(x0+x, y0+y, z0+z)
-						pred := dq[0] + dq[1]*float64(x) + dq[2]*float64(y) + dq[3]*float64(z)
-						recon[i] = q.Decode(codes[kpos], pred)
-						kpos++
+	cpos, b := 0, 0
+	for z0 := 0; z0 < nz; z0 += bs {
+		bz := min(bs, nz-z0)
+		for y0 := 0; y0 < ny; y0 += bs {
+			by := min(bs, ny-y0)
+			for x0 := 0; x0 < nx; x0 += bs {
+				bx := min(bs, nx-x0)
+				if modes[b>>3]&(0x80>>(b&7)) != 0 {
+					if cpos+4 > len(coefCodes) {
+						return nil, errors.New("sz2: coefficient stream underrun")
 					}
+					qc := [4]int32(coefCodes[cpos : cpos+4])
+					cpos += 4
+					w.regressBlock(x0, y0, z0, bx, by, bz, dequantizeCoefs(qc, coefStep))
+				} else {
+					w.lorenzoBlock(x0, y0, z0, bx, by, bz)
 				}
-			}
-		} else {
-			for z := 0; z < bz; z++ {
-				for y := 0; y < by; y++ {
-					for x := 0; x < bx; x++ {
-						gx, gy, gz := x0+x, y0+y, z0+z
-						i := g.Index(gx, gy, gz)
-						pred := lorenzo(recon, nx, ny, gx, gy, gz)
-						recon[i] = q.Decode(codes[kpos], pred)
-						kpos++
-					}
-				}
+				b++
 			}
 		}
-	})
-	if decodeErr != nil {
-		return nil, decodeErr
 	}
-	if err := q.DecodeErr(); err != nil {
+	if cpos != len(coefCodes) {
+		return nil, fmt.Errorf("sz2: %d trailing coefficient codes", len(coefCodes)-cpos)
+	}
+	if err := quant.OutlierErr(w.underrun, len(outChunk)/8-w.outPos); err != nil {
 		return nil, fmt.Errorf("sz2: %w", err)
 	}
 	return g, nil
-}
-
-// lorenzo computes the 3D Lorenzo prediction from reconstructed neighbors;
-// out-of-domain neighbors contribute zero.
-func lorenzo(recon []float64, nx, ny int, x, y, z int) float64 {
-	at := func(i, j, k int) float64 {
-		if i < 0 || j < 0 || k < 0 {
-			return 0
-		}
-		return recon[i+nx*(j+ny*k)]
-	}
-	return at(x-1, y, z) + at(x, y-1, z) + at(x, y, z-1) -
-		at(x-1, y-1, z) - at(x-1, y, z-1) - at(x, y-1, z-1) +
-		at(x-1, y-1, z-1)
-}
-
-// chooseMode decides between Lorenzo and regression for a block by comparing
-// squared prediction errors on the original samples (the standard SZ2
-// sampling-free heuristic: Lorenzo error is estimated with original-value
-// neighbors, which closely tracks the reconstructed-value error).
-func chooseMode(f *field.Field, x0, y0, z0, bx, by, bz int) (useReg bool, coefs [4]float64) {
-	coefs = fitPlane(f, x0, y0, z0, bx, by, bz)
-	var seReg, seLor float64
-	for z := 0; z < bz; z++ {
-		for y := 0; y < by; y++ {
-			for x := 0; x < bx; x++ {
-				gx, gy, gz := x0+x, y0+y, z0+z
-				v := f.At(gx, gy, gz)
-				pr := coefs[0] + coefs[1]*float64(x) + coefs[2]*float64(y) + coefs[3]*float64(z)
-				d := v - pr
-				seReg += d * d
-				pl := lorenzo(f.Data, f.Nx, f.Ny, gx, gy, gz)
-				d = v - pl
-				seLor += d * d
-			}
-		}
-	}
-	return seReg < seLor, coefs
 }
 
 // fitPlane computes the least-squares fit v ≈ a + b·x + c·y + d·z over the
@@ -368,8 +361,8 @@ func fitPlane(f *field.Field, x0, y0, z0, bx, by, bz int) [4]float64 {
 	var sum, sxv, syv, szv float64
 	for z := 0; z < bz; z++ {
 		for y := 0; y < by; y++ {
-			for x := 0; x < bx; x++ {
-				v := f.At(x0+x, y0+y, z0+z)
+			i := f.Index(x0, y0+y, z0+z)
+			for x, v := range f.Data[i : i+bx] {
 				sum += v
 				sxv += (float64(x) - mx) * v
 				syv += (float64(y) - my) * v
@@ -417,46 +410,3 @@ func dequantizeCoefs(q [4]int32, step float64) [4]float64 {
 }
 
 func blocksAlong(n, bs int) int { return (n + bs - 1) / bs }
-
-// forEachBlock visits blocks in raster order, passing origin and clamped size.
-func forEachBlock(nx, ny, nz, bs int, fn func(x0, y0, z0, bx, by, bz int)) {
-	for z0 := 0; z0 < nz; z0 += bs {
-		bz := bs
-		if z0+bz > nz {
-			bz = nz - z0
-		}
-		for y0 := 0; y0 < ny; y0 += bs {
-			by := bs
-			if y0+by > ny {
-				by = ny - y0
-			}
-			for x0 := 0; x0 < nx; x0 += bs {
-				bx := bs
-				if x0+bx > nx {
-					bx = nx - x0
-				}
-				fn(x0, y0, z0, bx, by, bz)
-			}
-		}
-	}
-}
-
-// packBits packs a byte-per-flag slice into a bitmap.
-func packBits(flags []byte) []byte {
-	out := make([]byte, (len(flags)+7)/8)
-	for i, f := range flags {
-		if f != 0 {
-			out[i/8] |= 1 << uint(7-i%8)
-		}
-	}
-	return out
-}
-
-// unpackBits reverses packBits for n flags.
-func unpackBits(b []byte, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n && i/8 < len(b); i++ {
-		out[i] = b[i/8] >> uint(7-i%8) & 1
-	}
-	return out
-}

@@ -130,7 +130,8 @@ func TestRegressionWinsOnPlanarData(t *testing.T) {
 			}
 		}
 	}
-	useReg, _ := chooseMode(f, 0, 0, 0, 6, 6, 6)
+	w := new(scratch).newSweep(12, 12, 6, 1e-6)
+	useReg, _ := w.chooseMode(f, 0, 0, 0, 6, 6, 6)
 	if !useReg {
 		t.Fatal("regression should win on planar data")
 	}
