@@ -3,7 +3,7 @@
 // the streams each request needs via the container block index, with all
 // decoded bricks shared in one byte-budgeted LRU cache.
 //
-//	mrserve -dir /data/fields -addr :8080 [-cache-mb 256] [-cache-shards 16]
+//	mrserve -dir /data/fields -addr :8080 [-cache-mb 256]
 //	mrserve -store http://origin/fields/ -revalidate-every 30s
 //
 // Containers come from a pluggable storage backend: -dir (or -store
@@ -60,10 +60,10 @@
 // GET /debug/traces, requests slower than -trace-slow are logged with their
 // span breakdown, and -log-sample emits a structured access-log line per
 // sampled request. /metrics serves fixed-bucket latency histograms per
-// endpoint and per pipeline stage alongside the original counters. An
-// opt-in -debug-addr listener exposes net/http/pprof (with lock/block
-// profiling behind -mutex-profile-fraction and -block-profile-rate) plus
-// the same /debug/traces.
+// endpoint and per pipeline stage; an endpoint's request counters are the
+// count and sum of its histogram. An opt-in -debug-addr listener exposes
+// net/http/pprof (with lock/block profiling behind -mutex-profile-fraction
+// and -block-profile-rate) plus the same /debug/traces.
 package main
 
 import (
@@ -93,13 +93,11 @@ func main() {
 		rawOrigin   = flag.String("raw-origin", "", `also serve a directory of raw container files over HTTP as "ADDR=DIR" (a range-capable origin with strong ETags, for -store http:// setups and smoke tests)`)
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheMB     = flag.Int64("cache-mb", 256, "brick cache budget in MiB (0 disables caching)")
-		shards      = flag.Int("cache-shards", 16, "brick cache shard count")
 		maxIngestMB = flag.Int64("max-ingest-mb", 1024, "largest raw field accepted by PUT ingest, in MiB")
 		quarTTL     = flag.Duration("quarantine-ttl", serve.DefaultQuarantineTTL, "how long a corrupt level is skipped before being probed again")
 		sweepEvery  = flag.Duration("sweep-interval", 10*time.Minute, "period between crash-residue sweeps of the data directory (0 disables)")
 		faultSpec   = flag.String("fault-inject", "", `inject deterministic read faults for resilience drills, e.g. "seed=7,transient=0.05,maxfaults=100" (testing only)`)
 
-		traceRing = flag.Int("trace-ring", 0, "recent request traces retained for /debug/traces (0 = default)")
 		traceSlow = flag.Duration("trace-slow", 0, "log any request at least this slow with its span breakdown (0 disables)")
 		logSample = flag.Int("log-sample", 0, "emit one access-log line per N requests (1 = every request, 0 disables)")
 		debugAddr = flag.String("debug-addr", "", "optional second listener for net/http/pprof and /debug/traces (e.g. localhost:6060)")
@@ -122,9 +120,7 @@ func main() {
 		RevalidateEvery: *reval,
 		CacheBytes:      *cacheMB << 20,
 		MaxIngestBytes:  *maxIngestMB << 20,
-		CacheShards:     *shards,
 		QuarantineTTL:   *quarTTL,
-		TraceRing:       *traceRing,
 		TraceSlow:       *traceSlow,
 		LogSample:       *logSample,
 		LogWriter:       os.Stderr,

@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultRingSize is how many finished traces a Collector retains when the
-// caller does not choose (see mrserve -trace-ring).
+// caller does not choose.
 const DefaultRingSize = 256
 
 // Collector ties the tracing side of the package together: it owns the
@@ -27,9 +27,8 @@ type Collector struct {
 	ringNext int
 	ringLen  int
 
-	stageMu      sync.RWMutex
-	stages       map[string]*Histogram
-	stageBuckets []float64
+	stageMu sync.RWMutex
+	stages  map[string]*Histogram
 }
 
 // NewCollector builds a collector retaining the last ringSize traces
@@ -146,7 +145,7 @@ func (c *Collector) Stage(name string) *Histogram {
 	if h, ok = c.stages[name]; ok {
 		return h
 	}
-	h = NewHistogram(c.stageBuckets)
+	h = NewHistogram(nil)
 	c.stages[name] = h
 	return h
 }

@@ -18,7 +18,7 @@ import (
 // codecTestServer builds an empty serving directory.
 func codecTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	s, err := New(Config{Dir: t.TempDir(), CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30, CacheShards: 8})
+	s, err := New(Config{Dir: t.TempDir(), CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/faultio"
 	"repro/internal/field"
-	"repro/internal/reader"
 )
 
 // quarantine is the TTL'd negative cache of one open container's levels
@@ -100,25 +99,25 @@ func degradedHeader(requested, served int, reason string) string {
 	return fmt.Sprintf("requested-level=%d; served-level=%d; reason=%s", requested, served, reason)
 }
 
-// readLevelDegraded reads level l of a field, falling back level by level
-// toward the coarsest when the requested one is quarantined or turns out
-// corrupt. It returns the field, the level actually served, and the
-// degradation reason ("" when the requested level was served intact).
+// readDegraded reads level l of a field through read, falling back level
+// by level toward the coarsest when the requested one is quarantined or
+// turns out corrupt. It returns the field, the level actually served, and
+// the degradation reason ("" when the requested level was served intact).
 // Non-corrupt errors — context cancellation, transient faults that
 // outlasted the retry budget, missing files — abort the walk: degradation
 // is a remedy for bad bytes, not for an unreachable backend.
-func (s *Server) readLevelDegraded(ctx context.Context, e *readerEntry, l int) (*field.Field, int, string, error) {
-	rd := e.r
+func (s *Server) readDegraded(ctx context.Context, e *readerEntry, l int, read func(lv int) (*field.Field, error)) (*field.Field, int, string, error) {
+	n := e.r.NumLevels()
 	reason := ""
 	var lastErr error
-	for lv := l; lv < rd.NumLevels(); lv++ {
+	for lv := l; lv < n; lv++ {
 		if e.quar.active(lv) {
 			if reason == "" {
 				reason = "quarantined"
 			}
 			continue
 		}
-		f, err := rd.ReadLevelCtx(ctx, lv)
+		f, err := read(lv)
 		if err == nil {
 			return f, lv, reason, nil
 		}
@@ -130,45 +129,9 @@ func (s *Server) readLevelDegraded(ctx context.Context, e *readerEntry, l int) (
 		lastErr = err
 	}
 	if lastErr == nil {
-		lastErr = faultio.Corruptf("levels %d..%d all quarantined", l, rd.NumLevels()-1)
+		lastErr = faultio.Corruptf("levels %d..%d all quarantined", l, n-1)
 	}
 	return nil, -1, "", lastErr
-}
-
-// readSliceDegraded is readLevelDegraded for plane extraction: on fallback
-// the plane index is rescaled to the coarser grid (k >> levels dropped,
-// clamped), so the served slice covers the same physical cut.
-func (s *Server) readSliceDegraded(ctx context.Context, e *readerEntry, axis reader.Axis, k, l int) (*field.Field, int, int, string, error) {
-	rd := e.r
-	reason := ""
-	var lastErr error
-	for lv := l; lv < rd.NumLevels(); lv++ {
-		if e.quar.active(lv) {
-			if reason == "" {
-				reason = "quarantined"
-			}
-			continue
-		}
-		kk := k >> uint(lv-l)
-		nx, ny, nz := rd.Index().LevelDims(lv)
-		if dim := []int{nx, ny, nz}[axis]; kk >= dim {
-			kk = dim - 1
-		}
-		f, err := rd.ReadSliceCtx(ctx, axis, kk, lv)
-		if err == nil {
-			return f, lv, kk, reason, nil
-		}
-		if ctx.Err() != nil || !faultio.IsCorrupt(err) {
-			return nil, lv, kk, "", err
-		}
-		s.quarantineLevel(e, lv)
-		reason = "corrupt"
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = faultio.Corruptf("levels %d..%d all quarantined", l, rd.NumLevels()-1)
-	}
-	return nil, -1, -1, "", lastErr
 }
 
 // ParseFaultPlan parses the -fault-inject spec: comma-separated key=value

@@ -73,7 +73,7 @@ func expectedLevels(t *testing.T, f *field.Field) []*field.Field {
 // through the reader, the listing, and the brick cache.
 func TestIngestEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30, CacheShards: 8})
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestIngestEndpoint(t *testing.T) {
 
 func TestIngestRejections(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 64 << 10, CacheShards: 8}) // 64 KiB ingest cap
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 64 << 10}) // 64 KiB ingest cap
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestReplaceWhileServing(t *testing.T) {
 	// Only the first open — the old container's reader — is gated.
 	gate := &gatedReaderAt{entered: make(chan struct{}), release: make(chan struct{})}
 	var opens atomic.Int32
-	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4,
+	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30,
 		ReaderOptions: []reader.Option{reader.WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
 			if opens.Add(1) > 1 {
 				return src

@@ -1,15 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/synth"
 )
 
 // syncBuffer is a mutex-guarded log sink: the handler's deferred log write
@@ -201,6 +208,110 @@ func TestMetricsHistograms(t *testing.T) {
 	// count must be nonzero.
 	if !strings.Contains(text, `mrserve_request_duration_seconds_count{endpoint="level"} 1`) {
 		t.Errorf("level histogram count not 1:\n%s", grepLines(text, "mrserve_request_duration_seconds_count"))
+	}
+	// The request counters are the histogram's count and sum.
+	vals := metricLines(text)
+	for _, e := range expectedMetricEndpoints {
+		lbl := fmt.Sprintf("{endpoint=%q}", e)
+		if n, c := vals["mrserve_requests_total"+lbl], vals["mrserve_request_duration_seconds_count"+lbl]; n != c {
+			t.Errorf("%s: mrserve_requests_total %s, histogram _count %s", e, n, c)
+		}
+		secs, err1 := strconv.ParseFloat(vals["mrserve_request_seconds_total"+lbl], 64)
+		sum, err2 := strconv.ParseFloat(vals["mrserve_request_duration_seconds_sum"+lbl], 64)
+		// seconds_total prints 6 decimals and _sum 9: the two roundings
+		// leave them at most 5e-7 + 5e-10 apart.
+		if err1 != nil || err2 != nil || math.Abs(secs-sum) > 5.005e-7 {
+			t.Errorf("%s: mrserve_request_seconds_total %s, histogram _sum %s", e,
+				vals["mrserve_request_seconds_total"+lbl], vals["mrserve_request_duration_seconds_sum"+lbl])
+		}
+	}
+}
+
+// metricLines maps each line of a /metrics page to its value: a HELP or
+// TYPE line to "", a sample's name{labels} to its printed value.
+func metricLines(text string) map[string]string {
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			out[line] = ""
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		out[line[:i]] = line[i+1:]
+	}
+	return out
+}
+
+// TestMetricsSeriesSet pins what /metrics exposes: after a fixed request
+// sequence its HELP/TYPE lines and sample keys (name{labels}, le included)
+// must equal testdata/metrics_series.txt, captured before request counts
+// and latency moved onto the collector's stage histograms. The only keys
+// allowed beyond the list are zero-count serve:<endpoint> stage series of
+// endpoints the sequence did not request.
+func TestMetricsSeriesSet(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	var raw bytes.Buffer
+	if _, err := synth.Generate(synth.Nyx, 32, 5).WriteTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	seq := []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/field/nyx/level/0", http.StatusOK},
+		{http.MethodGet, "/v1/field/nyx/slice?axis=z&k=1", http.StatusOK},
+		{http.MethodGet, "/v1/fields", http.StatusOK},
+		{http.MethodGet, "/v1/field/nyx/meta", http.StatusOK},
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodPut, "/v1/field/put", http.StatusCreated},
+		{http.MethodGet, "/v1/field/missing/level/0", http.StatusNotFound},
+	}
+	for i, rq := range seq {
+		var body io.Reader
+		if rq.method == http.MethodPut {
+			body = bytes.NewReader(raw.Bytes())
+		}
+		req, err := http.NewRequest(rq.method, ts.URL+rq.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", fmt.Sprintf("series-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != rq.want {
+			t.Fatalf("%s %s: %d, want %d", rq.method, rq.path, resp.StatusCode, rq.want)
+		}
+	}
+	// A trace reaches the ring after its spans reached the stage histograms.
+	for i := range seq {
+		waitForTrace(t, ts.URL, fmt.Sprintf("series-%d", i))
+	}
+	_, body, _ := get(t, ts.URL+"/metrics")
+	got := metricLines(string(body))
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics_series.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		want[k] = true
+		if _, ok := got[k]; !ok {
+			t.Errorf("/metrics lost %s", k)
+		}
+	}
+	for k, v := range got {
+		if want[k] {
+			continue
+		}
+		if n, err := strconv.ParseFloat(v, 64); err == nil && n == 0 &&
+			strings.HasPrefix(k, "mrserve_stage_duration_seconds") && strings.Contains(k, `stage="serve:`) {
+			continue
+		}
+		t.Errorf("/metrics gained %s %s", k, v)
 	}
 }
 

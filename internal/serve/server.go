@@ -2,9 +2,11 @@
 // importable library: the HTTP surface (fields/meta/level/slice/ingest), the
 // revalidated reader pool over a shared, version-keyed brick cache,
 // corruption quarantine with graceful degradation, and the observability
-// plane — per-request traces (X-Request-Id, GET /debug/traces), per-endpoint
-// and per-stage latency histograms on GET /metrics, and structured
-// access/slow logs.
+// plane — per-request traces (X-Request-Id, GET /debug/traces), latency
+// histograms and counters on GET /metrics, and structured access/slow logs.
+// Each request is timed once, by its trace's root span (serve:<endpoint>):
+// the obs collector's histogram for that span is the endpoint's request
+// histogram, and the request counters are its count and sum (metrics.go).
 // cmd/mrserve is a thin flag wrapper around New + Handler; the serve
 // workloads of the bench/ harness drive the same Server over HTTP.
 //
@@ -15,7 +17,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro"
@@ -76,10 +76,11 @@ type Server struct {
 	// against the object's current identity on use.
 	summaries map[string]cachedSummary
 
+	// metrics holds the counters no span measures.
 	metrics metricsRegistry
 	// obs owns the bounded trace ring (GET /debug/traces), the per-stage
-	// latency histograms, and slow-request logging; every instrumented
-	// request runs under one of its traces.
+	// latency histograms — request latency included — and slow-request
+	// logging; every instrumented request runs under one of its traces.
 	obs *obs.Collector
 	// accessLog, when non-nil, receives one structured key=value line per
 	// sampled request (and the collector's slow-request lines).
@@ -110,12 +111,8 @@ type Config struct {
 	RevalidateEvery time.Duration
 	// MaxIngestBytes caps the raw field size PUT ingest accepts.
 	MaxIngestBytes int64
-	// CacheShards is the brick cache shard count.
-	CacheShards int
 	// QuarantineTTL overrides DefaultQuarantineTTL when > 0.
 	QuarantineTTL time.Duration
-	// TraceRing sizes the recent-trace ring (0 = obs.DefaultRingSize).
-	TraceRing int
 	// TraceSlow, when > 0, logs every request at least this slow to
 	// LogWriter with its span breakdown.
 	TraceSlow time.Duration
@@ -144,21 +141,24 @@ func New(cfg Config) (*Server, error) {
 	if ttl <= 0 {
 		ttl = DefaultQuarantineTTL
 	}
-	col := obs.NewCollector(cfg.TraceRing)
+	col := obs.NewCollector(obs.DefaultRingSize)
+	for _, e := range endpoints {
+		col.Stage(rootStage + e) // every endpoint's request histogram exists from the start
+	}
 	logger := obs.NewLogger(cfg.LogWriter)
 	if cfg.TraceSlow > 0 {
 		col.SetSlowLog(cfg.TraceSlow, logger)
 	}
 	return &Server{
 		st:              st,
-		cache:           cache.New(cfg.CacheBytes, cfg.CacheShards),
+		cache:           cache.New(cfg.CacheBytes, cache.DefaultShards),
 		maxIngestBytes:  cfg.MaxIngestBytes,
 		revalidateEvery: cfg.RevalidateEvery,
 		quarTTL:         ttl,
 		readerOpts:      cfg.ReaderOptions,
 		readers:         make(map[string]*readerEntry),
 		summaries:       make(map[string]cachedSummary),
-		metrics:         newMetricsRegistry(),
+		metrics:         metricsRegistry{errors: endpointCounters(), degraded: endpointCounters()},
 		obs:             col,
 		accessLog:       logger,
 		logSample:       obs.NewSampler(cfg.LogSample),
@@ -369,7 +369,7 @@ func (s *Server) getReader(ctx context.Context, id string) (*readerEntry, error)
 		if err == nil {
 			info = r.StoreInfo()
 		}
-		// Store under the server mutex: /metrics, summarize, and close()
+		// Store under the server mutex: openFields, summarize, and Close
 		// read entries without going through this once.
 		s.mu.Lock()
 		e.r, e.err = r, err
@@ -504,53 +504,6 @@ func writeField(w http.ResponseWriter, r *http.Request, f *field.Field, etag str
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("Content-Length", strconv.Itoa(24+8*f.Len()))
 	f.WriteTo(w)
-}
-
-// fieldHealth is the per-field block of /healthz: the integrity and
-// resilience counters of one open container.
-type fieldHealth struct {
-	Retries           int64 `json:"read_retries"`
-	CorruptStreams    int64 `json:"corrupt_streams"`
-	QuarantinedLevels []int `json:"quarantined_levels,omitempty"`
-}
-
-// handleHealthz reports liveness plus the resilience picture: per-field
-// retry/corruption counters and quarantined levels, and the process-wide
-// totals. The body always contains the substring "ok" in the status field —
-// the deploy smoke greps for it.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	var retries, corrupt int64
-	quarantined := 0
-	fields := make(map[string]fieldHealth)
-	s.mu.Lock()
-	for id, e := range s.readers {
-		if e.r == nil {
-			continue // open in flight or failed
-		}
-		//lint:ignore mrlint/lockio Stats only loads atomic counters, it cannot block or re-enter the registry
-		st := e.r.Stats()
-		retries += st.Retries
-		corrupt += st.CorruptStreams
-		levels := e.quar.levels()
-		quarantined += len(levels)
-		fields[id] = fieldHealth{
-			Retries:           st.Retries,
-			CorruptStreams:    st.CorruptStreams,
-			QuarantinedLevels: levels,
-		}
-	}
-	s.mu.Unlock()
-	writeJSON(w, map[string]any{
-		"status":             "ok",
-		"fields_open":        len(fields),
-		"quarantined_levels": quarantined,
-		"quarantine_events":  s.metrics.quarantineEvents.Load(),
-		"degraded_responses": s.metrics.degradedTotal(),
-		"read_retries":       retries,
-		"corrupt_streams":    corrupt,
-		"decode_panics":      s.metrics.panics.Load(),
-		"fields":             fields,
-	})
 }
 
 // fieldSummary is one entry of GET /v1/fields.
@@ -705,34 +658,9 @@ func (s *Server) handleLevel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown level", http.StatusNotFound)
 		return
 	}
-	variant := fmt.Sprintf("L%d", l)
-	if r.URL.Query().Get("format") == "json" {
-		variant += "+json"
-	}
-	etag := containerETag(rd.Reader, variant)
-	// The validator depends only on the container version and the requested
-	// representation, so a match short-circuits before any decode: the
-	// client's cached copy (necessarily full-fidelity — degraded responses
-	// are never tagged) is still exactly right.
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-		notModified(w, etag)
-		return
-	}
-	f, served, reason, err := s.readLevelDegraded(r.Context(), e, l)
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	if reason != "" {
-		w.Header().Set("X-Degraded", degradedHeader(l, served, reason))
-		// Degraded payloads must not be cached or revalidated into
-		// freshness: the client should re-ask once the quarantine lifts.
-		w.Header().Set("Cache-Control", "no-cache")
-		s.metrics.degraded["level"].Add(1)
-		etag = ""
-	}
-	w.Header().Set("X-Mrw-Level", strconv.Itoa(served))
-	writeField(w, r, f, etag)
+	s.serveRead(w, r, "level", e, l, fmt.Sprintf("L%d", l), func(lv int) (*field.Field, error) {
+		return rd.ReadLevelCtx(r.Context(), lv)
+	})
 }
 
 func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
@@ -774,31 +702,50 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("k out of range [0,%d)", dim), http.StatusBadRequest)
 		return
 	}
-	variant := fmt.Sprintf("%s%d-L%d", axis, k, l)
-	if q.Get("format") == "json" {
+	// On fallback the plane index is rescaled to the coarser grid (k >> levels
+	// dropped, clamped), so the served slice covers the same physical cut.
+	s.serveRead(w, r, "slice", e, l, fmt.Sprintf("%s%d-L%d", axis, k, l), func(lv int) (*field.Field, error) {
+		nx, ny, nz := rd.Index().LevelDims(lv)
+		kk := min(k>>uint(lv-l), []int{nx, ny, nz}[axis]-1)
+		f, err := rd.ReadSliceCtx(r.Context(), axis, kk, lv)
+		if err == nil {
+			w.Header().Set("X-Mrw-Axis", axis.String())
+			w.Header().Set("X-Mrw-K", strconv.Itoa(kk))
+		}
+		return f, err
+	})
+}
+
+// serveRead is the common tail of the level and slice endpoints once their
+// parameters are valid. The strong ETag depends only on the container
+// version and the requested representation (variant, plus "+json" for
+// ?format=json), so a matching If-None-Match answers 304 before any decode:
+// the client's cached copy (necessarily full-fidelity — degraded responses
+// are never tagged) is still exactly right. Otherwise read runs through the
+// degraded walk from level l, and the field goes out with X-Mrw-Level.
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, endpoint string, e *readerEntry, l int, variant string, read func(lv int) (*field.Field, error)) {
+	if r.URL.Query().Get("format") == "json" {
 		variant += "+json"
 	}
-	etag := containerETag(rd.Reader, variant)
+	etag := containerETag(e.r.Reader, variant)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
 		notModified(w, etag)
 		return
 	}
-	// Parameters were validated above; what remains is a server-side decode
-	// or I/O fault, handled by the degraded read path.
-	f, served, servedK, reason, err := s.readSliceDegraded(r.Context(), e, axis, k, l)
+	f, served, reason, err := s.readDegraded(r.Context(), e, l, read)
 	if err != nil {
 		s.httpError(w, err)
 		return
 	}
 	if reason != "" {
 		w.Header().Set("X-Degraded", degradedHeader(l, served, reason))
+		// Degraded payloads must not be cached or revalidated into
+		// freshness: the client should re-ask once the quarantine lifts.
 		w.Header().Set("Cache-Control", "no-cache")
-		s.metrics.degraded["slice"].Add(1)
+		s.metrics.degraded[endpoint].Add(1)
 		etag = ""
 	}
 	w.Header().Set("X-Mrw-Level", strconv.Itoa(served))
-	w.Header().Set("X-Mrw-Axis", axis.String())
-	w.Header().Set("X-Mrw-K", strconv.Itoa(servedK))
 	writeField(w, r, f, etag)
 }
 
@@ -945,315 +892,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		"container_bytes":   res.Bytes,
 		"compression_ratio": res.CompressionRatio,
 	})
-}
-
-// --- metrics ----------------------------------------------------------------
-
-// endpoints instrumented with request/latency counters.
-var endpoints = []string{"healthz", "fields", "meta", "level", "slice", "ingest"}
-
-// metricsRegistry is a minimal fixed-cardinality Prometheus-style counter
-// set (no external deps; the text exposition format is trivial).
-type metricsRegistry struct {
-	requests  map[string]*atomic.Int64
-	errors    map[string]*atomic.Int64
-	latencyNs map[string]*atomic.Int64
-	// latency is the per-endpoint request-duration histogram
-	// (mrserve_request_duration_seconds); latencyNs above stays as the
-	// pre-histogram sum-only series so existing dashboards keep working.
-	latency map[string]*obs.Histogram
-	// degraded counts responses served from a coarser level than requested
-	// (X-Degraded set), by endpoint.
-	degraded map[string]*atomic.Int64
-	// quarantineEvents counts levels newly quarantined after failing
-	// integrity checks.
-	quarantineEvents *atomic.Int64
-	// panics counts handler panics converted to 500s by instrument.
-	panics *atomic.Int64
-	// tempsSwept counts stale AtomicFile temporaries removed from the data
-	// directory (crash residue).
-	tempsSwept *atomic.Int64
-}
-
-func newMetricsRegistry() metricsRegistry {
-	m := metricsRegistry{
-		requests:         make(map[string]*atomic.Int64),
-		errors:           make(map[string]*atomic.Int64),
-		latencyNs:        make(map[string]*atomic.Int64),
-		latency:          make(map[string]*obs.Histogram),
-		degraded:         make(map[string]*atomic.Int64),
-		quarantineEvents: new(atomic.Int64),
-		panics:           new(atomic.Int64),
-		tempsSwept:       new(atomic.Int64),
-	}
-	for _, e := range endpoints {
-		m.requests[e] = new(atomic.Int64)
-		m.errors[e] = new(atomic.Int64)
-		m.latencyNs[e] = new(atomic.Int64)
-		m.latency[e] = obs.NewHistogram(nil)
-		m.degraded[e] = new(atomic.Int64)
-	}
-	return m
-}
-
-// degradedTotal sums degraded responses across endpoints.
-func (m *metricsRegistry) degradedTotal() int64 {
-	var n int64
-	for _, e := range endpoints {
-		n += m.degraded[e].Load()
-	}
-	return n
-}
-
-// statusRecorder captures the response code for the error counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request, error, and latency accounting
-// (counters plus the request-duration histogram), runs it under a request
-// trace — the client's X-Request-Id, or a fresh one, echoed back on the
-// response — and converts a handler panic into a counted 500 instead of
-// tearing down the connection. Decode panics are already recovered at the
-// core layer; this is the last line of defense for everything else, so one
-// poisoned request can never take a worker goroutine down with stacked
-// state. Each completed trace lands in the /debug/traces ring; sampled
-// requests additionally emit one structured access-log line.
-//
-// Contract: a trace is visible eventually, not before the last body byte.
-// The trace is finished after the handler returns, because its root span
-// and status cover the body write; a client that has read the whole
-// response may therefore query the ring a moment before the trace is in it.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := r.Header.Get("X-Request-Id")
-		if reqID == "" {
-			reqID = obs.NewID()
-		}
-		w.Header().Set("X-Request-Id", reqID)
-		ctx, tr := s.obs.StartTrace(r.Context(), reqID)
-		ctx, root := obs.StartSpan(ctx, "serve:"+name)
-		r = r.WithContext(ctx)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			if p := recover(); p != nil {
-				s.metrics.panics.Add(1)
-				rec.status = http.StatusInternalServerError
-				// If the handler already wrote headers this is a no-op on
-				// the wire; the counters still record the failure.
-				http.Error(rec, fmt.Sprintf("internal error: %v", p), http.StatusInternalServerError)
-			}
-			d := time.Since(start)
-			root.End()
-			s.metrics.requests[name].Add(1)
-			s.metrics.latencyNs[name].Add(d.Nanoseconds())
-			s.metrics.latency[name].Observe(d)
-			if rec.status >= 400 {
-				s.metrics.errors[name].Add(1)
-			}
-			degraded := rec.Header().Get("X-Degraded") != ""
-			tr.SetAttr("endpoint", name)
-			tr.SetAttr("status", strconv.Itoa(rec.status))
-			if degraded {
-				tr.SetAttr("degraded", "true")
-			}
-			s.obs.Finish(tr)
-			if s.logSample.Allow() {
-				s.accessLog.Log(
-					"trace", reqID,
-					"endpoint", name,
-					"method", r.Method,
-					"path", r.URL.Path,
-					"status", strconv.Itoa(rec.status),
-					"degraded", strconv.FormatBool(degraded),
-					"dur", d.String(),
-				)
-			}
-		}()
-		h(rec, r)
-	}
-}
-
-// metricsSnapshot is everything /metrics reports, gathered under the
-// briefest possible locking so the formatter below runs lock-free: the
-// exposition text is rendered into a buffer and written in one shot,
-// keeping a slow scrape connection from ever holding the server mutex.
-type metricsSnapshot struct {
-	requests, errors, degraded map[string]int64
-	latencySec                 map[string]float64
-	latencyHist                map[string]obs.HistogramSnapshot
-	stages                     []obs.StageSnapshot
-	cache                      cache.Stats
-	perField                   map[string]reader.Stats
-	ids                        []string
-	quarActive                 int
-	quarEvents                 int64
-	panics                     int64
-	tempsSwept                 int64
-}
-
-// snapshotMetrics gathers a point-in-time copy of every exported series.
-// Counter loads are individually atomic (a scrape racing a request may see
-// adjacent counters a few events apart — standard scrape semantics); the
-// server mutex covers only the open-reader walk.
-func (s *Server) snapshotMetrics() metricsSnapshot {
-	snap := metricsSnapshot{
-		requests:    make(map[string]int64, len(endpoints)),
-		errors:      make(map[string]int64, len(endpoints)),
-		degraded:    make(map[string]int64, len(endpoints)),
-		latencySec:  make(map[string]float64, len(endpoints)),
-		latencyHist: make(map[string]obs.HistogramSnapshot, len(endpoints)),
-		perField:    make(map[string]reader.Stats),
-	}
-	for _, e := range endpoints {
-		snap.requests[e] = s.metrics.requests[e].Load()
-		snap.errors[e] = s.metrics.errors[e].Load()
-		snap.degraded[e] = s.metrics.degraded[e].Load()
-		snap.latencySec[e] = float64(s.metrics.latencyNs[e].Load()) / 1e9
-		snap.latencyHist[e] = s.metrics.latency[e].Snapshot()
-	}
-	snap.stages = s.obs.StageSnapshots()
-	snap.cache = s.cache.Stats()
-	s.mu.Lock()
-	for id, e := range s.readers {
-		if e.r == nil {
-			continue // open in flight or failed
-		}
-		//lint:ignore mrlint/lockio Stats only loads atomic counters, it cannot block or re-enter the registry
-		snap.perField[id] = e.r.Stats()
-		snap.ids = append(snap.ids, id)
-		snap.quarActive += len(e.quar.levels())
-	}
-	s.mu.Unlock()
-	sort.Strings(snap.ids)
-	snap.quarEvents = s.metrics.quarantineEvents.Load()
-	snap.panics = s.metrics.panics.Load()
-	snap.tempsSwept = s.metrics.tempsSwept.Load()
-	return snap
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshotMetrics()
-	var buf bytes.Buffer
-	formatMetrics(&buf, snap)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(buf.Bytes())
-}
-
-// formatMetrics renders a snapshot as Prometheus text. It takes no locks
-// and touches no live server state.
-func formatMetrics(w io.Writer, snap metricsSnapshot) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
-	p("# HELP mrserve_requests_total Requests served, by endpoint.\n")
-	p("# TYPE mrserve_requests_total counter\n")
-	for _, e := range endpoints {
-		p("mrserve_requests_total{endpoint=%q} %d\n", e, snap.requests[e])
-	}
-	p("# HELP mrserve_request_errors_total Requests answered with status >= 400, by endpoint.\n")
-	p("# TYPE mrserve_request_errors_total counter\n")
-	for _, e := range endpoints {
-		p("mrserve_request_errors_total{endpoint=%q} %d\n", e, snap.errors[e])
-	}
-	p("# HELP mrserve_request_seconds_total Cumulative request wall time, by endpoint.\n")
-	p("# TYPE mrserve_request_seconds_total counter\n")
-	for _, e := range endpoints {
-		p("mrserve_request_seconds_total{endpoint=%q} %.6f\n", e, snap.latencySec[e])
-	}
-	p("# HELP mrserve_request_duration_seconds Request latency histogram, by endpoint.\n")
-	p("# TYPE mrserve_request_duration_seconds histogram\n")
-	for _, e := range endpoints {
-		snap.latencyHist[e].WriteProm(w, "mrserve_request_duration_seconds", fmt.Sprintf("endpoint=%q", e))
-	}
-	p("# HELP mrserve_stage_duration_seconds Per-stage latency histogram from request traces (cache probes, footer/stream reads, decodes, reader ops).\n")
-	p("# TYPE mrserve_stage_duration_seconds histogram\n")
-	for _, st := range snap.stages {
-		st.Hist.WriteProm(w, "mrserve_stage_duration_seconds", fmt.Sprintf("stage=%q", st.Name))
-	}
-
-	cst := snap.cache
-	p("# HELP mrserve_cache_hits_total Brick cache hits.\n")
-	p("# TYPE mrserve_cache_hits_total counter\n")
-	p("mrserve_cache_hits_total %d\n", cst.Hits)
-	p("# HELP mrserve_cache_misses_total Brick cache misses.\n")
-	p("# TYPE mrserve_cache_misses_total counter\n")
-	p("mrserve_cache_misses_total %d\n", cst.Misses)
-	p("# HELP mrserve_cache_evictions_total Brick cache evictions.\n")
-	p("# TYPE mrserve_cache_evictions_total counter\n")
-	p("mrserve_cache_evictions_total %d\n", cst.Evictions)
-	p("# HELP mrserve_cache_bytes Bytes of decoded bricks currently cached.\n")
-	p("# TYPE mrserve_cache_bytes gauge\n")
-	p("mrserve_cache_bytes %d\n", cst.Bytes)
-	p("# HELP mrserve_cache_budget_bytes Configured brick cache budget.\n")
-	p("# TYPE mrserve_cache_budget_bytes gauge\n")
-	p("mrserve_cache_budget_bytes %d\n", cst.Budget)
-	p("# HELP mrserve_cache_entries Bricks currently cached.\n")
-	p("# TYPE mrserve_cache_entries gauge\n")
-	p("mrserve_cache_entries %d\n", cst.Entries)
-
-	var decodes, bytesRead, retries, corrupt, coalesced int64
-	perField, ids := snap.perField, snap.ids
-	for _, st := range perField {
-		decodes += st.BackendDecodes
-		bytesRead += st.BytesRead
-		retries += st.Retries
-		corrupt += st.CorruptStreams
-		coalesced += st.CoalescedWaits
-	}
-	p("# HELP mrserve_coalesced_reads_total Brick requests that joined an in-flight decode of the same brick (singleflight).\n")
-	p("# TYPE mrserve_coalesced_reads_total counter\n")
-	p("mrserve_coalesced_reads_total %d\n", coalesced)
-	p("# HELP mrserve_backend_decodes_total Compressed streams decoded across all open fields.\n")
-	p("# TYPE mrserve_backend_decodes_total counter\n")
-	p("mrserve_backend_decodes_total %d\n", decodes)
-	p("# HELP mrserve_compressed_bytes_read_total Compressed bytes fetched from containers.\n")
-	p("# TYPE mrserve_compressed_bytes_read_total counter\n")
-	p("mrserve_compressed_bytes_read_total %d\n", bytesRead)
-	p("# HELP mrserve_fields_open Containers currently held open.\n")
-	p("# TYPE mrserve_fields_open gauge\n")
-	p("mrserve_fields_open %d\n", len(ids))
-
-	// Resilience counters: the corruption/retry story per field and overall.
-	p("# HELP mrserve_read_retries_total Source reads retried after transient faults.\n")
-	p("# TYPE mrserve_read_retries_total counter\n")
-	p("mrserve_read_retries_total %d\n", retries)
-	p("# HELP mrserve_corrupt_streams_total Streams that failed integrity verification.\n")
-	p("# TYPE mrserve_corrupt_streams_total counter\n")
-	p("mrserve_corrupt_streams_total %d\n", corrupt)
-	p("# HELP mrserve_field_read_retries_total Retried source reads, by open field.\n")
-	p("# TYPE mrserve_field_read_retries_total counter\n")
-	for _, id := range ids {
-		p("mrserve_field_read_retries_total{field=%q} %d\n", id, perField[id].Retries)
-	}
-	p("# HELP mrserve_field_corrupt_streams_total Integrity failures, by open field.\n")
-	p("# TYPE mrserve_field_corrupt_streams_total counter\n")
-	for _, id := range ids {
-		p("mrserve_field_corrupt_streams_total{field=%q} %d\n", id, perField[id].CorruptStreams)
-	}
-	p("# HELP mrserve_degraded_responses_total Responses served from a coarser level than requested, by endpoint.\n")
-	p("# TYPE mrserve_degraded_responses_total counter\n")
-	for _, e := range endpoints {
-		p("mrserve_degraded_responses_total{endpoint=%q} %d\n", e, snap.degraded[e])
-	}
-	p("# HELP mrserve_quarantine_events_total Levels newly quarantined after integrity failures.\n")
-	p("# TYPE mrserve_quarantine_events_total counter\n")
-	p("mrserve_quarantine_events_total %d\n", snap.quarEvents)
-	p("# HELP mrserve_quarantined_levels Levels currently quarantined.\n")
-	p("# TYPE mrserve_quarantined_levels gauge\n")
-	p("mrserve_quarantined_levels %d\n", snap.quarActive)
-	p("# HELP mrserve_handler_panics_total Handler panics converted to 500s.\n")
-	p("# TYPE mrserve_handler_panics_total counter\n")
-	p("mrserve_handler_panics_total %d\n", snap.panics)
-	p("# HELP mrserve_temps_swept_total Stale write temporaries removed from the data directory.\n")
-	p("# TYPE mrserve_temps_swept_total counter\n")
-	p("mrserve_temps_swept_total %d\n", snap.tempsSwept)
 }
 
 // --- crash-residue sweep ----------------------------------------------------

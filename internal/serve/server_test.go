@@ -60,7 +60,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Server, map[string]*grid.Hi
 	}
 	want["tac"] = h2
 
-	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30, CacheShards: 8})
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,11 +93,11 @@ func storeBackends(t *testing.T, blobA []byte) []struct {
 		cfg     Config
 		replace func([]byte)
 	}{
-		{"fs", Config{Store: fsStore, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4},
+		{"fs", Config{Store: fsStore, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30},
 			func(b []byte) { install(fsStore, b) }},
-		{"mem", Config{Store: mem, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4},
+		{"mem", Config{Store: mem, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30},
 			func(b []byte) { install(mem, b) }},
-		{"http", Config{Store: httpStore, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4},
+		{"http", Config{Store: httpStore, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30},
 			replaceAtOrigin},
 	}
 }
@@ -158,7 +158,7 @@ func TestRevalidateEverySpacing(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "nyx.mrw"), blobA, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4,
+	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30,
 		RevalidateEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestStoreMetricsExposed(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "nyx.mrw"), blobA, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30, CacheShards: 4})
+	s, err := New(Config{Dir: dir, CacheBytes: 32 << 20, MaxIngestBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
