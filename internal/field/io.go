@@ -1,13 +1,13 @@
 package field
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"sync"
 )
 
 // ErrTooLarge reports a field whose header-implied size exceeds the limit
@@ -61,27 +61,32 @@ func CheckDims(nx64, ny64, nz64 uint64) (nx, ny, nz int, samples int64, err erro
 	return int(nx64), int(ny64), int(nz64), n, nil
 }
 
-// WriteTo serializes the field to w in the raw binary format.
+// chunkSize is the pooled scratch samples pass through in both directions.
+const chunkSize = 64 << 10
+
+var chunks = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// WriteTo serializes the field to w in the raw binary format, one w.Write
+// per 64 KiB. On error it returns the bytes w accepted.
 func (f *Field) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(f.Nx))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(f.Ny))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(f.Nz))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	var buf [8]byte
-	for _, v := range f.Data {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return 0, err
+	buf := chunks.Get().(*[chunkSize]byte)
+	defer chunks.Put(buf)
+	binary.LittleEndian.PutUint64(buf[0:], uint64(f.Nx))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(f.Ny))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(f.Nz))
+	var written int64
+	for n, data := headerSize, f.Data; ; n = 0 {
+		src := data[:min((chunkSize-n)/8, len(data))]
+		for i, v := range src {
+			binary.LittleEndian.PutUint64(buf[n+8*i:], math.Float64bits(v))
+		}
+		data = data[len(src):]
+		m, err := w.Write(buf[:n+8*len(src)])
+		written += int64(m)
+		if err != nil || len(data) == 0 {
+			return written, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int64(headerSize + 8*len(f.Data)), nil
 }
 
 // ReadFrom deserializes a field written by WriteTo.
@@ -93,17 +98,18 @@ func ReadFrom(r io.Reader) (*Field, error) {
 // whose dimensions imply more than maxBytes on the wire is rejected
 // *before* the field is allocated, so an untrusted header cannot drive a
 // huge allocation from a tiny payload. maxBytes <= 0 applies only the
-// package sanity cap.
+// package sanity cap. It reads no byte past the field, and a body that ends
+// early fails with an io.ErrUnexpectedEOF naming the first missing sample.
 func ReadFromLimit(r io.Reader, maxBytes int64) (*Field, error) {
-	br := bufio.NewReader(r)
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	buf := chunks.Get().(*[chunkSize]byte)
+	defer chunks.Put(buf)
+	if _, err := io.ReadFull(r, buf[:headerSize]); err != nil {
 		return nil, fmt.Errorf("field: reading header: %w", err)
 	}
 	nx, ny, nz, n, err := CheckDims(
-		binary.LittleEndian.Uint64(hdr[0:]),
-		binary.LittleEndian.Uint64(hdr[8:]),
-		binary.LittleEndian.Uint64(hdr[16:]),
+		binary.LittleEndian.Uint64(buf[0:]),
+		binary.LittleEndian.Uint64(buf[8:]),
+		binary.LittleEndian.Uint64(buf[16:]),
 	)
 	if err != nil {
 		return nil, err
@@ -113,12 +119,17 @@ func ReadFromLimit(r io.Reader, maxBytes int64) (*Field, error) {
 			nx, ny, nz, headerSize+8*n, maxBytes, ErrTooLarge)
 	}
 	f := New(nx, ny, nz)
-	var buf [8]byte
-	for i := range f.Data {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("field: reading sample %d: %w", i, err)
+	for done := 0; done < len(f.Data); done += chunkSize / 8 {
+		dst := f.Data[done:min(done+chunkSize/8, len(f.Data))]
+		if m, err := io.ReadFull(r, buf[:8*len(dst)]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("field: reading sample %d: %w", done+m/8, err)
 		}
-		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
 	}
 	return f, nil
 }

@@ -19,8 +19,8 @@
 // in is put back, and the next user of that scratch overwrites it.
 //
 // The analyzer runs on the packages whose buffers sit on the decode/serve
-// hot path — internal/bitio, internal/huffman, internal/cache, internal/sz2
-// — and reports exported functions and methods whose returned slice is
+// hot path — internal/bitio, internal/huffman, internal/cache, internal/sz2,
+// internal/field — and reports exported functions and methods whose returned slice is
 // rooted in either, unless the doc comment contains "aliases:". Returning a
 // fresh allocation (make + copy, or append to a caller-provided
 // destination) is always fine.
@@ -48,6 +48,7 @@ var hotPkgs = map[string]bool{
 	"repro/internal/huffman": true,
 	"repro/internal/cache":   true,
 	"repro/internal/sz2":     true,
+	"repro/internal/field":   true,
 }
 
 func run(pass *analysis.Pass) error {

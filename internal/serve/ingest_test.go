@@ -167,6 +167,16 @@ func TestIngestRejections(t *testing.T) {
 	if code, _ := doPut(t, ts.URL+"/v1/field/x", strings.NewReader("not a field")); code != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d", code)
 	}
+	// 32³ samples under a 16³ header: the first 4 096 samples are a whole
+	// field, but the body does not end there, so nothing is installed.
+	body, _ := io.ReadAll(rawFieldBody(t, f))
+	for _, off := range []int{0, 8, 16} {
+		body[off] = 16
+	}
+	if code, msg := doPut(t, ts.URL+"/v1/field/long", bytes.NewReader(body)); code != http.StatusBadRequest ||
+		!strings.Contains(string(msg), "32792 bytes") {
+		t.Fatalf("body longer than its header: %d %s", code, msg)
+	}
 	// Nothing half-written may remain.
 	entries, err := os.ReadDir(dir)
 	if err != nil {

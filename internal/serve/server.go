@@ -845,7 +845,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// ReadFromLimit rejects a header whose dimensions imply more than the
 	// cap before allocating, so a tiny body cannot reserve gigabytes;
 	// MaxBytesReader bounds what the connection may actually deliver.
-	f, err := field.ReadFromLimit(http.MaxBytesReader(w, r.Body, s.maxIngestBytes), s.maxIngestBytes)
+	body := http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
+	f, err := field.ReadFromLimit(body, s.maxIngestBytes)
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
@@ -853,6 +854,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, fmt.Sprintf("bad field payload: %v", err), status)
+		return
+	}
+	// ReadFromLimit stops at the end of the field its header declares; a
+	// body that goes on is a malformed upload, not a field to install.
+	if _, err := io.ReadFull(body, make([]byte, 1)); err != io.EOF {
+		http.Error(w, fmt.Sprintf("bad field payload: body is longer than the %d bytes its %dx%dx%d header declares",
+			24+f.Bytes(), f.Nx, f.Ny, f.Nz), http.StatusBadRequest)
 		return
 	}
 	_, statErr := s.st.Stat(r.Context(), fieldKey(id))
