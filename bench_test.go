@@ -285,6 +285,52 @@ func BenchmarkCoreDecompressWorkers1(b *testing.B)   { benchCoreDecompressWorker
 func BenchmarkCoreDecompressWorkers4(b *testing.B)   { benchCoreDecompressWorkers(b, 4) }
 func BenchmarkCoreDecompressWorkersMax(b *testing.B) { benchCoreDecompressWorkers(b, 0) }
 
+// amrSZ2Prepared is the batch_amr_sz2 workload's container shape: a 128³
+// WarpX field built into 2-level AMR, SZ2 over TAC boxes (many small
+// streams), two workers.
+func amrSZ2Prepared(b *testing.B) (*grid.Hierarchy, *core.Prepared) {
+	b.Helper()
+	f := synth.Generate(synth.WarpX, 128, 1)
+	h, err := grid.BuildAMR(f, 16, []float64{0.3, 0.7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.Options{EB: f.ValueRange() * 1e-3, Compressor: core.SZ2, Arrangement: core.ArrangeTAC, Workers: 2}
+	prep, err := core.Prepare(h, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h, prep
+}
+
+func BenchmarkAMRSZ2CompressTo(b *testing.B) {
+	h, prep := amrSZ2Prepared(b)
+	b.SetBytes(int64(h.PayloadBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prep.CompressTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAMRSZ2DecompressWorkers(b *testing.B) {
+	h, prep := amrSZ2Prepared(b)
+	c, err := prep.Compress()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(h.PayloadBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DecompressWorkers(c.Blob, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- entropy-stage benchmarks -------------------------------------------------
 //
 // These measure the Huffman entropy stage in isolation on a realistic

@@ -3,9 +3,9 @@
 //
 // Compress a raw field file (24-byte dims header + float64 samples; see
 // internal/field) into a workflow container. The container streams to the
-// output file as compression waves complete and is installed by atomic
-// rename, so memory stays bounded by the input plus one worker wave and no
-// reader ever sees a partial file:
+// output file in order as the workers compress it and is installed by atomic
+// rename, so memory stays bounded by the input plus a window of compressed
+// streams per worker, and no reader ever sees a partial file:
 //
 //	mrcompress -c -i field.bin -o field.mrw -releb 1e-3 [-compressor sz3]
 //	           [-levelcodecs "0:sz3,2:flate"] [-roiblock 16] [-roifrac 0.5]
@@ -81,7 +81,7 @@ func main() {
 		quality = flag.Bool("quality", false, "with -c: decompress after compressing and report PSNR/SSIM (holds the container in memory)")
 		size    = flag.Int("size", 64, "edge size for -gen")
 		seed    = flag.Int64("seed", 42, "seed for -gen")
-		workers = flag.Int("workers", 0, "concurrent compression workers (0 = all cores, 1 = serial)")
+		workers = flag.Int("workers", 0, "concurrent compression workers (0 = all cores, 1 or below = serial)")
 		level   = flag.Int("level", -1, "with -d: decode only this level (0 = finest) via the container index")
 		box     = flag.Int("box", -1, "with -d -level: decode only this TAC box of the level")
 	)
@@ -147,9 +147,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("compressed %s -> %s (streaming, %d bytes)\n", *in, *out, res.Bytes)
-		fmt.Printf("  payload CR %.1f (vs uniform raw: %.1f)\n",
+		fmt.Printf("  payload CR %.1f (vs uniform raw: %.1f; -quality for PSNR/SSIM)\n",
 			res.CompressionRatio, float64(f.Bytes())/float64(res.Bytes))
-		fmt.Printf("  peak compressed buffer %d bytes (-quality for PSNR/SSIM)\n", res.MaxBufferedBytes)
 
 	case *verify:
 		requireIn(*in)

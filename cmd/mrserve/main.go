@@ -22,8 +22,8 @@
 //	GET /v1/field/{id}/slice?axis=z&k=16&level=0
 //	                                        one 2D cross-section
 //	PUT /v1/field/{id}                      ingest a raw field: compress it
-//	                                        (streaming, memory bounded by one
-//	                                        worker wave) and atomically
+//	                                        (streaming, memory bounded by a
+//	                                        worker window) and atomically
 //	                                        install it as {id}.mrw
 //	                                        [?releb=|eb=|compressor=|
 //	                                        roiblock=|roifrac=]

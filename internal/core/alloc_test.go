@@ -44,12 +44,14 @@ func TestDecompressAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTACSZ2AllocBudget pins the allocations per stream of a serial
-// streaming compress and a serial full decode of a TAC SZ2 hierarchy (64³
-// WarpX, 2-level AMR, one stream per box). SZ2 and the Huffman coder take
-// their working arrays from pools, so a box stream costs its extraction, its
-// compressed bytes, its decoded field and compress/flate's own allocations —
-// 38 and 22 per stream respectively before the pools, 11 and 6.3 with them.
+// TestTACSZ2AllocBudget pins the allocations per stream of a streaming
+// compress and a full decode of a TAC SZ2 hierarchy (64³ WarpX, 2-level AMR,
+// one stream per box), serial and on two workers. SZ2 and the Huffman coder
+// take their working arrays from pools, so a box stream costs its
+// extraction, its compressed bytes, its decoded field and compress/flate's
+// own allocations — 38 and 22 per stream respectively before the pools, 11
+// and 6.3 with them. The worker window adds a constant per run, nothing per
+// stream.
 func TestTACSZ2AllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("malloc counts are not meaningful under the race detector")
@@ -73,18 +75,33 @@ func TestTACSZ2AllocBudget(t *testing.T) {
 		t.Fatalf("%v streams: the hierarchy no longer exercises many small boxes", streams)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if n := testing.AllocsPerRun(10, func() {
-		if _, err := CompressHierarchyTo(h, opt, io.Discard); err != nil {
+	// Measured at 22 streams: compress 111 / 114–116 allocations, decode 75
+	// / 78, serial / two workers. The compress budgets are those plus < 10 %.
+	for _, tc := range []struct {
+		workers          int
+		compress, decode float64 // per stream
+	}{
+		{1, 5.5, 7},
+		{2, 5.7, 7},
+	} {
+		opt.Workers = tc.workers
+		p, err := Prepare(h, opt)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n > 12*streams {
-		t.Errorf("CompressHierarchyTo: %v allocations for %v streams, budget 12 per stream", n, streams)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if _, err := DecompressWorkers(c.Blob, 1); err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := p.CompressTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}); n > tc.compress*streams {
+			t.Errorf("workers=%d: CompressTo: %v allocations for %v streams, budget %v per stream", tc.workers, n, streams, tc.compress)
 		}
-	}); n > 7*streams {
-		t.Errorf("DecompressWorkers(blob, 1): %v allocations for %v streams, budget 7 per stream", n, streams)
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := DecompressWorkers(c.Blob, tc.workers); err != nil {
+				t.Fatal(err)
+			}
+		}); n > tc.decode*streams {
+			t.Errorf("workers=%d: DecompressWorkers: %v allocations for %v streams, budget %v per stream", tc.workers, n, streams, tc.decode)
+		}
 	}
 }

@@ -157,8 +157,9 @@ type Options struct {
 	Interp sz3.Interpolant
 	// Workers bounds the number of goroutines compressing (or decompressing)
 	// backend streams concurrently — one stream per merged level, one per
-	// TAC box. Default runtime.GOMAXPROCS(0); 1 gives fully serial
-	// execution. The container bytes are identical for every Workers value.
+	// TAC box. 0 means runtime.GOMAXPROCS(0); 1, or any negative value,
+	// gives fully serial execution. The container bytes are identical for
+	// every Workers value.
 	Workers int
 	// LevelCodecs overrides the codec per resolution level (key = level,
 	// 0 = finest); levels not named use Compressor. The canonical use is
@@ -202,9 +203,7 @@ func (o *Options) withDefaults() Options {
 	if v.SZ2BlockSize == 0 {
 		v.SZ2BlockSize = sz2.MultiResBlockSize
 	}
-	if v.Workers == 0 {
-		v.Workers = parallel.Workers()
-	}
+	v.Workers = parallel.Resolve(v.Workers)
 	return v
 }
 
@@ -378,7 +377,7 @@ func streamErr(level, box int, err error) error {
 }
 
 // compressStream dispatches one job to its codec with level/box error
-// context (shared by the monolithic and streaming write paths).
+// context.
 func (p *Prepared) compressStream(j compressJob) ([]byte, error) {
 	s, err := compressField(j.f, p.opt, j.codec)
 	if err != nil {
@@ -402,8 +401,7 @@ func (p *Prepared) wireVersion() byte {
 	return containerVersion
 }
 
-// checkCompressOptions validates the write-time option invariants shared by
-// Compress and CompressTo.
+// checkCompressOptions validates the write-time option invariants.
 func (p *Prepared) checkCompressOptions() error {
 	if p.opt.SZ2BlockSize < 0 || p.opt.SZ2BlockSize > maxSZ2BlockSize {
 		return fmt.Errorf("core: SZ2 block size %d out of range [0, %d]", p.opt.SZ2BlockSize, maxSZ2BlockSize)
@@ -422,37 +420,14 @@ func (p *Prepared) checkCompressOptions() error {
 	return nil
 }
 
-// Compress runs the compression stage over prepared buffers and serializes
-// everything into an in-memory container. Streams are compressed by a pool
-// of p.opt.Workers goroutines and collected in order, so the container is
-// byte-identical for every worker count — and byte-identical to what
-// CompressTo streams out. This path holds every compressed stream plus the
-// assembled blob in memory at once; CompressTo bounds that by one worker
-// wave instead.
+// Compress is CompressTo into memory: the same bytes, as one blob.
 func (p *Prepared) Compress() (*Compressed, error) {
-	if err := p.checkCompressOptions(); err != nil {
-		return nil, err
-	}
-	jobs := p.jobs()
-	streams, err := parallel.MapErrWorkers(len(jobs), p.opt.Workers, func(i int) ([]byte, error) {
-		return p.compressStream(jobs[i])
-	})
-	if err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
-	streamTotal := 0
-	for _, s := range streams {
-		streamTotal += len(s)
-	}
-	buf.Grow(streamTotal + 16*len(streams) + 256) // streams + per-stream/box headers
-	ix, levelBytes, err := p.writeContainer(&wireWriter{w: &buf}, func(i int) ([]byte, error) {
-		return streams[i], nil
-	})
+	res, err := p.CompressTo(&buf)
 	if err != nil {
 		return nil, err
 	}
-	return &Compressed{Blob: ix.AppendFooter(buf.Bytes()), LevelBytes: levelBytes}, nil
+	return &Compressed{Blob: buf.Bytes(), LevelBytes: res.LevelBytes}, nil
 }
 
 // indexOpts echoes the container options into their index wire form.
@@ -472,7 +447,7 @@ func indexOpts(o Options) index.Opts {
 }
 
 // OptionsFromIndex reconstructs decode options from an index's header echo
-// (the inverse of the echo written by Compress).
+// (the inverse of the echo written by CompressTo).
 func OptionsFromIndex(o index.Opts) Options {
 	return Options{
 		Compressor:   Compressor(o.Compressor),

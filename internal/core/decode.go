@@ -5,8 +5,8 @@ package core
 // nothing else: loadIndex obtains it (the CRC-covered footer, or a validated
 // body scan when there is none), DecodeIndexed turns one indexed stream's
 // payload into a checked field, and PlaceIndexed puts that field where the
-// index says it lives. Callers keep only what is theirs: Decompress the
-// worker waves and the hierarchy's ownership flags, the reader its
+// index says it lives. Callers keep only what is theirs: Decompress its
+// worker window and the hierarchy's ownership flags, the reader its
 // positioned reads, retries, cache and counters.
 
 import (
@@ -37,7 +37,8 @@ func Decompress(blob []byte) (*grid.Hierarchy, error) {
 }
 
 // DecompressWorkers is Decompress with an explicit bound on concurrent
-// stream decoders (1 = serial, 0 = runtime.GOMAXPROCS(0)).
+// stream decoders, normalized as Options.Workers is (0 =
+// runtime.GOMAXPROCS(0), 1 or below = serial).
 func DecompressWorkers(blob []byte, workers int) (*grid.Hierarchy, error) {
 	return decompressImpl(blob, nil, workers)
 }
@@ -65,18 +66,6 @@ func DecompressProcessedWorkers(blob []byte, intens []postproc.Intensity, worker
 		return postproc.Process(f, a, postproc.Options{EB: opt.EB, BlockSize: bs})
 	}
 	return decompressImpl(blob, hook, workers)
-}
-
-// streamWorkers normalizes a worker count: 0 means the runtime default,
-// negative clamps to fully serial, matching the compress side's convention.
-func streamWorkers(w int) int {
-	if w == 0 {
-		return parallel.Workers()
-	}
-	if w < 0 {
-		return 1
-	}
-	return w
 }
 
 // loadIndex returns the index of an in-memory container: the footer when it
@@ -196,51 +185,45 @@ func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, e
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	workers = streamWorkers(workers)
 	opt := OptionsFromIndex(ix.Opts)
 	ctx := context.TODO() // Decompress takes no context (ROADMAP 4b)
 
-	// Streams decode (and post-process) concurrently on a bounded pool,
-	// mirroring the parallel write side, in waves of `workers` streams in
-	// index order; each wave's fields are placed into the hierarchy and
-	// released before the next decodes, so peak memory holds at most
-	// `workers` decoded fields beyond the destination hierarchy (workers = 1
-	// is fully streaming). Placement stays serial: it writes into the shared
+	// Streams decode (and post-process) on the same ordered worker window
+	// as the write side and are placed into the hierarchy in index order as
+	// they arrive, so beyond the destination hierarchy at most the window's
+	// decoded fields are alive at once (workers = 1 is fully streaming).
+	// Placement stays on this goroutine: it writes into the shared
 	// hierarchy, and its cost is dwarfed by backend decoding.
-	n := len(ix.Streams)
-	for start := 0; start < n; start += workers {
-		end := min(start+workers, n)
-		wave, err := parallel.MapErrWorkers(end-start, workers, func(i int) (*field.Field, error) {
-			si := start + i
-			s := &ix.Streams[si]
-			f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], true)
-			if err != nil || post == nil {
-				return f, err
-			}
-			// The hook sees the stream's own codec, so mixed-codec containers
-			// post-process each level under the backend that produced it.
-			jopt := opt
-			jopt.Compressor = Compressor(s.Compressor)
-			u := ix.UnitBlockSize(s.Level)
-			if !ix.Levels[s.Level].Padded {
-				return post(s.Level, u, jopt, f), nil
-			}
-			// The hook works on the merge without its pad layers; its result
-			// goes back under them so placement sees one shape.
-			g := post(s.Level, u, jopt, layout.UnpadXY(f))
-			field.CopyBlock(f, 0, 0, 0, g, 0, 0, 0, g.Nx, g.Ny, g.Nz)
-			return f, nil
-		})
+	fields := parallel.NewOrdered(len(ix.Streams), parallel.Resolve(workers), func(si int) (*field.Field, error) {
+		s := &ix.Streams[si]
+		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], true)
+		if err != nil || post == nil {
+			return f, err
+		}
+		// The hook sees the stream's own codec, so mixed-codec containers
+		// post-process each level under the backend that produced it.
+		jopt := opt
+		jopt.Compressor = Compressor(s.Compressor)
+		u := ix.UnitBlockSize(s.Level)
+		if !ix.Levels[s.Level].Padded {
+			return post(s.Level, u, jopt, f), nil
+		}
+		// The hook works on the merge without its pad layers; its result
+		// goes back under them so placement sees one shape.
+		g := post(s.Level, u, jopt, layout.UnpadXY(f))
+		field.CopyBlock(f, 0, 0, 0, g, 0, 0, 0, g.Nx, g.Ny, g.Nz)
+		return f, nil
+	})
+	defer fields.Stop()
+	for si := range ix.Streams {
+		f, err := fields.Next()
 		if err != nil {
 			return nil, err
 		}
-		for i, f := range wave {
-			si := start + i
-			if err := PlaceIndexed(ix, si, f, h.Levels[ix.Streams[si].Level].Data); err != nil {
-				return nil, err
-			}
-			markOwned(h, ix, si)
+		if err := PlaceIndexed(ix, si, f, h.Levels[ix.Streams[si].Level].Data); err != nil {
+			return nil, err
 		}
+		markOwned(h, ix, si)
 	}
 	return h, nil
 }

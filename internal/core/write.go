@@ -1,9 +1,9 @@
 package core
 
-// Streaming container serialization. writeContainer is the single place a
-// container body is laid out on the wire; Compress feeds it from a slice of
-// pre-compressed streams, CompressTo from a bounded wave source, so the two
-// paths cannot diverge byte-wise.
+// Container serialization. CompressTo is the one writer: writeContainer lays
+// the body out on the wire, pulling each compressed stream in order from a
+// parallel.Ordered window of workers, and Compress is CompressTo into
+// memory, so no two write paths can diverge byte-wise.
 
 import (
 	"bufio"
@@ -12,7 +12,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/grid"
 	"repro/internal/index"
 	"repro/internal/layout"
 	"repro/internal/parallel"
@@ -57,11 +56,11 @@ func (ww *wireWriter) writeFloat(v float64) {
 }
 
 // writeContainer serializes the container body (header, per-level metadata,
-// compressed streams) to ww, pulling stream i from streamAt — called exactly
-// once per stream, in serialization order, so a source may discard a stream
-// once handed over. It returns the populated index (ready for AppendFooter)
-// and the per-level compressed payload byte counts.
-func (p *Prepared) writeContainer(ww *wireWriter, streamAt func(int) ([]byte, error)) (*index.Index, []int, error) {
+// compressed streams) to ww, pulling each stream from nextStream — called
+// once per stream, in serialization order, and not again after a write to ww
+// has failed. It returns the populated index (ready for AppendFooter) and the
+// per-level compressed payload byte counts.
+func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, error)) (*index.Index, []int, error) {
 	o := p.opt
 	ver := p.wireVersion()
 	ww.write([]byte(containerMagic))
@@ -93,13 +92,14 @@ func (p *Prepared) writeContainer(ww *wireWriter, streamAt func(int) ([]byte, er
 		BlockB:     p.blockB,
 		StreamCRCs: true,
 	}
-	next := 0
 	emitStream := func(li, box int, geom layout.Box, rawLen int) error {
-		s, err := streamAt(next)
+		if ww.err != nil {
+			return ww.err // the destination failed: compress nothing more
+		}
+		s, err := nextStream()
 		if err != nil {
 			return err
 		}
-		next++
 		sc := o.codecFor(li)
 		ww.writeUvarint(uint64(len(s)))
 		if ver >= containerVersionMixed {
@@ -157,72 +157,39 @@ func (p *Prepared) writeContainer(ww *wireWriter, streamAt func(int) ([]byte, er
 	return ix, levelBytes, nil
 }
 
-// waveSource compresses container streams lazily, one wave of up to Workers
-// jobs at a time, handing each compressed stream to the serializer exactly
-// once and releasing it immediately after — so at most one wave of
-// compressed output is alive at any point, regardless of container size.
-type waveSource struct {
-	p           *Prepared
-	jobs        []compressJob
-	workers     int
-	wave        [][]byte
-	start       int // job index of wave[0]
-	maxBuffered int64
-}
-
-func (ws *waveSource) stream(i int) ([]byte, error) {
-	for i >= ws.start+len(ws.wave) {
-		ws.start += len(ws.wave)
-		n := min(ws.workers, len(ws.jobs)-ws.start)
-		base := ws.start
-		wave, err := parallel.MapErrWorkers(n, ws.workers, func(k int) ([]byte, error) {
-			return ws.p.compressStream(ws.jobs[base+k])
-		})
-		if err != nil {
-			return nil, err
-		}
-		ws.wave = wave
-		var total int64
-		for _, s := range wave {
-			total += int64(len(s))
-		}
-		if total > ws.maxBuffered {
-			ws.maxBuffered = total
-		}
-	}
-	s := ws.wave[i-ws.start]
-	ws.wave[i-ws.start] = nil // consumed: release for GC before the next wave
-	return s, nil
-}
-
 // WriteResult summarizes a streaming container write.
 type WriteResult struct {
 	// Bytes is the total container size written, index footer included.
 	Bytes int64
 	// LevelBytes records the compressed payload per level (diagnostics).
 	LevelBytes []int
-	// MaxBufferedBytes is the peak total of compressed stream bytes held in
-	// memory at once during the write: the streaming path's compressed
-	// working set, bounded by one wave of Workers streams rather than by
-	// the container size.
-	MaxBufferedBytes int64
 }
 
-// CompressTo runs the compression stage and streams the container to w as
-// worker waves complete: the header and each compressed stream are written
-// as soon as they are ready, and the block-index footer — built
-// incrementally alongside — is appended at the end. The bytes written are
-// identical to Compress().Blob for every worker count; peak memory beyond
-// the prepared buffers holds at most one wave of compressed streams plus
-// the footer, never the whole container.
+// CompressTo runs the compression stage and streams the container to w:
+// Workers goroutines compress streams ahead of the writer, which emits the
+// header and each stream in container order as it becomes ready and appends
+// the block-index footer, built alongside, at the end. The bytes are the
+// same for every worker count. Beyond the prepared buffers it holds at most
+// the parallel.Ordered window of compressed streams (8 per worker) plus the
+// footer, never the whole container. A failed write to w ends the run at
+// the next stream boundary.
 func (p *Prepared) CompressTo(w io.Writer) (*WriteResult, error) {
+	return p.compressTo(w, p.compressStream)
+}
+
+// compressTo is CompressTo with the per-stream compressor as a parameter.
+func (p *Prepared) compressTo(w io.Writer, compress func(compressJob) ([]byte, error)) (*WriteResult, error) {
 	if err := p.checkCompressOptions(); err != nil {
 		return nil, err
 	}
+	jobs := p.jobs()
+	streams := parallel.NewOrdered(len(jobs), p.opt.Workers, func(i int) ([]byte, error) {
+		return compress(jobs[i])
+	})
+	defer streams.Stop()
 	bw := bufio.NewWriterSize(w, 1<<16)
-	ws := &waveSource{p: p, jobs: p.jobs(), workers: p.opt.Workers}
 	ww := &wireWriter{w: bw}
-	ix, levelBytes, err := p.writeContainer(ww, ws.stream)
+	ix, levelBytes, err := p.writeContainer(ww, streams.Next)
 	if err != nil {
 		return nil, err
 	}
@@ -233,15 +200,5 @@ func (p *Prepared) CompressTo(w io.Writer) (*WriteResult, error) {
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
-	return &WriteResult{Bytes: ww.n, LevelBytes: levelBytes, MaxBufferedBytes: ws.maxBuffered}, nil
-}
-
-// CompressHierarchyTo runs both stages, streaming the container to w. See
-// (*Prepared).CompressTo for the memory bound.
-func CompressHierarchyTo(h *grid.Hierarchy, opt Options, w io.Writer) (*WriteResult, error) {
-	p, err := Prepare(h, opt)
-	if err != nil {
-		return nil, err
-	}
-	return p.CompressTo(w)
+	return &WriteResult{Bytes: ww.n, LevelBytes: levelBytes}, nil
 }

@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/grid"
 	"repro/internal/index"
+	"repro/internal/synth"
 )
 
 // writeConfigs spans every arrangement and compressor the container format
@@ -32,14 +36,15 @@ func writeConfigs(eb float64) map[string]Options {
 	}
 }
 
-// TestCompressToMatchesCompress locks the tentpole invariant: the streaming
-// writer's output is byte-for-byte the monolithic Compress().Blob, for
-// every arrangement, every backend, and several worker counts (worker count
-// changes wave boundaries, never bytes).
+// TestCompressToMatchesCompress locks worker-count invariance: for every
+// arrangement and backend, CompressTo at any Workers value — negative, 0
+// (all cores), serial, and counts above and below the stream count — writes
+// exactly the bytes, size and per-level payloads of the serial Compress.
 func TestCompressToMatchesCompress(t *testing.T) {
 	h, eb := goldenHierarchy(t)
 	for name, opt := range writeConfigs(eb) {
 		t.Run(name, func(t *testing.T) {
+			opt.Workers = 1
 			p, err := Prepare(h, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -48,7 +53,7 @@ func TestCompressToMatchesCompress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 7} {
+			for _, workers := range []int{-1, 0, 1, 2, 7} {
 				wopt := opt
 				wopt.Workers = workers
 				wp, err := Prepare(h, wopt)
@@ -61,7 +66,7 @@ func TestCompressToMatchesCompress(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if !bytes.Equal(buf.Bytes(), want.Blob) {
-					t.Fatalf("workers=%d: streamed container differs from Compress (%d vs %d bytes)",
+					t.Fatalf("workers=%d: container differs from the serial one (%d vs %d bytes)",
 						workers, buf.Len(), len(want.Blob))
 				}
 				if res.Bytes != int64(len(want.Blob)) {
@@ -72,14 +77,64 @@ func TestCompressToMatchesCompress(t *testing.T) {
 						t.Fatalf("workers=%d: LevelBytes[%d] = %d, want %d", workers, li, lb, want.LevelBytes[li])
 					}
 				}
-				if len(wp.jobs()) > 0 && res.MaxBufferedBytes <= 0 {
-					t.Fatalf("workers=%d: MaxBufferedBytes not tracked", workers)
-				}
-				if res.MaxBufferedBytes > int64(len(want.Blob)) {
-					t.Fatalf("workers=%d: buffered %d bytes, more than the whole container", workers, res.MaxBufferedBytes)
-				}
 			}
 		})
+	}
+}
+
+// TestNegativeWorkersTerminate is the regression test for a negative Workers
+// value, which once made the streaming writer retry an empty batch forever:
+// both directions must treat it as serial, within a deadline, and produce
+// what Workers 1 produces.
+func TestNegativeWorkersTerminate(t *testing.T) {
+	h, eb := goldenHierarchy(t)
+	opt := TACSZ3Options(eb)
+	opt.Workers = 1
+	serial, err := CompressHierarchy(h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecompressWorkers(serial.Blob, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		opt.Workers = -1
+		p, err := Prepare(h, opt)
+		if err != nil {
+			done <- err
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := p.CompressTo(&buf); err != nil {
+			done <- err
+			return
+		}
+		if !bytes.Equal(buf.Bytes(), serial.Blob) {
+			done <- errors.New("Workers -1 container differs from Workers 1")
+			return
+		}
+		got, err := DecompressWorkers(serial.Blob, -1)
+		if err != nil {
+			done <- err
+			return
+		}
+		for li := range want.Levels {
+			if !got.Levels[li].Data.Equal(want.Levels[li].Data) {
+				done <- fmt.Errorf("level %d: Workers -1 decode differs from Workers 1", li)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("CompressTo / DecompressWorkers with Workers -1 did not return within 30 s")
 	}
 }
 
@@ -129,12 +184,16 @@ func TestCompressToMatchesGoldenFixtures(t *testing.T) {
 	}
 }
 
-// TestCompressToStreamedContainerDecodes round-trips a streamed container
-// through both the sequential decoder and a CompressHierarchyTo write.
+// TestCompressToStreamedContainerDecodes round-trips a container streamed
+// to a writer through the decoder.
 func TestCompressToStreamedContainerDecodes(t *testing.T) {
 	h, eb := goldenHierarchy(t)
+	p, err := Prepare(h, SZ3MROptions(eb))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if _, err := CompressHierarchyTo(h, SZ3MROptions(eb), &buf); err != nil {
+	if _, err := p.CompressTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decompress(buf.Bytes())
@@ -197,39 +256,40 @@ func TestCompressToPropagatesWriteErrors(t *testing.T) {
 	}
 }
 
-// TestCompressToWaveBound checks the advertised memory discipline: with
-// Workers=1 the writer never holds more than the largest single compressed
-// stream.
-func TestCompressToWaveBound(t *testing.T) {
-	h, eb := goldenHierarchy(t)
-	opt := TACSZ3Options(eb) // TAC: many streams per container
-	opt.Workers = 1
-	p, err := Prepare(h, opt)
+// TestCompressToStopsAfterFailedWrite checks that a destination failing at
+// its first flush ends the run at the next stream boundary: the workers may
+// have run ahead by at most one window (8 streams per worker) past the
+// stream that was being written, never through the whole container.
+func TestCompressToStopsAfterFailedWrite(t *testing.T) {
+	f := synth.Generate(synth.WarpX, 64, 1)
+	h, err := grid.BuildAMR(f, 8, []float64{0.3, 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := p.Compress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	largest := 0
-	ix, err := BuildIndex(c.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ix.Streams) < 2 {
-		t.Fatalf("want a multi-stream container, got %d streams", len(ix.Streams))
-	}
-	for _, s := range ix.Streams {
-		largest = max(largest, int(s.Len))
-	}
-	var buf bytes.Buffer
-	res, err := p.CompressTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxBufferedBytes > int64(largest) {
-		t.Fatalf("serial write buffered %d bytes, largest stream is %d", res.MaxBufferedBytes, largest)
+	sinkErr := errors.New("sink full")
+	for _, workers := range []int{1, 2} {
+		p, err := Prepare(h, Options{EB: 1, Compressor: SZ2, Arrangement: ArrangeTAC, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := 8 * workers
+		if n := len(p.jobs()); n < 3*window {
+			t.Fatalf("%d streams: too few to tell a stopped writer from a finished one", n)
+		}
+		var calls atomic.Int64
+		// Each stream is larger than the writer's buffer, so the first one
+		// already reaches the failing destination.
+		stream := make([]byte, 1<<17)
+		_, err = p.compressTo(&failAfter{n: 0, err: sinkErr}, func(compressJob) ([]byte, error) {
+			calls.Add(1)
+			return stream, nil
+		})
+		if !errors.Is(err, sinkErr) {
+			t.Fatalf("workers=%d: error %v, want the sink's", workers, err)
+		}
+		if c := calls.Load(); c > int64(1+window) {
+			t.Fatalf("workers=%d: %d streams compressed after a failure at the first, window is %d", workers, c, window)
+		}
 	}
 }
 

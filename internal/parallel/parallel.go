@@ -11,63 +11,13 @@ import (
 // Workers returns the degree of parallelism to use: GOMAXPROCS.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// ForEach runs fn(i) for i in [0, n) across Workers() goroutines, blocking
-// until all complete. Iterations are distributed in contiguous chunks to
-// keep per-item overhead low on large n.
-func ForEach(n int, fn func(i int)) {
-	ForEachWorkers(n, Workers(), fn)
-}
-
-// ForEachWorkers is ForEach with an explicit worker count (1 = serial, the
-// paper's "Serial SZ2" configuration).
-func ForEachWorkers(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
+// Resolve normalizes a worker-count option: 0 means Workers(), and any other
+// value below 1 means 1 (serial).
+func Resolve(workers int) int {
+	if workers == 0 {
+		return Workers()
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Map applies fn to each index and collects the results in order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is MapErrWorkers with the default Workers() bound.
-func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapErrWorkers(n, Workers(), fn)
+	return max(workers, 1)
 }
 
 // MapErrWorkers runs fn(i) for i in [0, n) across at most `workers`
@@ -118,4 +68,113 @@ func MapErrWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error
 		}
 	}
 	return out, nil
+}
+
+// windowPerWorker bounds how far Ordered's workers run ahead of its
+// consumer: at most windowPerWorker × workers results (capped at n) are
+// claimed — in production or finished — and not yet handed over. Eight per
+// worker keeps every worker busy across uneven job sizes; one per worker
+// idles them at each slow job.
+const windowPerWorker = 8
+
+// Ordered runs produce(i) for i in [0, n) on up to `workers` goroutines and
+// hands the results to one consumer strictly in index order through Next,
+// holding at most windowPerWorker × workers of them at once — so what a
+// caller keeps alive is bounded by the window, not by n. With workers ≤ 1
+// (or n ≤ 1) Next calls produce inline: no goroutines, no allocation per
+// item. Next and Stop are called from one goroutine.
+type Ordered[T any] struct {
+	produce func(int) (T, error)
+	n, next int // next is the index Next hands over next
+
+	// Concurrent mode only; slots is nil inline.
+	mu      sync.Mutex
+	ready   sync.Cond // the slot of index next was filled
+	space   sync.Cond // the consumer advanced, or Stop was called
+	slots   []orderedSlot[T]
+	claimed int // indices handed to workers so far
+	stopped bool
+	wg      sync.WaitGroup
+}
+
+// orderedSlot holds the result of index i at slots[i%len(slots)].
+type orderedSlot[T any] struct {
+	v    T
+	err  error
+	done bool
+}
+
+// NewOrdered starts the workers; the caller must call Stop (typically
+// deferred) once it has taken what it needs.
+func NewOrdered[T any](n, workers int, produce func(i int) (T, error)) *Ordered[T] {
+	o := &Ordered[T]{produce: produce, n: n}
+	if workers <= 1 || n <= 1 {
+		return o
+	}
+	o.slots = make([]orderedSlot[T], min(windowPerWorker*workers, n))
+	o.ready.L, o.space.L = &o.mu, &o.mu
+	workers = min(workers, n)
+	o.wg.Add(workers)
+	for range workers {
+		go o.work()
+	}
+	return o
+}
+
+func (o *Ordered[T]) work() {
+	defer o.wg.Done()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for {
+		for !o.stopped && o.claimed < o.n && o.claimed-o.next >= len(o.slots) {
+			o.space.Wait()
+		}
+		if o.stopped || o.claimed >= o.n {
+			return
+		}
+		i := o.claimed
+		o.claimed++
+		o.mu.Unlock()
+		v, err := o.produce(i)
+		o.mu.Lock()
+		o.slots[i%len(o.slots)] = orderedSlot[T]{v: v, err: err, done: true}
+		if i == o.next {
+			o.ready.Signal()
+		}
+	}
+}
+
+// Next returns the result of the next index in order: produce's value and
+// error for it. It must be called at most n times, and not after Stop.
+func (o *Ordered[T]) Next() (T, error) {
+	if o.slots == nil {
+		i := o.next
+		o.next++
+		return o.produce(i)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s := &o.slots[o.next%len(o.slots)]
+	for !s.done {
+		o.ready.Wait()
+	}
+	v, err := s.v, s.err
+	*s = orderedSlot[T]{} // handed over: the window no longer holds it
+	o.next++
+	o.space.Signal()
+	return v, err
+}
+
+// Stop ends the run: no index is claimed after it, and it returns once
+// every produce call in flight has finished. Results not taken are dropped.
+// Stop is idempotent.
+func (o *Ordered[T]) Stop() {
+	if o.slots == nil {
+		return
+	}
+	o.mu.Lock()
+	o.stopped = true
+	o.space.Broadcast()
+	o.mu.Unlock()
+	o.wg.Wait()
 }

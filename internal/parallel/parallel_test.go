@@ -3,61 +3,26 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/raceflag"
 )
-
-func TestForEachCoversAll(t *testing.T) {
-	const n = 1000
-	var hits [n]int32
-	ForEach(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d hit %d times", i, h)
-		}
-	}
-}
-
-func TestForEachWorkersSerial(t *testing.T) {
-	// With one worker, execution must be in order (no data race possible).
-	var order []int
-	ForEachWorkers(10, 1, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial order broken: %v", order)
-		}
-	}
-}
-
-func TestForEachZeroAndNegative(t *testing.T) {
-	called := false
-	ForEach(0, func(int) { called = true })
-	ForEach(-5, func(int) { called = true })
-	if called {
-		t.Fatal("fn called for empty range")
-	}
-}
-
-func TestForEachMoreWorkersThanItems(t *testing.T) {
-	var count int32
-	ForEachWorkers(3, 100, func(int) { atomic.AddInt32(&count, 1) })
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
-func TestMapOrdered(t *testing.T) {
-	out := Map(50, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-}
 
 func TestWorkersPositive(t *testing.T) {
 	if Workers() < 1 {
 		t.Fatal("Workers must be >= 1")
+	}
+}
+
+func TestResolve(t *testing.T) {
+	for in, want := range map[int]int{0: Workers(), 1: 1, 3: 3, -1: 1, -100: 1} {
+		if got := Resolve(in); got != want {
+			t.Errorf("Resolve(%d) = %d, want %d", in, got, want)
+		}
 	}
 }
 
@@ -104,7 +69,7 @@ func TestMapErrWorkersEmpty(t *testing.T) {
 func TestMapErrRunsEveryJob(t *testing.T) {
 	const n = 300
 	var hits [n]int32
-	if _, err := MapErr(n, func(i int) (struct{}, error) {
+	if _, err := MapErrWorkers(n, Workers(), func(i int) (struct{}, error) {
 		atomic.AddInt32(&hits[i], 1)
 		return struct{}{}, nil
 	}); err != nil {
@@ -114,5 +79,214 @@ func TestMapErrRunsEveryJob(t *testing.T) {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
 		}
+	}
+}
+
+// drain takes every result of o in order, stopping at the first error.
+func drain[T any](o *Ordered[T], n int) ([]T, error) {
+	defer o.Stop()
+	out := make([]T, 0, n)
+	for range n {
+		v, err := o.Next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// jitter sleeps up to 200µs, so workers finish out of index order.
+func jitter() { time.Sleep(time.Duration(rand.Intn(200)) * time.Microsecond) }
+
+func TestOrderedDeliversInOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		out, err := drain(NewOrdered(200, workers, func(i int) (int, error) {
+			jitter()
+			return i * i, nil
+		}), 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+	}
+}
+
+func TestOrderedCoversAll(t *testing.T) {
+	const n = 1000
+	var hits [n]int32
+	if _, err := drain(NewOrdered(n, 4, func(i int) (struct{}, error) {
+		atomic.AddInt32(&hits[i], 1)
+		return struct{}{}, nil
+	}), n); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d produced %d times", i, h)
+		}
+	}
+}
+
+// TestOrderedInlineInOrder pins the serial mode: produce runs on the
+// caller's goroutine, one index per Next, in order and no sooner.
+func TestOrderedInlineInOrder(t *testing.T) {
+	for _, workers := range []int{1, 0, -3} {
+		var order []int
+		o := NewOrdered(10, workers, func(i int) (int, error) {
+			order = append(order, i)
+			return i, nil
+		})
+		for k := range 10 {
+			if len(order) != k {
+				t.Fatalf("workers=%d: %d produce calls before Next %d", workers, len(order), k)
+			}
+			if v, _ := o.Next(); v != k {
+				t.Fatalf("workers=%d: Next %d returned %d", workers, k, v)
+			}
+		}
+		o.Stop()
+	}
+}
+
+func TestOrderedEmpty(t *testing.T) {
+	for _, n := range []int{0, -5} {
+		o := NewOrdered(n, 4, func(int) (int, error) { t.Error("produce called for an empty range"); return 0, nil })
+		o.Stop()
+		o.Stop() // idempotent
+	}
+}
+
+func TestOrderedMoreWorkersThanItems(t *testing.T) {
+	var count int32
+	out, err := drain(NewOrdered(3, 100, func(i int) (int, error) {
+		atomic.AddInt32(&count, 1)
+		return i, nil
+	}), 3)
+	if err != nil || len(out) != 3 || count != 3 {
+		t.Fatalf("out=%v err=%v produced=%d", out, err, count)
+	}
+}
+
+// TestOrderedWindowBound checks the memory discipline: with a slow consumer
+// the workers run ahead by at most windowPerWorker × workers results. When
+// produce(i) starts, indices 0..i are claimed and the consumer has begun at
+// most `taken` Next calls, so i+1-taken bounds the results claimed and not
+// yet handed over from above.
+func TestOrderedWindowBound(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		const n = 300
+		window := int64(windowPerWorker * workers)
+		var taken, high atomic.Int64
+		o := NewOrdered(n, workers, func(i int) (int, error) {
+			out := int64(i) + 1 - taken.Load()
+			for {
+				h := high.Load()
+				if out <= h || high.CompareAndSwap(h, out) {
+					break
+				}
+			}
+			return i, nil
+		})
+		for k := range n {
+			if k%8 == 0 {
+				time.Sleep(200 * time.Microsecond) // let the workers fill the window
+			}
+			taken.Add(1)
+			if v, _ := o.Next(); v != k {
+				t.Fatalf("Next %d returned %d", k, v)
+			}
+		}
+		o.Stop()
+		if h := high.Load(); h > window || h <= int64(workers) {
+			t.Fatalf("workers=%d: %d results outstanding at the high-water mark, want (%d, %d]", workers, h, workers, window)
+		}
+	}
+}
+
+func TestOrderedFirstErrorInIndexOrder(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := drain(NewOrdered(40, workers, func(i int) (int, error) {
+			if i >= 7 {
+				return 0, fmt.Errorf("boom %d", i) // later indices fail first
+			}
+			jitter()
+			return i, nil
+		}), 40)
+		if err == nil || err.Error() != "boom 7" {
+			t.Fatalf("workers=%d: err = %v, want boom 7", workers, err)
+		}
+	}
+}
+
+// TestOrderedStopReleasesGoroutines stops a run right after an early error:
+// Stop waits out the produce calls in flight, and no worker outlives it.
+func TestOrderedStopReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var produced atomic.Int64
+	_, err := drain(NewOrdered(10000, 8, func(i int) (int, error) {
+		produced.Add(1)
+		jitter()
+		if i == 3 {
+			return 0, errors.New("early")
+		}
+		return i, nil
+	}), 10000)
+	if err == nil {
+		t.Fatal("want the early error")
+	}
+	if p := produced.Load(); p > 4+windowPerWorker*8 {
+		t.Fatalf("%d produce calls after an error at index 3, window is %d", p, windowPerWorker*8)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before the run", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func square(i int) (int, error) { return i * i, nil }
+
+func runOrdered(n, workers int) {
+	o := NewOrdered(n, workers, square)
+	for range n {
+		o.Next()
+	}
+	o.Stop()
+}
+
+// TestOrderedInlineAllocs pins the serial mode's cost: a constant per run,
+// none per item.
+func TestOrderedInlineAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	for _, workers := range []int{1, 0, -1} {
+		one := testing.AllocsPerRun(100, func() { runOrdered(1, workers) })
+		many := testing.AllocsPerRun(100, func() { runOrdered(1000, workers) })
+		if many != one {
+			t.Errorf("workers=%d: %v allocations for 1000 items, %v for 1", workers, many, one)
+		}
+	}
+}
+
+// TestOrderedAllocsTwoStreams guards the smallest concurrent case — a
+// two-stream container, the serve workloads' ingest — against costing more
+// than the pool it replaced.
+func TestOrderedAllocsTwoStreams(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	ordered := testing.AllocsPerRun(200, func() { runOrdered(2, 2) })
+	mapped := testing.AllocsPerRun(200, func() { MapErrWorkers(2, 2, square) })
+	t.Logf("Ordered(2, 2): %v allocations, MapErrWorkers(2, 2): %v", ordered, mapped)
+	if ordered > mapped {
+		t.Errorf("Ordered(2, 2): %v allocations, MapErrWorkers(2, 2): %v", ordered, mapped)
 	}
 }

@@ -824,8 +824,8 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 
 // handleIngest accepts a raw field (24-byte dims header + float64 samples —
 // the same format the level endpoint emits) and compresses it into the
-// served directory with the streaming write path: the container is built
-// wave by wave into a hidden temporary and atomically renamed over
+// served directory with the streaming write path: the container is written
+// stream by stream into a hidden temporary and atomically renamed over
 // {id}.mrw, so concurrent readers see either the old or the new container,
 // never a partial one. On success the id's open reader is dropped, so the
 // next request opens — and serves — the new container whatever

@@ -1,17 +1,17 @@
 package repro
 
 // Streaming write path: CompressTo and CompressToFile emit the container to
-// an io.Writer (or atomically to a file) as compression waves complete, so
-// ingesting a large field costs the input plus one wave of compressed
-// streams — not the input plus every stream plus the assembled blob, as the
-// in-memory Result path does. The bytes written are identical to
-// Result.Blob for the same options.
+// an io.Writer (or atomically to a file) stream by stream, in order, as the
+// compression workers finish them, so ingesting a large field costs the
+// input plus a bounded window of compressed streams (core.Prepared.CompressTo
+// states the bound) — not the input plus the assembled blob, as the in-memory
+// Result path does. The bytes written are identical to Result.Blob for the
+// same options.
 
 import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/roi"
 	"repro/internal/writer"
 )
@@ -25,9 +25,6 @@ type WriteResult struct {
 	Bytes int64
 	// LevelBytes records the compressed payload per level.
 	LevelBytes []int
-	// MaxBufferedBytes is the peak total of compressed stream bytes held in
-	// memory during the write (bounded by one wave of Workers streams).
-	MaxBufferedBytes int64
 	// CompressionRatio is raw multi-resolution payload bytes / Bytes.
 	CompressionRatio float64
 	// Timing breaks down the run (ROI, Preprocess, and Compress stages).
@@ -56,22 +53,12 @@ func CompressTo(f *Field, opt Options, w io.Writer) (*WriteResult, error) {
 // CompressAMRTo streams the compressed container for existing
 // multi-resolution data to w.
 func CompressAMRTo(h *Hierarchy, opt Options, w io.Writer) (*WriteResult, error) {
-	eb, err := opt.resolveEB(h)
-	if err != nil {
-		return nil, err
-	}
-	co, err := opt.coreOptions(eb)
-	if err != nil {
-		return nil, err
-	}
 	var res WriteResult
-	t0 := time.Now()
-	prep, err := core.Prepare(h, co)
+	prep, _, err := opt.prepare(h, &res.Timing)
 	if err != nil {
 		return nil, err
 	}
-	res.Timing.Preprocess = time.Since(t0)
-	t0 = time.Now()
+	t0 := time.Now()
 	wr, err := prep.CompressTo(w)
 	if err != nil {
 		return nil, err
@@ -79,7 +66,6 @@ func CompressAMRTo(h *Hierarchy, opt Options, w io.Writer) (*WriteResult, error)
 	res.Timing.Compress = time.Since(t0)
 	res.Bytes = wr.Bytes
 	res.LevelBytes = wr.LevelBytes
-	res.MaxBufferedBytes = wr.MaxBufferedBytes
 	res.CompressionRatio = float64(h.PayloadBytes()) / float64(wr.Bytes)
 	return &res, nil
 }
@@ -93,21 +79,6 @@ func CompressToFile(f *Field, opt Options, path string) (*WriteResult, error) {
 	err := writer.AtomicFile(path, 0o644, func(w io.Writer) error {
 		var werr error
 		res, werr = CompressTo(f, opt, w)
-		return werr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CompressAMRToFile is CompressAMRTo with the same atomic-replace semantics
-// as CompressToFile.
-func CompressAMRToFile(h *Hierarchy, opt Options, path string) (*WriteResult, error) {
-	var res *WriteResult
-	err := writer.AtomicFile(path, 0o644, func(w io.Writer) error {
-		var werr error
-		res, werr = CompressAMRTo(h, opt, w)
 		return werr
 	})
 	if err != nil {

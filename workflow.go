@@ -25,14 +25,14 @@
 // standing in for the paper's OpenMP parallelization: every backend stream
 // (one per merged level for the linear/stack/zorder arrangements, one per
 // box for TAC) is compressed or decoded by a bounded goroutine pool.
-// Options.Workers caps the pool (0 = runtime.GOMAXPROCS(0), 1 = fully
-// serial — the paper's "Serial" configurations). The worker count never
+// Options.Workers caps the pool (0 = runtime.GOMAXPROCS(0), 1 or below =
+// fully serial — the paper's "Serial" configurations). The worker count never
 // changes the output: containers are byte-identical and reconstructions
 // bit-identical for every Workers value, so parallelism is purely a
 // throughput knob. Chunked slab parallelism for single uniform fields
 // (which *does* trade compression ratio for speed, as §IV-C notes for
 // OpenMP SZ2) lives separately in internal/parallelcomp; both are built on
-// the shared worker pool in internal/parallel.
+// the worker helpers in internal/parallel.
 //
 // # Random access
 //
@@ -59,11 +59,12 @@
 // # Streaming writes
 //
 // The write path has the mirror-image discipline: CompressTo streams the
-// container to an io.Writer as compression waves complete (memory bounded
-// by one wave of compressed streams, not the container), and
-// CompressToFile installs it by atomic rename so concurrent readers never
-// observe a partial file. The bytes are identical to Result.Blob for the
-// same options. cmd/mrserve's PUT ingest endpoint builds on these.
+// container to an io.Writer stream by stream, in container order, while the
+// workers compress ahead of it (memory bounded by a window of compressed
+// streams, not the container), and CompressToFile installs it by atomic
+// rename so concurrent readers never observe a partial file. The bytes are
+// identical to Result.Blob for the same options. cmd/mrserve's PUT ingest
+// endpoint builds on these.
 package repro
 
 import (
@@ -156,7 +157,8 @@ type Options struct {
 	// IsoValue is the isovalue analyzed when Uncertainty is set.
 	IsoValue float64
 	// Workers bounds the number of goroutines compressing or decoding
-	// backend streams concurrently (0 = runtime.GOMAXPROCS(0), 1 = serial).
+	// backend streams concurrently (0 = runtime.GOMAXPROCS(0), 1 or below =
+	// serial).
 	// The compressed container is byte-identical for every value.
 	Workers int
 	// LevelCodecs overrides the codec per resolution level (key = level,
@@ -280,30 +282,37 @@ func CompressAMR(h *Hierarchy, opt Options) (*Result, error) {
 	return compressAMR(h, nil, opt)
 }
 
+// prepare is the step every compress entry point shares: it resolves the
+// error bound for h, builds the core options and runs the pre-processing
+// stage, timed into t.Preprocess. It returns the bound it resolved.
+func (o Options) prepare(h *Hierarchy, t *Timing) (*core.Prepared, float64, error) {
+	eb, err := o.resolveEB(h)
+	if err != nil {
+		return nil, 0, err
+	}
+	co, err := o.coreOptions(eb)
+	if err != nil {
+		return nil, 0, err
+	}
+	t0 := time.Now()
+	prep, err := core.Prepare(h, co)
+	t.Preprocess = time.Since(t0)
+	return prep, eb, err
+}
+
 // compressAMR is the workflow after ROI extraction: each stage — compress,
 // decode (post-processed when asked), flatten, quality, uncertainty — runs
 // once. ref is the field quality is measured against: the uniform input, or
 // nil for the flattened input hierarchy.
 func compressAMR(h *Hierarchy, ref *Field, opt Options) (*Result, error) {
-	eb, err := opt.resolveEB(h)
-	if err != nil {
-		return nil, err
-	}
-	co, err := opt.coreOptions(eb)
-	if err != nil {
-		return nil, err
-	}
-
 	var res Result
-	t0 := time.Now()
-	prep, err := core.Prepare(h, co)
+	prep, eb, err := opt.prepare(h, &res.Timing)
 	if err != nil {
 		return nil, err
 	}
-	res.Timing.Preprocess = time.Since(t0)
 
 	if opt.PostProcess {
-		t0 = time.Now()
+		t0 := time.Now()
 		res.Intensities, err = prep.FindIntensities()
 		if err != nil {
 			return nil, err
@@ -311,7 +320,7 @@ func compressAMR(h *Hierarchy, ref *Field, opt Options) (*Result, error) {
 		res.Timing.SampleModel = time.Since(t0)
 	}
 
-	t0 = time.Now()
+	t0 := time.Now()
 	c, err := prep.Compress()
 	if err != nil {
 		return nil, err
@@ -451,7 +460,7 @@ func VerifyFile(ctx context.Context, path string) (*VerifyResult, error) {
 func Decompress(blob []byte) (*Hierarchy, error) { return core.Decompress(blob) }
 
 // DecompressWorkers is Decompress with an explicit bound on concurrent
-// stream decoders (0 = runtime.GOMAXPROCS(0), 1 = serial).
+// stream decoders (0 = runtime.GOMAXPROCS(0), 1 or below = serial).
 func DecompressWorkers(blob []byte, workers int) (*Hierarchy, error) {
 	return core.DecompressWorkers(blob, workers)
 }
