@@ -1,6 +1,6 @@
 // Package flatepool wraps the DEFLATE wrapper stage shared by the sz2, sz3,
-// and zfp stand-ins behind free lists of flate writers and readers. A
-// flate.Writer carries about a megabyte of matcher state and a reader its
+// and zfp stand-ins behind sync.Pools of flate writers and readers. A
+// flate.Writer carries tens of kilobytes of matcher state and a reader its
 // 32 KiB window; the container pipeline codes one stream per level/box, so
 // reusing both across streams (and across the worker pool's goroutines)
 // removes the dominant per-stream allocation. flate.Writer.Reset and
@@ -12,11 +12,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"io"
-
-	"repro/internal/freelist"
+	"sync"
 )
 
-var pool = freelist.List[*flate.Writer]{New: func() *flate.Writer {
+var pool = sync.Pool{New: func() any {
 	w, err := flate.NewWriter(nil, flate.BestSpeed)
 	if err != nil {
 		// flate.BestSpeed is a valid level; NewWriter cannot fail on it.
@@ -29,7 +28,7 @@ var pool = freelist.List[*flate.Writer]{New: func() *flate.Writer {
 func Deflate(payload []byte) ([]byte, error) {
 	var out bytes.Buffer
 	out.Grow(len(payload)/4 + 64)
-	fw := pool.Get()
+	fw := pool.Get().(*flate.Writer)
 	fw.Reset(&out)
 	if _, err := fw.Write(payload); err != nil {
 		pool.Put(fw)
@@ -50,11 +49,7 @@ type Inflated struct {
 	buf bytes.Buffer
 }
 
-// maxPooledBytes caps the inflated payload a pooled reader may keep, so one
-// large stream does not pin its buffer in the free list.
-const maxPooledBytes = 8 << 20
-
-var inflated = freelist.List[*Inflated]{New: func() *Inflated {
+var inflated = sync.Pool{New: func() any {
 	return &Inflated{fr: flate.NewReader(nil)}
 }}
 
@@ -62,7 +57,7 @@ var inflated = freelist.List[*Inflated]{New: func() *Inflated {
 // pooled buffer. The caller parses or copies what it needs out of Bytes and
 // then calls Release.
 func Inflate(data []byte) (*Inflated, error) {
-	p := inflated.Get()
+	p := inflated.Get().(*Inflated)
 	p.src.Reset(data)
 	// Reset cannot fail: the reader reads from memory and takes no dictionary.
 	_ = p.fr.(flate.Resetter).Reset(&p.src, nil)
@@ -82,7 +77,5 @@ func (p *Inflated) Bytes() []byte { return p.buf.Bytes() }
 // slice obtained from Bytes may be used afterwards.
 func (p *Inflated) Release() {
 	p.src.Reset(nil) // do not pin the caller's stream while pooled
-	if p.buf.Cap() <= maxPooledBytes {
-		inflated.Put(p)
-	}
+	inflated.Put(p)
 }

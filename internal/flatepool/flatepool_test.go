@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -186,38 +185,5 @@ func TestInflateAllocBudget(t *testing.T) {
 	// ReadAll's doublings up to 256 KiB.
 	if pooled > fresh-15 {
 		t.Fatalf("pooled inflate allocates %v times, a fresh reader %v: the pool saves fewer than 15", pooled, fresh)
-	}
-}
-
-// TestWarmAcrossGCAllocs: a writer and a reader once made are kept through
-// GC cycles, so a round trip after two collections (which empty a
-// sync.Pool) allocates no more than a warm one.
-func TestWarmAcrossGCAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("malloc counts are not meaningful under the race detector")
-	}
-	payload := bytes.Repeat([]byte("abcabcabd"), 4096)
-	roundTrip := func() {
-		blob, err := Deflate(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Inflate(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Release()
-	}
-	warm := testing.AllocsPerRun(10, roundTrip)
-	var before, after runtime.MemStats
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		roundTrip()
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; float64(n) > warm {
-			t.Fatalf("round trip after GC allocates %d times, warm %v: the writer or reader was rebuilt", n, warm)
-		}
 	}
 }

@@ -12,7 +12,7 @@
 // arrays, weights and parents, merged through an index heap of plain ints),
 // the sorted dictionary, the canonical codes, the symbol→code lookup on the
 // encode side, the dictionary and the lookup table on the decode side — lives
-// in a scratch struct taken from a free list for the duration of one call.
+// in a scratch struct taken from a sync.Pool for the duration of one call.
 // The output is sized once, for header, dictionary and payload. Code lengths
 // depend only on the order in which the heap yields its minima, which the
 // total order (weight, node index) fixes, so they — and the streams — are the
@@ -27,9 +27,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/bitio"
-	"repro/internal/freelist"
 )
 
 // maxCodeLen bounds canonical code lengths so codes fit comfortably in a
@@ -83,9 +83,9 @@ type scratch struct {
 // pinning the memory in the pool.
 const maxPooledLen = 1 << 16
 
-var scratchPool = freelist.List[*scratch]{New: func() *scratch { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch { return scratchPool.Get() }
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(s *scratch) {
 	// Every other array is bounded by one of these five: symbols, freqs, ss,

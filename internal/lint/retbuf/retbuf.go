@@ -13,11 +13,10 @@
 // rooted in it — a receiver field (w.buf), a slice of one (w.buf[:n]), an
 // append whose destination is one, or a local alias of one — can be
 // overwritten by the next call on the same value. And a value taken from a
-// pool, a sync.Pool or a freelist.List: a return rooted in pool.Get() —
-// directly, through a type assertion, or through a same-package function
-// that returns one (the getScratch() idiom) — goes back into circulation
-// when the scratch it lives in is put back, and the next user of that
-// scratch overwrites it.
+// sync.Pool: a return rooted in pool.Get() — directly, through a type
+// assertion, or through a same-package function that returns one (the
+// getScratch() idiom) — goes back into circulation when the scratch it lives
+// in is put back, and the next user of that scratch overwrites it.
 //
 // The analyzer runs on the packages whose buffers sit on the decode/serve
 // hot path — internal/bitio, internal/huffman, internal/cache, internal/sz2,
@@ -170,7 +169,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, getters map[types.Object]b
 				"document the lifetime with an \"aliases:\" doc comment or return a copy",
 				fd.Name.Name)
 		case poolRoot:
-			pass.Reportf(res.Pos(), "%s returns a slice aliasing a buffer taken from a pool; "+
+			pass.Reportf(res.Pos(), "%s returns a slice aliasing a buffer taken from a sync.Pool; "+
 				"document the lifetime with an \"aliases:\" doc comment or return a copy",
 				fd.Name.Name)
 		}
@@ -178,7 +177,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, getters map[types.Object]b
 }
 
 // poolGetters returns the package's functions and methods that return a
-// value rooted in a pool, following same-package wrappers of wrappers.
+// value rooted in a sync.Pool, following same-package wrappers of wrappers.
 func poolGetters(pass *analysis.Pass) map[types.Object]bool {
 	getters := map[types.Object]bool{}
 	for changed := true; changed; {
@@ -283,18 +282,10 @@ func calleeObj(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// isPoolGet reports whether obj is (*sync.Pool).Get or, for any element
-// type, (*freelist.List).Get.
+// isPoolGet reports whether obj is (*sync.Pool).Get.
 func isPoolGet(obj types.Object) bool {
 	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	switch fn.Origin().FullName() {
-	case "(*sync.Pool).Get", "(*repro/internal/freelist.List[T]).Get":
-		return true
-	}
-	return false
+	return ok && fn.FullName() == "(*sync.Pool).Get"
 }
 
 func unparen(e ast.Expr) ast.Expr {

@@ -1,14 +1,11 @@
 // Package sz2 is a fixture stub living at the hot-path import path
 // repro/internal/sz2; this file holds the positive cases: exported functions
-// returning slices rooted in a value taken from a sync.Pool or a
-// freelist.List.
+// returning slices rooted in a value taken from a sync.Pool.
 package sz2
 
 import (
 	"encoding/binary"
 	"sync"
-
-	"repro/internal/freelist"
 )
 
 type scratch struct {
@@ -29,13 +26,13 @@ func Payload(n int) []byte {
 	s := getScratch()
 	defer pool.Put(s)
 	s.payload = append(s.payload[:0], make([]byte, n)...)
-	return s.payload // want `Payload returns a slice aliasing a buffer taken from a pool; document the lifetime with an "aliases:" doc comment or return a copy`
+	return s.payload // want `Payload returns a slice aliasing a buffer taken from a sync.Pool; document the lifetime with an "aliases:" doc comment or return a copy`
 }
 
 // Direct takes the pooled value without the wrapper.
 func Direct() []int32 {
 	s := pool.Get().(*scratch)
-	return s.codes[:0] // want `Direct returns a slice aliasing a buffer taken from a pool`
+	return s.codes[:0] // want `Direct returns a slice aliasing a buffer taken from a sync.Pool`
 }
 
 // Grown appends into pooled capacity.
@@ -43,12 +40,12 @@ func Grown(b []byte) []byte {
 	s := getScratch()
 	p := append(s.payload[:0], b...)
 	pool.Put(s)
-	return p // want `Grown returns a slice aliasing a buffer taken from a pool`
+	return p // want `Grown returns a slice aliasing a buffer taken from a sync.Pool`
 }
 
 // Wrapped goes through a wrapper of the wrapper.
 func Wrapped() []byte {
-	return getAgain().payload // want `Wrapped returns a slice aliasing a buffer taken from a pool`
+	return getAgain().payload // want `Wrapped returns a slice aliasing a buffer taken from a sync.Pool`
 }
 
 var bufs = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
@@ -56,7 +53,7 @@ var bufs = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 // Deref pools the slice itself, behind a pointer.
 func Deref() []byte {
 	bp := bufs.Get().(*[]byte)
-	return *bp // want `Deref returns a slice aliasing a buffer taken from a pool`
+	return *bp // want `Deref returns a slice aliasing a buffer taken from a sync.Pool`
 }
 
 type Coder struct{ s *scratch }
@@ -65,7 +62,7 @@ type Coder struct{ s *scratch }
 // receiver.
 func (c *Coder) Codes() []int32 {
 	s := getScratch()
-	return s.codes // want `Codes returns a slice aliasing a buffer taken from a pool`
+	return s.codes // want `Codes returns a slice aliasing a buffer taken from a sync.Pool`
 }
 
 // Framed builds on pooled capacity through AppendX-style helpers, which
@@ -76,17 +73,7 @@ func Framed(b []byte) []byte {
 	p = appendFrame(p, b)
 	s.payload = p
 	pool.Put(s)
-	return p // want `Framed returns a slice aliasing a buffer taken from a pool`
+	return p // want `Framed returns a slice aliasing a buffer taken from a sync.Pool`
 }
 
 func appendFrame(p, b []byte) []byte { return append(p, b...) }
-
-var list = freelist.List[*scratch]{New: func() *scratch { return new(scratch) }}
-
-// Listed takes its scratch from a free list rather than a sync.Pool.
-func Listed(b []byte) []byte {
-	s := list.Get()
-	s.payload = append(s.payload[:0], b...)
-	list.Put(s)
-	return s.payload // want `Listed returns a slice aliasing a buffer taken from a pool`
-}

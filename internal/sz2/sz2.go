@@ -32,10 +32,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/flatepool"
-	"repro/internal/freelist"
 	"repro/internal/huffman"
 	"repro/internal/quant"
 )
@@ -78,9 +78,9 @@ type scratch struct {
 // 4 MiB — so one large stream does not pin its arrays in the pool.
 const maxPooledBytes = 8 << 20
 
-var pool = freelist.List[*scratch]{New: func() *scratch { return new(scratch) }}
+var pool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch { return pool.Get() }
+func getScratch() *scratch { return pool.Get().(*scratch) }
 
 func putScratch(s *scratch) {
 	size := 8*(cap(s.recon)+cap(s.outliers)+cap(s.zeros)) + 4*(cap(s.codes)+cap(s.coefCodes)) +
