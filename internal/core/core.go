@@ -427,7 +427,8 @@ func (p *Prepared) Compress() (*Compressed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compressed{Blob: buf.Bytes(), LevelBytes: res.LevelBytes}, nil
+	// buf grew by doubling; callers keep Blob, so copy it out at its length.
+	return &Compressed{Blob: bytes.Clone(buf.Bytes()), LevelBytes: res.LevelBytes}, nil
 }
 
 // indexOpts echoes the container options into their index wire form.

@@ -193,7 +193,7 @@ func (p *Prepared) compressTo(w io.Writer, compress func(compressJob) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	ww.write(ix.AppendFooter(nil))
+	ww.write(ix.AppendFooter(bw.AvailableBuffer())) // built in bw's spare room
 	if ww.err != nil {
 		return nil, ww.err
 	}

@@ -82,6 +82,25 @@ func TestCompressToMatchesCompress(t *testing.T) {
 	}
 }
 
+// TestCompressBlobCapacity checks that Compress hands out its blob without the
+// spare capacity the in-memory buffer gathered while doubling: callers keep
+// Blob, so the spare would stay allocated as long as they do.
+func TestCompressBlobCapacity(t *testing.T) {
+	// 128³: the container outgrows one 64 KiB write, so the buffer doubles.
+	f := synth.Generate(synth.WarpX, 128, 1)
+	h, err := grid.BuildAMR(f, 16, []float64{0.3, 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CompressHierarchy(h, Options{EB: f.ValueRange() * 1e-3, Compressor: SZ2, Arrangement: ArrangeTAC, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.Blob); cap(c.Blob)-n > n/8 {
+		t.Errorf("Blob is %d bytes with capacity %d", n, cap(c.Blob))
+	}
+}
+
 // TestNegativeWorkersTerminate is the regression test for a negative Workers
 // value, which once made the streaming writer retry an empty batch forever:
 // both directions must treat it as serial, within a deadline, and produce
