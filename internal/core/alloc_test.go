@@ -104,4 +104,24 @@ func TestTACSZ2AllocBudget(t *testing.T) {
 			t.Errorf("workers=%d: DecompressWorkers: %v allocations for %v streams, budget %v per stream", tc.workers, n, streams, tc.decode)
 		}
 	}
+	// The linear SZ3MR writer on a 64³ Nyx AMR hierarchy, serial: one merged
+	// stream per level, so the writer's own header, block-list and footer
+	// records are a visible share of the count. The budget is the count the
+	// writer made with its own record encoders; sharing the index package's
+	// takes it to 32.
+	lh := amrHierarchy(t, 64, 1)
+	lopt := SZ3MROptions(lh.Levels[0].Data.ValueRange() * 1e-3)
+	lopt.Workers = 1
+	p, err := Prepare(lh, lopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const linearBudget = 35
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := p.CompressTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); n > linearBudget {
+		t.Errorf("linear SZ3MR: CompressTo: %v allocations, budget %d", n, linearBudget)
+	}
 }

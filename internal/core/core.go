@@ -67,16 +67,9 @@ const (
 	containerVersionMixed = 4
 )
 
-// maxSZ2BlockSize bounds the v2 SZ2BlockSize field on both write and read:
-// large enough for any real block size, small enough that a corrupt uvarint
-// can neither wrap int nor smuggle an absurd value past the header scan.
+// maxSZ2BlockSize bounds SZ2BlockSize on write: large enough for any real
+// block size, and the bound index.ParseHeader holds the field to on read.
 const maxSZ2BlockSize = 1 << 30
-
-// maxHeaderField bounds the scalar container-header fields beyond the axis
-// dimensions (block size, level count, TAC box geometry): generous for any
-// real grid, small enough that the int conversion and every downstream
-// product stay well inside int64.
-const maxHeaderField = 1 << 24
 
 // Compressor selects a backend codec by its wire ID (see internal/codec;
 // the constants below alias the registry's built-in IDs). Any registered
@@ -554,14 +547,15 @@ func largestField(fs []*field.Field) *field.Field {
 	return best
 }
 
-// parseContainer scans a container body serially — header, per-level block
-// lists, box geometry, the extent and checksum of every compressed stream —
-// into the index a footer would have carried. It is the scan for bodies with
-// no usable footer (version 1/2 containers, a footer truncated away or
-// damaged) and has one caller, BuildIndex, which validates the result. It
-// bounds every count before allocating or converting it; the grid-shape rules
-// (power-of-two block size, divisibility, level depth) are index.Parse's,
-// applied there.
+// parseContainer scans a container body serially into the index a footer
+// would have carried. It is the scan for bodies with no usable footer
+// (version 1/2 containers, a footer truncated away or damaged) and has one
+// caller, BuildIndex. The header, block lists and box geometry are the
+// records the footer repeats and decode through package index, with its
+// checks; what belongs to the body alone is here: the magic and version
+// byte, version 1's one-byte SZ2 block size, and the stream walk — each
+// stream's length prefix, version 4's codec byte, and the checksum of the
+// bytes the prefix covers.
 func parseContainer(blob []byte) (*index.Index, error) {
 	if len(blob) < 12 || string(blob[:4]) != containerMagic {
 		return nil, errors.New("core: bad magic")
@@ -570,13 +564,12 @@ func parseContainer(blob []byte) (*index.Index, error) {
 	if version < containerVersionV1 || version > containerVersionMixed {
 		return nil, fmt.Errorf("core: unsupported version %d", version)
 	}
-	buf := blob[5:]
-	need := func(n int) error {
-		if len(buf) < n {
-			return errors.New("core: truncated container")
-		}
-		return nil
+	// v1 stored SZ2BlockSize in one byte (values > 255 wrapped on write).
+	ix, buf, err := index.ParseHeader(blob[5:], version == containerVersionV1)
+	if err != nil {
+		return nil, err
 	}
+	ix.StreamCRCs = true
 	readU := func() (uint64, error) {
 		v, n := binary.Uvarint(buf)
 		if n <= 0 {
@@ -585,82 +578,6 @@ func parseContainer(blob []byte) (*index.Index, error) {
 		buf = buf[n:]
 		return v, nil
 	}
-	readV := func() (int64, error) {
-		v, n := binary.Varint(buf)
-		if n <= 0 {
-			return 0, errors.New("core: truncated varint")
-		}
-		buf = buf[n:]
-		return v, nil
-	}
-	readF := func() (float64, error) {
-		if err := need(8); err != nil {
-			return 0, err
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-		return v, nil
-	}
-	if err := need(5); err != nil {
-		return nil, err
-	}
-	ix := &index.Index{StreamCRCs: true}
-	opt := &ix.Opts
-	opt.Compressor = buf[0]
-	opt.Arrangement = buf[1]
-	opt.Pad = buf[2] != 0
-	opt.PadKind = buf[3]
-	opt.AdaptiveEB = buf[4] != 0
-	buf = buf[5:]
-	if version == containerVersionV1 {
-		// v1 stored SZ2BlockSize in one byte (values > 255 wrapped on write).
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		opt.SZ2Block = int(buf[0])
-		opt.Interp = buf[1]
-		buf = buf[2:]
-	} else {
-		bs, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		if bs > maxSZ2BlockSize {
-			return nil, fmt.Errorf("core: implausible SZ2 block size %d", bs)
-		}
-		opt.SZ2Block = int(bs)
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		opt.Interp = buf[0]
-		buf = buf[1:]
-	}
-	var err error
-	for _, p := range []*float64{&opt.EB, &opt.Alpha, &opt.Beta} {
-		if *p, err = readF(); err != nil {
-			return nil, err
-		}
-	}
-	// The five geometry fields (nx, ny, nz, block size, level count) are
-	// validated in their decoded uint64 form before any int conversion:
-	// CheckDims bounds the axes and their product, and the remaining scalars
-	// get the generic header cap, so a hostile container can neither wrap an
-	// int nor drive a decoder into a huge allocation.
-	var geom [5]uint64
-	for i := range geom {
-		if geom[i], err = readU(); err != nil {
-			return nil, err
-		}
-	}
-	blockB64, nLevels64 := geom[3], geom[4]
-	if ix.Nx, ix.Ny, ix.Nz, _, err = field.CheckDims(geom[0], geom[1], geom[2]); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if blockB64 == 0 || blockB64 > maxHeaderField || nLevels64 > maxHeaderField {
-		return nil, errors.New("core: implausible header field")
-	}
-	ix.BlockB = int(blockB64)
-	nbx, nby, nbz := ix.Nx/ix.BlockB, ix.Ny/ix.BlockB, ix.Nz/ix.BlockB
 
 	// stream consumes one length-prefixed payload — in a version-4 container
 	// its codec byte sits between the two; older versions compress every
@@ -672,10 +589,10 @@ func parseContainer(blob []byte) (*index.Index, error) {
 		if err != nil || slen == 0 && st.Box < 0 {
 			return err
 		}
-		st.Compressor = opt.Compressor
+		st.Compressor = ix.Opts.Compressor
 		if version >= containerVersionMixed {
-			if err := need(1); err != nil {
-				return err
+			if len(buf) < 1 {
+				return errors.New("core: truncated container")
 			}
 			st.Compressor = buf[0]
 			buf = buf[1:]
@@ -691,75 +608,39 @@ func parseContainer(blob []byte) (*index.Index, error) {
 		return nil
 	}
 
-	for li := 0; li < int(nLevels64); li++ {
-		var lv index.Level
-		nBlocks64, err := readU()
-		if err != nil {
+	nBlocksTotal := (ix.Nx / ix.BlockB) * (ix.Ny / ix.BlockB) * (ix.Nz / ix.BlockB)
+	for li := range ix.Levels {
+		if buf, err = ix.ParseBlocks(buf, li); err != nil {
 			return nil, err
 		}
-		// Compare unsigned: int(nBlocks64) may wrap negative. Every block
-		// costs at least one delta byte, which bounds the allocation below by
-		// the bytes actually present.
-		if nBlocks64 > uint64(nbx*nby*nbz) || nBlocks64 > uint64(len(buf)) {
-			return nil, errors.New("core: implausible block count")
-		}
-		lv.Blocks = make([][3]int, int(nBlocks64))
-		prev := int64(0)
-		for i := range lv.Blocks {
-			d, err := readV()
-			if err != nil {
-				return nil, err
-			}
-			prev += d
-			flat := int(prev)
-			if flat < 0 || flat >= nbx*nby*nbz {
-				return nil, errors.New("core: block index out of range")
-			}
-			lv.Blocks[i] = [3]int{flat % nbx, (flat / nbx) % nby, flat / (nbx * nby)}
-		}
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		lv.Padded = buf[0] != 0
-		buf = buf[1:]
-
+		lv := &ix.Levels[li]
 		u := ix.UnitBlockSize(li)
-		if Arrangement(opt.Arrangement) != ArrangeTAC {
-			rawLen := mergedRawLen(Arrangement(opt.Arrangement), u, len(lv.Blocks), lv.Padded)
-			if err := stream(&lv, index.Stream{Level: li, Box: -1, RawLen: rawLen}); err != nil {
+		if Arrangement(ix.Opts.Arrangement) != ArrangeTAC {
+			rawLen := mergedRawLen(Arrangement(ix.Opts.Arrangement), u, len(lv.Blocks), lv.Padded)
+			if err := stream(lv, index.Stream{Level: li, Box: -1, RawLen: rawLen}); err != nil {
 				return nil, err
 			}
-			ix.Levels = append(ix.Levels, lv)
 			continue
 		}
 		nBoxes64, err := readU()
 		if err != nil {
 			return nil, err
 		}
-		// Same unsigned comparison as the block count: a box never holds
-		// fewer than one unit block, so the level-0 block total bounds it.
-		if nBoxes64 > uint64(nbx*nby*nbz) {
+		// Compare unsigned: int(nBoxes64) may wrap negative. A box never
+		// holds fewer than one unit block, so the block total bounds it.
+		if nBoxes64 > uint64(nBlocksTotal) {
 			return nil, errors.New("core: implausible box count")
 		}
 		for bi := 0; bi < int(nBoxes64); bi++ {
-			var vals [6]int
-			for i := range vals {
-				v, err := readU()
-				if err != nil {
-					return nil, err
-				}
-				if v > maxHeaderField {
-					return nil, errors.New("core: implausible box geometry")
-				}
-				vals[i] = int(v)
+			var g layout.Box
+			if g, buf, err = ix.ParseBox(buf); err != nil {
+				return nil, err
 			}
-			g := layout.Box{X0: vals[0], Y0: vals[1], Z0: vals[2], WX: vals[3], WY: vals[4], WZ: vals[5]}
 			rawLen := int64(g.WX*u) * int64(g.WY*u) * int64(g.WZ*u) * 8
-			if err := stream(&lv, index.Stream{Level: li, Box: bi, Geom: g, RawLen: rawLen}); err != nil {
+			if err := stream(lv, index.Stream{Level: li, Box: bi, Geom: g, RawLen: rawLen}); err != nil {
 				return nil, err
 			}
 		}
-		ix.Levels = append(ix.Levels, lv)
 	}
 	return ix, nil
 }
@@ -768,11 +649,10 @@ func parseContainer(blob []byte) (*index.Index, error) {
 // fallback that gives footerless containers (version 1/2, or a footer lost or
 // damaged) the same decode path as indexed ones at the cost of one
 // sequential scan; stream payloads are located and checksummed, not decoded.
-// The scanned index is re-validated through the footer parser — the body
-// scan is laxer about grid shape and box geometry than index.Parse, and
-// placement relies on its bounds — and carries the synthesized section's
-// CRC, which plays the container-version role the trailer CRC does for
-// footer-indexed containers.
+// The scanned index is re-validated through the footer parser, so it has
+// passed every check a footer-read index passes, and carries the
+// synthesized section's CRC, which plays the container-version role the
+// trailer CRC does for footer-indexed containers.
 func BuildIndex(blob []byte) (*index.Index, error) {
 	scan, err := parseContainer(blob)
 	if err != nil {
@@ -813,11 +693,4 @@ func mergedRawLen(a Arrangement, u, k int, padded bool) int64 {
 // multi-resolution payload.
 func (c *Compressed) Ratio(h *grid.Hierarchy) float64 {
 	return float64(h.PayloadBytes()) / float64(c.Size())
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/synth"
 )
 
-func amrHierarchy(t *testing.T, n int, seed int64) *grid.Hierarchy {
+func amrHierarchy(t testing.TB, n int, seed int64) *grid.Hierarchy {
 	t.Helper()
 	f := synth.Generate(synth.Nyx, n, seed)
 	h, err := grid.BuildAMR(f, 16, []float64{0.25, 0.75})
@@ -342,42 +342,66 @@ func TestSZ2BlockSizeLargeHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// v1Body rewrites a version-2/3 container c, compressed with the given SZ2
+// block size, into the version-1 body it corresponds to: version byte 1,
+// the SZ2 block size in the single byte v1 stored, and no footer (the
+// version byte lives in the body header, which no decoder consults while a
+// footer is intact, so the body scan must run).
+func v1Body(tb testing.TB, blob []byte, sz2Block int) []byte {
+	tb.Helper()
+	body, ok := index.Locate(blob)
+	if !ok {
+		tb.Fatal("container has no index footer")
+	}
+	const sz2Off = 4 + 1 + 5 // magic, version, five option bytes
+	wide := binary.AppendUvarint(nil, uint64(sz2Block))
+	if !bytes.Equal(blob[sz2Off:sz2Off+len(wide)], wide) {
+		tb.Fatalf("SZ2 block size %d not at offset %d", sz2Block, sz2Off)
+	}
+	v1 := append([]byte(nil), blob[:sz2Off]...)
+	v1 = append(v1, byte(sz2Block))
+	v1 = append(v1, blob[sz2Off+len(wide):body]...)
+	v1[4] = containerVersionV1
+	return v1
+}
+
 func TestV1ContainerReadPath(t *testing.T) {
-	// For SZ2BlockSize < 128 the uvarint encoding is the same single byte
-	// v1 wrote, so rewriting the version byte of a v2 container yields a
-	// valid v1 container; the v1 read path must decode it identically.
+	// The v1 read path must decode a v1 body exactly as the v2 read path
+	// decodes its v2 twin. At SZ2 block size 4 the two bodies differ only in
+	// the version byte; at 200 the v2 uvarint (0xC8 0x01) is one byte longer
+	// than v1's single 0xC8, so only the v1 branch of the scan parses it.
 	h := amrHierarchy(t, 64, 23)
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
-	c, err := CompressHierarchy(h, SZ3MROptions(eb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The version byte lives in the body header, which no decoder consults
-	// while the footer is intact: cut the footer off so the case still
-	// exercises the body scan.
-	v1 := stripFooter(t, c.Blob)
-	v1[4] = 1
-	parsed, err := parseContainer(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Opts.SZ2Block != 4 {
-		t.Fatalf("v1 parse: SZ2BlockSize=%d", parsed.Opts.SZ2Block)
-	}
-	g2, err := Decompress(c.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, err := Decompress(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ownershipEqual(g1, g2) || maxLevelError(g1, g2) != 0 {
-		t.Fatal("v1 and v2 decodes differ")
-	}
-	v1[4] = containerVersion + 1
-	if _, err := Decompress(v1); err == nil {
-		t.Fatal("unknown version accepted")
+	for _, sz2Block := range []int{4, 200} {
+		opt := SZ3MROptions(eb)
+		opt.SZ2BlockSize = sz2Block
+		c, err := CompressHierarchy(h, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 := v1Body(t, c.Blob, sz2Block)
+		parsed, err := parseContainer(v1)
+		if err != nil {
+			t.Fatalf("sz2 block %d: %v", sz2Block, err)
+		}
+		if parsed.Opts.SZ2Block != sz2Block {
+			t.Fatalf("v1 parse: SZ2BlockSize=%d, want %d", parsed.Opts.SZ2Block, sz2Block)
+		}
+		g2, err := Decompress(c.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g1, err := Decompress(v1)
+		if err != nil {
+			t.Fatalf("sz2 block %d: %v", sz2Block, err)
+		}
+		if !ownershipEqual(g1, g2) || maxLevelError(g1, g2) != 0 {
+			t.Fatalf("sz2 block %d: v1 and v2 decodes differ", sz2Block)
+		}
+		v1[4] = containerVersion + 1
+		if _, err := Decompress(v1); err == nil {
+			t.Fatal("unknown version accepted")
+		}
 	}
 }
 

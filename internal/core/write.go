@@ -10,20 +10,19 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/index"
 	"repro/internal/layout"
 	"repro/internal/parallel"
 )
 
-// wireWriter wraps a destination with error-latching primitive writers and
-// an offset counter (the index needs absolute stream offsets).
+// wireWriter wraps the buffered destination with an error latch and an
+// offset counter (the index needs absolute stream offsets). Records are
+// appended straight into the buffer's spare room (spare) and then written.
 type wireWriter struct {
-	w   io.Writer
+	w   *bufio.Writer
 	n   int64
 	err error
-	tmp [binary.MaxVarintLen64]byte
 }
 
 func (ww *wireWriter) write(b []byte) {
@@ -35,63 +34,37 @@ func (ww *wireWriter) write(b []byte) {
 	ww.err = err
 }
 
-func (ww *wireWriter) writeByte(b byte) {
-	ww.tmp[0] = b
-	ww.write(ww.tmp[:1])
-}
-
-func (ww *wireWriter) writeUvarint(v uint64) {
-	n := binary.PutUvarint(ww.tmp[:], v)
-	ww.write(ww.tmp[:n])
-}
-
-func (ww *wireWriter) writeVarint(v int64) {
-	n := binary.PutVarint(ww.tmp[:], v)
-	ww.write(ww.tmp[:n])
-}
-
-func (ww *wireWriter) writeFloat(v float64) {
-	binary.LittleEndian.PutUint64(ww.tmp[:8], math.Float64bits(v))
-	ww.write(ww.tmp[:8])
-}
+// spare returns the destination buffer's unused room, empty, to append the
+// next record into; a record that does not fit still writes correctly.
+func (ww *wireWriter) spare() []byte { return ww.w.AvailableBuffer() }
 
 // writeContainer serializes the container body (header, per-level metadata,
 // compressed streams) to ww, pulling each stream from nextStream — called
 // once per stream, in serialization order, and not again after a write to ww
-// has failed. It returns the populated index (ready for AppendFooter) and the
-// per-level compressed payload byte counts.
+// has failed. The header, block lists and box geometry are the records the
+// index footer repeats, encoded by the same index functions. It returns the
+// populated index (ready for AppendFooter) and the per-level compressed
+// payload byte counts.
 func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, error)) (*index.Index, []int, error) {
 	o := p.opt
 	ver := p.wireVersion()
-	ww.write([]byte(containerMagic))
-	ww.writeByte(ver)
-	ww.writeByte(byte(o.Compressor))
-	ww.writeByte(byte(o.Arrangement))
-	ww.writeByte(boolByte(o.Pad))
-	ww.writeByte(byte(o.PadKind))
-	ww.writeByte(boolByte(o.AdaptiveEB))
-	ww.writeUvarint(uint64(o.SZ2BlockSize)) // v2: uvarint (v1 wrote a truncating byte)
-	ww.writeByte(byte(o.Interp))
-	ww.writeFloat(o.EB)
-	ww.writeFloat(o.Alpha)
-	ww.writeFloat(o.Beta)
-	ww.writeUvarint(uint64(p.nx))
-	ww.writeUvarint(uint64(p.ny))
-	ww.writeUvarint(uint64(p.nz))
-	ww.writeUvarint(uint64(p.blockB))
-	ww.writeUvarint(uint64(len(p.levels)))
-
-	nbx := p.nx / p.blockB
-	nby := p.ny / p.blockB
-	levelBytes := make([]int, len(p.levels))
 	ix := &index.Index{
 		Opts:       indexOpts(o),
 		Nx:         p.nx,
 		Ny:         p.ny,
 		Nz:         p.nz,
 		BlockB:     p.blockB,
+		Levels:     make([]index.Level, len(p.levels)),
 		StreamCRCs: true,
 	}
+	for li, pl := range p.levels {
+		// Blocks in merge order: raster for linear / stack, Morton for
+		// zorder — order matters, so the list is stored as-is.
+		ix.Levels[li] = index.Level{Blocks: pl.blocks, Padded: pl.padded}
+	}
+	ww.write(ix.AppendHeader(append(append(ww.spare(), containerMagic...), ver)))
+
+	levelBytes := make([]int, len(p.levels))
 	emitStream := func(li, box int, geom layout.Box, rawLen int) error {
 		if ww.err != nil {
 			return ww.err // the destination failed: compress nothing more
@@ -101,13 +74,14 @@ func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, err
 			return err
 		}
 		sc := o.codecFor(li)
-		ww.writeUvarint(uint64(len(s)))
+		prefix := binary.AppendUvarint(ww.spare(), uint64(len(s)))
 		if ver >= containerVersionMixed {
 			// v4: each stream names its own codec on the wire, right after
 			// its length — the sequential decoder's counterpart to the
 			// per-stream compressor byte the index footer always carried.
-			ww.writeByte(byte(sc))
+			prefix = append(prefix, byte(sc))
 		}
+		ww.write(prefix)
 		ixl := &ix.Levels[li]
 		ixl.Streams = append(ixl.Streams, len(ix.Streams))
 		ix.Streams = append(ix.Streams, index.Stream{
@@ -120,23 +94,11 @@ func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, err
 		return nil
 	}
 	for li, pl := range p.levels {
-		ix.Levels = append(ix.Levels, index.Level{Blocks: pl.blocks, Padded: pl.padded})
-		// Block list as deltas of flat indices (raster order for linear /
-		// stack; Morton order for zorder — order matters, so store as-is).
-		ww.writeUvarint(uint64(len(pl.blocks)))
-		prev := int64(0)
-		for _, bc := range pl.blocks {
-			flat := int64(bc[0] + nbx*(bc[1]+nby*bc[2]))
-			ww.writeVarint(flat - prev)
-			prev = flat
-		}
-		ww.writeByte(boolByte(pl.padded))
+		rec := ix.AppendBlocks(ww.spare(), li)
 		if o.Arrangement == ArrangeTAC {
-			ww.writeUvarint(uint64(len(pl.boxes)))
+			ww.write(binary.AppendUvarint(rec, uint64(len(pl.boxes))))
 			for bi, b := range pl.boxes {
-				for _, v := range []int{b.X0, b.Y0, b.Z0, b.WX, b.WY, b.WZ} {
-					ww.writeUvarint(uint64(v))
-				}
+				ww.write(index.AppendBox(ww.spare(), b))
 				if err := emitStream(li, bi, b, pl.boxFld[bi].Bytes()); err != nil {
 					return nil, nil, err
 				}
@@ -144,9 +106,10 @@ func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, err
 			continue
 		}
 		if pl.merged == nil {
-			ww.writeUvarint(0)
+			ww.write(binary.AppendUvarint(rec, 0)) // an empty level: no stream
 			continue
 		}
+		ww.write(rec)
 		if err := emitStream(li, -1, layout.Box{}, pl.merged.Bytes()); err != nil {
 			return nil, nil, err
 		}
@@ -193,7 +156,7 @@ func (p *Prepared) compressTo(w io.Writer, compress func(compressJob) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	ww.write(ix.AppendFooter(bw.AvailableBuffer())) // built in bw's spare room
+	ww.write(ix.AppendFooter(ww.spare()))
 	if ww.err != nil {
 		return nil, ww.err
 	}

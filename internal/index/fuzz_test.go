@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,6 +25,15 @@ func seedGoldenContainers(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+}
+
+// withTrailer terminates an index section with its trailer, so the result
+// is a footer-only container whose CRC holds.
+func withTrailer(section []byte) []byte {
+	blob := append([]byte(nil), section...)
+	blob = binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(section))
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(section)))
+	return append(blob, Magic...)
 }
 
 // FuzzContainerIndex hammers the footer parser with mutated trailers and
@@ -70,9 +80,17 @@ func FuzzContainerIndex(f *testing.F) {
 	over := append([]byte(nil), full...)
 	binary.LittleEndian.PutUint64(over[len(over)-12:], ^uint64(0))
 	f.Add(over)
+	// A CRC-valid footer whose block count has no bytes behind it.
+	f.Add(withTrailer(hollowSection()))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		got, err := ReadFrom(bytes.NewReader(blob), int64(len(blob)))
+		var got *Index
+		var err error
+		if n := allocatedBytes(func() {
+			got, err = ReadFrom(bytes.NewReader(blob), int64(len(blob)))
+		}); n > 64*uint64(len(blob))+1<<20 {
+			t.Fatalf("ReadFrom allocated %d bytes for a %d-byte container", n, len(blob))
+		}
 		if err != nil {
 			return
 		}

@@ -12,24 +12,38 @@
 // of the body instead of becoming unreadable (core.BuildIndex, the fallback
 // of every decoder); while the footer is intact, decoders act on it alone.
 //
+// # Shared records
+//
+// Three records appear both in the container body and in the index section,
+// byte for byte the same, and this package holds the one encoder and the one
+// decoder of each; the body writer and the body scan in package core call
+// them too:
+//
+//	header   AppendHeader / ParseHeader
+//	  u8 ×5   compressor, arrangement, pad, padKind, adaptiveEB
+//	  uvarint SZ2 block size (one byte in a version-1 container body)
+//	  u8      interpolant
+//	  f64 ×3  EB, Alpha, Beta (little endian)
+//	  uvarint nx, ny, nz, blockB, nLevels
+//	blocks   AppendBlocks / ParseBlocks (one per level)
+//	  uvarint block count, then varint deltas of flat block indices
+//	  u8      padded flag
+//	box      AppendBox / ParseBox (one per TAC box)
+//	  uvarint ×6  X0 Y0 Z0 WX WY WZ, in unit blocks
+//
 // # Wire format
 //
 // The index section is written immediately after the last stream:
 //
 //	"MRIX"                      leading magic (sanity check)
 //	u8      index format version (1 = original, 2 = per-stream CRCs)
-//	u8 ×5   compressor, arrangement, pad, padKind, adaptiveEB
-//	uvarint SZ2 block size
-//	u8      interpolant
-//	f64 ×3  EB, Alpha, Beta (little endian)
-//	uvarint nx, ny, nz, blockB, nLevels
+//	header
 //	per level:
-//	  uvarint block count, then varint deltas of flat block indices
-//	  u8      padded flag
+//	  blocks
 //	  uvarint stream count
 //	  per stream:
 //	    varint      box id (-1 for a merged-level stream)
-//	    uvarint ×6  box geometry (X0 Y0 Z0 WX WY WZ; only when box id >= 0)
+//	    box         (only when box id >= 0)
 //	    u8          compressor
 //	    uvarint     absolute offset of the compressed stream
 //	    uvarint     compressed length
@@ -178,42 +192,67 @@ func (ix *Index) CompressedBytes(level int) int64 {
 	return n
 }
 
-// appendSection serializes the index section (without the trailer).
-func (ix *Index) appendSection(dst []byte) []byte {
-	dst = append(dst, Magic...)
-	ver := byte(footerVersionV1)
-	if ix.StreamCRCs {
-		ver = footerVersionStreamCRC
-	}
-	dst = append(dst, ver)
+// blockGrid returns the domain's extent in unit blocks along each axis —
+// the same at every level, since a level halves both its cells and its unit
+// block edge.
+func (ix *Index) blockGrid() (nbx, nby, nbz int) {
+	return ix.Nx / ix.BlockB, ix.Ny / ix.BlockB, ix.Nz / ix.BlockB
+}
+
+// AppendHeader appends ix's header record — the option echo, the domain,
+// the block size and the level count len(ix.Levels) — to dst.
+func (ix *Index) AppendHeader(dst []byte) []byte {
 	o := ix.Opts
 	dst = append(dst, o.Compressor, o.Arrangement, boolByte(o.Pad), o.PadKind, boolByte(o.AdaptiveEB))
 	dst = binary.AppendUvarint(dst, uint64(o.SZ2Block))
 	dst = append(dst, o.Interp)
-	for _, f := range []float64{o.EB, o.Alpha, o.Beta} {
+	for _, f := range [...]float64{o.EB, o.Alpha, o.Beta} {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
-	for _, v := range []int{ix.Nx, ix.Ny, ix.Nz, ix.BlockB, len(ix.Levels)} {
+	for _, v := range [...]int{ix.Nx, ix.Ny, ix.Nz, ix.BlockB, len(ix.Levels)} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	nbx, nby := ix.Nx/ix.BlockB, ix.Ny/ix.BlockB
-	for _, lv := range ix.Levels {
-		dst = binary.AppendUvarint(dst, uint64(len(lv.Blocks)))
-		prev := int64(0)
-		for _, bc := range lv.Blocks {
-			flat := int64(bc[0] + nbx*(bc[1]+nby*bc[2]))
-			dst = binary.AppendVarint(dst, flat-prev)
-			prev = flat
-		}
-		dst = append(dst, boolByte(lv.Padded))
+	return dst
+}
+
+// AppendBlocks appends level li's block record — its block list as deltas
+// of flat indices, in the level's merge order, and its padded flag — to dst.
+func (ix *Index) AppendBlocks(dst []byte, li int) []byte {
+	nbx, nby, _ := ix.blockGrid()
+	lv := &ix.Levels[li]
+	dst = binary.AppendUvarint(dst, uint64(len(lv.Blocks)))
+	prev := int64(0)
+	for _, bc := range lv.Blocks {
+		flat := int64(bc[0] + nbx*(bc[1]+nby*bc[2]))
+		dst = binary.AppendVarint(dst, flat-prev)
+		prev = flat
+	}
+	return append(dst, boolByte(lv.Padded))
+}
+
+// AppendBox appends a TAC box's geometry record to dst.
+func AppendBox(dst []byte, g layout.Box) []byte {
+	for _, v := range [...]int{g.X0, g.Y0, g.Z0, g.WX, g.WY, g.WZ} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	return dst
+}
+
+// appendSection serializes the index section (without the trailer).
+func (ix *Index) appendSection(dst []byte) []byte {
+	ver := byte(footerVersionV1)
+	if ix.StreamCRCs {
+		ver = footerVersionStreamCRC
+	}
+	dst = ix.AppendHeader(append(append(dst, Magic...), ver))
+	for li, lv := range ix.Levels {
+		dst = ix.AppendBlocks(dst, li)
 		dst = binary.AppendUvarint(dst, uint64(len(lv.Streams)))
 		for _, si := range lv.Streams {
 			s := ix.Streams[si]
 			dst = binary.AppendVarint(dst, int64(s.Box))
 			if s.Box >= 0 {
-				for _, v := range []int{s.Geom.X0, s.Geom.Y0, s.Geom.Z0, s.Geom.WX, s.Geom.WY, s.Geom.WZ} {
-					dst = binary.AppendUvarint(dst, uint64(v))
-				}
+				dst = AppendBox(dst, s.Geom)
 			}
 			dst = append(dst, s.Compressor)
 			dst = binary.AppendUvarint(dst, uint64(s.Offset))
@@ -298,65 +337,74 @@ func ReadFrom(r io.ReaderAt, size int64) (*Index, error) {
 	return ix, nil
 }
 
-// Parse decodes an index section. containerSize, when > 0, bounds stream
-// extents: every stream must lie fully inside the container body.
-func Parse(section []byte, containerSize int64) (*Index, error) {
-	buf := section
-	fail := func(what string) error { return fmt.Errorf("index: truncated or corrupt section (%s)", what) }
-	if len(buf) < len(Magic)+1 || string(buf[:len(Magic)]) != Magic {
-		return nil, fail("magic")
+// corrupt reports a truncated record or one that fails its checks.
+func corrupt(what string) error {
+	return fmt.Errorf("index: truncated or corrupt %s", what)
+}
+
+// uvarint decodes a uvarint from the front of *buf and advances past it.
+func uvarint(buf *[]byte) (uint64, bool) {
+	v, n := binary.Uvarint(*buf)
+	if n <= 0 {
+		return 0, false
 	}
-	buf = buf[len(Magic):]
-	if buf[0] != footerVersionV1 && buf[0] != footerVersionStreamCRC {
-		return nil, fmt.Errorf("index: unsupported index version %d", buf[0])
+	*buf = (*buf)[n:]
+	return v, true
+}
+
+// varint decodes a varint from the front of *buf and advances past it.
+func varint(buf *[]byte) (int64, bool) {
+	v, n := binary.Varint(*buf)
+	if n <= 0 {
+		return 0, false
 	}
-	streamCRCs := buf[0] == footerVersionStreamCRC
-	buf = buf[1:]
-	readU := func() (uint64, bool) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, false
-		}
-		buf = buf[n:]
-		return v, true
-	}
-	readV := func() (int64, bool) {
-		v, n := binary.Varint(buf)
-		if n <= 0 {
-			return 0, false
-		}
-		buf = buf[n:]
-		return v, true
-	}
+	*buf = (*buf)[n:]
+	return v, true
+}
+
+// ParseHeader decodes the header record at the front of buf into a new
+// Index — Opts, the domain, the block size and one empty Level per level —
+// and returns it with the bytes that follow. sz2Byte reads the SZ2 block
+// size as the single byte a version-1 container body stored; every other
+// writer emits a uvarint. The grid checks every decoder relies on run here:
+// a domain CheckDims accepts, at most 2²⁴ per axis; a power-of-two block
+// size of at least 8 that divides every axis; and 1–64 levels that leave
+// the coarsest unit block at least 2 cells wide.
+func ParseHeader(buf []byte, sz2Byte bool) (*Index, []byte, error) {
 	if len(buf) < 5 {
-		return nil, fail("options")
+		return nil, nil, corrupt("header options")
 	}
-	ix := &Index{StreamCRCs: streamCRCs}
-	ix.Opts.Compressor = buf[0]
-	ix.Opts.Arrangement = buf[1]
-	ix.Opts.Pad = buf[2] != 0
-	ix.Opts.PadKind = buf[3]
-	ix.Opts.AdaptiveEB = buf[4] != 0
+	ix := &Index{}
+	o := &ix.Opts
+	o.Compressor, o.Arrangement, o.Pad, o.PadKind, o.AdaptiveEB = buf[0], buf[1], buf[2] != 0, buf[3], buf[4] != 0
 	buf = buf[5:]
-	bs, ok := readU()
-	if !ok || bs > maxSZ2Block {
-		return nil, fail("sz2 block size")
+	if sz2Byte {
+		if len(buf) < 1 {
+			return nil, nil, corrupt("header SZ2 block size")
+		}
+		o.SZ2Block = int(buf[0])
+		buf = buf[1:]
+	} else {
+		bs, ok := uvarint(&buf)
+		if !ok || bs > maxSZ2Block {
+			return nil, nil, corrupt("header SZ2 block size")
+		}
+		o.SZ2Block = int(bs)
 	}
-	ix.Opts.SZ2Block = int(bs)
 	if len(buf) < 1+3*8 {
-		return nil, fail("interp/floats")
+		return nil, nil, corrupt("header interp/floats")
 	}
-	ix.Opts.Interp = buf[0]
+	o.Interp = buf[0]
 	buf = buf[1:]
-	for _, p := range []*float64{&ix.Opts.EB, &ix.Opts.Alpha, &ix.Opts.Beta} {
+	for _, p := range [...]*float64{&o.EB, &o.Alpha, &o.Beta} {
 		*p = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 		buf = buf[8:]
 	}
-	dims := make([]uint64, 5)
+	var dims [5]uint64
 	for i := range dims {
-		v, ok := readU()
+		v, ok := uvarint(&buf)
 		if !ok {
-			return nil, fail("dims")
+			return nil, nil, corrupt("header dims")
 		}
 		dims[i] = v
 	}
@@ -364,103 +412,146 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 	// bounds the product, since decoders allocate level arrays from these.
 	if _, _, _, _, err := field.CheckDims(dims[0], dims[1], dims[2]); err != nil ||
 		dims[0] > maxDim || dims[1] > maxDim || dims[2] > maxDim {
-		return nil, fail("domain dims")
+		return nil, nil, corrupt("header domain dims")
 	}
 	if dims[3] < 8 || dims[3] > maxBlockB || dims[3]&(dims[3]-1) != 0 {
-		return nil, fail("block size")
+		return nil, nil, corrupt("header block size")
 	}
 	if dims[4] == 0 || dims[4] > maxLevels {
-		return nil, fail("level count")
+		return nil, nil, corrupt("header level count")
 	}
 	ix.Nx, ix.Ny, ix.Nz = int(dims[0]), int(dims[1]), int(dims[2])
 	ix.BlockB = int(dims[3])
 	nLevels := int(dims[4])
 	if ix.Nx%ix.BlockB != 0 || ix.Ny%ix.BlockB != 0 || ix.Nz%ix.BlockB != 0 {
-		return nil, fail("dims not multiples of block size")
+		return nil, nil, corrupt("header: dims not multiples of block size")
 	}
 	if ix.BlockB>>(nLevels-1) < 2 {
-		return nil, fail("levels too deep for block size")
+		return nil, nil, corrupt("header: levels too deep for block size")
 	}
-	nbx, nby, nbz := ix.Nx/ix.BlockB, ix.Ny/ix.BlockB, ix.Nz/ix.BlockB
-	nBlocksTotal := nbx * nby * nbz
+	ix.Levels = make([]Level, nLevels)
+	return ix, buf, nil
+}
 
-	for li := 0; li < nLevels; li++ {
-		var lv Level
-		nBlocks64, ok := readU()
-		if !ok || nBlocks64 > uint64(nBlocksTotal) {
-			return nil, fail("block count")
+// ParseBlocks decodes level li's block record at the front of buf into
+// ix.Levels[li].Blocks and .Padded and returns the bytes that follow. The
+// block count is bounded by the domain's block total and by the bytes left —
+// every block costs at least one delta byte — so a count cannot drive an
+// allocation larger than the record that claims it.
+func (ix *Index) ParseBlocks(buf []byte, li int) ([]byte, error) {
+	nbx, nby, nbz := ix.blockGrid()
+	total := nbx * nby * nbz
+	// Compare unsigned: int(n) may wrap negative.
+	n, ok := uvarint(&buf)
+	if !ok || n > uint64(total) || n > uint64(len(buf)) {
+		return nil, corrupt("block count")
+	}
+	lv := &ix.Levels[li]
+	lv.Blocks = make([][3]int, int(n))
+	prev := int64(0)
+	for i := range lv.Blocks {
+		d, ok := varint(&buf)
+		if !ok {
+			return nil, corrupt("block delta")
 		}
-		lv.Blocks = make([][3]int, int(nBlocks64))
-		prev := int64(0)
-		for i := range lv.Blocks {
-			d, ok := readV()
-			if !ok {
-				return nil, fail("block delta")
-			}
-			prev += d
-			flat := int(prev)
-			if flat < 0 || flat >= nBlocksTotal {
-				return nil, fail("block index out of range")
-			}
-			lv.Blocks[i] = [3]int{flat % nbx, (flat / nbx) % nby, flat / (nbx * nby)}
+		prev += d
+		flat := int(prev)
+		if flat < 0 || flat >= total {
+			return nil, corrupt("block index out of range")
 		}
-		if len(buf) < 1 {
-			return nil, fail("padded flag")
+		lv.Blocks[i] = [3]int{flat % nbx, (flat / nbx) % nby, flat / (nbx * nby)}
+	}
+	if len(buf) < 1 {
+		return nil, corrupt("padded flag")
+	}
+	lv.Padded = buf[0] != 0
+	return buf[1:], nil
+}
+
+// ParseBox decodes the TAC box geometry record at the front of buf and
+// returns the box with the bytes that follow. The box must be non-empty and
+// lie inside the domain's unit-block grid.
+func (ix *Index) ParseBox(buf []byte) (layout.Box, []byte, error) {
+	var g [6]int
+	for i := range g {
+		v, ok := uvarint(&buf)
+		if !ok || v > maxDim {
+			return layout.Box{}, nil, corrupt("box geometry")
 		}
-		lv.Padded = buf[0] != 0
-		buf = buf[1:]
-		nStreams64, ok := readU()
-		if !ok || nStreams64 > uint64(nBlocksTotal) {
-			return nil, fail("stream count")
+		g[i] = int(v)
+	}
+	b := layout.Box{X0: g[0], Y0: g[1], Z0: g[2], WX: g[3], WY: g[4], WZ: g[5]}
+	nbx, nby, nbz := ix.blockGrid()
+	if b.WX < 1 || b.WY < 1 || b.WZ < 1 ||
+		b.X0+b.WX > nbx || b.Y0+b.WY > nby || b.Z0+b.WZ > nbz {
+		return layout.Box{}, nil, corrupt("box: out of domain")
+	}
+	return b, buf, nil
+}
+
+// Parse decodes an index section. containerSize, when > 0, bounds stream
+// extents: every stream must lie fully inside the container body.
+func Parse(section []byte, containerSize int64) (*Index, error) {
+	if len(section) < len(Magic)+1 || string(section[:len(Magic)]) != Magic {
+		return nil, corrupt("section magic")
+	}
+	ver := section[len(Magic)]
+	if ver != footerVersionV1 && ver != footerVersionStreamCRC {
+		return nil, fmt.Errorf("index: unsupported index version %d", ver)
+	}
+	ix, buf, err := ParseHeader(section[len(Magic)+1:], false)
+	if err != nil {
+		return nil, err
+	}
+	ix.StreamCRCs = ver == footerVersionStreamCRC
+	nbx, nby, nbz := ix.blockGrid()
+	for li := range ix.Levels {
+		if buf, err = ix.ParseBlocks(buf, li); err != nil {
+			return nil, err
+		}
+		lv := &ix.Levels[li]
+		nStreams64, ok := uvarint(&buf)
+		if !ok || nStreams64 > uint64(nbx*nby*nbz) {
+			return nil, corrupt("stream count")
 		}
 		for si := 0; si < int(nStreams64); si++ {
 			s := Stream{Level: li}
-			box64, ok := readV()
+			box64, ok := varint(&buf)
 			if !ok || box64 < -1 || box64 != int64(si) && box64 != -1 {
-				return nil, fail("stream box id")
+				return nil, corrupt("stream box id")
 			}
 			s.Box = int(box64)
 			if s.Box < 0 && nStreams64 > 1 {
-				return nil, fail("merged level with multiple streams")
+				return nil, corrupt("section: merged level with multiple streams")
 			}
 			if s.Box >= 0 {
-				var g [6]int
-				for i := range g {
-					v, ok := readU()
-					if !ok || v > maxDim {
-						return nil, fail("box geometry")
-					}
-					g[i] = int(v)
-				}
-				s.Geom = layout.Box{X0: g[0], Y0: g[1], Z0: g[2], WX: g[3], WY: g[4], WZ: g[5]}
-				if s.Geom.WX < 1 || s.Geom.WY < 1 || s.Geom.WZ < 1 ||
-					s.Geom.X0+s.Geom.WX > nbx || s.Geom.Y0+s.Geom.WY > nby || s.Geom.Z0+s.Geom.WZ > nbz {
-					return nil, fail("box out of domain")
+				if s.Geom, buf, err = ix.ParseBox(buf); err != nil {
+					return nil, err
 				}
 			}
 			if len(buf) < 1 {
-				return nil, fail("stream compressor")
+				return nil, corrupt("stream compressor")
 			}
 			s.Compressor = buf[0]
 			buf = buf[1:]
-			vals := make([]uint64, 3)
+			var vals [3]uint64
 			for i := range vals {
-				v, ok := readU()
+				v, ok := uvarint(&buf)
 				if !ok {
-					return nil, fail("stream extent")
+					return nil, corrupt("stream extent")
 				}
 				vals[i] = v
 			}
 			if vals[0] > uint64(maxStreamLen) || vals[1] > uint64(maxStreamLen) || vals[2] > uint64(maxStreamLen) {
-				return nil, fail("stream extent overflow")
+				return nil, corrupt("stream extent: overflow")
 			}
 			s.Offset, s.Len, s.RawLen = int64(vals[0]), int64(vals[1]), int64(vals[2])
 			if containerSize > 0 && s.Offset+s.Len > containerSize {
-				return nil, fail("stream past end of container")
+				return nil, corrupt("stream extent: past end of container")
 			}
-			if streamCRCs {
+			if ix.StreamCRCs {
 				if len(buf) < 4 {
-					return nil, fail("stream crc")
+					return nil, corrupt("stream crc")
 				}
 				s.CRC = binary.LittleEndian.Uint32(buf)
 				buf = buf[4:]
@@ -468,10 +559,9 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 			lv.Streams = append(lv.Streams, len(ix.Streams))
 			ix.Streams = append(ix.Streams, s)
 		}
-		ix.Levels = append(ix.Levels, lv)
 	}
 	if len(buf) != 0 {
-		return nil, fail("trailing bytes")
+		return nil, corrupt("section: trailing bytes")
 	}
 	return ix, nil
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/raceflag"
 )
 
 // sampleIndex builds a representative two-level index over a fake body of
@@ -144,6 +148,78 @@ func TestParseRejectsImplausibleHeaders(t *testing.T) {
 		blob := m.AppendFooter(append([]byte(nil), body...))
 		if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// hollowSection is a 48-byte index section whose only level claims every
+// block of a 2048³ domain at B = 8 — 2²⁴ of them — with no byte behind the
+// count.
+func hollowSection() []byte {
+	sec := append([]byte(Magic), footerVersionStreamCRC)
+	sec = append(sec, 0, 0, 0, 0, 0) // options
+	sec = binary.AppendUvarint(sec, 0)
+	sec = append(sec, 0)                   // interpolant
+	sec = append(sec, make([]byte, 24)...) // EB, Alpha, Beta
+	for _, v := range []uint64{2048, 2048, 2048, 8, 1, 1 << 24} {
+		sec = binary.AppendUvarint(sec, v)
+	}
+	return sec
+}
+
+// allocatedBytes returns the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestParseBoundsBlockCountByBytes: a block count the section has no bytes
+// for must be rejected before the block list is allocated — 2²⁴ blocks would
+// cost 400 MB, paid again by every open of the container.
+func TestParseBoundsBlockCountByBytes(t *testing.T) {
+	sec := hollowSection()
+	if len(sec) != 48 {
+		t.Fatalf("section is %d bytes, want 48", len(sec))
+	}
+	var err error
+	n := allocatedBytes(func() { _, err = Parse(sec, 0) })
+	if err == nil {
+		t.Fatal("block count with no bytes behind it accepted")
+	}
+	if n > 1<<20 {
+		t.Fatalf("Parse allocated %d bytes rejecting a 48-byte section", n)
+	}
+}
+
+// TestIndexAllocBudget pins the allocations of reading each committed
+// golden's footer: the trailer, the section, the Index and its level and
+// stream tables. The footerless version-2 golden costs only the trailer
+// read.
+func TestIndexAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	budgets := map[string]float64{
+		"golden-linear-sz2-v3.mrw":      12,
+		"golden-linear-zfp-v3.mrw":      12,
+		"golden-mixed-sz3-flate-v4.mrw": 12,
+		"golden-tac-sz3-v3.mrw":         15,
+		"golden-tac-sz3-lanes4-v3.mrw":  15,
+		"golden-tac-sz3.mrc":            2,
+	}
+	for name, budget := range budgets {
+		blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(blob)
+		if n := testing.AllocsPerRun(20, func() {
+			ReadFrom(r, int64(len(blob)))
+		}); n > budget {
+			t.Errorf("%s: ReadFrom made %v allocations, budget %v", name, n, budget)
 		}
 	}
 }
