@@ -11,7 +11,7 @@
 //	           [-levelcodecs "0:sz3,2:flate"] [-roiblock 16] [-roifrac 0.5]
 //	           [-workers N]
 //
-// The -compressor name must be registered in the codec registry
+// The -compressor name must name a codec of the codec table
 // (internal/codec); -levelcodecs overrides the codec per resolution level
 // (0 = finest), e.g. coarse preview levels lossless while fine levels stay
 // error-bounded.
@@ -99,7 +99,7 @@ func main() {
 	case *comp:
 		requireIn(*in)
 		requireOut(*out)
-		// Validate codec names up front through the registry, before the
+		// Validate codec names up front against the codec table, before the
 		// (possibly large) input is loaded.
 		cname, err := repro.ParseCodec(*backend)
 		if err != nil {

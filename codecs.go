@@ -1,6 +1,6 @@
 package repro
 
-// Public surface of the codec registry (internal/codec): name validation
+// Public surface of the codec table (internal/codec): name validation
 // for flags and query parameters, and the "level:codec" spec syntax shared
 // by mrcompress -levelcodecs and mrserve's ?levelcodecs=.
 
@@ -12,12 +12,12 @@ import (
 	"repro/internal/codec"
 )
 
-// Codecs returns the names of every registered compression backend,
+// Codecs returns the names of every compression backend,
 // sorted — the vocabulary Options.Compressor, Options.LevelCodecs, CLI
 // flags, and mrserve query parameters accept.
 func Codecs() []string { return codec.Names() }
 
-// lookupCodec resolves a Compressor name through the registry ("" = the
+// lookupCodec resolves a Compressor name through the codec table ("" = the
 // default backend, sz3).
 func lookupCodec(name Compressor) (codec.Codec, error) {
 	s := string(name)
@@ -31,9 +31,9 @@ func lookupCodec(name Compressor) (codec.Codec, error) {
 	return c, nil
 }
 
-// ParseCodec validates a backend name against the codec registry and
+// ParseCodec validates a backend name against the codec table and
 // returns it in canonical (lowercase) form. The empty string resolves to
-// the default backend; an unknown name errors with the registered
+// the default backend; an unknown name errors with the known
 // vocabulary, so CLI flags and HTTP handlers surface an actionable message.
 func ParseCodec(name string) (Compressor, error) {
 	c, err := lookupCodec(Compressor(name))
@@ -45,7 +45,7 @@ func ParseCodec(name string) (Compressor, error) {
 
 // ParseLevelCodecs parses a per-level codec override spec: comma-separated
 // "level:codec" pairs, e.g. "0:sz3,2:flate" (level 0 = finest). Every
-// codec name must be registered; an empty spec yields a nil map.
+// codec name must be known; an empty spec yields a nil map.
 func ParseLevelCodecs(spec string) (map[int]Compressor, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {

@@ -2,16 +2,16 @@
 // every behavior that used to be a per-backend switch in core, the reader,
 // or the servers — compress, decompress, post-processing block size and
 // intensity candidates, name/flag/query parsing — is a method on the Codec
-// interface, dispatched through a registry keyed by wire ID (the byte
-// containers and index footers store) and by name (what flags and query
-// parameters carry).
+// interface, looked up in a closed table by wire ID (the byte containers
+// and index footers store) or by name (what flags and query parameters
+// carry).
 //
-// The four built-in codecs register themselves at init: the three
-// error-bounded lossy backends of the paper (sz3, sz2, zfp — §III-B's
-// multi-backend design) plus a lossless raw+flate passthrough for fields
-// that must survive bit-exactly (masks, particle IDs). Adding a backend is
-// one file implementing Codec plus a Register call; core, the reader, and
-// the servers pick it up without modification.
+// The table holds four codecs: the three error-bounded lossy backends of
+// the paper (sz3, sz2, zfp — §III-B's multi-backend design) plus a lossless
+// raw+flate passthrough for fields that must survive bit-exactly (masks,
+// particle IDs). Adding a backend is one file implementing Codec plus an
+// entry in the table at a new wire ID; core, the reader, and the servers
+// pick it up without modification.
 //
 // Wire IDs are a stable, append-only namespace: they appear in container
 // headers, per-stream codec bytes (format v4), and index footers, so an ID
@@ -32,7 +32,7 @@ import (
 
 // Wire IDs of the built-in codecs. These match the historical
 // core.Compressor byte values, so every container ever written remains
-// decodable through the registry.
+// decodable through the table.
 const (
 	SZ3ID   byte = 0 // global interpolation (default)
 	SZ2ID   byte = 1 // block-wise Lorenzo/regression
@@ -102,57 +102,35 @@ type Codec interface {
 	PadAndAdaptiveEB() bool
 }
 
-var (
-	byID   = map[byte]Codec{}
-	byName = map[string]Codec{}
-)
-
-// Register adds a codec to the registry. It panics on a duplicate wire ID
-// or name — codec identity clashes are programming errors, caught at init.
-func Register(c Codec) {
-	id, name := c.WireID(), c.Name()
-	if name == "" || name != strings.ToLower(name) {
-		panic(fmt.Sprintf("codec: invalid name %q", name))
-	}
-	if prev, ok := byID[id]; ok {
-		panic(fmt.Sprintf("codec: wire ID %d already registered to %q", id, prev.Name()))
-	}
-	if _, ok := byName[name]; ok {
-		panic(fmt.Sprintf("codec: name %q already registered", name))
-	}
-	byID[id] = c
-	byName[name] = c
-}
+// codecs is the closed set of backends, indexed by wire ID.
+var codecs = [...]Codec{SZ3ID: sz3Codec{}, SZ2ID: sz2Codec{}, ZFPID: zfpCodec{}, FlateID: flateCodec{}}
 
 // ByID looks a codec up by its wire ID.
 func ByID(id byte) (Codec, bool) {
-	c, ok := byID[id]
-	return c, ok
+	if int(id) >= len(codecs) {
+		return nil, false
+	}
+	return codecs[id], true
 }
 
 // ByName looks a codec up by name (case-insensitive).
 func ByName(name string) (Codec, bool) {
-	c, ok := byName[strings.ToLower(name)]
-	return c, ok
+	for _, c := range codecs {
+		if strings.EqualFold(c.Name(), name) {
+			return c, true
+		}
+	}
+	return nil, false
 }
 
-// Names returns the registered codec names, sorted — the vocabulary CLI
-// flags and query parameters accept, and what error messages enumerate.
+// Names returns the codec names, sorted — the vocabulary CLI flags and
+// query parameters accept, and what error messages enumerate.
 func Names() []string {
-	out := make([]string, 0, len(byName))
-	for n := range byName {
-		out = append(out, n)
+	out := make([]string, 0, len(codecs))
+	for _, c := range codecs {
+		out = append(out, c.Name())
 	}
 	sort.Strings(out)
-	return out
-}
-
-// All returns every registered codec, sorted by name.
-func All() []Codec {
-	out := make([]Codec, 0, len(byName))
-	for _, n := range Names() {
-		out = append(out, byName[n])
-	}
 	return out
 }
 
@@ -170,7 +148,7 @@ func DecompressCtx(ctx context.Context, c Codec, data []byte) (*field.Field, err
 }
 
 // ErrUnknownID formats the standard unknown-wire-ID error, enumerating the
-// registered codecs so the message is actionable.
+// known codecs so the message is actionable.
 func ErrUnknownID(id byte) error {
 	return fmt.Errorf("codec: unknown codec ID %d (registered: %s)", id, strings.Join(Names(), ", "))
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/synth"
 )
 
-// TestRegistryBuiltins pins the registry's vocabulary and the wire-ID
+// TestRegistryBuiltins pins the codec table's vocabulary and the wire-ID
 // assignments, which are burned into every container ever written.
 func TestRegistryBuiltins(t *testing.T) {
 	wantNames := []string{"flate", "sz2", "sz3", "zfp"}
@@ -56,7 +56,7 @@ func TestRegistryBuiltins(t *testing.T) {
 func TestRoundTripAllCodecs(t *testing.T) {
 	f := synth.Generate(synth.Nyx, 16, 3)
 	eb := f.ValueRange() * 1e-3
-	for _, c := range All() {
+	for _, c := range codecs {
 		t.Run(c.Name(), func(t *testing.T) {
 			p := Params{EB: eb}
 			blob, err := c.Compress(f, p)

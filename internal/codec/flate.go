@@ -10,8 +10,6 @@ import (
 	"repro/internal/flatepool"
 )
 
-func init() { Register(flateCodec{}) }
-
 const (
 	flateMagic   = "RAWF"
 	flateVersion = 1

@@ -56,14 +56,14 @@ func FuzzDecodeStream(f *testing.F) {
 	for _, fs := range fields {
 		src := synth.Generate(synth.Nyx, fs.size, fs.seed)
 		eb := src.ValueRange() * 1e-3
-		for _, c := range All() {
+		for _, c := range codecs {
 			blob, err := c.Compress(src, Params{EB: eb})
 			if err != nil {
 				f.Fatal(err)
 			}
 			f.Add(c.WireID(), blob)
 			f.Add(c.WireID(), blob[:len(blob)/2])
-			for _, other := range All() {
+			for _, other := range codecs {
 				f.Add(other.WireID(), blob) // payload under the wrong codec
 			}
 		}

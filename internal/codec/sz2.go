@@ -6,8 +6,6 @@ import (
 	"repro/internal/sz2"
 )
 
-func init() { Register(sz2Codec{}) }
-
 // sz2Codec adapts the block-wise Lorenzo/regression backend.
 type sz2Codec struct{}
 

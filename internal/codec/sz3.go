@@ -6,8 +6,6 @@ import (
 	"repro/internal/sz3"
 )
 
-func init() { Register(sz3Codec{}) }
-
 // sz3Codec adapts the global interpolation backend (the default, and the
 // substrate of the paper's SZ3MR improvements).
 type sz3Codec struct{}

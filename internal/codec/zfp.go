@@ -6,8 +6,6 @@ import (
 	"repro/internal/zfp"
 )
 
-func init() { Register(zfpCodec{}) }
-
 // zfpCodec adapts the block-wise transform backend.
 type zfpCodec struct{}
 

@@ -72,9 +72,9 @@ const (
 const maxSZ2BlockSize = 1 << 30
 
 // Compressor selects a backend codec by its wire ID (see internal/codec;
-// the constants below alias the registry's built-in IDs). Any registered
-// codec ID is valid here — the pipeline dispatches through the registry,
-// never through per-backend switches.
+// the constants below alias the codec table's IDs). Any ID in that table
+// is valid here — the pipeline dispatches through codec.ByID, never
+// through per-backend switches.
 type Compressor byte
 
 // Built-in backend codecs.
@@ -296,8 +296,7 @@ func Prepare(h *grid.Hierarchy, opt Options) (*Prepared, error) {
 	return p, nil
 }
 
-// compressField dispatches one buffer to the codec named by c through the
-// registry.
+// compressField dispatches one buffer to the codec whose wire ID is c.
 func compressField(f *field.Field, opt Options, c Compressor) ([]byte, error) {
 	cd, ok := codec.ByID(byte(c))
 	if !ok {
@@ -381,7 +380,7 @@ func (p *Prepared) compressStream(j compressJob) ([]byte, error) {
 
 // wireVersion picks the container format version: 4 only when some level
 // that actually emits a stream overrides the codec, 3 (byte-identical to
-// every pre-registry container) otherwise.
+// every single-codec container) otherwise.
 func (p *Prepared) wireVersion() byte {
 	for li, pl := range p.levels {
 		if pl.merged == nil && len(pl.boxFld) == 0 {

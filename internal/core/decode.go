@@ -23,13 +23,6 @@ import (
 	"repro/internal/postproc"
 )
 
-// postHook transforms a stream's decoded field (a padded merge without its
-// pad layers) before placement — the insertion point for error-bounded
-// post-processing. It returns a field of the shape it was given. Hooks may be
-// invoked concurrently from several decode workers and must be safe for
-// parallel use.
-type postHook func(level, unitSize int, opt Options, f *field.Field) *field.Field
-
 // Decompress reconstructs the multi-resolution hierarchy from a container,
 // decoding backend streams with the default worker count.
 func Decompress(blob []byte) (*grid.Hierarchy, error) {
@@ -48,24 +41,7 @@ func DecompressWorkers(blob []byte, workers int) (*grid.Hierarchy, error) {
 // the given per-level intensities to each level's decoded array before
 // reassembly.
 func DecompressProcessedWorkers(blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
-	hook := func(level, unitSize int, opt Options, f *field.Field) *field.Field {
-		if level >= len(intens) {
-			return f
-		}
-		a := intens[level]
-		if a == (postproc.Intensity{}) {
-			return f
-		}
-		// opt.Compressor is the stream's own codec here (decompressImpl
-		// rewrites it per stream); a codec without block artifacts — the
-		// lossless passthrough — reports block size 0 and is left alone.
-		bs := PostBlockSize(opt, unitSize)
-		if bs <= 0 {
-			return f
-		}
-		return postproc.Process(f, a, postproc.Options{EB: opt.EB, BlockSize: bs})
-	}
-	return decompressImpl(blob, hook, workers)
+	return decompressImpl(blob, intens, workers)
 }
 
 // loadIndex returns the index of an in-memory container: the footer when it
@@ -98,19 +74,17 @@ func VerifyIndexed(ix *index.Index, si int, payload []byte) error {
 }
 
 // DecodeIndexed decodes stream si of ix from its compressed payload — the
-// only decode site in the repository. With verify set the payload must match
-// the index's checksum before any codec sees it; the stream then decodes
-// under its own codec (in a mixed-codec container each level may name a
-// different one), and the result must have the byte size — and, for a TAC
-// box, the shape — the index declares. Every failure, a codec panic on
+// only decode site in the repository. The payload must match the index's
+// checksum, when the index carries one, before any codec sees it; the
+// stream then decodes under its own codec (in a mixed-codec container each
+// level may name a different one), and the result must have the byte size
+// — and, for a TAC box, the shape — the index declares. Every failure, a codec panic on
 // damaged input included, is a Corrupt error naming the stream. When ctx
 // carries a trace the codec run appears on it as a "decode" span; a
 // successful call formats no strings.
-func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte, verify bool) (*field.Field, error) {
-	if verify {
-		if err := VerifyIndexed(ix, si, payload); err != nil {
-			return nil, err
-		}
+func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte) (*field.Field, error) {
+	if err := VerifyIndexed(ix, si, payload); err != nil {
+		return nil, err
 	}
 	s := &ix.Streams[si]
 	f, err := decompressFieldCtx(ctx, payload, Compressor(s.Compressor))
@@ -176,7 +150,10 @@ func markOwned(h *grid.Hierarchy, ix *index.Index, si int) {
 	}
 }
 
-func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, error) {
+// decompressImpl decodes every stream of the container in blob and
+// reassembles the hierarchy. A non-zero intens[level] post-processes that
+// level's streams before placement.
+func decompressImpl(blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
 	ix, err := loadIndex(blob)
 	if err != nil {
 		return nil, err
@@ -196,21 +173,27 @@ func decompressImpl(blob []byte, post postHook, workers int) (*grid.Hierarchy, e
 	// hierarchy, and its cost is dwarfed by backend decoding.
 	fields := parallel.NewOrdered(len(ix.Streams), parallel.Resolve(workers), func(si int) (*field.Field, error) {
 		s := &ix.Streams[si]
-		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], true)
-		if err != nil || post == nil {
+		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len])
+		if err != nil || s.Level >= len(intens) || intens[s.Level] == (postproc.Intensity{}) {
 			return f, err
 		}
-		// The hook sees the stream's own codec, so mixed-codec containers
-		// post-process each level under the backend that produced it.
-		jopt := opt
-		jopt.Compressor = Compressor(s.Compressor)
-		u := ix.UnitBlockSize(s.Level)
-		if !ix.Levels[s.Level].Padded {
-			return post(s.Level, u, jopt, f), nil
+		// Each stream is post-processed under its own codec, so mixed-codec
+		// containers smooth each level as the backend that produced it
+		// needs; a codec without block artifacts (the lossless passthrough)
+		// reports block size 0 and is left alone.
+		sopt := opt
+		sopt.Compressor = Compressor(s.Compressor)
+		bs := PostBlockSize(sopt, ix.UnitBlockSize(s.Level))
+		if bs <= 0 {
+			return f, nil
 		}
-		// The hook works on the merge without its pad layers; its result
+		po := postproc.Options{EB: opt.EB, BlockSize: bs}
+		if !ix.Levels[s.Level].Padded {
+			return postproc.Process(f, intens[s.Level], po), nil
+		}
+		// A padded merge is processed without its pad layers; the result
 		// goes back under them so placement sees one shape.
-		g := post(s.Level, u, jopt, layout.UnpadXY(f))
+		g := postproc.Process(layout.UnpadXY(f), intens[s.Level], po)
 		field.CopyBlock(f, 0, 0, 0, g, 0, 0, 0, g.Nx, g.Ny, g.Nz)
 		return f, nil
 	})

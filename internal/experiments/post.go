@@ -334,10 +334,12 @@ func runTable9(w io.Writer, cfg Config) error {
 		{"SZ2(serial)", core.SZ2, 1},
 	}
 	for _, v := range variants {
-		codec := chunkCodec(v.comp, 0)                    // eb filled per row below
+		cd, ok := codec.ByID(byte(v.comp))
+		if !ok {
+			return codec.ErrUnknownID(byte(v.comp))
+		}
 		for _, rel := range []float64{1e-2, 2e-3, 5e-4} { // large, mid, small CR
 			eb := rel * rng
-			codec = chunkCodec(v.comp, eb)
 			// I/O: write + read the raw field (the workflow's file stage).
 			t0 := time.Now()
 			tmp, err := writeTempField(f)
@@ -353,11 +355,11 @@ func runTable9(w io.Writer, cfg Config) error {
 			os.Remove(tmp)
 
 			t0 = time.Now()
-			blob, err := parallelcomp.Compress(f, codec, v.workers)
+			slabs, err := parallelcomp.Compress(f, cd, codec.Params{EB: eb}, v.workers)
 			if err != nil {
 				return err
 			}
-			dec, err := parallelcomp.Decompress(blob, codec)
+			dec, err := parallelcomp.Decompress(slabs, cd)
 			if err != nil {
 				return err
 			}
@@ -388,25 +390,6 @@ func runTable9(w io.Writer, cfg Config) error {
 		}
 	}
 	return nil
-}
-
-// chunkCodec adapts a registered backend for parallelcomp at one error
-// bound.
-func chunkCodec(comp core.Compressor, eb float64) parallelcomp.Codec {
-	cd, ok := codec.ByID(byte(comp))
-	if !ok {
-		err := codec.ErrUnknownID(byte(comp))
-		return parallelcomp.Codec{
-			Name:       comp.String(),
-			Compress:   func(*field.Field) ([]byte, error) { return nil, err },
-			Decompress: func([]byte) (*field.Field, error) { return nil, err },
-		}
-	}
-	return parallelcomp.Codec{
-		Name:       cd.Name(),
-		Compress:   func(f *field.Field) ([]byte, error) { return cd.Compress(f, codec.Params{EB: eb}) },
-		Decompress: cd.Decompress,
-	}
 }
 
 func writeTempField(f *field.Field) (string, error) {

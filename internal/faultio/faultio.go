@@ -5,13 +5,12 @@
 //     into Transient (worth retrying: a flaky read, an interrupted syscall),
 //     Corrupt (the bytes are wrong: a checksum mismatch, a garbled stream),
 //     and Permanent (retrying cannot help: bad parameters, missing files);
-//   - a bounded retry-with-backoff wrapper, and an io.ReaderAt adapter that
-//     applies it to every ReadAt so transient storage faults are absorbed
-//     below the decode layer;
-//   - deterministic, seed-driven fault injectors for io.ReaderAt and
-//     io.Writer (bit flips, truncations, short reads, transient errors,
-//     injected latency) so the failure paths above are testable without
-//     real broken hardware.
+//   - an io.ReaderAt adapter that retries every ReadAt with bounded backoff,
+//     so transient storage faults are absorbed below the decode layer;
+//   - a deterministic, seed-driven fault injector for io.ReaderAt (bit
+//     flips, truncations, short reads, transient errors, injected latency)
+//     so the failure paths above are testable without real broken
+//     hardware.
 //
 // The package depends only on the standard library plus the leaf obs
 // package (retry events land on the request trace) and is imported from
@@ -152,28 +151,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Retry runs fn up to p.MaxAttempts times, retrying only errors classified
-// Transient, sleeping p.Backoff (doubling) between attempts. The final
-// error is returned unwrapped of nothing — it keeps its classification.
-func Retry(p RetryPolicy, fn func() error) error {
-	p = p.withDefaults()
-	backoff := p.Backoff
-	var err error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if p.OnRetry != nil {
-				p.OnRetry(err)
-			}
-			if backoff > 0 {
-				p.Sleep(backoff)
-				backoff *= 2
-			}
-		}
-		if err = fn(); err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return err
+// ReaderAtCtx is a positioned reader whose read also takes the request's
+// context, so cancellation reaches the read itself (a ranged GET, say).
+type ReaderAtCtx interface {
+	ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 }
 
 // RetryReaderAt wraps an io.ReaderAt so every ReadAt absorbs transient
@@ -201,13 +182,19 @@ func (r *RetryReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // each retried fault is recorded as an event on the context's current trace
 // span, and a canceled context stops the retry loop between attempts (the
 // cancellation surfaces as Permanent — retrying cannot help a dead request).
+// When the wrapped reader is a ReaderAtCtx, ctx also reaches each read.
 func (r *RetryReaderAt) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	pol := r.Policy.withDefaults()
 	backoff := pol.Backoff
+	rc, _ := r.R.(ReaderAtCtx)
 	var n int
 	var err error
 	for attempt := 0; ; attempt++ {
-		n, err = r.R.ReadAt(p, off)
+		if rc != nil {
+			n, err = rc.ReadAtCtx(ctx, p, off)
+		} else {
+			n, err = r.R.ReadAt(p, off)
+		}
 		if err == nil || errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			// A clean end-of-source EOF is the caller's business, not a fault.
 			return n, err
@@ -358,46 +345,4 @@ func (f *FaultReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		p[d.flipByte] ^= 1 << d.flipBit
 	}
 	return n, err
-}
-
-// FailingWriter passes writes through to W until FailAfter total bytes have
-// been written, then fails every call — the model of a crash (or a full
-// disk) mid-ingest for exercising atomic-install cleanup paths.
-type FailingWriter struct {
-	W         io.Writer
-	FailAfter int64
-	Err       error // returned after the limit; defaults to ErrInjectedWrite
-
-	written int64
-}
-
-// ErrInjectedWrite is the default error a FailingWriter returns at its
-// limit.
-var ErrInjectedWrite = errors.New("faultio: injected write failure")
-
-func (w *FailingWriter) Write(p []byte) (int, error) {
-	if w.written >= w.FailAfter {
-		err := w.Err
-		if err == nil {
-			err = ErrInjectedWrite
-		}
-		return 0, Transient(err)
-	}
-	n := len(p)
-	if w.written+int64(n) > w.FailAfter {
-		n = int(w.FailAfter - w.written)
-	}
-	n, err := w.W.Write(p[:n])
-	w.written += int64(n)
-	if err != nil {
-		return n, err
-	}
-	if n < len(p) {
-		err := w.Err
-		if err == nil {
-			err = ErrInjectedWrite
-		}
-		return n, Transient(err)
-	}
-	return n, nil
 }

@@ -2,6 +2,7 @@ package faultio
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -41,29 +42,51 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// scriptedReaderAt fails its first calls with the scripted errors, in
+// order, and serves data cleanly after them. ctxCalls counts the reads that
+// arrived through ReadAtCtx.
+type scriptedReaderAt struct {
+	data     []byte
+	errs     []error
+	calls    int
+	ctxCalls int
+}
+
+func (s *scriptedReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	s.calls++
+	if s.calls <= len(s.errs) {
+		return 0, s.errs[s.calls-1]
+	}
+	return copy(p, s.data[off:]), nil
+}
+
+func (s *scriptedReaderAt) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
+	s.ctxCalls++
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return s.ReadAt(p, off)
+}
+
 func TestRetryOnlyRetriesTransient(t *testing.T) {
-	calls := 0
-	err := Retry(RetryPolicy{MaxAttempts: 5}, func() error {
-		calls++
-		return Corrupt(errors.New("bad bytes"))
-	})
-	if calls != 1 {
-		t.Fatalf("corrupt error retried %d times", calls-1)
+	src := &scriptedReaderAt{data: []byte("payload"), errs: []error{Corrupt(errors.New("bad bytes"))}}
+	_, err := NewRetryReaderAt(src, RetryPolicy{MaxAttempts: 5}).ReadAt(make([]byte, 4), 0)
+	if src.calls != 1 {
+		t.Fatalf("corrupt error retried %d times", src.calls-1)
 	}
 	if !IsCorrupt(err) {
 		t.Fatalf("error lost its class: %v", err)
 	}
 
-	calls = 0
-	err = Retry(RetryPolicy{MaxAttempts: 5}, func() error {
-		calls++
-		if calls < 3 {
-			return Transient(errors.New("blip"))
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("transient retry: err=%v calls=%d", err, calls)
+	blip := Transient(errors.New("blip"))
+	src = &scriptedReaderAt{data: []byte("payload"), errs: []error{blip, blip}}
+	buf := make([]byte, 4)
+	n, err := NewRetryReaderAt(src, RetryPolicy{MaxAttempts: 5}).ReadAt(buf, 1)
+	if err != nil || src.calls != 3 {
+		t.Fatalf("transient retry: err=%v calls=%d", err, src.calls)
+	}
+	if string(buf[:n]) != "aylo" {
+		t.Fatalf("recovered read = %q, want %q", buf[:n], "aylo")
 	}
 }
 
@@ -76,10 +99,11 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 		OnRetry:     func(error) { retried++ },
 	}
-	calls := 0
-	err := Retry(p, func() error { calls++; return Transient(errors.New("always")) })
-	if calls != 4 || retried != 3 {
-		t.Fatalf("calls=%d retried=%d, want 4/3", calls, retried)
+	always := Transient(errors.New("always"))
+	src := &scriptedReaderAt{data: []byte("payload"), errs: []error{always, always, always, always, always}}
+	_, err := NewRetryReaderAt(src, p).ReadAt(make([]byte, 4), 0)
+	if src.calls != 4 || retried != 3 {
+		t.Fatalf("calls=%d retried=%d, want 4/3", src.calls, retried)
 	}
 	if !IsTransient(err) {
 		t.Fatalf("final error lost its class: %v", err)
@@ -92,6 +116,25 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 		if slept[i] != want[i] {
 			t.Fatalf("backoff %d = %v, want %v (doubling)", i, slept[i], want[i])
 		}
+	}
+}
+
+// TestRetryReaderAtPassesContext checks that a wrapped reader with a
+// context-aware read gets the caller's context on every attempt, so a
+// canceled request reaches the read itself.
+func TestRetryReaderAtPassesContext(t *testing.T) {
+	src := &scriptedReaderAt{data: []byte("payload")}
+	r := NewRetryReaderAt(src, RetryPolicy{MaxAttempts: 3})
+	if _, err := r.ReadAtCtx(context.Background(), make([]byte, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.ReadAtCtx(ctx, make([]byte, 4), 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled read: err=%v, want context.Canceled", err)
+	}
+	if src.ctxCalls != 2 || src.calls != 1 {
+		t.Fatalf("ctxCalls=%d calls=%d, want 2/1 (every read through ReadAtCtx)", src.ctxCalls, src.calls)
 	}
 }
 
@@ -200,27 +243,5 @@ func TestFaultReaderAtBitFlipsCorrupt(t *testing.T) {
 	}
 	if bytes.Equal(buf, data) {
 		t.Fatal("BitFlipProb=1 returned clean bytes")
-	}
-}
-
-func TestFailingWriter(t *testing.T) {
-	var buf bytes.Buffer
-	w := &FailingWriter{W: &buf, FailAfter: 10}
-	if n, err := w.Write([]byte("01234")); n != 5 || err != nil {
-		t.Fatalf("first write: n=%d err=%v", n, err)
-	}
-	// Straddles the limit: partial write plus a transient-classified error.
-	n, err := w.Write([]byte("0123456789"))
-	if n != 5 || err == nil {
-		t.Fatalf("straddling write: n=%d err=%v", n, err)
-	}
-	if !IsTransient(err) {
-		t.Fatalf("injected write error not transient: %v", err)
-	}
-	if _, err := w.Write([]byte("x")); err == nil {
-		t.Fatal("write past the limit succeeded")
-	}
-	if buf.Len() != 10 {
-		t.Fatalf("%d bytes reached the destination, want 10", buf.Len())
 	}
 }

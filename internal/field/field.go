@@ -28,15 +28,6 @@ func New(nx, ny, nz int) *Field {
 	return &Field{Nx: nx, Ny: ny, Nz: nz, Data: make([]float64, nx*ny*nz)}
 }
 
-// FromData wraps an existing slice as a field. The slice length must equal
-// nx*ny*nz; the field aliases the slice (no copy).
-func FromData(nx, ny, nz int, data []float64) (*Field, error) {
-	if len(data) != nx*ny*nz {
-		return nil, fmt.Errorf("field: data length %d does not match %dx%dx%d", len(data), nx, ny, nz)
-	}
-	return &Field{Nx: nx, Ny: ny, Nz: nz, Data: data}, nil
-}
-
 // Len returns the total number of samples.
 func (f *Field) Len() int { return f.Nx * f.Ny * f.Nz }
 
@@ -284,23 +275,6 @@ func (f *Field) Upsample2(nx, ny, nz int) *Field {
 					}
 				}
 				g.Set(x, y, z, v)
-			}
-		}
-	}
-	return g
-}
-
-// UpsampleNearest returns a field of (nx,ny,nz) samples where each fine
-// sample copies its covering coarse sample (piecewise-constant prolongation).
-func (f *Field) UpsampleNearest(nx, ny, nz int) *Field {
-	g := New(nx, ny, nz)
-	for z := 0; z < nz; z++ {
-		cz := clampInt(z/2, 0, f.Nz-1)
-		for y := 0; y < ny; y++ {
-			cy := clampInt(y/2, 0, f.Ny-1)
-			for x := 0; x < nx; x++ {
-				cx := clampInt(x/2, 0, f.Nx-1)
-				g.Set(x, y, z, f.At(cx, cy, cz))
 			}
 		}
 	}

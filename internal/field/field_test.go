@@ -29,20 +29,6 @@ func TestNewPanicsOnBadDims(t *testing.T) {
 	New(0, 1, 1)
 }
 
-func TestFromData(t *testing.T) {
-	d := []float64{1, 2, 3, 4, 5, 6}
-	f, err := FromData(3, 2, 1, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.At(2, 1, 0) != 6 {
-		t.Fatalf("At(2,1,0) = %v, want 6", f.At(2, 1, 0))
-	}
-	if _, err := FromData(2, 2, 2, d); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-}
-
 func TestIndexRowMajorXFastest(t *testing.T) {
 	f := New(4, 3, 2)
 	// x must be the fastest-varying coordinate.
@@ -173,18 +159,6 @@ func TestUpsample2PreservesConstant(t *testing.T) {
 	for _, v := range g.Data {
 		if math.Abs(v-7) > 1e-12 {
 			t.Fatalf("upsample of constant = %v, want 7", v)
-		}
-	}
-}
-
-func TestUpsampleNearest(t *testing.T) {
-	f := New(2, 1, 1)
-	f.Data[0], f.Data[1] = 1, 9
-	g := f.UpsampleNearest(4, 2, 2)
-	want := []float64{1, 1, 9, 9}
-	for x := 0; x < 4; x++ {
-		if g.At(x, 0, 0) != want[x] {
-			t.Fatalf("nearest upsample x=%d: %v want %v", x, g.At(x, 0, 0), want[x])
 		}
 	}
 }

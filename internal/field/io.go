@@ -30,11 +30,11 @@ const MaxSamples = 1 << 33
 // CheckDims validates wire-decoded field dimensions while they are still in
 // their raw uint64 form and converts them only after the bounds hold. It is
 // the single place where untrusted nx/ny/nz become ints: every decoder
-// (field containers, sz2/sz3/zfp headers, parallelcomp slabs, core
-// containers) funnels through it, so a hostile header can neither wrap the
-// nx*ny*nz product past an int64 nor drive a huge allocation. The product
-// is checked one factor at a time because a naive multiply can wrap int64
-// and slip a negative (or tiny) total past the cap. Returns the dimensions
+// (field containers, sz2/sz3/zfp headers, core containers) funnels
+// through it, so a hostile header can neither wrap the nx*ny*nz product
+// past an int64 nor drive a huge allocation. The product is checked one
+// factor at a time because a naive multiply can wrap int64 and slip a
+// negative (or tiny) total past the cap. Returns the dimensions
 // as ints plus the validated total sample count.
 func CheckDims(nx64, ny64, nz64 uint64) (nx, ny, nz int, samples int64, err error) {
 	badDims := func() error {

@@ -12,7 +12,7 @@
 //
 // It also provides the paper's padding operator (one extrapolated layer on
 // each of the two small dimensions of a linear merge, §III-A Improvement 1)
-// and Z-order/HZ-order curves used by the zMesh- and Kumar-style baselines.
+// and the Z-order curve used by the zMesh-style baseline.
 package layout
 
 import (
@@ -350,23 +350,6 @@ func compact(m uint64) uint32 {
 	x = (x | x>>16) & 0x1f00000000ffff
 	x = (x | x>>32) & 0x1fffff
 	return uint32(x)
-}
-
-// HZIndex converts a Morton index to its HZ-order (hierarchical Z-order)
-// position, the traversal used by IDX-style multi-resolution storage
-// (Kumar et al. [7]). maxBits is the total interleaved bit count (3×level
-// bits for a cubic domain). Index 0 maps to 0; any other point's HZ level is
-// determined by its lowest set bit.
-func HZIndex(morton uint64, maxBits uint) uint64 {
-	if morton == 0 {
-		return 0
-	}
-	tz := uint(0)
-	for morton&(1<<tz) == 0 {
-		tz++
-	}
-	level := maxBits - tz
-	return 1<<(level-1) + morton>>(tz+1)
 }
 
 // ZOrderFlatten1D traverses the owned unit blocks of a level in Morton order

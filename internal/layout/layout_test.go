@@ -246,23 +246,6 @@ func TestMortonOrderLocality(t *testing.T) {
 	}
 }
 
-func TestHZIndexBijective(t *testing.T) {
-	// For an 8³ domain (9 bits of Morton code), HZ indices must be a
-	// permutation of 0..511.
-	const maxBits = 9
-	seen := make(map[uint64]bool)
-	for m := uint64(0); m < 512; m++ {
-		hz := HZIndex(m, maxBits)
-		if hz >= 512 {
-			t.Fatalf("HZ index %d out of range for morton %d", hz, m)
-		}
-		if seen[hz] {
-			t.Fatalf("duplicate HZ index %d", hz)
-		}
-		seen[hz] = true
-	}
-}
-
 func TestZOrderFlattenRoundTrip(t *testing.T) {
 	h := testHierarchy(t, 6)
 	for level := range h.Levels {

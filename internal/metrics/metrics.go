@@ -1,6 +1,7 @@
 // Package metrics implements the data-quality measures used throughout the
-// paper's evaluation: MSE/PSNR, maximum pointwise error, SSIM (on 2D slices
-// and averaged over a volume), and compression-ratio bookkeeping.
+// paper's evaluation: MSE/PSNR, SSIM (on 2D slices and averaged over a
+// volume), and compression ratio. The maximum pointwise error is
+// field.MaxAbsDiff.
 package metrics
 
 import (
@@ -22,9 +23,6 @@ func MSE(a, b *field.Field) float64 {
 	return s / float64(a.Len())
 }
 
-// MaxAbsError returns the L∞ error between two same-shaped fields.
-func MaxAbsError(a, b *field.Field) float64 { return a.MaxAbsDiff(b) }
-
 // PSNR returns the peak signal-to-noise ratio in dB, using the value range of
 // the reference field a as the peak, matching the convention of the SZ/ZFP
 // literature (and of the paper): PSNR = 20·log10(range) − 10·log10(MSE).
@@ -41,30 +39,12 @@ func PSNR(a, b *field.Field) float64 {
 	return 20*math.Log10(rng) - 10*math.Log10(mse)
 }
 
-// NRMSE returns the range-normalized root mean squared error.
-func NRMSE(a, b *field.Field) float64 {
-	rng := a.ValueRange()
-	if rng == 0 {
-		rng = 1
-	}
-	return math.Sqrt(MSE(a, b)) / rng
-}
-
 // CompressionRatio returns originalBytes/compressedBytes.
 func CompressionRatio(originalBytes, compressedBytes int) float64 {
 	if compressedBytes == 0 {
 		return math.Inf(1)
 	}
 	return float64(originalBytes) / float64(compressedBytes)
-}
-
-// BitRate returns the number of compressed bits per sample for a field of n
-// float64 samples compressed to compressedBytes.
-func BitRate(n, compressedBytes int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return 8 * float64(compressedBytes) / float64(n)
 }
 
 // ssimWindow is the Gaussian window size used by SSIM (the standard 11×11,

@@ -114,26 +114,12 @@ func TestSSIMCentralUsesMiddleSlice(t *testing.T) {
 	}
 }
 
-func TestCompressionRatioAndBitRate(t *testing.T) {
+func TestCompressionRatio(t *testing.T) {
 	if CompressionRatio(1000, 10) != 100 {
 		t.Fatal("CR wrong")
 	}
 	if !math.IsInf(CompressionRatio(10, 0), 1) {
 		t.Fatal("CR with 0 bytes should be +Inf")
-	}
-	if BitRate(100, 100) != 8 {
-		t.Fatal("BitRate wrong")
-	}
-}
-
-func TestNRMSE(t *testing.T) {
-	a := field.New(2, 1, 1)
-	b := field.New(2, 1, 1)
-	a.Data[0], a.Data[1] = 0, 10
-	b.Data[0], b.Data[1] = 1, 10
-	want := math.Sqrt(0.5) / 10
-	if got := NRMSE(a, b); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("NRMSE = %v, want %v", got, want)
 	}
 }
 

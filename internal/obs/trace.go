@@ -82,14 +82,6 @@ func (s *Span) SetTag(key, value string) {
 	s.tags[key] = value
 }
 
-// SetName renames the span before End — used when the right stage name is
-// only known after the work ran (cache_hit vs cache_miss).
-func (s *Span) SetName(name string) {
-	if s != nil {
-		s.name = name
-	}
-}
-
 // Eventf appends a formatted event (a retry, an injected fault) to the
 // span's log.
 func (s *Span) Eventf(format string, args ...any) {

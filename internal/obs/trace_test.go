@@ -91,7 +91,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("traceless StartSpan should return ctx unchanged and nil span")
 	}
 	s.SetTag("k", "v")
-	s.SetName("renamed")
 	s.Eventf("e %d", 1)
 	s.End()
 	Record(ctx, "leaf", time.Now())

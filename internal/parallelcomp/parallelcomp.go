@@ -1,135 +1,46 @@
 // Package parallelcomp provides OpenMP-style chunked parallel compression:
-// the field is split into z-slabs compressed concurrently, each with its own
-// stream. This mirrors how the paper parallelizes SZ2/ZFP with OpenMP and
-// reproduces its side effect — "using OpenMP with SZ2 can lead to a lower
-// compression ratio due to the embarrassingly parallel" decomposition
-// (§IV-C): each slab carries its own entropy tables and loses cross-slab
-// prediction context.
+// the field is split into z-slabs compressed concurrently by one
+// codec.Codec, each into its own stream. This mirrors how the paper
+// parallelizes SZ2/ZFP with OpenMP and reproduces its side effect — "using
+// OpenMP with SZ2 can lead to a lower compression ratio due to the
+// embarrassingly parallel" decomposition (§IV-C): each slab carries its own
+// entropy tables and loses cross-slab prediction context. The slab streams
+// are returned as they are; nothing frames them into a stored format.
 package parallelcomp
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/field"
 	"repro/internal/parallel"
 )
 
-// Codec adapts a single-field compressor.
-type Codec struct {
-	// Name identifies the codec in diagnostics.
-	Name string
-	// Compress encodes one field chunk.
-	Compress func(*field.Field) ([]byte, error)
-	// Decompress decodes one chunk.
-	Decompress func([]byte) (*field.Field, error)
-}
-
-const magic = "PARC"
-
-// Compress splits f into up to `workers` z-slabs, compresses them
-// concurrently with the codec, and concatenates the streams into a
-// self-describing container. workers ≤ 1 degenerates to a single slab
-// (serial semantics and serial compression ratio).
-func Compress(f *field.Field, codec Codec, workers int) ([]byte, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > f.Nz {
-		workers = f.Nz
-	}
-	// Slab boundaries: contiguous z ranges, as even as possible.
-	bounds := make([]int, workers+1)
-	for i := 0; i <= workers; i++ {
-		bounds[i] = i * f.Nz / workers
-	}
-	chunks, err := parallel.MapErrWorkers(workers, workers, func(i int) ([]byte, error) {
-		lo, hi := bounds[i], bounds[i+1]
-		if lo >= hi {
-			return nil, nil
-		}
-		slab := f.SubBlock(0, 0, lo, f.Nx, f.Ny, hi-lo)
-		c, err := codec.Compress(slab)
+// Compress splits f into up to `workers` contiguous z-slabs, as even as
+// possible, and compresses them concurrently with cd under p, returning one
+// stream per slab in z order. workers ≤ 1 degenerates to a single slab
+// (serial semantics and serial compression ratio); workers above Nz clamp
+// to one slab per plane.
+func Compress(f *field.Field, cd codec.Codec, p codec.Params, workers int) ([][]byte, error) {
+	workers = max(1, min(workers, f.Nz))
+	return parallel.MapErrWorkers(workers, workers, func(i int) ([]byte, error) {
+		lo, hi := i*f.Nz/workers, (i+1)*f.Nz/workers
+		b, err := cd.Compress(f.SubBlock(0, 0, lo, f.Nx, f.Ny, hi-lo), p)
 		if err != nil {
 			return nil, fmt.Errorf("parallelcomp: slab %d: %w", i, err)
 		}
-		return c, nil
+		return b, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out []byte
-	out = append(out, magic...)
-	var tmp [binary.MaxVarintLen64]byte
-	for _, v := range []uint64{uint64(f.Nx), uint64(f.Ny), uint64(f.Nz), uint64(workers)} {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	for _, c := range chunks {
-		n := binary.PutUvarint(tmp[:], uint64(len(c)))
-		out = append(out, tmp[:n]...)
-		out = append(out, c...)
-	}
-	return out, nil
 }
 
-// Decompress reverses Compress, decoding slabs concurrently.
-func Decompress(blob []byte, codec Codec) (*field.Field, error) {
-	if len(blob) < 4 || string(blob[:4]) != magic {
-		return nil, errors.New("parallelcomp: bad magic")
+// Decompress decodes the slab streams concurrently with cd and stacks them
+// along z. Every slab must share the first slab's Nx and Ny.
+func Decompress(slabs [][]byte, cd codec.Codec) (*field.Field, error) {
+	if len(slabs) == 0 {
+		return nil, fmt.Errorf("parallelcomp: no slabs")
 	}
-	buf := blob[4:]
-	readU := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, errors.New("parallelcomp: truncated header")
-		}
-		buf = buf[n:]
-		return v, nil
-	}
-	nx64, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	ny64, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	nz64, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	workers64, err := readU()
-	if err != nil {
-		return nil, err
-	}
-	// Dimensions are validated (axes, and their product, so field.New below
-	// cannot overflow) while still uint64; the worker count is bounded by nz
-	// the same way the encoder bounds it.
-	nx, ny, nz, _, err := field.CheckDims(nx64, ny64, nz64)
-	if err != nil || workers64 == 0 || workers64 > uint64(nz) {
-		return nil, errors.New("parallelcomp: invalid header")
-	}
-	workers := int(workers64)
-	chunks := make([][]byte, workers)
-	for i := range chunks {
-		l, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		if l > uint64(len(buf)) {
-			return nil, errors.New("parallelcomp: truncated chunk")
-		}
-		chunks[i] = buf[:l]
-		buf = buf[l:]
-	}
-	out := field.New(nx, ny, nz)
-	slabs, err := parallel.MapErrWorkers(workers, workers, func(i int) (*field.Field, error) {
-		if len(chunks[i]) == 0 {
-			return nil, nil
-		}
-		s, err := codec.Decompress(chunks[i])
+	dec, err := parallel.MapErrWorkers(len(slabs), len(slabs), func(i int) (*field.Field, error) {
+		s, err := cd.Decompress(slabs[i])
 		if err != nil {
 			return nil, fmt.Errorf("parallelcomp: slab %d: %w", i, err)
 		}
@@ -138,20 +49,18 @@ func Decompress(blob []byte, codec Codec) (*field.Field, error) {
 	if err != nil {
 		return nil, err
 	}
+	nx, ny, nz := dec[0].Nx, dec[0].Ny, 0
+	for i, s := range dec {
+		if s.Nx != nx || s.Ny != ny {
+			return nil, fmt.Errorf("parallelcomp: slab %d shape %v inconsistent with %dx%d", i, s, nx, ny)
+		}
+		nz += s.Nz
+	}
+	out := field.New(nx, ny, nz)
 	z := 0
-	for i := range chunks {
-		s := slabs[i]
-		if s == nil {
-			continue
-		}
-		if s.Nx != nx || s.Ny != ny || z+s.Nz > nz {
-			return nil, fmt.Errorf("parallelcomp: slab %d shape %v inconsistent", i, s)
-		}
+	for _, s := range dec {
 		out.SetBlock(0, 0, z, s)
 		z += s.Nz
-	}
-	if z != nz {
-		return nil, fmt.Errorf("parallelcomp: slabs cover %d of %d z planes", z, nz)
 	}
 	return out, nil
 }

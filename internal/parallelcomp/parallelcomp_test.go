@@ -3,39 +3,46 @@ package parallelcomp
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/field"
 	"repro/internal/synth"
-	"repro/internal/sz2"
-	"repro/internal/zfp"
 )
 
-func sz2Codec(eb float64) Codec {
-	return Codec{
-		Name:       "sz2",
-		Compress:   func(f *field.Field) ([]byte, error) { return sz2.Compress(f, sz2.Options{EB: eb}) },
-		Decompress: sz2.Decompress,
+func mustCodec(t *testing.T, id byte) codec.Codec {
+	t.Helper()
+	cd, ok := codec.ByID(id)
+	if !ok {
+		t.Fatal(codec.ErrUnknownID(id))
 	}
+	return cd
 }
 
-func zfpCodec(tol float64) Codec {
-	return Codec{
-		Name:       "zfp",
-		Compress:   func(f *field.Field) ([]byte, error) { return zfp.Compress(f, zfp.Options{Tolerance: tol}) },
-		Decompress: zfp.Decompress,
+func totalBytes(slabs [][]byte) int {
+	n := 0
+	for _, s := range slabs {
+		n += len(s)
 	}
+	return n
 }
 
 func TestRoundTripWithinBound(t *testing.T) {
 	f := synth.Generate(synth.S3D, 32, 1)
 	eb := f.ValueRange() * 1e-3
+	sz2 := mustCodec(t, codec.SZ2ID)
 	for _, workers := range []int{1, 2, 4, 7} {
-		blob, err := Compress(f, sz2Codec(eb), workers)
+		slabs, err := Compress(f, sz2, codec.Params{EB: eb}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		g, err := Decompress(blob, sz2Codec(eb))
+		if len(slabs) != workers {
+			t.Fatalf("workers=%d: %d slabs", workers, len(slabs))
+		}
+		g, err := Decompress(slabs, sz2)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !g.SameShape(f) {
+			t.Fatalf("workers=%d: shape %v, want %v", workers, g, f)
 		}
 		if d := f.MaxAbsDiff(g); d > eb*(1+1e-12) {
 			t.Fatalf("workers=%d: error %g exceeds %g", workers, d, eb)
@@ -47,28 +54,30 @@ func TestParallelCRPenalty(t *testing.T) {
 	// The paper's observation: parallel (chunked) SZ2 compresses worse than
 	// serial because slabs lose shared context.
 	f := synth.Generate(synth.Nyx, 48, 2)
-	eb := f.ValueRange() * 1e-3
-	serial, err := Compress(f, sz2Codec(eb), 1)
+	p := codec.Params{EB: f.ValueRange() * 1e-3}
+	sz2 := mustCodec(t, codec.SZ2ID)
+	serial, err := Compress(f, sz2, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Compress(f, sz2Codec(eb), 8)
+	par, err := Compress(f, sz2, p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) <= len(serial) {
-		t.Fatalf("expected CR penalty for chunked compression: serial %d, parallel %d", len(serial), len(par))
+	if totalBytes(par) <= totalBytes(serial) {
+		t.Fatalf("expected CR penalty for chunked compression: serial %d, parallel %d", totalBytes(serial), totalBytes(par))
 	}
 }
 
 func TestZFPCodecRoundTrip(t *testing.T) {
 	f := synth.Generate(synth.Hurricane, 24, 3)
 	tol := f.ValueRange() * 5e-3
-	blob, err := Compress(f, zfpCodec(tol), 3)
+	zfp := mustCodec(t, codec.ZFPID)
+	slabs, err := Compress(f, zfp, codec.Params{EB: tol}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(blob, zfpCodec(tol))
+	g, err := Decompress(slabs, zfp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +89,15 @@ func TestZFPCodecRoundTrip(t *testing.T) {
 func TestWorkersClampedToDepth(t *testing.T) {
 	f := field.New(8, 8, 3) // only 3 z planes
 	f.Fill(1)
-	blob, err := Compress(f, sz2Codec(0.01), 16)
+	sz2 := mustCodec(t, codec.SZ2ID)
+	slabs, err := Compress(f, sz2, codec.Params{EB: 0.01}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(blob, sz2Codec(0.01))
+	if len(slabs) != 3 {
+		t.Fatalf("%d slabs, want one per z plane (3)", len(slabs))
+	}
+	g, err := Decompress(slabs, sz2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +106,28 @@ func TestWorkersClampedToDepth(t *testing.T) {
 	}
 }
 
+// TestDecompressValidation checks that a damaged slab, a slab set with
+// mismatched XY extents, and an empty slab set all fail to decode.
 func TestDecompressValidation(t *testing.T) {
-	if _, err := Decompress([]byte("nope"), sz2Codec(1)); err == nil {
-		t.Fatal("garbage accepted")
-	}
+	sz2 := mustCodec(t, codec.SZ2ID)
 	f := synth.Generate(synth.S3D, 16, 4)
-	blob, err := Compress(f, sz2Codec(f.ValueRange()*1e-3), 2)
+	p := codec.Params{EB: f.ValueRange() * 1e-3}
+	slabs, err := Compress(f, sz2, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(blob[:len(blob)/2], sz2Codec(f.ValueRange()*1e-3)); err == nil {
-		t.Fatal("truncation accepted")
+	truncated := [][]byte{slabs[0], slabs[1][:len(slabs[1])/2]}
+	if _, err := Decompress(truncated, sz2); err == nil {
+		t.Fatal("truncated slab accepted")
+	}
+	other, err := Compress(synth.Generate(synth.S3D, 8, 4), sz2, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress([][]byte{slabs[0], other[0]}, sz2); err == nil {
+		t.Fatal("slabs with mismatched Nx/Ny accepted")
+	}
+	if _, err := Decompress(nil, sz2); err == nil {
+		t.Fatal("empty slab set accepted")
 	}
 }

@@ -244,9 +244,7 @@ func (r *Reader) scanIndex(ctx context.Context) (*index.Index, error) {
 // path when it has one (faultio.RetryReaderAt.ReadAtCtx), so retry events
 // land on the request trace and cancellation stops the retry loop.
 func readAtCtx(ctx context.Context, src io.ReaderAt, p []byte, off int64) (int, error) {
-	if rc, ok := src.(interface {
-		ReadAtCtx(context.Context, []byte, int64) (int, error)
-	}); ok {
+	if rc, ok := src.(faultio.ReaderAtCtx); ok {
 		return rc.ReadAtCtx(ctx, p, off)
 	}
 	return src.ReadAt(p, off)
@@ -319,12 +317,6 @@ func (r *Reader) brickKey(level, box int) string {
 	return r.id + "@" + r.version + "/L" + strconv.Itoa(level) + "/B" + strconv.Itoa(box)
 }
 
-// CanVerify reports whether per-stream integrity verification is available:
-// the container's index carries payload checksums (checked-footer
-// containers, and any container opened through the sequential-scan
-// fallback, whose synthesized index checksums the payloads it located).
-func (r *Reader) CanVerify() bool { return r.ix.StreamCRCs }
-
 // Stats snapshots the reader's access counters.
 func (r *Reader) Stats() Stats {
 	return Stats{
@@ -384,7 +376,7 @@ func (r *Reader) brickOnce(ctx context.Context, key string, fetch func() (*field
 // The positioned read (with its retries) is the "stream_read" stage; the
 // checksum, codec and size/shape checks are core.DecodeIndexed's, so a
 // damaged stream is rejected with a typed Corrupt error — before any codec
-// sees it whenever the index carries checksums (see CanVerify).
+// sees it whenever the index carries checksums (Index().StreamCRCs).
 func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -404,7 +396,7 @@ func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) 
 		return nil, fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err)
 	}
 	r.bytesRead.Add(s.Len)
-	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, true)
+	f, err := core.DecodeIndexed(ctx, r.ix, si, payload)
 	if err != nil {
 		r.corruptStreams.Add(1)
 		return nil, err

@@ -40,7 +40,7 @@ func TestReadRejectsCorruptPayload(t *testing.T) {
 		blob := compress(t, h, opt)
 		bad, s := corruptStreamByte(t, blob, 0)
 		r := open(t, bad)
-		if !r.CanVerify() {
+		if !r.Index().StreamCRCs {
 			t.Fatalf("%s: freshly written container reports verification unavailable", name)
 		}
 		_, err := r.ReadLevel(s.Level)
@@ -156,7 +156,7 @@ func TestVerifyScrub(t *testing.T) {
 	ix.StreamCRCs = false
 	old := ix.AppendFooter(append([]byte(nil), blob[:body]...))
 	r := open(t, old)
-	if r.CanVerify() {
+	if r.Index().StreamCRCs {
 		t.Fatal("checksum-free footer reports verification available")
 	}
 	res, err = r.Verify(context.Background())

@@ -3,17 +3,22 @@ package reader
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/field"
+	"repro/internal/index"
 	"repro/internal/store"
 )
 
@@ -180,5 +185,52 @@ func TestSingleflightThunderingHerd(t *testing.T) {
 	}
 	if st := r.Stats(); st.BackendDecodes != 1 {
 		t.Fatalf("warm read re-decoded: %d backend decodes", st.BackendDecodes)
+	}
+}
+
+// TestHTTPReadHonorsDeadline checks that a request's deadline reaches the
+// HTTP backend's ranged GETs: against an origin that stalls every ranged
+// read for 3 s, a level read under a 100 ms deadline gives up promptly with
+// context.DeadlineExceeded instead of waiting the origin out.
+func TestHTTPReadHonorsDeadline(t *testing.T) {
+	h := testHierarchy(t, 32, 5)
+	blob := compress(t, h, core.Options{EB: h.Levels[0].Data.ValueRange() * 1e-3})
+	body, ok := index.Locate(blob)
+	if !ok {
+		t.Fatal("no footer")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The open's suffix-range GET answers at once; every other ranged
+		// read stalls until the origin's delay or the client hangs up.
+		if !strings.HasPrefix(r.Header.Get("Range"), "bytes=-") {
+			select {
+			case <-time.After(3 * time.Second):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		http.ServeContent(w, r, "c.mrw", time.Time{}, bytes.NewReader(blob))
+	}))
+	defer srv.Close()
+	// The prefetched tail covers exactly the footer, so the level's
+	// streams need ranged GETs.
+	st, err := store.NewHTTP(srv.URL, store.HTTPOptions{FooterPrefetch: int64(len(blob) - body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(st, "c.mrw", WithCache(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = r.ReadLevelCtx(ctx, 0)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("ReadLevelCtx took %v under a 100ms deadline (err %v)", elapsed, err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ReadLevelCtx err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -757,8 +757,8 @@ var ingestParams = []string{"codec", "compressor", "eb", "levelcodecs", "releb",
 // ingestOptions maps PUT query parameters onto compression options. The
 // defaults are the paper's recommended configuration at releb 1e-3. Codec
 // names (?codec=, its legacy alias ?compressor=, and the per-level
-// ?levelcodecs= spec) are validated against the codec registry, so an
-// unknown name fails with a message enumerating what is registered. A key
+// ?levelcodecs= spec) are validated against the codec table, so an
+// unknown name fails with a message enumerating the known codecs. A key
 // outside ingestParams is an error too: a misspelt ?relebb= must not
 // compress at the default bound and answer 201.
 func ingestOptions(q url.Values) (repro.Options, error) {

@@ -166,6 +166,12 @@ func (s *HTTP) Open(ctx context.Context, key string) (Handle, error) {
 		if perr != nil {
 			return nil, faultio.Corrupt(perr)
 		}
+		// Every read at or past the tail is served from it, so the tail
+		// must run to the object's last byte.
+		if last != total-1 {
+			return nil, faultio.Corrupt(fmt.Errorf("store: open %s: tail Content-Range %d-%d stops short of the object's end %d",
+				u, first, last, total-1))
+		}
 		body, rerr := io.ReadAll(resp.Body)
 		if rerr != nil {
 			return nil, faultio.NetError(fmt.Errorf("store: open %s: reading tail: %w", u, rerr))
@@ -176,7 +182,6 @@ func (s *HTTP) Open(ctx context.Context, key string) (Handle, error) {
 		}
 		h.size = total
 		h.tail, h.tailOff = body, first
-		h.full = first == 0 && last == total-1
 	case http.StatusOK:
 		// Origin ignores ranges: the whole object is already on the wire;
 		// buffer it and never issue another request.
@@ -186,7 +191,6 @@ func (s *HTTP) Open(ctx context.Context, key string) (Handle, error) {
 		}
 		h.size = int64(len(body))
 		h.tail, h.tailOff = body, 0
-		h.full = true
 	default:
 		return nil, statusError(resp.StatusCode, u)
 	}
@@ -238,7 +242,6 @@ type httpHandle struct {
 	info      Info
 	tail      []byte
 	tailOff   int64
-	full      bool
 	readAhead int64
 
 	mu     sync.Mutex
@@ -251,6 +254,12 @@ func (h *httpHandle) Size() int64  { return h.size }
 func (h *httpHandle) Info() Info   { return h.info }
 
 func (h *httpHandle) ReadAt(p []byte, off int64) (int, error) {
+	return h.ReadAtCtx(context.Background(), p, off)
+}
+
+// ReadAtCtx is ReadAt whose range requests carry ctx, so a canceled or
+// timed-out request stops waiting on the origin.
+func (h *httpHandle) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("store: negative read offset %d", off)
 	}
@@ -261,14 +270,14 @@ func (h *httpHandle) ReadAt(p []byte, off int64) (int, error) {
 	if off+int64(len(p)) > h.size {
 		want = p[:h.size-off]
 	}
-	n, err := h.readAt(want, off)
+	n, err := h.readAt(ctx, want, off)
 	if err == nil && n == len(want) && len(want) < len(p) {
 		return n, io.EOF
 	}
 	return n, err
 }
 
-func (h *httpHandle) readAt(p []byte, off int64) (int, error) {
+func (h *httpHandle) readAt(ctx context.Context, p []byte, off int64) (int, error) {
 	// The immutable tail (footer prefetch, or the whole buffered object).
 	if off >= h.tailOff {
 		return copy(p, h.tail[off-h.tailOff:]), nil
@@ -290,7 +299,7 @@ func (h *httpHandle) readAt(p []byte, off int64) (int, error) {
 	if off+fetchLen > h.tailOff {
 		fetchLen = h.tailOff - off
 	}
-	buf, err := h.fetch(off, fetchLen)
+	buf, err := h.fetch(ctx, off, fetchLen)
 	if err != nil {
 		return 0, err
 	}
@@ -307,8 +316,8 @@ func (h *httpHandle) readAt(p []byte, off int64) (int, error) {
 
 // fetch GETs [off, off+length) with one range request, classifying
 // transport and status failures so the retry layer above reacts correctly.
-func (h *httpHandle) fetch(off, length int64) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, h.url, nil)
+func (h *httpHandle) fetch(ctx context.Context, off, length int64) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.url, nil)
 	if err != nil {
 		return nil, err
 	}

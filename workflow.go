@@ -101,8 +101,8 @@ type ErrorModel = uncertainty.ErrorModel
 // NewField allocates a zero field; see field.New.
 func NewField(nx, ny, nz int) *Field { return field.New(nx, ny, nz) }
 
-// Compressor names a compression backend. Any name registered in the
-// codec registry is valid (see Codecs for the current vocabulary); the
+// Compressor names a compression backend. Any name in the codec table
+// is valid (see Codecs for the current vocabulary); the
 // constants below are the built-ins.
 type Compressor string
 
