@@ -371,6 +371,22 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressToUniform is the batch_sz3mr set-up's library call: ROI
+// selection, arrangement and SZ3MR compression of a uniform Nyx field, one
+// worker.
+func BenchmarkCompressToUniform(b *testing.B) {
+	f := benchField(b)
+	opt := repro.Options{RelEB: 1e-3, ROIBlockB: 16, ROITopFrac: 0.5, Workers: 1}
+	b.SetBytes(int64(f.Bytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := repro.CompressTo(f, opt, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkROIConvert(b *testing.B) {
 	f := benchField(b)
 	b.SetBytes(int64(f.Bytes()))

@@ -76,7 +76,7 @@ func main() {
 		backend = flag.String("compressor", "sz3", "backend codec: "+strings.Join(repro.Codecs(), "|"))
 		lvlspec = flag.String("levelcodecs", "", `per-level codec overrides, e.g. "0:sz3,2:flate" (level 0 = finest)`)
 		roiB    = flag.Int("roiblock", 16, "ROI block size (power of two > 4)")
-		roiFrac = flag.Float64("roifrac", 0.5, "fraction of blocks kept at full resolution")
+		roiFrac = flag.Float64("roifrac", 0.5, "fraction of blocks kept at full resolution, in (0, 1]")
 		post    = flag.Bool("post", false, "enable error-bounded post-processing")
 		quality = flag.Bool("quality", false, "with -c: decompress after compressing and report PSNR/SSIM (holds the container in memory)")
 		size    = flag.Int("size", 64, "edge size for -gen")
@@ -99,6 +99,9 @@ func main() {
 	case *comp:
 		requireIn(*in)
 		requireOut(*out)
+		if err := checkROIFrac(*roiFrac); err != nil {
+			usageError(err)
+		}
 		// Validate codec names up front against the codec table, before the
 		// (possibly large) input is loaded.
 		cname, err := repro.ParseCodec(*backend)
@@ -241,6 +244,15 @@ func readContainer(in string) ([]byte, error) {
 	return blob, nil
 }
 
+// checkROIFrac rejects an ROI fraction outside (0, 1]. The library reads a
+// fraction of 0 as "the default, 0.5", which -roifrac 0 does not ask for.
+func checkROIFrac(v float64) error {
+	if !(v > 0 && v <= 1) {
+		return fmt.Errorf("-roifrac %g: want a fraction in (0, 1]", v)
+	}
+	return nil
+}
+
 func requireIn(in string) {
 	if in == "" {
 		fatal(fmt.Errorf("missing -i input file"))
@@ -251,6 +263,13 @@ func requireOut(out string) {
 	if out == "" {
 		fatal(fmt.Errorf("missing -o output file"))
 	}
+}
+
+// usageError reports a bad flag value with the usage text and exits 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "mrcompress:", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
-// Package bitio provides big-endian bit-level writers and readers used by the
-// entropy coders (Huffman in the SZ stand-ins, bit-plane truncation in the
-// ZFP stand-in).
+// Package bitio provides big-endian bit-level writers and readers. The
+// Reader is the Huffman decoder's bit source; the Writer writes the
+// reference streams the Huffman encoder's own register emitter is tested
+// against.
 //
 // Both sides batch through a 64-bit accumulator: WriteBits appends up to 64
 // bits with a single shift/merge (plus at most one 8-byte store), and

@@ -253,47 +253,93 @@ type Prepared struct {
 	blockB     int
 	opt        Options
 	levels     []preparedLevel
+	payload    int // raw multi-resolution payload bytes
 }
 
 // Prepare runs the pre-processing stage: extract each level's unit blocks
 // and arrange (and pad) them into compression buffers.
 func Prepare(h *grid.Hierarchy, opt Options) (*Prepared, error) {
-	if opt.EB <= 0 {
+	if !(opt.EB > 0) {
 		return nil, errors.New("core: error bound must be positive")
 	}
-	opt = (&opt).withDefaults()
-	p := &Prepared{nx: h.Nx, ny: h.Ny, nz: h.Nz, blockB: h.BlockB, opt: opt}
+	srcs := make([]layout.Source, len(h.Levels))
 	for li := range h.Levels {
+		srcs[li] = layout.LevelSource(h, li)
+	}
+	return PrepareSources(h.Nx, h.Ny, h.Nz, h.BlockB, srcs, opt)
+}
+
+// PrepareSources is Prepare over the levels of an nx×ny×nz domain of
+// blockB³ blocks, read through their layout sources (level l's unit edge is
+// blockB/2^l). It leaves the error bound as opt has it, which may be zero:
+// a caller whose bound depends on the arranged samples (LevelExtremes) sets
+// it with SetEB before compressing.
+func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options) (*Prepared, error) {
+	opt = (&opt).withDefaults()
+	p := &Prepared{nx: nx, ny: ny, nz: nz, blockB: blockB, opt: opt}
+	for _, src := range levels {
 		var pl preparedLevel
-		u := h.UnitBlockSize(li)
+		var m *layout.Merged
 		switch opt.Arrangement {
 		case ArrangeLinear:
-			m := layout.LinearMerge(h, li)
-			pl.blocks = m.Blocks
-			pl.merged = m.Data
-			if opt.Pad && u > 4 && m.Data != nil {
-				pl.merged = layout.PadXY(m.Data, opt.PadKind)
-				pl.padded = true
-			}
+			m = src.Linear(opt.Pad && src.U > 4, opt.PadKind)
 		case ArrangeStack:
-			m := layout.StackMerge(h, li)
-			pl.blocks = m.Blocks
-			pl.merged = m.Data
+			m = src.Stack()
 		case ArrangeZOrder1D:
-			m := layout.ZOrderFlatten1D(h, li)
-			pl.blocks = m.Blocks
-			pl.merged = m.Data
+			m = src.ZOrder1D()
 		case ArrangeTAC:
-			pl.boxes = layout.TACPartition(h, li)
+			pl.boxes = src.TACBoxes()
 			for _, b := range pl.boxes {
-				pl.boxFld = append(pl.boxFld, layout.ExtractBox(h, li, b))
+				pl.boxFld = append(pl.boxFld, src.Box(b))
+				p.payload += b.WX * b.WY * b.WZ * src.U * src.U * src.U * 8
 			}
 		default:
 			return nil, fmt.Errorf("core: unknown arrangement %d", opt.Arrangement)
 		}
+		if m != nil {
+			pl.blocks, pl.merged, pl.padded = m.Blocks, m.Data, m.Padded
+			p.payload += len(m.Blocks) * src.U * src.U * src.U * 8
+		}
 		p.levels = append(p.levels, pl)
 	}
 	return p, nil
+}
+
+// SetEB sets the absolute error bound the streams are compressed under.
+func (p *Prepared) SetEB(eb float64) error {
+	if !(eb > 0) {
+		return errors.New("core: error bound must be positive")
+	}
+	p.opt.EB = eb
+	return nil
+}
+
+// PayloadBytes returns the raw multi-resolution payload the buffers hold —
+// 8 bytes per owned sample, pads and stacking filler excluded — the
+// numerator of the compression ratio.
+func (p *Prepared) PayloadBytes() int { return p.payload }
+
+// LevelExtremes returns the extremes (field.BlockExtremes) of level li's
+// samples as arranged: pad layers are skipped, and a stacked level's filler
+// slots, copies of an owned block, change no extreme.
+func (p *Prepared) LevelExtremes(li int) (lo, hi float64) {
+	pl := &p.levels[li]
+	lo, hi = math.Inf(1), math.Inf(-1)
+	fold := func(f *field.Field, pad int) {
+		l, h := f.BlockExtremes(0, 0, 0, f.Nx-pad, f.Ny-pad, f.Nz)
+		lo, hi = field.FoldRange(lo, hi, l, h)
+	}
+	for _, f := range pl.boxFld {
+		fold(f, 0)
+	}
+	if pl.merged != nil {
+		pad := 0
+		if pl.padded {
+			pad = 1
+		}
+		fold(pl.merged, pad)
+	}
+	return lo, hi
 }
 
 // compressField dispatches one buffer to the codec whose wire ID is c.
@@ -395,6 +441,9 @@ func (p *Prepared) wireVersion() byte {
 
 // checkCompressOptions validates the write-time option invariants.
 func (p *Prepared) checkCompressOptions() error {
+	if !(p.opt.EB > 0) {
+		return errors.New("core: error bound must be positive")
+	}
 	if p.opt.SZ2BlockSize < 0 || p.opt.SZ2BlockSize > maxSZ2BlockSize {
 		return fmt.Errorf("core: SZ2 block size %d out of range [0, %d]", p.opt.SZ2BlockSize, maxSZ2BlockSize)
 	}

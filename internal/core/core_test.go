@@ -9,6 +9,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/index"
+	"repro/internal/layout"
 	"repro/internal/roi"
 	"repro/internal/synth"
 )
@@ -221,6 +222,22 @@ func TestInvalidInputs(t *testing.T) {
 	h := amrHierarchy(t, 32, 8)
 	if _, err := CompressHierarchy(h, Options{EB: 0}); err == nil {
 		t.Fatal("zero eb accepted")
+	}
+	if _, err := CompressHierarchy(h, Options{EB: math.NaN()}); err == nil {
+		t.Fatal("NaN eb accepted")
+	}
+	// A bound set after preparation is checked the same way, and a
+	// prepared input whose bound was never set does not compress.
+	src := layout.LevelSource(h, 0)
+	p, err := PrepareSources(h.Nx, h.Ny, h.Nz, h.BlockB, []layout.Source{src}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetEB(math.NaN()); err == nil {
+		t.Fatal("SetEB(NaN) accepted")
+	}
+	if _, err := p.Compress(); err == nil {
+		t.Fatal("a prepared input with no bound compressed")
 	}
 	if _, err := Decompress([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")

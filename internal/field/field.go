@@ -58,13 +58,16 @@ func (f *Field) SameShape(g *Field) bool {
 // Range returns the minimum and maximum sample values. For an empty field it
 // returns (0, 0); NaNs are ignored unless all samples are NaN.
 func (f *Field) Range() (min, max float64) {
-	return finishRange(scanRange(f.Data, math.Inf(1), math.Inf(-1)))
+	return FinishRange(scanRange(f.Data, math.Inf(1), math.Inf(-1)))
 }
 
-// BlockRange is Range over the region of size (bx,by,bz) anchored at
-// (x0,y0,z0), scanned in place: no block is copied out. The region must lie
-// inside the field.
-func (f *Field) BlockRange(x0, y0, z0, bx, by, bz int) (min, max float64) {
+// BlockExtremes scans the region of size (bx,by,bz) anchored at (x0,y0,z0)
+// in place — no block is copied out — for its minimum and maximum, with
+// Range's NaN rule but before FinishRange: an empty or all-NaN region gives
+// (+Inf, −Inf). Extremes of disjoint regions combine with FoldRange into
+// the extremes of their union, so a range over many blocks is assembled
+// from per-block scans. The region must lie inside the field.
+func (f *Field) BlockExtremes(x0, y0, z0, bx, by, bz int) (min, max float64) {
 	f.checkRegion(x0, y0, z0, bx, by, bz)
 	min, max = math.Inf(1), math.Inf(-1)
 	for z := 0; z < bz; z++ {
@@ -73,26 +76,33 @@ func (f *Field) BlockRange(x0, y0, z0, bx, by, bz int) (min, max float64) {
 			min, max = scanRange(f.Data[i:i+bx], min, max)
 		}
 	}
-	return finishRange(min, max)
+	return min, max
 }
 
 // scanRange folds the samples of row into a running (min, max). NaNs drop
 // out by themselves: both comparisons are false for them.
 func scanRange(row []float64, min, max float64) (float64, float64) {
 	for _, v := range row {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+		min, max = FoldRange(min, max, v, v)
 	}
 	return min, max
 }
 
-// finishRange maps the untouched running range of an empty or all-NaN scan
+// FoldRange folds the extremes (lo, hi) of more samples into a running
+// (min, max), with the comparisons a scan of those samples makes.
+func FoldRange(min, max, lo, hi float64) (float64, float64) {
+	if lo < min {
+		min = lo
+	}
+	if hi > max {
+		max = hi
+	}
+	return min, max
+}
+
+// FinishRange maps the untouched running range of an empty or all-NaN scan
 // to (0, 0).
-func finishRange(min, max float64) (float64, float64) {
+func FinishRange(min, max float64) (float64, float64) {
 	if math.IsInf(min, 1) {
 		return 0, 0
 	}

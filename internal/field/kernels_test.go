@@ -169,9 +169,9 @@ func TestBlockRangeMatchesReference(t *testing.T) {
 	}
 	for _, r := range append(regions(f.Nx, f.Ny, f.Nz, rng, 60), allNaN, allInf) {
 		wmin, wmax := refRange(refSubBlock(f, r[0], r[1], r[2], r[3], r[4], r[5]))
-		gmin, gmax := f.BlockRange(r[0], r[1], r[2], r[3], r[4], r[5])
+		gmin, gmax := FinishRange(f.BlockExtremes(r[0], r[1], r[2], r[3], r[4], r[5]))
 		if math.Float64bits(gmin) != math.Float64bits(wmin) || math.Float64bits(gmax) != math.Float64bits(wmax) {
-			t.Fatalf("BlockRange %v = (%g,%g), reference (%g,%g)", r, gmin, gmax, wmin, wmax)
+			t.Fatalf("BlockExtremes %v = (%g,%g) finished, reference (%g,%g)", r, gmin, gmax, wmin, wmax)
 		}
 	}
 	wmin, wmax := refRange(f)
@@ -208,7 +208,7 @@ func TestKernelsPanicOutsideField(t *testing.T) {
 		"copy src":       func() { CopyBlock(g, 0, 0, 0, f, 2, 0, 0, 3, 1, 1) },
 		"copy dst":       func() { CopyBlock(f, 0, 3, 0, g, 0, 0, 0, 1, 2, 1) },
 		"copy negative":  func() { CopyBlock(g, 0, 0, -1, f, 0, 0, 0, 1, 1, 1) },
-		"range":          func() { f.BlockRange(0, 0, 2, 4, 4, 3) },
+		"range":          func() { f.BlockExtremes(0, 0, 2, 4, 4, 3) },
 		"downsample src": func() { DownsampleBlock2(f, 0, 0, 0, g, 4, 4, 4, 6, 2, 2) },
 		"downsample dst": func() { DownsampleBlock2(f, 3, 0, 0, g, 0, 0, 0, 4, 4, 4) },
 	} {
@@ -232,7 +232,7 @@ func TestKernelAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() {
 		CopyBlock(dst, 16, 0, 16, src, 0, 16, 0, 16, 16, 16)
 		DownsampleBlock2(dst, 0, 8, 0, src, 16, 16, 16, 16, 16, 16)
-		lo, hi = src.BlockRange(8, 8, 8, 16, 16, 16)
+		lo, hi = src.BlockExtremes(8, 8, 8, 16, 16, 16)
 	}); n != 0 {
 		t.Fatalf("block kernels allocate %v times per run, want 0", n)
 	}

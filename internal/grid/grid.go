@@ -70,8 +70,8 @@ func (h *Hierarchy) UnitBlockSize(level int) int {
 // of blockB, blockB must be a power of two > 4, and blockB/2^(levels−1) must
 // be ≥ 2 so the coarsest unit block is non-trivial.
 func New(nx, ny, nz, blockB, levels int) (*Hierarchy, error) {
-	if blockB < 8 || blockB&(blockB-1) != 0 {
-		return nil, fmt.Errorf("grid: blockB must be a power of two > 4, got %d", blockB)
+	if err := CheckBlockB(blockB); err != nil {
+		return nil, err
 	}
 	if nx%blockB != 0 || ny%blockB != 0 || nz%blockB != 0 {
 		return nil, fmt.Errorf("grid: dims %dx%dx%d not multiples of blockB %d", nx, ny, nz, blockB)
@@ -95,6 +95,14 @@ func New(nx, ny, nz, blockB, levels int) (*Hierarchy, error) {
 		})
 	}
 	return h, nil
+}
+
+// CheckBlockB rejects a block edge that is not a power of two > 4.
+func CheckBlockB(blockB int) error {
+	if blockB < 8 || blockB&(blockB-1) != 0 {
+		return fmt.Errorf("grid: blockB must be a power of two > 4, got %d", blockB)
+	}
+	return nil
 }
 
 // FromUniform wraps a uniform field as a single-level hierarchy owning every
@@ -287,7 +295,7 @@ func BuildAMR(fine *field.Field, blockB int, fracs []float64) (*Hierarchy, error
 		return nil, fmt.Errorf("grid: fractions sum to %g, want 1", sum)
 	}
 	nbx, nby, _ := h.NumBlocks()
-	order := RankBlocks(fine, blockB)
+	order := RankExtremes(BlockExtremes(fine, blockB))
 	// Assign the top fracs[0] to level 0, next fracs[1] to level 1, …
 	total := len(order)
 	start := 0
@@ -308,20 +316,32 @@ func BuildAMR(fine *field.Field, blockB int, fracs []float64) (*Hierarchy, error
 	return h, nil
 }
 
-// RankBlocks returns the flat raster indices of f's blockB³ blocks ordered by
-// value range (max − min), largest first, ties by index — the paper's
-// range-threshold criterion, shared by BuildAMR and roi.Select. Ranges are
-// scanned in place. f's dimensions must be multiples of blockB.
-func RankBlocks(f *field.Field, blockB int) []int {
+// BlockExtremes returns the field.BlockExtremes of each of f's blockB³
+// blocks, in flat raster block order. f's dimensions must be multiples of
+// blockB.
+func BlockExtremes(f *field.Field, blockB int) (lo, hi []float64) {
 	nbx, nby, nbz := f.Nx/blockB, f.Ny/blockB, f.Nz/blockB
-	ranges := make([]float64, 0, nbx*nby*nbz)
+	lo, hi = make([]float64, 0, nbx*nby*nbz), make([]float64, 0, nbx*nby*nbz)
 	for bz := 0; bz < nbz; bz++ {
 		for by := 0; by < nby; by++ {
 			for bx := 0; bx < nbx; bx++ {
-				lo, hi := f.BlockRange(bx*blockB, by*blockB, bz*blockB, blockB, blockB, blockB)
-				ranges = append(ranges, hi-lo)
+				l, h := f.BlockExtremes(bx*blockB, by*blockB, bz*blockB, blockB, blockB, blockB)
+				lo, hi = append(lo, l), append(hi, h)
 			}
 		}
+	}
+	return lo, hi
+}
+
+// RankExtremes returns the flat raster indices of blocks ordered by the
+// value range (max − min) their extremes (as BlockExtremes returns them)
+// finish to, largest first, ties by index — the paper's range-threshold
+// criterion, shared by BuildAMR and roi.Scan.
+func RankExtremes(lo, hi []float64) []int {
+	ranges := make([]float64, len(lo))
+	for i := range ranges {
+		l, h := field.FinishRange(lo[i], hi[i])
+		ranges[i] = h - l
 	}
 	order := make([]int, len(ranges))
 	for i := range order {

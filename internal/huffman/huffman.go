@@ -63,8 +63,7 @@ type scratch struct {
 	parent  []int    // tree node parents, then leaf depths
 	heap    []int
 	ss      []sym
-	codeVal []uint64 // symbol→code lookup (coder)
-	codeLen []uint8
+	lookup  []uint64 // symbol→code lookup (coder)
 	c       coder
 
 	// Both: code lengths and canonical codes in dictionary order.
@@ -89,9 +88,9 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(s *scratch) {
 	// Every other array is bounded by one of these five: symbols, freqs, ss,
-	// lens and codes by the alphabet (weight holds 2k−1), codeLen by the
-	// span or the alphabet (codeVal); the decode table is a fixed size.
-	if cap(s.counts) > maxPooledLen || cap(s.sorted) > maxPooledLen || cap(s.codeVal) > maxPooledLen ||
+	// lens and codes by the alphabet (weight holds 2k−1); the decode table
+	// is a fixed size.
+	if cap(s.counts) > maxPooledLen || cap(s.sorted) > maxPooledLen || cap(s.lookup) > maxPooledLen ||
 		cap(s.weight) > 2*maxPooledLen || cap(s.syms) > maxPooledLen {
 		return
 	}
@@ -245,40 +244,32 @@ const denseSpanLimit = 1 << 22
 // minS/span/dense describe the range so the emit stage can make the same
 // choice without recomputing it.
 func (s *scratch) histogram(data []int32) (symbols []int32, freqs []uint64, minS int32, span int64, dense bool) {
+	// min and max compile to conditional moves: the scan has no branch to
+	// mispredict on noisy codes.
 	minS, maxS := data[0], data[0]
 	for _, v := range data {
-		if v < minS {
-			minS = v
-		}
-		if v > maxS {
-			maxS = v
-		}
+		minS, maxS = min(minS, v), max(maxS, v)
 	}
 	span = int64(maxS) - int64(minS) + 1
 	limit := int64(4*len(data)) + 1024
 	dense = span <= denseSpanLimit && span <= limit
 	if dense {
-		s.counts = resize(s.counts, int(span))
-		counts := s.counts
-		clear(counts)
-		for _, v := range data {
-			counts[int64(v)-int64(minS)]++
-		}
+		counts := s.count(data, minS, int(span))
 		k := 0
 		for _, c := range counts {
-			if c != 0 {
-				k++
-			}
+			k += nonzero(c)
 		}
-		s.symbols, s.freqs = resize(s.symbols, k), resize(s.freqs, k)
-		symbols, freqs = s.symbols[:0], s.freqs[:0]
+		// Every count is written and the cursor advances past the nonzero
+		// ones: no branch per entry, and one slot of slack for the last
+		// write.
+		s.symbols, s.freqs = resize(s.symbols, k+1), resize(s.freqs, k+1)
+		symbols, freqs = s.symbols, s.freqs
+		j := 0
 		for i, c := range counts {
-			if c != 0 {
-				symbols = append(symbols, minS+int32(i))
-				freqs = append(freqs, c)
-			}
+			symbols[j], freqs[j] = minS+int32(i), c
+			j += nonzero(c)
 		}
-		return symbols, freqs, minS, span, dense
+		return symbols[:k], freqs[:k], minS, span, dense
 	}
 	// Wide range: count the runs of a sorted copy.
 	s.sorted = resize(s.sorted, len(data))
@@ -305,6 +296,49 @@ func (s *scratch) histogram(data []int32) (symbols []int32, freqs []uint64, minS
 	return symbols, freqs, minS, span, dense
 }
 
+// countLanes is how many tables count spans of up to maxPooledLen/countLanes
+// symbols. Quantization codes are dominated by one symbol, and a single
+// table serializes its increments, each waiting on the last; four tables
+// take consecutive symbols in turn and are summed at the end.
+const countLanes = 4
+
+// count returns the dense histogram of data, whose symbols lie in
+// [minS, minS+span).
+func (s *scratch) count(data []int32, minS int32, span int) []uint64 {
+	lanes := countLanes
+	if span > maxPooledLen/countLanes {
+		lanes = 1
+	}
+	s.counts = resize(s.counts, lanes*span)
+	counts := s.counts
+	clear(counts)
+	if lanes == 1 {
+		for _, v := range data {
+			counts[int64(v)-int64(minS)]++
+		}
+		return counts
+	}
+	// span ≤ 2¹⁴, so v − minS cannot overflow.
+	c0, c1, c2, c3 := counts[:span], counts[span:2*span], counts[2*span:3*span], counts[3*span:]
+	i := 0
+	for ; i+4 <= len(data); i += 4 {
+		c0[data[i]-minS]++
+		c1[data[i+1]-minS]++
+		c2[data[i+2]-minS]++
+		c3[data[i+3]-minS]++
+	}
+	for ; i < len(data); i++ {
+		c0[data[i]-minS]++
+	}
+	for j := range c0 {
+		c0[j] += c1[j] + c2[j] + c3[j]
+	}
+	return c0
+}
+
+// nonzero is 1 for a nonzero count and 0 for zero, without a branch.
+func nonzero(c uint64) int { return int((c | -c) >> 63) }
+
 // sym is one dictionary entry: a symbol and its canonical code length.
 type sym struct {
 	s int32
@@ -320,13 +354,21 @@ type coder struct {
 
 	// Symbol→code lookup, mirroring histogram's choice: dense, indexed by
 	// symbol − minS; otherwise indexed by the symbol's rank in symbols
-	// (ascending), which a binary search finds.
+	// (ascending), which a binary search finds. An entry is the code
+	// shifted up by lenBits, or'ed with its length (≤ maxCodeLen < 2⁶, and
+	// 57 + 6 bits fit a word): emit reads one word per symbol.
 	dense   bool
 	minS    int32
 	symbols []int32
-	codeVal []uint64
-	codeLen []uint8
+	lookup  []uint64
 }
+
+// lenBits is the width of the length field of a lookup entry, and lenMask
+// selects it. lenMask is 63, so a shift by e&lenMask is one instruction.
+const (
+	lenBits = 6
+	lenMask = 1<<lenBits - 1
+)
 
 // coder builds the canonical code assignment for data (which must be
 // non-empty). It is valid until the next use of s.
@@ -366,12 +408,10 @@ func (s *scratch) coder(data []int32) *coder {
 	if dense {
 		n = int(span)
 	}
-	s.codeVal, s.codeLen = resize(s.codeVal, n), resize(s.codeLen, n)
-	c.codeVal, c.codeLen = s.codeVal, s.codeLen
+	s.lookup = resize(s.lookup, n)
+	c.lookup = s.lookup
 	for i, e := range ss {
-		idx := c.index(e.s)
-		c.codeVal[idx] = s.codes[i]
-		c.codeLen[idx] = uint8(e.l)
+		c.lookup[c.index(e.s)] = s.codes[i]<<lenBits | uint64(e.l)
 	}
 	return c
 }
@@ -407,20 +447,67 @@ func (c *coder) appendDict(out []byte) []byte {
 	return out
 }
 
-// emit appends the codes for data to bw.
-func (c *coder) emit(bw *bitio.Writer, data []int32) {
+// keys returns the lookup keys emit takes for data: the symbols themselves
+// when the lookup is dense, their ranks in the dictionary otherwise (a
+// binary search each, into buf).
+func (c *coder) keys(data, buf []int32) []int32 {
 	if c.dense {
-		codeVal, codeLen, minS := c.codeVal, c.codeLen, int64(c.minS)
-		for _, v := range data {
-			idx := int64(v) - minS
-			bw.WriteBits(codeVal[idx], uint(codeLen[idx]))
+		return data
+	}
+	for i, v := range data {
+		buf[i] = int32(c.index(v))
+	}
+	return buf
+}
+
+// emit appends the codes of the symbols whose lookup keys are keys
+// (c.keys) to out, most significant bit first and zero-padded to a whole
+// byte: (totalBits+7)/8 bytes, which out must have room for.
+func (c *coder) emit(out []byte, keys []int32) []byte {
+	base := len(out)
+	out = out[:base+(c.totalBits+7)/8]
+	minS := c.minS
+	if !c.dense {
+		minS = 0 // keys are ranks
+	}
+	emitBits(out[base:], keys, c.lookup, minS)
+	return out
+}
+
+// emitBits writes the codes of keys into p, which holds them exactly. The
+// bits collect in a local 64-bit register stored 8 bytes at a time, so a
+// symbol costs one lookup, a shift and an or, and no call.
+func emitBits(p []byte, keys []int32, lookup []uint64, minS int32) {
+	// acc holds n pending bits in its low bits; what lies above them is
+	// left over from a code already stored, and shifts out before acc is.
+	var acc uint64
+	var n uint
+	pos := 0
+	for _, k := range keys {
+		e := lookup[k-minS]
+		if l := uint(e & lenMask); n+l <= 64 {
+			acc = acc<<(e&lenMask) | e>>lenBits
+			n += l
+			continue
 		}
-		return
+		acc, n = storeWord(p[pos:pos+8], acc, n, e)
+		pos += 8
 	}
-	for _, v := range data {
-		i := c.index(v)
-		bw.WriteBits(c.codeVal[i], uint(c.codeLen[i]))
+	tail := acc << (64 - n) // n = 0 shifts all 64 bits out
+	for ; pos < len(p); pos++ {
+		p[pos] = byte(tail >> 56)
+		tail <<= 8
 	}
+}
+
+// storeWord tops the n pending bits of acc up to 64 with the high bits of
+// entry e's code, stores them in w, and returns the code, whose low r bits
+// did not fit, and r. It is emitBits' slow path, taken once per 64 bits.
+func storeWord(w []byte, acc uint64, n uint, e uint64) (uint64, uint) {
+	code, l := e>>lenBits, uint(e&lenMask)
+	r := n + l - 64
+	binary.BigEndian.PutUint64(w, acc<<((l-r)&63)|code>>(r&63))
+	return code, r
 }
 
 // Encode compresses a sequence of int32 symbols into the single-lane format.
@@ -447,12 +534,12 @@ func (s *scratch) appendEncode(dst []byte, data []int32) []byte {
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = c.appendDict(out)
 
-	// Emit the bit stream. The writer appends to the header/dictionary
-	// buffer, which already has room for the exact payload (Σ freq·len), so
-	// the hot loop never reallocates.
-	bw := bitio.NewWriterAppend(out)
-	c.emit(bw, data)
-	return bw.Finish()
+	// The header/dictionary buffer already has room for the exact payload
+	// (Σ freq·len), so the bit stream is written in place.
+	if !c.dense {
+		s.sorted = resize(s.sorted, len(data))
+	}
+	return c.emit(out, c.keys(data, s.sorted))
 }
 
 // Decode reverses Encode, and reads the legacy interleaved format: the

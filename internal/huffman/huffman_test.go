@@ -156,6 +156,15 @@ func FuzzHuffmanRoundTrip(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 0, 0, 1, 255, 255, 255, 255}, []byte{0xFF})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, Encode([]int32{1, 2, 1, 1, 2, 3}))
+	// Fibonacci frequencies: the deepest tree a short input builds, so that
+	// codes straddle the emitter's 64-bit stores.
+	long := longCodes(4000)
+	f.Add([]byte{}, Encode(long))
+	var raw []byte
+	for _, v := range long {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(v))
+	}
+	f.Add(raw, []byte{})
 	f.Fuzz(func(t *testing.T, symRaw, stream []byte) {
 		// Round trip: reinterpret symRaw as int32 symbols.
 		data := make([]int32, len(symRaw)/4)

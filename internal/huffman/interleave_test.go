@@ -40,7 +40,7 @@ func EncodeInterleaved(data []int32, lanes int) []byte {
 			lane = append(lane, data[i])
 		}
 		bw := bitio.NewWriterAppend(payload)
-		c.emit(bw, lane)
+		refEmit(c, bw, lane)
 		out = binary.AppendUvarint(out, uint64(bw.Len()))
 		payload = bw.Finish() // byte-aligns the lane
 	}

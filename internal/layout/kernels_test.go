@@ -138,12 +138,20 @@ func TestMergesMatchReference(t *testing.T) {
 		if err := sameBits(LinearMerge(h, level).Data, refLinearMerge(h, level)); err != nil {
 			t.Fatalf("LinearMerge level %d: %v", level, err)
 		}
-		if err := sameBits(StackMerge(h, level).Data, refStackMerge(h, level)); err != nil {
-			t.Fatalf("StackMerge level %d: %v", level, err)
+		// A padded merge writes the blocks at stride u+1 and fills the pad
+		// layers in place: the bits PadXY gives over the unpadded merge.
+		for _, kind := range []PadKind{PadConstant, PadLinear, PadQuadratic} {
+			m := LevelSource(h, level).Linear(true, kind)
+			if err := sameBits(m.Data, refPadXY(refLinearMerge(h, level), kind)); err != nil || !m.Padded {
+				t.Fatalf("padded Linear kind %d level %d: %v (Padded %v)", kind, level, err, m.Padded)
+			}
 		}
-		z := ZOrderFlatten1D(h, level)
+		if err := sameBits(LevelSource(h, level).Stack().Data, refStackMerge(h, level)); err != nil {
+			t.Fatalf("Stack level %d: %v", level, err)
+		}
+		z := LevelSource(h, level).ZOrder1D()
 		if err := sameBits(z.Data, refZOrderFlatten1D(h, level, z.Blocks)); err != nil {
-			t.Fatalf("ZOrderFlatten1D level %d: %v", level, err)
+			t.Fatalf("ZOrder1D level %d: %v", level, err)
 		}
 	}
 }
@@ -158,8 +166,8 @@ func TestPlacesMatchReference(t *testing.T) {
 			ref   func(*Merged, *field.Field)
 		}{
 			{"linear", LinearMerge(h, level), LinearPlace, refLinearPlace},
-			{"stack", StackMerge(h, level), StackPlace, refStackPlace},
-			{"zorder1d", ZOrderFlatten1D(h, level), ZOrderPlace1D, refZOrderPlace1D},
+			{"stack", LevelSource(h, level).Stack(), StackPlace, refStackPlace},
+			{"zorder1d", LevelSource(h, level).ZOrder1D(), ZOrderPlace1D, refZOrderPlace1D},
 		} {
 			got := field.New(lv.Data.Nx, lv.Data.Ny, lv.Data.Nz)
 			want := field.New(lv.Data.Nx, lv.Data.Ny, lv.Data.Nz)
@@ -250,8 +258,8 @@ func TestLayoutAllocBudgets(t *testing.T) {
 		}{
 			{"LinearPlace", m, LinearPlace},
 			{"LinearPlace from padded", &Merged{Data: padded, U: m.U, Blocks: m.Blocks, Padded: true}, LinearPlace},
-			{"StackPlace", StackMerge(h, level), StackPlace},
-			{"ZOrderPlace1D", ZOrderFlatten1D(h, level), ZOrderPlace1D},
+			{"StackPlace", LevelSource(h, level).Stack(), StackPlace},
+			{"ZOrderPlace1D", LevelSource(h, level).ZOrder1D(), ZOrderPlace1D},
 		} {
 			if n := testing.AllocsPerRun(5, func() {
 				if err := c.place(c.m, dst); err != nil {

@@ -39,21 +39,121 @@ type Merged struct {
 	Padded bool
 }
 
-// gather copies the listed unit blocks of a level into a new u×u×(u·k)
-// array, block i at z = i·u, row by row from the level array.
-func gather(h *grid.Hierarchy, level int, blocks [][3]int) *field.Field {
-	u := h.UnitBlockSize(level)
-	src := h.Levels[level].Data
-	out := field.New(u, u, u*len(blocks))
-	for i, bc := range blocks {
-		field.CopyBlock(out, 0, 0, i*u, src, bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
+// Source is one resolution level's unit blocks as every arrangement reads
+// them: the block grid, which blocks the level owns, and the array the
+// blocks are read from. It is the one seam between the arrangements and
+// where the samples live. A hierarchy level (LevelSource) is its own dense
+// array; a uniform field's ROI levels read their blocks straight out of the
+// field — copied at full rate, or mean-downsampled 2× per axis — so the
+// buffers of a uniform field are built without its hierarchy.
+type Source struct {
+	// U is the unit block edge at this level.
+	U int
+	// NBX, NBY, NBZ are the block-grid dimensions.
+	NBX, NBY, NBZ int
+	// Owned marks, per block (flat index bx + NBX*(by + NBY*bz)), whether
+	// the level owns it.
+	Owned []bool
+	// Data holds block (bx, by, bz) as the region of edge n at
+	// (bx·n, by·n, bz·n), where n is U, or 2U when Halve is set.
+	Data *field.Field
+	// Halve mean-downsamples each 2U-edge region to U (field.DownsampleBlock2,
+	// the restriction grid.SetBlockFromFine applies).
+	Halve bool
+}
+
+// LevelSource reads the unit blocks of hierarchy level l from its dense
+// array.
+func LevelSource(h *grid.Hierarchy, level int) Source {
+	nbx, nby, nbz := h.NumBlocks()
+	lv := h.Levels[level]
+	return Source{U: h.UnitBlockSize(level), NBX: nbx, NBY: nby, NBZ: nbz, Owned: lv.Owned, Data: lv.Data}
+}
+
+// owned reports whether the level owns block (bx, by, bz).
+func (s Source) owned(bx, by, bz int) bool { return s.Owned[bx+s.NBX*(by+s.NBY*bz)] }
+
+// Blocks returns the coordinates of the owned blocks in raster order (z,
+// then y, then x).
+func (s Source) Blocks() [][3]int {
+	k := 0
+	for _, o := range s.Owned {
+		if o {
+			k++
+		}
+	}
+	out := make([][3]int, 0, k)
+	for bz := 0; bz < s.NBZ; bz++ {
+		for by := 0; by < s.NBY; by++ {
+			for bx := 0; bx < s.NBX; bx++ {
+				if s.owned(bx, by, bz) {
+					out = append(out, [3]int{bx, by, bz})
+				}
+			}
+		}
 	}
 	return out
 }
 
-// scatter reverses gather: the u³ block at z = i·u of src lands at block i's
-// domain position in dst. src is read at its own strides, so it may be
-// wider than u in x and y.
+// put writes unit block bc into dst with its origin at (x, y, z). dst is
+// written at its own strides, so it may be wider than the block.
+func (s Source) put(dst *field.Field, x, y, z int, bc [3]int) {
+	s.putBox(dst, x, y, z, Box{bc[0], bc[1], bc[2], 1, 1, 1})
+}
+
+// putBox writes the blocks of box b into dst with its origin at (x, y, z),
+// as one region: the blocks of a box are adjacent in Data, and a 2× mean
+// of the region is the 2× mean of each of its blocks (their edges are
+// even).
+func (s Source) putBox(dst *field.Field, x, y, z int, b Box) {
+	n := s.U
+	if s.Halve {
+		n *= 2
+	}
+	sx, sy, sz, wx, wy, wz := b.X0*n, b.Y0*n, b.Z0*n, b.WX*n, b.WY*n, b.WZ*n
+	if s.Halve {
+		field.DownsampleBlock2(dst, x, y, z, s.Data, sx, sy, sz, wx, wy, wz)
+		return
+	}
+	field.CopyBlock(dst, x, y, z, s.Data, sx, sy, sz, wx, wy, wz)
+}
+
+// Linear is the linear merge of the owned blocks: block i at z = i·u of a
+// u×u×(u·k) array, in raster order, so blocks adjacent along z in the domain
+// often remain adjacent in the merge. With pad the array is (u+1)×(u+1)×(u·k):
+// the blocks are written at stride u+1 and PadXY's +x and +y layers are
+// filled in place. An unowned level gives a Merged with nil Data.
+func (s Source) Linear(pad bool, kind PadKind) *Merged {
+	u := s.U
+	blocks := s.Blocks()
+	if len(blocks) == 0 {
+		return &Merged{U: u}
+	}
+	w := u
+	if pad {
+		w++
+	}
+	out := s.gather(blocks, w)
+	if pad {
+		fillPadXY(out, kind)
+	}
+	return &Merged{Data: out, U: u, Blocks: blocks, Padded: pad}
+}
+
+// gather writes the listed blocks end to end along z into a new w×w×(u·k)
+// array (w ≥ u), block i at z = i·u.
+func (s Source) gather(blocks [][3]int, w int) *field.Field {
+	u := s.U
+	out := field.New(w, w, u*len(blocks))
+	for i, bc := range blocks {
+		s.put(out, 0, 0, i*u, bc)
+	}
+	return out
+}
+
+// scatter writes the u³ block at z = i·u of src to block i's domain
+// position in dst, reversing an unpadded Linear. src is read at its own
+// strides, so it may be wider than u in x and y.
 func scatter(src *field.Field, u int, blocks [][3]int, dst *field.Field) error {
 	for i, bc := range blocks {
 		if err := checkBlockFits(dst, bc, u); err != nil {
@@ -65,17 +165,10 @@ func scatter(src *field.Field, u int, blocks [][3]int, dst *field.Field) error {
 }
 
 // LinearMerge concatenates the owned unit blocks of hierarchy level l along
-// the z axis: the result is u×u×(u·k) for k owned blocks. Blocks appear in
-// raster order, so blocks adjacent along z in the domain often remain
-// adjacent in the merge.
+// the z axis: the result is u×u×(u·k) for k owned blocks (Source.Linear,
+// unpadded).
 func LinearMerge(h *grid.Hierarchy, level int) *Merged {
-	u := h.UnitBlockSize(level)
-	blocks := h.OwnedBlocks(level)
-	k := len(blocks)
-	if k == 0 {
-		return &Merged{Data: nil, U: u}
-	}
-	return &Merged{Data: gather(h, level, blocks), U: u, Blocks: blocks}
+	return LevelSource(h, level).Linear(false, PadConstant)
 }
 
 // LinearPlace writes the merged blocks into dst, a full-domain array at the
@@ -110,26 +203,24 @@ func LinearUnmerge(m *Merged, h *grid.Hierarchy, level int) error {
 	return nil
 }
 
-// StackMerge arranges the owned unit blocks of a level into an m×m×m cubic
-// grid of slots (m = ⌈k^(1/3)⌉), the AMRIC approach. Slots beyond the k real
-// blocks are filled with a copy of the final block so the array stays
-// well-defined; the decoder discards them.
-func StackMerge(h *grid.Hierarchy, level int) *Merged {
-	u := h.UnitBlockSize(level)
-	blocks := h.OwnedBlocks(level)
+// Stack arranges the owned unit blocks into an m×m×m cubic grid of slots
+// (m = ⌈k^(1/3)⌉), the AMRIC approach. Slots beyond the k real blocks are
+// filled with a copy of the final block so the array stays well-defined;
+// the decoder discards them.
+func (s Source) Stack() *Merged {
+	u := s.U
+	blocks := s.Blocks()
 	k := len(blocks)
 	if k == 0 {
-		return &Merged{Data: nil, U: u}
+		return &Merged{U: u}
 	}
 	m := int(math.Ceil(math.Cbrt(float64(k))))
 	out := field.New(u*m, u*m, u*m)
-	src := h.Levels[level].Data
 	slot := 0
 	for sz := 0; sz < m; sz++ {
 		for sy := 0; sy < m; sy++ {
 			for sx := 0; sx < m; sx++ {
-				bc := blocks[min(slot, k-1)]
-				field.CopyBlock(out, sx*u, sy*u, sz*u, src, bc[0]*u, bc[1]*u, bc[2]*u, u, u, u)
+				s.put(out, sx*u, sy*u, sz*u, blocks[min(slot, k-1)])
 				slot++
 			}
 		}
@@ -174,42 +265,38 @@ type Box struct {
 	WX, WY, WZ int // extent in blocks
 }
 
-// TACPartition greedily merges adjacent owned blocks of a level into maximal
-// rectangular boxes (a simplification of TAC's kd-tree merge that preserves
-// its key property: merged regions are spatially contiguous). Boxes are
-// discovered in raster order: grow along x, then extend rows along y, then
-// planes along z.
-func TACPartition(h *grid.Hierarchy, level int) []Box {
-	nbx, nby, nbz := h.NumBlocks()
-	lv := h.Levels[level]
-	owned := func(bx, by, bz int) bool {
-		return lv.Owned[h.BlockIndex(bx, by, bz)]
-	}
+// TACBoxes greedily merges adjacent owned blocks into maximal rectangular
+// boxes (a simplification of TAC's kd-tree merge that preserves its key
+// property: merged regions are spatially contiguous). Boxes are discovered
+// in raster order: grow along x, then extend rows along y, then planes
+// along z.
+func (s Source) TACBoxes() []Box {
+	nbx, nby, nbz := s.NBX, s.NBY, s.NBZ
 	visited := make([]bool, nbx*nby*nbz)
-	vis := func(bx, by, bz int) bool { return visited[h.BlockIndex(bx, by, bz)] }
+	vis := func(bx, by, bz int) bool { return visited[bx+nbx*(by+nby*bz)] }
 	var boxes []Box
 	for bz := 0; bz < nbz; bz++ {
 		for by := 0; by < nby; by++ {
 			for bx := 0; bx < nbx; bx++ {
-				if !owned(bx, by, bz) || vis(bx, by, bz) {
+				if !s.owned(bx, by, bz) || vis(bx, by, bz) {
 					continue
 				}
 				wx := 1
-				for bx+wx < nbx && owned(bx+wx, by, bz) && !vis(bx+wx, by, bz) {
+				for bx+wx < nbx && s.owned(bx+wx, by, bz) && !vis(bx+wx, by, bz) {
 					wx++
 				}
 				wy := 1
-				for by+wy < nby && rowFree(owned, vis, bx, by+wy, bz, wx) {
+				for by+wy < nby && rowFree(s.owned, vis, bx, by+wy, bz, wx) {
 					wy++
 				}
 				wz := 1
-				for bz+wz < nbz && planeFree(owned, vis, bx, by, bz+wz, wx, wy) {
+				for bz+wz < nbz && planeFree(s.owned, vis, bx, by, bz+wz, wx, wy) {
 					wz++
 				}
 				for dz := 0; dz < wz; dz++ {
 					for dy := 0; dy < wy; dy++ {
 						for dx := 0; dx < wx; dx++ {
-							visited[h.BlockIndex(bx+dx, by+dy, bz+dz)] = true
+							visited[bx+dx+nbx*(by+dy+nby*(bz+dz))] = true
 						}
 					}
 				}
@@ -218,6 +305,11 @@ func TACPartition(h *grid.Hierarchy, level int) []Box {
 		}
 	}
 	return boxes
+}
+
+// TACPartition is Source.TACBoxes over hierarchy level l.
+func TACPartition(h *grid.Hierarchy, level int) []Box {
+	return LevelSource(h, level).TACBoxes()
 }
 
 func rowFree(owned, vis func(int, int, int) bool, bx, by, bz, wx int) bool {
@@ -238,11 +330,19 @@ func planeFree(owned, vis func(int, int, int) bool, bx, by, bz, wx, wy int) bool
 	return true
 }
 
+// Box copies the blocks of a box into a standalone field of shape
+// (u·WX, u·WY, u·WZ).
+func (s Source) Box(b Box) *field.Field {
+	u := s.U
+	out := field.New(b.WX*u, b.WY*u, b.WZ*u)
+	s.putBox(out, 0, 0, 0, b)
+	return out
+}
+
 // ExtractBox copies the samples of a box from a level into a standalone
-// field of shape (u·WX, u·WY, u·WZ).
+// field of shape (u·WX, u·WY, u·WZ) (Source.Box).
 func ExtractBox(h *grid.Hierarchy, level int, b Box) *field.Field {
-	u := h.UnitBlockSize(level)
-	return h.Levels[level].Data.SubBlock(b.X0*u, b.Y0*u, b.Z0*u, b.WX*u, b.WY*u, b.WZ*u)
+	return LevelSource(h, level).Box(b)
 }
 
 // InsertBox writes a box's samples back into a level and marks ownership.
@@ -281,25 +381,29 @@ const (
 // analyzed in the paper.
 func PadXY(f *field.Field, kind PadKind) *field.Field {
 	g := field.New(f.Nx+1, f.Ny+1, f.Nz)
-	nx, ny, gx := f.Nx, f.Ny, g.Nx
-	for z := 0; z < f.Nz; z++ {
+	field.CopyBlock(g, 0, 0, 0, f, 0, 0, 0, f.Nx, f.Ny, f.Nz)
+	fillPadXY(g, kind)
+	return g
+}
+
+// fillPadXY fills the last x and y layers of g from the samples before
+// them: each row's +x sample extrapolates the row, then the +y row —
+// including the corner — extrapolates the rows above, whose +x samples are
+// already in place.
+func fillPadXY(g *field.Field, kind PadKind) {
+	nx, ny, gx := g.Nx-1, g.Ny-1, g.Nx
+	for z := 0; z < g.Nz; z++ {
 		plane := g.Data[z*gx*g.Ny : (z+1)*gx*g.Ny]
-		// Interior rows, each with its +x sample.
 		for y := 0; y < ny; y++ {
-			src := f.Data[f.Index(0, y, z):][:nx]
 			row := plane[y*gx:][:gx]
-			copy(row, src)
-			row[nx] = extrapolate(kind, src[nx-1], src[max(nx-2, 0)], src[max(nx-3, 0)])
+			row[nx] = extrapolate(kind, row[nx-1], row[max(nx-2, 0)], row[max(nx-3, 0)])
 		}
-		// +y row, including the new corner: it extrapolates from the rows
-		// above, whose +x samples are already in place.
 		r0, r1, r2 := plane[(ny-1)*gx:], plane[max(ny-2, 0)*gx:], plane[max(ny-3, 0)*gx:]
 		row := plane[ny*gx:][:gx]
 		for x := range row {
 			row[x] = extrapolate(kind, r0[x], r1[x], r2[x])
 		}
 	}
-	return g
 }
 
 // UnpadXY drops the last x and y layers, reversing PadXY.
@@ -352,19 +456,19 @@ func compact(m uint64) uint32 {
 	return uint32(x)
 }
 
-// ZOrderFlatten1D traverses the owned unit blocks of a level in Morton order
-// of their block coordinates and concatenates all samples (raster order
-// within a block) into a 1D field — the zMesh-style layout that sacrifices
-// 3D spatial information for locality across refinement levels.
-func ZOrderFlatten1D(h *grid.Hierarchy, level int) *Merged {
-	u := h.UnitBlockSize(level)
-	blocks := h.OwnedBlocks(level)
+// ZOrder1D traverses the owned unit blocks in Morton order of their block
+// coordinates and concatenates all samples (raster order within a block)
+// into a 1D field — the zMesh-style layout that sacrifices 3D spatial
+// information for locality across refinement levels.
+func (s Source) ZOrder1D() *Merged {
+	u := s.U
+	blocks := s.Blocks()
 	if len(blocks) == 0 {
-		return &Merged{Data: nil, U: u}
+		return &Merged{U: u}
 	}
 	sortBlocksMorton(blocks)
 	// Blocks end to end in raster order are a linear merge read flat.
-	out := gather(h, level, blocks)
+	out := s.gather(blocks, u)
 	out.Nx, out.Ny, out.Nz = out.Len(), 1, 1
 	return &Merged{Data: out, U: u, Blocks: blocks}
 }

@@ -83,7 +83,7 @@ func TestLinearMergeRoundTrip(t *testing.T) {
 func TestStackMergeRoundTrip(t *testing.T) {
 	h := testHierarchy(t, 2)
 	for level := range h.Levels {
-		m := StackMerge(h, level)
+		m := LevelSource(h, level).Stack()
 		// Cubic shape.
 		if m.Data.Nx != m.Data.Ny || m.Data.Ny != m.Data.Nz {
 			t.Fatalf("stack merge not cubic: %v", m.Data)
@@ -249,7 +249,7 @@ func TestMortonOrderLocality(t *testing.T) {
 func TestZOrderFlattenRoundTrip(t *testing.T) {
 	h := testHierarchy(t, 6)
 	for level := range h.Levels {
-		m := ZOrderFlatten1D(h, level)
+		m := LevelSource(h, level).ZOrder1D()
 		if m.Data.Ny != 1 || m.Data.Nz != 1 {
 			t.Fatalf("flattened field not 1D: %v", m.Data)
 		}
@@ -273,7 +273,7 @@ func TestEmptyLevelMerges(t *testing.T) {
 	if m := LinearMerge(h, 0); m.Data != nil {
 		t.Fatal("empty level should merge to nil")
 	}
-	if m := StackMerge(h, 0); m.Data != nil {
+	if m := LevelSource(h, 0).Stack(); m.Data != nil {
 		t.Fatal("empty level should stack to nil")
 	}
 	if boxes := TACPartition(h, 0); len(boxes) != 0 {

@@ -18,8 +18,8 @@ func TestPlaceMatchesUnmerge(t *testing.T) {
 	}
 	variants := []variant{
 		{"linear", func(l int) *Merged { return LinearMerge(h, l) }, LinearPlace},
-		{"stack", func(l int) *Merged { return StackMerge(h, l) }, StackPlace},
-		{"zorder1d", func(l int) *Merged { return ZOrderFlatten1D(h, l) }, ZOrderPlace1D},
+		{"stack", func(l int) *Merged { return LevelSource(h, l).Stack() }, StackPlace},
+		{"zorder1d", func(l int) *Merged { return LevelSource(h, l).ZOrder1D() }, ZOrderPlace1D},
 	}
 	for _, v := range variants {
 		for level := range h.Levels {

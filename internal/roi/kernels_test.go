@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/grid"
+	"repro/internal/layout"
 	"repro/internal/raceflag"
 	"repro/internal/synth"
 )
@@ -116,6 +117,66 @@ func TestConvertMatchesReference(t *testing.T) {
 				for i, v := range want.Levels[l].Data.Data {
 					if g := got.Levels[l].Data.Data[i]; math.Float64bits(g) != math.Float64bits(v) {
 						t.Fatalf("b=%d frac=%g level %d sample %d: %g, reference %g", b, frac, l, i, g, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same shape and sample bits.
+func sameBits(a, b *field.Field) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	if a == nil {
+		return true
+	}
+	if a.Nx != b.Nx || a.Ny != b.Ny || a.Nz != b.Nz {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSourcesMatchConvert: arranging the selection's sources, which read
+// the field in place, gives the bits arranging Convert's hierarchy gives,
+// for every arrangement — NaN, ±Inf and -0 samples included.
+func TestSourcesMatchConvert(t *testing.T) {
+	f := nastyUniform(2)
+	for _, b := range []int{8, 16} {
+		for _, frac := range []float64{0.1, 0.5, 0.97, 1} {
+			sel, err := Scan(f, Options{BlockB: b, TopFrac: frac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := Convert(f, Options{BlockB: b, TopFrac: frac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, got := range sel.Sources(f) {
+				want := layout.LevelSource(h, l)
+				for name, arrange := range map[string]func(layout.Source) *layout.Merged{
+					"linear": func(s layout.Source) *layout.Merged { return s.Linear(false, layout.PadLinear) },
+					"padded": func(s layout.Source) *layout.Merged { return s.Linear(true, layout.PadLinear) },
+					"stack":  layout.Source.Stack,
+					"zorder": layout.Source.ZOrder1D,
+				} {
+					if !sameBits(arrange(got).Data, arrange(want).Data) {
+						t.Fatalf("b=%d frac=%g level %d %s: buffers differ", b, frac, l, name)
+					}
+				}
+				boxes := want.TACBoxes()
+				if len(got.TACBoxes()) != len(boxes) {
+					t.Fatalf("b=%d frac=%g level %d: %d TAC boxes, want %d", b, frac, l, len(got.TACBoxes()), len(boxes))
+				}
+				for _, bx := range boxes {
+					if !sameBits(got.Box(bx), want.Box(bx)) {
+						t.Fatalf("b=%d frac=%g level %d box %+v differs", b, frac, l, bx)
 					}
 				}
 			}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/grid"
+	"repro/internal/layout"
 )
 
 // Options configures ROI extraction.
@@ -34,25 +35,72 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Select returns the per-block ROI mask (flat raster block index order) for
-// the field: true for blocks whose value range is in the top TopFrac.
-func Select(f *field.Field, opt Options) ([]bool, error) {
+// Selection is the outcome of the range scan over a uniform field: which
+// blocks are kept at full resolution, and each block's extremes
+// (field.BlockExtremes), which also give the value range of either level
+// without building it.
+type Selection struct {
+	// BlockB is the block edge in fine cells.
+	BlockB int
+	// NBX, NBY, NBZ are the block-grid dimensions.
+	NBX, NBY, NBZ int
+	// Mask is true, per block (flat raster index), for ROI blocks (level 0);
+	// the rest are level 1.
+	Mask []bool
+	// Lo and Hi are each block's extremes, as field.BlockExtremes gives them.
+	Lo, Hi []float64
+}
+
+// Scan runs the ROI selection: one range scan of each block in place, then
+// the ranking.
+func Scan(f *field.Field, opt Options) (*Selection, error) {
 	opt.setDefaults()
-	if opt.TopFrac < 0 || opt.TopFrac > 1 {
+	if !(opt.TopFrac >= 0 && opt.TopFrac <= 1) {
 		return nil, fmt.Errorf("roi: TopFrac %g out of [0,1]", opt.TopFrac)
 	}
 	b := opt.BlockB
 	if f.Nx%b != 0 || f.Ny%b != 0 || f.Nz%b != 0 {
 		return nil, fmt.Errorf("roi: dims %dx%dx%d not multiples of block %d", f.Nx, f.Ny, f.Nz, b)
 	}
-	order := grid.RankBlocks(f, b)
+	if err := grid.CheckBlockB(b); err != nil {
+		return nil, err
+	}
+	s := &Selection{BlockB: b, NBX: f.Nx / b, NBY: f.Ny / b, NBZ: f.Nz / b}
+	s.Lo, s.Hi = grid.BlockExtremes(f, b)
+	order := grid.RankExtremes(s.Lo, s.Hi)
 	n := len(order)
 	keep := int(opt.TopFrac*float64(n) + 0.5)
-	mask := make([]bool, n)
+	s.Mask = make([]bool, n)
 	for i := 0; i < keep; i++ {
-		mask[order[i]] = true
+		s.Mask[order[i]] = true
 	}
-	return mask, nil
+	return s, nil
+}
+
+// Select returns the per-block ROI mask (flat raster block index order) for
+// the field: true for blocks whose value range is in the top TopFrac.
+func Select(f *field.Field, opt Options) ([]bool, error) {
+	s, err := Scan(f, opt)
+	if err != nil {
+		return nil, err
+	}
+	return s.Mask, nil
+}
+
+// Sources returns the two levels Convert would build from f, as layout
+// sources reading f in place: level 0 copies the ROI blocks, level 1
+// mean-downsamples the rest 2× per axis. Arranging them gives the buffers
+// arranging Convert's hierarchy gives, without the hierarchy's dense
+// full-domain arrays.
+func (s *Selection) Sources(f *field.Field) []layout.Source {
+	rest := make([]bool, len(s.Mask))
+	for i, m := range s.Mask {
+		rest[i] = !m
+	}
+	src := layout.Source{U: s.BlockB, NBX: s.NBX, NBY: s.NBY, NBZ: s.NBZ, Owned: s.Mask, Data: f}
+	half := src
+	half.U, half.Owned, half.Halve = s.BlockB/2, rest, true
+	return []layout.Source{src, half}
 }
 
 // Convert turns a uniform field into a two-level adaptive hierarchy: ROI

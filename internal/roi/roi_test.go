@@ -50,6 +50,12 @@ func TestSelectValidation(t *testing.T) {
 	if _, err := Select(g, Options{BlockB: 16, TopFrac: 1.5}); err == nil {
 		t.Fatal("TopFrac > 1 accepted")
 	}
+	if _, err := Select(g, Options{BlockB: 16, TopFrac: math.NaN()}); err == nil {
+		t.Fatal("TopFrac NaN accepted")
+	}
+	if _, err := Select(field.New(48, 48, 48), Options{BlockB: 12}); err == nil {
+		t.Fatal("BlockB 12 accepted")
+	}
 }
 
 func TestConvertStructure(t *testing.T) {

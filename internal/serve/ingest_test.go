@@ -132,6 +132,50 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsBadBoundsAndROI: a bound that is NaN or infinite, and a
+// roifrac of 0 or NaN, answer 400 — they used to answer 201 and install a
+// container every GET then failed on (500 "sz3: invalid eb in table"), or
+// silently compress at roifrac 0.5 — and a rejected replace leaves the
+// installed container serving.
+func TestIngestRejectsBadBoundsAndROI(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	f := synth.Generate(synth.Nyx, 32, 3)
+	if code, body := doPut(t, ts.URL+"/v1/field/a", rawFieldBody(t, f)); code != http.StatusCreated {
+		t.Fatalf("good PUT: %d %s", code, body)
+	}
+	want := expectedLevels(t, f)
+	for _, q := range []string{"eb=NaN", "releb=NaN", "eb=Inf", "releb=%2BInf", "eb=-0", "roifrac=0", "roifrac=NaN", "roifrac=1.5"} {
+		for _, id := range []string{"a", "fresh"} {
+			code, body := doPut(t, ts.URL+"/v1/field/"+id+"?"+q, rawFieldBody(t, f))
+			if code != http.StatusBadRequest {
+				t.Fatalf("PUT %s?%s: %d %s, want 400", id, q, code, body)
+			}
+			key := strings.SplitN(q, "=", 2)[0]
+			if !strings.Contains(string(body), key) {
+				t.Fatalf("PUT %s?%s: body %q does not name %s", id, q, body, key)
+			}
+		}
+	}
+	for li, w := range want {
+		code, lvl, _ := get(t, fmt.Sprintf("%s/v1/field/a/level/%d", ts.URL, li))
+		if code != http.StatusOK || !parseRawField(t, lvl).Equal(w) {
+			t.Fatalf("level %d after rejected replaces: %d, or not the installed data", li, code)
+		}
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/field/fresh/level/0"); code != http.StatusNotFound {
+		t.Fatalf("rejected PUTs installed a field: level 0 answers %d", code)
+	}
+	if code, body := doPut(t, ts.URL+"/v1/field/a?roifrac=1", rawFieldBody(t, f)); code != http.StatusOK {
+		t.Fatalf("roifrac=1: %d %s", code, body)
+	}
+}
+
 func TestIngestRejections(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{Dir: dir, CacheBytes: 64 << 20, MaxIngestBytes: 64 << 10}) // 64 KiB ingest cap

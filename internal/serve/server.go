@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -773,17 +774,20 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 		sort.Strings(unknown)
 		return opt, fmt.Errorf("unknown query parameter %s (accepted: %s)", strings.Join(unknown, ", "), strings.Join(ingestParams, ", "))
 	}
+	// A bound must be finite and positive: NaN fails every comparison, so
+	// a `f <= 0` check would let it through to a container no reader can
+	// open.
 	if v := q.Get("releb"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			return opt, fmt.Errorf("bad releb %q", v)
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
+			return opt, fmt.Errorf("bad releb %q: want a finite positive number", v)
 		}
 		opt.RelEB = f
 	}
 	if v := q.Get("eb"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			return opt, fmt.Errorf("bad eb %q", v)
+		if err != nil || !(f > 0) || math.IsInf(f, 1) {
+			return opt, fmt.Errorf("bad eb %q: want a finite positive number", v)
 		}
 		opt.EB, opt.RelEB = f, 0
 	}
@@ -813,9 +817,11 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 		opt.ROIBlockB = n
 	}
 	if v := q.Get("roifrac"); v != "" {
+		// 0 is not "the default" here, as it is to package roi: a client
+		// asking for no ROI must not get half the blocks.
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
-			return opt, fmt.Errorf("bad roifrac %q", v)
+		if err != nil || !(f > 0 && f <= 1) {
+			return opt, fmt.Errorf("bad roifrac %q: want a fraction in (0, 1]", v)
 		}
 		opt.ROITopFrac = f
 	}

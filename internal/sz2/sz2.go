@@ -101,7 +101,7 @@ func resize[T any](s []T, n int) []T {
 
 // Compress encodes the field under opt.
 func Compress(f *field.Field, opt Options) ([]byte, error) {
-	if opt.EB <= 0 {
+	if !(opt.EB > 0) {
 		return nil, errors.New("sz2: error bound must be positive")
 	}
 	bs := opt.BlockSize

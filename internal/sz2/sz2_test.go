@@ -203,6 +203,9 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Compress(f, Options{EB: 0}); err == nil {
 		t.Fatal("expected error for zero eb")
 	}
+	if _, err := Compress(f, Options{EB: math.NaN()}); err == nil {
+		t.Fatal("expected error for NaN eb")
+	}
 	if _, err := Compress(f, Options{EB: 1, BlockSize: 1}); err == nil {
 		t.Fatal("expected error for block size 1")
 	}

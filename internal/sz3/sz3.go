@@ -114,7 +114,7 @@ func Codes(f *field.Field, opt Options) ([]int32, error) {
 
 // buildEBTable validates opt and materializes the per-level error bounds.
 func buildEBTable(f *field.Field, opt Options) ([]float64, int, error) {
-	if opt.EB <= 0 {
+	if !(opt.EB > 0) {
 		return nil, 0, errors.New("sz3: error bound must be positive")
 	}
 	maxLevel := MaxLevelFor(f.Nx, f.Ny, f.Nz)
@@ -125,7 +125,7 @@ func buildEBTable(f *field.Field, opt Options) ([]float64, int, error) {
 		} else {
 			ebTable[l] = opt.EB
 		}
-		if ebTable[l] <= 0 {
+		if !(ebTable[l] > 0) {
 			return nil, 0, fmt.Errorf("sz3: non-positive level eb at level %d", l)
 		}
 	}

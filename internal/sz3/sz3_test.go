@@ -168,6 +168,11 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Compress(f, Options{EB: 0}); err == nil {
 		t.Fatal("expected error for zero eb")
 	}
+	// NaN fails every comparison: the write-side check must reject it as
+	// the decoder does, not write an eb table no decoder accepts.
+	if _, err := Compress(f, Options{EB: math.NaN()}); err == nil {
+		t.Fatal("expected error for NaN eb")
+	}
 	if _, err := Decompress([]byte{1, 2, 3}); err == nil {
 		t.Fatal("expected error for garbage input")
 	}

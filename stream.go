@@ -12,7 +12,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/roi"
+	"repro/internal/core"
 	"repro/internal/writer"
 )
 
@@ -34,20 +34,16 @@ type WriteResult struct {
 // CompressTo converts a uniform field to adaptive multi-resolution data via
 // ROI extraction and streams the compressed container to w. Options that
 // only affect decode-side processing (PostProcess, Uncertainty) are ignored
-// here — they never change the container bytes.
+// here — they never change the container bytes. The levels are arranged
+// straight from f, without building the hierarchy; the bytes are those
+// CompressAMRTo writes for ConvertROI's hierarchy.
 func CompressTo(f *Field, opt Options, w io.Writer) (*WriteResult, error) {
-	t0 := time.Now()
-	h, err := roi.Convert(f, roi.Options{BlockB: opt.ROIBlockB, TopFrac: opt.ROITopFrac})
+	var res WriteResult
+	prep, _, err := opt.prepareUniform(f, &res.Timing)
 	if err != nil {
 		return nil, err
 	}
-	troi := time.Since(t0)
-	res, err := CompressAMRTo(h, opt, w)
-	if err != nil {
-		return nil, err
-	}
-	res.Timing.ROI = troi
-	return res, nil
+	return res.write(prep, w)
 }
 
 // CompressAMRTo streams the compressed container for existing
@@ -58,6 +54,11 @@ func CompressAMRTo(h *Hierarchy, opt Options, w io.Writer) (*WriteResult, error)
 	if err != nil {
 		return nil, err
 	}
+	return res.write(prep, w)
+}
+
+// write runs the compression stage of a prepared input into w.
+func (res *WriteResult) write(prep *core.Prepared, w io.Writer) (*WriteResult, error) {
 	t0 := time.Now()
 	wr, err := prep.CompressTo(w)
 	if err != nil {
@@ -66,8 +67,8 @@ func CompressAMRTo(h *Hierarchy, opt Options, w io.Writer) (*WriteResult, error)
 	res.Timing.Compress = time.Since(t0)
 	res.Bytes = wr.Bytes
 	res.LevelBytes = wr.LevelBytes
-	res.CompressionRatio = float64(h.PayloadBytes()) / float64(wr.Bytes)
-	return &res, nil
+	res.CompressionRatio = float64(prep.PayloadBytes()) / float64(wr.Bytes)
+	return res, nil
 }
 
 // CompressToFile is CompressTo into path, written atomically: the container

@@ -72,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/cache"
@@ -128,9 +129,16 @@ const (
 // Options configures the workflow. The zero value plus an error bound gives
 // the paper's recommended configuration (SZ3MR with post-processing off).
 type Options struct {
-	// EB is the absolute error bound. Exactly one of EB / RelEB must be set.
+	// EB is the absolute error bound, finite and positive. Exactly one of
+	// EB / RelEB must be set.
 	EB float64
-	// RelEB, if nonzero, sets EB = RelEB × value range of the input.
+	// RelEB, if nonzero, sets EB = RelEB × the value range of the levels as
+	// stored: the widest max − min over the hierarchy's levels, each taken
+	// over the level's full-domain array — its owned samples and the zero
+	// samples of the blocks it does not own (NaN samples are skipped). For
+	// a uniform input the levels are the ROI levels (full-resolution ROI
+	// blocks, 2×-downsampled rest), not the input itself. The bound must
+	// come out finite and positive.
 	RelEB float64
 	// Compressor selects the backend (default SZ3).
 	Compressor Compressor
@@ -240,77 +248,153 @@ type Timing struct {
 }
 
 // CompressUniform converts a uniform field to adaptive multi-resolution data
-// via ROI extraction and runs the workflow on it.
+// via ROI extraction and runs the workflow on it. The two levels are
+// arranged straight from f (prepareUniform); the container is the one
+// CompressAMR writes for ConvertROI's hierarchy.
 func CompressUniform(f *Field, opt Options) (*Result, error) {
-	t0 := time.Now()
-	h, err := roi.Convert(f, roi.Options{BlockB: opt.ROIBlockB, TopFrac: opt.ROITopFrac})
+	var res Result
+	prep, eb, err := opt.prepareUniform(f, &res.Timing)
 	if err != nil {
 		return nil, err
 	}
-	troi := time.Since(t0)
-	res, err := compressAMR(h, f, opt)
-	if err != nil {
-		return nil, err
-	}
-	res.Timing.ROI = troi
-	return res, nil
+	return res.run(prep, eb, opt, func() *Field { return f })
 }
 
-// resolveEB turns the EB/RelEB pair into the absolute bound for h.
-func (o Options) resolveEB(h *Hierarchy) (float64, error) {
+// bound is the one place the EB/RelEB pair becomes the absolute bound.
+// rng, called only under RelEB, returns the widest value range over the
+// levels as stored (resolveEB's range). A bound that is not finite and
+// positive — a NaN or infinite EB, or RelEB over a range an infinite sample
+// made infinite — is rejected: no codec can honour it, and no reader could
+// open what it would write.
+func (o Options) bound(rng func() float64) (float64, error) {
 	eb := o.EB
 	if o.RelEB != 0 {
 		if o.EB != 0 {
 			return 0, errors.New("repro: set exactly one of EB and RelEB")
 		}
-		rng := 0.0
-		for li := range h.Levels {
-			if r := h.Levels[li].Data.ValueRange(); r > rng {
-				rng = r
-			}
-		}
-		eb = o.RelEB * rng
+		eb = o.RelEB * rng()
 	}
-	if eb <= 0 {
-		return 0, errors.New("repro: error bound must be positive")
+	if !(eb > 0) || math.IsInf(eb, 1) {
+		return 0, fmt.Errorf("repro: error bound %g must be finite and positive", eb)
 	}
 	return eb, nil
 }
 
+// widest folds level ranges the way resolveEB always has: the largest, with
+// a NaN range (an infinite level's) skipped.
+func widest(ranges ...float64) float64 {
+	rng := 0.0
+	for _, r := range ranges {
+		if r > rng {
+			rng = r
+		}
+	}
+	return rng
+}
+
+// resolveEB turns the EB/RelEB pair into the absolute bound for h. Each
+// level's range is taken over its dense array: the owned samples, and the
+// zeros of the blocks it does not own.
+func (o Options) resolveEB(h *Hierarchy) (float64, error) {
+	return o.bound(func() float64 {
+		ranges := make([]float64, len(h.Levels))
+		for li, lv := range h.Levels {
+			ranges[li] = lv.Data.ValueRange()
+		}
+		return widest(ranges...)
+	})
+}
+
+// denseRange is ValueRange of a level's dense array given the extremes of
+// its owned samples: a block the level does not own reads as zeros there.
+func denseRange(lo, hi float64, unowned bool) float64 {
+	if unowned {
+		lo, hi = field.FoldRange(lo, hi, 0, 0)
+	}
+	lo, hi = field.FinishRange(lo, hi)
+	return hi - lo
+}
+
 // CompressAMR runs the workflow on existing multi-resolution data.
 func CompressAMR(h *Hierarchy, opt Options) (*Result, error) {
-	return compressAMR(h, nil, opt)
-}
-
-// prepare is the step every compress entry point shares: it resolves the
-// error bound for h, builds the core options and runs the pre-processing
-// stage, timed into t.Preprocess. It returns the bound it resolved.
-func (o Options) prepare(h *Hierarchy, t *Timing) (*core.Prepared, float64, error) {
-	eb, err := o.resolveEB(h)
-	if err != nil {
-		return nil, 0, err
-	}
-	co, err := o.coreOptions(eb)
-	if err != nil {
-		return nil, 0, err
-	}
-	t0 := time.Now()
-	prep, err := core.Prepare(h, co)
-	t.Preprocess = time.Since(t0)
-	return prep, eb, err
-}
-
-// compressAMR is the workflow after ROI extraction: each stage — compress,
-// decode (post-processed when asked), flatten, quality, uncertainty — runs
-// once. ref is the field quality is measured against: the uniform input, or
-// nil for the flattened input hierarchy.
-func compressAMR(h *Hierarchy, ref *Field, opt Options) (*Result, error) {
 	var res Result
 	prep, eb, err := opt.prepare(h, &res.Timing)
 	if err != nil {
 		return nil, err
 	}
+	return res.run(prep, eb, opt, h.Flatten)
+}
 
+// prepare is the step every hierarchy compress entry point shares: it
+// builds the core options, resolves the error bound for h and runs the
+// pre-processing stage, timed into t.Preprocess. It returns the bound it
+// resolved.
+func (o Options) prepare(h *Hierarchy, t *Timing) (*core.Prepared, float64, error) {
+	co, err := o.coreOptions(0)
+	if err != nil {
+		return nil, 0, err
+	}
+	if co.EB, err = o.resolveEB(h); err != nil {
+		return nil, 0, err
+	}
+	t0 := time.Now()
+	prep, err := core.Prepare(h, co)
+	t.Preprocess = time.Since(t0)
+	return prep, co.EB, err
+}
+
+// prepareUniform is prepare for a uniform field, without its hierarchy: the
+// ROI selection scans each block's extremes in place (t.ROI), and the two
+// levels are arranged from f through roi's layout sources (t.Preprocess),
+// so each kept sample is copied once, into its codec buffer. The bound is
+// the one resolveEB gives for ConvertROI's hierarchy: level 0's range comes
+// from the selection's block extremes, level 1's from one scan of its
+// arranged buffer (⅛ of the samples), and each level's dense zeros count
+// when the other level owns any block.
+func (o Options) prepareUniform(f *Field, t *Timing) (*core.Prepared, float64, error) {
+	t0 := time.Now()
+	sel, err := roi.Scan(f, roi.Options{BlockB: o.ROIBlockB, TopFrac: o.ROITopFrac})
+	if err != nil {
+		return nil, 0, err
+	}
+	t.ROI = time.Since(t0)
+	co, err := o.coreOptions(0)
+	if err != nil {
+		return nil, 0, err
+	}
+	t0 = time.Now()
+	prep, err := core.PrepareSources(f.Nx, f.Ny, f.Nz, sel.BlockB, sel.Sources(f), co)
+	if err != nil {
+		return nil, 0, err
+	}
+	eb, err := o.bound(func() float64 {
+		lo0, hi0 := math.Inf(1), math.Inf(-1)
+		kept := 0
+		for i, m := range sel.Mask {
+			if m {
+				lo0, hi0 = field.FoldRange(lo0, hi0, sel.Lo[i], sel.Hi[i])
+				kept++
+			}
+		}
+		lo1, hi1 := prep.LevelExtremes(1)
+		return widest(denseRange(lo0, hi0, kept < len(sel.Mask)), denseRange(lo1, hi1, kept > 0))
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := prep.SetEB(eb); err != nil {
+		return nil, 0, err
+	}
+	t.Preprocess = time.Since(t0)
+	return prep, eb, nil
+}
+
+// run is the workflow after pre-processing: each stage — compress, decode
+// (post-processed when asked), flatten, quality, uncertainty — runs once.
+// ref returns the field quality is measured against: the uniform input, or
+// the flattened input hierarchy.
+func (res *Result) run(prep *core.Prepared, eb float64, opt Options, ref func() *Field) (*Result, error) {
+	var err error
 	if opt.PostProcess {
 		t0 := time.Now()
 		res.Intensities, err = prep.FindIntensities()
@@ -327,7 +411,7 @@ func compressAMR(h *Hierarchy, ref *Field, opt Options) (*Result, error) {
 	}
 	res.Timing.Compress = time.Since(t0)
 	res.Blob = c.Blob
-	res.CompressionRatio = c.Ratio(h)
+	res.CompressionRatio = float64(prep.PayloadBytes()) / float64(c.Size())
 
 	t0 = time.Now()
 	if opt.PostProcess {
@@ -341,17 +425,15 @@ func compressAMR(h *Hierarchy, ref *Field, opt Options) (*Result, error) {
 	res.Timing.Decompress = time.Since(t0)
 
 	res.Recon = res.Hierarchy.Flatten()
-	if ref == nil {
-		ref = h.Flatten()
-	}
-	res.PSNR = metrics.PSNR(ref, res.Recon)
-	res.SSIM = metrics.SSIMCentral(ref, res.Recon)
+	rf := ref()
+	res.PSNR = metrics.PSNR(rf, res.Recon)
+	res.SSIM = metrics.SSIMCentral(rf, res.Recon)
 	if opt.Uncertainty {
 		if err := res.analyzeUncertainty(eb, opt.IsoValue); err != nil {
 			return nil, err
 		}
 	}
-	return &res, nil
+	return res, nil
 }
 
 // analyzeUncertainty models the compression error from eb, the bound the
