@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
 
@@ -56,7 +55,12 @@ func (flateCodec) Decompress(data []byte) (*field.Field, error) {
 	// raw size any intact payload can declare — a corrupt header claiming
 	// huge dimensions is rejected before the field is allocated.
 	maxRaw := int64(len(body))*1032 + 64
-	f, err := field.ReadFromLimit(flate.NewReader(bytes.NewReader(body)), maxRaw)
+	in, err := flatepool.Inflate(body)
+	if err != nil {
+		return nil, fmt.Errorf("flate: %w", err)
+	}
+	defer in.Release()
+	f, err := field.ReadFromLimit(bytes.NewReader(in.Bytes()), maxRaw)
 	if err != nil {
 		return nil, fmt.Errorf("flate: %w", err)
 	}

@@ -16,7 +16,7 @@
 //   - calls into blocking or decode-heavy packages: os, io, io/fs, bufio,
 //     net, net/http, compress/flate, compress/gzip, and the repro decode
 //     stack (internal/core, codec, reader, field, cache, sz2, sz3, zfp,
-//     huffman, writer)
+//     huffman, flatepool, writer)
 //   - Lock/RLock on a second mutex (lock-order inversion risk — the
 //     cross-shard half of the PR 3 class)
 //
@@ -55,16 +55,17 @@ var deniedPkgs = map[string]bool{
 	"compress/flate": true,
 	"compress/gzip":  true,
 
-	"repro/internal/core":    true,
-	"repro/internal/codec":   true,
-	"repro/internal/reader":  true,
-	"repro/internal/field":   true,
-	"repro/internal/cache":   true,
-	"repro/internal/sz2":     true,
-	"repro/internal/sz3":     true,
-	"repro/internal/zfp":     true,
-	"repro/internal/huffman": true,
-	"repro/internal/writer":  true,
+	"repro/internal/core":      true,
+	"repro/internal/codec":     true,
+	"repro/internal/reader":    true,
+	"repro/internal/field":     true,
+	"repro/internal/cache":     true,
+	"repro/internal/sz2":       true,
+	"repro/internal/sz3":       true,
+	"repro/internal/zfp":       true,
+	"repro/internal/huffman":   true,
+	"repro/internal/flatepool": true,
+	"repro/internal/writer":    true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -4,6 +4,8 @@ package positive
 import (
 	"os"
 	"sync"
+
+	"repro/internal/flatepool"
 )
 
 type server struct {
@@ -48,4 +50,17 @@ func (r *registry) rlocked(path string) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	os.Stat(path) // want `call to os.Stat while holding r\.mu`
+}
+
+// inflateHold decodes a stream under the lock: flatepool is the DEFLATE
+// decoder.
+func (s *server) inflateHold(key string) int {
+	s.mu.Lock()
+	in, err := flatepool.Inflate(s.data[key]) // want `call to repro/internal/flatepool\.Inflate while holding s\.mu`
+	s.mu.Unlock()
+	if err != nil {
+		return 0
+	}
+	defer in.Release()
+	return len(in.Bytes())
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestRetbuf(t *testing.T) {
-	linttest.Run(t, linttest.Testdata(t), retbuf.Analyzer, "repro/internal/bitio", "repro/internal/sz2", "coldpkg")
+	linttest.Run(t, linttest.Testdata(t), retbuf.Analyzer, "repro/internal/bitio", "repro/internal/sz2", "repro/internal/flatepool", "coldpkg")
 }

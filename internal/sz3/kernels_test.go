@@ -396,7 +396,9 @@ func TestHostileEscapeCount(t *testing.T) {
 
 // TestAllocBudget holds Compress and Decompress to a fixed handful of
 // allocations per stream: the arrays, the entropy coder's tables, and what
-// compress/flate allocates per block — nothing per sample or per symbol.
+// compress/flate's writer allocates per block — nothing per sample or per
+// symbol. Inflating allocates nothing, since the decoder and its output
+// buffer are pooled: a decode measured 6.
 func TestAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("malloc counts are not meaningful under the race detector")
@@ -431,7 +433,7 @@ func TestAllocBudget(t *testing.T) {
 		if _, err := Decompress(blob); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 120 {
-		t.Errorf("Decompress allocates %v times per stream, budget 120", n)
+	}); n > 12 {
+		t.Errorf("Decompress allocates %v times per stream, budget 12", n)
 	}
 }
