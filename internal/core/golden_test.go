@@ -32,23 +32,30 @@ func goldenHierarchy(t *testing.T) (*grid.Hierarchy, float64) {
 }
 
 // goldenCases are the committed container fixtures: one per backend
-// (locking each codec's container path byte-for-byte across refactors)
-// plus a mixed-codec container exercising the per-level override format.
+// (locking each codec's container path byte-for-byte across refactors),
+// a mixed-codec container exercising the per-level override format, and
+// one per remaining merged arrangement (stack, Morton 1D). crcs says the
+// fixture's footer carries stream CRCs: the first four predate them.
 var goldenCases = []struct {
 	name string
 	file string
 	opts func(eb float64) Options
+	crcs bool
 }{
-	{"tac-sz3", "golden-tac-sz3-v3.mrw", TACSZ3Options},
-	{"linear-sz2", "golden-linear-sz2-v3.mrw", AMRICSZ2Options},
-	{"linear-zfp", "golden-linear-zfp-v3.mrw", MRZFPOptions},
+	{"tac-sz3", "golden-tac-sz3-v3.mrw", TACSZ3Options, false},
+	{"linear-sz2", "golden-linear-sz2-v3.mrw", AMRICSZ2Options, false},
+	{"linear-zfp", "golden-linear-zfp-v3.mrw", MRZFPOptions, false},
 	// Fine level error-bounded sz3, coarse level lossless flate: the
 	// canonical mixed-precision configuration, written as format v4.
 	{"mixed-sz3-flate", "golden-mixed-sz3-flate-v4.mrw", func(eb float64) Options {
 		o := SZ3MROptions(eb)
 		o.LevelCodecs = map[int]Compressor{1: Flate}
 		return o
-	}},
+	}, false},
+	{"stack-sz3", "golden-stack-sz3-v3.mrw", AMRICSZ3Options, true},
+	{"zorder1d-sz3", "golden-zorder1d-sz3-v3.mrw", func(eb float64) Options {
+		return Options{EB: eb, Compressor: SZ3, Arrangement: ArrangeZOrder1D}
+	}, true},
 }
 
 // TestGoldenContainer locks the container bodies — header layout, every
@@ -56,7 +63,8 @@ var goldenCases = []struct {
 // against every committed fixture, and pins the footer transition: the
 // writer emits the checked footer (per-stream CRCs) over an unchanged body,
 // while the committed fixtures' original footers must keep parsing — with
-// verification reported unavailable — and decoding.
+// verification reported available exactly where the fixture's footer has
+// it — and decoding.
 func TestGoldenContainer(t *testing.T) {
 	h, eb := goldenHierarchy(t)
 	for _, gc := range goldenCases {
@@ -104,13 +112,14 @@ func TestGoldenContainer(t *testing.T) {
 				}
 			}
 			// The fixture's original footer still parses, reports
-			// verification unavailable, and locates the same streams.
+			// verification as its footer version has it, and locates the
+			// same streams.
 			wantIx, err := index.ReadFrom(bytes.NewReader(want), int64(len(want)))
 			if err != nil {
 				t.Fatalf("parse fixture footer: %v", err)
 			}
-			if wantIx.StreamCRCs {
-				t.Fatal("committed fixture footer unexpectedly reports stream CRCs")
+			if wantIx.StreamCRCs != gc.crcs {
+				t.Fatalf("committed fixture footer reports stream CRCs %v, want %v", wantIx.StreamCRCs, gc.crcs)
 			}
 			if len(wantIx.Streams) != len(gotIx.Streams) {
 				t.Fatalf("fixture indexes %d streams, writer %d", len(wantIx.Streams), len(gotIx.Streams))

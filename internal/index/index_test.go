@@ -206,6 +206,8 @@ func TestIndexAllocBudget(t *testing.T) {
 		"golden-linear-sz2-v3.mrw":      12,
 		"golden-linear-zfp-v3.mrw":      12,
 		"golden-mixed-sz3-flate-v4.mrw": 12,
+		"golden-stack-sz3-v3.mrw":       12,
+		"golden-zorder1d-sz3-v3.mrw":    12,
 		"golden-tac-sz3-v3.mrw":         15,
 		"golden-tac-sz3-lanes4-v3.mrw":  15,
 		"golden-tac-sz3.mrc":            2,

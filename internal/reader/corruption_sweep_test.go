@@ -10,10 +10,10 @@ package reader
 //     error or returns exactly the pristine data. Silent corruption is the
 //     one forbidden outcome.
 //
-// The committed fixtures carry v1 footers (no checksums), so only the
-// no-panic tier applies to them; they are kept in the sweep because their
-// wire layouts (v3 linear, v4 mixed-codec, legacy v2 body) are exactly the
-// old formats a scrub meets in the wild.
+// Most committed fixtures carry v1 footers (no checksums), so the sweep
+// holds every fixture to the no-panic tier only; they are kept in it
+// because their wire layouts (v3 linear, stack and Morton 1D, v4
+// mixed-codec, legacy v2 body) are the formats a scrub meets in the wild.
 
 import (
 	"bytes"
