@@ -93,36 +93,16 @@ func (c Compressor) String() string {
 }
 
 // Arrangement selects how a level's unit blocks are laid out before
-// compression (Fig. 6 of the paper).
-type Arrangement byte
+// compression (Fig. 6 of the paper); layout holds its one definition.
+type Arrangement = layout.Arrangement
 
-// Arrangements.
+// Arrangements, under the names the pipeline's callers use.
 const (
-	// ArrangeLinear concatenates unit blocks along z (the baseline layout,
-	// and — with padding and adaptive eb — the paper's SZ3MR layout).
-	ArrangeLinear Arrangement = iota
-	// ArrangeStack stacks unit blocks into a near-cube (AMRIC).
-	ArrangeStack
-	// ArrangeTAC merges adjacent blocks into boxes compressed separately.
-	ArrangeTAC
-	// ArrangeZOrder1D flattens blocks along a Morton curve into a 1D array
-	// (zMesh-style; loses higher-dimensional spatial information).
-	ArrangeZOrder1D
+	ArrangeLinear   = layout.Linear
+	ArrangeStack    = layout.Stack
+	ArrangeTAC      = layout.TAC
+	ArrangeZOrder1D = layout.ZOrder1D
 )
-
-func (a Arrangement) String() string {
-	switch a {
-	case ArrangeLinear:
-		return "linear"
-	case ArrangeStack:
-		return "stack"
-	case ArrangeTAC:
-		return "tac"
-	case ArrangeZOrder1D:
-		return "zorder1d"
-	}
-	return fmt.Sprintf("Arrangement(%d)", byte(a))
-}
 
 // Options configures the multi-resolution pipeline.
 type Options struct {
@@ -275,28 +255,21 @@ func Prepare(h *grid.Hierarchy, opt Options) (*Prepared, error) {
 // a caller whose bound depends on the arranged samples (LevelExtremes) sets
 // it with SetEB before compressing.
 func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options) (*Prepared, error) {
+	if !opt.Arrangement.Valid() {
+		return nil, fmt.Errorf("core: unknown arrangement %d", opt.Arrangement)
+	}
 	opt = (&opt).withDefaults()
 	p := &Prepared{nx: nx, ny: ny, nz: nz, blockB: blockB, opt: opt}
 	for _, src := range levels {
 		var pl preparedLevel
-		var m *layout.Merged
-		switch opt.Arrangement {
-		case ArrangeLinear:
-			m = src.Linear(opt.Pad && src.U > 4, opt.PadKind)
-		case ArrangeStack:
-			m = src.Stack()
-		case ArrangeZOrder1D:
-			m = src.ZOrder1D()
-		case ArrangeTAC:
+		if opt.Arrangement == ArrangeTAC {
 			pl.boxes = src.TACBoxes()
 			for _, b := range pl.boxes {
 				pl.boxFld = append(pl.boxFld, src.Box(b))
 				p.payload += b.WX * b.WY * b.WZ * src.U * src.U * src.U * 8
 			}
-		default:
-			return nil, fmt.Errorf("core: unknown arrangement %d", opt.Arrangement)
-		}
-		if m != nil {
+		} else {
+			m := src.Merge(opt.Arrangement, opt.Pad && src.U > 4, opt.PadKind)
 			pl.blocks, pl.merged, pl.padded = m.Blocks, m.Data, m.Padded
 			p.payload += len(m.Blocks) * src.U * src.U * src.U * 8
 		}
@@ -663,8 +636,8 @@ func parseContainer(blob []byte) (*index.Index, error) {
 		}
 		lv := &ix.Levels[li]
 		u := ix.UnitBlockSize(li)
-		if Arrangement(ix.Opts.Arrangement) != ArrangeTAC {
-			rawLen := mergedRawLen(Arrangement(ix.Opts.Arrangement), u, len(lv.Blocks), lv.Padded)
+		if a := Arrangement(ix.Opts.Arrangement); a != ArrangeTAC {
+			rawLen := a.RawLen(u, len(lv.Blocks), lv.Padded)
 			if err := stream(lv, index.Stream{Level: li, Box: -1, RawLen: rawLen}); err != nil {
 				return nil, err
 			}
@@ -714,27 +687,6 @@ func BuildIndex(blob []byte) (*index.Index, error) {
 	}
 	ix.SectionCRC = crc32.ChecksumIEEE(section)
 	return ix, nil
-}
-
-// mergedRawLen computes the decoded byte size of a merged-level stream from
-// its arrangement, unit edge, block count, and padding flag.
-func mergedRawLen(a Arrangement, u, k int, padded bool) int64 {
-	if k == 0 {
-		return 0
-	}
-	switch a {
-	case ArrangeStack:
-		m := int64(math.Ceil(math.Cbrt(float64(k))))
-		return m * m * m * int64(u) * int64(u) * int64(u) * 8
-	case ArrangeZOrder1D:
-		return int64(u) * int64(u) * int64(u) * int64(k) * 8
-	default: // linear
-		nx, ny := int64(u), int64(u)
-		if padded {
-			nx, ny = nx+1, ny+1
-		}
-		return nx * ny * int64(u) * int64(k) * 8
-	}
 }
 
 // Ratio returns the compression ratio relative to the hierarchy's raw

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/field"
@@ -519,6 +522,35 @@ func TestImplausibleSZ2BlockSizeRejectedOnRead(t *testing.T) {
 	blob = append(blob, make([]byte, 40)...) // interp byte + padding past the min-length check
 	if _, err := Decompress(blob); err == nil {
 		t.Fatal("implausible SZ2 block size accepted")
+	}
+}
+
+// TestUnknownArrangementRejected: an arrangement byte that names no layout
+// is refused on write, and on read by the header check itself, before any
+// stream is decoded — here in a footerless linear SZ2 container, the one
+// the body scan alone describes.
+func TestUnknownArrangementRejected(t *testing.T) {
+	h := amrHierarchy(t, 32, 8)
+	bad := ArrangeZOrder1D + 1
+	if _, err := CompressHierarchy(h, Options{EB: 1e-3, Arrangement: bad}); err == nil {
+		t.Fatalf("arrangement %v accepted on write", bad)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden-linear-sz2-v3.mrw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := index.Locate(golden)
+	if !ok {
+		t.Fatal("fixture has no index footer")
+	}
+	blob := bytes.Clone(golden[:body])
+	if _, err := Decompress(blob); err != nil {
+		t.Fatalf("footerless fixture: %v", err)
+	}
+	blob[5+1] = byte(bad) // magic, version, compressor, then the arrangement
+	_, err = Decompress(blob)
+	if err == nil || !strings.Contains(err.Error(), "header arrangement") {
+		t.Fatalf("arrangement byte %d: got %v, want the header check's error", bad, err)
 	}
 }
 

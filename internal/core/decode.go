@@ -108,25 +108,18 @@ func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte)
 // PlaceIndexed writes f, stream si as DecodeIndexed returned it, into dst, a
 // full-domain array at the stream's level resolution — the only place a
 // decoded stream is placed: a TAC box lands at its geometry, a merged level's
-// unit blocks at the positions its block list names (a padded merge is
-// placed as decoded, stepping over the pad layers).
+// unit blocks at the positions its block list names (layout.Place; a padded
+// merge is placed as decoded, stepping over the pad layers).
 func PlaceIndexed(ix *index.Index, si int, f, dst *field.Field) error {
 	s := &ix.Streams[si]
 	lv := &ix.Levels[s.Level]
 	u := ix.UnitBlockSize(s.Level)
-	m := layout.Merged{Data: f, U: u, Blocks: lv.Blocks, Padded: lv.Padded}
-	switch Arrangement(ix.Opts.Arrangement) {
-	case ArrangeLinear:
-		return layout.LinearPlace(&m, dst)
-	case ArrangeStack:
-		return layout.StackPlace(&m, dst)
-	case ArrangeZOrder1D:
-		return layout.ZOrderPlace1D(&m, dst)
-	case ArrangeTAC:
+	a := Arrangement(ix.Opts.Arrangement)
+	if a == ArrangeTAC {
 		dst.SetBlock(s.Geom.X0*u, s.Geom.Y0*u, s.Geom.Z0*u, f)
 		return nil
 	}
-	return fmt.Errorf("core: unknown arrangement %d", ix.Opts.Arrangement)
+	return layout.Place(a, &layout.Merged{Data: f, U: u, Blocks: lv.Blocks, Padded: lv.Padded}, dst)
 }
 
 // markOwned flags the unit blocks stream si carries as owned by its level of

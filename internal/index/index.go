@@ -366,10 +366,11 @@ func varint(buf *[]byte) (int64, bool) {
 // Index — Opts, the domain, the block size and one empty Level per level —
 // and returns it with the bytes that follow. sz2Byte reads the SZ2 block
 // size as the single byte a version-1 container body stored; every other
-// writer emits a uvarint. The grid checks every decoder relies on run here:
-// a domain CheckDims accepts, at most 2²⁴ per axis; a power-of-two block
-// size of at least 8 that divides every axis; and 1–64 levels that leave
-// the coarsest unit block at least 2 cells wide.
+// writer emits a uvarint. The checks every decoder relies on run here: an
+// arrangement byte that names a layout.Arrangement; a domain CheckDims
+// accepts, at most 2²⁴ per axis; a power-of-two block size of at least 8
+// that divides every axis; and 1–64 levels that leave the coarsest unit
+// block at least 2 cells wide.
 func ParseHeader(buf []byte, sz2Byte bool) (*Index, []byte, error) {
 	if len(buf) < 5 {
 		return nil, nil, corrupt("header options")
@@ -377,6 +378,9 @@ func ParseHeader(buf []byte, sz2Byte bool) (*Index, []byte, error) {
 	ix := &Index{}
 	o := &ix.Opts
 	o.Compressor, o.Arrangement, o.Pad, o.PadKind, o.AdaptiveEB = buf[0], buf[1], buf[2] != 0, buf[3], buf[4] != 0
+	if !layout.Arrangement(o.Arrangement).Valid() {
+		return nil, nil, corrupt("header arrangement")
+	}
 	buf = buf[5:]
 	if sz2Byte {
 		if len(buf) < 1 {

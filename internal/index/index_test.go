@@ -136,6 +136,7 @@ func TestParseRejectsImplausibleHeaders(t *testing.T) {
 		name string
 		mut  func(*Index)
 	}{
+		{"arrangement naming no layout", func(ix *Index) { ix.Opts.Arrangement = 4 }},
 		{"zero dim", func(ix *Index) { ix.Nx = 0 }},
 		{"non-power-of-two block", func(ix *Index) { ix.BlockB = 12 }},
 		{"dim not multiple of block", func(ix *Index) { ix.Nx = 40 }},

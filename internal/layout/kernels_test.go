@@ -141,17 +141,21 @@ func TestMergesMatchReference(t *testing.T) {
 		// A padded merge writes the blocks at stride u+1 and fills the pad
 		// layers in place: the bits PadXY gives over the unpadded merge.
 		for _, kind := range []PadKind{PadConstant, PadLinear, PadQuadratic} {
-			m := LevelSource(h, level).Linear(true, kind)
+			m := LevelSource(h, level).Merge(Linear, true, kind)
 			if err := sameBits(m.Data, refPadXY(refLinearMerge(h, level), kind)); err != nil || !m.Padded {
 				t.Fatalf("padded Linear kind %d level %d: %v (Padded %v)", kind, level, err, m.Padded)
 			}
 		}
-		if err := sameBits(LevelSource(h, level).Stack().Data, refStackMerge(h, level)); err != nil {
-			t.Fatalf("Stack level %d: %v", level, err)
-		}
-		z := LevelSource(h, level).ZOrder1D()
-		if err := sameBits(z.Data, refZOrderFlatten1D(h, level, z.Blocks)); err != nil {
-			t.Fatalf("ZOrder1D level %d: %v", level, err)
+		// Padding is a Linear merge's alone: the others ignore the flag.
+		for _, pad := range []bool{false, true} {
+			s := LevelSource(h, level).Merge(Stack, pad, PadLinear)
+			if err := sameBits(s.Data, refStackMerge(h, level)); err != nil || s.Padded {
+				t.Fatalf("Stack pad %v level %d: %v (Padded %v)", pad, level, err, s.Padded)
+			}
+			z := LevelSource(h, level).Merge(ZOrder1D, pad, PadLinear)
+			if err := sameBits(z.Data, refZOrderFlatten1D(h, level, z.Blocks)); err != nil || z.Padded {
+				t.Fatalf("ZOrder1D pad %v level %d: %v (Padded %v)", pad, level, err, z.Padded)
+			}
 		}
 	}
 }
@@ -160,18 +164,18 @@ func TestPlacesMatchReference(t *testing.T) {
 	h := nastyHierarchy(t, 2)
 	for level, lv := range h.Levels {
 		for _, c := range []struct {
-			name  string
-			m     *Merged
-			place func(*Merged, *field.Field) error
-			ref   func(*Merged, *field.Field)
+			name string
+			m    *Merged
+			a    Arrangement
+			ref  func(*Merged, *field.Field)
 		}{
-			{"linear", LinearMerge(h, level), LinearPlace, refLinearPlace},
-			{"stack", LevelSource(h, level).Stack(), StackPlace, refStackPlace},
-			{"zorder1d", LevelSource(h, level).ZOrder1D(), ZOrderPlace1D, refZOrderPlace1D},
+			{"linear", LinearMerge(h, level), Linear, refLinearPlace},
+			{"stack", LevelSource(h, level).Merge(Stack, false, PadLinear), Stack, refStackPlace},
+			{"zorder1d", LevelSource(h, level).Merge(ZOrder1D, false, PadLinear), ZOrder1D, refZOrderPlace1D},
 		} {
 			got := field.New(lv.Data.Nx, lv.Data.Ny, lv.Data.Nz)
 			want := field.New(lv.Data.Nx, lv.Data.Ny, lv.Data.Nz)
-			if err := c.place(c.m, got); err != nil {
+			if err := Place(c.a, c.m, got); err != nil {
 				t.Fatalf("%s level %d: %v", c.name, level, err)
 			}
 			c.ref(c.m, want)
@@ -252,17 +256,17 @@ func TestLayoutAllocBudgets(t *testing.T) {
 		}
 		dst := field.New(lv.Data.Nx, lv.Data.Ny, lv.Data.Nz)
 		for _, c := range []struct {
-			name  string
-			m     *Merged
-			place func(*Merged, *field.Field) error
+			name string
+			m    *Merged
+			a    Arrangement
 		}{
-			{"LinearPlace", m, LinearPlace},
-			{"LinearPlace from padded", &Merged{Data: padded, U: m.U, Blocks: m.Blocks, Padded: true}, LinearPlace},
-			{"StackPlace", LevelSource(h, level).Stack(), StackPlace},
-			{"ZOrderPlace1D", LevelSource(h, level).ZOrder1D(), ZOrderPlace1D},
+			{"Place linear", m, Linear},
+			{"Place linear from padded", &Merged{Data: padded, U: m.U, Blocks: m.Blocks, Padded: true}, Linear},
+			{"Place stack", LevelSource(h, level).Merge(Stack, false, PadLinear), Stack},
+			{"Place zorder1d", LevelSource(h, level).Merge(ZOrder1D, false, PadLinear), ZOrder1D},
 		} {
 			if n := testing.AllocsPerRun(5, func() {
-				if err := c.place(c.m, dst); err != nil {
+				if err := Place(c.a, c.m, dst); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {

@@ -9,10 +9,17 @@
 //   - TAC partition: greedy merging of adjacent owned blocks into maximal
 //     rectangular boxes, preserving locality but producing variable shapes
 //     that must be compressed separately.
+//   - Z-order 1D (zMesh-style): unit blocks in Morton order, flattened into
+//     one line of samples.
+//
+// This package is the one home of each arrangement. Arrangement is the
+// container header's arrangement byte; the three merged arrangements are
+// each one slot grid (slotsOf), and Source.Merge builds, Place places and
+// Arrangement.RawLen sizes a merged level from that grid alone, so the
+// writer, every decoder and the body scan cannot disagree on a shape.
 //
 // It also provides the paper's padding operator (one extrapolated layer on
-// each of the two small dimensions of a linear merge, §III-A Improvement 1)
-// and the Z-order curve used by the zMesh-style baseline.
+// each of the two small dimensions of a linear merge, §III-A Improvement 1).
 package layout
 
 import (
@@ -25,6 +32,69 @@ import (
 	"repro/internal/grid"
 )
 
+// Arrangement selects how a level's unit blocks are laid out before
+// compression (Fig. 6 of the paper). Its value is the container header's
+// arrangement byte.
+type Arrangement byte
+
+// Arrangements.
+const (
+	// Linear concatenates unit blocks along z (the baseline layout, and —
+	// with padding and adaptive eb — the paper's SZ3MR layout).
+	Linear Arrangement = iota
+	// Stack stacks unit blocks into a near-cube (AMRIC).
+	Stack
+	// TAC merges adjacent blocks into boxes compressed separately.
+	TAC
+	// ZOrder1D flattens blocks along a Morton curve into a 1D array
+	// (zMesh-style; loses higher-dimensional spatial information).
+	ZOrder1D
+)
+
+func (a Arrangement) String() string {
+	if a.Valid() {
+		return [...]string{"linear", "stack", "tac", "zorder1d"}[a]
+	}
+	return fmt.Sprintf("Arrangement(%d)", byte(a))
+}
+
+// Valid reports whether a names one of the four arrangements.
+func (a Arrangement) Valid() bool { return a <= ZOrder1D }
+
+// slots is the grid of u³ slots a merged arrangement of k unit blocks
+// fills: mx×my×mz slots, slot i at (i%mx, i/mx%my, i/(mx·my)) in slot
+// units, and w extra layers on the +x and +y faces (PadXY's).
+type slots struct{ mx, my, mz, w int }
+
+// slotsOf returns a's slot grid for k blocks: 1×1×k for Linear and
+// ZOrder1D, the m×m×m cube with m = ⌈k^(1/3)⌉ for Stack. Only a Linear
+// merge is ever padded; the flag is ignored for the others.
+func slotsOf(a Arrangement, k int, padded bool) slots {
+	if a == Stack {
+		m := int(math.Ceil(math.Cbrt(float64(k))))
+		return slots{m, m, m, 0}
+	}
+	if padded && a == Linear {
+		return slots{1, 1, k, 1}
+	}
+	return slots{1, 1, k, 0}
+}
+
+// shape returns the dimensions of the merged array of unit edge u.
+func (g slots) shape(u int) (nx, ny, nz int) { return g.mx*u + g.w, g.my*u + g.w, g.mz * u }
+
+// origin returns the sample coordinates of slot i's origin.
+func (g slots) origin(i, u int) (x, y, z int) {
+	return i % g.mx * u, i / g.mx % g.my * u, i / (g.mx * g.my) * u
+}
+
+// RawLen returns the byte size of a merged level under a: k unit blocks of
+// edge u, padded or not (which counts only for Linear). It is 0 for k = 0.
+func (a Arrangement) RawLen(u, k int, padded bool) int64 {
+	nx, ny, nz := slotsOf(a, k, padded).shape(u)
+	return int64(nx) * int64(ny) * int64(nz) * 8
+}
+
 // Merged is a level's unit blocks arranged into a single array.
 type Merged struct {
 	// Data is the merged array.
@@ -34,8 +104,8 @@ type Merged struct {
 	// Blocks lists the block coordinates in merge order.
 	Blocks [][3]int
 	// Padded says Data still carries PadXY's extra +x and +y layer, as a
-	// decoded linear-merge stream does; LinearPlace steps over it, so
-	// placing needs no UnpadXY. Only linear merges are padded.
+	// decoded linear-merge stream does; Place steps over it, so placing
+	// needs no UnpadXY. Only linear merges are padded.
 	Padded bool
 }
 
@@ -95,16 +165,10 @@ func (s Source) Blocks() [][3]int {
 	return out
 }
 
-// put writes unit block bc into dst with its origin at (x, y, z). dst is
-// written at its own strides, so it may be wider than the block.
-func (s Source) put(dst *field.Field, x, y, z int, bc [3]int) {
-	s.putBox(dst, x, y, z, Box{bc[0], bc[1], bc[2], 1, 1, 1})
-}
-
 // putBox writes the blocks of box b into dst with its origin at (x, y, z),
 // as one region: the blocks of a box are adjacent in Data, and a 2× mean
 // of the region is the 2× mean of each of its blocks (their edges are
-// even).
+// even). dst is written at its own strides, so it may be wider than b.
 func (s Source) putBox(dst *field.Field, x, y, z int, b Box) {
 	n := s.U
 	if s.Halve {
@@ -118,74 +182,79 @@ func (s Source) putBox(dst *field.Field, x, y, z int, b Box) {
 	field.CopyBlock(dst, x, y, z, s.Data, sx, sy, sz, wx, wy, wz)
 }
 
-// Linear is the linear merge of the owned blocks: block i at z = i·u of a
-// u×u×(u·k) array, in raster order, so blocks adjacent along z in the domain
-// often remain adjacent in the merge. With pad the array is (u+1)×(u+1)×(u·k):
-// the blocks are written at stride u+1 and PadXY's +x and +y layers are
-// filled in place. An unowned level gives a Merged with nil Data.
-func (s Source) Linear(pad bool, kind PadKind) *Merged {
+// Merge arranges the owned blocks under a, a merged arrangement (not TAC):
+// block i of the merge order — raster order, Morton order for ZOrder1D —
+// in slot i of a's slot grid. Linear keeps blocks adjacent along z in the
+// domain often adjacent in the merge; with pad it is (u+1)×(u+1)×(u·k), the
+// blocks written at stride u+1 and PadXY's +x and +y layers filled in
+// place. Stack fills the slots beyond the k real blocks with copies of the
+// last block so the array stays well-defined; Place discards them. ZOrder1D
+// is its 1×1×k grid read flat, a (u³·k)×1×1 array. An unowned level gives a
+// Merged with nil Data.
+func (s Source) Merge(a Arrangement, pad bool, kind PadKind) *Merged {
 	u := s.U
 	blocks := s.Blocks()
-	if len(blocks) == 0 {
+	k := len(blocks)
+	if k == 0 {
 		return &Merged{U: u}
 	}
-	w := u
-	if pad {
-		w++
+	if a == ZOrder1D {
+		sortBlocksMorton(blocks)
 	}
-	out := s.gather(blocks, w)
-	if pad {
+	g := slotsOf(a, k, pad)
+	out := field.New(g.shape(u))
+	for i := range g.mx * g.my * g.mz {
+		x, y, z := g.origin(i, u)
+		bc := blocks[min(i, k-1)]
+		s.putBox(out, x, y, z, Box{bc[0], bc[1], bc[2], 1, 1, 1})
+	}
+	if g.w > 0 {
 		fillPadXY(out, kind)
 	}
-	return &Merged{Data: out, U: u, Blocks: blocks, Padded: pad}
-}
-
-// gather writes the listed blocks end to end along z into a new w×w×(u·k)
-// array (w ≥ u), block i at z = i·u.
-func (s Source) gather(blocks [][3]int, w int) *field.Field {
-	u := s.U
-	out := field.New(w, w, u*len(blocks))
-	for i, bc := range blocks {
-		s.put(out, 0, 0, i*u, bc)
+	if a == ZOrder1D {
+		out.Nx, out.Ny, out.Nz = out.Len(), 1, 1
 	}
-	return out
+	return &Merged{Data: out, U: u, Blocks: blocks, Padded: g.w > 0}
 }
 
-// scatter writes the u³ block at z = i·u of src to block i's domain
-// position in dst, reversing an unpadded Linear. src is read at its own
-// strides, so it may be wider than u in x and y.
-func scatter(src *field.Field, u int, blocks [][3]int, dst *field.Field) error {
-	for i, bc := range blocks {
+// Place writes m's blocks, merged under a (not TAC), into dst, a
+// full-domain array at the level's resolution: block i from slot i of a's
+// slot grid to its domain position. m.Data must have the shape Merge gives
+// it — a ZOrder1D array may have any shape of that length — and its pad
+// layers, when Padded, are stepped over.
+func Place(a Arrangement, m *Merged, dst *field.Field) error {
+	if m.Data == nil {
+		return nil
+	}
+	u, k := m.U, len(m.Blocks)
+	g := slotsOf(a, k, m.Padded)
+	nx, ny, nz := g.shape(u)
+	src := *m.Data
+	if a == ZOrder1D && src.Len() == nx*ny*nz {
+		src.Nx, src.Ny, src.Nz = nx, ny, nz
+	}
+	if src.Nx != nx || src.Ny != ny || src.Nz != nz {
+		return fmt.Errorf("layout: %v merged shape %v inconsistent with %d blocks of u=%d (padded %v)", a, m.Data, k, u, m.Padded)
+	}
+	for i, bc := range m.Blocks {
 		if err := checkBlockFits(dst, bc, u); err != nil {
 			return err
 		}
-		field.CopyBlock(dst, bc[0]*u, bc[1]*u, bc[2]*u, src, 0, 0, i*u, u, u, u)
+		x, y, z := g.origin(i, u)
+		field.CopyBlock(dst, bc[0]*u, bc[1]*u, bc[2]*u, &src, x, y, z, u, u, u)
 	}
 	return nil
 }
 
 // LinearMerge concatenates the owned unit blocks of hierarchy level l along
-// the z axis: the result is u×u×(u·k) for k owned blocks (Source.Linear,
-// unpadded).
+// the z axis: the result is u×u×(u·k) for k owned blocks (Source.Merge,
+// Linear, unpadded).
 func LinearMerge(h *grid.Hierarchy, level int) *Merged {
-	return LevelSource(h, level).Linear(false, PadConstant)
+	return LevelSource(h, level).Merge(Linear, false, PadConstant)
 }
 
-// LinearPlace writes the merged blocks into dst, a full-domain array at the
-// level's resolution (each block lands at its domain position).
-func LinearPlace(m *Merged, dst *field.Field) error {
-	if m.Data == nil {
-		return nil
-	}
-	u, w := m.U, m.U
-	if m.Padded {
-		w++
-	}
-	if m.Data.Nx != w || m.Data.Ny != w || m.Data.Nz != u*len(m.Blocks) {
-		return fmt.Errorf("layout: merged shape %v inconsistent with %d blocks of u=%d (padded %v)", m.Data, len(m.Blocks), u, m.Padded)
-	}
-	return scatter(m.Data, u, m.Blocks, dst)
-}
+// LinearPlace is Place(Linear, m, dst).
+func LinearPlace(m *Merged, dst *field.Field) error { return Place(Linear, m, dst) }
 
 // LinearUnmerge writes the merged blocks back into hierarchy level l,
 // setting ownership accordingly.
@@ -199,62 +268,6 @@ func LinearUnmerge(m *Merged, h *grid.Hierarchy, level int) error {
 	lv := h.Levels[level]
 	for _, bc := range m.Blocks {
 		lv.Owned[h.BlockIndex(bc[0], bc[1], bc[2])] = true
-	}
-	return nil
-}
-
-// Stack arranges the owned unit blocks into an m×m×m cubic grid of slots
-// (m = ⌈k^(1/3)⌉), the AMRIC approach. Slots beyond the k real blocks are
-// filled with a copy of the final block so the array stays well-defined;
-// the decoder discards them.
-func (s Source) Stack() *Merged {
-	u := s.U
-	blocks := s.Blocks()
-	k := len(blocks)
-	if k == 0 {
-		return &Merged{U: u}
-	}
-	m := int(math.Ceil(math.Cbrt(float64(k))))
-	out := field.New(u*m, u*m, u*m)
-	slot := 0
-	for sz := 0; sz < m; sz++ {
-		for sy := 0; sy < m; sy++ {
-			for sx := 0; sx < m; sx++ {
-				s.put(out, sx*u, sy*u, sz*u, blocks[min(slot, k-1)])
-				slot++
-			}
-		}
-	}
-	return &Merged{Data: out, U: u, Blocks: blocks}
-}
-
-// StackPlace writes the stacked blocks into dst, a full-domain array at the
-// level's resolution; padding slots beyond the real blocks are discarded.
-func StackPlace(m *Merged, dst *field.Field) error {
-	if m.Data == nil {
-		return nil
-	}
-	u := m.U
-	k := len(m.Blocks)
-	mm := int(math.Ceil(math.Cbrt(float64(k))))
-	if m.Data.Nx != u*mm || m.Data.Ny != u*mm || m.Data.Nz != u*mm {
-		return fmt.Errorf("layout: stacked shape %v inconsistent with k=%d u=%d", m.Data, k, u)
-	}
-	slot := 0
-	for sz := 0; sz < mm; sz++ {
-		for sy := 0; sy < mm; sy++ {
-			for sx := 0; sx < mm; sx++ {
-				if slot >= k {
-					return nil
-				}
-				bc := m.Blocks[slot]
-				if err := checkBlockFits(dst, bc, u); err != nil {
-					return err
-				}
-				field.CopyBlock(dst, bc[0]*u, bc[1]*u, bc[2]*u, m.Data, sx*u, sy*u, sz*u, u, u, u)
-				slot++
-			}
-		}
 	}
 	return nil
 }
@@ -431,11 +444,6 @@ func MortonEncode(x, y, z uint32) uint64 {
 	return spread(x) | spread(y)<<1 | spread(z)<<2
 }
 
-// MortonDecode reverses MortonEncode.
-func MortonDecode(m uint64) (x, y, z uint32) {
-	return compact(m), compact(m >> 1), compact(m >> 2)
-}
-
 func spread(v uint32) uint64 {
 	x := uint64(v) & 0x1fffff
 	x = (x | x<<32) & 0x1f00000000ffff
@@ -444,47 +452,6 @@ func spread(v uint32) uint64 {
 	x = (x | x<<4) & 0x10c30c30c30c30c3
 	x = (x | x<<2) & 0x1249249249249249
 	return x
-}
-
-func compact(m uint64) uint32 {
-	x := m & 0x1249249249249249
-	x = (x | x>>2) & 0x10c30c30c30c30c3
-	x = (x | x>>4) & 0x100f00f00f00f00f
-	x = (x | x>>8) & 0x1f0000ff0000ff
-	x = (x | x>>16) & 0x1f00000000ffff
-	x = (x | x>>32) & 0x1fffff
-	return uint32(x)
-}
-
-// ZOrder1D traverses the owned unit blocks in Morton order of their block
-// coordinates and concatenates all samples (raster order within a block)
-// into a 1D field — the zMesh-style layout that sacrifices 3D spatial
-// information for locality across refinement levels.
-func (s Source) ZOrder1D() *Merged {
-	u := s.U
-	blocks := s.Blocks()
-	if len(blocks) == 0 {
-		return &Merged{U: u}
-	}
-	sortBlocksMorton(blocks)
-	// Blocks end to end in raster order are a linear merge read flat.
-	out := s.gather(blocks, u)
-	out.Nx, out.Ny, out.Nz = out.Len(), 1, 1
-	return &Merged{Data: out, U: u, Blocks: blocks}
-}
-
-// ZOrderPlace1D writes the Morton-flattened blocks into dst, a full-domain
-// array at the level's resolution.
-func ZOrderPlace1D(m *Merged, dst *field.Field) error {
-	if m.Data == nil {
-		return nil
-	}
-	u := m.U
-	if m.Data.Len() != u*u*u*len(m.Blocks) {
-		return fmt.Errorf("layout: 1D length %d inconsistent with %d blocks", m.Data.Len(), len(m.Blocks))
-	}
-	linear := field.Field{Nx: u, Ny: u, Nz: u * len(m.Blocks), Data: m.Data.Data}
-	return scatter(&linear, u, m.Blocks, dst)
 }
 
 // checkBlockFits verifies block coordinates land inside dst (defensive: the

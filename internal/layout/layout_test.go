@@ -83,13 +83,13 @@ func TestLinearMergeRoundTrip(t *testing.T) {
 func TestStackMergeRoundTrip(t *testing.T) {
 	h := testHierarchy(t, 2)
 	for level := range h.Levels {
-		m := LevelSource(h, level).Stack()
+		m := LevelSource(h, level).Merge(Stack, false, PadLinear)
 		// Cubic shape.
 		if m.Data.Nx != m.Data.Ny || m.Data.Ny != m.Data.Nz {
 			t.Fatalf("stack merge not cubic: %v", m.Data)
 		}
 		dst := emptyLike(t, h).Levels[level].Data
-		if err := StackPlace(m, dst); err != nil {
+		if err := Place(Stack, m, dst); err != nil {
 			t.Fatal(err)
 		}
 		if !placedEqual(h, level, dst) {
@@ -217,12 +217,28 @@ func TestPadOverheadFormula(t *testing.T) {
 	}
 }
 
+// mortonDecode reverses MortonEncode, so TestMortonRoundTrip checks it over
+// the full 21-bit range of each coordinate.
+func mortonDecode(m uint64) (x, y, z uint32) {
+	return compact(m), compact(m >> 1), compact(m >> 2)
+}
+
+func compact(m uint64) uint32 {
+	x := m & 0x1249249249249249
+	x = (x | x>>2) & 0x10c30c30c30c30c3
+	x = (x | x>>4) & 0x100f00f00f00f00f
+	x = (x | x>>8) & 0x1f0000ff0000ff
+	x = (x | x>>16) & 0x1f00000000ffff
+	x = (x | x>>32) & 0x1fffff
+	return uint32(x)
+}
+
 func TestMortonRoundTrip(t *testing.T) {
 	prop := func(x, y, z uint32) bool {
 		x &= 0x1fffff
 		y &= 0x1fffff
 		z &= 0x1fffff
-		gx, gy, gz := MortonDecode(MortonEncode(x, y, z))
+		gx, gy, gz := mortonDecode(MortonEncode(x, y, z))
 		return gx == x && gy == y && gz == z
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -249,12 +265,12 @@ func TestMortonOrderLocality(t *testing.T) {
 func TestZOrderFlattenRoundTrip(t *testing.T) {
 	h := testHierarchy(t, 6)
 	for level := range h.Levels {
-		m := LevelSource(h, level).ZOrder1D()
+		m := LevelSource(h, level).Merge(ZOrder1D, false, PadLinear)
 		if m.Data.Ny != 1 || m.Data.Nz != 1 {
 			t.Fatalf("flattened field not 1D: %v", m.Data)
 		}
 		dst := emptyLike(t, h).Levels[level].Data
-		if err := ZOrderPlace1D(m, dst); err != nil {
+		if err := Place(ZOrder1D, m, dst); err != nil {
 			t.Fatal(err)
 		}
 		if !placedEqual(h, level, dst) {
@@ -273,8 +289,10 @@ func TestEmptyLevelMerges(t *testing.T) {
 	if m := LinearMerge(h, 0); m.Data != nil {
 		t.Fatal("empty level should merge to nil")
 	}
-	if m := LevelSource(h, 0).Stack(); m.Data != nil {
-		t.Fatal("empty level should stack to nil")
+	for _, a := range []Arrangement{Stack, ZOrder1D} {
+		if m := LevelSource(h, 0).Merge(a, false, PadLinear); m.Data != nil {
+			t.Fatalf("empty level should merge to nil under %v", a)
+		}
 	}
 	if boxes := TACPartition(h, 0); len(boxes) != 0 {
 		t.Fatal("empty level should have no boxes")

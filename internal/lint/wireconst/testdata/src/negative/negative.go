@@ -5,6 +5,7 @@ package negative
 import (
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/layout"
 )
 
 // The const declaration is the one allowed home for the literals.
@@ -28,6 +29,10 @@ func lookup() {
 
 func convert() core.Compressor {
 	return core.SZ2
+}
+
+func arrangement() (core.Arrangement, layout.Arrangement) {
+	return core.ArrangeTAC, layout.Stack
 }
 
 // zeroValue: `return 0, err` is the Go error-path idiom, not a wire ID.

@@ -5,6 +5,7 @@ package positive
 import (
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/layout"
 )
 
 func compare(version byte) bool {
@@ -46,8 +47,14 @@ func convert() core.Compressor {
 func implicit() {
 	var c core.Compressor = 1 // want `literal 1 used as repro/internal/core\.Compressor value`
 	_ = c
-	var a core.Arrangement = 1 // want `literal 1 used as repro/internal/core\.Arrangement value`
+	var a core.Arrangement = 1 // want `literal 1 used as repro/internal/layout\.Arrangement value`
 	_ = a
+}
+
+// The arrangement enum lives in layout; core's name for it is an alias, and
+// a literal is flagged through either name.
+func convertArrangement() (core.Arrangement, layout.Arrangement) {
+	return core.Arrangement(2), layout.Arrangement(3) // want `literal 2 converted to repro/internal/layout\.Arrangement` `literal 3 converted to repro/internal/layout\.Arrangement`
 }
 
 func magic(blob []byte) bool {

@@ -1,11 +1,14 @@
 // Package core is a fixture stub of repro/internal/core: just the wire
 // enum types and their named constants, enough for the analyzer's
-// type-based checks to resolve.
+// type-based checks to resolve. Arrangement is an alias of layout's, as in
+// the real package.
 package core
+
+import "repro/internal/layout"
 
 type Compressor byte
 
-type Arrangement byte
+type Arrangement = layout.Arrangement
 
 const (
 	SZ3 Compressor = 0
@@ -14,6 +17,6 @@ const (
 )
 
 const (
-	ArrangeLinear Arrangement = 0
-	ArrangeTAC    Arrangement = 1
+	ArrangeLinear = layout.Linear
+	ArrangeTAC    = layout.TAC
 )

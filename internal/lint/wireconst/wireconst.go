@@ -7,15 +7,17 @@
 // bare `version == 3` scattered through the tree is how format v5+ silently
 // forks: one site gets updated, another keeps the stale literal. The
 // declared homes are internal/core (containerVersion* constants, the
-// "MRWF" magic) and internal/codec (the wire ID registry); everything else
-// must reference them by name.
+// "MRWF" magic, the Compressor aliases of the codec IDs), internal/codec
+// (the wire ID registry) and internal/layout (the Arrangement values);
+// everything else must reference them by name.
 //
 // Flagged patterns (outside const declarations):
 //
 //   - an integer literal compared against, assigned to, or switched over a
 //     variable named "version" (or ending in "Version")
 //   - an integer literal used as a repro/internal/core.Compressor or
-//     .Arrangement value, including explicit conversions like Compressor(2)
+//     repro/internal/layout.Arrangement value (core.Arrangement is an alias
+//     of the latter), including explicit conversions like Compressor(2)
 //   - an integer literal passed as the id argument of codec.ByID
 //   - a string literal compared against a string(...) conversion — the
 //     wire-magic sniffing pattern; the magic belongs in a named constant
@@ -32,8 +34,9 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wireconst",
-	Doc: "container versions, codec wire IDs, and wire magic must be named " +
-		"constants from internal/core / internal/codec, not literals at use sites",
+	Doc: "container versions, codec wire IDs, arrangements and wire magic must " +
+		"be named constants from internal/core / internal/codec / internal/layout, " +
+		"not literals at use sites",
 	Run: run,
 }
 
@@ -217,7 +220,7 @@ func checkByID(pass *analysis.Pass, n *ast.CallExpr) {
 	}
 }
 
-// checkConversion flags core.Compressor(2) / core.Arrangement(1): explicit
+// checkConversion flags core.Compressor(2) / layout.Arrangement(1): explicit
 // conversions of literals to the wire enum types. It reports whether it
 // produced a finding, so the caller can avoid double-reporting the literal.
 func checkConversion(pass *analysis.Pass, n *ast.CallExpr) bool {
@@ -229,7 +232,7 @@ func checkConversion(pass *analysis.Pass, n *ast.CallExpr) bool {
 		return false
 	}
 	if lit := intLit(n.Args[0]); lit != nil {
-		report(pass, lit, "literal %s converted to %s", lit.Value, tv.Type.String())
+		report(pass, lit, "literal %s converted to %s", lit.Value, types.Unalias(tv.Type).String())
 		return true
 	}
 	return false
@@ -248,26 +251,29 @@ func checkTypedLiteral(pass *analysis.Pass, lit *ast.BasicLit) {
 	if !ok || !isWireEnum(tv.Type) {
 		return
 	}
-	report(pass, lit, "literal %s used as %s value", lit.Value, tv.Type.String())
+	report(pass, lit, "literal %s used as %s value", lit.Value, types.Unalias(tv.Type).String())
 }
 
-// isWireEnum reports whether t is repro/internal/core.Compressor or
-// .Arrangement — the two enum types whose values go on the wire.
+// isWireEnum reports whether t, or the type it aliases, is
+// repro/internal/core.Compressor or repro/internal/layout.Arrangement — the
+// two enum types whose values go on the wire.
 func isWireEnum(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "repro/internal/core" {
+	if obj.Pkg() == nil {
 		return false
 	}
-	return obj.Name() == "Compressor" || obj.Name() == "Arrangement"
+	path := obj.Pkg().Path()
+	return path == "repro/internal/core" && obj.Name() == "Compressor" ||
+		path == "repro/internal/layout" && obj.Name() == "Arrangement"
 }
 
 func report(pass *analysis.Pass, lit *ast.BasicLit, format string, args ...any) {
 	pass.Reportf(lit.Pos(), format+"; declare it as a named constant in "+
-		"internal/core or internal/codec and reference it by name", args...)
+		"internal/core, internal/codec or internal/layout and reference it by name", args...)
 }
 
 func unparen(e ast.Expr) ast.Expr {

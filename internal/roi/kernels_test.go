@@ -161,10 +161,10 @@ func TestSourcesMatchConvert(t *testing.T) {
 			for l, got := range sel.Sources(f) {
 				want := layout.LevelSource(h, l)
 				for name, arrange := range map[string]func(layout.Source) *layout.Merged{
-					"linear": func(s layout.Source) *layout.Merged { return s.Linear(false, layout.PadLinear) },
-					"padded": func(s layout.Source) *layout.Merged { return s.Linear(true, layout.PadLinear) },
-					"stack":  layout.Source.Stack,
-					"zorder": layout.Source.ZOrder1D,
+					"linear": func(s layout.Source) *layout.Merged { return s.Merge(layout.Linear, false, layout.PadLinear) },
+					"padded": func(s layout.Source) *layout.Merged { return s.Merge(layout.Linear, true, layout.PadLinear) },
+					"stack":  func(s layout.Source) *layout.Merged { return s.Merge(layout.Stack, false, layout.PadLinear) },
+					"zorder": func(s layout.Source) *layout.Merged { return s.Merge(layout.ZOrder1D, false, layout.PadLinear) },
 				} {
 					if !sameBits(arrange(got).Data, arrange(want).Data) {
 						t.Fatalf("b=%d frac=%g level %d %s: buffers differ", b, frac, l, name)

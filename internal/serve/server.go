@@ -297,12 +297,6 @@ func (s *Server) FieldIDs() ([]string, error) {
 	return ids, nil
 }
 
-// validID rejects ids naming path components before they touch the
-// filesystem.
-func validID(id string) bool {
-	return id != "" && !strings.ContainsAny(id, `/\`) && !strings.Contains(id, "..")
-}
-
 // getReader returns the entry holding the open reader for a field id
 // (opening it on first use); the caller must release() it once done. The
 // server mutex covers only the map lookup and freshness bookkeeping; the
@@ -310,7 +304,7 @@ func validID(id string) bool {
 // outside any lock, so concurrent requests for other fields are never
 // blocked by either.
 func (s *Server) getReader(ctx context.Context, id string) (*readerEntry, error) {
-	if !validID(id) {
+	if !store.ValidKey(id) {
 		return nil, errBadID
 	}
 	key := fieldKey(id)
@@ -839,7 +833,7 @@ func ingestOptions(q url.Values) (repro.Options, error) {
 // query parameters (ingestParams).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validID(id) {
+	if !store.ValidKey(id) {
 		s.httpError(w, errBadID)
 		return
 	}
