@@ -12,6 +12,7 @@ package repro_test
 // spectra) to scale up.
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -109,7 +110,7 @@ func BenchmarkSZ3Compress(b *testing.B) {
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sz3.Compress(f, sz3.Options{EB: eb}); err != nil {
+		if _, err := sz3.Compress(nil, f, sz3.Options{EB: eb}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,14 +119,14 @@ func BenchmarkSZ3Compress(b *testing.B) {
 func BenchmarkSZ3Decompress(b *testing.B) {
 	f := benchField(b)
 	eb := f.ValueRange() * 1e-3
-	blob, err := sz3.Compress(f, sz3.Options{EB: eb})
+	blob, err := sz3.Compress(nil, f, sz3.Options{EB: eb})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sz3.Decompress(blob); err != nil {
+		if _, err := sz3.Decompress(nil, blob); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func BenchmarkSZ2Compress(b *testing.B) {
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sz2.Compress(f, sz2.Options{EB: eb}); err != nil {
+		if _, err := sz2.Compress(nil, f, sz2.Options{EB: eb}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +150,7 @@ func BenchmarkZFPCompress(b *testing.B) {
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := zfp.Compress(f, zfp.Options{Tolerance: eb}); err != nil {
+		if _, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,11 +175,11 @@ func BenchmarkSZ3MRPipeline(b *testing.B) {
 func BenchmarkPostProcess(b *testing.B) {
 	f := benchField(b)
 	eb := f.ValueRange() * 5e-3
-	blob, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	blob, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec, err := zfp.Decompress(blob)
+	dec, err := zfp.Decompress(nil, blob)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,47 +286,46 @@ func BenchmarkCoreDecompressWorkers1(b *testing.B)   { benchCoreDecompressWorker
 func BenchmarkCoreDecompressWorkers4(b *testing.B)   { benchCoreDecompressWorkers(b, 4) }
 func BenchmarkCoreDecompressWorkersMax(b *testing.B) { benchCoreDecompressWorkers(b, 0) }
 
-// amrSZ2Prepared is the batch_amr_sz2 workload's container shape: a 128³
-// WarpX field built into 2-level AMR, SZ2 over TAC boxes (many small
-// streams), two workers.
-func amrSZ2Prepared(b *testing.B) (*grid.Hierarchy, *core.Prepared) {
+// amrTACInput is the batch_amr_sz2 workload's shape and options: a 128³
+// WarpX field built into 2-level AMR (62 TAC boxes; the workload's own
+// field gives 55), SZ2 over the boxes, relative bound 1e-3, two workers.
+// Run the pair with -cpu 2, the workload's GOMAXPROCS.
+func amrTACInput(b *testing.B) (*grid.Hierarchy, repro.Options) {
 	b.Helper()
 	f := synth.Generate(synth.WarpX, 128, 1)
 	h, err := grid.BuildAMR(f, 16, []float64{0.3, 0.7})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := core.Options{EB: f.ValueRange() * 1e-3, Compressor: core.SZ2, Arrangement: core.ArrangeTAC, Workers: 2}
-	prep, err := core.Prepare(h, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return h, prep
+	return h, repro.Options{RelEB: 1e-3, Compressor: repro.SZ2, Arrangement: repro.TAC, Workers: 2}
 }
 
-func BenchmarkAMRSZ2CompressTo(b *testing.B) {
-	h, prep := amrSZ2Prepared(b)
+// BenchmarkCompressAMRTAC is the workload's compress op: box extraction,
+// a stream per box and the container write.
+func BenchmarkCompressAMRTAC(b *testing.B) {
+	h, opt := amrTACInput(b)
 	b.SetBytes(int64(h.PayloadBytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prep.CompressTo(io.Discard); err != nil {
+		if _, err := repro.CompressAMRTo(h, opt, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkAMRSZ2DecompressWorkers(b *testing.B) {
-	h, prep := amrSZ2Prepared(b)
-	c, err := prep.Compress()
-	if err != nil {
+// BenchmarkDecompressAMRTAC is the workload's full-decode op.
+func BenchmarkDecompressAMRTAC(b *testing.B) {
+	h, opt := amrTACInput(b)
+	var blob bytes.Buffer
+	if _, err := repro.CompressAMRTo(h, opt, &blob); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(h.PayloadBytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecompressWorkers(c.Blob, 2); err != nil {
+		if _, err := repro.DecompressWorkers(blob.Bytes(), opt.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,7 @@ func lookupCodec(name Compressor) (codec.Codec, error) {
 	}
 	c, ok := codec.ByName(s)
 	if !ok {
-		return nil, fmt.Errorf("repro: %w", codec.ErrUnknownName(s))
+		return codec.Codec{}, fmt.Errorf("repro: %w", codec.ErrUnknownName(s))
 	}
 	return c, nil
 }

@@ -26,11 +26,11 @@ func main() {
 	iso := f.Mean() * 1.5
 	eb := f.ValueRange() * 0.04 // aggressive compression, CR ~ hundreds
 
-	blob, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	blob, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dec, err := zfp.Decompress(blob)
+	dec, err := zfp.Decompress(nil, blob)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func main() {
 	// Error model from the workflow's compression samples, conditioned on
 	// voxels near the isovalue (§III-C).
 	rt := func(g *field.Field) (*field.Field, error) {
-		b, err := zfp.Compress(g, zfp.Options{Tolerance: eb})
+		b, err := zfp.Compress(nil, g, zfp.Options{Tolerance: eb})
 		if err != nil {
 			return nil, err
 		}
-		return zfp.Decompress(b)
+		return zfp.Decompress(nil, b)
 	}
 	set, err := postproc.CollectSamples(f, rt, postproc.Options{
 		EB: eb, BlockSize: 4, Candidates: core.PostCandidates(core.ZFP)})

@@ -1,17 +1,22 @@
 // Package codec is the backend-compressor seam of the container pipeline:
 // every behavior that used to be a per-backend switch in core, the reader,
 // or the servers — compress, decompress, post-processing block size and
-// intensity candidates, name/flag/query parsing — is a method on the Codec
-// interface, looked up in a closed table by wire ID (the byte containers
-// and index footers store) or by name (what flags and query parameters
-// carry).
+// intensity candidates, name/flag/query parsing — is a method of a Codec,
+// looked up in a closed table by wire ID (the byte containers and index
+// footers store) or by name (what flags and query parameters carry).
 //
 // The table holds four codecs: the three error-bounded lossy backends of
 // the paper (sz3, sz2, zfp — §III-B's multi-backend design) plus a lossless
 // raw+flate passthrough for fields that must survive bit-exactly (masks,
-// particle IDs). Adding a backend is one file implementing Codec plus an
-// entry in the table at a new wire ID; core, the reader, and the servers
-// pick it up without modification.
+// particle IDs). Adding a backend is one file implementing the backend
+// interface plus an entry in the table at a new wire ID; core, the reader,
+// and the servers pick it up without modification.
+//
+// Destinations: Compress appends to a caller's buffer and Decompress
+// decodes into a caller's field when given one, so a caller coding many
+// streams — a container write or a full decode — recycles each stream's
+// memory for the next instead of allocating per stream. Without one, each
+// call allocates its result.
 //
 // Wire IDs are a stable, append-only namespace: they appear in container
 // headers, per-stream codec bytes (format v4), and index footers, so an ID
@@ -66,10 +71,41 @@ type Params struct {
 	Interp byte
 }
 
-// Codec is one compression backend behind the container pipeline.
-// Implementations must be safe for concurrent use: the pipeline calls
-// Compress and Decompress from many worker goroutines at once.
-type Codec interface {
+// Codec is one compression backend behind the container pipeline: a table
+// entry wrapping the backend's implementation. It is safe for concurrent
+// use: the pipeline calls Compress and Decompress from many worker
+// goroutines at once.
+type Codec struct{ backend }
+
+// Compress encodes one field under p. The output is self-describing:
+// Decompress needs no side information. Given a dst, the stream is appended
+// to it (dst[0]; only the first is read) and may alias its array, so a
+// caller that has written one stream out can hand its buffer to the next;
+// Compress(f, p) is the same call with a nil dst.
+func (c Codec) Compress(f *field.Field, p Params, dst ...[]byte) ([]byte, error) {
+	return c.compress(first(dst), f, p)
+}
+
+// Decompress decodes a payload produced by Compress. Given a non-nil dst
+// (dst[0]), it decodes into that field, reshaped by field.Reuse, and returns
+// it; the bits are a fresh decode's whatever the field held before.
+// Decompress(data) is the same call with a nil dst: a new field.
+func (c Codec) Decompress(data []byte, dst ...*field.Field) (*field.Field, error) {
+	return c.decompress(first(dst), data)
+}
+
+// first returns the optional trailing argument, or its zero value. The
+// slice does not escape, so a caller passing one costs no allocation.
+func first[T any](dst []T) (d T) {
+	if len(dst) > 0 {
+		d = dst[0]
+	}
+	return d
+}
+
+// backend is what each codec implements; Codec adds the calling
+// convention.
+type backend interface {
 	// Name is the codec's stable lowercase name ("sz3"), used by CLI flags
 	// and HTTP query parameters.
 	Name() string
@@ -80,11 +116,11 @@ type Codec interface {
 	// Lossless codecs are skipped by error-bounded post-processing and by
 	// intensity sampling.
 	Lossless() bool
-	// Compress encodes one field under p. The output must be
-	// self-describing: Decompress needs no side information.
-	Compress(f *field.Field, p Params) ([]byte, error)
-	// Decompress decodes a payload produced by Compress.
-	Decompress(data []byte) (*field.Field, error)
+	// compress appends the encoding of f under p to dst (nil: a new
+	// buffer).
+	compress(dst []byte, f *field.Field, p Params) ([]byte, error)
+	// decompress decodes data into dst, reshaped (nil: a new field).
+	decompress(dst *field.Field, data []byte) (*field.Field, error)
 	// PostBlockSize is the block edge whose boundaries the error-bounded
 	// post-processor should smooth for this backend, given the pipeline's
 	// unit block size at the level being processed (§III-B: the partition
@@ -103,12 +139,12 @@ type Codec interface {
 }
 
 // codecs is the closed set of backends, indexed by wire ID.
-var codecs = [...]Codec{SZ3ID: sz3Codec{}, SZ2ID: sz2Codec{}, ZFPID: zfpCodec{}, FlateID: flateCodec{}}
+var codecs = [...]Codec{SZ3ID: {sz3Codec{}}, SZ2ID: {sz2Codec{}}, ZFPID: {zfpCodec{}}, FlateID: {flateCodec{}}}
 
 // ByID looks a codec up by its wire ID.
 func ByID(id byte) (Codec, bool) {
 	if int(id) >= len(codecs) {
-		return nil, false
+		return Codec{}, false
 	}
 	return codecs[id], true
 }
@@ -120,7 +156,7 @@ func ByName(name string) (Codec, bool) {
 			return c, true
 		}
 	}
-	return nil, false
+	return Codec{}, false
 }
 
 // Names returns the codec names, sorted — the vocabulary CLI flags and
@@ -137,14 +173,14 @@ func Names() []string {
 // DecompressCtx is Decompress under a trace span: when the context carries
 // a trace, the decode appears as a "decode" span tagged with the codec name
 // and payload size. Without a trace it costs one nil check.
-func DecompressCtx(ctx context.Context, c Codec, data []byte) (*field.Field, error) {
+func DecompressCtx(ctx context.Context, c Codec, data []byte, dst ...*field.Field) (*field.Field, error) {
 	_, sp := obs.StartSpan(ctx, "decode")
 	if sp != nil {
 		sp.SetTag("codec", c.Name())
 		sp.SetTag("bytes", strconv.Itoa(len(data)))
 		defer sp.End()
 	}
-	return c.Decompress(data)
+	return c.decompress(first(dst), data)
 }
 
 // ErrUnknownID formats the standard unknown-wire-ID error, enumerating the

@@ -2,8 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/field"
 	"repro/internal/flatepool"
@@ -26,43 +28,48 @@ func (flateCodec) Name() string   { return "flate" }
 func (flateCodec) WireID() byte   { return FlateID }
 func (flateCodec) Lossless() bool { return true }
 
-// Compress ignores Params entirely: there is no error bound to apply.
-func (flateCodec) Compress(f *field.Field, _ Params) ([]byte, error) {
+// compress ignores Params entirely: there is no error bound to apply.
+func (flateCodec) compress(dst []byte, f *field.Field, _ Params) ([]byte, error) {
 	var raw bytes.Buffer
-	raw.Grow(24 + f.Bytes())
+	raw.Grow(rawHeader + f.Bytes())
 	if _, err := f.WriteTo(&raw); err != nil {
 		return nil, err
 	}
-	packed, err := flatepool.Deflate(raw.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, len(flateMagic)+1+len(packed))
-	out = append(out, flateMagic...)
-	out = append(out, flateVersion)
-	return append(out, packed...), nil
+	out := append(dst, flateMagic...)
+	return flatepool.Deflate(append(out, flateVersion), raw.Bytes())
 }
 
-func (flateCodec) Decompress(data []byte) (*field.Field, error) {
+// rawHeader is the size of the raw wire form's dims header.
+const rawHeader = 24
+
+func (flateCodec) decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	if len(data) < len(flateMagic)+1 || string(data[:len(flateMagic)]) != flateMagic {
 		return nil, errors.New("flate: bad magic")
 	}
 	if data[len(flateMagic)] != flateVersion {
 		return nil, fmt.Errorf("flate: unsupported version %d", data[len(flateMagic)])
 	}
-	body := data[len(flateMagic)+1:]
-	// DEFLATE expands at most ~1032:1, so the compressed size bounds the
-	// raw size any intact payload can declare — a corrupt header claiming
-	// huge dimensions is rejected before the field is allocated.
-	maxRaw := int64(len(body))*1032 + 64
-	in, err := flatepool.Inflate(body)
+	in, err := flatepool.Inflate(data[len(flateMagic)+1:])
 	if err != nil {
 		return nil, fmt.Errorf("flate: %w", err)
 	}
 	defer in.Release()
-	f, err := field.ReadFromLimit(bytes.NewReader(in.Bytes()), maxRaw)
+	// The whole raw form is in memory, so its length bounds the samples a
+	// header may declare before the field is allocated.
+	raw := in.Bytes()
+	if len(raw) < rawHeader {
+		return nil, errors.New("flate: truncated header")
+	}
+	nx, ny, nz, n, err := field.CheckDims(binary.LittleEndian.Uint64(raw), binary.LittleEndian.Uint64(raw[8:]), binary.LittleEndian.Uint64(raw[16:]))
 	if err != nil {
 		return nil, fmt.Errorf("flate: %w", err)
+	}
+	if n > int64(len(raw)-rawHeader)/8 {
+		return nil, fmt.Errorf("flate: %dx%dx%d field in %d bytes", nx, ny, nz, len(raw))
+	}
+	f := field.Reuse(dst, nx, ny, nz)
+	for i := range f.Data {
+		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[rawHeader+8*i:]))
 	}
 	return f, nil
 }

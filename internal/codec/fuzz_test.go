@@ -41,7 +41,8 @@ func seedGoldenStreams(f *testing.F) {
 // fuzzed wire ID + payload — the exact bytes a hostile container or index
 // footer could hand the per-stream decode path. The contract mirrors the
 // container header scan's: reject or accept, never panic, and anything
-// accepted must be an internally consistent field. It complements
+// accepted must be an internally consistent field, decoded to the same bits
+// into a fresh field and into a dirty reused one. It complements
 // internal/index's FuzzContainerIndex, which covers the footer locating
 // the streams; this covers decoding them.
 func FuzzDecodeStream(f *testing.F) {
@@ -77,6 +78,13 @@ func FuzzDecodeStream(f *testing.F) {
 			return // unregistered IDs are rejected before decode dispatch
 		}
 		g, err := c.Decompress(payload)
+		// A reused destination holds anything: decoding into a NaN-filled
+		// one must fail when the fresh decode fails and give its bits when
+		// it succeeds.
+		d, dErr := c.Decompress(payload, dirtyField(64, 8, 1))
+		if (err == nil) != (dErr == nil) {
+			t.Fatalf("%s: fresh decode error %v, into a dirty destination %v", c.Name(), err, dErr)
+		}
 		if err != nil {
 			return
 		}
@@ -86,6 +94,9 @@ func FuzzDecodeStream(f *testing.F) {
 		if g.Nx <= 0 || g.Ny <= 0 || g.Nz <= 0 || len(g.Data) != g.Nx*g.Ny*g.Nz {
 			t.Fatalf("%s: inconsistent decoded field %dx%dx%d with %d samples",
 				c.Name(), g.Nx, g.Ny, g.Nz, len(g.Data))
+		}
+		if !sameBits(g, d) {
+			t.Fatalf("%s: decoding into a dirty destination changed the bits", c.Name())
 		}
 	})
 }

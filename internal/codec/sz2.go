@@ -13,12 +13,12 @@ func (sz2Codec) Name() string   { return "sz2" }
 func (sz2Codec) WireID() byte   { return SZ2ID }
 func (sz2Codec) Lossless() bool { return false }
 
-func (sz2Codec) Compress(f *field.Field, p Params) ([]byte, error) {
-	return sz2.Compress(f, sz2.Options{EB: p.EB, BlockSize: p.SZ2BlockSize})
+func (sz2Codec) compress(dst []byte, f *field.Field, p Params) ([]byte, error) {
+	return sz2.Compress(dst, f, sz2.Options{EB: p.EB, BlockSize: p.SZ2BlockSize})
 }
 
-func (sz2Codec) Decompress(data []byte) (*field.Field, error) {
-	return sz2.Decompress(data)
+func (sz2Codec) decompress(dst *field.Field, data []byte) (*field.Field, error) {
+	return sz2.Decompress(dst, data)
 }
 
 // PostBlockSize is sz2's own block edge: the block-local regression planes

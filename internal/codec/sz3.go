@@ -14,16 +14,16 @@ func (sz3Codec) Name() string   { return "sz3" }
 func (sz3Codec) WireID() byte   { return SZ3ID }
 func (sz3Codec) Lossless() bool { return false }
 
-func (sz3Codec) Compress(f *field.Field, p Params) ([]byte, error) {
+func (sz3Codec) compress(dst []byte, f *field.Field, p Params) ([]byte, error) {
 	so := sz3.Options{EB: p.EB, Interp: sz3.Interpolant(p.Interp)}
 	if p.AdaptiveEB {
 		so.LevelEB = sz3.AdaptiveLevelEB(p.EB, p.Alpha, p.Beta)
 	}
-	return sz3.Compress(f, so)
+	return sz3.Compress(dst, f, so)
 }
 
-func (sz3Codec) Decompress(data []byte) (*field.Field, error) {
-	return sz3.Decompress(data)
+func (sz3Codec) decompress(dst *field.Field, data []byte) (*field.Field, error) {
+	return sz3.Decompress(dst, data)
 }
 
 // PostBlockSize is the pipeline's unit block size: sz3 itself is global

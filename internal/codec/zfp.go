@@ -13,12 +13,12 @@ func (zfpCodec) Name() string   { return "zfp" }
 func (zfpCodec) WireID() byte   { return ZFPID }
 func (zfpCodec) Lossless() bool { return false }
 
-func (zfpCodec) Compress(f *field.Field, p Params) ([]byte, error) {
-	return zfp.Compress(f, zfp.Options{Tolerance: p.EB})
+func (zfpCodec) compress(dst []byte, f *field.Field, p Params) ([]byte, error) {
+	return zfp.Compress(dst, f, zfp.Options{Tolerance: p.EB})
 }
 
-func (zfpCodec) Decompress(data []byte) (*field.Field, error) {
-	return zfp.Decompress(data)
+func (zfpCodec) decompress(dst *field.Field, data []byte) (*field.Field, error) {
+	return zfp.Decompress(dst, data)
 }
 
 // PostBlockSize is zfp's fixed 4³ transform block.

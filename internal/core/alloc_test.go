@@ -44,19 +44,11 @@ func TestDecompressAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTACSZ2AllocBudget pins the allocations per stream of a streaming
-// compress and a full decode of a TAC SZ2 hierarchy (64³ WarpX, 2-level AMR,
-// one stream per box), serial and on two workers. SZ2 and the Huffman coder
-// take their working arrays from pools, so a box stream costs its
-// extraction, its compressed bytes, its decoded field and the flate
-// writer's own allocations — 38 and 22 per stream respectively before the
-// pools, 11 and 6.3 with them. The worker window adds a constant per run,
-// nothing per stream.
-func TestTACSZ2AllocBudget(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("malloc counts are not meaningful under the race detector")
-	}
-	f := synth.Generate(synth.WarpX, 64, 1)
+// tacSZ2 is a TAC SZ2 container's input: an n³ WarpX field built into
+// 2-level AMR, one stream per box, and the container itself.
+func tacSZ2(t *testing.T, n int) (*grid.Hierarchy, Options, []byte, int) {
+	t.Helper()
+	f := synth.Generate(synth.WarpX, n, 1)
 	h, err := grid.BuildAMR(f, 16, []float64{0.3, 0.7})
 	if err != nil {
 		t.Fatal(err)
@@ -70,19 +62,34 @@ func TestTACSZ2AllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := float64(len(ix.Streams))
+	return h, opt, c.Blob, len(ix.Streams)
+}
+
+// TestTACSZ2AllocBudget pins the allocations of a streaming compress and a
+// full decode of a TAC SZ2 hierarchy (64³ WarpX, 2-level AMR, 22 streams),
+// serial and on two workers. They are per call, not per stream: the boxes
+// are views of one slab per level, each stream is deflated into the buffer
+// of one already written, and each box decodes into the field of one
+// already placed. What is left is the container's own records, the
+// hierarchy, and a buffer or field for each stream in flight at once — the
+// worker window, hence the higher two-worker counts.
+func TestTACSZ2AllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	h, opt, blob, streams := tacSZ2(t, 64)
 	if streams < 20 {
 		t.Fatalf("%v streams: the hierarchy no longer exercises many small boxes", streams)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Measured at 22 streams: compress 104 / 107 allocations, decode 75 / 78,
-	// serial / two workers. The compress budgets are those plus < 10 %.
+	// Measured: compress 16 / 38 allocations, decode 34 / 73, serial / two
+	// workers. The budgets are those plus < 10 %.
 	for _, tc := range []struct {
 		workers          int
-		compress, decode float64 // per stream
+		compress, decode float64
 	}{
-		{1, 5.2, 7},
-		{2, 5.35, 7},
+		{1, 17, 37},
+		{2, 41, 80},
 	} {
 		opt.Workers = tc.workers
 		p, err := Prepare(h, opt)
@@ -93,15 +100,15 @@ func TestTACSZ2AllocBudget(t *testing.T) {
 			if _, err := p.CompressTo(io.Discard); err != nil {
 				t.Fatal(err)
 			}
-		}); n > tc.compress*streams {
-			t.Errorf("workers=%d: CompressTo: %v allocations for %v streams, budget %v per stream", tc.workers, n, streams, tc.compress)
+		}); n > tc.compress {
+			t.Errorf("workers=%d: CompressTo: %v allocations for %d streams, budget %v", tc.workers, n, streams, tc.compress)
 		}
 		if n := testing.AllocsPerRun(10, func() {
-			if _, err := DecompressWorkers(c.Blob, tc.workers); err != nil {
+			if _, err := DecompressWorkers(blob, tc.workers); err != nil {
 				t.Fatal(err)
 			}
-		}); n > tc.decode*streams {
-			t.Errorf("workers=%d: DecompressWorkers: %v allocations for %v streams, budget %v per stream", tc.workers, n, streams, tc.decode)
+		}); n > tc.decode {
+			t.Errorf("workers=%d: DecompressWorkers: %v allocations for %d streams, budget %v", tc.workers, n, streams, tc.decode)
 		}
 	}
 	// The linear SZ3MR writer on a 64³ Nyx AMR hierarchy, serial: one merged
@@ -123,5 +130,51 @@ func TestTACSZ2AllocBudget(t *testing.T) {
 		}
 	}); n > linearBudget {
 		t.Errorf("linear SZ3MR: CompressTo: %v allocations, budget %d", n, linearBudget)
+	}
+}
+
+// TestTACAllocsFlatInStreams checks that a TAC container's allocations do
+// not grow with its stream count: Prepare plus CompressTo, and a full
+// decode, on two workers, of the 64³ hierarchy and a 128³ one with about
+// three times the streams may differ by at most one allocation per extra
+// stream. Per-stream costs (a box field, a deflate buffer, a decoded
+// field per stream) would show as two or more.
+func TestTACAllocsFlatInStreams(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	type counts struct{ streams, write, decode float64 }
+	measure := func(n int) counts {
+		h, opt, blob, streams := tacSZ2(t, n)
+		opt.Workers = 2
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return counts{
+			streams: float64(streams),
+			write: testing.AllocsPerRun(5, func() {
+				p, err := Prepare(h, opt)
+				if err == nil {
+					_, err = p.CompressTo(io.Discard)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}),
+			decode: testing.AllocsPerRun(5, func() {
+				if _, err := DecompressWorkers(blob, opt.Workers); err != nil {
+					t.Fatal(err)
+				}
+			}),
+		}
+	}
+	small, large := measure(64), measure(128)
+	extra := large.streams - small.streams
+	if large.streams < 2*small.streams {
+		t.Fatalf("%v and %v streams: the larger hierarchy no longer has many more", small.streams, large.streams)
+	}
+	if d := large.write - small.write; d > extra {
+		t.Errorf("Prepare+CompressTo: %v allocations for %v streams, %v for %v: %.2f per extra stream", large.write, large.streams, small.write, small.streams, d/extra)
+	}
+	if d := large.decode - small.decode; d > extra {
+		t.Errorf("DecompressWorkers: %v allocations for %v streams, %v for %v: %.2f per extra stream", large.decode, large.streams, small.decode, small.streams, d/extra)
 	}
 }

@@ -20,6 +20,20 @@
 // body scan when there is none — and DecodeIndexed and PlaceIndexed are the
 // only decode and place sites, shared by Decompress, package reader and the
 // scrub.
+//
+// Allocation is per call, not per stream. Prepare cuts a TAC level's boxes
+// as views of one slab. A container write deflates each stream into the
+// buffer of a stream it has already written, and a full decode decodes
+// each stream into the field of one it has already placed; both recycle
+// through a free list local to the call (spares). So a call allocates its
+// index and records, its hierarchy or slabs, and one buffer or field per
+// stream in flight at once — the worker window, 8 per worker — whatever the
+// stream count (TestTACAllocsFlatInStreams). No free list outlives a call:
+// one kept for the process would hold the largest streams it ever saw for
+// the process's life, a retention cost with no bound the caller can see,
+// while the per-call list is bounded by the window and freed with the call.
+// The reader's brick paths decode into fresh fields, because the brick
+// cache keeps them.
 package core
 
 import (
@@ -226,6 +240,14 @@ type preparedLevel struct {
 	boxFld []*field.Field // TAC box data
 }
 
+// streams is the number of streams the level is written as.
+func (pl *preparedLevel) streams() int {
+	if pl.merged != nil {
+		return 1
+	}
+	return len(pl.boxFld)
+}
+
 // Prepared holds the output of the pre-processing stage: merged (and
 // possibly padded) per-level arrays ready for the backend compressor.
 type Prepared struct {
@@ -264,9 +286,9 @@ func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options)
 		var pl preparedLevel
 		if opt.Arrangement == ArrangeTAC {
 			pl.boxes = src.TACBoxes()
-			for _, b := range pl.boxes {
-				pl.boxFld = append(pl.boxFld, src.Box(b))
-				p.payload += b.WX * b.WY * b.WZ * src.U * src.U * src.U * 8
+			pl.boxFld = src.Boxes(pl.boxes)
+			for _, f := range pl.boxFld {
+				p.payload += f.Bytes()
 			}
 		} else {
 			m := src.Merge(opt.Arrangement, opt.Pad && src.U > 4, opt.PadKind)
@@ -315,16 +337,19 @@ func (p *Prepared) LevelExtremes(li int) (lo, hi float64) {
 	return lo, hi
 }
 
-// compressField dispatches one buffer to the codec whose wire ID is c.
-func compressField(f *field.Field, opt Options, c Compressor) ([]byte, error) {
+// compressField dispatches one buffer to the codec whose wire ID is c,
+// which appends the stream to dst.
+func compressField(dst []byte, f *field.Field, opt Options, c Compressor) ([]byte, error) {
 	cd, ok := codec.ByID(byte(c))
 	if !ok {
 		return nil, fmt.Errorf("core: %w", codec.ErrUnknownID(byte(c)))
 	}
-	return cd.Compress(f, opt.params())
+	return cd.Compress(f, opt.params(), dst)
 }
 
-func decompressFieldCtx(ctx context.Context, data []byte, c Compressor) (f *field.Field, err error) {
+// decompressFieldCtx decodes data under the codec whose wire ID is c into
+// dst (nil for a new field).
+func decompressFieldCtx(ctx context.Context, data []byte, c Compressor, dst *field.Field) (f *field.Field, err error) {
 	cd, ok := codec.ByID(byte(c))
 	if !ok {
 		return nil, fmt.Errorf("core: %w", codec.ErrUnknownID(byte(c)))
@@ -339,7 +364,7 @@ func decompressFieldCtx(ctx context.Context, data []byte, c Compressor) (f *fiel
 			f, err = nil, faultio.Corrupt(fmt.Errorf("core: %s decode panicked: %v", cd.Name(), r))
 		}
 	}()
-	return codec.DecompressCtx(ctx, cd, data)
+	return codec.DecompressCtx(ctx, cd, data, dst)
 }
 
 // Compressed is a serialized multi-resolution compression result.
@@ -361,9 +386,18 @@ type compressJob struct {
 	f          *field.Field
 }
 
+// streams is the number of streams the container carries.
+func (p *Prepared) streams() int {
+	n := 0
+	for i := range p.levels {
+		n += p.levels[i].streams()
+	}
+	return n
+}
+
 // jobs lists every stream the container will carry, in serialization order.
 func (p *Prepared) jobs() []compressJob {
-	var jobs []compressJob
+	jobs := make([]compressJob, 0, p.streams())
 	for li, pl := range p.levels {
 		c := p.opt.codecFor(li)
 		if p.opt.Arrangement == ArrangeTAC {
@@ -388,9 +422,9 @@ func streamErr(level, box int, err error) error {
 }
 
 // compressStream dispatches one job to its codec with level/box error
-// context.
-func (p *Prepared) compressStream(j compressJob) ([]byte, error) {
-	s, err := compressField(j.f, p.opt, j.codec)
+// context; the stream is appended to dst.
+func (p *Prepared) compressStream(j compressJob, dst []byte) ([]byte, error) {
+	s, err := compressField(dst, j.f, p.opt, j.codec)
 	if err != nil {
 		return nil, streamErr(j.level, j.box, err)
 	}
@@ -401,8 +435,8 @@ func (p *Prepared) compressStream(j compressJob) ([]byte, error) {
 // that actually emits a stream overrides the codec, 3 (byte-identical to
 // every single-codec container) otherwise.
 func (p *Prepared) wireVersion() byte {
-	for li, pl := range p.levels {
-		if pl.merged == nil && len(pl.boxFld) == 0 {
+	for li := range p.levels {
+		if p.levels[li].streams() == 0 {
 			continue // empty level: no stream carries its codec
 		}
 		if p.opt.codecFor(li) != p.opt.Compressor {
@@ -515,11 +549,11 @@ func PostCandidates(c Compressor) []float64 {
 func (o Options) RoundTrip() postproc.RoundTrip {
 	opt := (&o).withDefaults()
 	return func(f *field.Field) (*field.Field, error) {
-		data, err := compressField(f, opt, opt.Compressor)
+		data, err := compressField(nil, f, opt, opt.Compressor)
 		if err != nil {
 			return nil, err
 		}
-		return decompressFieldCtx(context.Background(), data, opt.Compressor)
+		return decompressFieldCtx(context.Background(), data, opt.Compressor, nil)
 	}
 }
 

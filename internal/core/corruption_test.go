@@ -137,14 +137,14 @@ func TestBackendBitFlipsNeverPanic(t *testing.T) {
 	}
 	codecs := []codec{
 		{"sz3",
-			func() ([]byte, error) { return sz3.Compress(f, sz3.Options{EB: eb}) },
-			func(b []byte) error { _, err := sz3.Decompress(b); return err }},
+			func() ([]byte, error) { return sz3.Compress(nil, f, sz3.Options{EB: eb}) },
+			func(b []byte) error { _, err := sz3.Decompress(nil, b); return err }},
 		{"sz2",
-			func() ([]byte, error) { return sz2.Compress(f, sz2.Options{EB: eb}) },
-			func(b []byte) error { _, err := sz2.Decompress(b); return err }},
+			func() ([]byte, error) { return sz2.Compress(nil, f, sz2.Options{EB: eb}) },
+			func(b []byte) error { _, err := sz2.Decompress(nil, b); return err }},
 		{"zfp",
-			func() ([]byte, error) { return zfp.Compress(f, zfp.Options{Tolerance: eb}) },
-			func(b []byte) error { _, err := zfp.Decompress(b); return err }},
+			func() ([]byte, error) { return zfp.Compress(nil, f, zfp.Options{Tolerance: eb}) },
+			func(b []byte) error { _, err := zfp.Decompress(nil, b); return err }},
 	}
 	rng := rand.New(rand.NewSource(14))
 	for _, c := range codecs {
@@ -175,8 +175,8 @@ func TestRandomGarbageNeverPanics(t *testing.T) {
 		blob := make([]byte, rng.Intn(512))
 		rng.Read(blob)
 		mustNotPanic(t, "garbage", func() { _, _ = Decompress(blob) })
-		mustNotPanic(t, "garbage sz3", func() { _, _ = sz3.Decompress(blob) })
-		mustNotPanic(t, "garbage sz2", func() { _, _ = sz2.Decompress(blob) })
-		mustNotPanic(t, "garbage zfp", func() { _, _ = zfp.Decompress(blob) })
+		mustNotPanic(t, "garbage sz3", func() { _, _ = sz3.Decompress(nil, blob) })
+		mustNotPanic(t, "garbage sz2", func() { _, _ = sz2.Decompress(nil, blob) })
+		mustNotPanic(t, "garbage zfp", func() { _, _ = zfp.Decompress(nil, blob) })
 	}
 }

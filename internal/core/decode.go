@@ -81,13 +81,14 @@ func VerifyIndexed(ix *index.Index, si int, payload []byte) error {
 // — and, for a TAC box, the shape — the index declares. Every failure, a codec panic on
 // damaged input included, is a Corrupt error naming the stream. When ctx
 // carries a trace the codec run appears on it as a "decode" span; a
-// successful call formats no strings.
-func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte) (*field.Field, error) {
+// successful call formats no strings. The field is decoded into dst,
+// reshaped (field.Reuse), when dst is not nil, else into a new one.
+func DecodeIndexed(ctx context.Context, ix *index.Index, si int, payload []byte, dst *field.Field) (*field.Field, error) {
 	if err := VerifyIndexed(ix, si, payload); err != nil {
 		return nil, err
 	}
 	s := &ix.Streams[si]
-	f, err := decompressFieldCtx(ctx, payload, Compressor(s.Compressor))
+	f, err := decompressFieldCtx(ctx, payload, Compressor(s.Compressor), dst)
 	if err != nil {
 		return nil, faultio.Corrupt(streamErr(s.Level, s.Box, err))
 	}
@@ -163,10 +164,12 @@ func decompressImpl(blob []byte, intens []postproc.Intensity, workers int) (*gri
 	// they arrive, so beyond the destination hierarchy at most the window's
 	// decoded fields are alive at once (workers = 1 is fully streaming).
 	// Placement stays on this goroutine: it writes into the shared
-	// hierarchy, and its cost is dwarfed by backend decoding.
+	// hierarchy, and its cost is dwarfed by backend decoding. A placed
+	// field's array is copied out, so a later stream decodes into it.
+	var dsts spares[*field.Field]
 	fields := parallel.NewOrdered(len(ix.Streams), parallel.Resolve(workers), func(si int) (*field.Field, error) {
 		s := &ix.Streams[si]
-		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len])
+		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], dsts.get())
 		if err != nil || s.Level >= len(intens) || intens[s.Level] == (postproc.Intensity{}) {
 			return f, err
 		}
@@ -200,6 +203,7 @@ func decompressImpl(blob []byte, intens []postproc.Intensity, workers int) (*gri
 			return nil, err
 		}
 		markOwned(h, ix, si)
+		dsts.put(f)
 	}
 	return h, nil
 }

@@ -46,7 +46,7 @@ func TestFooterMatchesBodyScan(t *testing.T) {
 		// size and box shape are DecodeIndexed's own checks.
 		for si, s := range fromFooter.Streams {
 			payload := c.Blob[s.Offset : s.Offset+s.Len]
-			if _, err := DecodeIndexed(context.Background(), fromFooter, si, payload); err != nil {
+			if _, err := DecodeIndexed(context.Background(), fromFooter, si, payload, nil); err != nil {
 				t.Fatalf("%v: %v", arr, err)
 			}
 		}

@@ -41,11 +41,12 @@ func (ww *wireWriter) spare() []byte { return ww.w.AvailableBuffer() }
 // writeContainer serializes the container body (header, per-level metadata,
 // compressed streams) to ww, pulling each stream from nextStream — called
 // once per stream, in serialization order, and not again after a write to ww
-// has failed. The header, block lists and box geometry are the records the
-// index footer repeats, encoded by the same index functions. It returns the
-// populated index (ready for AppendFooter) and the per-level compressed
-// payload byte counts.
-func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, error)) (*index.Index, []int, error) {
+// has failed — and handing it to written, emptied, once ww holds its bytes.
+// The header, block lists and box geometry are the records the index footer
+// repeats, encoded by the same index functions. It returns the populated
+// index (ready for AppendFooter) and the per-level compressed payload byte
+// counts.
+func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, error), written func([]byte)) (*index.Index, []int, error) {
 	o := p.opt
 	ver := p.wireVersion()
 	ix := &index.Index{
@@ -55,12 +56,14 @@ func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, err
 		Nz:         p.nz,
 		BlockB:     p.blockB,
 		Levels:     make([]index.Level, len(p.levels)),
+		Streams:    make([]index.Stream, 0, p.streams()),
 		StreamCRCs: true,
 	}
-	for li, pl := range p.levels {
+	for li := range p.levels {
+		pl := &p.levels[li]
 		// Blocks in merge order: raster for linear / stack, Morton for
 		// zorder — order matters, so the list is stored as-is.
-		ix.Levels[li] = index.Level{Blocks: pl.blocks, Padded: pl.padded}
+		ix.Levels[li] = index.Level{Blocks: pl.blocks, Padded: pl.padded, Streams: make([]int, 0, pl.streams())}
 	}
 	ww.write(ix.AppendHeader(append(append(ww.spare(), containerMagic...), ver)))
 
@@ -90,6 +93,7 @@ func (p *Prepared) writeContainer(ww *wireWriter, nextStream func() ([]byte, err
 			CRC: crc32.ChecksumIEEE(s),
 		})
 		ww.write(s)
+		written(s[:0])
 		levelBytes[li] += len(s)
 		return nil
 	}
@@ -134,25 +138,28 @@ type WriteResult struct {
 // the block-index footer, built alongside, at the end. The bytes are the
 // same for every worker count. Beyond the prepared buffers it holds at most
 // the parallel.Ordered window of compressed streams (8 per worker) plus the
-// footer, never the whole container. A failed write to w ends the run at
-// the next stream boundary.
+// footer, never the whole container; a stream's buffer, once written,
+// carries a later stream. A failed write to w ends the run at the next
+// stream boundary.
 func (p *Prepared) CompressTo(w io.Writer) (*WriteResult, error) {
 	return p.compressTo(w, p.compressStream)
 }
 
-// compressTo is CompressTo with the per-stream compressor as a parameter.
-func (p *Prepared) compressTo(w io.Writer, compress func(compressJob) ([]byte, error)) (*WriteResult, error) {
+// compressTo is CompressTo with the per-stream compressor as a parameter,
+// which appends job's stream to dst.
+func (p *Prepared) compressTo(w io.Writer, compress func(job compressJob, dst []byte) ([]byte, error)) (*WriteResult, error) {
 	if err := p.checkCompressOptions(); err != nil {
 		return nil, err
 	}
 	jobs := p.jobs()
+	var bufs spares[[]byte]
 	streams := parallel.NewOrdered(len(jobs), p.opt.Workers, func(i int) ([]byte, error) {
-		return compress(jobs[i])
+		return compress(jobs[i], bufs.get())
 	})
 	defer streams.Stop()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	ww := &wireWriter{w: bw}
-	ix, levelBytes, err := p.writeContainer(ww, streams.Next)
+	ix, levelBytes, err := p.writeContainer(ww, streams.Next, bufs.put)
 	if err != nil {
 		return nil, err
 	}

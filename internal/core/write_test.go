@@ -299,7 +299,7 @@ func TestCompressToStopsAfterFailedWrite(t *testing.T) {
 		// Each stream is larger than the writer's buffer, so the first one
 		// already reaches the failing destination.
 		stream := make([]byte, 1<<17)
-		_, err = p.compressTo(&failAfter{n: 0, err: sinkErr}, func(compressJob) ([]byte, error) {
+		_, err = p.compressTo(&failAfter{n: 0, err: sinkErr}, func(compressJob, []byte) ([]byte, error) {
 			calls.Add(1)
 			return stream, nil
 		})

@@ -81,11 +81,11 @@ func runAblPadThreshold(w io.Writer, cfg Config) error {
 		}
 		padded := layout.PadXY(m.Data, layout.PadLinear)
 		eb := rel * rng
-		rawBlob, err := sz3.Compress(m.Data, sz3.Options{EB: eb})
+		rawBlob, err := sz3.Compress(nil, m.Data, sz3.Options{EB: eb})
 		if err != nil {
 			return err
 		}
-		padBlob, err := sz3.Compress(padded, sz3.Options{EB: eb})
+		padBlob, err := sz3.Compress(nil, padded, sz3.Options{EB: eb})
 		if err != nil {
 			return err
 		}
@@ -154,11 +154,11 @@ func runAblSampling(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	f := synth.Generate(synth.WarpX, cfg.Size, cfg.Seed+30)
 	eb := f.ValueRange() * 2e-2
-	blob, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	blob, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		return err
 	}
-	dec, err := zfp.Decompress(blob)
+	dec, err := zfp.Decompress(nil, blob)
 	if err != nil {
 		return err
 	}

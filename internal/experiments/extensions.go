@@ -99,11 +99,11 @@ func runExtVolren(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	f := synth.GenerateDims(synth.Hurricane, cfg.Size, cfg.Size, cfg.Size/2, cfg.Seed+41)
 	eb := f.ValueRange() * 0.05
-	blob, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	blob, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		return err
 	}
-	dec, err := zfp.Decompress(blob)
+	dec, err := zfp.Decompress(nil, blob)
 	if err != nil {
 		return err
 	}

@@ -83,11 +83,11 @@ func runTable1(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	f := synth.Generate(synth.WarpX, cfg.Size, cfg.Seed+10)
 	eb := f.ValueRange() * 2e-2 // aggressive enough for visible ZFP artifacts
-	blob, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	blob, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		return err
 	}
-	dec, err := zfp.Decompress(blob)
+	dec, err := zfp.Decompress(nil, blob)
 	if err != nil {
 		return err
 	}
@@ -129,11 +129,11 @@ func runFig12(w io.Writer, cfg Config) error {
 		// the paper's CR range (its real error sits well below the bound).
 		rel *= 4
 		eb := rel * rng
-		blob, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+		blob, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 		if err != nil {
 			return err
 		}
-		dec, err := zfp.Decompress(blob)
+		dec, err := zfp.Decompress(nil, blob)
 		if err != nil {
 			return err
 		}

@@ -28,6 +28,22 @@ func New(nx, ny, nz int) *Field {
 	return &Field{Nx: nx, Ny: ny, Nz: nz, Data: make([]float64, nx*ny*nz)}
 }
 
+// Reuse returns an nx×ny×nz field built on dst: dst itself, reshaped, when
+// dst is not nil, keeping its array when that is large enough; a New field
+// otherwise. A kept array holds whatever dst held, so the caller must write
+// every sample. It panics if any dimension is non-positive.
+func Reuse(dst *Field, nx, ny, nz int) *Field {
+	if dst == nil || nx <= 0 || ny <= 0 || nz <= 0 {
+		return New(nx, ny, nz)
+	}
+	n := nx * ny * nz
+	if cap(dst.Data) < n {
+		dst.Data = make([]float64, n)
+	}
+	dst.Nx, dst.Ny, dst.Nz, dst.Data = nx, ny, nz, dst.Data[:n]
+	return dst
+}
+
 // Len returns the total number of samples.
 func (f *Field) Len() int { return f.Nx * f.Ny * f.Nz }
 
@@ -127,21 +143,6 @@ func (f *Field) Mean() float64 {
 	return s / float64(f.Len())
 }
 
-// Variance returns the population variance of all samples.
-func (f *Field) Variance() float64 {
-	n := f.Len()
-	if n == 0 {
-		return 0
-	}
-	m := f.Mean()
-	s := 0.0
-	for _, v := range f.Data {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(n)
-}
-
 // checkRegion panics unless the region of size (bx,by,bz) anchored at
 // (x0,y0,z0) is non-negative and lies inside the field.
 func (f *Field) checkRegion(x0, y0, z0, bx, by, bz int) {
@@ -192,22 +193,14 @@ func (f *Field) SetBlock(x0, y0, z0 int, b *Field) {
 	CopyBlock(f, x0, y0, z0, b, 0, 0, 0, b.Nx, b.Ny, b.Nz)
 }
 
-// Downsample2 returns a field of half resolution per axis (ceil division)
-// where each coarse sample is the mean of its (up to) 2×2×2 fine children.
-// This is the restriction operator used for non-ROI regions and for building
-// coarse AMR levels from fine data.
-func (f *Field) Downsample2() *Field {
-	g := New((f.Nx+1)/2, (f.Ny+1)/2, (f.Nz+1)/2)
-	DownsampleBlock2(g, 0, 0, 0, f, 0, 0, 0, f.Nx, f.Ny, f.Nz)
-	return g
-}
-
-// DownsampleBlock2 is Downsample2 of the region of size (bx,by,bz) anchored
-// at (sx,sy,sz) in src, written straight into the region of half that size
-// (ceil division) anchored at (dx,dy,dz) in dst. Children are summed from
-// zero in z, y, x order, so every mean carries the same rounding wherever
-// the region sits. Both regions must lie inside their fields and must not
-// overlap.
+// DownsampleBlock2 writes the region of size (bx,by,bz) anchored at
+// (sx,sy,sz) in src at half resolution per axis into the region of half
+// that size (ceil division) anchored at (dx,dy,dz) in dst: each coarse
+// sample is the mean of its (up to) 2×2×2 fine children — the restriction
+// operator used for non-ROI regions and for building coarse AMR levels from
+// fine data. Children are summed from zero in z, y, x order, so every mean
+// carries the same rounding wherever the region sits. Both regions must lie
+// inside their fields and must not overlap.
 func DownsampleBlock2(dst *Field, dx, dy, dz int, src *Field, sx, sy, sz, bx, by, bz int) {
 	nx, ny, nz := (bx+1)/2, (by+1)/2, (bz+1)/2
 	dst.checkRegion(dx, dy, dz, nx, ny, nz)
@@ -259,7 +252,7 @@ func DownsampleBlock2(dst *Field, dx, dy, dz int, src *Field, sx, sy, sz, bx, by
 
 // Upsample2 returns a field of exactly (nx,ny,nz) samples reconstructed from
 // f by trilinear interpolation, where f is treated as a 2×-coarse version
-// (cell-centred). It is the prolongation operator matching Downsample2.
+// (cell-centred). It is the prolongation operator matching DownsampleBlock2.
 func (f *Field) Upsample2(nx, ny, nz int) *Field {
 	g := New(nx, ny, nz)
 	// Map fine coordinate x to coarse sample space: coarse sample i covers

@@ -47,8 +47,8 @@ func TestGaussianReducesVariance(t *testing.T) {
 		f.Data[i] = rng.NormFloat64()
 	}
 	g := Gaussian(f, 1.5)
-	if g.Variance() >= f.Variance() {
-		t.Fatalf("blur did not reduce variance: %g vs %g", g.Variance(), f.Variance())
+	if variance(g) >= variance(f) {
+		t.Fatalf("blur did not reduce variance: %g vs %g", variance(g), variance(f))
 	}
 }
 
@@ -105,11 +105,11 @@ func TestAnisotropicStable(t *testing.T) {
 func TestTable1FiltersReducePSNR(t *testing.T) {
 	f := synth.Generate(synth.WarpX, 32, 3)
 	eb := f.ValueRange() * 5e-3
-	data, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	data, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := zfp.Decompress(data)
+	dec, err := zfp.Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,4 +123,14 @@ func TestTable1FiltersReducePSNR(t *testing.T) {
 			t.Fatalf("%s filter unexpectedly improved PSNR: %.2f vs %.2f", name, p, base)
 		}
 	}
+}
+
+// variance returns the population variance of f's samples.
+func variance(f *field.Field) float64 {
+	m := f.Mean()
+	s := 0.0
+	for _, v := range f.Data {
+		s += (v - m) * (v - m)
+	}
+	return s / float64(f.Len())
 }

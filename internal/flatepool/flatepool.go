@@ -10,6 +10,16 @@
 // equivalent to a fresh one, so pooled output is byte-identical to
 // unpooled.
 //
+// Deflate appends: Deflate(dst, payload) writes the stream after dst's
+// contents and returns the extended slice, which shares dst's array when it
+// has the room — first growing dst to hold len(payload) plus a little
+// framing if it has less spare room than that, since an entropy-coded
+// payload barely shrinks. The pool never keeps a caller's buffer, so a
+// caller that recycles its buffers (the container writer hands each written
+// stream's buffer to the next stream) allocates an output buffer only when
+// it has none large enough; Deflate(nil, payload) allocates one, of about
+// the payload's size.
+//
 // Reading: Inflate decodes a whole stream held in memory with this
 // package's own decoder, not compress/flate's reader, which allocates new
 // Huffman link tables for every dynamic block. The decoder keeps a 64-bit
@@ -28,37 +38,64 @@
 package flatepool
 
 import (
-	"bytes"
 	"compress/flate"
+	"slices"
 	"sync"
 )
 
+// deflater is a pooled writer together with the sink it writes into, so
+// neither is allocated per stream.
+type deflater struct {
+	fw  *flate.Writer
+	out appender
+}
+
+// appender is an io.Writer that appends to a byte slice.
+type appender struct{ b []byte }
+
+func (a *appender) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
+}
+
 var pool = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(nil, flate.BestSpeed)
+	d := new(deflater)
+	fw, err := flate.NewWriter(&d.out, flate.BestSpeed)
 	if err != nil {
 		// flate.BestSpeed is a valid level; NewWriter cannot fail on it.
 		panic(err)
 	}
-	return w
+	d.fw = fw
+	return d
 }}
 
-// Deflate compresses payload at flate.BestSpeed using a pooled writer.
-func Deflate(payload []byte) ([]byte, error) {
-	var out bytes.Buffer
-	out.Grow(len(payload)/4 + 64)
-	fw := pool.Get().(*flate.Writer)
-	fw.Reset(&out)
-	if _, err := fw.Write(payload); err != nil {
-		pool.Put(fw)
+// Deflate compresses payload at flate.BestSpeed using a pooled writer and
+// appends the stream to dst, returning the extended slice (see the package
+// doc for how dst is grown).
+//
+// aliases: the result shares dst's array when dst had the room; the pooled
+// writer keeps no reference to it.
+func Deflate(dst, payload []byte) ([]byte, error) {
+	d := pool.Get().(*deflater)
+	d.out.b = slices.Grow(dst, len(payload)+deflateSlack)
+	d.fw.Reset(&d.out)
+	_, err := d.fw.Write(payload)
+	if err == nil {
+		err = d.fw.Close()
+	}
+	out := d.out.b
+	d.out.b = nil // the pool keeps no caller's buffer
+	pool.Put(d)
+	if err != nil {
 		return nil, err
 	}
-	if err := fw.Close(); err != nil {
-		pool.Put(fw)
-		return nil, err
-	}
-	pool.Put(fw)
-	return out.Bytes(), nil
+	return out, nil
 }
+
+// deflateSlack is the room Deflate reserves beyond the payload for DEFLATE's
+// block framing: it covers the 5-byte headers of the stored blocks an
+// incompressible payload of up to about 700 KB falls back to.
+const deflateSlack = 64
 
 // maxPooledBytes caps the output buffer a released Inflated keeps. The
 // largest SZ2 or SZ3 payload of a 128³ field is 1.16 MB (relative bound

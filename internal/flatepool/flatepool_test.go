@@ -38,7 +38,7 @@ func TestByteIdenticalToFreshWriter(t *testing.T) {
 		}
 		// Repeat so later calls exercise pooled (previously used) writers.
 		for trial := 0; trial < 3; trial++ {
-			got, err := Deflate(payload)
+			got, err := Deflate(nil, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestByteIdenticalToFreshWriter(t *testing.T) {
 
 func TestConcurrentUse(t *testing.T) {
 	payload := bytes.Repeat([]byte("abcabcabd"), 4096)
-	want, err := Deflate(payload)
+	want, err := Deflate(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				got, err := Deflate(payload)
+				got, err := Deflate(nil, payload)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Errorf("concurrent deflate diverged (err=%v)", err)
 					return
@@ -133,7 +133,7 @@ func TestInflateConcurrentUse(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		payload := payloads[g%2]
-		blob, err := Deflate(payload)
+		blob, err := Deflate(nil, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestInflateAllocBudget(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(rng.Intn(7))
 	}
-	blob, err := Deflate(payload)
+	blob, err := Deflate(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

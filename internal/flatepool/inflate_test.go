@@ -229,11 +229,11 @@ func realStreams(b *testing.B) (streams [][]byte, names []string) {
 		f := synth.Generate(ds, 128, 1)
 		for _, rel := range []float64{1e-2, 1e-3, 1e-4} {
 			eb := f.ValueRange() * rel
-			s3, err := sz3.Compress(f, sz3.Options{EB: eb})
+			s3, err := sz3.Compress(nil, f, sz3.Options{EB: eb})
 			if err != nil {
 				b.Fatal(err)
 			}
-			s2, err := sz2.Compress(f, sz2.Options{EB: eb, BlockSize: sz2.MultiResBlockSize})
+			s2, err := sz2.Compress(nil, f, sz2.Options{EB: eb, BlockSize: sz2.MultiResBlockSize})
 			if err != nil {
 				b.Fatal(err)
 			}

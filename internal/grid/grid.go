@@ -105,20 +105,6 @@ func CheckBlockB(blockB int) error {
 	return nil
 }
 
-// FromUniform wraps a uniform field as a single-level hierarchy owning every
-// block.
-func FromUniform(f *field.Field, blockB int) (*Hierarchy, error) {
-	h, err := New(f.Nx, f.Ny, f.Nz, blockB, 1)
-	if err != nil {
-		return nil, err
-	}
-	copy(h.Levels[0].Data.Data, f.Data)
-	for i := range h.Levels[0].Owned {
-		h.Levels[0].Owned[i] = true
-	}
-	return h, nil
-}
-
 // Validate checks the structural invariants: every block owned by exactly
 // one level, consistent shapes.
 func (h *Hierarchy) Validate() error {

@@ -30,9 +30,23 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// fromUniform wraps a uniform field as a single-level hierarchy owning
+// every block.
+func fromUniform(f *field.Field, blockB int) (*Hierarchy, error) {
+	h, err := New(f.Nx, f.Ny, f.Nz, blockB, 1)
+	if err != nil {
+		return nil, err
+	}
+	copy(h.Levels[0].Data.Data, f.Data)
+	for i := range h.Levels[0].Owned {
+		h.Levels[0].Owned[i] = true
+	}
+	return h, nil
+}
+
 func TestFromUniformOwnsEverything(t *testing.T) {
 	f := synth.Generate(synth.S3D, 16, 1)
-	h, err := FromUniform(f, 8)
+	h, err := fromUniform(f, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

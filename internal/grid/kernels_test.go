@@ -21,7 +21,9 @@ func refSetBlockFromFine(h *Hierarchy, level, bx, by, bz int, fine *field.Field)
 	lv.Owned[bi] = true
 	b := fine.SubBlock(bx*h.BlockB, by*h.BlockB, bz*h.BlockB, h.BlockB, h.BlockB, h.BlockB)
 	for s := 1; s < lv.Scale; s <<= 1 {
-		b = b.Downsample2()
+		half := field.New((b.Nx+1)/2, (b.Ny+1)/2, (b.Nz+1)/2)
+		field.DownsampleBlock2(half, 0, 0, 0, b, 0, 0, 0, b.Nx, b.Ny, b.Nz)
+		b = half
 	}
 	u := h.UnitBlockSize(level)
 	lv.Data.SetBlock(bx*u, by*u, bz*u, b)

@@ -6,15 +6,37 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"repro/internal/bitio"
 )
 
-// refEmit is emit as it was: one bitio.WriteBits call per symbol, the
-// dense lookup indexed by symbol − minS, the sparse one by binary search.
-// It is the reference the register emitter is held to, and the lane
-// writer of the interleaved fixtures.
-func refEmit(c *coder, bw *bitio.Writer, data []int32) {
+// bitWriter is the reference bit writer: it appends bits one at a time,
+// most significant first, after what buf already holds.
+type bitWriter struct {
+	buf  []byte
+	bits int // bits written
+}
+
+// WriteBits appends the low n bits of v, most significant first.
+func (w *bitWriter) WriteBits(v uint64, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		if w.bits%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		w.buf[len(w.buf)-1] |= byte(v>>i&1) << (7 - w.bits%8)
+		w.bits++
+	}
+}
+
+// Len returns the number of bits written.
+func (w *bitWriter) Len() int { return w.bits }
+
+// Finish returns the stream, its last byte zero-padded.
+func (w *bitWriter) Finish() []byte { return w.buf }
+
+// refEmit is emit as it was: one WriteBits call per symbol, the dense
+// lookup indexed by symbol − minS, the sparse one by binary search. It is
+// the reference the register emitter is held to, and the lane writer of the
+// interleaved fixtures.
+func refEmit(c *coder, bw *bitWriter, data []int32) {
 	if c.dense {
 		minS := int64(c.minS)
 		for _, v := range data {
@@ -36,7 +58,7 @@ func refEncode(data []int32) []byte {
 	}
 	c := new(scratch).coder(data)
 	out := binary.AppendUvarint(nil, uint64(len(data)))
-	bw := bitio.NewWriterAppend(c.appendDict(out))
+	bw := &bitWriter{buf: c.appendDict(out)}
 	refEmit(c, bw, data)
 	return bw.Finish()
 }
@@ -159,7 +181,7 @@ func TestEmitMaxCodeLen(t *testing.T) {
 				}
 				c.totalBits += lens[j]
 			}
-			bw := bitio.NewWriter()
+			bw := new(bitWriter)
 			refEmit(c, bw, data)
 			want := bw.Finish()
 			got := c.emit(make([]byte, 0, len(want)), c.keys(data, make([]int32, len(data))))

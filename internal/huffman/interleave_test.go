@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/bitio"
 )
 
 // EncodeInterleaved is the fixture writer for the read-only interleaved
@@ -39,7 +37,7 @@ func EncodeInterleaved(data []int32, lanes int) []byte {
 		for i := j; i < len(data); i += lanes {
 			lane = append(lane, data[i])
 		}
-		bw := bitio.NewWriterAppend(payload)
+		bw := &bitWriter{buf: payload}
 		refEmit(c, bw, lane)
 		out = binary.AppendUvarint(out, uint64(bw.Len()))
 		payload = bw.Finish() // byte-aligns the lane

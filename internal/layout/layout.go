@@ -343,19 +343,32 @@ func planeFree(owned, vis func(int, int, int) bool, bx, by, bz, wx, wy int) bool
 	return true
 }
 
-// Box copies the blocks of a box into a standalone field of shape
-// (u·WX, u·WY, u·WZ).
-func (s Source) Box(b Box) *field.Field {
-	u := s.U
-	out := field.New(b.WX*u, b.WY*u, b.WZ*u)
-	s.putBox(out, 0, 0, 0, b)
+// Boxes copies the blocks of each box into a field of shape
+// (u·WX, u·WY, u·WZ). The fields are views of one array, which all of them
+// keep alive: a level's boxes cost three allocations, not two per box.
+func (s Source) Boxes(boxes []Box) []*field.Field {
+	u3 := s.U * s.U * s.U
+	n := 0
+	for _, b := range boxes {
+		n += b.WX * b.WY * b.WZ * u3
+	}
+	slab := make([]float64, n)
+	views := make([]field.Field, len(boxes))
+	out := make([]*field.Field, len(boxes))
+	for i, b := range boxes {
+		m := b.WX * b.WY * b.WZ * u3
+		views[i] = field.Field{Nx: b.WX * s.U, Ny: b.WY * s.U, Nz: b.WZ * s.U, Data: slab[:m:m]}
+		slab = slab[m:]
+		s.putBox(&views[i], 0, 0, 0, b)
+		out[i] = &views[i]
+	}
 	return out
 }
 
 // ExtractBox copies the samples of a box from a level into a standalone
-// field of shape (u·WX, u·WY, u·WZ) (Source.Box).
+// field of shape (u·WX, u·WY, u·WZ) (Source.Boxes).
 func ExtractBox(h *grid.Hierarchy, level int, b Box) *field.Field {
-	return LevelSource(h, level).Box(b)
+	return LevelSource(h, level).Boxes([]Box{b})[0]
 }
 
 // InsertBox writes a box's samples back into a level and marks ownership.

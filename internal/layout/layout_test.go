@@ -143,7 +143,7 @@ func TestTACBoxRoundTrip(t *testing.T) {
 func TestTACMergesContiguousRegions(t *testing.T) {
 	// Fully owned level → a single box.
 	f := synth.Generate(synth.S3D, 32, 5)
-	h, err := grid.FromUniform(f, 8)
+	h, err := grid.BuildAMR(f, 8, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

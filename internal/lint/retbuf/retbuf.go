@@ -1,9 +1,9 @@
 // Package retbuf flags exported functions and methods on the hot path that
 // return a slice aliasing reusable memory without saying so.
 //
-// This is the PR 2 regression class: bitio.Writer.Bytes() returns the
-// writer's live buffer to avoid a copy, and a caller that held the slice
-// across the next Write saw it mutate underfoot. Zero-copy returns are
+// The class it guards against: a bit writer's Bytes() returned the writer's
+// live buffer to avoid a copy, and a caller that held the slice across the
+// next Write saw it mutate underfoot. Zero-copy returns are
 // deliberate on the hot path, so the fix is not to forbid them but to make
 // the contract explicit: any exported function that returns memory someone
 // else may reuse must carry a doc comment containing "aliases:" describing

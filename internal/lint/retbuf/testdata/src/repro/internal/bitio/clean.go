@@ -4,14 +4,14 @@ package bitio
 
 // Finish returns the encoded stream.
 //
-// aliases: the returned slice is the writer's own buffer; the writer must
+// aliases: the returned slice is the buffer's own array; the buffer must
 // not be reused while the result is live.
-func (w *Writer) Finish() []byte {
+func (w *Buffer) Finish() []byte {
 	return w.buf
 }
 
 // Copy returns a fresh allocation.
-func (w *Writer) Copy() []byte {
+func (w *Buffer) Copy() []byte {
 	out := make([]byte, len(w.buf))
 	copy(out, w.buf)
 	return out
@@ -19,23 +19,23 @@ func (w *Writer) Copy() []byte {
 
 // AppendTo appends into a caller-provided destination; the result is rooted
 // in dst, not the receiver.
-func (w *Writer) AppendTo(dst []byte) []byte {
+func (w *Buffer) AppendTo(dst []byte) []byte {
 	return append(dst, w.buf...)
 }
 
 // peek is unexported; the rule covers only the exported API surface.
-func (w *Writer) peek() []byte {
+func (w *Buffer) peek() []byte {
 	return w.buf
 }
 
 // Fresh reassigns the local away from the buffer before returning it.
-func (w *Writer) Fresh() []byte {
+func (w *Buffer) Fresh() []byte {
 	b := w.buf
 	b = make([]byte, w.n)
 	return b
 }
 
 // Count returns no slice at all.
-func (w *Writer) Count() int {
+func (w *Buffer) Count() int {
 	return w.n
 }

@@ -15,11 +15,11 @@ import (
 func TestProcessStaysWithinIntensityBound(t *testing.T) {
 	f := synth.Generate(synth.WarpX, 32, 1)
 	eb := f.ValueRange() * 1e-2
-	data, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	data, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := zfp.Decompress(data)
+	dec, err := zfp.Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +104,21 @@ func TestCandidates(t *testing.T) {
 
 func zfpRoundTrip(eb float64) RoundTrip {
 	return func(f *field.Field) (*field.Field, error) {
-		data, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+		data, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 		if err != nil {
 			return nil, err
 		}
-		return zfp.Decompress(data)
+		return zfp.Decompress(nil, data)
 	}
 }
 
 func sz2RoundTrip(eb float64, bs int) RoundTrip {
 	return func(f *field.Field) (*field.Field, error) {
-		data, err := sz2pkg.Compress(f, sz2pkg.Options{EB: eb, BlockSize: bs})
+		data, err := sz2pkg.Compress(nil, f, sz2pkg.Options{EB: eb, BlockSize: bs})
 		if err != nil {
 			return nil, err
 		}
-		return sz2pkg.Decompress(data)
+		return sz2pkg.Decompress(nil, data)
 	}
 }
 

@@ -122,13 +122,6 @@ func WithCacheKey(id string) Option {
 	return func(r *Reader) { r.id = id }
 }
 
-// WithRetryPolicy overrides the bounded retry-with-backoff applied to every
-// source read (default faultio.DefaultRetryPolicy: transient faults are
-// absorbed below the decode layer).
-func WithRetryPolicy(p faultio.RetryPolicy) Option {
-	return func(r *Reader) { r.retryPolicy = p }
-}
-
 // WithSourceWrap interposes a transform on the container source underneath
 // the retry layer — the fault-injection seam: tests (and the CI smoke run)
 // wrap the source in a faultio.FaultReaderAt to exercise the serving path
@@ -396,7 +389,7 @@ func (r *Reader) fetchStream(ctx context.Context, si int) (*field.Field, error) 
 		return nil, fmt.Errorf("reader: stream L%dB%d: %w", s.Level, s.Box, err)
 	}
 	r.bytesRead.Add(s.Len)
-	f, err := core.DecodeIndexed(ctx, r.ix, si, payload)
+	f, err := core.DecodeIndexed(ctx, r.ix, si, payload, nil)
 	if err != nil {
 		r.corruptStreams.Add(1)
 		return nil, err

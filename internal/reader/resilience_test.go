@@ -12,6 +12,13 @@ import (
 	"repro/internal/index"
 )
 
+// withRetryPolicy overrides the bounded retry-with-backoff applied to every
+// source read (default faultio.DefaultRetryPolicy), so a test can size the
+// budget to its fault plan.
+func withRetryPolicy(p faultio.RetryPolicy) Option {
+	return func(r *Reader) { r.retryPolicy = p }
+}
+
 // corruptStreamByte returns a copy of blob with one payload byte of the
 // given stream flipped, plus the stream's level and box.
 func corruptStreamByte(t *testing.T, blob []byte, si int) ([]byte, index.Stream) {
@@ -69,7 +76,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 			inj = faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 11, TransientProb: 0.4, MaxFaults: 16})
 			return inj
 		}),
-		WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 6}),
+		withRetryPolicy(faultio.RetryPolicy{MaxAttempts: 6}),
 	)
 	want, err := core.Decompress(blob)
 	if err != nil {

@@ -108,7 +108,7 @@ func TestRetryEventsLandOnTrace(t *testing.T) {
 				WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
 					return faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 1, TransientProb: 0.5, MaxFaults: 4})
 				}),
-				WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 5}),
+				withRetryPolicy(faultio.RetryPolicy{MaxAttempts: 5}),
 			)
 			atOpen := r.Stats().Retries
 
@@ -166,7 +166,7 @@ func TestCanceledContextStopsRetries(t *testing.T) {
 		src := &cancelingReaderAt{cancel: cancel}
 		r := open(t, blob,
 			WithSourceWrap(func(in io.ReaderAt) io.ReaderAt { src.ReaderAt = in; return src }),
-			WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 1000}),
+			withRetryPolicy(faultio.RetryPolicy{MaxAttempts: 1000}),
 		)
 		src.armed.Store(true)
 		if err := op(ctx, r); err == nil {

@@ -78,7 +78,7 @@ func (r *Reader) Verify(ctx context.Context) (*VerifyResult, error) {
 		default:
 			r.bytesRead.Add(s.Len)
 			res.Decoded++
-			if _, err = core.DecodeIndexed(ctx, r.ix, si, payload); err == nil {
+			if _, err = core.DecodeIndexed(ctx, r.ix, si, payload, nil); err == nil {
 				r.backendDecodes.Add(1)
 			}
 		}

@@ -165,20 +165,5 @@ func SavePNG(img image.Image, path string) error {
 	return w.Close()
 }
 
-// ImageToField converts an RGBA image's luminance back into a 2D field,
-// letting image-space SSIM/PSNR be computed on rendered views (the way the
-// paper reports SSIM of visualizations).
-func ImageToField(img *image.RGBA) *field.Field {
-	b := img.Bounds()
-	f := field.New(b.Dx(), b.Dy(), 1)
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			c := img.RGBAAt(b.Min.X+x, b.Min.Y+y)
-			f.Set(x, y, 0, 0.299*float64(c.R)+0.587*float64(c.G)+0.114*float64(c.B))
-		}
-	}
-	return f
-}
-
 func fieldMin(f *field.Field) float64 { lo, _ := f.Range(); return lo }
 func fieldMax(f *field.Field) float64 { _, hi := f.Range(); return hi }

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"image"
 	"image/color"
 	"os"
 	"path/filepath"
@@ -101,8 +102,8 @@ func TestUncertaintyOverlayShapes(t *testing.T) {
 func TestImageToFieldSSIMIdentity(t *testing.T) {
 	// Rendering the same data twice must give SSIM 1 in image space.
 	f := synth.Generate(synth.WarpX, 24, 3)
-	a := ImageToField(SliceZ(f, 12, CoolWarm))
-	b := ImageToField(SliceZ(f, 12, CoolWarm))
+	a := imageToField(SliceZ(f, 12, CoolWarm))
+	b := imageToField(SliceZ(f, 12, CoolWarm))
 	if s := metrics.SSIM2D(a, b); s < 0.9999 {
 		t.Fatalf("identical renders SSIM %v", s)
 	}
@@ -117,9 +118,24 @@ func TestImageSpaceSSIMDropsWithDistortion(t *testing.T) {
 			g.Data[i] += (hi - lo) * 0.3
 		}
 	}
-	a := ImageToField(SliceZNormalized(f, 12, CoolWarm, lo, hi))
-	b := ImageToField(SliceZNormalized(g, 12, CoolWarm, lo, hi))
+	a := imageToField(SliceZNormalized(f, 12, CoolWarm, lo, hi))
+	b := imageToField(SliceZNormalized(g, 12, CoolWarm, lo, hi))
 	if s := metrics.SSIM2D(a, b); s >= 0.999 {
 		t.Fatalf("distorted render SSIM suspiciously high: %v", s)
 	}
+}
+
+// imageToField converts an RGBA image's luminance back into a 2D field,
+// letting image-space SSIM/PSNR be computed on rendered views (the way the
+// paper reports SSIM of visualizations).
+func imageToField(img *image.RGBA) *field.Field {
+	b := img.Bounds()
+	f := field.New(b.Dx(), b.Dy(), 1)
+	for y := 0; y < b.Dy(); y++ {
+		for x := 0; x < b.Dx(); x++ {
+			c := img.RGBAAt(b.Min.X+x, b.Min.Y+y)
+			f.Set(x, y, 0, 0.299*float64(c.R)+0.587*float64(c.G)+0.114*float64(c.B))
+		}
+	}
+	return f
 }

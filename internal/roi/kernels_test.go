@@ -63,7 +63,7 @@ func refConvert(t *testing.T, f *field.Field, b int, topFrac float64) *grid.Hier
 					h.Levels[0].Data.SetBlock(bx*b, by*b, bz*b, blk)
 				} else {
 					h.Levels[1].Owned[bi] = true
-					h.Levels[1].Data.SetBlock(bx*b/2, by*b/2, bz*b/2, blk.Downsample2())
+					field.DownsampleBlock2(h.Levels[1].Data, bx*b/2, by*b/2, bz*b/2, blk, 0, 0, 0, b, b, b)
 				}
 			}
 		}
@@ -174,8 +174,9 @@ func TestSourcesMatchConvert(t *testing.T) {
 				if len(got.TACBoxes()) != len(boxes) {
 					t.Fatalf("b=%d frac=%g level %d: %d TAC boxes, want %d", b, frac, l, len(got.TACBoxes()), len(boxes))
 				}
-				for _, bx := range boxes {
-					if !sameBits(got.Box(bx), want.Box(bx)) {
+				gotBoxes, wantBoxes := got.Boxes(boxes), want.Boxes(boxes)
+				for i, bx := range boxes {
+					if !sameBits(gotBoxes[i], wantBoxes[i]) {
 						t.Fatalf("b=%d frac=%g level %d box %+v differs", b, frac, l, bx)
 					}
 				}

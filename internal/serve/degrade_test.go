@@ -196,14 +196,14 @@ func TestAllLevelsCorrupt(t *testing.T) {
 // with intact data, and the retries are visible in /metrics.
 func TestServerAbsorbsTransientFaults(t *testing.T) {
 	ts, s, want := newTestServer(t)
-	// TransientProb 1 with MaxFaults 3: the first three reads fail once
-	// each (deterministically, whatever the seed), then the source runs
-	// clean — well inside the 8-attempt budget, so no request may fail.
+	// TransientProb 1 with MaxFaults 2: the first two read attempts fail
+	// (deterministically, whatever the seed), then the source runs clean —
+	// inside the serving default's 3-attempt budget, so no request may
+	// fail.
 	s.readerOpts = []reader.Option{
 		reader.WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
-			return faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 3, TransientProb: 1, MaxFaults: 3})
+			return faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 3, TransientProb: 1, MaxFaults: 2})
 		}),
-		reader.WithRetryPolicy(faultio.RetryPolicy{MaxAttempts: 8}),
 	}
 	for id, h := range want {
 		for l := range h.Levels {

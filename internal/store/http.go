@@ -26,6 +26,36 @@ const (
 	defaultHTTPTimeout    = 30 * time.Second
 )
 
+// Connection pool bounds of the default client. net/http's default
+// transport keeps 2 idle connections per host, so every burst of more
+// concurrent ranged reads than that — a level decode's streams, a served
+// mix — would dial again for the rest. The default client keeps up to
+// httpIdleConnsPerHost idle connections to the origin for
+// httpIdleConnTimeout.
+const (
+	httpIdleConnsPerHost = 64
+	httpIdleConnTimeout  = 90 * time.Second
+)
+
+var (
+	transportOnce sync.Once
+	transport     *http.Transport
+)
+
+// defaultTransport returns the default client's connection pool, shared by
+// every HTTP store in the process: net/http's default transport (proxy from
+// the environment, dial and TLS timeouts, HTTP/2) with the bounds above. It
+// is built on first use, and only NewHTTP reaches it, so a program that
+// opens no HTTP store does not link an HTTP client.
+func defaultTransport() *http.Transport {
+	transportOnce.Do(func() {
+		transport = http.DefaultTransport.(*http.Transport).Clone()
+		transport.MaxIdleConnsPerHost = httpIdleConnsPerHost // of the 100 net/http keeps in all
+		transport.IdleConnTimeout = httpIdleConnTimeout
+	})
+	return transport
+}
+
 // HTTPOptions tunes the HTTP backend.
 type HTTPOptions struct {
 	// FooterPrefetch is how many trailing bytes of the object are fetched
@@ -38,7 +68,7 @@ type HTTPOptions struct {
 	// overlapping reads without a round trip. <= 0 means DefaultReadAhead.
 	ReadAhead int64
 	// Client overrides the http.Client (nil: a client with a bounded
-	// overall request timeout).
+	// overall request timeout on the package's pooled transport).
 	Client *http.Client
 }
 
@@ -50,7 +80,7 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 		o.ReadAhead = DefaultReadAhead
 	}
 	if o.Client == nil {
-		o.Client = &http.Client{Timeout: defaultHTTPTimeout}
+		o.Client = &http.Client{Timeout: defaultHTTPTimeout, Transport: defaultTransport()}
 	}
 	return o
 }

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -495,5 +498,78 @@ func TestOpenObjectURL(t *testing.T) {
 		if _, _, err := OpenObjectURL(bad); err == nil {
 			t.Errorf("OpenObjectURL(%q) accepted", bad)
 		}
+	}
+}
+
+// TestHTTPDefaultClientKeepsConnections checks the default client's pool
+// bounds: after Open, two bursts of 8 concurrent ranged reads reuse the
+// connections of the first burst, so the origin sees at most 8 dials in
+// all. The origin holds each interior read until all 8 of its burst have
+// arrived, so every burst really needs 8 connections at once. On
+// net/http's default transport, which keeps 2 idle connections per host,
+// the second burst dialed again.
+func TestHTTPDefaultClientKeepsConnections(t *testing.T) {
+	const burst = 8
+	payload := make([]byte, 2*burst<<12+4096)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "obj"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		dials   atomic.Int64
+		mu      sync.Mutex
+		arrived int
+		release = make(chan struct{})
+	)
+	inner := OriginHandler(dir)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.Header.Get("Range"), "bytes=-") { // not the Open
+			mu.Lock()
+			ch := release
+			if arrived++; arrived == burst {
+				close(release)
+				arrived, release = 0, make(chan struct{})
+			}
+			mu.Unlock()
+			select {
+			case <-ch:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	st, err := NewHTTP(srv.URL, HTTPOptions{FooterPrefetch: 4096, ReadAhead: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := st.Open(context.Background(), "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for b := 0; b < 2; b++ {
+		var wg sync.WaitGroup
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func(off int64) {
+				defer wg.Done()
+				p := make([]byte, 16)
+				if _, err := h.ReadAt(p, off); err != nil {
+					t.Error(err)
+				}
+			}(int64(b*burst+i) << 12)
+		}
+		wg.Wait()
+		t.Logf("after burst %d: %d dials", b+1, dials.Load())
+	}
+	if n := dials.Load(); n > burst {
+		t.Fatalf("Open and two bursts of %d concurrent reads dialed %d connections, want at most %d", burst, n, burst)
 	}
 }

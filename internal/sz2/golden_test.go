@@ -28,7 +28,7 @@ func goldenField() (*field.Field, float64) {
 // current encoder must reproduce it byte-for-byte (and decode it).
 func TestGoldenStream(t *testing.T) {
 	f, eb := goldenField()
-	blob, err := Compress(f, Options{EB: eb})
+	blob, err := Compress(nil, f, Options{EB: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGoldenStream(t *testing.T) {
 	if !bytes.Equal(blob, want) {
 		t.Fatalf("encoder output diverged from golden fixture: got %d bytes, fixture %d bytes", len(blob), len(want))
 	}
-	g, err := Decompress(want)
+	g, err := Decompress(nil, want)
 	if err != nil {
 		t.Fatalf("decode fixture: %v", err)
 	}
@@ -83,11 +83,11 @@ func TestGoldenInterleavedStillDecodes(t *testing.T) {
 	if !tagged {
 		t.Fatal("fixture carries no interleaved entropy stream")
 	}
-	got, err := Decompress(lanes4)
+	got, err := Decompress(nil, lanes4)
 	if err != nil {
 		t.Fatalf("decode interleaved fixture: %v", err)
 	}
-	want, err := Decompress(single)
+	want, err := Decompress(nil, single)
 	if err != nil {
 		t.Fatal(err)
 	}

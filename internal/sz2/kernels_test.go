@@ -85,7 +85,7 @@ func checkAgainstReference(t *testing.T, s *scratch, f *field.Field, eb float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := Compress(f, opt)
+	blob, err := Compress(nil, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func checkAgainstReference(t *testing.T, s *scratch, f *field.Field, eb float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decompress(blob)
+	got, err := Decompress(nil, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func withChunk(t *testing.T, blob []byte, i int, c []byte) []byte {
 	p := append([]byte(nil), payload[:at[i]]...)
 	p = binary.AppendUvarint(p, uint64(len(c)))
 	p = append(append(p, c...), payload[at[i+1]:]...)
-	out, err := flatepool.Deflate(p)
+	out, err := flatepool.Deflate(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func chunkBytes(t *testing.T, blob []byte, i int) []byte {
 // to wrong data without an error.
 func TestHostileModeBitmap(t *testing.T) {
 	f := testField(24, 16, 12, 4) // 6·4·3 = 72 blocks of 4³: a 9-byte bitmap
-	blob, err := Compress(f, Options{EB: 1e-3, BlockSize: 4})
+	blob, err := Compress(nil, f, Options{EB: 1e-3, BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(blob); err != nil {
+	if _, err := Decompress(nil, blob); err != nil {
 		t.Fatalf("honest stream: %v", err)
 	}
 	modes := chunkBytes(t, blob, 0)
@@ -237,7 +237,7 @@ func TestHostileModeBitmap(t *testing.T) {
 		"four coefficient codes more": {withChunk(t, blob, 1, huffman.Encode(append(coefs[:len(coefs):len(coefs)], 1, 2, 3, 4))), "sz2: 4 trailing coefficient codes"},
 		"coefficient codes missing":   {withChunk(t, blob, 1, huffman.Encode(coefs[:len(coefs)-4])), "sz2: coefficient stream underrun"},
 	} {
-		g, err := Decompress(tc.blob)
+		g, err := Decompress(nil, tc.blob)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
 		}
@@ -259,7 +259,7 @@ func TestAllocBudget(t *testing.T) {
 	f := synth.GenerateDims(synth.WarpX, 16, 16, 16, 5)
 	f.Data[100] = math.NaN() // one escape, so the outlier path is paid too
 	opt := Options{EB: f.ValueRange() * 1e-3, BlockSize: MultiResBlockSize}
-	blob, err := Compress(f, opt)
+	blob, err := Compress(nil, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAllocBudget(t *testing.T) {
 		})
 	}
 	// The stream, and what compress/flate allocates as it grows it.
-	if n := allocs(func() error { _, err := Compress(f, opt); return err }); n > 4 {
+	if n := allocs(func() error { _, err := Compress(nil, f, opt); return err }); n > 4 {
 		t.Errorf("Compress allocates %v times per 16³ box, budget 4", n)
 	}
 	// Inflating allocates nothing in steady state (flatepool's own test
@@ -287,7 +287,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 		return err
 	})
-	if n := allocs(func() error { _, err := Decompress(blob); return err }); n > inflate+2 {
+	if n := allocs(func() error { _, err := Decompress(nil, blob); return err }); n > inflate+2 {
 		t.Errorf("Decompress allocates %v times per 16³ box, budget %v (inflate %v + 2)", n, inflate+2, inflate)
 	}
 }

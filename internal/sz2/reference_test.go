@@ -106,7 +106,7 @@ func refCompress(f *field.Field, opt Options) ([]byte, error) {
 	}
 	writeChunk(outBuf.Bytes())
 
-	return flatepool.Deflate(payload.Bytes())
+	return flatepool.Deflate(nil, payload.Bytes())
 }
 
 // refEncode is the prediction and quantization stage of refCompress: the

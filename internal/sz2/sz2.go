@@ -99,8 +99,9 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Compress encodes the field under opt.
-func Compress(f *field.Field, opt Options) ([]byte, error) {
+// Compress encodes the field under opt and appends the stream to dst (nil
+// for a new buffer), as flatepool.Deflate does.
+func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
 	if !(opt.EB > 0) {
 		return nil, errors.New("sz2: error bound must be positive")
 	}
@@ -147,7 +148,7 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 	}
 	s.payload = p
-	return flatepool.Deflate(p)
+	return flatepool.Deflate(dst, p)
 }
 
 // appendChunk appends b to p behind its uvarint length.
@@ -204,8 +205,9 @@ func (s *scratch) newSweep(nx, ny, bs int, eb float64) sweep {
 	return sweep{nx: nx, ny: ny, nxy: nx * ny, zeros: s.zeros, edge: s.edge[:], eb: eb, twoEB: 2 * eb}
 }
 
-// Decompress decodes a buffer produced by Compress.
-func Decompress(data []byte) (*field.Field, error) {
+// Decompress decodes a buffer produced by Compress into dst, reshaped
+// (field.Reuse; nil for a new field), and returns it.
+func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz2: inflate: %w", err)
@@ -317,7 +319,7 @@ func Decompress(data []byte) (*field.Field, error) {
 		return nil, errors.New("sz2: ragged outlier chunk")
 	}
 
-	g := field.New(nx, ny, nz)
+	g := field.Reuse(dst, nx, ny, nz)
 	w := s.newSweep(nx, ny, bs, eb)
 	w.recon, w.codes, w.outChunk = g.Data, codes, outChunk
 	coefStep := eb / (2 * float64(bs))

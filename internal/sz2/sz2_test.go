@@ -28,11 +28,11 @@ func smoothField(n int) *field.Field {
 func TestRoundTripWithinBound(t *testing.T) {
 	f := smoothField(20)
 	for _, eb := range []float64{1e-2, 1e-4} {
-		data, err := Compress(f, Options{EB: eb})
+		data, err := Compress(nil, f, Options{EB: eb})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,14 +64,14 @@ func TestBlockSizeAbove255(t *testing.T) {
 	f := smoothField(17)
 	eb := 1e-3
 	for _, want := range []int{200, 256, 1000} {
-		data, err := Compress(f, Options{EB: eb, BlockSize: want})
+		data, err := Compress(nil, f, Options{EB: eb, BlockSize: want})
 		if err != nil {
 			t.Fatalf("bs=%d: %v", want, err)
 		}
 		if bs := wireBlockSize(t, data); bs != want {
 			t.Fatalf("wire block size = %d, want %d", bs, want)
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			t.Fatalf("bs=%d: %v", want, err)
 		}
@@ -84,14 +84,14 @@ func TestBlockSizeAbove255(t *testing.T) {
 func TestBlockSize4(t *testing.T) {
 	f := smoothField(17) // not a multiple of 4: partial blocks
 	eb := 1e-3
-	data, err := Compress(f, Options{EB: eb, BlockSize: 4})
+	data, err := Compress(nil, f, Options{EB: eb, BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bs := wireBlockSize(t, data); bs != 4 {
 		t.Fatalf("wire block size = %d, want 4", bs)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestNonCubeDims(t *testing.T) {
 		f.Data[i] = rng.NormFloat64()
 	}
 	eb := 0.05
-	data, err := Compress(f, Options{EB: eb})
+	data, err := Compress(nil, f, Options{EB: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRegressionWinsOnPlanarData(t *testing.T) {
 	if !useReg {
 		t.Fatal("regression should win on planar data")
 	}
-	data, err := Compress(f, Options{EB: 1e-6})
+	data, err := Compress(nil, f, Options{EB: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,16 +200,16 @@ func TestPackUnpackBits(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	f := smoothField(8)
-	if _, err := Compress(f, Options{EB: 0}); err == nil {
+	if _, err := Compress(nil, f, Options{EB: 0}); err == nil {
 		t.Fatal("expected error for zero eb")
 	}
-	if _, err := Compress(f, Options{EB: math.NaN()}); err == nil {
+	if _, err := Compress(nil, f, Options{EB: math.NaN()}); err == nil {
 		t.Fatal("expected error for NaN eb")
 	}
-	if _, err := Compress(f, Options{EB: 1, BlockSize: 1}); err == nil {
+	if _, err := Compress(nil, f, Options{EB: 1, BlockSize: 1}); err == nil {
 		t.Fatal("expected error for block size 1")
 	}
-	if _, err := Decompress([]byte{9, 9}); err == nil {
+	if _, err := Decompress(nil, []byte{9, 9}); err == nil {
 		t.Fatal("expected error for garbage")
 	}
 }
@@ -224,11 +224,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		eb := 0.01
 		bs := []int{4, 6}[rng.Intn(2)]
-		data, err := Compress(f, Options{EB: eb, BlockSize: bs})
+		data, err := Compress(nil, f, Options{EB: eb, BlockSize: bs})
 		if err != nil {
 			return false
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			return false
 		}
@@ -242,11 +242,11 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestRealisticDataset(t *testing.T) {
 	f := synth.Generate(synth.S3D, 24, 4)
 	eb := f.ValueRange() * 1e-3
-	data, err := Compress(f, Options{EB: eb})
+	data, err := Compress(nil, f, Options{EB: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,11 @@ func TestRealisticDataset(t *testing.T) {
 func TestHostileEscapeCount(t *testing.T) {
 	f := smoothField(12)
 	f.Data[100], f.Data[900] = 1e9, math.NaN() // honest escapes
-	blob, err := Compress(f, Options{EB: 1e-3})
+	blob, err := Compress(nil, f, Options{EB: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress(blob); err != nil {
+	if _, err := Decompress(nil, blob); err != nil {
 		t.Fatalf("honest stream: %v", err)
 	}
 	in, err := flatepool.Inflate(blob)
@@ -299,7 +299,7 @@ func TestHostileEscapeCount(t *testing.T) {
 		t.Helper()
 		p := append([]byte(nil), payload[:at]...)
 		p = binary.AppendUvarint(p, uint64(len(out)))
-		blob, err := flatepool.Deflate(append(p, out...))
+		blob, err := flatepool.Deflate(nil, append(p, out...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestHostileEscapeCount(t *testing.T) {
 		"no outliers at all":   {withOutliers(nil), "sz2: outlier underrun"},
 		"one outlier too many": {withOutliers(append(outliers[:len(outliers):len(outliers)], make([]byte, 8)...)), "sz2: 1 trailing outliers"},
 	} {
-		g, err := Decompress(tc.blob) // a panic here fails the test: nothing recovers
+		g, err := Decompress(nil, tc.blob) // a panic here fails the test: nothing recovers
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
 		}

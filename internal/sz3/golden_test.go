@@ -37,7 +37,7 @@ func TestGoldenStream(t *testing.T) {
 		{"cubic-adaptive", Options{EB: eb, Interp: Cubic, LevelEB: AdaptiveLevelEB(eb, 2.25, 8)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			blob, err := Compress(f, tc.opt)
+			blob, err := Compress(nil, f, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestGoldenStream(t *testing.T) {
 			if !bytes.Equal(blob, want) {
 				t.Fatalf("encoder output diverged from golden fixture: got %d bytes, fixture %d bytes", len(blob), len(want))
 			}
-			g, err := Decompress(want)
+			g, err := Decompress(nil, want)
 			if err != nil {
 				t.Fatalf("decode fixture: %v", err)
 			}
@@ -94,11 +94,11 @@ func TestGoldenInterleavedStillDecodes(t *testing.T) {
 	if !tagged {
 		t.Fatal("fixture carries no interleaved entropy stream")
 	}
-	got, err := Decompress(lanes4)
+	got, err := Decompress(nil, lanes4)
 	if err != nil {
 		t.Fatalf("decode interleaved fixture: %v", err)
 	}
-	want, err := Decompress(single)
+	want, err := Decompress(nil, single)
 	if err != nil {
 		t.Fatal(err)
 	}

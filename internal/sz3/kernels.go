@@ -106,8 +106,10 @@ func (w *sweep) run(m mode, i, n, step, d int) {
 // all runs the whole sweep: the seed point, then every stride level.
 func (w *sweep) all(ebTable []float64, maxLevel int) {
 	// Seed: the origin is predicted with 0 — here, as a run of one whose
-	// "neighbour" at distance 0 is recon[0] itself, which is still zero.
+	// "neighbour" at distance 0 is recon[0] itself, zeroed first: a decode
+	// may run over a reused destination that holds anything.
 	w.setEB(ebTable[0])
+	w.recon[0] = 0
 	w.run(modeConst, 0, 1, 1, 0)
 
 	level := 0
@@ -182,13 +184,13 @@ func encodeCore(f *field.Field, interp Interpolant, ebTable []float64, maxLevel 
 	return w.codes, w.outliers
 }
 
-// decodeCore reconstructs the field from its codes (one per sample, which
-// the caller has checked) and outliers. The codes decide how many outliers
-// are consumed; a stream whose list is shorter or longer is an error.
-func decodeCore(nx, ny, nz int, interp Interpolant, ebTable []float64, maxLevel int, codes []int32, outliers []float64) (*field.Field, error) {
-	f := field.New(nx, ny, nz)
+// decodeCore reconstructs f from its codes (one per sample, which the caller
+// has checked) and outliers; f's samples on entry are never read. The codes
+// decide how many outliers are consumed; a stream whose list is shorter or
+// longer is an error.
+func decodeCore(f *field.Field, interp Interpolant, ebTable []float64, maxLevel int, codes []int32, outliers []float64) (*field.Field, error) {
 	w := sweep{
-		nx: nx, ny: ny, nz: nz, interp: interp,
+		nx: f.Nx, ny: f.Ny, nz: f.Nz, interp: interp,
 		recon: f.Data, codes: codes, outliers: outliers,
 	}
 	w.all(ebTable, maxLevel)

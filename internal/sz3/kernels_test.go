@@ -284,7 +284,7 @@ func checkAgainstReference(t *testing.T, f *field.Field, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeCore(f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, maxLevel, codes, out)
+	got, err := decodeCore(field.New(f.Nx, f.Ny, f.Nz), opt.Interp, ebTable, maxLevel, codes, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,13 +357,13 @@ func TestHostileEscapeCount(t *testing.T) {
 	}
 	stream := func(codes []int32, outliers []float64) []byte {
 		t.Helper()
-		blob, err := pack(f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
+		blob, err := pack(nil, f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return blob
 	}
-	if _, err := Decompress(stream(codes, outliers)); err != nil {
+	if _, err := Decompress(nil, stream(codes, outliers)); err != nil {
 		t.Fatalf("honest stream: %v", err)
 	}
 
@@ -384,7 +384,7 @@ func TestHostileEscapeCount(t *testing.T) {
 		"one outlier too many": {stream(codes, append(outliers[:len(outliers):len(outliers)], 7)), "sz3: 1 trailing outliers"},
 		"every code an escape": {stream(make([]int32, len(codes)), outliers), "sz3: outlier underrun"},
 	} {
-		g, err := Decompress(tc.blob) // a panic here fails the test: nothing recovers
+		g, err := Decompress(nil, tc.blob) // a panic here fails the test: nothing recovers
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
 		}
@@ -407,7 +407,7 @@ func TestAllocBudget(t *testing.T) {
 	// code-length build boxed one int per heap operation above 255.
 	f := synth.GenerateDims(synth.Nyx, 17, 17, 256, 1)
 	opt := Options{EB: f.ValueRange() * 1e-5, LevelEB: AdaptiveLevelEB(f.ValueRange()*1e-5, 2.25, 8)}
-	blob, err := Compress(f, opt)
+	blob, err := Compress(nil, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,14 +423,14 @@ func TestAllocBudget(t *testing.T) {
 		t.Fatalf("only %d distinct codes: the field no longer exercises a large alphabet", len(distinct))
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if _, err := Compress(f, opt); err != nil {
+		if _, err := Compress(nil, f, opt); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 40 {
 		t.Errorf("Compress allocates %v times per stream, budget 40", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if _, err := Decompress(blob); err != nil {
+		if _, err := Decompress(nil, blob); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 12 {

@@ -133,19 +133,20 @@ func buildEBTable(f *field.Field, opt Options) ([]float64, int, error) {
 	return ebTable, maxLevel, nil
 }
 
-// Compress encodes the field under opt and returns the compressed bytes.
-func Compress(f *field.Field, opt Options) ([]byte, error) {
+// Compress encodes the field under opt and appends the stream to dst (nil
+// for a new buffer), as flatepool.Deflate does.
+func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
 	ebTable, maxLevel, err := buildEBTable(f, opt)
 	if err != nil {
 		return nil, err
 	}
 	codes, outliers := encodeCore(f, opt.Interp, ebTable, maxLevel)
-	return pack(f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
+	return pack(dst, f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
 }
 
 // pack serializes a stream: header | eb table | huffman codes | outliers,
-// then DEFLATE. hb is the entropy-coded code stream.
-func pack(nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outliers []float64) ([]byte, error) {
+// then DEFLATE, appended to dst. hb is the entropy-coded code stream.
+func pack(dst []byte, nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outliers []float64) ([]byte, error) {
 	var payload bytes.Buffer
 	payload.Grow(len(hb) + 8*len(ebTable) + 8*len(outliers) + 64)
 	payload.WriteString(magic)
@@ -171,11 +172,12 @@ func pack(nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outl
 		payload.Write(tmp[:])
 	}
 
-	return flatepool.Deflate(payload.Bytes())
+	return flatepool.Deflate(dst, payload.Bytes())
 }
 
-// Decompress decodes a buffer produced by Compress.
-func Decompress(data []byte) (*field.Field, error) {
+// Decompress decodes a buffer produced by Compress into dst, reshaped
+// (field.Reuse; nil for a new field), and returns it.
+func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz3: inflate: %w", err)
@@ -261,7 +263,7 @@ func Decompress(data []byte) (*field.Field, error) {
 	if len(codes) != nx*ny*nz {
 		return nil, fmt.Errorf("sz3: code count %d does not match %dx%dx%d", len(codes), nx, ny, nz)
 	}
-	return decodeCore(nx, ny, nz, interp, ebTable, maxLevel, codes, outliers)
+	return decodeCore(field.Reuse(dst, nx, ny, nz), interp, ebTable, maxLevel, codes, outliers)
 }
 
 // initialStride returns the starting stride: the smallest power of two ≥

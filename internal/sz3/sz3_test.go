@@ -26,11 +26,11 @@ func smoothField(n int) *field.Field {
 func TestRoundTripWithinBound(t *testing.T) {
 	f := smoothField(20)
 	for _, eb := range []float64{1e-2, 1e-4, 1e-6} {
-		data, err := Compress(f, Options{EB: eb})
+		data, err := Compress(nil, f, Options{EB: eb})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,11 @@ func TestRoundTripWithinBound(t *testing.T) {
 func TestCubicRoundTripWithinBound(t *testing.T) {
 	f := smoothField(24)
 	eb := 1e-4
-	data, err := Compress(f, Options{EB: eb, Interp: Cubic})
+	data, err := Compress(nil, f, Options{EB: eb, Interp: Cubic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestNonCubeDims(t *testing.T) {
 		f.Data[i] = math.Sin(float64(i)/50) + 0.01*rng.NormFloat64()
 	}
 	eb := 1e-3
-	data, err := Compress(f, Options{EB: eb})
+	data, err := Compress(nil, f, Options{EB: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestDim1Axes(t *testing.T) {
 		for i := range f.Data {
 			f.Data[i] = float64(i % 7)
 		}
-		data, err := Compress(f, Options{EB: 0.01})
+		data, err := Compress(nil, f, Options{EB: 0.01})
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -104,11 +104,11 @@ func TestDim1Axes(t *testing.T) {
 func TestSingleVoxel(t *testing.T) {
 	f := field.New(1, 1, 1)
 	f.Data[0] = 3.25
-	data, err := Compress(f, Options{EB: 0.1})
+	data, err := Compress(nil, f, Options{EB: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestAdaptiveLevelEBWithinOverallBound(t *testing.T) {
 	f := smoothField(16)
 	eb := 1e-3
 	opt := Options{EB: eb, LevelEB: AdaptiveLevelEB(eb, 2.25, 8)}
-	data, err := Compress(f, opt)
+	data, err := Compress(nil, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestAdaptiveLevelEBValues(t *testing.T) {
 
 func TestCompressionBeatsRawOnSmoothData(t *testing.T) {
 	f := smoothField(32)
-	data, err := Compress(f, Options{EB: f.ValueRange() * 1e-4})
+	data, err := Compress(nil, f, Options{EB: f.ValueRange() * 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,19 +165,19 @@ func TestCompressionBeatsRawOnSmoothData(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	f := smoothField(4)
-	if _, err := Compress(f, Options{EB: 0}); err == nil {
+	if _, err := Compress(nil, f, Options{EB: 0}); err == nil {
 		t.Fatal("expected error for zero eb")
 	}
 	// NaN fails every comparison: the write-side check must reject it as
 	// the decoder does, not write an eb table no decoder accepts.
-	if _, err := Compress(f, Options{EB: math.NaN()}); err == nil {
+	if _, err := Compress(nil, f, Options{EB: math.NaN()}); err == nil {
 		t.Fatal("expected error for NaN eb")
 	}
-	if _, err := Decompress([]byte{1, 2, 3}); err == nil {
+	if _, err := Decompress(nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
-	good, _ := Compress(f, Options{EB: 0.1})
-	if _, err := Decompress(good[:len(good)/2]); err == nil {
+	good, _ := Compress(nil, f, Options{EB: 0.1})
+	if _, err := Decompress(nil, good[:len(good)/2]); err == nil {
 		t.Fatal("expected error for truncated input")
 	}
 }
@@ -283,11 +283,11 @@ func TestQuickRoundTripRandomFields(t *testing.T) {
 			f.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(6))-3)
 		}
 		eb := 1e-3
-		data, err := Compress(f, Options{EB: eb, Interp: Interpolant(rng.Intn(2))})
+		data, err := Compress(nil, f, Options{EB: eb, Interp: Interpolant(rng.Intn(2))})
 		if err != nil {
 			return false
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			return false
 		}
@@ -302,11 +302,11 @@ func TestRealisticDatasets(t *testing.T) {
 	for _, kind := range []synth.Dataset{synth.Nyx, synth.WarpX} {
 		f := synth.Generate(kind, 24, 3)
 		eb := f.ValueRange() * 1e-3
-		data, err := Compress(f, Options{EB: eb})
+		data, err := Compress(nil, f, Options{EB: eb})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -117,11 +117,11 @@ func TestModelFromSamples(t *testing.T) {
 	f := synth.Generate(synth.Hurricane, 32, 3)
 	eb := f.ValueRange() * 1e-2
 	rt := func(g *field.Field) (*field.Field, error) {
-		data, err := zfp.Compress(g, zfp.Options{Tolerance: eb})
+		data, err := zfp.Compress(nil, g, zfp.Options{Tolerance: eb})
 		if err != nil {
 			return nil, err
 		}
-		return zfp.Decompress(data)
+		return zfp.Decompress(nil, data)
 	}
 	set, err := postproc.CollectSamples(f, rt, postproc.Options{EB: eb, BlockSize: 4})
 	if err != nil {
@@ -144,11 +144,11 @@ func TestModelFromSamples(t *testing.T) {
 func TestFig14RecoveryDirection(t *testing.T) {
 	f := synth.Generate(synth.Hurricane, 32, 4)
 	eb := f.ValueRange() * 0.05 // aggressive, like CR=240 in the paper
-	data, err := zfp.Compress(f, zfp.Options{Tolerance: eb})
+	data, err := zfp.Compress(nil, f, zfp.Options{Tolerance: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := zfp.Decompress(data)
+	dec, err := zfp.Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,9 @@ const conservativeness = 4
 // emaxEmpty flags an all-zero block.
 const emaxEmpty = math.MinInt16
 
-// Compress encodes the field under opt.
-func Compress(f *field.Field, opt Options) ([]byte, error) {
+// Compress encodes the field under opt and appends the stream to dst (nil
+// for a new buffer), as flatepool.Deflate does.
+func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
 	if opt.Tolerance <= 0 {
 		return nil, errors.New("zfp: tolerance must be positive")
 	}
@@ -113,11 +114,12 @@ func Compress(f *field.Field, opt Options) ([]byte, error) {
 	}
 	payload.Write(coefBuf.Bytes())
 
-	return flatepool.Deflate(payload.Bytes())
+	return flatepool.Deflate(dst, payload.Bytes())
 }
 
-// Decompress decodes a buffer produced by Compress.
-func Decompress(data []byte) (*field.Field, error) {
+// Decompress decodes a buffer produced by Compress into dst, reshaped
+// (field.Reuse; nil for a new field), and returns it.
+func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("zfp: inflate: %w", err)
@@ -181,7 +183,7 @@ func Decompress(data []byte) (*field.Field, error) {
 	}
 	buf = buf[2*want:]
 
-	g := field.New(nx, ny, nz)
+	g := field.Reuse(dst, nx, ny, nz)
 	var iblock [64]int64
 	var block, zeroBlock [64]float64
 	bi := 0

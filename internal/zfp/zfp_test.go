@@ -86,11 +86,11 @@ func TestSequencyOrderIsPermutation(t *testing.T) {
 func TestRoundTripWithinTolerance(t *testing.T) {
 	f := smoothField(20)
 	for _, tol := range []float64{1e-1, 1e-3, 1e-6} {
-		data, err := Compress(f, Options{Tolerance: tol})
+		data, err := Compress(nil, f, Options{Tolerance: tol})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +105,11 @@ func TestUnderestimation(t *testing.T) {
 	// characteristic the paper relies on for ZFP's post-process candidates.
 	f := smoothField(24)
 	tol := 1e-2
-	data, err := Compress(f, Options{Tolerance: tol})
+	data, err := Compress(nil, f, Options{Tolerance: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestPartialBlocks(t *testing.T) {
 		f.Data[i] = rng.NormFloat64()
 	}
 	tol := 0.05
-	data, err := Compress(f, Options{Tolerance: tol})
+	data, err := Compress(nil, f, Options{Tolerance: tol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestPartialBlocks(t *testing.T) {
 
 func TestAllZeroField(t *testing.T) {
 	f := field.New(8, 8, 8)
-	data, err := Compress(f, Options{Tolerance: 1e-3})
+	data, err := Compress(nil, f, Options{Tolerance: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decompress(data)
+	g, err := Decompress(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +163,10 @@ func TestAllZeroField(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	f := smoothField(8)
-	if _, err := Compress(f, Options{Tolerance: 0}); err == nil {
+	if _, err := Compress(nil, f, Options{Tolerance: 0}); err == nil {
 		t.Fatal("expected error for zero tolerance")
 	}
-	if _, err := Decompress([]byte{1}); err == nil {
+	if _, err := Decompress(nil, []byte{1}); err == nil {
 		t.Fatal("expected error for garbage")
 	}
 }
@@ -180,11 +180,11 @@ func TestQuickRoundTrip(t *testing.T) {
 			f.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)-4))
 		}
 		tol := 0.01
-		data, err := Compress(f, Options{Tolerance: tol})
+		data, err := Compress(nil, f, Options{Tolerance: tol})
 		if err != nil {
 			return false
 		}
-		g, err := Decompress(data)
+		g, err := Decompress(nil, data)
 		if err != nil {
 			return false
 		}
@@ -198,11 +198,11 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestHigherToleranceBetterRatio(t *testing.T) {
 	f := synth.Generate(synth.Hurricane, 24, 5)
 	rng := f.ValueRange()
-	small, err := Compress(f, Options{Tolerance: rng * 1e-5})
+	small, err := Compress(nil, f, Options{Tolerance: rng * 1e-5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Compress(f, Options{Tolerance: rng * 1e-2})
+	big, err := Compress(nil, f, Options{Tolerance: rng * 1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
