@@ -13,6 +13,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/postproc"
 	"repro/internal/reader"
+	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/sz2"
 	"repro/internal/sz3"
@@ -405,7 +407,9 @@ func BenchmarkROIConvert(b *testing.B) {
 // (coarse_ms, fine_ms, slice_ms) come from the serve workloads of
 // bench/run.sh.
 
-func benchServeContainer(b *testing.B) (string, int) {
+// benchServeContainer writes the benchmark container as benchKey into a
+// fresh directory and returns that directory's store.
+func benchServeContainer(b *testing.B) (store.Store, int) {
 	b.Helper()
 	f := synth.Generate(synth.Nyx, benchSize(), 42)
 	h, err := grid.BuildAMR(f, 16, []float64{0.25, 0.35, 0.40})
@@ -416,18 +420,24 @@ func benchServeContainer(b *testing.B) (string, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "bench.mrw")
-	if err := os.WriteFile(path, c.Blob, 0o644); err != nil {
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, benchKey), c.Blob, 0o644); err != nil {
 		b.Fatal(err)
 	}
-	return path, len(h.Levels)
+	st, err := store.NewFS(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st, len(h.Levels)
 }
 
+const benchKey = "bench.mrw"
+
 func BenchmarkReadLevelCoarsestCold(b *testing.B) {
-	path, levels := benchServeContainer(b)
+	st, levels := benchServeContainer(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := reader.OpenFile(path, reader.WithCache(nil))
+		r, err := reader.OpenStore(context.Background(), st, benchKey, reader.WithCache(nil))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,8 +449,8 @@ func BenchmarkReadLevelCoarsestCold(b *testing.B) {
 }
 
 func BenchmarkReadLevelCoarsestCached(b *testing.B) {
-	path, levels := benchServeContainer(b)
-	r, err := reader.OpenFile(path)
+	st, levels := benchServeContainer(b)
+	r, err := reader.OpenStore(context.Background(), st, benchKey)
 	if err != nil {
 		b.Fatal(err)
 	}

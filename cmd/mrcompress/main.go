@@ -21,6 +21,9 @@
 //
 //	mrcompress -c -i field.bin -o field.mrw -releb 1e-3 -quality
 //
+// Every mode that reads a container (-d, -d -level, -verify) takes the same
+// inputs for -i: a local path, a file:// URL or an http(s):// URL.
+//
 // Decompress a container back to a full-resolution raw field (a container
 // URL downloads the whole blob — every stream is needed anyway):
 //
@@ -28,10 +31,8 @@
 //
 // Partially decode via the container's block index — only the needed
 // streams are read and decoded, so extracting the coarsest level of a
-// large container touches a few kilobytes. The input may be a local path
-// or a container URL (http://, https://, mem://, file://); remote
-// containers are read with range requests, so the same partial-decode
-// economy holds over the network:
+// large container touches a few kilobytes. Remote containers are read with
+// range requests, so the same partial-decode economy holds over the network:
 //
 //	mrcompress -d -i field.mrw -o coarse.bin -level 2
 //	mrcompress -d -i field.mrw -o box.bin -level 0 -box 3
@@ -221,13 +222,10 @@ func main() {
 	}
 }
 
-// readContainer fetches a whole container blob from a local path or any
-// storage-backend URL (full decode needs every stream, so a remote
-// container is one sequential download rather than ranged reads).
+// readContainer reads the whole container named by in through the storage
+// seam (full decode needs every stream, so a remote container is one
+// sequential download rather than ranged reads).
 func readContainer(in string) ([]byte, error) {
-	if !strings.Contains(in, "://") {
-		return os.ReadFile(in)
-	}
 	st, key, err := store.OpenObjectURL(in)
 	if err != nil {
 		return nil, err

@@ -509,11 +509,32 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 	}
 	ix.StreamCRCs = ver == footerVersionStreamCRC
 	nbx, nby, nbz := ix.blockGrid()
+	// Every unit block is carried by at most one stream: a merged level's
+	// block list or a TAC box. A grid of up to smallBlockGrid blocks is
+	// tracked on the stack. A larger grid's bitset must cost at most
+	// claimSetFree bytes or 1/64 of the container, or claims go unchecked:
+	// only a grid of over 2²² blocks compressed better than 512:1 gets there.
+	var small [smallBlockGrid / 64]uint64
+	var claimed blockSet
+	switch n := nbx * nby * nbz; {
+	case n <= smallBlockGrid:
+		claimed = small[:]
+	case int64(n+63)/64*8 <= max(claimSetFree, containerSize/64):
+		claimed = make(blockSet, (n+63)/64)
+	}
+	tac := layout.Arrangement(ix.Opts.Arrangement) == layout.TAC
 	for li := range ix.Levels {
 		if buf, err = ix.ParseBlocks(buf, li); err != nil {
 			return nil, err
 		}
 		lv := &ix.Levels[li]
+		if !tac && claimed != nil {
+			for _, bc := range lv.Blocks {
+				if !claimed.add(bc[0] + nbx*(bc[1]+nby*bc[2])) {
+					return nil, errClaimedTwice
+				}
+			}
+		}
 		nStreams64, ok := uvarint(&buf)
 		if !ok || nStreams64 > uint64(nbx*nby*nbz) {
 			return nil, corrupt("stream count")
@@ -531,6 +552,9 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 			if s.Box >= 0 {
 				if s.Geom, buf, err = ix.ParseBox(buf); err != nil {
 					return nil, err
+				}
+				if tac && claimed != nil && !claimed.addBox(s.Geom, nbx, nby) {
+					return nil, errClaimedTwice
 				}
 			}
 			if len(buf) < 1 {
@@ -568,6 +592,43 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 		return nil, corrupt("section: trailing bytes")
 	}
 	return ix, nil
+}
+
+// Bounds of Parse's claim bitset (blockSet): the grid size it keeps on the
+// stack, and the bytes it may allocate whatever the container's size.
+const (
+	smallBlockGrid = 4096
+	claimSetFree   = 512 << 10
+)
+
+var errClaimedTwice = corrupt("section: unit block claimed twice")
+
+// blockSet is a bitset over a grid's unit blocks, by flat raster index.
+type blockSet []uint64
+
+// add marks block i and reports whether it was unmarked.
+func (s blockSet) add(i int) bool {
+	w, bit := i/64, uint64(1)<<(i%64)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
+}
+
+// addBox marks every block of box g in a grid nbx blocks wide and nby deep
+// and reports whether all of them were unmarked.
+func (s blockSet) addBox(g layout.Box, nbx, nby int) bool {
+	for z := g.Z0; z < g.Z0+g.WZ; z++ {
+		for y := g.Y0; y < g.Y0+g.WY; y++ {
+			for x := g.X0; x < g.X0+g.WX; x++ {
+				if !s.add(x + nbx*(y+nby*z)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func boolByte(b bool) byte {

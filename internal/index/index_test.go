@@ -226,3 +226,50 @@ func TestIndexAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRejectsBlocksClaimedTwice: a unit block carried by two streams —
+// twice in one merged level's block list, by two levels, or by two
+// overlapping TAC boxes — is rejected, on a grid whose claim bitset lives on
+// the stack and on one large enough to allocate it.
+func TestParseRejectsBlocksClaimedTwice(t *testing.T) {
+	merged := func() *Index {
+		return &Index{
+			Nx: 32, Ny: 32, Nz: 64, BlockB: 16,
+			Levels: []Level{
+				{Blocks: [][3]int{{0, 0, 0}, {1, 0, 0}}, Streams: []int{0}},
+				{Blocks: [][3]int{{1, 1, 1}}, Streams: []int{1}},
+			},
+			Streams: []Stream{
+				{Level: 0, Box: -1, Offset: 100, Len: 10},
+				{Level: 1, Box: -1, Offset: 200, Len: 10},
+			},
+		}
+	}
+	tac := func() *Index { ix, _ := sampleIndex(); return ix }
+	for _, tc := range []struct {
+		name  string
+		index func() *Index
+		claim func(ix *Index)
+	}{
+		{"one merged level", merged, func(ix *Index) { ix.Levels[0].Blocks[1] = ix.Levels[0].Blocks[0] }},
+		{"two levels", merged, func(ix *Index) { ix.Levels[1].Blocks[0] = ix.Levels[0].Blocks[0] }},
+		{"two TAC boxes", tac, func(ix *Index) { ix.Streams[1].Geom = ix.Streams[0].Geom }},
+	} {
+		// 256³ at block size 8 is a 32³-block grid, past the stack bitset.
+		for _, large := range []bool{false, true} {
+			ix := tc.index()
+			if large {
+				ix.Nx, ix.Ny, ix.Nz, ix.BlockB = 256, 256, 256, 8
+			}
+			blob := ix.AppendFooter(make([]byte, 600))
+			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err != nil {
+				t.Fatalf("%s (large grid %v): pristine index rejected: %v", tc.name, large, err)
+			}
+			tc.claim(ix)
+			blob = ix.AppendFooter(make([]byte, 600))
+			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
+				t.Fatalf("%s (large grid %v): a block claimed twice was accepted", tc.name, large)
+			}
+		}
+	}
+}

@@ -24,7 +24,7 @@ func TestReadLevelAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, compress(t, h, core.SZ3MROptions(f.ValueRange()*1e-3)), WithCache(nil))
+	r := mustOpen(t, compress(t, h, core.SZ3MROptions(f.ValueRange()*1e-3)), WithCache(nil))
 	// No collection during the measurement: a GC empties the codecs' scratch
 	// pools, and refilling them would add a run-dependent allocation or two.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

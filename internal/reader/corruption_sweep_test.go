@@ -112,7 +112,7 @@ func TestCorruptionSweepVerifiedContainer(t *testing.T) {
 		"interleaved": lanes4,
 	} {
 		t.Run(name, func(t *testing.T) {
-			clean := open(t, blob)
+			clean := mustOpen(t, blob)
 			pristine := make([]*field.Field, clean.NumLevels())
 			for l := range pristine {
 				f, err := clean.ReadLevel(l)

@@ -1,8 +1,10 @@
 package reader
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +25,7 @@ func TestV2GoldenFixtureThroughReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, blob)
+	r := mustOpen(t, blob)
 	if !r.FellBack() {
 		t.Fatal("v2 golden opened without the fallback scan")
 	}
@@ -47,7 +49,7 @@ func TestV2GoldenFixtureThroughReader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r3 := open(t, v3)
+		r3 := mustOpen(t, v3)
 		if r3.FellBack() {
 			t.Fatalf("%s took the fallback path", name)
 		}
@@ -79,7 +81,7 @@ func TestMixedCodecGoldenThroughReader(t *testing.T) {
 	}
 
 	// Indexed path: codecs come from the footer's per-stream bytes.
-	r := open(t, blob)
+	r := mustOpen(t, blob)
 	if r.FellBack() {
 		t.Fatal("v4 golden took the fallback path")
 	}
@@ -99,7 +101,7 @@ func TestMixedCodecGoldenThroughReader(t *testing.T) {
 	if !ok {
 		t.Fatal("v4 golden has no index footer")
 	}
-	rs := open(t, blob[:body])
+	rs := mustOpen(t, blob[:body])
 	if !rs.FellBack() {
 		t.Fatal("footer-stripped v4 golden opened without the fallback scan")
 	}
@@ -111,5 +113,89 @@ func TestMixedCodecGoldenThroughReader(t *testing.T) {
 		if !got.Equal(want.Levels[l].Data) {
 			t.Fatalf("level %d differs between fallback reader and Decompress", l)
 		}
+	}
+}
+
+// TestDoubleClaimedBlocksNeverDecode re-footers two goldens so that one unit
+// block is claimed twice — within one merged level's block list, by two
+// levels, or by two overlapping TAC boxes of one level — with every CRC
+// recomputed. index.Parse must reject such a footer, and Decompress and Open
+// must then decode the intact body: the pristine hierarchy, never one in
+// which a block is written twice and another is owned by no level.
+func TestDoubleClaimedBlocksNeverDecode(t *testing.T) {
+	for _, tc := range []struct {
+		name, golden string
+		claim        func(t *testing.T, ix *index.Index)
+	}{
+		{"one merged level", "golden-linear-sz2-v3.mrw", func(t *testing.T, ix *index.Index) {
+			ix.Levels[0].Blocks[1] = ix.Levels[0].Blocks[0]
+		}},
+		{"two levels", "golden-linear-sz2-v3.mrw", func(t *testing.T, ix *index.Index) {
+			ix.Levels[1].Blocks[0] = ix.Levels[0].Blocks[0]
+		}},
+		{"two TAC boxes", "golden-tac-sz3-v3.mrw", func(t *testing.T, ix *index.Index) {
+			nbx, nby, nbz := ix.Nx/ix.BlockB, ix.Ny/ix.BlockB, ix.Nz/ix.BlockB
+			for _, lv := range ix.Levels {
+				for _, a := range lv.Streams {
+					for _, b := range lv.Streams {
+						ga, gb := ix.Streams[a].Geom, &ix.Streams[b].Geom
+						if a != b && ga.X0+gb.WX <= nbx && ga.Y0+gb.WY <= nby && ga.Z0+gb.WZ <= nbz {
+							gb.X0, gb.Y0, gb.Z0 = ga.X0, ga.Y0, ga.Z0
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("no box fits at another's origin")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Decompress(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := index.ReadFrom(bytes.NewReader(blob), int64(len(blob)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := index.Locate(blob)
+			tc.claim(t, ix)
+			bad := ix.AppendFooter(append([]byte(nil), blob[:body]...))
+			if _, err := index.ReadFrom(bytes.NewReader(bad), int64(len(bad))); err == nil {
+				t.Fatal("index.ReadFrom accepted a block claimed twice")
+			}
+
+			got, err := core.Decompress(bad)
+			if err == nil {
+				if err := got.Validate(); err != nil {
+					t.Fatalf("Decompress: %v", err)
+				}
+				for l := range want.Levels {
+					if !got.Levels[l].Data.Equal(want.Levels[l].Data) || !slices.Equal(got.Levels[l].Owned, want.Levels[l].Owned) {
+						t.Fatalf("Decompress: level %d differs from the pristine decode", l)
+					}
+				}
+			}
+			r, err := Open(bytes.NewReader(bad), int64(len(bad)))
+			if err != nil {
+				return
+			}
+			if !r.FellBack() {
+				t.Fatal("Open used the double-claiming footer")
+			}
+			for l := range want.Levels {
+				lf, err := r.ReadLevel(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !lf.Equal(want.Levels[l].Data) {
+					t.Fatalf("Open: level %d differs from the pristine decode", l)
+				}
+			}
+		})
 	}
 }

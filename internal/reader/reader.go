@@ -4,8 +4,10 @@
 // slice — and decodes only those, so a consumer wanting the coarsest level
 // of a large container touches a few kilobytes instead of the whole file.
 //
-// Open reads only the index footer of a version-3 container (internal/
-// index). Containers without a usable footer — version 1/2 blobs, or a v3
+// Open (over an io.ReaderAt the caller owns) and OpenStore (an object of a
+// storage backend, internal/store, whose handle the Reader owns until Close)
+// read only the index footer of a version-3 container (internal/index).
+// Containers without a usable footer — version 1/2 blobs, or a v3
 // blob whose footer was truncated or corrupted — transparently fall back
 // to one sequential scan of the whole container (core.BuildIndex), after
 // which access is equally random.
@@ -22,15 +24,14 @@
 // the backend decode entirely. Fields returned by Read* methods may be
 // served from that shared cache: treat them as read-only.
 //
-// A Reader is safe for concurrent use when its io.ReaderAt is (os.File and
-// bytes.Reader both are).
+// A Reader is safe for concurrent use when its source is (every store
+// handle, os.File and bytes.Reader are).
 package reader
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // DefaultCacheBytes is the budget of the private brick cache a Reader
@@ -116,8 +118,8 @@ func WithCache(c *cache.Cache) Option {
 // WithCacheKey sets the namespace of this container's bricks in a shared
 // cache (see brickKey: the container version is always part of the key too,
 // so readers over different bytes never share bricks whatever namespace they
-// were given). Defaults to the file path for OpenFile, or a process-unique id
-// otherwise.
+// were given). Defaults to the store and key for OpenStore, or a
+// process-unique id for Open.
 func WithCacheKey(id string) Option {
 	return func(r *Reader) { r.id = id }
 }
@@ -145,6 +147,7 @@ type Reader struct {
 	fellBack    bool
 	retryPolicy faultio.RetryPolicy
 	srcWrap     func(io.ReaderAt) io.ReaderAt
+	h           store.Handle // set by OpenStore
 
 	// flight coalesces concurrent decodes of the same brick: N readers
 	// racing one cold cache miss cost one backend fetch + decode.
@@ -163,14 +166,34 @@ type Reader struct {
 // It reads the index footer (plus nothing else); unindexed containers cost
 // one full sequential scan up front.
 func Open(src io.ReaderAt, size int64, opts ...Option) (*Reader, error) {
-	return OpenCtx(context.Background(), src, size, opts...)
+	return open(context.Background(), src, size, opts...)
 }
 
-// OpenCtx is Open under a context: when ctx carries a trace (internal/obs)
-// the footer read — or, for unindexed containers, the full sequential
-// fallback scan — appears as a span on it, so a request that pays a cold
-// open shows exactly where the time went.
-func OpenCtx(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (*Reader, error) {
+// OpenStore opens object key of st, the one open of a container named by a
+// path or URL (store.OpenObjectURL resolves the name). The backend open —
+// for HTTP, the suffix-range GET that sizes the object and prefetches its
+// footer — is a "store_read" span on ctx's trace, ahead of open's spans.
+func OpenStore(ctx context.Context, st store.Store, key string, opts ...Option) (*Reader, error) {
+	_, sp := obs.StartSpan(ctx, "store_read")
+	sp.SetTag("store", st.String())
+	sp.SetTag("key", key)
+	h, err := st.Open(ctx, key)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	r, err := open(ctx, h, h.Size(), append([]Option{WithCacheKey(st.String() + key)}, opts...)...)
+	if err != nil {
+		h.Close()
+		return nil, err
+	}
+	r.h = h
+	return r, nil
+}
+
+// open is Open under a context: the footer read, or an unindexed
+// container's fallback scan, is a span on ctx's trace.
+func open(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (*Reader, error) {
 	r := &Reader{size: size, retryPolicy: faultio.DefaultRetryPolicy}
 	for _, o := range opts {
 		o(r)
@@ -243,32 +266,23 @@ func readAtCtx(ctx context.Context, src io.ReaderAt, p []byte, off int64) (int, 
 	return src.ReadAt(p, off)
 }
 
-// FileReader is a Reader over an opened file.
-type FileReader struct {
-	*Reader
-	f *os.File
+// Close releases the store handle of a Reader from OpenStore; it does
+// nothing on one from Open.
+func (r *Reader) Close() error {
+	if r.h == nil {
+		return nil
+	}
+	return r.h.Close()
 }
 
-// Close releases the underlying file.
-func (fr *FileReader) Close() error { return fr.f.Close() }
-
-// OpenFile opens a container file for random access.
-func OpenFile(path string, opts ...Option) (*FileReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// StoreInfo returns the object identity OpenStore observed — the baseline a
+// serving tier compares a fresh Stat against to detect a replace — or zero
+// on a Reader from Open.
+func (r *Reader) StoreInfo() store.Info {
+	if r.h == nil {
+		return store.Info{}
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r, err := Open(f, st.Size(), append([]Option{WithCacheKey(path)}, opts...)...)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileReader{Reader: r, f: f}, nil
+	return r.h.Info()
 }
 
 // Index exposes the parsed container index (read-only).
@@ -286,9 +300,6 @@ func (r *Reader) Dims() (nx, ny, nz int) { return r.ix.Nx, r.ix.Ny, r.ix.Nz }
 // FellBack reports whether the container had no usable index footer and
 // was scanned sequentially instead.
 func (r *Reader) FellBack() bool { return r.fellBack }
-
-// Size returns the container's total size in bytes.
-func (r *Reader) Size() int64 { return r.size }
 
 // Version names the container version this reader was opened on: the index
 // section's CRC (which covers every stream's offset, length and payload

@@ -34,7 +34,7 @@ func compress(t *testing.T, h *grid.Hierarchy, opt core.Options) []byte {
 	return c.Blob
 }
 
-func open(t *testing.T, blob []byte, opts ...Option) *Reader {
+func mustOpen(t *testing.T, blob []byte, opts ...Option) *Reader {
 	t.Helper()
 	r, err := Open(bytes.NewReader(blob), int64(len(blob)), opts...)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestReadLevelMatchesDecompress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r := open(t, blob)
+		r := mustOpen(t, blob)
 		if r.FellBack() {
 			t.Fatalf("%s: v3 container took the fallback path", name)
 		}
@@ -95,7 +95,7 @@ func TestReadLevelDecodesOnlyRequestedStreams(t *testing.T) {
 	for _, name := range []string{"linear-pad-eb", "tac"} {
 		opt := testOptions(eb)[name]
 		blob := compress(t, h, opt)
-		r := open(t, blob)
+		r := mustOpen(t, blob)
 		ix := r.Index()
 		total := len(ix.Streams)
 		coarsest := r.NumLevels() - 1
@@ -124,7 +124,7 @@ func TestCachedReadsSkipDecode(t *testing.T) {
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
 	for _, name := range []string{"linear-pad-eb", "tac"} {
 		blob := compress(t, h, testOptions(eb)[name])
-		r := open(t, blob)
+		r := mustOpen(t, blob)
 		a, err := r.ReadLevel(0)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCachedReadsSkipDecode(t *testing.T) {
 		}
 
 		// With caching disabled every read pays the backend again.
-		rc := open(t, blob, WithCache(nil))
+		rc := mustOpen(t, blob, WithCache(nil))
 		rc.ReadLevel(0)
 		first := rc.Stats().BackendDecodes
 		rc.ReadLevel(0)
@@ -166,7 +166,7 @@ func TestReadBoxMatchesExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := open(t, blob)
+	r := mustOpen(t, blob)
 	for l := 0; l < r.NumLevels(); l++ {
 		for b := range r.Index().Levels[l].Streams {
 			f, geom, err := r.ReadBox(l, b)
@@ -181,7 +181,7 @@ func TestReadBoxMatchesExtract(t *testing.T) {
 	if _, _, err := r.ReadBox(0, 9999); err == nil {
 		t.Fatal("out-of-range box accepted")
 	}
-	rl := open(t, compress(t, h, testOptions(eb)["linear-pad-eb"]))
+	rl := mustOpen(t, compress(t, h, testOptions(eb)["linear-pad-eb"]))
 	if _, _, err := rl.ReadBox(0, 0); err == nil {
 		t.Fatal("ReadBox on a merged container accepted")
 	}
@@ -195,7 +195,7 @@ func TestReadSliceMatchesLevel(t *testing.T) {
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
 	for name, opt := range testOptions(eb) {
 		blob := compress(t, h, opt)
-		r := open(t, blob)
+		r := mustOpen(t, blob)
 		for l := 0; l < r.NumLevels(); l++ {
 			lf, err := r.ReadLevel(l)
 			if err != nil {
@@ -235,7 +235,7 @@ func TestSliceDecodesOnlyIntersectingBoxes(t *testing.T) {
 	h := testHierarchy(t, 32, 8)
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
 	blob := compress(t, h, testOptions(eb)["tac"])
-	r := open(t, blob, WithCache(nil)) // count every decode
+	r := mustOpen(t, blob, WithCache(nil)) // count every decode
 	// Find a level and plane where some boxes miss.
 	found := false
 	ix := r.Index()
@@ -284,11 +284,11 @@ func TestUnindexedFallback(t *testing.T) {
 		}
 		v2 := append([]byte(nil), blob[:body]...)
 		v2[4] = 2
-		r2 := open(t, v2)
+		r2 := mustOpen(t, v2)
 		if !r2.FellBack() {
 			t.Fatalf("%s: unindexed container did not fall back", name)
 		}
-		r3 := open(t, blob)
+		r3 := mustOpen(t, blob)
 		for l := 0; l < r3.NumLevels(); l++ {
 			a, err := r2.ReadLevel(l)
 			if err != nil {
@@ -322,11 +322,11 @@ func TestCorruptFooterFallsBack(t *testing.T) {
 	if _, ok := index.Locate(mut); ok {
 		t.Fatal("corruption not detected by Locate")
 	}
-	r := open(t, mut)
+	r := mustOpen(t, mut)
 	if !r.FellBack() {
 		t.Fatal("corrupt footer did not fall back to the sequential scan")
 	}
-	want := open(t, blob)
+	want := mustOpen(t, blob)
 	for l := 0; l < want.NumLevels(); l++ {
 		a, err := r.ReadLevel(l)
 		if err != nil {
@@ -360,7 +360,7 @@ func TestConcurrentReads(t *testing.T) {
 	shared := cache.New(64<<20, 8)
 	for _, name := range []string{"linear-pad-eb", "tac"} {
 		blob := compress(t, h, testOptions(eb)[name])
-		r := open(t, blob, WithCache(shared), WithCacheKey("conc-"+name))
+		r := mustOpen(t, blob, WithCache(shared), WithCacheKey("conc-"+name))
 		want, err := core.Decompress(blob)
 		if err != nil {
 			t.Fatal(err)
@@ -420,7 +420,7 @@ func TestBricksAreKeyedByContainerVersion(t *testing.T) {
 	// Three readers over one shared memory brick cache.
 	t.Run("memory", func(t *testing.T) {
 		shared := []Option{WithCache(cache.New(64<<20, 1)), WithCacheKey("field")}
-		a1, b, a2 := open(t, blobA, shared...), open(t, blobB, shared...), open(t, blobA, shared...)
+		a1, b, a2 := mustOpen(t, blobA, shared...), mustOpen(t, blobB, shared...), mustOpen(t, blobA, shared...)
 		if a1.Version() != a2.Version() || a1.Version() == b.Version() {
 			t.Fatalf("versions: same bytes %q / %q, different bytes %q", a1.Version(), a2.Version(), b.Version())
 		}

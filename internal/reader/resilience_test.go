@@ -46,7 +46,7 @@ func TestReadRejectsCorruptPayload(t *testing.T) {
 	for name, opt := range testOptions(eb) {
 		blob := compress(t, h, opt)
 		bad, s := corruptStreamByte(t, blob, 0)
-		r := open(t, bad)
+		r := mustOpen(t, bad)
 		if !r.Index().StreamCRCs {
 			t.Fatalf("%s: freshly written container reports verification unavailable", name)
 		}
@@ -71,7 +71,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
 	blob := compress(t, h, core.Options{EB: eb, Arrangement: core.ArrangeTAC})
 	var inj *faultio.FaultReaderAt
-	r := open(t, blob,
+	r := mustOpen(t, blob,
 		WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
 			inj = faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 11, TransientProb: 0.4, MaxFaults: 16})
 			return inj
@@ -104,7 +104,7 @@ func TestReadHonorsContext(t *testing.T) {
 	h := testHierarchy(t, 32, 5)
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
 	blob := compress(t, h, core.Options{EB: eb, Arrangement: core.ArrangeTAC})
-	r := open(t, blob)
+	r := mustOpen(t, blob)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.ReadLevelCtx(ctx, 0); !errors.Is(err, context.Canceled) {
@@ -128,7 +128,7 @@ func TestVerifyScrub(t *testing.T) {
 	eb := h.Levels[0].Data.ValueRange() * 1e-3
 	blob := compress(t, h, core.Options{EB: eb, Arrangement: core.ArrangeTAC})
 
-	clean := open(t, blob)
+	clean := mustOpen(t, blob)
 	res, err := clean.Verify(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestVerifyScrub(t *testing.T) {
 	}
 
 	bad, s := corruptStreamByte(t, blob, 1)
-	res, err = open(t, bad).Verify(context.Background())
+	res, err = mustOpen(t, bad).Verify(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestVerifyScrub(t *testing.T) {
 	}
 	ix.StreamCRCs = false
 	old := ix.AppendFooter(append([]byte(nil), blob[:body]...))
-	r := open(t, old)
+	r := mustOpen(t, old)
 	if r.Index().StreamCRCs {
 		t.Fatal("checksum-free footer reports verification available")
 	}

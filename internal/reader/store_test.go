@@ -80,7 +80,7 @@ func TestGoldenFixturesOverEveryBackend(t *testing.T) {
 			label string
 			st    store.Store
 		}{{"fs", fsStore}, {"mem", mem}, {"http", httpStore}} {
-			r, err := OpenStore(be.st, name)
+			r, err := OpenStore(context.Background(), be.st, name)
 			if err != nil {
 				t.Fatalf("%s over %s: open: %v", name, be.label, err)
 			}
@@ -218,7 +218,7 @@ func TestHTTPReadHonorsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenStore(st, "c.mrw", WithCache(nil))
+	r, err := OpenStore(context.Background(), st, "c.mrw", WithCache(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

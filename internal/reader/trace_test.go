@@ -20,7 +20,7 @@ import (
 func TestTracePropagatesThroughReadPath(t *testing.T) {
 	h := testHierarchy(t, 32, 3)
 	blob := compress(t, h, core.Options{EB: 1e-3, Arrangement: core.ArrangeTAC})
-	r := open(t, blob)
+	r := mustOpen(t, blob)
 
 	c := obs.NewCollector(8)
 	ctx, tr := c.StartTrace(context.Background(), "reader-trace-1")
@@ -104,7 +104,7 @@ func TestRetryEventsLandOnTrace(t *testing.T) {
 	blob := compress(t, h, core.Options{EB: 1e-3})
 	for name, op := range payloadOps {
 		t.Run(name, func(t *testing.T) {
-			r := open(t, blob,
+			r := mustOpen(t, blob,
 				WithSourceWrap(func(src io.ReaderAt) io.ReaderAt {
 					return faultio.NewFaultReaderAt(src, faultio.FaultPlan{Seed: 1, TransientProb: 0.5, MaxFaults: 4})
 				}),
@@ -139,7 +139,7 @@ func TestRetryEventsLandOnTrace(t *testing.T) {
 func TestCanceledContextStopsRetries(t *testing.T) {
 	h := testHierarchy(t, 32, 7)
 	blob := compress(t, h, core.Options{EB: 1e-3})
-	r := open(t, blob)
+	r := mustOpen(t, blob)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.ReadLevelCtx(ctx, 0); err == nil {
@@ -164,7 +164,7 @@ func TestCanceledContextStopsRetries(t *testing.T) {
 	for name, op := range payloadOps {
 		ctx, cancel := context.WithCancel(context.Background())
 		src := &cancelingReaderAt{cancel: cancel}
-		r := open(t, blob,
+		r := mustOpen(t, blob,
 			WithSourceWrap(func(in io.ReaderAt) io.ReaderAt { src.ReaderAt = in; return src }),
 			withRetryPolicy(faultio.RetryPolicy{MaxAttempts: 1000}),
 		)

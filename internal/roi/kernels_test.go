@@ -13,7 +13,7 @@ import (
 	"repro/internal/synth"
 )
 
-// refSelect is Select's ranking as it was: one copied block per range,
+// refSelect is the ROI ranking as it was: one copied block per range,
 // sort.Slice on (range desc, index asc).
 func refSelect(f *field.Field, b int, topFrac float64) []bool {
 	nbx, nby, nbz := f.Nx/b, f.Ny/b, f.Nz/b
@@ -94,10 +94,7 @@ func TestConvertMatchesReference(t *testing.T) {
 	f := nastyUniform(1)
 	for _, b := range []int{8, 16} {
 		for _, frac := range []float64{0.1, 0.5, 0.97} {
-			mask, err := Select(f, Options{BlockB: b, TopFrac: frac})
-			if err != nil {
-				t.Fatal(err)
-			}
+			mask := scanMask(t, f, Options{BlockB: b, TopFrac: frac})
 			for i, m := range refSelect(f, b, frac) {
 				if mask[i] != m {
 					t.Fatalf("b=%d frac=%g: mask[%d] = %v, reference %v", b, frac, i, mask[i], m)

@@ -26,13 +26,22 @@ type Options struct {
 	TopFrac float64
 }
 
-func (o *Options) setDefaults() {
+// check applies the defaults and validates the options against f.
+func (o *Options) check(f *field.Field) error {
 	if o.BlockB == 0 {
 		o.BlockB = 16
 	}
 	if o.TopFrac == 0 {
 		o.TopFrac = 0.5
 	}
+	if !(o.TopFrac >= 0 && o.TopFrac <= 1) {
+		return fmt.Errorf("roi: TopFrac %g out of [0,1]", o.TopFrac)
+	}
+	b := o.BlockB
+	if f.Nx%b != 0 || f.Ny%b != 0 || f.Nz%b != 0 {
+		return fmt.Errorf("roi: dims %dx%dx%d not multiples of block %d", f.Nx, f.Ny, f.Nz, b)
+	}
+	return grid.CheckBlockB(b)
 }
 
 // Selection is the outcome of the range scan over a uniform field: which
@@ -54,17 +63,10 @@ type Selection struct {
 // Scan runs the ROI selection: one range scan of each block in place, then
 // the ranking.
 func Scan(f *field.Field, opt Options) (*Selection, error) {
-	opt.setDefaults()
-	if !(opt.TopFrac >= 0 && opt.TopFrac <= 1) {
-		return nil, fmt.Errorf("roi: TopFrac %g out of [0,1]", opt.TopFrac)
-	}
-	b := opt.BlockB
-	if f.Nx%b != 0 || f.Ny%b != 0 || f.Nz%b != 0 {
-		return nil, fmt.Errorf("roi: dims %dx%dx%d not multiples of block %d", f.Nx, f.Ny, f.Nz, b)
-	}
-	if err := grid.CheckBlockB(b); err != nil {
+	if err := opt.check(f); err != nil {
 		return nil, err
 	}
+	b := opt.BlockB
 	s := &Selection{BlockB: b, NBX: f.Nx / b, NBY: f.Ny / b, NBZ: f.Nz / b}
 	s.Lo, s.Hi = grid.BlockExtremes(f, b)
 	order := grid.RankExtremes(s.Lo, s.Hi)
@@ -75,16 +77,6 @@ func Scan(f *field.Field, opt Options) (*Selection, error) {
 		s.Mask[order[i]] = true
 	}
 	return s, nil
-}
-
-// Select returns the per-block ROI mask (flat raster block index order) for
-// the field: true for blocks whose value range is in the top TopFrac.
-func Select(f *field.Field, opt Options) ([]bool, error) {
-	s, err := Scan(f, opt)
-	if err != nil {
-		return nil, err
-	}
-	return s.Mask, nil
 }
 
 // Sources returns the two levels Convert would build from f, as layout
@@ -105,32 +97,12 @@ func (s *Selection) Sources(f *field.Field) []layout.Source {
 
 // Convert turns a uniform field into a two-level adaptive hierarchy: ROI
 // blocks at full resolution (level 0), the rest mean-downsampled 2× per axis
-// (level 1).
+// (level 1) — grid.BuildAMR's split at fractions TopFrac and 1 − TopFrac.
 func Convert(f *field.Field, opt Options) (*grid.Hierarchy, error) {
-	opt.setDefaults()
-	mask, err := Select(f, opt)
-	if err != nil {
+	if err := opt.check(f); err != nil {
 		return nil, err
 	}
-	h, err := grid.New(f.Nx, f.Ny, f.Nz, opt.BlockB, 2)
-	if err != nil {
-		return nil, err
-	}
-	nbx, nby, nbz := h.NumBlocks()
-	idx := 0
-	for bz := 0; bz < nbz; bz++ {
-		for by := 0; by < nby; by++ {
-			for bx := 0; bx < nbx; bx++ {
-				level := 1
-				if mask[idx] {
-					level = 0
-				}
-				h.SetBlockFromFine(level, bx, by, bz, f)
-				idx++
-			}
-		}
-	}
-	return h, nil
+	return grid.BuildAMR(f, opt.BlockB, []float64{opt.TopFrac, 1 - opt.TopFrac})
 }
 
 // ROIOnly returns a copy of f where non-ROI samples are replaced by the
@@ -154,7 +126,6 @@ type Stats struct {
 
 // Measure computes extraction statistics for the given options.
 func Measure(f *field.Field, opt Options) (Stats, error) {
-	opt.setDefaults()
 	h, err := Convert(f, opt)
 	if err != nil {
 		return Stats{}, err

@@ -9,12 +9,19 @@ import (
 	"repro/internal/synth"
 )
 
-func TestSelectTopFraction(t *testing.T) {
-	f := synth.Generate(synth.Nyx, 64, 1)
-	mask, err := Select(f, Options{BlockB: 16, TopFrac: 0.25})
+// scanMask returns Scan's ROI mask for f.
+func scanMask(t *testing.T, f *field.Field, opt Options) []bool {
+	t.Helper()
+	s, err := Scan(f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s.Mask
+}
+
+func TestSelectTopFraction(t *testing.T) {
+	f := synth.Generate(synth.Nyx, 64, 1)
+	mask := scanMask(t, f, Options{BlockB: 16, TopFrac: 0.25})
 	kept := 0
 	for _, m := range mask {
 		if m {
@@ -31,10 +38,7 @@ func TestSelectPicksHighRangeBlocks(t *testing.T) {
 	// must be selected.
 	f := field.New(32, 32, 32)
 	f.Set(20, 20, 20, 100) // block (1,1,1) at BlockB=16 contains this spike
-	mask, err := Select(f, Options{BlockB: 16, TopFrac: 0.125})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mask := scanMask(t, f, Options{BlockB: 16, TopFrac: 0.125})
 	// Flat index of block (1,1,1) in a 2x2x2 block grid = 1 + 2*(1 + 2*1) = 7.
 	if !mask[7] {
 		t.Fatal("spike block not selected as ROI")
@@ -43,17 +47,17 @@ func TestSelectPicksHighRangeBlocks(t *testing.T) {
 
 func TestSelectValidation(t *testing.T) {
 	f := field.New(30, 32, 32)
-	if _, err := Select(f, Options{BlockB: 16}); err == nil {
+	if _, err := Scan(f, Options{BlockB: 16}); err == nil {
 		t.Fatal("non-multiple dims accepted")
 	}
 	g := field.New(32, 32, 32)
-	if _, err := Select(g, Options{BlockB: 16, TopFrac: 1.5}); err == nil {
+	if _, err := Scan(g, Options{BlockB: 16, TopFrac: 1.5}); err == nil {
 		t.Fatal("TopFrac > 1 accepted")
 	}
-	if _, err := Select(g, Options{BlockB: 16, TopFrac: math.NaN()}); err == nil {
+	if _, err := Scan(g, Options{BlockB: 16, TopFrac: math.NaN()}); err == nil {
 		t.Fatal("TopFrac NaN accepted")
 	}
-	if _, err := Select(field.New(48, 48, 48), Options{BlockB: 12}); err == nil {
+	if _, err := Scan(field.New(48, 48, 48), Options{BlockB: 12}); err == nil {
 		t.Fatal("BlockB 12 accepted")
 	}
 }

@@ -185,16 +185,12 @@ type cachedSummary struct {
 // quarantine included, is scoped to one open container version.
 type readerEntry struct {
 	once sync.Once
-	r    *reader.StoreReader
+	r    *reader.Reader
 	err  error
 	// quar is this container's corruption negative cache: levels whose
 	// streams failed integrity checks, skipped by the degraded read path
 	// until they expire.
 	quar *quarantine
-	// info is the identity of the object actually opened (set by the once,
-	// under the server mutex); lookups compare it against a fresh Stat of
-	// the key to detect replacement.
-	info store.Info
 	// lastCheck is when the identity was last confirmed against the store
 	// (under the server mutex); with RevalidateEvery > 0 a recent enough
 	// check lets a lookup skip the Stat round trip.
@@ -260,7 +256,7 @@ func (s *Server) Close() {
 	s.readers = make(map[string]*readerEntry)
 	s.mu.Unlock()
 	for _, e := range entries {
-		// Wait out (or forestall) any in-flight open so its StoreReader
+		// Wait out (or forestall) any in-flight open so its Reader
 		// cannot be stored into an orphaned entry and leak.
 		e.once.Do(func() {})
 		e.release() // the map's reference; closes once in-flight requests drain
@@ -321,8 +317,8 @@ func (s *Server) getReader(ctx context.Context, id string) (*readerEntry, error)
 			break
 		}
 		e.acquire() // the request's reference
-		opened := e.r != nil
-		info := e.info
+		r := e.r
+		opened := r != nil
 		fresh := opened && s.revalidateEvery > 0 && time.Since(e.lastCheck) < s.revalidateEvery
 		s.mu.Unlock()
 		if !opened {
@@ -339,7 +335,7 @@ func (s *Server) getReader(ctx context.Context, id string) (*readerEntry, error)
 		// and retry with a fresh one. The old version's bricks stay cached
 		// under the old version's keys, where the new reader cannot see them.
 		cur, err := s.st.Stat(ctx, key)
-		if err == nil && cur.Same(info) {
+		if err == nil && cur.Same(r.StoreInfo()) {
 			s.mu.Lock()
 			if s.readers[id] == e {
 				e.lastCheck = time.Now()
@@ -359,16 +355,11 @@ func (s *Server) getReader(ctx context.Context, id string) (*readerEntry, error)
 		// The opening request's trace gets the store_read and footer_read
 		// (or fallback_scan) spans; requests that join a completed once pay
 		// nothing.
-		r, err := reader.OpenStoreCtx(ctx, s.st, key, opts...)
-		var info store.Info
-		if err == nil {
-			info = r.StoreInfo()
-		}
+		r, err := reader.OpenStore(ctx, s.st, key, opts...)
 		// Store under the server mutex: openFields, summarize, and Close
 		// read entries without going through this once.
 		s.mu.Lock()
 		e.r, e.err = r, err
-		e.info = info
 		e.lastCheck = time.Now()
 		s.mu.Unlock()
 	})
@@ -518,26 +509,28 @@ type fieldSummary struct {
 // and is closed again.
 func (s *Server) summarize(ctx context.Context, id string, info store.Info) (fieldSummary, error) {
 	s.mu.Lock()
+	var live *reader.Reader
+	if e, ok := s.readers[id]; ok {
+		live = e.r
+	}
+	c, cached := s.summaries[id]
+	s.mu.Unlock()
 	// An open reader is only trusted while it still matches the stored
 	// object; a replaced container falls through to the identity-validated
 	// summary cache (or a fresh transient read), so the listing never shows
 	// the old object's shape for the new one.
-	if e, ok := s.readers[id]; ok && e.r != nil && e.info.Same(info) {
-		rd := e.r
-		s.mu.Unlock()
-		return makeSummary(id, rd.Reader, info), nil
+	if live != nil && live.StoreInfo().Same(info) {
+		return makeSummary(id, live, info), nil
 	}
-	if c, ok := s.summaries[id]; ok && c.info.Same(info) {
-		s.mu.Unlock()
+	if cached && c.info.Same(info) {
 		return c.summary, nil
 	}
-	s.mu.Unlock()
 
-	rd, err := reader.OpenStoreCtx(ctx, s.st, fieldKey(id), reader.WithCache(nil))
+	rd, err := reader.OpenStore(ctx, s.st, fieldKey(id), reader.WithCache(nil))
 	if err != nil {
 		return fieldSummary{}, err
 	}
-	sum := makeSummary(id, rd.Reader, info)
+	sum := makeSummary(id, rd, info)
 	rd.Close()
 	s.mu.Lock()
 	s.summaries[id] = cachedSummary{summary: sum, info: info}
@@ -722,7 +715,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, endpoint stri
 	if r.URL.Query().Get("format") == "json" {
 		variant += "+json"
 	}
-	etag := containerETag(e.r.Reader, variant)
+	etag := containerETag(e.r, variant)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
 		notModified(w, etag)
 		return

@@ -494,7 +494,7 @@ func TestOpenObjectURL(t *testing.T) {
 			t.Errorf("OpenObjectURL(%q): nil store", tc.url)
 		}
 	}
-	for _, bad := range []string{"", "http://origin/", fmt.Sprintf("%s%c", dir, os.PathSeparator)} {
+	for _, bad := range []string{"", "http://origin/", "mem://x.mrw", fmt.Sprintf("%s%c", dir, os.PathSeparator)} {
 		if _, _, err := OpenObjectURL(bad); err == nil {
 			t.Errorf("OpenObjectURL(%q) accepted", bad)
 		}

@@ -28,49 +28,29 @@ func Open(rawurl string) (Store, error) {
 	}
 }
 
-// OpenObjectURL resolves a URL naming one object — the directory (or origin
-// prefix) becomes the store, the final path element the key:
+// OpenObjectURL resolves a URL naming one object: the part after the last
+// path separator is the key, and Open resolves the rest as the store:
 //
-//	/data/x.mrw, file:///data/x.mrw  → FS over /data, key "x.mrw"
-//	http://origin/c/x.mrw            → HTTP over http://origin/c, key "x.mrw"
+//	/data/x.mrw, file:///data/x.mrw  → FS over /data/, key "x.mrw"
+//	x.mrw                            → FS over ., key "x.mrw"
+//	http://origin/c/x.mrw            → HTTP over http://origin/c/, key "x.mrw"
+//
+// A mem:// URL names nothing: a fresh Mem store holds no object.
 func OpenObjectURL(rawurl string) (Store, string, error) {
-	if rawurl == "" {
-		return nil, "", fmt.Errorf("store: empty object url")
-	}
-	trimmed := strings.TrimPrefix(rawurl, "file://")
-	if strings.HasPrefix(rawurl, "http://") || strings.HasPrefix(rawurl, "https://") {
-		i := strings.LastIndex(rawurl, "/")
-		key := rawurl[i+1:]
-		if key == "" || strings.HasSuffix(rawurl[:i], "/") {
-			return nil, "", fmt.Errorf("store: url %q does not name an object", rawurl)
-		}
-		st, err := NewHTTP(rawurl[:i], HTTPOptions{})
-		if err != nil {
-			return nil, "", err
-		}
-		return st, key, nil
-	}
-	if strings.Contains(trimmed, "://") {
-		return nil, "", fmt.Errorf("store: unsupported object url %q", rawurl)
-	}
-	i := strings.LastIndexAny(trimmed, `/\`)
-	if i < 0 {
-		st, err := NewFS(".")
-		if err != nil {
-			return nil, "", err
-		}
-		return st, trimmed, nil
-	}
-	dir, key := trimmed[:i], trimmed[i+1:]
-	if dir == "" {
-		dir = "/"
-	}
+	i := strings.LastIndexAny(rawurl, `/\`)
+	prefix, key := rawurl[:i+1], rawurl[i+1:]
 	if key == "" {
 		return nil, "", fmt.Errorf("store: url %q does not name an object", rawurl)
 	}
-	st, err := NewFS(dir)
+	if prefix == "" || prefix == "file://" {
+		prefix += "."
+	}
+	st, err := Open(prefix)
 	if err != nil {
 		return nil, "", err
+	}
+	if _, ok := st.(*Mem); ok {
+		return nil, "", fmt.Errorf("store: url %q does not name an object", rawurl)
 	}
 	return st, key, nil
 }

@@ -22,7 +22,7 @@ func TestRandomAccessPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenContainerFile(path)
+	r, err := OpenContainerURL(path)
 	if err != nil {
 		t.Fatal(err)
 	}

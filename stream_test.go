@@ -48,7 +48,7 @@ func TestCompressToFileServesRandomAccess(t *testing.T) {
 	if st.Size() != wr.Bytes {
 		t.Fatalf("file is %d bytes, WriteResult says %d", st.Size(), wr.Bytes)
 	}
-	r, err := OpenContainerFile(path)
+	r, err := OpenContainerURL(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,12 @@
 //
 // Containers written by this package (format version 3) end in a
 // self-describing block index (internal/index) naming every backend
-// stream's level, box, offset, and length. OpenContainer / OpenContainerFile
+// stream's level, box, offset, and length. OpenContainer / OpenContainerURL
 // return a ContainerReader that seeks directly to the streams a request
 // needs and decodes only those:
 //
-//	r, err := repro.OpenContainerFile("field.mrw")
+//	r, err := repro.OpenContainerURL("field.mrw") // or file://, http(s)://
+//	defer r.Close()
 //	coarse, err := r.ReadLevel(r.NumLevels() - 1) // decodes one stream
 //	plane, err := r.ReadSlice(repro.AxisZ, 16, 0) // one stream, or only
 //	                                              // intersecting TAC boxes
@@ -457,9 +458,6 @@ func (r *Result) analyzeUncertainty(eb, isovalue float64) error {
 // the package doc's "Random access" section.
 type ContainerReader = reader.Reader
 
-// ContainerFile is a ContainerReader over an open file; Close releases it.
-type ContainerFile = reader.FileReader
-
 // BrickCache is the sharded byte-budgeted LRU holding decoded bricks.
 type BrickCache = cache.Cache
 
@@ -492,26 +490,22 @@ func OpenContainerCached(src io.ReaderAt, size int64, c *BrickCache, key string)
 	return reader.Open(src, size, reader.WithCache(c), reader.WithCacheKey(key))
 }
 
-// OpenContainerFile opens a container file for random access.
-func OpenContainerFile(path string) (*ContainerFile, error) {
-	return reader.OpenFile(path)
-}
-
-// ContainerObject is a random-access reader over a container opened from a
-// storage backend (local path, file:// URL, or http(s):// origin).
-type ContainerObject = reader.StoreReader
-
-// OpenContainerURL opens a container named by a URL for random access: a
-// local path or file:// URL reads the filesystem; an http(s):// URL reads
-// the remote object with range requests — one suffix-range GET fetches the
+// OpenContainerURL opens a container named by a local path, a file:// URL
+// or an http(s):// URL for random access; Close releases it. A remote
+// object is read with range requests — one suffix-range GET fetches the
 // index footer, and each stream read is a ranged GET, so a coarse level of
 // a large remote container costs kilobytes of transfer, not the file.
-func OpenContainerURL(rawurl string) (*ContainerObject, error) {
+func OpenContainerURL(rawurl string) (*ContainerReader, error) {
+	return openURL(context.Background(), rawurl)
+}
+
+// openURL resolves rawurl to a store and key and opens the object there.
+func openURL(ctx context.Context, rawurl string) (*ContainerReader, error) {
 	st, key, err := store.OpenObjectURL(rawurl)
 	if err != nil {
 		return nil, err
 	}
-	return reader.OpenStore(st, key)
+	return reader.OpenStore(ctx, st, key)
 }
 
 // VerifyResult is the damage report of a container scrub: how many streams
@@ -528,14 +522,16 @@ func Verify(ctx context.Context, r *ContainerReader) (*VerifyResult, error) {
 	return r.Verify(ctx)
 }
 
-// VerifyFile opens path and scrubs it; see Verify.
+// VerifyFile opens the container path names — a local path, a file:// URL
+// or an http(s):// URL, as OpenContainerURL takes — and scrubs it; see
+// Verify.
 func VerifyFile(ctx context.Context, path string) (*VerifyResult, error) {
-	f, err := reader.OpenFile(path)
+	r, err := openURL(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return f.Verify(ctx)
+	defer r.Close()
+	return r.Verify(ctx)
 }
 
 // Decompress reconstructs the hierarchy from a compressed container.
