@@ -1,17 +1,19 @@
-// Package cache provides the sharded, byte-budgeted LRU brick cache behind
-// the random-access reader and the mrserve HTTP server: decoded level and
-// box fields ("bricks") are kept hot so repeated reads of popular levels
-// skip the backend decode entirely.
+// Package cache provides the byte-budgeted LRU brick cache behind the
+// random-access reader and the mrserve HTTP server: decoded level and box
+// fields ("bricks") are kept hot so repeated reads of popular levels skip
+// the backend decode entirely.
 //
-// The cache is safe for concurrent use. Keys are sharded by FNV-1a hash so
-// concurrent readers of different bricks rarely contend on the same lock.
-// Nothing is evicted while the cache as a whole is under its byte budget.
-// Once it is over, the inserting shard first gives back what it holds above
-// its slice of the budget, but a single entry may be up to half the *global*
-// budget: large bricks (the fine levels of big fields — the most expensive
-// decodes) borrow room from the other shards, which are swept
-// least-recently-used-first until the global budget fits again. No key
-// distribution can overrun the global budget.
+// The cache is one least-recently-used list under one mutex, and it also
+// loads each brick once: Do coalesces concurrent loads of the same key, so
+// N requests racing one cold brick cost one backend fetch and decode, and
+// the loaded value is stored in the same critical section that retires the
+// load. A value is therefore always either stored, being loaded, or absent;
+// no caller can miss both.
+//
+// Nothing is evicted while the cache is under its byte budget. Once it is
+// over, entries leave least recently used first, across all keys. A value
+// larger than half the budget is not cached, so one brick never flushes the
+// whole working set. A budget <= 0 caches nothing but still coalesces loads.
 //
 // Entries leave only by LRU displacement: there is no removal or
 // invalidation API. Callers whose values can go stale put the version of
@@ -28,11 +30,11 @@ package cache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
-// DefaultShards is the shard count used when New is given a non-positive
-// one.
+// DefaultShards was the shard count of the cache before it became a single
+// LRU. It is deprecated and unused; it remains only because the bench
+// harness still passes it to New.
 const DefaultShards = 16
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -48,29 +50,20 @@ type Stats struct {
 	Budget int64
 }
 
-// Cache is a sharded LRU keyed by string, bounded by total value bytes.
-// The zero value is not usable; call New. A nil *Cache is a valid no-op
-// cache (every Get misses, every Put is dropped), so callers can thread an
-// optional cache without nil checks.
+// Cache is an LRU keyed by string, bounded by total value bytes, that
+// coalesces concurrent loads of one key. The zero value is not usable; call
+// New. A nil *Cache is a valid no-op cache (every Get misses, every Put is
+// dropped, Do runs its load uncoalesced), so callers can thread an optional
+// cache without nil checks.
 type Cache struct {
-	shards []shard
-	budget int64
-	// maxEntry is the largest single value admitted: the per-shard budget,
-	// or half the global budget when that is larger (the oversize
-	// exemption — see Put).
-	maxEntry  int64
-	bytes     atomic.Int64 // global occupancy, mirrored by the shard sums
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
+	mu      sync.Mutex
+	lru     list.List // of *entry; front = most recently used
+	items   map[string]*list.Element
+	flights map[string]*flight
+	bytes   int64
+	budget  int64
 
-type shard struct {
-	mu     sync.Mutex
-	lru    *list.List // front = most recently used
-	items  map[string]*list.Element
-	bytes  int64
-	budget int64
+	hits, misses, evictions int64
 }
 
 type entry struct {
@@ -79,147 +72,120 @@ type entry struct {
 	size int64
 }
 
-// New creates a cache holding at most budgetBytes of values across the
-// given number of shards (DefaultShards when nShards <= 0). A budgetBytes
-// <= 0 disables caching entirely.
-func New(budgetBytes int64, nShards int) *Cache {
-	if budgetBytes <= 0 {
-		return &Cache{budget: 0}
-	}
-	if nShards <= 0 {
-		nShards = DefaultShards
-	}
-	if int64(nShards) > budgetBytes {
-		nShards = 1
-	}
-	c := &Cache{shards: make([]shard, nShards), budget: budgetBytes}
-	per := budgetBytes / int64(nShards)
-	c.maxEntry = max(per, budgetBytes/2)
-	for i := range c.shards {
-		c.shards[i] = shard{lru: list.New(), items: make(map[string]*list.Element), budget: per}
-	}
-	return c
+// flight is one load in progress; its joiners wait on wg.
+type flight struct {
+	wg  sync.WaitGroup
+	val any
+	err error
 }
 
-// fnv1a hashes a key without allocating.
-func fnv1a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+// New creates a cache holding at most budgetBytes of values. A budgetBytes
+// <= 0 caches nothing but still coalesces loads (Do). The trailing argument
+// is ignored: it was the shard count, and is deprecated; it remains only
+// because the bench harness still passes one.
+func New(budgetBytes int64, _ ...int) *Cache {
+	return &Cache{
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flight),
+		budget:  max(budgetBytes, 0),
 	}
-	return h
 }
 
-func (c *Cache) shardIndex(key string) int {
-	return int(fnv1a(key) % uint32(len(c.shards)))
-}
-
-// Get returns the cached value for key and marks it most recently used.
+// Get returns the cached value for key and marks it most recently used. It
+// is the counted probe: each call is one hit or one miss in Stats (none on a
+// cache with no budget, which looks nothing up).
 func (c *Cache) Get(key string) (any, bool) {
-	if c == nil || c.budget <= 0 {
+	if c == nil || c.budget == 0 {
 		return nil, false
 	}
-	s := &c.shards[c.shardIndex(key)]
-	s.mu.Lock()
-	el, ok := s.items[key]
-	var val any
-	if ok {
-		s.lru.MoveToFront(el)
-		// Extract under the lock: a concurrent Put may refresh the entry.
-		val = el.Value.(*entry).val
-	}
-	s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
-		c.misses.Add(1)
+		c.misses++
 		return nil, false
 	}
-	c.hits.Add(1)
-	return val, true
+	c.hits++
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry).val, true
 }
 
 // Put inserts (or refreshes) a value accounted at the given size in bytes,
-// evicting least-recently-used entries once the global budget is exceeded:
-// first from this shard while it is above its slice, then from the other
-// shards' LRU tails. A value larger than a shard's slice (but at most half
-// the global budget) is still admitted, so the most expensive bricks are
-// never silently uncacheable. Values above the admission bound are dropped.
+// evicting least-recently-used entries once the budget is exceeded. Values
+// above half the budget are dropped.
 func (c *Cache) Put(key string, val any, size int64) {
-	if c == nil || c.budget <= 0 || size < 0 {
+	if c == nil {
 		return
 	}
-	if size > c.maxEntry {
-		return
-	}
-	si := c.shardIndex(key)
-	s := &c.shards[si]
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		e := el.Value.(*entry)
-		s.bytes += size - e.size
-		c.bytes.Add(size - e.size)
-		e.val, e.size = val, size
-		s.lru.MoveToFront(el)
-	} else {
-		s.items[key] = s.lru.PushFront(&entry{key: key, val: val, size: size})
-		s.bytes += size
-		c.bytes.Add(size)
-	}
-	// Shard-local eviction, once the cache as a whole is over budget: a
-	// shard's slice is its share of a full cache, not a cap on a part-empty
-	// one. Keys land in shards pseudo-randomly (brick keys carry a container
-	// version), so two large bricks sharing a shard is the common case, and
-	// they must not displace each other while there is room elsewhere. An
-	// oversize entry may push out every ordinary co-resident; the shard then
-	// legitimately sits above its slice.
-	evicted := c.evictLocked(s, key, func() bool { return s.bytes > s.budget && c.bytes.Load() > c.budget })
-	s.mu.Unlock()
-	// Global sweep: when the insert (typically an oversize one) pushed the
-	// whole cache over budget, reclaim from the other shards, one lock at a
-	// time, least recently used first within each shard.
-	for c.bytes.Load() > c.budget {
-		freed := 0
-		for i := 1; i < len(c.shards) && c.bytes.Load() > c.budget; i++ {
-			o := &c.shards[(si+i)%len(c.shards)]
-			o.mu.Lock()
-			freed += c.evictLocked(o, key, func() bool { return o.bytes > 0 && c.bytes.Load() > c.budget })
-			o.mu.Unlock()
-		}
-		evicted += freed
-		if freed == 0 {
-			// Nothing left to reclaim elsewhere; drain this shard (except
-			// the entry just inserted, which fits the global budget alone).
-			s.mu.Lock()
-			evicted += c.evictLocked(s, key, func() bool { return c.bytes.Load() > c.budget })
-			s.mu.Unlock()
-			break
-		}
-	}
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
-	}
+	c.mu.Lock()
+	c.putLocked(key, val, size)
+	c.mu.Unlock()
 }
 
-// evictLocked removes s's LRU entries while cond holds, never evicting
-// keep. The shard lock must be held. Returns the eviction count.
-func (c *Cache) evictLocked(s *shard, keep string, cond func() bool) int {
-	evicted := 0
-	for cond() {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		if e.key == keep {
-			break
-		}
-		s.lru.Remove(back)
-		delete(s.items, e.key)
-		s.bytes -= e.size
-		c.bytes.Add(-e.size)
-		evicted++
+// Do returns the value for key, loading it with fn at most once however
+// many callers ask concurrently. Under one lock it either returns the value
+// already stored, joins the load in flight (shared is true: the value or
+// error is that load's), or leads a new load: fn runs with the lock
+// released, and its value, accounted at the returned size, is stored in the
+// same critical section that retires the flight. A failed load stores
+// nothing. Do counts no hit or miss; Get is the counted probe.
+func (c *Cache) Do(key string, fn func() (val any, size int64, err error)) (val any, shared bool, err error) {
+	if c == nil {
+		val, _, err = fn()
+		return val, false, err
 	}
-	return evicted
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.lru.MoveToFront(el)
+		val = el.Value.(*entry).val
+		c.mu.Unlock()
+		return val, false, nil
+	}
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		f.wg.Wait()
+		return f.val, true, f.err
+	}
+	f := &flight{}
+	f.wg.Add(1)
+	c.flights[key] = f
+	c.mu.Unlock()
+
+	var size int64
+	f.val, size, f.err = fn()
+
+	c.mu.Lock()
+	delete(c.flights, key)
+	if f.err == nil {
+		c.putLocked(key, f.val, size)
+	}
+	c.mu.Unlock()
+	f.wg.Done()
+	return f.val, false, f.err
+}
+
+// putLocked is Put with c.mu held.
+func (c *Cache) putLocked(key string, val any, size int64) {
+	if c.budget == 0 || size < 0 || size > c.budget/2 {
+		return
+	}
+	if el, ok := c.items[key]; ok {
+		e := el.Value.(*entry)
+		c.bytes += size - e.size
+		e.val, e.size = val, size
+		c.lru.MoveToFront(el)
+	} else {
+		c.items[key] = c.lru.PushFront(&entry{key: key, val: val, size: size})
+		c.bytes += size
+	}
+	// The entry just stored is at the front and within the budget alone, so
+	// the sweep stops before reaching it.
+	for c.bytes > c.budget {
+		e := c.lru.Remove(c.lru.Back()).(*entry)
+		delete(c.items, e.key)
+		c.bytes -= e.size
+		c.evictions++
+	}
 }
 
 // Stats snapshots the cache counters and occupancy.
@@ -227,18 +193,14 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Entries:   len(c.items),
+		Bytes:     c.bytes,
 		Budget:    c.budget,
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.items)
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
 }

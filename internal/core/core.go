@@ -273,12 +273,19 @@ func Prepare(h *grid.Hierarchy, opt Options) (*Prepared, error) {
 
 // PrepareSources is Prepare over the levels of an nx×ny×nz domain of
 // blockB³ blocks, read through their layout sources (level l's unit edge is
-// blockB/2^l). It leaves the error bound as opt has it, which may be zero:
-// a caller whose bound depends on the arranged samples (LevelExtremes) sets
-// it with SetEB before compressing.
+// blockB/2^l). Every unit block must be owned by exactly one level. It
+// leaves the error bound as opt has it, which may be zero: a caller whose
+// bound depends on the arranged samples (LevelExtremes) sets it with SetEB
+// before compressing.
 func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options) (*Prepared, error) {
 	if !opt.Arrangement.Valid() {
 		return nil, fmt.Errorf("core: unknown arrangement %d", opt.Arrangement)
+	}
+	if blockB <= 0 {
+		return nil, fmt.Errorf("core: block size %d", blockB)
+	}
+	if err := checkOwnership((nx/blockB)*(ny/blockB)*(nz/blockB), levels); err != nil {
+		return nil, err
 	}
 	opt = (&opt).withDefaults()
 	p := &Prepared{nx: nx, ny: ny, nz: nz, blockB: blockB, opt: opt}
@@ -298,6 +305,30 @@ func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options)
 		p.levels = append(p.levels, pl)
 	}
 	return p, nil
+}
+
+// checkOwnership reports an error unless the levels' ownership masks
+// partition a grid of nb unit blocks, each block owned by exactly one level:
+// the container index claims every block once, and index.Parse rejects a
+// footer that does not. It allocates nothing on success.
+func checkOwnership(nb int, levels []layout.Source) error {
+	for li, src := range levels {
+		if len(src.Owned) != nb {
+			return fmt.Errorf("core: level %d ownership covers %d blocks, want %d", li, len(src.Owned), nb)
+		}
+	}
+	for b := 0; b < nb; b++ {
+		owners := 0
+		for _, src := range levels {
+			if src.Owned[b] {
+				owners++
+			}
+		}
+		if owners != 1 {
+			return fmt.Errorf("core: unit block %d owned by %d levels, want 1", b, owners)
+		}
+	}
+	return nil
 }
 
 // SetEB sets the absolute error bound the streams are compressed under.

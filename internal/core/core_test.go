@@ -231,8 +231,11 @@ func TestInvalidInputs(t *testing.T) {
 	}
 	// A bound set after preparation is checked the same way, and a
 	// prepared input whose bound was never set does not compress.
-	src := layout.LevelSource(h, 0)
-	p, err := PrepareSources(h.Nx, h.Ny, h.Nz, h.BlockB, []layout.Source{src}, Options{})
+	srcs := make([]layout.Source, len(h.Levels))
+	for li := range srcs {
+		srcs[li] = layout.LevelSource(h, li)
+	}
+	p, err := PrepareSources(h.Nx, h.Ny, h.Nz, h.BlockB, srcs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +254,29 @@ func TestInvalidInputs(t *testing.T) {
 	}
 	if _, err := Decompress(c.Blob[:20]); err == nil {
 		t.Fatal("truncated container accepted")
+	}
+}
+
+// TestOwnershipMustPartitionTheGrid: a hierarchy in which a unit block is
+// owned by no level, or by two, does not compress — in a merged and in the
+// TAC arrangement — so no write produces a container whose index leaves a
+// block unclaimed or claims one twice.
+func TestOwnershipMustPartitionTheGrid(t *testing.T) {
+	// flip toggles block 0 in the first level whose mask holds from: its
+	// owner (leaving it unowned) or a level not owning it (owning it twice).
+	for name, from := range map[string]bool{"unowned": true, "owned twice": false} {
+		for _, arr := range []Arrangement{ArrangeLinear, ArrangeTAC} {
+			h := amrHierarchy(t, 32, 8)
+			for _, lv := range h.Levels {
+				if lv.Owned[0] == from {
+					lv.Owned[0] = !from
+					break
+				}
+			}
+			if _, err := CompressHierarchy(h, Options{EB: 1e-3, Arrangement: arr}); err == nil {
+				t.Errorf("block 0 %s, arrangement %d: compressed", name, arr)
+			}
+		}
 	}
 }
 

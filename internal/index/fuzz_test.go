@@ -49,9 +49,11 @@ func FuzzContainerIndex(f *testing.F) {
 	small := &Index{
 		Opts: Opts{Compressor: 0, Arrangement: 0},
 		Nx:   16, Ny: 16, Nz: 16, BlockB: 8,
-		Levels: []Level{{Blocks: [][3]int{{0, 0, 0}}, Streams: []int{0}}},
+		Levels: []Level{{Blocks: [][3]int{
+			{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
+		}, Streams: []int{0}}},
 		Streams: []Stream{
-			{Level: 0, Box: -1, Offset: 10, Len: 20, RawLen: 8 * 8 * 8 * 8},
+			{Level: 0, Box: -1, Offset: 10, Len: 20, RawLen: 8 * 8 * 8 * 8 * 8},
 		},
 	}
 	f.Add(small.AppendFooter(make([]byte, 40)))

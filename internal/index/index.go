@@ -509,34 +509,42 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 	}
 	ix.StreamCRCs = ver == footerVersionStreamCRC
 	nbx, nby, nbz := ix.blockGrid()
-	// Every unit block is carried by at most one stream: a merged level's
-	// block list or a TAC box. A grid of up to smallBlockGrid blocks is
+	total := nbx * nby * nbz
+	// Every unit block is carried by exactly one stream: a merged level's
+	// block list or a TAC box. The claims must add up to the grid, and the
+	// claim bitset rules out a block claimed twice, so together they rule
+	// out a block claimed by none. A grid of up to smallBlockGrid blocks is
 	// tracked on the stack. A larger grid's bitset must cost at most
-	// claimSetFree bytes or 1/64 of the container, or claims go unchecked:
-	// only a grid of over 2²² blocks compressed better than 512:1 gets there.
+	// claimSetFree bytes or 1/64 of the container, or only the count is
+	// checked: only a grid of over 2²² blocks compressed better than 512:1
+	// gets there.
 	var small [smallBlockGrid / 64]uint64
 	var claimed blockSet
-	switch n := nbx * nby * nbz; {
-	case n <= smallBlockGrid:
+	switch {
+	case total <= smallBlockGrid:
 		claimed = small[:]
-	case int64(n+63)/64*8 <= max(claimSetFree, containerSize/64):
-		claimed = make(blockSet, (n+63)/64)
+	case int64(total+63)/64*8 <= max(claimSetFree, containerSize/64):
+		claimed = make(blockSet, (total+63)/64)
 	}
+	claims := 0 // never above total, so the sum cannot overflow
 	tac := layout.Arrangement(ix.Opts.Arrangement) == layout.TAC
 	for li := range ix.Levels {
 		if buf, err = ix.ParseBlocks(buf, li); err != nil {
 			return nil, err
 		}
 		lv := &ix.Levels[li]
-		if !tac && claimed != nil {
+		if !tac {
+			if claims += len(lv.Blocks); claims > total {
+				return nil, errClaimedTwice
+			}
 			for _, bc := range lv.Blocks {
-				if !claimed.add(bc[0] + nbx*(bc[1]+nby*bc[2])) {
+				if claimed != nil && !claimed.add(bc[0]+nbx*(bc[1]+nby*bc[2])) {
 					return nil, errClaimedTwice
 				}
 			}
 		}
 		nStreams64, ok := uvarint(&buf)
-		if !ok || nStreams64 > uint64(nbx*nby*nbz) {
+		if !ok || nStreams64 > uint64(total) {
 			return nil, corrupt("stream count")
 		}
 		for si := 0; si < int(nStreams64); si++ {
@@ -553,8 +561,13 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 				if s.Geom, buf, err = ix.ParseBox(buf); err != nil {
 					return nil, err
 				}
-				if tac && claimed != nil && !claimed.addBox(s.Geom, nbx, nby) {
-					return nil, errClaimedTwice
+				if tac {
+					if claims += s.Geom.WX * s.Geom.WY * s.Geom.WZ; claims > total {
+						return nil, errClaimedTwice
+					}
+					if claimed != nil && !claimed.addBox(s.Geom, nbx, nby) {
+						return nil, errClaimedTwice
+					}
 				}
 			}
 			if len(buf) < 1 {
@@ -590,6 +603,9 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 	}
 	if len(buf) != 0 {
 		return nil, corrupt("section: trailing bytes")
+	}
+	if claims != total {
+		return nil, corrupt("section: unit block claimed by no stream")
 	}
 	return ix, nil
 }

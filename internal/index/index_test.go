@@ -15,8 +15,8 @@ import (
 )
 
 // sampleIndex builds a representative two-level index over a fake body of
-// the given length: level 0 a TAC level with two boxes, level 1 a merged
-// padded level.
+// the given length: level 0 a TAC level with two boxes, which between them
+// claim every unit block, level 1 a merged padded level.
 func sampleIndex() (*Index, []byte) {
 	body := bytes.Repeat([]byte{0xAB}, 600)
 	ix := &Index{
@@ -27,8 +27,8 @@ func sampleIndex() (*Index, []byte) {
 		Nx: 32, Ny: 32, Nz: 64, BlockB: 16,
 	}
 	ix.Streams = []Stream{
-		{Level: 0, Box: 0, Geom: layout.Box{X0: 0, Y0: 0, Z0: 0, WX: 2, WY: 1, WZ: 1}, Compressor: 0, Offset: 100, Len: 150, RawLen: 2 * 16 * 16 * 16 * 8},
-		{Level: 0, Box: 1, Geom: layout.Box{X0: 0, Y0: 1, Z0: 2, WX: 1, WY: 1, WZ: 2}, Compressor: 0, Offset: 250, Len: 100, RawLen: 2 * 16 * 16 * 16 * 8},
+		{Level: 0, Box: 0, Geom: layout.Box{X0: 0, Y0: 0, Z0: 0, WX: 2, WY: 2, WZ: 2}, Compressor: 0, Offset: 100, Len: 150, RawLen: 8 * 16 * 16 * 16 * 8},
+		{Level: 0, Box: 1, Geom: layout.Box{X0: 0, Y0: 0, Z0: 2, WX: 2, WY: 2, WZ: 2}, Compressor: 0, Offset: 250, Len: 100, RawLen: 8 * 16 * 16 * 16 * 8},
 		{Level: 1, Box: -1, Compressor: 0, Offset: 380, Len: 200, RawLen: 9 * 9 * 40 * 8},
 	}
 	ix.Levels = []Level{
@@ -227,48 +227,95 @@ func TestIndexAllocBudget(t *testing.T) {
 	}
 }
 
-// TestParseRejectsBlocksClaimedTwice: a unit block carried by two streams —
-// twice in one merged level's block list, by two levels, or by two
-// overlapping TAC boxes — is rejected, on a grid whose claim bitset lives on
-// the stack and on one large enough to allocate it.
-func TestParseRejectsBlocksClaimedTwice(t *testing.T) {
-	merged := func() *Index {
-		return &Index{
-			Nx: 32, Ny: 32, Nz: 64, BlockB: 16,
-			Levels: []Level{
-				{Blocks: [][3]int{{0, 0, 0}, {1, 0, 0}}, Streams: []int{0}},
-				{Blocks: [][3]int{{1, 1, 1}}, Streams: []int{1}},
-			},
+// claimFixtures are index builders whose streams claim every unit block of
+// a grid of the given edge (in blocks) exactly once: two merged levels
+// splitting the blocks in raster order, or two TAC boxes splitting the grid
+// along z.
+var claimFixtures = []struct {
+	name  string
+	index func(nb int) *Index
+}{
+	{"merged", func(nb int) *Index {
+		ix := &Index{
+			Nx: 16 * nb, Ny: 16 * nb, Nz: 16 * nb, BlockB: 16,
+			Levels: make([]Level, 2),
 			Streams: []Stream{
 				{Level: 0, Box: -1, Offset: 100, Len: 10},
 				{Level: 1, Box: -1, Offset: 200, Len: 10},
 			},
 		}
-	}
-	tac := func() *Index { ix, _ := sampleIndex(); return ix }
+		for flat := 0; flat < nb*nb*nb; flat++ {
+			lv := &ix.Levels[flat%2]
+			lv.Blocks = append(lv.Blocks, [3]int{flat % nb, (flat / nb) % nb, flat / (nb * nb)})
+		}
+		ix.Levels[0].Streams, ix.Levels[1].Streams = []int{0}, []int{1}
+		return ix
+	}},
+	{"tac", func(nb int) *Index {
+		return &Index{
+			Opts: Opts{Arrangement: byte(layout.TAC)},
+			Nx:   16 * nb, Ny: 16 * nb, Nz: 16 * nb, BlockB: 16,
+			Levels: []Level{{Streams: []int{0, 1}}, {}},
+			Streams: []Stream{
+				{Level: 0, Box: 0, Geom: layout.Box{WX: nb, WY: nb, WZ: nb / 2}, Offset: 100, Len: 10},
+				{Level: 0, Box: 1, Geom: layout.Box{Z0: nb / 2, WX: nb, WY: nb, WZ: nb - nb/2}, Offset: 200, Len: 10},
+			},
+		}
+	}},
+}
+
+// claimGrids are the grid edges the claim checks run on: one whose claim
+// bitset lives on the stack, and one (32³ blocks) large enough to allocate
+// it.
+var claimGrids = []int{4, 32}
+
+// TestParseRejectsBlocksClaimedTwice: a unit block carried by two streams —
+// twice in one merged level's block list, by two levels, or by two
+// overlapping TAC boxes — is rejected, on a grid whose claim bitset lives on
+// the stack and on one large enough to allocate it.
+func TestParseRejectsBlocksClaimedTwice(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		index func() *Index
-		claim func(ix *Index)
+		name    string
+		fixture int
+		claim   func(ix *Index)
 	}{
-		{"one merged level", merged, func(ix *Index) { ix.Levels[0].Blocks[1] = ix.Levels[0].Blocks[0] }},
-		{"two levels", merged, func(ix *Index) { ix.Levels[1].Blocks[0] = ix.Levels[0].Blocks[0] }},
-		{"two TAC boxes", tac, func(ix *Index) { ix.Streams[1].Geom = ix.Streams[0].Geom }},
+		{"one merged level", 0, func(ix *Index) { ix.Levels[0].Blocks[1] = ix.Levels[0].Blocks[0] }},
+		{"two levels", 0, func(ix *Index) { ix.Levels[1].Blocks[0] = ix.Levels[0].Blocks[0] }},
+		{"two TAC boxes", 1, func(ix *Index) { ix.Streams[1].Geom = ix.Streams[0].Geom }},
 	} {
-		// 256³ at block size 8 is a 32³-block grid, past the stack bitset.
-		for _, large := range []bool{false, true} {
-			ix := tc.index()
-			if large {
-				ix.Nx, ix.Ny, ix.Nz, ix.BlockB = 256, 256, 256, 8
-			}
+		for _, nb := range claimGrids {
+			ix := claimFixtures[tc.fixture].index(nb)
 			blob := ix.AppendFooter(make([]byte, 600))
 			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err != nil {
-				t.Fatalf("%s (large grid %v): pristine index rejected: %v", tc.name, large, err)
+				t.Fatalf("%s (%d³ blocks): pristine index rejected: %v", tc.name, nb, err)
 			}
 			tc.claim(ix)
 			blob = ix.AppendFooter(make([]byte, 600))
 			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
-				t.Fatalf("%s (large grid %v): a block claimed twice was accepted", tc.name, large)
+				t.Fatalf("%s (%d³ blocks): a block claimed twice was accepted", tc.name, nb)
+			}
+		}
+	}
+}
+
+// TestParseRejectsUnclaimedBlock: a unit block carried by no stream — left
+// out of a merged level's block list, or of every TAC box — is rejected, so
+// a parsed index always covers the whole domain.
+func TestParseRejectsUnclaimedBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fixture int
+		drop    func(ix *Index)
+	}{
+		{"merged block list", 0, func(ix *Index) { ix.Levels[1].Blocks = ix.Levels[1].Blocks[1:] }},
+		{"TAC box", 1, func(ix *Index) { ix.Streams[1].Geom.WZ-- }},
+	} {
+		for _, nb := range claimGrids {
+			ix := claimFixtures[tc.fixture].index(nb)
+			tc.drop(ix)
+			blob := ix.AppendFooter(make([]byte, 600))
+			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
+				t.Fatalf("%s (%d³ blocks): an unclaimed block was accepted", tc.name, nb)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/raceflag"
 	"repro/internal/roi"
 	"repro/internal/synth"
@@ -35,5 +36,45 @@ func TestReadLevelAllocBudget(t *testing.T) {
 		}
 	}); n > budget {
 		t.Errorf("uncached ReadLevel(0): %v allocations, budget %d", n, budget)
+	}
+}
+
+// TestWarmReadLevelAllocBudget pins the allocation count of a level read
+// served wholly from the brick cache (32³ Nyx, 3-level AMR, block 8,
+// untraced): for a merged level, the brick key; for TAC, each box's key plus
+// the level assembled from the cached boxes. A warm read must not pay for
+// the coalescing machinery behind a miss.
+func TestWarmReadLevelAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are not meaningful under the race detector")
+	}
+	f := synth.Generate(synth.Nyx, 32, 1)
+	h, err := grid.BuildAMR(f, 8, []float64{0.3, 0.3, 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb := f.ValueRange() * 1e-3
+	for _, tc := range []struct {
+		name   string
+		opt    core.Options
+		budget float64
+	}{
+		{"linear", core.Options{EB: eb, Arrangement: core.ArrangeLinear}, 1},
+		{"tac", core.Options{EB: eb, Arrangement: core.ArrangeTAC}, 10},
+	} {
+		r := mustOpen(t, compress(t, h, tc.opt))
+		if _, err := r.ReadLevel(0); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := r.ReadLevel(0); err != nil {
+				t.Fatal(err)
+			}
+		}); n > tc.budget {
+			t.Errorf("%s: warm ReadLevel(0): %v allocations, budget %v", tc.name, n, tc.budget)
+		}
+		if st := r.Stats(); st.BackendDecodes == 0 || st.CacheHits == 0 {
+			t.Fatalf("%s: the measured reads were not warm: %+v", tc.name, st)
+		}
 	}
 }

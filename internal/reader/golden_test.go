@@ -199,3 +199,57 @@ func TestDoubleClaimedBlocksNeverDecode(t *testing.T) {
 		})
 	}
 }
+
+// TestFooterLeavingABlockUnclaimedFallsBack: a footer that passes its CRC
+// but leaves a unit block to no stream — here the TAC golden re-footered
+// without level 0's last box — is rejected like a corrupt one, so both
+// core.Decompress and the reader scan the intact body and decode the
+// container pristine instead of a hierarchy with a hole in it.
+func TestFooterLeavingABlockUnclaimedFallsBack(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-tac-sz3-v3.mrw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Decompress(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := index.Locate(blob)
+	if !ok {
+		t.Fatal("golden has no footer")
+	}
+	ix, err := index.ReadFrom(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0 := &ix.Levels[0]
+	l0.Streams = l0.Streams[:len(l0.Streams)-1]
+	holed := ix.AppendFooter(slices.Clone(blob[:body]))
+	if _, err := index.ReadFrom(bytes.NewReader(holed), int64(len(holed))); err == nil {
+		t.Fatal("a footer leaving level 0's last box unclaimed was accepted")
+	}
+
+	got, err := core.Decompress(holed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("Decompress: %v", err)
+	}
+	r := mustOpen(t, holed)
+	if !r.FellBack() {
+		t.Fatal("the reader trusted a footer that leaves a block unclaimed")
+	}
+	for l := range want.Levels {
+		if !got.Levels[l].Data.Equal(want.Levels[l].Data) {
+			t.Fatalf("Decompress: level %d differs from the pristine golden", l)
+		}
+		f, err := r.ReadLevel(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Equal(want.Levels[l].Data) {
+			t.Fatalf("reader: level %d differs from the pristine golden", l)
+		}
+	}
+}

@@ -19,10 +19,12 @@
 // scrub use, so there is one checksum comparison, one size/shape check and
 // one arrangement switch for all of them.
 //
-// Decoded levels and boxes ("bricks") are cached in an optional sharded
+// Decoded levels and boxes ("bricks") are cached in an optional
 // byte-budgeted LRU (internal/cache), so repeated reads of hot levels skip
-// the backend decode entirely. Fields returned by Read* methods may be
-// served from that shared cache: treat them as read-only.
+// the backend decode entirely. The same cache loads each brick once:
+// concurrent reads of one cold brick cost one decode. Fields returned by
+// Read* methods may be served from that shared cache: treat them as
+// read-only.
 //
 // A Reader is safe for concurrent use when its source is (every store
 // handle, os.File and bytes.Reader are).
@@ -102,7 +104,7 @@ type Stats struct {
 	// decode — candidates for quarantine in the serving path.
 	CorruptStreams int64
 	// CoalescedWaits counts brick requests that joined an in-flight decode
-	// of the same brick instead of starting their own (singleflight).
+	// of the same brick instead of starting their own.
 	CoalescedWaits int64
 }
 
@@ -110,9 +112,15 @@ type Stats struct {
 type Option func(*Reader)
 
 // WithCache shares a brick cache across readers (the serving setup: one
-// byte budget for all open fields). Passing nil disables caching.
+// byte budget for all open fields). Passing nil disables caching; concurrent
+// decodes of one brick are still coalesced.
 func WithCache(c *cache.Cache) Option {
-	return func(r *Reader) { r.cache, r.cacheSet = c, true }
+	return func(r *Reader) {
+		r.cache = c
+		if c == nil {
+			r.cache = cache.New(0)
+		}
+	}
 }
 
 // WithCacheKey sets the namespace of this container's bricks in a shared
@@ -140,18 +148,13 @@ type Reader struct {
 	size        int64
 	ix          *index.Index
 	opt         core.Options
-	cache       *cache.Cache
-	cacheSet    bool
+	cache       *cache.Cache // never nil once open: also coalesces decodes
 	id          string
 	version     string
 	fellBack    bool
 	retryPolicy faultio.RetryPolicy
 	srcWrap     func(io.ReaderAt) io.ReaderAt
 	h           store.Handle // set by OpenStore
-
-	// flight coalesces concurrent decodes of the same brick: N readers
-	// racing one cold cache miss cost one backend fetch + decode.
-	flight flightGroup
 
 	backendDecodes atomic.Int64
 	bytesRead      atomic.Int64
@@ -215,8 +218,8 @@ func open(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (*Re
 	}
 	src = faultio.NewRetryReaderAt(src, pol)
 	r.src = src
-	if !r.cacheSet {
-		r.cache = cache.New(DefaultCacheBytes, cache.DefaultShards)
+	if r.cache == nil {
+		r.cache = cache.New(DefaultCacheBytes)
 	}
 	if r.id == "" {
 		r.id = fmt.Sprintf("mrw#%d", nextID.Add(1))
@@ -349,22 +352,22 @@ func (r *Reader) cachedField(ctx context.Context, key string) (*field.Field, boo
 	return nil, false
 }
 
-// brickOnce is the cache-or-decode path for one brick key with singleflight
-// coalescing: a miss either leads a flight (running fetch, which must cache
-// its result before returning) or joins the one already decoding the same
-// key, landing on the trace as a coalesced_wait span. The leader re-checks
-// the cache inside the flight, closing the race where a previous flight
-// published its brick between this caller's miss and the flight lock.
+// brickOnce is the cache-or-decode path for one brick key: the counted
+// probe (cachedField), then on a miss the cache's load-once Do, which
+// either returns a brick stored since the probe, joins the decode of the
+// same key already in flight (a coalesced_wait span), or runs fetch and
+// stores its result.
 func (r *Reader) brickOnce(ctx context.Context, key string, fetch func() (*field.Field, error)) (*field.Field, error) {
 	if f, ok := r.cachedField(ctx, key); ok {
 		return f, nil
 	}
 	start := time.Now()
-	v, shared, err := r.flight.Do(key, func() (any, error) {
-		if v, ok := r.cache.Get(key); ok {
-			return v.(*field.Field), nil
+	v, shared, err := r.cache.Do(key, func() (any, int64, error) {
+		f, err := fetch()
+		if err != nil {
+			return nil, 0, err
 		}
-		return fetch()
+		return f, int64(f.Bytes()), nil
 	})
 	if err != nil {
 		return nil, err
@@ -415,12 +418,7 @@ func (r *Reader) boxBrick(ctx context.Context, si int) (*field.Field, error) {
 	s := &r.ix.Streams[si]
 	key := r.brickKey(s.Level, s.Box)
 	return r.brickOnce(ctx, key, func() (*field.Field, error) {
-		f, err := r.fetchStream(ctx, si)
-		if err != nil {
-			return nil, err
-		}
-		r.cache.Put(key, f, int64(f.Bytes()))
-		return f, nil
+		return r.fetchStream(ctx, si)
 	})
 }
 
@@ -440,7 +438,6 @@ func (r *Reader) levelField(ctx context.Context, l int) (*field.Field, error) {
 				return nil, err
 			}
 		}
-		r.cache.Put(key, out, int64(out.Bytes()))
 		return out, nil
 	})
 }

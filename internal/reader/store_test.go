@@ -99,8 +99,8 @@ func TestGoldenFixturesOverEveryBackend(t *testing.T) {
 }
 
 // gatedReaderAt blocks every ReadAt (once armed) until released: it holds
-// the singleflight leader inside its backend fetch while the other readers
-// pile up behind the flight.
+// the leading load inside its backend fetch while the other readers pile up
+// behind it.
 type gatedReaderAt struct {
 	src     io.ReaderAt
 	mu      sync.Mutex
@@ -124,67 +124,117 @@ func (g *gatedReaderAt) arm() {
 	g.mu.Unlock()
 }
 
+// parkedOnLoad counts the goroutines blocked in the brick cache's Do
+// waiting on a load in flight.
+func parkedOnLoad() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*WaitGroup).Wait") && strings.Contains(g, "cache.(*Cache).Do") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSingleflightThunderingHerd proves decode coalescing: many concurrent
 // cold readers of the same brick cost exactly one backend decode — the
-// rest join the in-flight decode (or are served by the cache it populated)
-// instead of decoding redundantly. Run under -race in CI, this also
-// exercises the flight/cache interleaving for data races.
+// rest join the in-flight decode instead of decoding redundantly — whether
+// the brick cache is shared, has no budget (mrserve with caching off), or
+// was turned off with WithCache(nil). Run under -race in CI, this also
+// exercises the load/cache interleaving for data races.
 func TestSingleflightThunderingHerd(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-linear-sz2-v3.mrw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := &gatedReaderAt{src: bytes.NewReader(blob), release: make(chan struct{})}
-	r, err := Open(gate, int64(len(blob)), WithCache(cache.New(8<<20, 4)))
+	for _, tc := range []struct {
+		name   string
+		cache  *cache.Cache
+		cached bool // whether a later read is a hit
+	}{
+		{"shared", cache.New(8 << 20), true},
+		{"budget0", cache.New(0), false},
+		{"nil", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := &gatedReaderAt{src: bytes.NewReader(blob), release: make(chan struct{})}
+			r, err := Open(gate, int64(len(blob)), WithCache(tc.cache))
+			if err != nil {
+				t.Fatal(err) // footer read happens before the gate is armed
+			}
+			gate.arm()
+
+			const workers = 10
+			fields := make([]*field.Field, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					fields[i], errs[i] = r.ReadLevel(0)
+				}(i)
+			}
+
+			// Release the payload read only once every worker has recorded
+			// its cache miss and all but the leader wait on its load, so
+			// the leader's decode is the herd's only one.
+			for r.Stats().CacheMisses < workers || parkedOnLoad() < workers-1 {
+				runtime.Gosched()
+			}
+			close(gate.release)
+			wg.Wait()
+
+			for i := range errs {
+				if errs[i] != nil {
+					t.Fatalf("worker %d: %v", i, errs[i])
+				}
+				if !fields[i].Equal(fields[0]) {
+					t.Fatalf("worker %d decoded a different level image", i)
+				}
+			}
+			st := r.Stats()
+			if st.BackendDecodes != 1 {
+				t.Fatalf("%d concurrent cold reads cost %d backend decodes, want exactly 1", workers, st.BackendDecodes)
+			}
+			if st.CoalescedWaits != workers-1 {
+				t.Fatalf("CoalescedWaits = %d, want %d", st.CoalescedWaits, workers-1)
+			}
+
+			// A fresh read is a cache hit when there is a cache to hit.
+			if _, err := r.ReadLevel(0); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(2)
+			if tc.cached {
+				want = 1
+			}
+			if st := r.Stats(); st.BackendDecodes != want {
+				t.Fatalf("a later read brought backend decodes to %d, want %d", st.BackendDecodes, want)
+			}
+		})
+	}
+}
+
+// TestColdReadCountsOneMiss: one cold level read is one lookup of the
+// shared cache, so its miss count agrees with the reader's.
+func TestColdReadCountsOneMiss(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-linear-sz2-v3.mrw"))
 	if err != nil {
-		t.Fatal(err) // footer read happens before the gate is armed
+		t.Fatal(err)
 	}
-	gate.arm()
-
-	const workers = 10
-	fields := make([]*field.Field, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fields[i], errs[i] = r.ReadLevel(0)
-		}(i)
+	c := cache.New(8 << 20)
+	r, err := Open(bytes.NewReader(blob), int64(len(blob)), WithCache(c))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Release the payload read only once every worker has recorded its
-	// cache miss — i.e. all of them are past the cache probe and heading
-	// into the flight, so the leader's decode is the herd's only one.
-	for r.Stats().CacheMisses < workers {
-		runtime.Gosched()
-	}
-	close(gate.release)
-	wg.Wait()
-
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
-		}
-		if !fields[i].Equal(fields[0]) {
-			t.Fatalf("worker %d decoded a different level image", i)
-		}
-	}
-	st := r.Stats()
-	if st.BackendDecodes != 1 {
-		t.Fatalf("%d concurrent cold reads cost %d backend decodes, want exactly 1", workers, st.BackendDecodes)
-	}
-	if st.CoalescedWaits < workers-2 {
-		t.Fatalf("CoalescedWaits = %d, want at least %d of %d readers coalesced",
-			st.CoalescedWaits, workers-2, workers)
-	}
-
-	// A fresh read is now a pure cache hit: still one decode total.
 	if _, err := r.ReadLevel(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.BackendDecodes != 1 {
-		t.Fatalf("warm read re-decoded: %d backend decodes", st.BackendDecodes)
+	if cst, rst := c.Stats(), r.Stats(); cst.Misses != 1 || rst.CacheMisses != 1 || cst.Hits != 0 {
+		t.Fatalf("one cold read: cache %d misses / %d hits, reader %d misses; want 1 miss each",
+			cst.Misses, cst.Hits, rst.CacheMisses)
 	}
 }
 

@@ -152,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		st:              st,
-		cache:           cache.New(cfg.CacheBytes, cache.DefaultShards),
+		cache:           cache.New(cfg.CacheBytes),
 		maxIngestBytes:  cfg.MaxIngestBytes,
 		revalidateEvery: cfg.RevalidateEvery,
 		quarTTL:         ttl,

@@ -48,7 +48,7 @@
 //	plane, err := r.ReadSlice(repro.AxisZ, 16, 0) // one stream, or only
 //	                                              // intersecting TAC boxes
 //
-// Reads are backed by a sharded, byte-budgeted LRU brick cache; pass a
+// Reads are backed by a byte-budgeted LRU brick cache; pass a
 // shared NewBrickCache to OpenContainerCached to bound decoded-brick
 // memory across many open containers (the mrserve setup). Fields returned
 // by Read* methods may be shared with that cache — treat them as
@@ -458,7 +458,8 @@ func (r *Result) analyzeUncertainty(eb, isovalue float64) error {
 // the package doc's "Random access" section.
 type ContainerReader = reader.Reader
 
-// BrickCache is the sharded byte-budgeted LRU holding decoded bricks.
+// BrickCache is the byte-budgeted LRU holding decoded bricks; it also loads
+// each brick once when concurrent readers miss on it together.
 type BrickCache = cache.Cache
 
 // SliceAxis names the axis of a ReadSlice cross-section.
@@ -474,7 +475,7 @@ const (
 // NewBrickCache creates a brick cache bounded by budgetBytes (<= 0
 // disables caching), to be shared across OpenContainerCached calls.
 func NewBrickCache(budgetBytes int64) *BrickCache {
-	return cache.New(budgetBytes, cache.DefaultShards)
+	return cache.New(budgetBytes)
 }
 
 // OpenContainer opens a compressed container for random access. Indexed
