@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/raceflag"
 )
@@ -237,12 +238,17 @@ func TestDoLoadsOnce(t *testing.T) {
 					}
 				}()
 			}
-			// Release the load once every other caller waits on it.
-			for parkedInDo() < callers-1 {
+			// Release the load once every other caller waits on it. Should
+			// the frames parkedInDo looks for be renamed, fail, not hang.
+			parked, deadline := 0, time.Now().Add(parkDeadline)
+			for parked = parkedInDo(); parked < callers-1 && time.Now().Before(deadline); parked = parkedInDo() {
 				runtime.Gosched()
 			}
 			close(release)
 			wg.Wait()
+			if parked < callers-1 {
+				t.Fatalf("%d of %d callers seen waiting in Do after %v", parked, callers-1, parkDeadline)
+			}
 			if loads.Load() != 1 || joined.Load() != callers-1 {
 				t.Fatalf("%d loads, %d joined; want 1 load joined by %d", loads.Load(), joined.Load(), callers-1)
 			}
@@ -281,6 +287,9 @@ func TestFailedLoadNotStored(t *testing.T) {
 		t.Fatal("a successful load was not stored")
 	}
 }
+
+// parkDeadline bounds how long a test waits for goroutines to park in Do.
+const parkDeadline = 10 * time.Second
 
 // parkedInDo counts the goroutines blocked in Do waiting on a load in
 // flight.

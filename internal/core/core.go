@@ -284,7 +284,12 @@ func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options)
 	if blockB <= 0 {
 		return nil, fmt.Errorf("core: block size %d", blockB)
 	}
-	if err := checkOwnership((nx/blockB)*(ny/blockB)*(nz/blockB), levels); err != nil {
+	var buf [16][]bool
+	masks := buf[:0]
+	for _, src := range levels {
+		masks = append(masks, src.Owned)
+	}
+	if err := grid.CheckOwnership((nx/blockB)*(ny/blockB)*(nz/blockB), masks); err != nil {
 		return nil, err
 	}
 	opt = (&opt).withDefaults()
@@ -305,30 +310,6 @@ func PrepareSources(nx, ny, nz, blockB int, levels []layout.Source, opt Options)
 		p.levels = append(p.levels, pl)
 	}
 	return p, nil
-}
-
-// checkOwnership reports an error unless the levels' ownership masks
-// partition a grid of nb unit blocks, each block owned by exactly one level:
-// the container index claims every block once, and index.Parse rejects a
-// footer that does not. It allocates nothing on success.
-func checkOwnership(nb int, levels []layout.Source) error {
-	for li, src := range levels {
-		if len(src.Owned) != nb {
-			return fmt.Errorf("core: level %d ownership covers %d blocks, want %d", li, len(src.Owned), nb)
-		}
-	}
-	for b := 0; b < nb; b++ {
-		owners := 0
-		for _, src := range levels {
-			if src.Owned[b] {
-				owners++
-			}
-		}
-		if owners != 1 {
-			return fmt.Errorf("core: unit block %d owned by %d levels, want 1", b, owners)
-		}
-	}
-	return nil
 }
 
 // SetEB sets the absolute error bound the streams are compressed under.

@@ -109,28 +109,40 @@ func CheckBlockB(blockB int) error {
 // one level, consistent shapes.
 func (h *Hierarchy) Validate() error {
 	nbx, nby, nbz := h.NumBlocks()
-	nBlocks := nbx * nby * nbz
-	owners := make([]int, nBlocks)
+	var buf [16][]bool
+	masks := buf[:0]
 	for li, lv := range h.Levels {
 		if lv.Scale != 1<<li {
 			return fmt.Errorf("grid: level %d has scale %d", li, lv.Scale)
-		}
-		if len(lv.Owned) != nBlocks {
-			return fmt.Errorf("grid: level %d ownership length %d != %d", li, len(lv.Owned), nBlocks)
 		}
 		wantX, wantY, wantZ := h.Nx/lv.Scale, h.Ny/lv.Scale, h.Nz/lv.Scale
 		if lv.Data.Nx != wantX || lv.Data.Ny != wantY || lv.Data.Nz != wantZ {
 			return fmt.Errorf("grid: level %d data shape %v, want %dx%dx%d", li, lv.Data, wantX, wantY, wantZ)
 		}
-		for b, owned := range lv.Owned {
-			if owned {
-				owners[b]++
-			}
+		masks = append(masks, lv.Owned)
+	}
+	return CheckOwnership(nbx*nby*nbz, masks)
+}
+
+// CheckOwnership reports an error unless masks, one ownership mask per
+// level, partition a grid of nb unit blocks: each block owned by exactly one
+// level. A container index claims every block once, and its parser rejects
+// one that does not. It allocates nothing.
+func CheckOwnership(nb int, masks [][]bool) error {
+	for li, owned := range masks {
+		if len(owned) != nb {
+			return fmt.Errorf("grid: level %d ownership length %d != %d", li, len(owned), nb)
 		}
 	}
-	for b, c := range owners {
-		if c != 1 {
-			return fmt.Errorf("grid: block %d owned by %d levels", b, c)
+	for b := 0; b < nb; b++ {
+		owners := 0
+		for _, owned := range masks {
+			if owned[b] {
+				owners++
+			}
+		}
+		if owners != 1 {
+			return fmt.Errorf("grid: block %d owned by %d levels", b, owners)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/raceflag"
 	"repro/internal/synth"
 )
 
@@ -90,6 +91,31 @@ func TestSetBlockFromFineAndValidate(t *testing.T) {
 	want := f.SubBlock(0, 0, 0, 8, 8, 8)
 	if !b.Equal(want) {
 		t.Fatal("fine block data mismatch")
+	}
+}
+
+// TestCheckOwnershipAllocFree: masks that partition the grid pass without
+// allocating; a block owned by no level or by two, or a mask of the wrong
+// length, is an error.
+func TestCheckOwnershipAllocFree(t *testing.T) {
+	fine := []bool{true, false, true, false}
+	coarse := []bool{false, true, false, true}
+	if err := CheckOwnership(4, [][]bool{fine, coarse}); err != nil {
+		t.Fatal(err)
+	}
+	masks := [][]bool{fine, coarse}
+	if n := testing.AllocsPerRun(10, func() { _ = CheckOwnership(4, masks) }); n != 0 && !raceflag.Enabled {
+		t.Errorf("CheckOwnership allocated %v times, want 0", n)
+	}
+	for name, masks := range map[string][][]bool{
+		"unowned":     {fine, {false, true, false, false}},
+		"owned twice": {fine, {true, true, false, true}},
+		"short mask":  {fine, coarse[:3]},
+		"no level":    {},
+	} {
+		if err := CheckOwnership(4, masks); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

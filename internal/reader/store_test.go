@@ -179,12 +179,21 @@ func TestSingleflightThunderingHerd(t *testing.T) {
 
 			// Release the payload read only once every worker has recorded
 			// its cache miss and all but the leader wait on its load, so
-			// the leader's decode is the herd's only one.
-			for r.Stats().CacheMisses < workers || parkedOnLoad() < workers-1 {
+			// the leader's decode is the herd's only one. Should the frames
+			// parkedOnLoad looks for be renamed, fail, not hang.
+			misses, parked, deadline := int64(0), 0, time.Now().Add(10*time.Second)
+			for {
+				misses, parked = r.Stats().CacheMisses, parkedOnLoad()
+				if misses >= workers && parked >= workers-1 || time.Now().After(deadline) {
+					break
+				}
 				runtime.Gosched()
 			}
 			close(gate.release)
 			wg.Wait()
+			if misses < workers || parked < workers-1 {
+				t.Fatalf("after 10s: %d of %d cache misses, %d of %d workers waiting on the load", misses, workers, parked, workers-1)
+			}
 
 			for i := range errs {
 				if errs[i] != nil {
