@@ -22,28 +22,29 @@
 // scrub.
 //
 // Allocation is per call, not per stream. Prepare cuts a TAC level's boxes
-// as views of one slab. A container write deflates each stream into the
-// buffer of a stream it has already written, and a full decode decodes
-// each stream into the field of one it has already placed; both recycle
-// through a free list local to the call (spares). So a call allocates its
-// index and records, its hierarchy or slabs, and one buffer or field per
-// stream in flight at once — the worker window, 8 per worker — whatever the
-// stream count (TestTACAllocsFlatInStreams). No free list outlives a call:
-// one kept for the process would hold the largest streams it ever saw for
-// the process's life, a retention cost with no bound the caller can see,
-// while the per-call list is bounded by the window and freed with the call.
+// as views of one slab. A write deflates each stream into the buffer of one
+// already written, and a full decode decodes each stream into the field of
+// one already placed; both recycle through a free list local to the call
+// (spares). So a write allocates its records, slabs and a buffer per stream
+// in its window (8 per worker), a decode its index, hierarchy and a field
+// per worker, whatever the stream count (TestTACAllocsFlatInStreams). No
+// free list outlives a call: one kept for the process would hold the
+// largest streams it ever saw for its whole life, a retention cost with no
+// bound the caller can see.
 // The reader's brick paths decode into fresh fields, because the brick
 // cache keeps them.
 package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/codec"
@@ -587,7 +588,7 @@ func (p *Prepared) FindIntensities() ([]postproc.Intensity, error) {
 		case pl.merged != nil:
 			sample = pl.merged
 		case len(pl.boxFld) > 0:
-			sample = largestField(pl.boxFld)
+			sample = slices.MaxFunc(pl.boxFld, func(a, b *field.Field) int { return cmp.Compare(a.Len(), b.Len()) })
 		default:
 			continue
 		}
@@ -602,16 +603,6 @@ func (p *Prepared) FindIntensities() ([]postproc.Intensity, error) {
 		out[li] = set.FindIntensity()
 	}
 	return out, nil
-}
-
-func largestField(fs []*field.Field) *field.Field {
-	best := fs[0]
-	for _, f := range fs[1:] {
-		if f.Len() > best.Len() {
-			best = f
-		}
-	}
-	return best
 }
 
 // parseContainer scans a container body serially into the index a footer

@@ -6,8 +6,8 @@ package core
 // body scan when there is none), DecodeIndexed turns one indexed stream's
 // payload into a checked field, and PlaceIndexed puts that field where the
 // index says it lives. Callers keep only what is theirs: Decompress its
-// worker window and the hierarchy's ownership flags, the reader its
-// positioned reads, retries, cache and counters.
+// workers and the hierarchy's ownership flags, the reader its positioned
+// reads, retries, cache and counters.
 
 import (
 	"context"
@@ -24,24 +24,24 @@ import (
 )
 
 // Decompress reconstructs the multi-resolution hierarchy from a container,
-// decoding backend streams with the default worker count.
+// decoding backend streams with the default worker count (DecompressWorkers).
 func Decompress(blob []byte) (*grid.Hierarchy, error) {
-	return decompressImpl(blob, nil, 0)
+	return decompressImpl(context.TODO(), blob, nil, 0)
 }
 
-// DecompressWorkers is Decompress with an explicit bound on concurrent
-// stream decoders, normalized as Options.Workers is (0 =
-// runtime.GOMAXPROCS(0), 1 or below = serial).
+// DecompressWorkers is Decompress on at most workers stream decoders (0 =
+// runtime.GOMAXPROCS(0), 1 or below = serial, as Options.Workers), with at
+// most one decoded stream per worker alive beyond the hierarchy.
 func DecompressWorkers(blob []byte, workers int) (*grid.Hierarchy, error) {
-	return decompressImpl(blob, nil, workers)
+	return decompressImpl(context.TODO(), blob, nil, workers)
 }
 
 // DecompressProcessedWorkers decompresses with an explicit bound on
 // concurrent stream decoders and applies error-bounded post-processing with
 // the given per-level intensities to each level's decoded array before
-// reassembly.
+// reassembly; each worker holds one decoded stream and its processed copy.
 func DecompressProcessedWorkers(blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
-	return decompressImpl(blob, intens, workers)
+	return decompressImpl(context.TODO(), blob, intens, workers)
 }
 
 // loadIndex returns the index of an in-memory container: the footer when it
@@ -147,7 +147,7 @@ func markOwned(h *grid.Hierarchy, ix *index.Index, si int) {
 // decompressImpl decodes every stream of the container in blob and
 // reassembles the hierarchy. A non-zero intens[level] post-processes that
 // level's streams before placement.
-func decompressImpl(blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
+func decompressImpl(ctx context.Context, blob []byte, intens []postproc.Intensity, workers int) (*grid.Hierarchy, error) {
 	ix, err := loadIndex(blob)
 	if err != nil {
 		return nil, err
@@ -157,53 +157,63 @@ func decompressImpl(blob []byte, intens []postproc.Intensity, workers int) (*gri
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	opt := OptionsFromIndex(ix.Opts)
-	ctx := context.TODO() // Decompress takes no context (ROADMAP 4b)
 
-	// Streams decode (and post-process) on the same ordered worker window
-	// as the write side and are placed into the hierarchy in index order as
-	// they arrive, so beyond the destination hierarchy at most the window's
-	// decoded fields are alive at once (workers = 1 is fully streaming).
-	// Placement stays on this goroutine: it writes into the shared
-	// hierarchy, and its cost is dwarfed by backend decoding. A placed
-	// field's array is copied out, so a later stream decodes into it.
-	var dsts spares[*field.Field]
-	fields := parallel.NewOrdered(len(ix.Streams), parallel.Resolve(workers), func(si int) (*field.Field, error) {
+	// The worker that decodes a stream places it, flags it owned and hands
+	// its field to a later stream: index.Parse admits only streams that
+	// claim each unit block once, so no two workers write one sample or
+	// flag. With more streams than workers a field is made at the largest
+	// stream's size (capped at its level's: RawLen is checked after decode).
+	workers = parallel.Resolve(workers)
+	dsts := spares[*field.Field]{free: make([]*field.Field, 0, min(workers, len(ix.Streams)))}
+	maxLen := 0
+	for _, s := range ix.Streams {
+		maxLen = max(maxLen, int(min(s.RawLen/8, int64(h.Levels[s.Level].Data.Len()))))
+	}
+	_, err = parallel.MapErrWorkers(len(ix.Streams), workers, func(si int) (struct{}, error) {
 		s := &ix.Streams[si]
-		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], dsts.get())
-		if err != nil || s.Level >= len(intens) || intens[s.Level] == (postproc.Intensity{}) {
-			return f, err
+		f := dsts.get()
+		if f == nil && len(ix.Streams) > workers {
+			f = &field.Field{Data: make([]float64, maxLen)}
 		}
-		// Each stream is post-processed under its own codec, so mixed-codec
-		// containers smooth each level as the backend that produced it
-		// needs; a codec without block artifacts (the lossless passthrough)
-		// reports block size 0 and is left alone.
-		sopt := opt
-		sopt.Compressor = Compressor(s.Compressor)
-		bs := PostBlockSize(sopt, ix.UnitBlockSize(s.Level))
-		if bs <= 0 {
-			return f, nil
-		}
-		po := postproc.Options{EB: opt.EB, BlockSize: bs}
-		if !ix.Levels[s.Level].Padded {
-			return postproc.Process(f, intens[s.Level], po), nil
-		}
-		// A padded merge is processed without its pad layers; the result
-		// goes back under them so placement sees one shape.
-		g := postproc.Process(layout.UnpadXY(f), intens[s.Level], po)
-		field.CopyBlock(f, 0, 0, 0, g, 0, 0, 0, g.Nx, g.Ny, g.Nz)
-		return f, nil
-	})
-	defer fields.Stop()
-	for si := range ix.Streams {
-		f, err := fields.Next()
+		f, err := DecodeIndexed(ctx, ix, si, blob[s.Offset:s.Offset+s.Len], f)
 		if err != nil {
-			return nil, err
+			return struct{}{}, err
 		}
-		if err := PlaceIndexed(ix, si, f, h.Levels[ix.Streams[si].Level].Data); err != nil {
-			return nil, err
+		err = PlaceIndexed(ix, si, postProcess(ix, si, opt, intens, f), h.Levels[s.Level].Data)
+		if err == nil {
+			markOwned(h, ix, si)
+			dsts.put(f)
 		}
-		markOwned(h, ix, si)
-		dsts.put(f)
+		return struct{}{}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return h, nil
+}
+
+// postProcess returns stream si's decoded field f post-processed at its
+// level's intensity, or f when that is zero. Each stream is processed under
+// its own codec, so mixed-codec containers smooth each level as the backend
+// that produced it needs; a codec without block artifacts (the lossless
+// passthrough) reports block size 0 and is left alone.
+func postProcess(ix *index.Index, si int, opt Options, intens []postproc.Intensity, f *field.Field) *field.Field {
+	s := &ix.Streams[si]
+	if s.Level >= len(intens) || intens[s.Level] == (postproc.Intensity{}) {
+		return f
+	}
+	opt.Compressor = Compressor(s.Compressor)
+	bs := PostBlockSize(opt, ix.UnitBlockSize(s.Level))
+	if bs <= 0 {
+		return f
+	}
+	po := postproc.Options{EB: opt.EB, BlockSize: bs}
+	if !ix.Levels[s.Level].Padded {
+		return postproc.Process(f, intens[s.Level], po)
+	}
+	// A padded merge is processed without its pad layers; the result goes
+	// back under them so placement sees one shape.
+	g := postproc.Process(layout.UnpadXY(f), intens[s.Level], po)
+	field.CopyBlock(f, 0, 0, 0, g, 0, 0, 0, g.Nx, g.Ny, g.Nz)
+	return f
 }

@@ -4,8 +4,8 @@ import "sync"
 
 // spares is a free list local to one call: a buffer the call has finished
 // with goes back on it and carries the call's next stream. It holds at most
-// what was in flight at once — the worker window — and dies with the call,
-// so nothing is retained between calls.
+// what was in flight at once — a write's window, a decode's workers — and
+// dies with the call, so nothing is retained between calls.
 type spares[T any] struct {
 	mu   sync.Mutex
 	free []T

@@ -65,6 +65,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/layout"
@@ -547,6 +548,16 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 		if !ok || nStreams64 > uint64(total) {
 			return nil, corrupt("stream count")
 		}
+		// Presize the stream lists for at most the records the bytes left
+		// can hold, so a count the section cannot back sizes nothing larger
+		// than the section itself.
+		minRecord := minStreamRecord
+		if ix.StreamCRCs {
+			minRecord += 4
+		}
+		room := min(int(nStreams64), len(buf)/minRecord)
+		lv.Streams = make([]int, 0, room)
+		ix.Streams = slices.Grow(ix.Streams, room)
 		for si := 0; si < int(nStreams64); si++ {
 			s := Stream{Level: li}
 			box64, ok := varint(&buf)
@@ -609,6 +620,11 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 	}
 	return ix, nil
 }
+
+// minStreamRecord is the smallest stream record Parse accepts: a box id, a
+// compressor byte and three extents of one byte each (plus 4 checksum bytes
+// in a version-2 footer).
+const minStreamRecord = 5
 
 // Bounds of Parse's claim bitset (blockSet): the grid size it keeps on the
 // stack, and the bytes it may allocate whatever the container's size.

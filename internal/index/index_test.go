@@ -209,8 +209,8 @@ func TestIndexAllocBudget(t *testing.T) {
 		"golden-mixed-sz3-flate-v4.mrw": 12,
 		"golden-stack-sz3-v3.mrw":       12,
 		"golden-zorder1d-sz3-v3.mrw":    12,
-		"golden-tac-sz3-v3.mrw":         15,
-		"golden-tac-sz3-lanes4-v3.mrw":  15,
+		"golden-tac-sz3-v3.mrw":         9,
+		"golden-tac-sz3-lanes4-v3.mrw":  9,
 		"golden-tac-sz3.mrc":            2,
 	}
 	for name, budget := range budgets {

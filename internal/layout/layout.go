@@ -143,16 +143,21 @@ func LevelSource(h *grid.Hierarchy, level int) Source {
 // owned reports whether the level owns block (bx, by, bz).
 func (s Source) owned(bx, by, bz int) bool { return s.Owned[bx+s.NBX*(by+s.NBY*bz)] }
 
-// Blocks returns the coordinates of the owned blocks in raster order (z,
-// then y, then x).
-func (s Source) Blocks() [][3]int {
+// ownedCount returns the number of blocks the level owns.
+func (s Source) ownedCount() int {
 	k := 0
 	for _, o := range s.Owned {
 		if o {
 			k++
 		}
 	}
-	out := make([][3]int, 0, k)
+	return k
+}
+
+// Blocks returns the coordinates of the owned blocks in raster order (z,
+// then y, then x).
+func (s Source) Blocks() [][3]int {
+	out := make([][3]int, 0, s.ownedCount())
 	for bz := 0; bz < s.NBZ; bz++ {
 		for by := 0; by < s.NBY; by++ {
 			for bx := 0; bx < s.NBX; bx++ {
@@ -287,7 +292,8 @@ func (s Source) TACBoxes() []Box {
 	nbx, nby, nbz := s.NBX, s.NBY, s.NBZ
 	visited := make([]bool, nbx*nby*nbz)
 	vis := func(bx, by, bz int) bool { return visited[bx+nbx*(by+nby*bz)] }
-	var boxes []Box
+	// A box holds at least one owned block, so one allocation holds them all.
+	boxes := make([]Box, 0, s.ownedCount())
 	for bz := 0; bz < nbz; bz++ {
 		for by := 0; by < nby; by++ {
 			for bx := 0; bx < nbx; bx++ {

@@ -25,47 +25,48 @@ func Resolve(workers int) int {
 // independent of the worker count. Jobs are handed out one at a time from a
 // shared counter (not in contiguous chunks) because callers typically have
 // few, unevenly sized jobs — e.g. one compression stream per level or box.
-// If any job fails, the error from the lowest failing index is returned and
-// the results are discarded; every job still runs (fn must not assume
-// earlier indices succeeded).
+// If any job fails, the error from the lowest failing index is returned, the
+// results are discarded, and no index is handed out after the failure (fn
+// must not assume earlier indices succeeded).
 func MapErrWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, max(n, 0))
-	if n <= 0 {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range out {
+			var err error
+			if out[i], err = fn(i); err != nil {
+				return nil, err
+			}
+		}
 		return out, nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers == 1 {
-		for i := range out {
-			out[i], errs[i] = fn(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					out[i], errs[i] = fn(i)
+	st := struct { // the shared state: one allocation, whatever the count
+		next   atomic.Int64 // the next index to hand out; n once a job fails
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		lowest int // the lowest failing index so far, guarded by mu
+		err    error
+	}{lowest: n}
+	work := func() {
+		defer st.wg.Done()
+		for i := int(st.next.Add(1)) - 1; i < n; i = int(st.next.Add(1)) - 1 {
+			var err error
+			if out[i], err = fn(i); err != nil {
+				st.next.Store(int64(n))
+				st.mu.Lock()
+				if i < st.lowest {
+					st.lowest, st.err = i, err
 				}
-			}()
+				st.mu.Unlock()
+			}
 		}
-		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	st.wg.Add(workers)
+	for range workers {
+		go work()
+	}
+	st.wg.Wait()
+	if st.err != nil {
+		return nil, st.err
 	}
 	return out, nil
 }
@@ -78,11 +79,11 @@ func MapErrWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error
 const windowPerWorker = 8
 
 // Ordered runs produce(i) for i in [0, n) on up to `workers` goroutines and
-// hands the results to one consumer strictly in index order through Next,
-// holding at most windowPerWorker × workers of them at once — so what a
-// caller keeps alive is bounded by the window, not by n. With workers ≤ 1
-// (or n ≤ 1) Next calls produce inline: no goroutines, no allocation per
-// item. Next and Stop are called from one goroutine.
+// hands the results to one consumer (the container write, whose bytes must
+// be in order) strictly in index order through Next, holding at most
+// windowPerWorker × workers of them at once. With workers ≤ 1 (or n ≤ 1)
+// Next calls produce inline: no goroutines, no allocation per item. Next
+// and Stop are called from one goroutine.
 type Ordered[T any] struct {
 	produce func(int) (T, error)
 	n, next int // next is the index Next hands over next
@@ -115,8 +116,9 @@ func NewOrdered[T any](n, workers int, produce func(i int) (T, error)) *Ordered[
 	o.ready.L, o.space.L = &o.mu, &o.mu
 	workers = min(workers, n)
 	o.wg.Add(workers)
+	work := o.work // one method value for all workers, not one per go statement
 	for range workers {
-		go o.work()
+		go work()
 	}
 	return o
 }

@@ -82,6 +82,40 @@ func TestMapErrRunsEveryJob(t *testing.T) {
 	}
 }
 
+// TestMapErrStopsAfterFailure: once a job has failed no further index is
+// handed out. Job k fails at once, and every job above it holds its worker
+// until the failing worker's goroutine has exited — it records the failure
+// before it exits — so the jobs above k that run are only those the other
+// workers claimed before the failure: at most workers-1 of them. The
+// goroutine count is taken inside job k, when every worker is alive.
+func TestMapErrStopsAfterFailure(t *testing.T) {
+	const n, k = 200, 5
+	for _, workers := range []int{2, 3, 8} {
+		deadline := time.Now().Add(10 * time.Second)
+		var above atomic.Int32
+		var alive atomic.Int64 // goroutines while job k runs; 0 before
+		_, err := MapErrWorkers(n, workers, func(i int) (int, error) {
+			switch {
+			case i == k:
+				alive.Store(int64(runtime.NumGoroutine()))
+				return 0, fmt.Errorf("boom %d", i)
+			case i > k:
+				above.Add(1)
+				for (alive.Load() == 0 || int64(runtime.NumGoroutine()) >= alive.Load()) && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "boom 5" {
+			t.Fatalf("workers=%d: err = %v, want boom 5", workers, err)
+		}
+		if got := above.Load(); got > int32(workers-1) {
+			t.Errorf("workers=%d: %d jobs above the failed one ran, want at most %d", workers, got, workers-1)
+		}
+	}
+}
+
 // drain takes every result of o in order, stopping at the first error.
 func drain[T any](o *Ordered[T], n int) ([]T, error) {
 	defer o.Stop()
