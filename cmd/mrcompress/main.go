@@ -180,7 +180,7 @@ func main() {
 		defer r.Close()
 		var rec *repro.Field
 		if *box >= 0 {
-			rec, _, err = r.ReadBox(*level, *box)
+			rec, _, err = r.ReadBox(context.Background(), *level, *box)
 		} else {
 			rec, err = r.ReadLevel(*level)
 		}

@@ -39,7 +39,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -57,6 +56,7 @@ import (
 	"repro/internal/postproc"
 	"repro/internal/sz2"
 	"repro/internal/sz3"
+	"repro/internal/wire"
 )
 
 // Container format versions. Version 2 widened SZ2BlockSize from a single
@@ -623,19 +623,12 @@ func parseContainer(blob []byte) (*index.Index, error) {
 		return nil, fmt.Errorf("core: unsupported version %d", version)
 	}
 	// v1 stored SZ2BlockSize in one byte (values > 255 wrapped on write).
-	ix, buf, err := index.ParseHeader(blob[5:], version == containerVersionV1)
+	r := wire.NewReader(blob[5:])
+	ix, err := index.ParseHeader(&r, version == containerVersionV1)
 	if err != nil {
 		return nil, err
 	}
 	ix.StreamCRCs = true
-	readU := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, errors.New("core: truncated varint")
-		}
-		buf = buf[n:]
-		return v, nil
-	}
 
 	// stream consumes one length-prefixed payload — in a version-4 container
 	// its codec byte sits between the two; older versions compress every
@@ -643,32 +636,30 @@ func parseContainer(blob []byte) (*index.Index, error) {
 	// under level lv. An empty merged level carries a zero length and no
 	// stream.
 	stream := func(lv *index.Level, st index.Stream) error {
-		slen, err := readU()
-		if err != nil || slen == 0 && st.Box < 0 {
-			return err
+		n := int(r.Uvarint(uint64(r.Len())))
+		if n == 0 && st.Box < 0 {
+			return r.Err()
 		}
 		st.Compressor = ix.Opts.Compressor
 		if version >= containerVersionMixed {
-			if len(buf) < 1 {
-				return errors.New("core: truncated container")
-			}
-			st.Compressor = buf[0]
-			buf = buf[1:]
+			st.Compressor = r.Byte()
 		}
-		if uint64(len(buf)) < slen {
-			return errors.New("core: truncated stream")
+		st.Offset = int64(len(blob) - r.Len())
+		payload := r.Bytes(n)
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("core: truncated container: %w", err)
 		}
-		st.Offset, st.Len = int64(len(blob)-len(buf)), int64(slen)
-		st.CRC = crc32.ChecksumIEEE(buf[:slen])
-		buf = buf[slen:]
+		st.Len, st.CRC = int64(n), crc32.ChecksumIEEE(payload)
 		lv.Streams = append(lv.Streams, len(ix.Streams))
 		ix.Streams = append(ix.Streams, st)
 		return nil
 	}
 
+	// A box never holds fewer than one unit block, so the block total
+	// bounds a level's box count.
 	nBlocksTotal := (ix.Nx / ix.BlockB) * (ix.Ny / ix.BlockB) * (ix.Nz / ix.BlockB)
 	for li := range ix.Levels {
-		if buf, err = ix.ParseBlocks(buf, li); err != nil {
+		if err := ix.ParseBlocks(&r, li); err != nil {
 			return nil, err
 		}
 		lv := &ix.Levels[li]
@@ -680,18 +671,10 @@ func parseContainer(blob []byte) (*index.Index, error) {
 			}
 			continue
 		}
-		nBoxes64, err := readU()
-		if err != nil {
-			return nil, err
-		}
-		// Compare unsigned: int(nBoxes64) may wrap negative. A box never
-		// holds fewer than one unit block, so the block total bounds it.
-		if nBoxes64 > uint64(nBlocksTotal) {
-			return nil, errors.New("core: implausible box count")
-		}
-		for bi := 0; bi < int(nBoxes64); bi++ {
-			var g layout.Box
-			if g, buf, err = ix.ParseBox(buf); err != nil {
+		nBoxes := int(r.Uvarint(uint64(nBlocksTotal)))
+		for bi := 0; bi < nBoxes; bi++ {
+			g, err := ix.ParseBox(&r)
+			if err != nil {
 				return nil, err
 			}
 			rawLen := int64(g.WX*u) * int64(g.WY*u) * int64(g.WZ*u) * 8
@@ -699,6 +682,9 @@ func parseContainer(blob []byte) (*index.Index, error) {
 				return nil, err
 			}
 		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: truncated container: %w", err)
 	}
 	return ix, nil
 }

@@ -162,12 +162,12 @@ func decompressImpl(ctx context.Context, blob []byte, intens []postproc.Intensit
 	// its field to a later stream: index.Parse admits only streams that
 	// claim each unit block once, so no two workers write one sample or
 	// flag. With more streams than workers a field is made at the largest
-	// stream's size (capped at its level's: RawLen is checked after decode).
+	// stream's size (index.Parse holds each RawLen to its record).
 	workers = parallel.Resolve(workers)
 	dsts := spares[*field.Field]{free: make([]*field.Field, 0, min(workers, len(ix.Streams)))}
 	maxLen := 0
 	for _, s := range ix.Streams {
-		maxLen = max(maxLen, int(min(s.RawLen/8, int64(h.Levels[s.Level].Data.Len()))))
+		maxLen = max(maxLen, int(s.RawLen/8))
 	}
 	_, err = parallel.MapErrWorkers(len(ix.Streams), workers, func(si int) (struct{}, error) {
 		s := &ix.Streams[si]

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/bitio"
+	"repro/internal/wire"
 )
 
 // maxCodeLen bounds canonical code lengths so codes fit comfortably in a
@@ -567,20 +568,26 @@ func AppendDecode(dst []int32, buf []byte) ([]int32, error) {
 }
 
 func (s *scratch) appendDecode(dst []int32, buf []byte) ([]int32, error) {
-	if tag, m := binary.Uvarint(buf); m > 0 && tag == InterleavedTag {
-		return s.appendInterleaved(dst, buf[m:])
+	r := wire.NewReader(buf)
+	un := r.Uvarint(InterleavedTag)
+	if un == InterleavedTag {
+		return s.appendInterleaved(dst, &r)
 	}
-	n, k, err := readHeader(&buf)
-	if err != nil {
-		return nil, err
+	uk := r.Uvarint(un + 1)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("huffman: header: %w", err)
 	}
+	if un > maxN {
+		return nil, fmt.Errorf("huffman: implausible symbol count %d", un)
+	}
+	n, k := int(un), int(uk)
 	if n == 0 {
 		return dst, nil
 	}
 	if k == 0 {
 		return nil, errors.New("huffman: zero symbols for nonzero data")
 	}
-	syms, lens, buf, err := s.parseDict(buf, k)
+	syms, lens, err := s.parseDict(&r, k)
 	if err != nil {
 		return nil, err
 	}
@@ -591,10 +598,10 @@ func (s *scratch) appendDecode(dst []int32, buf []byte) ([]int32, error) {
 	// Every code is at least one bit, so the payload bounds the symbol
 	// count; checking before the allocation below keeps a corrupt header
 	// from demanding gigabytes for a few bytes of stream.
-	if n > len(buf)*8 {
-		return nil, fmt.Errorf("huffman: %d-byte stream cannot hold %d symbols: %w", len(buf), n, bitio.ErrOutOfBits)
+	if n > r.Len()*8 {
+		return nil, fmt.Errorf("huffman: %d-byte stream cannot hold %d symbols: %w", r.Len(), n, bitio.ErrOutOfBits)
 	}
-	br := bitio.NewReader(buf)
+	br := bitio.NewReader(r.Rest())
 	// maxBatch slack lets the batch path store a full fixed-size array (a
 	// few plain moves instead of a variable-length copy); the tail beyond n
 	// stays in the spare capacity and is never decoded.
@@ -607,43 +614,37 @@ func (s *scratch) appendDecode(dst []int32, buf []byte) ([]int32, error) {
 }
 
 // parseDict reads the k-entry dictionary (zigzag-delta symbols + length
-// bytes) and checks it is sorted by (length, symbol) as canonical decode
-// requires. It returns the symbols, lengths, and the remaining bytes.
-func (s *scratch) parseDict(buf []byte, k int) (syms []int32, lens []int, rest []byte, err error) {
+// bytes) from r and checks it is sorted by (length, symbol) as canonical
+// decode requires. It returns the symbols and lengths.
+func (s *scratch) parseDict(r *wire.Reader, k int) (syms []int32, lens []int, err error) {
 	// Each entry takes at least two bytes, which bounds k by the input before
 	// anything is sized from it.
-	if k > len(buf)/2 {
-		return nil, nil, nil, errors.New("huffman: truncated dictionary")
+	if k > r.Len()/2 {
+		return nil, nil, errors.New("huffman: truncated dictionary")
 	}
 	s.syms, s.lens = resize(s.syms, k), resize(s.lens, k)
 	syms, lens = s.syms, s.lens
 	prev := int64(0)
-	for i := 0; i < k; i++ {
-		delta, m := binary.Varint(buf)
-		if m <= 0 {
-			return nil, nil, nil, errors.New("huffman: truncated dictionary")
+	for i := range syms {
+		prev += r.Varint()
+		l := r.Byte()
+		if err := r.Err(); err != nil {
+			return nil, nil, fmt.Errorf("huffman: truncated dictionary: %w", err)
 		}
-		buf = buf[m:]
-		prev += delta
 		if prev > math.MaxInt32 || prev < math.MinInt32 {
-			return nil, nil, nil, errors.New("huffman: symbol out of range")
+			return nil, nil, errors.New("huffman: symbol out of range")
 		}
-		syms[i] = int32(prev)
-		if len(buf) == 0 {
-			return nil, nil, nil, errors.New("huffman: truncated lengths")
+		if l == 0 || l > maxCodeLen+1 {
+			return nil, nil, fmt.Errorf("huffman: invalid code length %d", l)
 		}
-		lens[i] = int(buf[0])
-		if lens[i] == 0 || lens[i] > maxCodeLen+1 {
-			return nil, nil, nil, fmt.Errorf("huffman: invalid code length %d", lens[i])
-		}
-		buf = buf[1:]
+		syms[i], lens[i] = int32(prev), int(l)
 	}
 	for i := 1; i < k; i++ {
 		if lens[i] < lens[i-1] {
-			return nil, nil, nil, errors.New("huffman: dictionary not canonical")
+			return nil, nil, errors.New("huffman: dictionary not canonical")
 		}
 	}
-	return syms, lens, buf, nil
+	return syms, lens, nil
 }
 
 // maxBatch is the number of symbols one decode-table entry can hold.
@@ -806,21 +807,4 @@ func (t *decodeTable) decodeLong(br *bitio.Reader, i int) (int32, error) {
 		return 0, fmt.Errorf("huffman: truncated bit stream at symbol %d: %w", i, bitio.ErrOutOfBits)
 	}
 	return 0, errors.New("huffman: invalid code in stream")
-}
-
-func readHeader(buf *[]byte) (n, k int, err error) {
-	un, m := binary.Uvarint(*buf)
-	if m <= 0 {
-		return 0, 0, errors.New("huffman: truncated header")
-	}
-	*buf = (*buf)[m:]
-	uk, m := binary.Uvarint(*buf)
-	if m <= 0 {
-		return 0, 0, errors.New("huffman: truncated header")
-	}
-	*buf = (*buf)[m:]
-	if un > maxN || uk > un+1 {
-		return 0, 0, fmt.Errorf("huffman: implausible header n=%d k=%d", un, uk)
-	}
-	return int(un), int(uk), nil
 }

@@ -21,13 +21,12 @@
 package huffman
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
 
 	"repro/internal/bitio"
+	"repro/internal/wire"
 )
 
 // InterleavedTag is the wire discriminator for interleaved entropy streams,
@@ -42,34 +41,19 @@ const InterleavedTag = 0x2494C5645
 const maxLanes = 64
 
 // appendInterleaved decodes the interleaved format, appending the symbols
-// to dst. buf starts just past the InterleavedTag uvarint.
-func (s *scratch) appendInterleaved(dst []int32, buf []byte) ([]int32, error) {
-	un, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, errInterleavedHeader
+// to dst. r starts just past the InterleavedTag uvarint.
+func (s *scratch) appendInterleaved(dst []int32, r *wire.Reader) ([]int32, error) {
+	un := r.Uvarint(maxN)
+	ul := r.Uvarint(maxLanes)
+	uk := r.Uvarint(un)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("huffman: interleaved header: %w", err)
 	}
-	buf = buf[m:]
-	if un == 0 || un > maxN {
-		return nil, fmt.Errorf("huffman: implausible interleaved n=%d", un)
-	}
-	ul, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, errInterleavedHeader
-	}
-	buf = buf[m:]
-	if ul < 2 || ul > maxLanes || ul&(ul-1) != 0 || ul > un {
-		return nil, fmt.Errorf("huffman: invalid lane count %d for n=%d", ul, un)
+	if un == 0 || ul < 2 || ul&(ul-1) != 0 || ul > un || uk == 0 {
+		return nil, fmt.Errorf("huffman: implausible interleaved header n=%d lanes=%d k=%d", un, ul, uk)
 	}
 	n, lanes := int(un), int(ul)
-	uk, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, errInterleavedHeader
-	}
-	buf = buf[m:]
-	if uk == 0 || uk > un {
-		return nil, fmt.Errorf("huffman: implausible dictionary size %d for n=%d", uk, un)
-	}
-	syms, lens, buf, err := s.parseDict(buf, int(uk))
+	syms, lens, err := s.parseDict(r, int(uk))
 	if err != nil {
 		return nil, err
 	}
@@ -79,20 +63,17 @@ func (s *scratch) appendInterleaved(dst []int32, buf []byte) ([]int32, error) {
 	}
 
 	// Lane header: per-lane bit lengths. Any single lane's payload is a
-	// subrange of the bytes still ahead, which bounds the uvarint before it
-	// is narrowed; the byte-range slicing below is the exact check.
-	laneBits := make([]int, lanes)
+	// subrange of the bytes still ahead, which bounds each length; the
+	// byte-range slicing below is the exact check.
+	var laneBitsArr [maxLanes]int
+	laneBits := laneBitsArr[:lanes]
 	for j := range laneBits {
-		ub, m := binary.Uvarint(buf)
-		if m <= 0 {
-			return nil, errInterleavedHeader
-		}
-		if ub > uint64(len(buf))*8 {
-			return nil, fmt.Errorf("huffman: lane %d length %d bits exceeds payload", j, ub)
-		}
-		buf = buf[m:]
-		laneBits[j] = int(ub)
+		laneBits[j] = int(r.Uvarint(uint64(r.Len()) * 8))
 	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("huffman: interleaved lane lengths: %w", err)
+	}
+	buf := r.Rest()
 	// Every lane is checked before the output allocation below, so a
 	// corrupt header cannot demand gigabytes for a few bytes of stream.
 	laneSyms := func(j int) int { return (n - j + lanes - 1) / lanes }
@@ -130,8 +111,6 @@ func (s *scratch) appendInterleaved(dst []int32, buf []byte) ([]int32, error) {
 	}
 	return out, nil
 }
-
-var errInterleavedHeader = errors.New("huffman: truncated interleaved header")
 
 // decodeStride drains one lane: rem symbols into out[pos], out[pos+stride],
 // …. It is decodeAll with strided stores — the same batch fast path,

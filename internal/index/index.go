@@ -67,8 +67,8 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/field"
 	"repro/internal/layout"
+	"repro/internal/wire"
 )
 
 // Magic brackets the index section: it opens the section and closes the
@@ -98,7 +98,7 @@ const (
 	maxBlockB    = 1 << 24
 	maxLevels    = 64
 	maxSZ2Block  = 1 << 30 // matches core's maxSZ2BlockSize
-	maxStreamLen = int64(1) << 56
+	maxStreamLen = 1 << 56
 )
 
 // ErrNoIndex reports that the container carries no index footer (a v1/v2
@@ -343,168 +343,118 @@ func corrupt(what string) error {
 	return fmt.Errorf("index: truncated or corrupt %s", what)
 }
 
-// uvarint decodes a uvarint from the front of *buf and advances past it.
-func uvarint(buf *[]byte) (uint64, bool) {
-	v, n := binary.Uvarint(*buf)
-	if n <= 0 {
-		return 0, false
-	}
-	*buf = (*buf)[n:]
-	return v, true
+// corruptErr is corrupt for a record whose read failed with err.
+func corruptErr(what string, err error) error {
+	return fmt.Errorf("index: truncated or corrupt %s: %w", what, err)
 }
 
-// varint decodes a varint from the front of *buf and advances past it.
-func varint(buf *[]byte) (int64, bool) {
-	v, n := binary.Varint(*buf)
-	if n <= 0 {
-		return 0, false
-	}
-	*buf = (*buf)[n:]
-	return v, true
-}
-
-// ParseHeader decodes the header record at the front of buf into a new
-// Index — Opts, the domain, the block size and one empty Level per level —
-// and returns it with the bytes that follow. sz2Byte reads the SZ2 block
-// size as the single byte a version-1 container body stored; every other
-// writer emits a uvarint. The checks every decoder relies on run here: an
-// arrangement byte that names a layout.Arrangement; a domain CheckDims
-// accepts, at most 2²⁴ per axis; a power-of-two block size of at least 8
-// that divides every axis; and 1–64 levels that leave the coarsest unit
-// block at least 2 cells wide.
-func ParseHeader(buf []byte, sz2Byte bool) (*Index, []byte, error) {
-	if len(buf) < 5 {
-		return nil, nil, corrupt("header options")
-	}
+// ParseHeader decodes the header record at r into a new Index — Opts, the
+// domain, the block size and one empty Level per level. sz2Byte reads the
+// SZ2 block size as the single byte a version-1 container body stored;
+// every other writer emits a uvarint. The checks every decoder relies on
+// run here: an arrangement byte that names a layout.Arrangement; a domain
+// CheckDims accepts, at most 2²⁴ per axis; a power-of-two block size of at
+// least 8 that divides every axis; and 1–64 levels that leave the coarsest
+// unit block at least 2 cells wide.
+func ParseHeader(r *wire.Reader, sz2Byte bool) (*Index, error) {
 	ix := &Index{}
 	o := &ix.Opts
-	o.Compressor, o.Arrangement, o.Pad, o.PadKind, o.AdaptiveEB = buf[0], buf[1], buf[2] != 0, buf[3], buf[4] != 0
+	o.Compressor, o.Arrangement, o.Pad, o.PadKind, o.AdaptiveEB = r.Byte(), r.Byte(), r.Byte() != 0, r.Byte(), r.Byte() != 0
 	if !layout.Arrangement(o.Arrangement).Valid() {
-		return nil, nil, corrupt("header arrangement")
+		return nil, corrupt("header arrangement")
 	}
-	buf = buf[5:]
 	if sz2Byte {
-		if len(buf) < 1 {
-			return nil, nil, corrupt("header SZ2 block size")
-		}
-		o.SZ2Block = int(buf[0])
-		buf = buf[1:]
+		o.SZ2Block = int(r.Byte())
 	} else {
-		bs, ok := uvarint(&buf)
-		if !ok || bs > maxSZ2Block {
-			return nil, nil, corrupt("header SZ2 block size")
-		}
-		o.SZ2Block = int(bs)
+		o.SZ2Block = int(r.Uvarint(maxSZ2Block))
 	}
-	if len(buf) < 1+3*8 {
-		return nil, nil, corrupt("header interp/floats")
+	o.Interp = r.Byte()
+	o.EB, o.Alpha, o.Beta = r.Float64(), r.Float64(), r.Float64()
+	// Dims bounds the domain's product, since decoders allocate level
+	// arrays from it; the per-axis cap alone would admit 2⁷² samples.
+	ix.Nx, ix.Ny, ix.Nz = r.Dims()
+	ix.BlockB = int(r.Uvarint(maxBlockB))
+	nLevels := int(r.Uvarint(maxLevels))
+	if err := r.Err(); err != nil {
+		return nil, corruptErr("header", err)
 	}
-	o.Interp = buf[0]
-	buf = buf[1:]
-	for _, p := range [...]*float64{&o.EB, &o.Alpha, &o.Beta} {
-		*p = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
+	if ix.Nx > maxDim || ix.Ny > maxDim || ix.Nz > maxDim {
+		return nil, corrupt("header domain dims")
 	}
-	var dims [5]uint64
-	for i := range dims {
-		v, ok := uvarint(&buf)
-		if !ok {
-			return nil, nil, corrupt("header dims")
-		}
-		dims[i] = v
+	if ix.BlockB < 8 || ix.BlockB&(ix.BlockB-1) != 0 {
+		return nil, corrupt("header block size")
 	}
-	// The per-axis cap alone would admit a 2⁷²-sample domain; CheckDims also
-	// bounds the product, since decoders allocate level arrays from these.
-	if _, _, _, _, err := field.CheckDims(dims[0], dims[1], dims[2]); err != nil ||
-		dims[0] > maxDim || dims[1] > maxDim || dims[2] > maxDim {
-		return nil, nil, corrupt("header domain dims")
+	if nLevels == 0 {
+		return nil, corrupt("header level count")
 	}
-	if dims[3] < 8 || dims[3] > maxBlockB || dims[3]&(dims[3]-1) != 0 {
-		return nil, nil, corrupt("header block size")
-	}
-	if dims[4] == 0 || dims[4] > maxLevels {
-		return nil, nil, corrupt("header level count")
-	}
-	ix.Nx, ix.Ny, ix.Nz = int(dims[0]), int(dims[1]), int(dims[2])
-	ix.BlockB = int(dims[3])
-	nLevels := int(dims[4])
 	if ix.Nx%ix.BlockB != 0 || ix.Ny%ix.BlockB != 0 || ix.Nz%ix.BlockB != 0 {
-		return nil, nil, corrupt("header: dims not multiples of block size")
+		return nil, corrupt("header: dims not multiples of block size")
 	}
 	if ix.BlockB>>(nLevels-1) < 2 {
-		return nil, nil, corrupt("header: levels too deep for block size")
+		return nil, corrupt("header: levels too deep for block size")
 	}
 	ix.Levels = make([]Level, nLevels)
-	return ix, buf, nil
+	return ix, nil
 }
 
-// ParseBlocks decodes level li's block record at the front of buf into
-// ix.Levels[li].Blocks and .Padded and returns the bytes that follow. The
-// block count is bounded by the domain's block total and by the bytes left —
-// every block costs at least one delta byte — so a count cannot drive an
-// allocation larger than the record that claims it.
-func (ix *Index) ParseBlocks(buf []byte, li int) ([]byte, error) {
+// ParseBlocks decodes level li's block record at r into
+// ix.Levels[li].Blocks and .Padded. The block count is bounded by the
+// domain's block total and by the bytes left — every block costs at least
+// one delta byte — so a count cannot drive an allocation larger than the
+// record that claims it.
+func (ix *Index) ParseBlocks(r *wire.Reader, li int) error {
 	nbx, nby, nbz := ix.blockGrid()
 	total := nbx * nby * nbz
-	// Compare unsigned: int(n) may wrap negative.
-	n, ok := uvarint(&buf)
-	if !ok || n > uint64(total) || n > uint64(len(buf)) {
-		return nil, corrupt("block count")
-	}
+	n := r.Uvarint(uint64(min(total, r.Len())))
 	lv := &ix.Levels[li]
 	lv.Blocks = make([][3]int, int(n))
 	prev := int64(0)
 	for i := range lv.Blocks {
-		d, ok := varint(&buf)
-		if !ok {
-			return nil, corrupt("block delta")
-		}
-		prev += d
+		prev += r.Varint()
 		flat := int(prev)
 		if flat < 0 || flat >= total {
-			return nil, corrupt("block index out of range")
+			return corrupt("block index out of range")
 		}
 		lv.Blocks[i] = [3]int{flat % nbx, (flat / nbx) % nby, flat / (nbx * nby)}
 	}
-	if len(buf) < 1 {
-		return nil, corrupt("padded flag")
+	lv.Padded = r.Byte() != 0
+	if err := r.Err(); err != nil {
+		return corruptErr("block list", err)
 	}
-	lv.Padded = buf[0] != 0
-	return buf[1:], nil
+	return nil
 }
 
-// ParseBox decodes the TAC box geometry record at the front of buf and
-// returns the box with the bytes that follow. The box must be non-empty and
-// lie inside the domain's unit-block grid.
-func (ix *Index) ParseBox(buf []byte) (layout.Box, []byte, error) {
+// ParseBox decodes the TAC box geometry record at r. The box must be
+// non-empty and lie inside the domain's unit-block grid.
+func (ix *Index) ParseBox(r *wire.Reader) (layout.Box, error) {
 	var g [6]int
 	for i := range g {
-		v, ok := uvarint(&buf)
-		if !ok || v > maxDim {
-			return layout.Box{}, nil, corrupt("box geometry")
-		}
-		g[i] = int(v)
+		g[i] = int(r.Uvarint(maxDim))
+	}
+	if err := r.Err(); err != nil {
+		return layout.Box{}, corruptErr("box geometry", err)
 	}
 	b := layout.Box{X0: g[0], Y0: g[1], Z0: g[2], WX: g[3], WY: g[4], WZ: g[5]}
 	nbx, nby, nbz := ix.blockGrid()
 	if b.WX < 1 || b.WY < 1 || b.WZ < 1 ||
 		b.X0+b.WX > nbx || b.Y0+b.WY > nby || b.Z0+b.WZ > nbz {
-		return layout.Box{}, nil, corrupt("box: out of domain")
+		return layout.Box{}, corrupt("box: out of domain")
 	}
-	return b, buf, nil
+	return b, nil
 }
 
 // Parse decodes an index section. containerSize, when > 0, bounds stream
 // extents: every stream must lie fully inside the container body.
 func Parse(section []byte, containerSize int64) (*Index, error) {
-	if len(section) < len(Magic)+1 || string(section[:len(Magic)]) != Magic {
+	r := wire.NewReader(section)
+	if string(r.Bytes(len(Magic))) != Magic {
 		return nil, corrupt("section magic")
 	}
-	ver := section[len(Magic)]
+	ver := r.Byte()
 	if ver != footerVersionV1 && ver != footerVersionStreamCRC {
 		return nil, fmt.Errorf("index: unsupported index version %d", ver)
 	}
-	ix, buf, err := ParseHeader(section[len(Magic)+1:], false)
+	ix, err := ParseHeader(&r, false)
 	if err != nil {
 		return nil, err
 	}
@@ -528,13 +478,13 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 		claimed = make(blockSet, (total+63)/64)
 	}
 	claims := 0 // never above total, so the sum cannot overflow
-	tac := layout.Arrangement(ix.Opts.Arrangement) == layout.TAC
+	a := layout.Arrangement(ix.Opts.Arrangement)
 	for li := range ix.Levels {
-		if buf, err = ix.ParseBlocks(buf, li); err != nil {
+		if err := ix.ParseBlocks(&r, li); err != nil {
 			return nil, err
 		}
 		lv := &ix.Levels[li]
-		if !tac {
+		if a != layout.TAC {
 			if claims += len(lv.Blocks); claims > total {
 				return nil, errClaimedTwice
 			}
@@ -544,9 +494,9 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 				}
 			}
 		}
-		nStreams64, ok := uvarint(&buf)
-		if !ok || nStreams64 > uint64(total) {
-			return nil, corrupt("stream count")
+		nStreams := int(r.Uvarint(uint64(total)))
+		if err := r.Err(); err != nil {
+			return nil, corruptErr("stream count", err)
 		}
 		// Presize the stream lists for at most the records the bytes left
 		// can hold, so a count the section cannot back sizes nothing larger
@@ -555,24 +505,26 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 		if ix.StreamCRCs {
 			minRecord += 4
 		}
-		room := min(int(nStreams64), len(buf)/minRecord)
+		room := min(nStreams, r.Len()/minRecord)
 		lv.Streams = make([]int, 0, room)
 		ix.Streams = slices.Grow(ix.Streams, room)
-		for si := 0; si < int(nStreams64); si++ {
-			s := Stream{Level: li}
-			box64, ok := varint(&buf)
-			if !ok || box64 < -1 || box64 != int64(si) && box64 != -1 {
-				return nil, corrupt("stream box id")
-			}
-			s.Box = int(box64)
-			if s.Box < 0 && nStreams64 > 1 {
+		u := ix.UnitBlockSize(li)
+		for si := 0; si < nStreams; si++ {
+			s := Stream{Level: li, Box: -1}
+			switch box := r.Varint(); {
+			case box == -1 && nStreams > 1:
 				return nil, corrupt("section: merged level with multiple streams")
-			}
-			if s.Box >= 0 {
-				if s.Geom, buf, err = ix.ParseBox(buf); err != nil {
+			case box != -1 && box != int64(si):
+				return nil, corrupt("stream box id")
+			case box == -1:
+				// The merged level's array, sized by its arrangement.
+				s.RawLen = a.RawLen(u, len(lv.Blocks), lv.Padded)
+			default:
+				s.Box = si
+				if s.Geom, err = ix.ParseBox(&r); err != nil {
 					return nil, err
 				}
-				if tac {
+				if a == layout.TAC {
 					if claims += s.Geom.WX * s.Geom.WY * s.Geom.WZ; claims > total {
 						return nil, errClaimedTwice
 					}
@@ -580,39 +532,32 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 						return nil, errClaimedTwice
 					}
 				}
+				// ParseBox keeps the box inside the domain, whose samples
+				// Dims caps at 2³³, so the product cannot overflow.
+				s.RawLen = int64(s.Geom.WX*u) * int64(s.Geom.WY*u) * int64(s.Geom.WZ*u) * 8
 			}
-			if len(buf) < 1 {
-				return nil, corrupt("stream compressor")
+			s.Compressor = r.Byte()
+			off, n, rawLen := r.Uvarint(maxStreamLen), r.Uvarint(maxStreamLen), int64(r.Uvarint(maxStreamLen))
+			if ix.StreamCRCs {
+				s.CRC = r.Uint32()
 			}
-			s.Compressor = buf[0]
-			buf = buf[1:]
-			var vals [3]uint64
-			for i := range vals {
-				v, ok := uvarint(&buf)
-				if !ok {
-					return nil, corrupt("stream extent")
-				}
-				vals[i] = v
+			if err := r.Err(); err != nil {
+				return nil, corruptErr("stream record", err)
 			}
-			if vals[0] > uint64(maxStreamLen) || vals[1] > uint64(maxStreamLen) || vals[2] > uint64(maxStreamLen) {
-				return nil, corrupt("stream extent: overflow")
-			}
-			s.Offset, s.Len, s.RawLen = int64(vals[0]), int64(vals[1]), int64(vals[2])
+			s.Offset, s.Len = int64(off), int64(n)
 			if containerSize > 0 && s.Offset+s.Len > containerSize {
 				return nil, corrupt("stream extent: past end of container")
 			}
-			if ix.StreamCRCs {
-				if len(buf) < 4 {
-					return nil, corrupt("stream crc")
-				}
-				s.CRC = binary.LittleEndian.Uint32(buf)
-				buf = buf[4:]
+			// The decoded size follows from the record; a stream that says
+			// otherwise cannot decode to what its level needs.
+			if rawLen != s.RawLen {
+				return nil, corrupt(fmt.Sprintf("stream raw length %d, the record implies %d", rawLen, s.RawLen))
 			}
 			lv.Streams = append(lv.Streams, len(ix.Streams))
 			ix.Streams = append(ix.Streams, s)
 		}
 	}
-	if len(buf) != 0 {
+	if r.Len() != 0 {
 		return nil, corrupt("section: trailing bytes")
 	}
 	if claims != total {

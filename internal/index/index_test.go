@@ -29,7 +29,8 @@ func sampleIndex() (*Index, []byte) {
 	ix.Streams = []Stream{
 		{Level: 0, Box: 0, Geom: layout.Box{X0: 0, Y0: 0, Z0: 0, WX: 2, WY: 2, WZ: 2}, Compressor: 0, Offset: 100, Len: 150, RawLen: 8 * 16 * 16 * 16 * 8},
 		{Level: 0, Box: 1, Geom: layout.Box{X0: 0, Y0: 0, Z0: 2, WX: 2, WY: 2, WZ: 2}, Compressor: 0, Offset: 250, Len: 100, RawLen: 8 * 16 * 16 * 16 * 8},
-		{Level: 1, Box: -1, Compressor: 0, Offset: 380, Len: 200, RawLen: 9 * 9 * 40 * 8},
+		// A TAC level merged under Box -1 stacks its blocks along z, unpadded.
+		{Level: 1, Box: -1, Compressor: 0, Offset: 380, Len: 200, RawLen: 8 * 8 * 16 * 8},
 	}
 	ix.Levels = []Level{
 		{Blocks: [][3]int{{0, 0, 0}, {1, 0, 0}, {0, 1, 2}, {0, 1, 3}}, Streams: []int{0, 1}},
@@ -118,6 +119,21 @@ func TestCorruptFooterRejected(t *testing.T) {
 	binary.LittleEndian.PutUint64(huge[len(huge)-12:], 1<<40)
 	if _, err := ReadFrom(bytes.NewReader(huge), int64(len(huge))); err == nil {
 		t.Fatal("ReadFrom accepted an oversized section length")
+	}
+}
+
+// TestParseRejectsRawLenMismatch: a stream whose raw length is 8 bytes off
+// what its box or its level's block list implies is rejected.
+func TestParseRejectsRawLenMismatch(t *testing.T) {
+	for si := range 3 {
+		for _, d := range []int64{-8, 8} {
+			ix, body := sampleIndex()
+			ix.Streams[si].RawLen += d
+			blob := ix.AppendFooter(append([]byte(nil), body...))
+			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
+				t.Errorf("stream %d: raw length off by %d accepted", si, d)
+			}
+		}
 	}
 }
 
@@ -249,10 +265,10 @@ var claimFixtures = []struct {
 			lv.Blocks = append(lv.Blocks, [3]int{flat % nb, (flat / nb) % nb, flat / (nb * nb)})
 		}
 		ix.Levels[0].Streams, ix.Levels[1].Streams = []int{0}, []int{1}
-		return ix
+		return withRawLens(ix)
 	}},
 	{"tac", func(nb int) *Index {
-		return &Index{
+		return withRawLens(&Index{
 			Opts: Opts{Arrangement: byte(layout.TAC)},
 			Nx:   16 * nb, Ny: 16 * nb, Nz: 16 * nb, BlockB: 16,
 			Levels: []Level{{Streams: []int{0, 1}}, {}},
@@ -260,8 +276,25 @@ var claimFixtures = []struct {
 				{Level: 0, Box: 0, Geom: layout.Box{WX: nb, WY: nb, WZ: nb / 2}, Offset: 100, Len: 10},
 				{Level: 0, Box: 1, Geom: layout.Box{Z0: nb / 2, WX: nb, WY: nb, WZ: nb - nb/2}, Offset: 200, Len: 10},
 			},
-		}
+		})
 	}},
+}
+
+// withRawLens sets the raw length of every stream of ix to what its record
+// implies — its box's volume, or its level's merged array — as Parse
+// requires, and returns ix.
+func withRawLens(ix *Index) *Index {
+	a := layout.Arrangement(ix.Opts.Arrangement)
+	for i := range ix.Streams {
+		s := &ix.Streams[i]
+		u, lv := ix.UnitBlockSize(s.Level), ix.Levels[s.Level]
+		if s.Box < 0 {
+			s.RawLen = a.RawLen(u, len(lv.Blocks), lv.Padded)
+		} else {
+			s.RawLen = int64(s.Geom.WX*u) * int64(s.Geom.WY*u) * int64(s.Geom.WZ*u) * 8
+		}
+	}
+	return ix
 }
 
 // claimGrids are the grid edges the claim checks run on: one whose claim
@@ -290,7 +323,7 @@ func TestParseRejectsBlocksClaimedTwice(t *testing.T) {
 				t.Fatalf("%s (%d³ blocks): pristine index rejected: %v", tc.name, nb, err)
 			}
 			tc.claim(ix)
-			blob = ix.AppendFooter(make([]byte, 600))
+			blob = withRawLens(ix).AppendFooter(make([]byte, 600))
 			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
 				t.Fatalf("%s (%d³ blocks): a block claimed twice was accepted", tc.name, nb)
 			}
@@ -313,7 +346,9 @@ func TestParseRejectsUnclaimedBlock(t *testing.T) {
 		for _, nb := range claimGrids {
 			ix := claimFixtures[tc.fixture].index(nb)
 			tc.drop(ix)
-			blob := ix.AppendFooter(make([]byte, 600))
+			// The raw lengths follow the dropped block, so only the claim
+			// check can reject the index.
+			blob := withRawLens(ix).AppendFooter(make([]byte, 600))
 			if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
 				t.Fatalf("%s (%d³ blocks): an unclaimed block was accepted", tc.name, nb)
 			}

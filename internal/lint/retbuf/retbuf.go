@@ -20,10 +20,10 @@
 //
 // The analyzer runs on the packages whose buffers sit on the decode/serve
 // hot path — internal/bitio, internal/huffman, internal/cache, internal/sz2,
-// internal/field, internal/flatepool — and reports exported functions and
-// methods whose returned slice is rooted in either, unless the doc comment
-// contains "aliases:". Returning a fresh allocation (make + copy, or append
-// to a caller-provided destination) is always fine.
+// internal/field, internal/flatepool, internal/wire — and reports exported
+// functions and methods whose returned slice is rooted in either, unless
+// the doc comment contains "aliases:". Returning a fresh allocation (make +
+// copy, or append to a caller-provided destination) is always fine.
 package retbuf
 
 import (
@@ -51,6 +51,8 @@ var hotPkgs = map[string]bool{
 	"repro/internal/field":   true,
 	// Inflated.Bytes returns the pooled output buffer.
 	"repro/internal/flatepool": true,
+	// Reader.Bytes, Chunk and Rest return slices of the input.
+	"repro/internal/wire": true,
 }
 
 func run(pass *analysis.Pass) error {

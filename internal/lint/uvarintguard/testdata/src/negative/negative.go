@@ -44,7 +44,7 @@ func pinned(buf []byte) []byte {
 	return make([]byte, v)
 }
 
-// checkedWrapper validates internally (the internal/index readU pattern),
+// checkedWrapper validates internally (the wire.Reader.Uvarint pattern),
 // so neither its body nor its callers are flagged.
 func checkedWrapper(buf []byte) (int, bool) {
 	v, n := binary.Uvarint(buf)

@@ -9,6 +9,13 @@
 // server goroutine. Untrusted integers must be range-checked while still in
 // their decoded (wide, unsigned) type.
 //
+// Decoders read untrusted integers through internal/wire.Reader, whose
+// Uvarint takes the bound as part of every call and whose Dims checks
+// dimension triples through field.CheckDims. This analyzer guards every
+// read outside it: the cursor itself, fixed-layout headers such as the raw
+// field format and the index trailer, and the per-sample loops that decode
+// a value per coefficient or outlier.
+//
 // Sources — values treated as attacker-controlled:
 //
 //   - binary.Uvarint / binary.Varint / binary.ReadUvarint / binary.ReadVarint
@@ -408,7 +415,7 @@ func narrows(src source, dst types.Type) bool {
 // findWrappers locates same-package functions and named closures that
 // return a wire-decoded value without checking it; calls to them are then
 // treated as sources. A wrapper that validates internally (the
-// internal/index readU pattern) is clean and is not flagged at call sites.
+// wire.Reader.Uvarint pattern) is clean and is not flagged at call sites.
 // Detection is one level deep: wrappers of wrappers are not chased.
 func findWrappers(pass *analysis.Pass) map[types.Object][]source {
 	wrappers := map[types.Object][]source{}

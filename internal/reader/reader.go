@@ -492,14 +492,10 @@ func (r *Reader) ReadLevelCtx(ctx context.Context, l int) (*field.Field, error) 
 }
 
 // ReadBox returns TAC box b of level l and its geometry in block
-// coordinates, decoding only that box's stream. It errors on containers
-// whose arrangement has no boxes (use ReadLevel).
-func (r *Reader) ReadBox(l, b int) (*field.Field, layout.Box, error) {
-	return r.ReadBoxCtx(context.Background(), l, b)
-}
-
-// ReadBoxCtx is ReadBox under a context (see ReadLevelCtx).
-func (r *Reader) ReadBoxCtx(ctx context.Context, l, b int) (*field.Field, layout.Box, error) {
+// coordinates, decoding only that box's stream, under ctx (see
+// ReadLevelCtx). It errors on containers whose arrangement has no boxes
+// (use ReadLevel).
+func (r *Reader) ReadBox(ctx context.Context, l, b int) (*field.Field, layout.Box, error) {
 	if err := r.checkLevel(l); err != nil {
 		return nil, layout.Box{}, err
 	}
@@ -589,15 +585,12 @@ func (r *Reader) ReadSliceCtx(ctx context.Context, axis Axis, k, l int) (*field.
 		if err != nil {
 			return nil, err
 		}
-		kl := k - lo[axis]
-		switch axis {
-		case AxisX:
-			out.SetBlock(0, lo[1], lo[2], f.SubBlock(kl, 0, 0, 1, w[1], w[2]))
-		case AxisY:
-			out.SetBlock(lo[0], 0, lo[2], f.SubBlock(0, kl, 0, w[0], 1, w[2]))
-		default:
-			out.SetBlock(lo[0], lo[1], 0, f.SubBlock(0, 0, kl, w[0], w[1], 1))
-		}
+		// The box's plane lands at its place in the answer, whose slicing
+		// axis is one cell deep.
+		var src [3]int
+		src[axis] = k - lo[axis]
+		lo[axis], w[axis] = 0, 1
+		field.CopyBlock(out, lo[0], lo[1], lo[2], f, src[0], src[1], src[2], w[0], w[1], w[2])
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package reader
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -169,7 +170,7 @@ func TestReadBoxMatchesExtract(t *testing.T) {
 	r := mustOpen(t, blob)
 	for l := 0; l < r.NumLevels(); l++ {
 		for b := range r.Index().Levels[l].Streams {
-			f, geom, err := r.ReadBox(l, b)
+			f, geom, err := r.ReadBox(context.Background(), l, b)
 			if err != nil {
 				t.Fatalf("ReadBox(%d,%d): %v", l, b, err)
 			}
@@ -178,11 +179,11 @@ func TestReadBoxMatchesExtract(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := r.ReadBox(0, 9999); err == nil {
+	if _, _, err := r.ReadBox(context.Background(), 0, 9999); err == nil {
 		t.Fatal("out-of-range box accepted")
 	}
 	rl := mustOpen(t, compress(t, h, testOptions(eb)["linear-pad-eb"]))
-	if _, _, err := rl.ReadBox(0, 0); err == nil {
+	if _, _, err := rl.ReadBox(context.Background(), 0, 0); err == nil {
 		t.Fatal("ReadBox on a merged container accepted")
 	}
 }

@@ -110,8 +110,8 @@ func TestReadHonorsContext(t *testing.T) {
 	if _, err := r.ReadLevelCtx(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReadLevelCtx on canceled context: %v", err)
 	}
-	if _, _, err := r.ReadBoxCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReadBoxCtx on canceled context: %v", err)
+	if _, _, err := r.ReadBox(ctx, 0, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReadBox on canceled context: %v", err)
 	}
 	if _, err := r.ReadSliceCtx(ctx, AxisZ, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ReadSliceCtx on canceled context: %v", err)

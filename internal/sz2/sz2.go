@@ -38,6 +38,7 @@ import (
 	"repro/internal/flatepool"
 	"repro/internal/huffman"
 	"repro/internal/quant"
+	"repro/internal/wire"
 )
 
 // DefaultBlockSize is SZ2's standard block size for uniform data.
@@ -214,83 +215,24 @@ func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	}
 	// Everything below copies what it keeps out of the pooled payload.
 	defer inflated.Release()
-	payload := inflated.Bytes()
-	if len(payload) < 5 || string(payload[:4]) != magic {
+	r := wire.NewReader(inflated.Bytes())
+	if string(r.Bytes(len(magic))) != magic {
 		return nil, errors.New("sz2: bad magic")
 	}
-	buf := payload[4:]
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, errors.New("sz2: truncated header")
-		}
-		buf = buf[n:]
-		return v, nil
-	}
-	bs := int(buf[0])
-	buf = buf[1:]
+	bs := int(r.Byte())
 	if bs == 0 { // escape: block size > 255 follows as a uvarint
-		bs64, err := readUvarint()
-		if err != nil {
-			return nil, err
+		if bs = int(r.Uvarint(math.MaxInt32)); bs <= 0xFF {
+			bs = 0 // a non-canonical escape, rejected below
 		}
-		if bs64 <= 0xFF || bs64 > math.MaxInt32 { // reject wrap-around and non-canonical escapes
-			return nil, errors.New("sz2: invalid header")
-		}
-		bs = int(bs64)
 	}
-	nx64, err := readUvarint()
-	if err != nil {
-		return nil, err
+	nx, ny, nz := r.Dims()
+	eb := r.Float64()
+	modes, coefChunk, codeChunk, outChunk := r.Chunk(), r.Chunk(), r.Chunk(), r.Chunk()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("sz2: header: %w", err)
 	}
-	ny64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nz64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nx, ny, nz, _, err := field.CheckDims(nx64, ny64, nz64)
-	if err != nil || bs < 2 {
+	if bs < 2 || !(eb > 0) {
 		return nil, errors.New("sz2: invalid header")
-	}
-	if len(buf) < 8 {
-		return nil, errors.New("sz2: truncated eb")
-	}
-	eb := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	if !(eb > 0) {
-		return nil, errors.New("sz2: invalid eb")
-	}
-
-	readChunk := func() ([]byte, error) {
-		l, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(buf)) < l {
-			return nil, errors.New("sz2: truncated chunk")
-		}
-		c := buf[:l]
-		buf = buf[l:]
-		return c, nil
-	}
-	modes, err := readChunk()
-	if err != nil {
-		return nil, err
-	}
-	coefChunk, err := readChunk()
-	if err != nil {
-		return nil, err
-	}
-	codeChunk, err := readChunk()
-	if err != nil {
-		return nil, err
-	}
-	outChunk, err := readChunk()
-	if err != nil {
-		return nil, err
 	}
 
 	// The bitmap holds exactly one bit per block: a short one would read its

@@ -27,7 +27,6 @@
 package sz3
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,6 +35,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/flatepool"
 	"repro/internal/huffman"
+	"repro/internal/wire"
 )
 
 // Interpolant selects the prediction spline.
@@ -147,32 +147,22 @@ func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
 // pack serializes a stream: header | eb table | huffman codes | outliers,
 // then DEFLATE, appended to dst. hb is the entropy-coded code stream.
 func pack(dst []byte, nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outliers []float64) ([]byte, error) {
-	var payload bytes.Buffer
-	payload.Grow(len(hb) + 8*len(ebTable) + 8*len(outliers) + 64)
-	payload.WriteString(magic)
-	payload.WriteByte(byte(interp))
-	var tmp [8]byte
-	for _, v := range []uint64{uint64(nx), uint64(ny), uint64(nz)} {
-		n := binary.PutUvarint(tmp[:], v)
-		payload.Write(tmp[:n])
-	}
-	n := binary.PutUvarint(tmp[:], uint64(len(ebTable)-1)) // maxLevel
-	payload.Write(tmp[:n])
+	p := make([]byte, 0, len(magic)+1+5*binary.MaxVarintLen64+8*len(ebTable)+len(hb)+8*len(outliers))
+	p = append(p, magic...)
+	p = append(p, byte(interp))
+	p = binary.AppendUvarint(p, uint64(nx))
+	p = binary.AppendUvarint(p, uint64(ny))
+	p = binary.AppendUvarint(p, uint64(nz))
+	p = binary.AppendUvarint(p, uint64(len(ebTable)-1)) // maxLevel
 	for _, eb := range ebTable {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(eb))
-		payload.Write(tmp[:])
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(eb))
 	}
-	n = binary.PutUvarint(tmp[:], uint64(len(hb)))
-	payload.Write(tmp[:n])
-	payload.Write(hb)
-	n = binary.PutUvarint(tmp[:], uint64(len(outliers)))
-	payload.Write(tmp[:n])
+	p = append(binary.AppendUvarint(p, uint64(len(hb))), hb...)
+	p = binary.AppendUvarint(p, uint64(len(outliers)))
 	for _, v := range outliers {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		payload.Write(tmp[:])
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 	}
-
-	return flatepool.Deflate(dst, payload.Bytes())
+	return flatepool.Deflate(dst, p)
 }
 
 // Decompress decodes a buffer produced by Compress into dst, reshaped
@@ -184,81 +174,39 @@ func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	}
 	// Everything below copies what it keeps out of the pooled payload.
 	defer inflated.Release()
-	payload := inflated.Bytes()
-	if len(payload) < 5 || string(payload[:4]) != magic {
+	r := wire.NewReader(inflated.Bytes())
+	if string(r.Bytes(len(magic))) != magic {
 		return nil, errors.New("sz3: bad magic")
 	}
-	interp := Interpolant(payload[4])
-	buf := payload[5:]
-
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, errors.New("sz3: truncated header")
-		}
-		buf = buf[n:]
-		return v, nil
+	interp := Interpolant(r.Byte())
+	nx, ny, nz := r.Dims()
+	maxLevel := int(r.Uvarint(62))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("sz3: header: %w", err)
 	}
-	nx64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	ny64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nz64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	maxLevel64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nx, ny, nz, _, err := field.CheckDims(nx64, ny64, nz64)
-	if err != nil || maxLevel64 == 0 || maxLevel64 > 62 {
-		return nil, fmt.Errorf("sz3: invalid dims %dx%dx%d level %d", nx64, ny64, nz64, maxLevel64)
-	}
-	maxLevel := int(maxLevel64)
 	if maxLevel != MaxLevelFor(nx, ny, nz) {
 		return nil, errors.New("sz3: inconsistent level count")
 	}
 	ebTable := make([]float64, maxLevel+1)
 	for i := range ebTable {
-		if len(buf) < 8 {
-			return nil, errors.New("sz3: truncated eb table")
+		if ebTable[i] = r.Float64(); !(ebTable[i] > 0) {
+			return nil, errors.New("sz3: truncated or invalid eb table")
 		}
-		ebTable[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		if !(ebTable[i] > 0) {
-			return nil, errors.New("sz3: invalid eb in table")
-		}
-		buf = buf[8:]
 	}
-	hlen, err := readUvarint()
+	hb := r.Chunk()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("sz3: code stream: %w", err)
+	}
+	codes, err := huffman.Decode(hb)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(buf)) < hlen {
-		return nil, errors.New("sz3: truncated code stream")
-	}
-	codes, err := huffman.Decode(buf[:hlen])
-	if err != nil {
-		return nil, err
-	}
-	buf = buf[hlen:]
-	nOut, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Divide instead of multiplying: nOut*8 can wrap uint64 for a hostile
-	// count and slip a huge value past the length check into make.
-	if nOut > uint64(len(buf))/8 {
-		return nil, errors.New("sz3: truncated outliers")
-	}
-	outliers := make([]float64, nOut)
+	outliers := make([]float64, r.Uvarint(uint64(r.Len())/8))
 	for i := range outliers {
-		outliers[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
+		outliers[i] = r.Float64()
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("sz3: outliers: %w", err)
 	}
 	if len(codes) != nx*ny*nz {
 		return nil, fmt.Errorf("sz3: code count %d does not match %dx%dx%d", len(codes), nx, ny, nz)

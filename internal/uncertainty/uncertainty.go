@@ -13,7 +13,6 @@ package uncertainty
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/field"
 	"repro/internal/mcubes"
@@ -96,39 +95,6 @@ func CrossProbabilities(decomp *field.Field, iso float64, m ErrorModel) (*field.
 				out.Set(x, y, z, 1-allAbove-allBelow)
 			}
 		}
-	}
-	return out, nil
-}
-
-// MonteCarloCrossProbabilities estimates the same probabilities by sampling
-// realizations of the error model — a validation reference for the closed
-// form (and the general mechanism of probabilistic marching cubes for
-// non-Gaussian models).
-func MonteCarloCrossProbabilities(decomp *field.Field, iso float64, m ErrorModel, trials int, seed int64) (*field.Field, error) {
-	cx, cy, cz := decomp.Nx-1, decomp.Ny-1, decomp.Nz-1
-	if cx <= 0 || cy <= 0 || cz <= 0 {
-		return nil, errors.New("uncertainty: field too small for cells")
-	}
-	if trials <= 0 {
-		return nil, errors.New("uncertainty: trials must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	counts := make([]int, cx*cy*cz)
-	sample := field.New(decomp.Nx, decomp.Ny, decomp.Nz)
-	for t := 0; t < trials; t++ {
-		for i, d := range decomp.Data {
-			sample.Data[i] = d + m.Mean + m.StdDev*rng.NormFloat64()
-		}
-		mask, _ := mcubes.CrossingCells(sample, iso)
-		for i, crossed := range mask {
-			if crossed {
-				counts[i]++
-			}
-		}
-	}
-	out := field.New(cx, cy, cz)
-	for i, c := range counts {
-		out.Data[i] = float64(c) / float64(trials)
 	}
 	return out, nil
 }

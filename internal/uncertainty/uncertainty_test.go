@@ -1,10 +1,13 @@
 package uncertainty
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/mcubes"
 	"repro/internal/postproc"
 	"repro/internal/synth"
 	"repro/internal/zfp"
@@ -186,4 +189,37 @@ func TestMonteCarloValidation(t *testing.T) {
 	if _, err := CrossProbabilities(tiny, 0, ErrorModel{}); err == nil {
 		t.Fatal("1-voxel field accepted")
 	}
+}
+
+// MonteCarloCrossProbabilities estimates the probabilities
+// CrossProbabilities computes by sampling realizations of the error model:
+// the statistical cross-check of the closed form (and the general mechanism
+// of probabilistic marching cubes for non-Gaussian models).
+func MonteCarloCrossProbabilities(decomp *field.Field, iso float64, m ErrorModel, trials int, seed int64) (*field.Field, error) {
+	cx, cy, cz := decomp.Nx-1, decomp.Ny-1, decomp.Nz-1
+	if cx <= 0 || cy <= 0 || cz <= 0 {
+		return nil, errors.New("uncertainty: field too small for cells")
+	}
+	if trials <= 0 {
+		return nil, errors.New("uncertainty: trials must be positive")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	counts := make([]int, cx*cy*cz)
+	sample := field.New(decomp.Nx, decomp.Ny, decomp.Nz)
+	for t := 0; t < trials; t++ {
+		for i, d := range decomp.Data {
+			sample.Data[i] = d + m.Mean + m.StdDev*rng.NormFloat64()
+		}
+		mask, _ := mcubes.CrossingCells(sample, iso)
+		for i, crossed := range mask {
+			if crossed {
+				counts[i]++
+			}
+		}
+	}
+	out := field.New(cx, cy, cz)
+	for i, c := range counts {
+		out.Data[i] = float64(c) / float64(trials)
+	}
+	return out, nil
 }

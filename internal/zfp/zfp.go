@@ -14,7 +14,6 @@
 package zfp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,6 +21,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/flatepool"
+	"repro/internal/wire"
 )
 
 // BlockSize is the fixed block edge (4, as in ZFP).
@@ -59,14 +59,23 @@ func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
 	}
 	nx, ny, nz := f.Nx, f.Ny, f.Nz
 
+	// The payload is the header, a table of one int16 emax per block, then
+	// the coefficients as varints, about 1.25 bytes each. The table is
+	// reserved up front and filled as the blocks are coded.
 	nBlocks := blocksAlong(nx) * blocksAlong(ny) * blocksAlong(nz)
-	emaxs := make([]int16, 0, nBlocks)
-	var coefBuf bytes.Buffer
-	coefBuf.Grow(nBlocks * 80) // ~1.25 varint bytes per coefficient
-	var tmp [binary.MaxVarintLen64]byte
+	p := make([]byte, 0, len(magic)+4*binary.MaxVarintLen64+8+82*nBlocks)
+	p = append(p, magic...)
+	p = binary.AppendUvarint(p, uint64(nx))
+	p = binary.AppendUvarint(p, uint64(ny))
+	p = binary.AppendUvarint(p, uint64(nz))
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(opt.Tolerance))
+	p = binary.AppendUvarint(p, uint64(nBlocks))
+	table := len(p)
+	p = p[:table+2*nBlocks]
 
 	var block [64]float64
 	var iblock [64]int64
+	bi := 0
 	forEachBlock(nx, ny, nz, func(x0, y0, z0 int) {
 		loadBlockPadded(f, x0, y0, z0, &block)
 		maxAbs := 0.0
@@ -76,45 +85,24 @@ func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
 				maxAbs = a
 			}
 		}
-		if maxAbs == 0 {
-			emaxs = append(emaxs, emaxEmpty)
-			return
+		emax := int16(emaxEmpty)
+		if maxAbs > 0 {
+			_, e := math.Frexp(maxAbs)
+			emax = int16(e)
+			scale := math.Ldexp(1, fixedPointBits-e)
+			for i, v := range block {
+				iblock[i] = int64(math.Round(v * scale))
+			}
+			forwardTransform(&iblock)
+			drop := dropBits(opt.Tolerance, scale)
+			for _, idx := range sequencyOrder {
+				p = binary.AppendVarint(p, rshiftRound(iblock[idx], drop))
+			}
 		}
-		_, emax := math.Frexp(maxAbs)
-		scale := math.Ldexp(1, fixedPointBits-emax)
-		for i, v := range block {
-			iblock[i] = int64(math.Round(v * scale))
-		}
-		forwardTransform(&iblock)
-		drop := dropBits(opt.Tolerance, scale)
-		emaxs = append(emaxs, int16(emax))
-		for _, idx := range sequencyOrder {
-			c := rshiftRound(iblock[idx], drop)
-			n := binary.PutVarint(tmp[:], c)
-			coefBuf.Write(tmp[:n])
-		}
+		binary.LittleEndian.PutUint16(p[table+2*bi:], uint16(emax))
+		bi++
 	})
-
-	var payload bytes.Buffer
-	payload.Grow(2*len(emaxs) + coefBuf.Len() + 64)
-	payload.WriteString(magic)
-	for _, v := range []uint64{uint64(nx), uint64(ny), uint64(nz)} {
-		n := binary.PutUvarint(tmp[:], v)
-		payload.Write(tmp[:n])
-	}
-	var f8 [8]byte
-	binary.LittleEndian.PutUint64(f8[:], math.Float64bits(opt.Tolerance))
-	payload.Write(f8[:])
-	n := binary.PutUvarint(tmp[:], uint64(len(emaxs)))
-	payload.Write(tmp[:n])
-	for _, e := range emaxs {
-		var b2 [2]byte
-		binary.LittleEndian.PutUint16(b2[:], uint16(e))
-		payload.Write(b2[:])
-	}
-	payload.Write(coefBuf.Bytes())
-
-	return flatepool.Deflate(dst, payload.Bytes())
+	return flatepool.Deflate(dst, p)
 }
 
 // Decompress decodes a buffer produced by Compress into dst, reshaped
@@ -126,62 +114,25 @@ func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	}
 	// Everything below copies what it keeps out of the pooled payload.
 	defer inflated.Release()
-	payload := inflated.Bytes()
-	if len(payload) < 4 || string(payload[:4]) != magic {
+	r := wire.NewReader(inflated.Bytes())
+	if string(r.Bytes(len(magic))) != magic {
 		return nil, errors.New("zfp: bad magic")
 	}
-	buf := payload[4:]
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, errors.New("zfp: truncated header")
-		}
-		buf = buf[n:]
-		return v, nil
+	nx, ny, nz := r.Dims()
+	tol := r.Float64()
+	want := blocksAlong(nx) * blocksAlong(ny) * blocksAlong(nz)
+	nBlocks := r.Uvarint(math.MaxUint64)
+	emaxs := r.Bytes(2 * want)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("zfp: header: %w", err)
 	}
-	nx64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	ny64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nz64, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	nx, ny, nz, _, err := field.CheckDims(nx64, ny64, nz64)
-	if err != nil {
-		return nil, errors.New("zfp: invalid dims")
-	}
-	if len(buf) < 8 {
-		return nil, errors.New("zfp: truncated tolerance")
-	}
-	tol := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
 	if !(tol > 0) {
 		return nil, errors.New("zfp: invalid tolerance")
 	}
-	nBlocks64, err := readUvarint()
-	if err != nil {
-		return nil, err
+	if nBlocks != uint64(want) {
+		return nil, fmt.Errorf("zfp: block count %d != %d", nBlocks, want)
 	}
-	// Compare in uint64: int(nBlocks64) can wrap negative for a hostile
-	// count and the conversion would hide it from the mismatch error.
-	want := blocksAlong(nx) * blocksAlong(ny) * blocksAlong(nz)
-	if nBlocks64 != uint64(want) {
-		return nil, fmt.Errorf("zfp: block count %d != %d", nBlocks64, want)
-	}
-	if len(buf) < 2*want {
-		return nil, errors.New("zfp: truncated emax table")
-	}
-	emaxs := make([]int16, want)
-	for i := range emaxs {
-		//lint:ignore mrlint/uvarintguard emax is an int16 stored as its uint16 bit pattern; the conversion reinterprets, every value is in range
-		emaxs[i] = int16(binary.LittleEndian.Uint16(buf[2*i:]))
-	}
-	buf = buf[2*want:]
+	buf := r.Rest()
 
 	g := field.Reuse(dst, nx, ny, nz)
 	var iblock [64]int64
@@ -192,7 +143,7 @@ func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 		if decodeErr != nil {
 			return
 		}
-		emax := emaxs[bi]
+		emax := int16(emaxs[2*bi]) | int16(emaxs[2*bi+1])<<8 // little endian
 		bi++
 		if emax == emaxEmpty {
 			storeBlock(g, x0, y0, z0, &zeroBlock)
