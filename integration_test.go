@@ -95,25 +95,28 @@ func TestArrangementMatrixErrorBound(t *testing.T) {
 }
 
 func TestPostProcessNeverViolatesDoubleBound(t *testing.T) {
-	// Post-processing moves samples by ≤ a·eb < eb from the decompressed
-	// value; combined with the compressor bound the reconstruction stays
-	// within 2·eb of the original data.
+	// Post-processing moves a sample by at most aᵢ·eb from its decompressed
+	// value along dimension i; combined with the compressor bound the
+	// reconstruction stays within (1+max aᵢ)·eb of the original data, with
+	// aᵢ the intensity selected for the sample's level.
 	f := synth.Generate(synth.Nyx, 32, 23)
 	h, err := grid.BuildAMR(f, 8, []float64{0.3, 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eb := h.Levels[0].Data.ValueRange() * 5e-3
-	res, err := CompressAMR(h, Options{EB: eb, Compressor: SZ2, PostProcess: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li := range h.Levels {
-		for _, bc := range h.OwnedBlocks(li) {
-			a := blockField(h, li, bc)
-			b := blockField(res.Hierarchy, li, bc)
-			if d := a.MaxAbsDiff(b); d > 2*eb*(1+1e-12) {
-				t.Fatalf("post-processed error %g exceeds 2·eb %g", d, 2*eb)
+	for _, comp := range []Compressor{SZ2, SZ3, ZFP} {
+		res, err := CompressAMR(h, Options{EB: eb, Compressor: comp, PostProcess: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li := range h.Levels {
+			a := res.Intensities[li]
+			bound := (1 + max(a[0], a[1], a[2])) * eb * (1 + 1e-12)
+			for _, bc := range h.OwnedBlocks(li) {
+				if d := blockField(h, li, bc).MaxAbsDiff(blockField(res.Hierarchy, li, bc)); d > bound {
+					t.Fatalf("%s level %d: post-processed error %g exceeds (1+max aᵢ)·eb %g at a = %v", comp, li, d, bound, a)
+				}
 			}
 		}
 	}

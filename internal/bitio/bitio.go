@@ -25,20 +25,6 @@ type Reader struct {
 // NewReader returns a reader over buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf, nbits: len(buf) * 8} }
 
-// NewReaderBits returns a reader over the first nbits bits of buf, for
-// sub-streams whose payload does not fill the final byte (e.g. one lane of an
-// interleaved entropy stream, sliced out of a shared buffer by byte range but
-// bounded by its exact bit length). Reads past nbits fail with ErrOutOfBits
-// exactly as they would at a buffer boundary, so a truncated or over-consumed
-// lane is detected at bit granularity rather than rounded up to a byte. A
-// nbits outside [0, len(buf)*8] is clamped to the buffer's own size.
-func NewReaderBits(buf []byte, nbits int) *Reader {
-	if max := len(buf) * 8; nbits < 0 || nbits > max {
-		nbits = max
-	}
-	return &Reader{buf: buf, nbits: nbits}
-}
-
 // ErrOutOfBits is returned when a read goes past the end of the buffer.
 var ErrOutOfBits = errors.New("bitio: out of bits")
 

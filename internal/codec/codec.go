@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/field"
-	"repro/internal/huffman"
 	"repro/internal/obs"
 )
 
@@ -44,14 +43,6 @@ const (
 	ZFPID   byte = 2 // block-wise transform
 	FlateID byte = 3 // lossless raw+flate passthrough
 )
-
-// EntropyInterleavedTag is the wire discriminator of the legacy interleaved
-// multi-lane entropy format inside sz2/sz3 payloads (see
-// huffman.InterleavedTag, its declared home), re-exported so this package
-// stays the one place enumerating every on-the-wire discriminator. Nothing
-// writes the format any more; the tag is stable forever because containers
-// already written embed it in every code stream.
-const EntropyInterleavedTag = huffman.InterleavedTag
 
 // Params carries the compression-time knobs a codec may consume. It is the
 // union of all backends' options; each codec reads only its own fields and

@@ -1,10 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/faultio"
+	"repro/internal/flatepool"
+	"repro/internal/wire"
 )
 
 // TestLevelCodecsRoundTrip proves per-level codec overrides across every
@@ -86,7 +94,9 @@ func TestLevelCodecsValidation(t *testing.T) {
 // TestDecompressRejectsUnknownStreamCodec corrupts the per-stream codec
 // byte in the body of the committed v4 fixture (footer cut off, so the body
 // scan is what names the codec): the decoder must fail with the registry's
-// actionable unknown-ID error, not panic or misdecode.
+// actionable unknown-ID error, not panic or misdecode. A stream whose codes
+// begin with the retired interleaved entropy tag must fail the same way:
+// through DecodeIndexed, a Corrupt error from the Huffman header.
 func TestDecompressRejectsUnknownStreamCodec(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "golden-mixed-sz3-flate-v4.mrw"))
 	if err != nil {
@@ -102,5 +112,53 @@ func TestDecompressRejectsUnknownStreamCodec(t *testing.T) {
 	_, err = Decompress(mut)
 	if err == nil || !strings.Contains(err.Error(), "registered") {
 		t.Fatalf("corrupt codec byte: %v", err)
+	}
+
+	tac, err := os.ReadFile(filepath.Join("testdata", "golden-tac-sz3-v3.mrw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = loadIndex(tac); err != nil {
+		t.Fatal(err)
+	}
+	s := ix.Streams[0]
+	in, err := flatepool.Inflate(tac[s.Offset : s.Offset+s.Len])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := bytes.Clone(in.Bytes())
+	in.Release()
+	// An sz3 stream: magic, interpolant, dims, level count, eb table, then
+	// the Huffman codes as a length-prefixed chunk.
+	r := wire.NewReader(raw)
+	r.Bytes(5)
+	r.Dims()
+	for l, n := uint64(0), r.Uvarint(62); l <= n; l++ {
+		r.Float64()
+	}
+	head := raw[:len(raw)-r.Len()]
+	codes := r.Chunk()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rest := r.Rest()
+	// rebuild deflates the stream with codes in place of its own and indexes
+	// the result as stream 0.
+	rebuild := func(codes []byte) []byte {
+		b := binary.AppendUvarint(bytes.Clone(head), uint64(len(codes)))
+		payload, err := flatepool.Deflate(nil, append(append(b, codes...), rest...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Streams[0].CRC = crc32.ChecksumIEEE(payload)
+		return payload
+	}
+	if _, err := DecodeIndexed(context.Background(), ix, 0, rebuild(codes), nil); err != nil {
+		t.Fatalf("rebuilt stream: %v", err)
+	}
+	tagged := append(binary.AppendUvarint(nil, 0x2494C5645), codes...)
+	_, err = DecodeIndexed(context.Background(), ix, 0, rebuild(tagged), nil)
+	if !faultio.IsCorrupt(err) || !strings.Contains(err.Error(), "huffman: header") {
+		t.Fatalf("stream behind the retired interleaved tag: got %v, want a Corrupt Huffman header error", err)
 	}
 }

@@ -59,22 +59,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Container format versions. Version 2 widened SZ2BlockSize from a single
-// (silently truncating) byte to a uvarint; version 3 appends a
-// self-describing block-index footer (internal/index) after the last
+// Container format versions. Version 2 is the oldest body this package
+// reads (version 1 stored SZ2BlockSize in a single byte); version 3 appends
+// a self-describing block-index footer (internal/index) after the last
 // stream (the v3 body is byte-identical to a v2 body; decoders act on the
 // footer when it is intact and scan the body otherwise, which is also how
-// version-1/2 containers remain readable); version 4 adds one codec
-// wire-ID byte per stream so levels may use different codecs
+// version-2 containers remain readable); version 4 adds one codec wire-ID
+// byte per stream so levels may use different codecs
 // (Options.LevelCodecs). Containers whose levels all share the header codec
 // are still written as version 3, byte-identical to before — version 4
 // appears on the wire only when a level actually overrides the codec.
 const (
 	// containerMagic opens every container; the version byte follows it.
 	containerMagic = "MRWF"
-	// containerVersionV1 stored SZ2BlockSize in a single byte.
-	containerVersionV1 = 1
-	// containerVersionV2 widened SZ2BlockSize to a uvarint.
+	// containerVersionV2 is the oldest body read: SZ2BlockSize a uvarint.
 	containerVersionV2 = 2
 	// containerVersion (v3) appended the seekable index footer.
 	containerVersion = 3
@@ -607,24 +605,22 @@ func (p *Prepared) FindIntensities() ([]postproc.Intensity, error) {
 
 // parseContainer scans a container body serially into the index a footer
 // would have carried. It is the scan for bodies with no usable footer
-// (version 1/2 containers, a footer truncated away or damaged) and has one
+// (version 2 containers, a footer truncated away or damaged) and has one
 // caller, BuildIndex. The header, block lists and box geometry are the
 // records the footer repeats and decode through package index, with its
 // checks; what belongs to the body alone is here: the magic and version
-// byte, version 1's one-byte SZ2 block size, and the stream walk — each
-// stream's length prefix, version 4's codec byte, and the checksum of the
-// bytes the prefix covers.
+// byte, and the stream walk — each stream's length prefix, version 4's
+// codec byte, and the checksum of the bytes the prefix covers.
 func parseContainer(blob []byte) (*index.Index, error) {
 	if len(blob) < 12 || string(blob[:4]) != containerMagic {
 		return nil, errors.New("core: bad magic")
 	}
 	version := blob[4]
-	if version < containerVersionV1 || version > containerVersionMixed {
+	if version < containerVersionV2 || version > containerVersionMixed {
 		return nil, fmt.Errorf("core: unsupported version %d", version)
 	}
-	// v1 stored SZ2BlockSize in one byte (values > 255 wrapped on write).
 	r := wire.NewReader(blob[5:])
-	ix, err := index.ParseHeader(&r, version == containerVersionV1)
+	ix, err := index.ParseHeader(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -690,7 +686,7 @@ func parseContainer(blob []byte) (*index.Index, error) {
 }
 
 // BuildIndex indexes a full in-memory container by scanning its body — the
-// fallback that gives footerless containers (version 1/2, or a footer lost or
+// fallback that gives footerless containers (version 2, or a footer lost or
 // damaged) the same decode path as indexed ones at the cost of one
 // sequential scan; stream payloads are located and checksummed, not decoded.
 // The scanned index is re-validated through the footer parser, so it has

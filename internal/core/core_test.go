@@ -388,69 +388,6 @@ func TestSZ2BlockSizeLargeHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Body rewrites a version-2/3 container c, compressed with the given SZ2
-// block size, into the version-1 body it corresponds to: version byte 1,
-// the SZ2 block size in the single byte v1 stored, and no footer (the
-// version byte lives in the body header, which no decoder consults while a
-// footer is intact, so the body scan must run).
-func v1Body(tb testing.TB, blob []byte, sz2Block int) []byte {
-	tb.Helper()
-	body, ok := index.Locate(blob)
-	if !ok {
-		tb.Fatal("container has no index footer")
-	}
-	const sz2Off = 4 + 1 + 5 // magic, version, five option bytes
-	wide := binary.AppendUvarint(nil, uint64(sz2Block))
-	if !bytes.Equal(blob[sz2Off:sz2Off+len(wide)], wide) {
-		tb.Fatalf("SZ2 block size %d not at offset %d", sz2Block, sz2Off)
-	}
-	v1 := append([]byte(nil), blob[:sz2Off]...)
-	v1 = append(v1, byte(sz2Block))
-	v1 = append(v1, blob[sz2Off+len(wide):body]...)
-	v1[4] = containerVersionV1
-	return v1
-}
-
-func TestV1ContainerReadPath(t *testing.T) {
-	// The v1 read path must decode a v1 body exactly as the v2 read path
-	// decodes its v2 twin. At SZ2 block size 4 the two bodies differ only in
-	// the version byte; at 200 the v2 uvarint (0xC8 0x01) is one byte longer
-	// than v1's single 0xC8, so only the v1 branch of the scan parses it.
-	h := amrHierarchy(t, 64, 23)
-	eb := h.Levels[0].Data.ValueRange() * 1e-3
-	for _, sz2Block := range []int{4, 200} {
-		opt := SZ3MROptions(eb)
-		opt.SZ2BlockSize = sz2Block
-		c, err := CompressHierarchy(h, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1 := v1Body(t, c.Blob, sz2Block)
-		parsed, err := parseContainer(v1)
-		if err != nil {
-			t.Fatalf("sz2 block %d: %v", sz2Block, err)
-		}
-		if parsed.Opts.SZ2Block != sz2Block {
-			t.Fatalf("v1 parse: SZ2BlockSize=%d, want %d", parsed.Opts.SZ2Block, sz2Block)
-		}
-		g2, err := Decompress(c.Blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g1, err := Decompress(v1)
-		if err != nil {
-			t.Fatalf("sz2 block %d: %v", sz2Block, err)
-		}
-		if !ownershipEqual(g1, g2) || maxLevelError(g1, g2) != 0 {
-			t.Fatalf("sz2 block %d: v1 and v2 decodes differ", sz2Block)
-		}
-		v1[4] = containerVersion + 1
-		if _, err := Decompress(v1); err == nil {
-			t.Fatal("unknown version accepted")
-		}
-	}
-}
-
 func TestOverflowingBlockCountRejectedOnRead(t *testing.T) {
 	// A per-level block-count uvarint ≥ 2^63 wraps negative as int; the
 	// guard must compare unsigned and error rather than panic in make().
@@ -520,7 +457,7 @@ func TestOverflowingBoxCountRejectedOnRead(t *testing.T) {
 // stripFooter returns a copy of a container's body alone. A crafted header
 // under an intact footer is never read — the footer answers — so the
 // header-rejection tests cut the footer off to keep reaching parseContainer.
-func stripFooter(t *testing.T, blob []byte) []byte {
+func stripFooter(t testing.TB, blob []byte) []byte {
 	t.Helper()
 	body, ok := index.Locate(blob)
 	if !ok {
@@ -548,6 +485,17 @@ func TestImplausibleSZ2BlockSizeRejectedOnRead(t *testing.T) {
 	blob = append(blob, make([]byte, 40)...) // interp byte + padding past the min-length check
 	if _, err := Decompress(blob); err == nil {
 		t.Fatal("implausible SZ2 block size accepted")
+	}
+	// Version 1 stored the block size in a single byte, and no reader reads
+	// that body any more: the v2 golden relabelled as version 1 fails on its
+	// version byte, never decodes.
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden-tac-sz3.mrc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2[4] = 1
+	if _, err := Decompress(v2); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 body: got %v, want the version check's error", err)
 	}
 }
 

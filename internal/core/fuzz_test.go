@@ -42,7 +42,7 @@ func FuzzBuildIndex(f *testing.F) {
 		}
 		f.Add(blob)
 	}
-	// A version-1 body, whose SZ2 block size is one byte.
+	// A body whose SZ2 block size takes two uvarint bytes.
 	h := amrHierarchy(f, 64, 23)
 	opt := SZ3MROptions(h.Levels[0].Data.ValueRange() * 1e-3)
 	opt.SZ2BlockSize = 200
@@ -50,7 +50,7 @@ func FuzzBuildIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1Body(f, c.Blob, 200))
+	f.Add(stripFooter(f, c.Blob))
 	// A header for a 2048³ domain at B = 8 whose one level claims all 2²⁴
 	// blocks with no byte behind the count.
 	hollow := &index.Index{Nx: 2048, Ny: 2048, Nz: 2048, BlockB: 8, Levels: make([]index.Level, 1)}

@@ -2,16 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
-	"repro/internal/codec"
-	"repro/internal/flatepool"
 	"repro/internal/grid"
 	"repro/internal/index"
 	"repro/internal/synth"
@@ -225,58 +221,6 @@ func TestGoldenV2StillDecodes(t *testing.T) {
 	for li := range got.Levels {
 		if !got.Levels[li].Data.Equal(want.Levels[li].Data) {
 			t.Fatalf("level %d: v2 fixture decode differs from current decode", li)
-		}
-	}
-}
-
-// TestGoldenInterleavedStillDecodes locks the read side of the legacy
-// interleaved entropy format, which no writer produces any more: the
-// committed fixture is the tac-sz3 golden input compressed with 4 entropy
-// lanes per code stream (checked footer), and — entropy coding being
-// lossless — every level must decode to exactly the data and ownership the
-// single-lane fixture decodes to.
-func TestGoldenInterleavedStillDecodes(t *testing.T) {
-	lanes4, err := os.ReadFile(filepath.Join("testdata", "golden-tac-sz3-lanes4-v3.mrw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := os.ReadFile(filepath.Join("testdata", "golden-tac-sz3-v3.mrw"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := index.ReadFrom(bytes.NewReader(lanes4), int64(len(lanes4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.StreamCRCs {
-		t.Fatal("interleaved fixture footer carries no stream CRCs")
-	}
-	tag := binary.AppendUvarint(nil, codec.EntropyInterleavedTag)
-	for si, s := range ix.Streams {
-		in, err := flatepool.Inflate(lanes4[s.Offset : s.Offset+s.Len])
-		if err != nil {
-			t.Fatal(err)
-		}
-		tagged := bytes.Contains(in.Bytes(), tag)
-		in.Release()
-		if !tagged {
-			t.Fatalf("stream %d carries no interleaved entropy stream", si)
-		}
-	}
-	got, err := Decompress(lanes4)
-	if err != nil {
-		t.Fatalf("decode interleaved fixture: %v", err)
-	}
-	want, err := Decompress(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Levels) != len(want.Levels) {
-		t.Fatalf("level count %d != %d", len(got.Levels), len(want.Levels))
-	}
-	for li := range got.Levels {
-		if !got.Levels[li].Data.Equal(want.Levels[li].Data) || !slices.Equal(got.Levels[li].Owned, want.Levels[li].Owned) {
-			t.Fatalf("level %d: interleaved fixture decodes differently from its single-lane twin", li)
 		}
 	}
 }

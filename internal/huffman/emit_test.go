@@ -26,16 +26,12 @@ func (w *bitWriter) WriteBits(v uint64, n uint) {
 	}
 }
 
-// Len returns the number of bits written.
-func (w *bitWriter) Len() int { return w.bits }
-
 // Finish returns the stream, its last byte zero-padded.
 func (w *bitWriter) Finish() []byte { return w.buf }
 
 // refEmit is emit as it was: one WriteBits call per symbol, the dense
 // lookup indexed by symbol − minS, the sparse one by binary search. It is
-// the reference the register emitter is held to, and the lane writer of the
-// interleaved fixtures.
+// the reference the register emitter is held to.
 func refEmit(c *coder, bw *bitWriter, data []int32) {
 	if c.dense {
 		minS := int64(c.minS)

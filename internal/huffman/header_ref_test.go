@@ -16,15 +16,12 @@ import (
 	"repro/internal/wire"
 )
 
-// The reference: the header parsers of both wire formats as they were
-// before they moved onto wire.Reader, each read written out by hand. The
-// table build and the bit-stream decode are shared; only the parsing of
-// the counts, the dictionary and the lane lengths is the reference's own.
+// The reference: the header parser as it was before it moved onto
+// wire.Reader, each read written out by hand. The table build and the
+// bit-stream decode are shared; only the parsing of the counts and the
+// dictionary is the reference's own.
 
 func (s *scratch) refAppendDecode(dst []int32, buf []byte) ([]int32, error) {
-	if tag, m := binary.Uvarint(buf); m > 0 && tag == InterleavedTag {
-		return s.refAppendInterleaved(dst, buf[m:])
-	}
 	n, k, err := readHeader(&buf)
 	if err != nil {
 		return nil, err
@@ -90,9 +87,7 @@ func (s *scratch) refParseDict(buf []byte, k int) (syms []int32, lens []int, res
 	return syms, lens, buf, nil
 }
 
-// readHeader is the single-lane format's header reader. It also pins the
-// format discriminator: it rejects an interleaved stream
-// (TestLegacyDecoderRejectsInterleaved).
+// readHeader is the reference's header reader.
 func readHeader(buf *[]byte) (n, k int, err error) {
 	un, m := binary.Uvarint(*buf)
 	if m <= 0 {
@@ -110,87 +105,9 @@ func readHeader(buf *[]byte) (n, k int, err error) {
 	return int(un), int(uk), nil
 }
 
-var refErrInterleavedHeader = errors.New("huffman: truncated interleaved header")
-
-func (s *scratch) refAppendInterleaved(dst []int32, buf []byte) ([]int32, error) {
-	un, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, refErrInterleavedHeader
-	}
-	buf = buf[m:]
-	if un == 0 || un > maxN {
-		return nil, fmt.Errorf("huffman: implausible interleaved n=%d", un)
-	}
-	ul, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, refErrInterleavedHeader
-	}
-	buf = buf[m:]
-	if ul < 2 || ul > maxLanes || ul&(ul-1) != 0 || ul > un {
-		return nil, fmt.Errorf("huffman: invalid lane count %d for n=%d", ul, un)
-	}
-	n, lanes := int(un), int(ul)
-	uk, m := binary.Uvarint(buf)
-	if m <= 0 {
-		return nil, refErrInterleavedHeader
-	}
-	buf = buf[m:]
-	if uk == 0 || uk > un {
-		return nil, fmt.Errorf("huffman: implausible dictionary size %d for n=%d", uk, un)
-	}
-	syms, lens, buf, err := s.refParseDict(buf, int(uk))
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.table(syms, lens, n)
-	if err != nil {
-		return nil, err
-	}
-	laneBits := make([]int, lanes)
-	for j := range laneBits {
-		ub, m := binary.Uvarint(buf)
-		if m <= 0 {
-			return nil, refErrInterleavedHeader
-		}
-		if ub > uint64(len(buf))*8 {
-			return nil, fmt.Errorf("huffman: lane %d length %d bits exceeds payload", j, ub)
-		}
-		buf = buf[m:]
-		laneBits[j] = int(ub)
-	}
-	laneSyms := func(j int) int { return (n - j + lanes - 1) / lanes }
-	off := 0
-	for j, lb := range laneBits {
-		if rem := laneSyms(j); lb < rem {
-			return nil, fmt.Errorf("huffman: lane %d: %d bits cannot hold %d symbols", j, lb, rem)
-		}
-		blen := (lb + 7) / 8
-		if blen > len(buf)-off {
-			return nil, fmt.Errorf("huffman: truncated lane %d payload: %w", j, bitio.ErrOutOfBits)
-		}
-		off += blen
-	}
-	base := len(dst)
-	out := slices.Grow(dst, n)[:base+n]
-	off = 0
-	for j, lb := range laneBits {
-		blen := (lb + 7) / 8
-		br := bitio.NewReaderBits(buf[off:off+blen], lb)
-		off += blen
-		if err := t.decodeStride(br, out[base:], j, laneSyms(j), lanes); err != nil {
-			return nil, err
-		}
-		if left := br.Remaining(); left != 0 {
-			return nil, fmt.Errorf("huffman: lane %d consumed %d of %d bits", j, lb-left, lb)
-		}
-	}
-	return out, nil
-}
-
 // goldenEntropyStreams returns the entropy-coded streams inside the sz2 and
-// sz3 golden fixtures — single-lane and legacy interleaved — keyed by
-// fixture and role. The codec headers around them are skipped with a
-// wire.Reader.
+// sz3 golden fixtures, keyed by fixture and role. The codec headers around
+// them are skipped with a wire.Reader.
 func goldenEntropyStreams(t *testing.T) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
@@ -229,35 +146,26 @@ func goldenEntropyStreams(t *testing.T) map[string][]byte {
 			r.Float64() // the eb table
 		}
 	}
-	for _, name := range []string{"golden.sz2", "golden-lanes4.sz2"} {
-		read(filepath.Join("sz2", "testdata", name), sz2, "coefficients", "codes")
-	}
-	for _, name := range []string{"golden-linear.sz3", "golden-cubic-adaptive.sz3", "golden-linear-lanes4.sz3"} {
+	read(filepath.Join("sz2", "testdata", "golden.sz2"), sz2, "coefficients", "codes")
+	for _, name := range []string{"golden-linear.sz3", "golden-cubic-adaptive.sz3"} {
 		read(filepath.Join("sz3", "testdata", name), sz3, "codes")
 	}
 	return out
 }
 
 // entropyHeaderLen returns the length of an entropy stream's header: its
-// counts and dictionary, and in the interleaved format its lane lengths.
+// counts and dictionary.
 func entropyHeaderLen(stream []byte) int {
 	r := wire.NewReader(stream)
-	lanes := uint64(0)
-	if r.Uvarint(math.MaxUint64) == InterleavedTag {
-		r.Uvarint(math.MaxUint64) // n
-		lanes = r.Uvarint(maxLanes)
-	}
+	r.Uvarint(math.MaxUint64) // n
 	for k := r.Uvarint(math.MaxUint64); k > 0 && r.Err() == nil; k-- {
 		r.Varint()
 		r.Byte()
 	}
-	for ; lanes > 0; lanes-- {
-		r.Uvarint(math.MaxUint64)
-	}
 	return len(stream) - r.Len()
 }
 
-// TestHeaderParseMatchesReference holds Decode to the reference parsers on
+// TestHeaderParseMatchesReference holds Decode to the reference parser on
 // every golden entropy stream cut at each header offset and with each bit
 // of its header flipped: both must accept and reject alike, and decode to
 // the same symbols.
@@ -276,10 +184,10 @@ func TestHeaderParseMatchesReference(t *testing.T) {
 	}
 	// Header values at the bounds the parsers check, which no single bit
 	// flip of a golden reaches: the symbol range, the code length, the
-	// dictionary size, the lane count and the lane lengths.
+	// symbol count and the dictionary size.
 	// Zero bits decode as the first symbol of any dictionary below.
 	payload := make([]byte, 8)
-	// single writes a single-lane stream; dict holds delta, length pairs.
+	// single writes a stream; dict holds delta, length pairs.
 	single := func(n, k uint64, dict ...int64) []byte {
 		b := binary.AppendUvarint(binary.AppendUvarint(nil, n), k)
 		for i := 0; i < len(dict); i += 2 {
@@ -287,48 +195,24 @@ func TestHeaderParseMatchesReference(t *testing.T) {
 		}
 		return append(b, payload...)
 	}
-	ones := func(n int) []uint64 {
-		b := make([]uint64, n)
-		for i := range b {
-			b[i] = 1
-		}
-		return b
-	}
-	// lanes writes an interleaved stream over the symbols 0 and 1, one
-	// bit each, with the given lane lengths in bits.
-	lanes := func(n, lanes uint64, laneBits ...uint64) []byte {
-		b := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, InterleavedTag), n), lanes)
-		b = append(binary.AppendVarint(binary.AppendUvarint(b, 2), 0), 1)
-		b = append(binary.AppendVarint(b, 1), 1)
-		for _, lb := range laneBits {
-			b = binary.AppendUvarint(b, lb)
-		}
-		return append(b, payload...)
-	}
 	for name, buf := range map[string][]byte{
-		"symbol MaxInt32":        single(8, 2, math.MaxInt32, 1, -1, 1),
-		"symbol past MaxInt32":   single(8, 2, math.MaxInt32+1, 1, -1, 1),
-		"symbol MinInt32":        single(8, 2, math.MinInt32, 1, 1, 1),
-		"symbol past MinInt32":   single(8, 2, math.MinInt32-1, 1, 1, 1),
-		"longest code length":    single(1, 2, 0, 1, 1, maxCodeLen+1),
-		"code length past it":    single(1, 2, 0, 1, 1, maxCodeLen+2),
-		"k = n + 1":              single(1, 2, 0, 1, 1, 1),
-		"k = n + 2":              single(1, 3, 0, 1, 1, 2, 1, 2),
-		"n = maxN":               single(maxN, 2, 0, 1, 1, 1),
-		"2 lanes":                lanes(8, 2, 4, 4),
-		"3 lanes":                lanes(9, 3, 3, 3, 3),
-		"6 lanes":                lanes(12, 6, 2, 2, 2, 2, 2, 2),
-		"64 lanes":               lanes(64, 64, ones(64)...),
-		"128 lanes":              lanes(128, 128, ones(128)...),
-		"lane of all the bits":   lanes(2, 2, 64, 0),
-		"lane past all the bits": lanes(2, 2, 65, 0),
+		"symbol MaxInt32":      single(8, 2, math.MaxInt32, 1, -1, 1),
+		"symbol past MaxInt32": single(8, 2, math.MaxInt32+1, 1, -1, 1),
+		"symbol MinInt32":      single(8, 2, math.MinInt32, 1, 1, 1),
+		"symbol past MinInt32": single(8, 2, math.MinInt32-1, 1, 1, 1),
+		"longest code length":  single(1, 2, 0, 1, 1, maxCodeLen+1),
+		"code length past it":  single(1, 2, 0, 1, 1, maxCodeLen+2),
+		"k = n + 1":            single(1, 2, 0, 1, 1, 1),
+		"k = n + 2":            single(1, 3, 0, 1, 1, 2, 1, 2),
+		"n = maxN":             single(maxN, 2, 0, 1, 1, 1),
+		"n = maxN + 1":         single(maxN+1, 2, 0, 1, 1, 1),
 	} {
 		check(name, buf)
 	}
 
 	streams := goldenEntropyStreams(t)
-	if len(streams) != 7 {
-		t.Fatalf("%d golden entropy streams, want 7", len(streams))
+	if len(streams) != 4 {
+		t.Fatalf("%d golden entropy streams, want 4", len(streams))
 	}
 	for name, stream := range streams {
 		h := entropyHeaderLen(stream)

@@ -3,9 +3,8 @@
 // entropy stage of SZ. The encoded stream is self-describing: it carries the
 // symbol dictionary and canonical code lengths, followed by the bit stream.
 //
-// Encode writes one sequential bitstream. Decode also reads the legacy
-// interleaved multi-lane format (see interleave.go), which shares the
-// dictionary and code assignment and is no longer written.
+// Encode writes one sequential bitstream, and Decode reads exactly that
+// format.
 //
 // In steady state a call allocates only what it returns. Every array whose
 // size depends on the stream — the histogram, the Huffman tree (two flat
@@ -45,10 +44,8 @@ const maxCodeLen = 57
 // measured faster than wider tables despite covering fewer long codes.
 const tableBits = 10
 
-// maxN bounds the plausible symbol count in a stream header. Both wire
-// formats enforce it before allocating, and the interleaved format's tag
-// (InterleavedTag) is deliberately chosen above it so a single-lane-only
-// decoder rejects interleaved streams instead of misparsing them.
+// maxN bounds the plausible symbol count in a stream header. The decoder
+// enforces it before allocating.
 const maxN = 1 << 33
 
 // scratch is one call's working memory. Each array keeps its capacity from
@@ -511,12 +508,12 @@ func storeWord(w []byte, acc uint64, n uint, e uint64) (uint64, uint) {
 	return code, r
 }
 
-// Encode compresses a sequence of int32 symbols into the single-lane format.
-// The output is self-describing and decoded by Decode.
+// Encode compresses a sequence of int32 symbols. The output is
+// self-describing and decoded by Decode.
 func Encode(data []int32) []byte { return AppendEncode(nil, data) }
 
-// AppendEncode appends the single-lane encoding of data (what Encode
-// returns) to dst and returns the extended buffer, growing it at most once.
+// AppendEncode appends the encoding of data (what Encode returns) to dst
+// and returns the extended buffer, growing it at most once.
 func AppendEncode(dst []byte, data []int32) []byte {
 	s := getScratch()
 	out := s.appendEncode(dst, data)
@@ -543,9 +540,7 @@ func (s *scratch) appendEncode(dst []byte, data []int32) []byte {
 	return c.emit(out, c.keys(data, s.sorted))
 }
 
-// Decode reverses Encode, and reads the legacy interleaved format: the
-// first uvarint distinguishes the two (InterleavedTag is not a plausible
-// symbol count).
+// Decode reverses Encode.
 func Decode(buf []byte) ([]int32, error) {
 	out, err := AppendDecode(nil, buf)
 	if err != nil {
@@ -569,16 +564,10 @@ func AppendDecode(dst []int32, buf []byte) ([]int32, error) {
 
 func (s *scratch) appendDecode(dst []int32, buf []byte) ([]int32, error) {
 	r := wire.NewReader(buf)
-	un := r.Uvarint(InterleavedTag)
-	if un == InterleavedTag {
-		return s.appendInterleaved(dst, &r)
-	}
+	un := r.Uvarint(maxN)
 	uk := r.Uvarint(un + 1)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("huffman: header: %w", err)
-	}
-	if un > maxN {
-		return nil, fmt.Errorf("huffman: implausible symbol count %d", un)
 	}
 	n, k := int(un), int(uk)
 	if n == 0 {
@@ -657,9 +646,7 @@ type tableEntry struct {
 	syms  [maxBatch]int32
 }
 
-// decodeTable is the table-driven canonical decoder state, shared by the
-// single-lane loop and every lane of an interleaved stream (the lanes share
-// one code table by construction).
+// decodeTable is the table-driven canonical decoder state.
 //
 // The primary table maps every possible value of the next tb bits to the
 // symbols that decode from it. Because SZ quantization streams are dominated

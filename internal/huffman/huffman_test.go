@@ -2,12 +2,15 @@ package huffman
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 func roundTrip(t *testing.T, data []int32) {
@@ -93,6 +96,11 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// Valid encode, then truncate the bit stream.
 	enc := Encode([]int32{1, 2, 3, 4, 5, 6, 7, 8})
+	// The retired interleaved format began with the tag 0x2494C5645, which
+	// is above maxN: such a stream fails in the header, never decodes.
+	if _, err := Decode(append(binary.AppendUvarint(nil, 0x2494C5645), enc...)); !errors.Is(err, wire.ErrRange) {
+		t.Fatalf("stream behind the retired interleaved tag: err %v, want wire.ErrRange", err)
+	}
 	if _, err := Decode(enc[:len(enc)-1]); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}

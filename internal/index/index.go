@@ -101,7 +101,7 @@ const (
 	maxStreamLen = 1 << 56
 )
 
-// ErrNoIndex reports that the container carries no index footer (a v1/v2
+// ErrNoIndex reports that the container carries no index footer (a v2
 // container, or a v3 container whose footer was truncated away).
 var ErrNoIndex = errors.New("index: container has no index footer")
 
@@ -349,25 +349,19 @@ func corruptErr(what string, err error) error {
 }
 
 // ParseHeader decodes the header record at r into a new Index — Opts, the
-// domain, the block size and one empty Level per level. sz2Byte reads the
-// SZ2 block size as the single byte a version-1 container body stored;
-// every other writer emits a uvarint. The checks every decoder relies on
-// run here: an arrangement byte that names a layout.Arrangement; a domain
-// CheckDims accepts, at most 2²⁴ per axis; a power-of-two block size of at
-// least 8 that divides every axis; and 1–64 levels that leave the coarsest
-// unit block at least 2 cells wide.
-func ParseHeader(r *wire.Reader, sz2Byte bool) (*Index, error) {
+// domain, the block size and one empty Level per level. The checks every
+// decoder relies on run here: an arrangement byte that names a
+// layout.Arrangement; a domain CheckDims accepts, at most 2²⁴ per axis; a
+// power-of-two block size of at least 8 that divides every axis; and 1–64
+// levels that leave the coarsest unit block at least 2 cells wide.
+func ParseHeader(r *wire.Reader) (*Index, error) {
 	ix := &Index{}
 	o := &ix.Opts
 	o.Compressor, o.Arrangement, o.Pad, o.PadKind, o.AdaptiveEB = r.Byte(), r.Byte(), r.Byte() != 0, r.Byte(), r.Byte() != 0
 	if !layout.Arrangement(o.Arrangement).Valid() {
 		return nil, corrupt("header arrangement")
 	}
-	if sz2Byte {
-		o.SZ2Block = int(r.Byte())
-	} else {
-		o.SZ2Block = int(r.Uvarint(maxSZ2Block))
-	}
+	o.SZ2Block = int(r.Uvarint(maxSZ2Block))
 	o.Interp = r.Byte()
 	o.EB, o.Alpha, o.Beta = r.Float64(), r.Float64(), r.Float64()
 	// Dims bounds the domain's product, since decoders allocate level
@@ -454,7 +448,7 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 	if ver != footerVersionV1 && ver != footerVersionStreamCRC {
 		return nil, fmt.Errorf("index: unsupported index version %d", ver)
 	}
-	ix, err := ParseHeader(&r, false)
+	ix, err := ParseHeader(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -512,6 +506,10 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 		for si := 0; si < nStreams; si++ {
 			s := Stream{Level: li, Box: -1}
 			switch box := r.Varint(); {
+			case box == -1 && a == layout.TAC:
+				return nil, corrupt("section: merged stream in a TAC container")
+			case box != -1 && a != layout.TAC:
+				return nil, corrupt("section: box stream in a merged container")
 			case box == -1 && nStreams > 1:
 				return nil, corrupt("section: merged level with multiple streams")
 			case box != -1 && box != int64(si):
@@ -524,13 +522,11 @@ func Parse(section []byte, containerSize int64) (*Index, error) {
 				if s.Geom, err = ix.ParseBox(&r); err != nil {
 					return nil, err
 				}
-				if a == layout.TAC {
-					if claims += s.Geom.WX * s.Geom.WY * s.Geom.WZ; claims > total {
-						return nil, errClaimedTwice
-					}
-					if claimed != nil && !claimed.addBox(s.Geom, nbx, nby) {
-						return nil, errClaimedTwice
-					}
+				if claims += s.Geom.WX * s.Geom.WY * s.Geom.WZ; claims > total {
+					return nil, errClaimedTwice
+				}
+				if claimed != nil && !claimed.addBox(s.Geom, nbx, nby) {
+					return nil, errClaimedTwice
 				}
 				// ParseBox keeps the box inside the domain, whose samples
 				// Dims caps at 2³³, so the product cannot overflow.

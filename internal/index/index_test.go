@@ -14,9 +14,9 @@ import (
 	"repro/internal/raceflag"
 )
 
-// sampleIndex builds a representative two-level index over a fake body of
-// the given length: level 0 a TAC level with two boxes, which between them
-// claim every unit block, level 1 a merged padded level.
+// sampleIndex builds a representative two-level TAC index over a fake body
+// of the given length: level 0 two boxes, level 1 one box, which between
+// them claim every unit block.
 func sampleIndex() (*Index, []byte) {
 	body := bytes.Repeat([]byte{0xAB}, 600)
 	ix := &Index{
@@ -28,9 +28,8 @@ func sampleIndex() (*Index, []byte) {
 	}
 	ix.Streams = []Stream{
 		{Level: 0, Box: 0, Geom: layout.Box{X0: 0, Y0: 0, Z0: 0, WX: 2, WY: 2, WZ: 2}, Compressor: 0, Offset: 100, Len: 150, RawLen: 8 * 16 * 16 * 16 * 8},
-		{Level: 0, Box: 1, Geom: layout.Box{X0: 0, Y0: 0, Z0: 2, WX: 2, WY: 2, WZ: 2}, Compressor: 0, Offset: 250, Len: 100, RawLen: 8 * 16 * 16 * 16 * 8},
-		// A TAC level merged under Box -1 stacks its blocks along z, unpadded.
-		{Level: 1, Box: -1, Compressor: 0, Offset: 380, Len: 200, RawLen: 8 * 8 * 16 * 8},
+		{Level: 0, Box: 1, Geom: layout.Box{X0: 0, Y0: 0, Z0: 2, WX: 2, WY: 2, WZ: 1}, Compressor: 0, Offset: 250, Len: 100, RawLen: 4 * 16 * 16 * 16 * 8},
+		{Level: 1, Box: 0, Geom: layout.Box{X0: 0, Y0: 0, Z0: 3, WX: 2, WY: 2, WZ: 1}, Compressor: 0, Offset: 380, Len: 200, RawLen: 4 * 8 * 8 * 8 * 8},
 	}
 	ix.Levels = []Level{
 		{Blocks: [][3]int{{0, 0, 0}, {1, 0, 0}, {0, 1, 2}, {0, 1, 3}}, Streams: []int{0, 1}},
@@ -226,7 +225,6 @@ func TestIndexAllocBudget(t *testing.T) {
 		"golden-stack-sz3-v3.mrw":       12,
 		"golden-zorder1d-sz3-v3.mrw":    12,
 		"golden-tac-sz3-v3.mrw":         9,
-		"golden-tac-sz3-lanes4-v3.mrw":  9,
 		"golden-tac-sz3.mrc":            2,
 	}
 	for name, budget := range budgets {
@@ -278,6 +276,37 @@ var claimFixtures = []struct {
 			},
 		})
 	}},
+}
+
+// TestParseRejectsStreamKindForArrangement: a stream record no writer
+// produces — a merged (Box −1) stream in a TAC container, or a box stream in
+// a merged one — is rejected, though its raw length and the block claims
+// add up.
+func TestParseRejectsStreamKindForArrangement(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fixture int
+		mut     func(ix *Index)
+	}{
+		{"merged stream in a TAC container", 1, func(ix *Index) {
+			ix.Streams = append(ix.Streams, Stream{Level: 1, Box: -1, Offset: 300, Len: 10})
+			ix.Levels[1].Streams = []int{2}
+		}},
+		{"box stream in a merged container", 0, func(ix *Index) {
+			// The box claims the block its level's list no longer does.
+			lv := &ix.Levels[1]
+			bc := lv.Blocks[0]
+			lv.Blocks = lv.Blocks[1:]
+			ix.Streams[1].Box, ix.Streams[1].Geom = 0, layout.Box{X0: bc[0], Y0: bc[1], Z0: bc[2], WX: 1, WY: 1, WZ: 1}
+		}},
+	} {
+		ix := claimFixtures[tc.fixture].index(4)
+		tc.mut(ix)
+		blob := withRawLens(ix).AppendFooter(make([]byte, 600))
+		if _, err := ReadFrom(bytes.NewReader(blob), int64(len(blob))); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
 }
 
 // withRawLens sets the raw length of every stream of ix to what its record

@@ -6,11 +6,11 @@
 // d₄ the post-processor builds a quadratic Bézier curve through its in-block
 // neighbor d₃ and its cross-block neighbor d₅ (d₄ as control point),
 // evaluates B(0.5) = 0.25·d₃ + 0.5·d₄ + 0.25·d₅, and moves d₄ toward it —
-// clamped to ±a·eb around the decompressed value so the result stays within
-// the compressor's error bound of the original data. The intensity a < 1 is
-// chosen per dimension by compressing a ≤1.5% sample of the data and running
-// stochastic gradient descent over the paper's candidate sets
-// (SZ2: 0.05…0.5, ZFP: 0.005…0.05).
+// clamped to ±aᵢ·eb (along dimension i) around the decompressed value, so
+// the result stays within (1+max aᵢ)·eb of the original data. The
+// intensity a < 1 is chosen per dimension by compressing a ≤1.5% sample of
+// the data and running stochastic gradient descent over the paper's
+// candidate sets (SZ2: 0.05…0.5, ZFP: 0.005…0.05).
 package postproc
 
 import (

@@ -42,25 +42,22 @@ func TestV2GoldenFixtureThroughReader(t *testing.T) {
 		}
 	}
 
-	// The v3 golden, and its twin written with the legacy 4-lane
-	// interleaved entropy format, serve identically through the indexed path.
-	for _, name := range []string{"golden-tac-sz3-v3.mrw", "golden-tac-sz3-lanes4-v3.mrw"} {
-		v3, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
+	// The v3 golden serves identically through the indexed path.
+	v3, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-tac-sz3-v3.mrw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3 := mustOpen(t, v3)
+	if r3.FellBack() {
+		t.Fatal("the v3 golden took the fallback path")
+	}
+	for l := range want.Levels {
+		got, err := r3.ReadLevel(l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r3 := mustOpen(t, v3)
-		if r3.FellBack() {
-			t.Fatalf("%s took the fallback path", name)
-		}
-		for l := range want.Levels {
-			got, err := r3.ReadLevel(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want.Levels[l].Data) {
-				t.Fatalf("level %d differs between %s and the v2 golden", l, name)
-			}
+		if !got.Equal(want.Levels[l].Data) {
+			t.Fatalf("level %d differs between the v3 and the v2 golden", l)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // Open (over an io.ReaderAt the caller owns) and OpenStore (an object of a
 // storage backend, internal/store, whose handle the Reader owns until Close)
 // read only the index footer of a version-3 container (internal/index).
-// Containers without a usable footer — version 1/2 blobs, or a v3
+// Containers without a usable footer — version 2 blobs, or a v3
 // blob whose footer was truncated or corrupted — transparently fall back
 // to one sequential scan of the whole container (core.BuildIndex), after
 // which access is equally random.
@@ -229,7 +229,7 @@ func open(ctx context.Context, src io.ReaderAt, size int64, opts ...Option) (*Re
 	r.ix, err = index.ReadFrom(src, size)
 	sp.End()
 	if err != nil {
-		// No footer (v1/v2, or truncated away) or a corrupt one (CRC
+		// No footer (v2, or truncated away) or a corrupt one (CRC
 		// mismatch, implausible contents): the body may still be perfectly
 		// intact, so degrade to one sequential scan rather than becoming
 		// unreadable.

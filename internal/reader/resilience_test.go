@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -172,5 +174,38 @@ func TestVerifyScrub(t *testing.T) {
 	}
 	if !res.OK() || res.Decoded != res.Streams || res.Checked != 0 {
 		t.Fatalf("decode-verified scrub: %+v", res)
+	}
+}
+
+// TestVerifyDecodesFooterlessGolden: a container indexed by a body scan has
+// no checksum to check against, since the scan computes each stream's CRC
+// from the bytes it read, so the scrub decodes every stream and reports
+// none as checksum-verified — for the footerless v2 golden, and for the v3
+// golden with its footer cut off.
+func TestVerifyDecodesFooterlessGolden(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-tac-sz3.mrc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden-tac-sz3-v3.mrw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := index.Locate(v3)
+	if !ok {
+		t.Fatal("v3 golden has no footer")
+	}
+	for name, blob := range map[string][]byte{"v2": v2, "v3 without footer": v3[:body]} {
+		r := mustOpen(t, blob)
+		if !r.FellBack() {
+			t.Fatalf("%s: indexed without a body scan", name)
+		}
+		res, err := r.Verify(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OK() || res.Streams == 0 || res.Checked != 0 || res.Decoded != res.Streams {
+			t.Fatalf("%s: scrub %+v, want every stream decode-verified", name, res)
+		}
 	}
 }

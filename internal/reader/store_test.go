@@ -29,7 +29,6 @@ var goldenFixtures = []string{
 	"golden-tac-sz3.mrc",
 	"golden-linear-sz2-v3.mrw",
 	"golden-tac-sz3-v3.mrw",
-	"golden-tac-sz3-lanes4-v3.mrw",
 	"golden-linear-zfp-v3.mrw",
 }
 

@@ -36,8 +36,10 @@ type VerifyResult struct {
 	Streams int
 	// Checked counts streams verified against a footer checksum.
 	Checked int
-	// Decoded counts streams verified by a full decode because the footer
-	// carries no checksum for them (version-1 footers).
+	// Decoded counts streams verified by a full decode because no footer
+	// checksum covers them: a version-1 footer carries none, and a reader
+	// that fell back to a body scan computed its checksums from the very
+	// bytes they would check.
 	Decoded int
 	// Faults lists the streams that failed, in container order.
 	Faults []StreamFault
@@ -47,11 +49,12 @@ type VerifyResult struct {
 func (v *VerifyResult) OK() bool { return len(v.Faults) == 0 }
 
 // Verify scrubs the container: every stream's payload is read and checked
-// against its index checksum when the footer carries one, or fully decoded
-// otherwise (the only integrity evidence available for pre-checksum
-// footers). Per-stream failures are collected in the result, not returned
-// as an error — a scrub's job is the complete damage report; the returned
-// error is reserved for context cancellation. On a traced context the scrub
+// against its index checksum when an intact footer carries one, or fully
+// decoded otherwise (the only integrity evidence available for
+// pre-checksum footers and for containers indexed by a body scan).
+// Per-stream failures are collected in the result, not returned as an
+// error — a scrub's job is the complete damage report; the returned error
+// is reserved for context cancellation. On a traced context the scrub
 // is a "verify" span, and retried reads leave their events on it.
 func (r *Reader) Verify(ctx context.Context) (*VerifyResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "verify")
@@ -71,7 +74,7 @@ func (r *Reader) Verify(ctx context.Context) (*VerifyResult, error) {
 			if cerr := ctx.Err(); cerr != nil {
 				return res, cerr
 			}
-		case r.ix.StreamCRCs:
+		case r.ix.StreamCRCs && !r.fellBack:
 			r.bytesRead.Add(s.Len)
 			res.Checked++
 			err = core.VerifyIndexed(r.ix, si, payload)

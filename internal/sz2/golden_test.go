@@ -2,15 +2,12 @@ package sz2
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/flatepool"
-	"repro/internal/huffman"
 	"repro/internal/synth"
 )
 
@@ -57,41 +54,5 @@ func TestGoldenStream(t *testing.T) {
 		if d < -eb || d > eb {
 			t.Fatalf("sample %d outside error bound: |%g| > %g", i, d, eb)
 		}
-	}
-}
-
-// TestGoldenInterleavedStillDecodes locks the read side of the legacy
-// interleaved entropy format, which no writer produces any more: the
-// committed 4-lane twin of golden.sz2 embeds the interleaved tag and must
-// decode to exactly the samples the single-lane fixture decodes to
-// (entropy coding is lossless).
-func TestGoldenInterleavedStillDecodes(t *testing.T) {
-	lanes4, err := os.ReadFile(filepath.Join("testdata", "golden-lanes4.sz2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := os.ReadFile(filepath.Join("testdata", "golden.sz2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := flatepool.Inflate(lanes4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagged := bytes.Contains(in.Bytes(), binary.AppendUvarint(nil, huffman.InterleavedTag))
-	in.Release()
-	if !tagged {
-		t.Fatal("fixture carries no interleaved entropy stream")
-	}
-	got, err := Decompress(nil, lanes4)
-	if err != nil {
-		t.Fatalf("decode interleaved fixture: %v", err)
-	}
-	want, err := Decompress(nil, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("interleaved fixture decodes differently from its single-lane twin")
 	}
 }

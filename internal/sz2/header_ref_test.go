@@ -209,8 +209,8 @@ func sameBits(a, b *field.Field) bool {
 // must accept and reject alike, and decode to the same bits.
 func TestHeaderParseMatchesReference(t *testing.T) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "golden*.sz2"))
-	if err != nil || len(goldens) != 2 {
-		t.Fatalf("golden streams %v (%v), want 2", goldens, err)
+	if err != nil || len(goldens) != 1 {
+		t.Fatalf("golden streams %v (%v), want 1", goldens, err)
 	}
 	streams := map[string][]byte{}
 	for _, path := range goldens {

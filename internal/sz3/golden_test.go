@@ -2,7 +2,6 @@ package sz3
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -10,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/flatepool"
-	"repro/internal/huffman"
 	"repro/internal/synth"
 )
 
@@ -68,41 +65,5 @@ func TestGoldenStream(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGoldenInterleavedStillDecodes locks the read side of the legacy
-// interleaved entropy format, which no writer produces any more: the
-// committed 4-lane twin of golden-linear.sz3 embeds the interleaved tag and
-// must decode to exactly the samples the single-lane fixture decodes to
-// (entropy coding is lossless).
-func TestGoldenInterleavedStillDecodes(t *testing.T) {
-	lanes4, err := os.ReadFile(filepath.Join("testdata", "golden-linear-lanes4.sz3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := os.ReadFile(filepath.Join("testdata", "golden-linear.sz3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := flatepool.Inflate(lanes4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagged := bytes.Contains(in.Bytes(), binary.AppendUvarint(nil, huffman.InterleavedTag))
-	in.Release()
-	if !tagged {
-		t.Fatal("fixture carries no interleaved entropy stream")
-	}
-	got, err := Decompress(nil, lanes4)
-	if err != nil {
-		t.Fatalf("decode interleaved fixture: %v", err)
-	}
-	want, err := Decompress(nil, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("interleaved fixture decodes differently from its single-lane twin")
 	}
 }

@@ -52,7 +52,7 @@
 // shared NewBrickCache to OpenContainerCached to bound decoded-brick
 // memory across many open containers (the mrserve setup). Fields returned
 // by Read* methods may be shared with that cache — treat them as
-// read-only. Containers from older versions of this package (v1/v2, no
+// read-only. Containers from older versions of this package (v2, no
 // index) remain readable everywhere: the reader falls back to one
 // sequential scan, after which access is equally random. cmd/mrserve
 // serves a directory of containers over HTTP on top of this API.
@@ -511,14 +511,15 @@ func openURL(ctx context.Context, rawurl string) (*ContainerReader, error) {
 
 // VerifyResult is the damage report of a container scrub: how many streams
 // were checked (against footer checksums) or decoded (pre-checksum
-// footers), and which failed.
+// footers, or no intact footer), and which failed.
 type VerifyResult = reader.VerifyResult
 
 // Verify scrubs an open container: every stream's payload is read and
 // checked against its per-stream footer checksum, or fully decoded when the
-// footer predates checksums. Per-stream failures land in the result's
-// Faults, not the error — run it periodically against shared storage to
-// find bit rot before a request does (cmd/mrcompress -verify is the CLI).
+// footer predates checksums or is missing or damaged. Per-stream failures
+// land in the result's Faults, not the error — run it periodically against
+// shared storage to find bit rot before a request does (cmd/mrcompress
+// -verify is the CLI).
 func Verify(ctx context.Context, r *ContainerReader) (*VerifyResult, error) {
 	return r.Verify(ctx)
 }
