@@ -1,9 +1,12 @@
 package main
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestCheckROIFrac: -roifrac 0 used to reach the library, which reads 0 as
@@ -20,5 +23,26 @@ func TestCheckROIFrac(t *testing.T) {
 		if err := checkROIFrac(v); err != nil {
 			t.Fatalf("-roifrac %v: %v", v, err)
 		}
+	}
+}
+
+// TestVerifyVerdict: a scrub says "ok" only when a checksum covered every
+// stream. golden-tac-sz3-v3.mrw has a version-1 footer, which carries no
+// stream checksums, so its six streams are decode-verified; a flipped byte
+// there still decodes, so the scrub must not call the container ok.
+func TestVerifyVerdict(t *testing.T) {
+	res, err := repro.VerifyFile(context.Background(), "../../internal/core/testdata/golden-tac-sz3-v3.mrw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() || res.Checked != 0 || res.Decoded != 6 {
+		t.Fatalf("scrub: %d faults, %d checksum-verified, %d decode-verified; want 0, 0, 6", len(res.Faults), res.Checked, res.Decoded)
+	}
+	got := verdict(res)
+	if strings.TrimSpace(got) == "ok" || !strings.Contains(got, "no checksum covers 6 of 6 streams") {
+		t.Errorf("verdict %q, want one naming the 6 streams no checksum covers", got)
+	}
+	if got := verdict(&repro.VerifyResult{Streams: 6, Checked: 6}); strings.TrimSpace(got) != "ok" {
+		t.Errorf("every stream checksum-verified: verdict %q, want ok", got)
 	}
 }

@@ -30,7 +30,12 @@
 // per worker, whatever the stream count (TestTACAllocsFlatInStreams). No
 // free list outlives a call: one kept for the process would hold the
 // largest streams it ever saw for its whole life, a retention cost with no
-// bound the caller can see.
+// bound the caller can see. What a stream needs only while it is coded is
+// another matter: sz3, sz2, huffman, flatepool and field keep those
+// working arrays in a sync.Pool, each with a cap on what one pooled item
+// may hold. That is not such a free list: garbage collection empties a
+// sync.Pool, so its retention lasts until the second collection after the
+// last use.
 // The reader's brick paths decode into fresh fields, because the brick
 // cache keeps them.
 package core

@@ -98,7 +98,7 @@ func referenceContainers(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	out["sz3mr-padded"] = c.Blob
-	_, _, blob, _ := tacSZ2(t, 64)
+	_, _, blob, _ := tacContainer(t, 64, SZ2)
 	out["tac-sz2-22-boxes"] = blob
 	return out
 }
@@ -180,7 +180,7 @@ func (c slowDecodes) Value(key any) any {
 // Every stream below k is decoded; serially nothing above k is, and on w
 // workers at most the w-1 streams the other workers held when k failed.
 func TestDecodeErrorIsLowestFailingStream(t *testing.T) {
-	_, _, blob, n := tacSZ2(t, 64)
+	_, _, blob, n := tacContainer(t, 64, SZ2)
 	ix, err := loadIndex(blob)
 	if err != nil {
 		t.Fatal(err)

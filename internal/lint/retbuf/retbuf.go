@@ -20,10 +20,11 @@
 //
 // The analyzer runs on the packages whose buffers sit on the decode/serve
 // hot path — internal/bitio, internal/huffman, internal/cache, internal/sz2,
-// internal/field, internal/flatepool, internal/wire — and reports exported
-// functions and methods whose returned slice is rooted in either, unless
-// the doc comment contains "aliases:". Returning a fresh allocation (make +
-// copy, or append to a caller-provided destination) is always fine.
+// internal/sz3, internal/field, internal/flatepool, internal/wire — and
+// reports exported functions and methods whose returned slice is rooted in
+// either, unless the doc comment contains "aliases:". Returning a fresh
+// allocation (make + copy, or append to a caller-provided destination) is
+// always fine.
 package retbuf
 
 import (
@@ -48,6 +49,7 @@ var hotPkgs = map[string]bool{
 	"repro/internal/huffman": true,
 	"repro/internal/cache":   true,
 	"repro/internal/sz2":     true,
+	"repro/internal/sz3":     true,
 	"repro/internal/field":   true,
 	// Inflated.Bytes returns the pooled output buffer.
 	"repro/internal/flatepool": true,

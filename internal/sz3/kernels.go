@@ -107,7 +107,8 @@ func (w *sweep) run(m mode, i, n, step, d int) {
 func (w *sweep) all(ebTable []float64, maxLevel int) {
 	// Seed: the origin is predicted with 0 — here, as a run of one whose
 	// "neighbour" at distance 0 is recon[0] itself, zeroed first: a decode
-	// may run over a reused destination that holds anything.
+	// may run over a reused destination, and an encode over a pooled
+	// reconstruction, that holds anything.
 	w.setEB(ebTable[0])
 	w.recon[0] = 0
 	w.run(modeConst, 0, 1, 1, 0)
@@ -171,14 +172,15 @@ func (w *sweep) passZ(s int) {
 	}
 }
 
-// encodeCore predicts and quantizes every sample of f, returning the code
-// stream and the escaped samples, both in visit order.
-func encodeCore(f *field.Field, interp Interpolant, ebTable []float64, maxLevel int) ([]int32, []float64) {
+// encodeCore predicts and quantizes every sample of f into recon and codes
+// (each len(f.Data); what they hold on entry is never read) and appends the
+// escaped samples to outliers. It returns the codes and the outliers, both
+// in visit order.
+func encodeCore(f *field.Field, interp Interpolant, ebTable []float64, maxLevel int, recon []float64, codes []int32, outliers []float64) ([]int32, []float64) {
 	w := sweep{
 		nx: f.Nx, ny: f.Ny, nz: f.Nz, interp: interp,
-		recon: make([]float64, len(f.Data)),
-		codes: make([]int32, len(f.Data)),
-		data:  f.Data,
+		recon: recon, codes: codes, outliers: outliers,
+		data: f.Data,
 	}
 	w.all(ebTable, maxLevel)
 	return w.codes, w.outliers

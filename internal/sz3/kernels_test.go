@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/flatepool"
 	"repro/internal/huffman"
 	"repro/internal/raceflag"
 	"repro/internal/synth"
@@ -253,17 +255,22 @@ func hostile(f *field.Field, seed int64) {
 	}
 }
 
+// encodeFresh runs encodeCore on arrays of its own.
+func encodeFresh(f *field.Field, interp Interpolant, ebTable []float64, maxLevel int) ([]int32, []float64) {
+	return encodeCore(f, interp, ebTable, maxLevel, make([]float64, len(f.Data)), make([]int32, len(f.Data)), nil)
+}
+
 // checkAgainstReference holds encodeCore and decodeCore to the reference:
 // same codes, the same outliers bit for bit, and the same bits in every
 // reconstructed sample.
 func checkAgainstReference(t *testing.T, f *field.Field, opt Options) {
 	t.Helper()
-	ebTable, maxLevel, err := buildEBTable(f, opt)
+	ebTable, maxLevel, err := buildEBTable(nil, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCodes, wantOut := refEncodeCore(f, opt.Interp, ebTable, maxLevel)
-	codes, out := encodeCore(f, opt.Interp, ebTable, maxLevel)
+	codes, out := encodeFresh(f, opt.Interp, ebTable, maxLevel)
 	if len(codes) != len(wantCodes) {
 		t.Fatalf("%d codes, reference %d", len(codes), len(wantCodes))
 	}
@@ -347,17 +354,17 @@ func TestHostileEscapeCount(t *testing.T) {
 	f := testField(9, 9, 16, 5)
 	f.Data[40], f.Data[700] = 1e9, math.NaN() // honest escapes, and those of the points predicted from them
 	opt := Options{EB: 1e-2}
-	ebTable, maxLevel, err := buildEBTable(f, opt)
+	ebTable, maxLevel, err := buildEBTable(nil, f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes, outliers := encodeCore(f, opt.Interp, ebTable, maxLevel)
+	codes, outliers := encodeFresh(f, opt.Interp, ebTable, maxLevel)
 	if len(outliers) < 2 {
 		t.Fatalf("test field has %d escapes, want at least 2", len(outliers))
 	}
 	stream := func(codes []int32, outliers []float64) []byte {
 		t.Helper()
-		blob, err := pack(nil, f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
+		blob, err := flatepool.Deflate(nil, appendPayload(nil, f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,11 +401,12 @@ func TestHostileEscapeCount(t *testing.T) {
 	}
 }
 
-// TestAllocBudget holds Compress and Decompress to a fixed handful of
-// allocations per stream: the arrays, the entropy coder's tables, and what
-// compress/flate's writer allocates per block — nothing per sample or per
-// symbol. Inflating allocates nothing, since the decoder and its output
-// buffer are pooled: a decode measured 6.
+// TestAllocBudget holds Compress and Decompress to what they return: the
+// working arrays, the entropy coder's tables and the inflate decoder come
+// from pools, so a compress allocates only the growth of dst (measured: 1)
+// and a decode only the field it returns (2, its header and samples) —
+// nothing when it decodes into a reused field. Before the arrays were
+// pooled, a compress measured 12 and a decode 5.
 func TestAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("malloc counts are not meaningful under the race detector")
@@ -422,18 +430,25 @@ func TestAllocBudget(t *testing.T) {
 	if len(distinct) < 500 {
 		t.Fatalf("only %d distinct codes: the field no longer exercises a large alphabet", len(distinct))
 	}
-	if n := testing.AllocsPerRun(10, func() {
-		if _, err := Compress(nil, f, opt); err != nil {
-			t.Fatal(err)
+	// No collection during the measurement: a GC empties the pools, and
+	// refilling them would add a run-dependent allocation or two.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	reused := field.New(f.Nx, f.Ny, f.Nz)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"Compress", 2, func() error { _, err := Compress(nil, f, opt); return err }},
+		{"Decompress", 2, func() error { _, err := Decompress(nil, blob); return err }},
+		{"Decompress into a reused field", 0, func() error { _, err := Decompress(reused, blob); return err }},
+	} {
+		if n := testing.AllocsPerRun(10, func() {
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > tc.budget {
+			t.Errorf("%s allocates %v times per stream, budget %v", tc.name, n, tc.budget)
 		}
-	}); n > 40 {
-		t.Errorf("Compress allocates %v times per stream, budget 40", n)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if _, err := Decompress(nil, blob); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 12 {
-		t.Errorf("Decompress allocates %v times per stream, budget 12", n)
 	}
 }

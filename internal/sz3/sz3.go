@@ -24,6 +24,20 @@
 // per-sample formulation the kernels replaced, which survives in
 // kernels_test.go as the reference they are compared against bit for bit;
 // streams are therefore byte-identical to every earlier version.
+//
+// The arrays a stream needs while it is coded — the reconstruction, the
+// codes, the escaped samples, the error-bound table, the Huffman output and
+// the payload before DEFLATE — come from a sync.Pool shared by every caller,
+// so in steady state Compress allocates only the growth of dst and
+// Decompress only the field it returns (nothing when dst is reused). They
+// are never cleared: the sweep writes every sample, seed point first, before
+// any prediction reads it, which is also why a decode may run over a reused
+// destination holding anything (TestPooledScratch). A scratch whose arrays
+// total more than maxPooledBytes (32 MiB: a whole 128³ level's
+// reconstruction and codes fit) is dropped, not pooled. The pool therefore
+// retains at most 32 MiB for each stream coded at the busiest moment, and
+// no longer than two garbage collections: one moves what it holds to the
+// victim cache, the next frees it.
 package sz3
 
 import (
@@ -31,6 +45,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/flatepool"
@@ -99,26 +115,69 @@ func MaxLevelFor(nx, ny, nz int) int {
 	return l
 }
 
+// scratch is the working memory of one stream. Each array keeps its
+// capacity from stream to stream and is resized, not cleared: every user
+// writes an element before it reads it.
+type scratch struct {
+	recon    []float64 // encode: the reconstruction predictions read
+	codes    []int32   // one quantization code per sample, in visit order
+	outliers []float64 // escaped samples, in visit order
+	ebTable  []float64 // per-level bounds, [0] the seed's
+	entropy  []byte    // encode: the Huffman-coded codes
+	payload  []byte    // encode: the stream before DEFLATE
+}
+
+// maxPooledBytes caps what a pooled scratch may keep: a 128³ level needs
+// 24 MiB of reconstruction and codes, so one larger stream does not pin its
+// arrays in the pool.
+const maxPooledBytes = 32 << 20
+
+var pool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return pool.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	if s.bytes() <= maxPooledBytes {
+		pool.Put(s)
+	}
+}
+
+// bytes is the memory s keeps.
+func (s *scratch) bytes() int {
+	return 8*(cap(s.recon)+cap(s.outliers)+cap(s.ebTable)) + 4*cap(s.codes) + cap(s.entropy) + cap(s.payload)
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough. The elements are whatever s held: callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Codes runs the prediction + quantization stage only and returns the raw
 // quantization-code stream that Compress would entropy-code. It exists so the
 // entropy stage can be benchmarked on realistic code distributions (see
-// BenchmarkHuffmanDecode and the huffman.* rows of bench/run.sh).
+// BenchmarkHuffmanDecode and the huffman.* rows of bench/run.sh). The slice
+// is the caller's: it is coded on fresh arrays, not pooled ones.
 func Codes(f *field.Field, opt Options) ([]int32, error) {
-	ebTable, maxLevel, err := buildEBTable(f, opt)
+	ebTable, maxLevel, err := buildEBTable(nil, f, opt)
 	if err != nil {
 		return nil, err
 	}
-	codes, _ := encodeCore(f, opt.Interp, ebTable, maxLevel)
+	codes, _ := encodeCore(f, opt.Interp, ebTable, maxLevel, make([]float64, len(f.Data)), make([]int32, len(f.Data)), nil)
 	return codes, nil
 }
 
-// buildEBTable validates opt and materializes the per-level error bounds.
-func buildEBTable(f *field.Field, opt Options) ([]float64, int, error) {
+// buildEBTable validates opt and materializes the per-level error bounds
+// into dst, resized.
+func buildEBTable(dst []float64, f *field.Field, opt Options) ([]float64, int, error) {
 	if !(opt.EB > 0) {
 		return nil, 0, errors.New("sz3: error bound must be positive")
 	}
 	maxLevel := MaxLevelFor(f.Nx, f.Ny, f.Nz)
-	ebTable := make([]float64, maxLevel+1) // index by level, [1..maxLevel]; [0] = seed
+	ebTable := resize(dst, maxLevel+1) // index by level, [1..maxLevel]; [0] = seed
 	for l := 1; l <= maxLevel; l++ {
 		if opt.LevelEB != nil {
 			ebTable[l] = opt.LevelEB(l, maxLevel)
@@ -136,18 +195,30 @@ func buildEBTable(f *field.Field, opt Options) ([]float64, int, error) {
 // Compress encodes the field under opt and appends the stream to dst (nil
 // for a new buffer), as flatepool.Deflate does.
 func Compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
-	ebTable, maxLevel, err := buildEBTable(f, opt)
+	s := getScratch()
+	defer putScratch(s)
+	return s.compress(dst, f, opt)
+}
+
+func (s *scratch) compress(dst []byte, f *field.Field, opt Options) ([]byte, error) {
+	ebTable, maxLevel, err := buildEBTable(s.ebTable, f, opt)
 	if err != nil {
 		return nil, err
 	}
-	codes, outliers := encodeCore(f, opt.Interp, ebTable, maxLevel)
-	return pack(dst, f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, huffman.Encode(codes), outliers)
+	s.ebTable = ebTable
+	n := len(f.Data)
+	s.recon, s.codes = resize(s.recon, n), resize(s.codes, n)
+	codes, outliers := encodeCore(f, opt.Interp, ebTable, maxLevel, s.recon, s.codes, s.outliers[:0])
+	s.outliers = outliers
+	s.entropy = huffman.AppendEncode(s.entropy[:0], codes)
+	s.payload = appendPayload(s.payload[:0], f.Nx, f.Ny, f.Nz, opt.Interp, ebTable, s.entropy, outliers)
+	return flatepool.Deflate(dst, s.payload)
 }
 
-// pack serializes a stream: header | eb table | huffman codes | outliers,
-// then DEFLATE, appended to dst. hb is the entropy-coded code stream.
-func pack(dst []byte, nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outliers []float64) ([]byte, error) {
-	p := make([]byte, 0, len(magic)+1+5*binary.MaxVarintLen64+8*len(ebTable)+len(hb)+8*len(outliers))
+// appendPayload appends a stream before DEFLATE to p: header | eb table |
+// huffman codes | outliers. hb is the entropy-coded code stream.
+func appendPayload(p []byte, nx, ny, nz int, interp Interpolant, ebTable []float64, hb []byte, outliers []float64) []byte {
+	p = slices.Grow(p, len(magic)+1+5*binary.MaxVarintLen64+8*len(ebTable)+len(hb)+8*len(outliers))
 	p = append(p, magic...)
 	p = append(p, byte(interp))
 	p = binary.AppendUvarint(p, uint64(nx))
@@ -162,12 +233,18 @@ func pack(dst []byte, nx, ny, nz int, interp Interpolant, ebTable []float64, hb 
 	for _, v := range outliers {
 		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 	}
-	return flatepool.Deflate(dst, p)
+	return p
 }
 
 // Decompress decodes a buffer produced by Compress into dst, reshaped
 // (field.Reuse; nil for a new field), and returns it.
 func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
+	s := getScratch()
+	defer putScratch(s)
+	return s.decompress(dst, data)
+}
+
+func (s *scratch) decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	inflated, err := flatepool.Inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("sz3: inflate: %w", err)
@@ -187,7 +264,8 @@ func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	if maxLevel != MaxLevelFor(nx, ny, nz) {
 		return nil, errors.New("sz3: inconsistent level count")
 	}
-	ebTable := make([]float64, maxLevel+1)
+	s.ebTable = resize(s.ebTable, maxLevel+1)
+	ebTable := s.ebTable
 	for i := range ebTable {
 		if ebTable[i] = r.Float64(); !(ebTable[i] > 0) {
 			return nil, errors.New("sz3: truncated or invalid eb table")
@@ -197,11 +275,13 @@ func Decompress(dst *field.Field, data []byte) (*field.Field, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sz3: code stream: %w", err)
 	}
-	codes, err := huffman.Decode(hb)
+	codes, err := huffman.AppendDecode(s.codes[:0], hb)
 	if err != nil {
 		return nil, err
 	}
-	outliers := make([]float64, r.Uvarint(uint64(r.Len())/8))
+	s.codes = codes
+	s.outliers = resize(s.outliers, int(r.Uvarint(uint64(r.Len())/8)))
+	outliers := s.outliers
 	for i := range outliers {
 		outliers[i] = r.Float64()
 	}
